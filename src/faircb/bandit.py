@@ -23,6 +23,8 @@ from .model import Arm, Regime
 from .sampling import BatchSamples
 
 __all__ = [
+    "MIN_T_CSR",
+    "MIN_T_TWO_STAGE",
     "PhaseSchedule",
     "PhaseRecord",
     "RunTrace",
@@ -37,6 +39,11 @@ __all__ = [
 Sampler = Callable[[int, Regime, int, np.random.Generator], BatchSamples]
 
 _REGIME_ROWS = (Regime.OBSERVATIONAL, Regime.FORCE_S, Regime.FORCE_SPRIME)
+
+# Smallest budgets with a phase schedule: one for ``run_csr``, one per stage
+# for ``run_two_stage``.
+MIN_T_CSR = 4
+MIN_T_TWO_STAGE = 2 * MIN_T_CSR
 
 
 @dataclass
@@ -82,8 +89,8 @@ def phase_schedule(T: int) -> PhaseSchedule:
     Floor rounding leaves a deficit of at most n pulls, which goes to the
     first phase so the counts sum to T exactly.
     """
-    if T < 4:
-        raise ValueError("T must be >= 4")
+    if T < MIN_T_CSR:
+        raise ValueError(f"T must be >= {MIN_T_CSR}")
     n = math.ceil(math.log2(10.0 * math.sqrt(T)))
     logbar = float(sum(1.0 / i for i in range(1, n + 1)))
     tau = np.array([int(T // (l * logbar)) for l in range(1, n + 1)], dtype=np.int64)
@@ -290,8 +297,8 @@ def run_two_stage(
     """
     if inner not in ("v1", "v2"):
         raise ValueError(f"inner must be 'v1' or 'v2', got {inner!r}")
-    if T < 8:
-        raise ValueError("T must be >= 8 so each stage gets a schedule")
+    if T < MIN_T_TWO_STAGE:
+        raise ValueError(f"T must be >= {MIN_T_TWO_STAGE} so each stage gets a schedule")
     rng = np.random.default_rng() if rng is None else rng
     K = len(arms)
     costs = costs_from_arms(arms)

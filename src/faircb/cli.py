@@ -273,6 +273,13 @@ def _cmd_sweep(args) -> int:
             f"T={row.budget} {row.algorithm}: error {row.error_rate:.3f} "
             f"({row.misidentifications}/{row.runs}, {row.no_fair_arm} none, {row.failures} failed)"
         )
+    failed = sum(row.failures for row in curve.rows)
+    if failed:
+        total = sum(row.runs for row in curve.rows)
+        print(
+            f"warning: {failed} of {total} runs raised and were scored as errors",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -7,6 +7,13 @@ signed counterfactual weight of the pair.  Rows index the target arm ``i``,
 columns the source arm ``j``.  Expectations are evaluated in log-sum-exp form
 throughout, so entries stay finite even when individual weights overflow
 ``exp``.
+
+Cost of the exact matrices: the fairness cells depend only on the target arm,
+so each target is enumerated twice, once per forced regime, and every block
+yields its weights against all K source arms in both directions at once.  The
+outcome cells need one more enumeration, for the marginal of the intervention
+context.  ``DivergenceSet.exact`` on K arms thus calls ``enumerate_joint``
+2K + 1 times, and reduces block by block so it holds O(K * block) floats.
 """
 
 from __future__ import annotations
@@ -45,19 +52,18 @@ def f1(x):
     return out if out.ndim else float(out)
 
 
-def _outcome_cells(model: CausalModel, arm_i: Arm, arm_j: Arm):
-    """Cells ``(p_j, p_i, w)`` of the intervention context under the j measure.
+def _outcome_cells(marg: np.ndarray, targets: np.ndarray, source: np.ndarray):
+    """Cells ``(p_j, p_i, w)`` of the intervention context under the source measure.
 
-    ``p_j > 0`` on every returned cell; the shared zero pattern between arms
-    makes ``w = P_i / P_j`` finite there.
+    ``marg`` is the marginal over the context rows and ``targets`` a
+    ``(K, rows, card)`` stack of target tables; ``p_i`` and ``w = P_i / P_j``
+    carry one row per target.  ``p_j > 0`` on every returned cell; the shared
+    zero pattern between arms makes ``w`` finite there.
     """
-    marg = marginal_rows(model, model.intervention)
-    pj = marg[:, None] * arm_j.table
-    pi = marg[:, None] * arm_i.table
+    pj = marg[:, None] * source
     mask = pj > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(mask, arm_i.table / arm_j.table, 0.0)
-    return pj[mask], pi[mask], w[mask]
+    pi = (marg[:, None] * targets)[:, mask]
+    return pj[mask], pi, targets[:, mask] / source[mask]
 
 
 def conditional_f_divergence(
@@ -70,8 +76,9 @@ def conditional_f_divergence(
 ) -> float:
     """``E_j[f1(P_i / P_j)]`` over the intervention context, exact by default."""
     if mode == "exact":
-        pj, _, w = _outcome_cells(model, arm_i, arm_j)
-        return float(pj @ f1(w))
+        marg = marginal_rows(model, model.intervention)
+        pj, _, w = _outcome_cells(marg, arm_i.table[None], arm_j.table)
+        return float(pj @ f1(w[0]))
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
@@ -79,16 +86,6 @@ def conditional_f_divergence(
     batch = sample_batch(model, arm_j, Regime.OBSERVATIONAL, draws, rng)
     w = arm_i.table[batch.v_row, batch.v_val] / arm_j.table[batch.v_row, batch.v_val]
     return float(np.mean(f1(w)))
-
-
-def _log_mgf_outcome(pj: np.ndarray, w: np.ndarray) -> float:
-    """``ln E_j[w e^(w-1)] = ln (1 + D_f1)``, safe for huge ratios.
-
-    Uses ``sum_j p f1(w) + 1 = sum_j p w e^(w-1)`` since the cell masses sum
-    to one.
-    """
-    pos = w > 0.0
-    return float(logsumexp(np.log(pj[pos]) + np.log(w[pos]) + w[pos] - 1.0))
 
 
 def outcome_matrix(
@@ -105,55 +102,78 @@ def outcome_matrix(
         raise ValueError("mc mode needs an rng")
     k = len(arms)
     m = np.ones((k, k), dtype=float)
-    marg = marginal_rows(model, model.intervention) if mode == "exact" else None
+    if mode == "exact":
+        marg = marginal_rows(model, model.intervention)
+        tables = np.stack([a.table for a in arms])
+        for j in range(k):
+            pj, _, w = _outcome_cells(marg, tables, tables[j])
+            # ln E_j[w e^(w-1)] = ln(1 + D_f1) since the cell masses sum to
+            # one; a zero ratio contributes exp(-inf) = 0.
+            with np.errstate(divide="ignore"):
+                m[:, j] = 1.0 + logsumexp(np.log(pj) + np.log(w) + w - 1.0, axis=-1)
+        np.fill_diagonal(m, 1.0)
+        return m
     for j in range(k):
-        if mode == "exact":
-            pj = marg[:, None] * arms[j].table
-            mask = pj > 0.0
-        else:
-            batch = sample_batch(model, arms[j], Regime.OBSERVATIONAL, draws, rng)
+        batch = sample_batch(model, arms[j], Regime.OBSERVATIONAL, draws, rng)
         for i in range(k):
             if i == j:
                 continue
-            if mode == "exact":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    w = np.where(mask, arms[i].table / arms[j].table, 0.0)
-                m[i, j] = 1.0 + _log_mgf_outcome(pj[mask], w[mask])
-            else:
-                w = arms[i].table[batch.v_row, batch.v_val] / arms[j].table[batch.v_row, batch.v_val]
-                pos = w > 0.0
-                m[i, j] = 1.0 + float(
-                    logsumexp(np.log(w[pos]) + w[pos] - 1.0) - np.log(w.shape[0])
-                )
+            w = arms[i].table[batch.v_row, batch.v_val] / arms[j].table[batch.v_row, batch.v_val]
+            pos = w > 0.0
+            m[i, j] = 1.0 + float(
+                logsumexp(np.log(w[pos]) + w[pos] - 1.0) - np.log(w.shape[0])
+            )
     return m
 
 
-def _fairness_weight_cells(model: CausalModel, arm_i: Arm, arm_j: Arm, direction: str):
-    """Per forced regime, cells ``(probs under arm i, signed weight w_ij)``.
+def _fairness_cells(
+    model: CausalModel,
+    target: Arm,
+    sources: np.ndarray,
+    directions: tuple[str, ...],
+    forced: int,
+):
+    """Blocks ``(probs under the target, w)`` of the forced regime S <- ``forced``.
 
-    The weight keeps the orientation of ``direction`` while the evidence
-    attribute runs over both values, which is what the two-regime expectation
-    and the two-sided quantile need.
+    ``sources`` is a ``(K, rows, card)`` stack of source tables and ``w`` has
+    shape ``(len(directions), K, cells)``: the signed weight of each direction
+    against each source.  The weight keeps the orientation of its direction
+    while the evidence attribute runs over both values, which is what the
+    two-regime expectation and the two-sided quantile need.
     """
-    num, den = direction_values(direction)
     needed = [model.intervention, *model.children(model.sensitive)]
     v = model.intervention
     strides = model.row_strides(v)
-    out = []
-    for forced in (S_VALUE, SPRIME_VALUE):
-        probs_parts, w_parts = [], []
-        for probs, values in enumerate_joint(model, arm_i, needed, force_s=forced):
-            mask = probs > 0.0
-            sub = {x: col[mask] for x, col in values.items()}
-            rows = np.zeros(int(mask.sum()), dtype=np.int64)
-            for p, st in zip(model.parents[v], strides):
-                rows += sub[p] * st
-            w_v = arm_i.table[rows, sub[v]] / arm_j.table[rows, sub[v]]
-            ratio = attribute_ratio_values(model, arm_i, sub, num, den)
-            probs_parts.append(probs[mask])
-            w_parts.append(w_v * (ratio - 1.0))
-        out.append((np.concatenate(probs_parts), np.concatenate(w_parts)))
-    return out
+    for probs, values in enumerate_joint(model, target, needed, force_s=forced):
+        mask = probs > 0.0
+        if not mask.any():
+            continue
+        sub = {x: col[mask] for x, col in values.items()}
+        rows = np.zeros(int(mask.sum()), dtype=np.int64)
+        for p, st in zip(model.parents[v], strides):
+            rows += sub[p] * st
+        w_v = target.table[rows, sub[v]] / sources[:, rows, sub[v]]
+        w = np.empty((len(directions),) + w_v.shape)
+        for out, direction in zip(w, directions):
+            ratio = attribute_ratio_values(model, target, sub, *direction_values(direction))
+            np.multiply(w_v, ratio - 1.0, out=out)
+        yield probs[mask], w
+
+
+def _fairness_rows(model: CausalModel, arms, directions: tuple[str, ...]) -> np.ndarray:
+    """Exact ``D`` matrices of ``directions``, shape ``(len(directions), K, K)``."""
+    k = len(arms)
+    tables = np.stack([a.table for a in arms])
+    d = np.empty((len(directions), k, k), dtype=float)
+    for i, arm in enumerate(arms):
+        parts = []
+        for forced in (S_VALUE, SPRIME_VALUE):
+            acc = np.full((len(directions), k), -np.inf)
+            for probs, w in _fairness_cells(model, arm, tables, directions, forced):
+                acc = np.logaddexp(acc, logsumexp(np.log(probs) + np.abs(w), axis=-1))
+            parts.append(acc)
+        d[:, i] = np.logaddexp(*parts)
+    return d
 
 
 def fairness_matrix(
@@ -165,40 +185,35 @@ def fairness_matrix(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Cutoff matrix ``D[i, j]`` for the counterfactual weights of ``direction``."""
+    direction_values(direction)  # rejects an unknown direction in either mode
+    if mode == "exact":
+        return _fairness_rows(model, arms, (direction,))[0]
+    if mode != "mc":
+        raise ValueError(f"unknown mode {mode!r}")
+    if rng is None:
+        raise ValueError("mc mode needs an rng")
     k = len(arms)
     d = np.zeros((k, k), dtype=float)
-    num, den = direction_values(direction)
     for i in range(k):
-        if mode == "exact":
-            for j in range(k):
-                parts = []
-                for probs, w in _fairness_weight_cells(model, arms[i], arms[j], direction):
-                    parts.append(logsumexp(np.log(probs) + np.abs(w)))
-                d[i, j] = float(np.logaddexp(*parts))
-        elif mode == "mc":
-            if rng is None:
-                raise ValueError("mc mode needs an rng")
-            batches = [
-                sample_batch(model, arms[i], reg, draws, rng)
-                for reg in (Regime.FORCE_S, Regime.FORCE_SPRIME)
-            ]
-            for j in range(k):
-                parts = []
-                for batch in batches:
-                    w_v = (
-                        arms[i].table[batch.v_row, batch.v_val]
-                        / arms[j].table[batch.v_row, batch.v_val]
-                    )
-                    rnum = arms[i].table[batch.v_row_s, batch.v_val]
-                    rden = arms[i].table[batch.v_row_sp, batch.v_val]
-                    ratio = batch.child_ratio * rnum / rden
-                    if direction == "sps":
-                        ratio = 1.0 / ratio
-                    w = w_v * (ratio - 1.0)
-                    parts.append(logsumexp(np.abs(w)) - np.log(w.shape[0]))
-                d[i, j] = float(np.logaddexp(*parts))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        batches = [
+            sample_batch(model, arms[i], reg, draws, rng)
+            for reg in (Regime.FORCE_S, Regime.FORCE_SPRIME)
+        ]
+        for j in range(k):
+            parts = []
+            for batch in batches:
+                w_v = (
+                    arms[i].table[batch.v_row, batch.v_val]
+                    / arms[j].table[batch.v_row, batch.v_val]
+                )
+                rnum = arms[i].table[batch.v_row_s, batch.v_val]
+                rden = arms[i].table[batch.v_row_sp, batch.v_val]
+                ratio = batch.child_ratio * rnum / rden
+                if direction == "sps":
+                    ratio = 1.0 / ratio
+                w = w_v * (ratio - 1.0)
+                parts.append(logsumexp(np.abs(w)) - np.log(w.shape[0]))
+            d[i, j] = float(np.logaddexp(*parts))
     return d
 
 
@@ -212,11 +227,8 @@ class DivergenceSet:
 
     @classmethod
     def exact(cls, model: CausalModel, arms) -> "DivergenceSet":
-        return cls(
-            m=outcome_matrix(model, arms),
-            d_ssp=fairness_matrix(model, arms, "ssp"),
-            d_sps=fairness_matrix(model, arms, "sps"),
-        )
+        d_ssp, d_sps = _fairness_rows(model, arms, ("ssp", "sps"))
+        return cls(m=outcome_matrix(model, arms), d_ssp=d_ssp, d_sps=d_sps)
 
     @classmethod
     def mc(cls, model: CausalModel, arms, draws: int, rng: np.random.Generator) -> "DivergenceSet":
@@ -249,9 +261,10 @@ def empirical_quantile_eta(
     """Smallest ``eta`` with ``P_i(P_i / P_j > eta) <= eps / 2``."""
     if not 0.0 < eps < 2.0:
         raise ValueError("eps must lie in (0, 2)")
-    _, pi, w = _outcome_cells(model, arm_i, arm_j)
-    mask = pi > 0.0
-    return _min_tail_quantile(w[mask], pi[mask], eps / 2.0)
+    marg = marginal_rows(model, model.intervention)
+    _, pi, w = _outcome_cells(marg, arm_i.table[None], arm_j.table)
+    mask = pi[0] > 0.0
+    return _min_tail_quantile(w[0][mask], pi[0][mask], eps / 2.0)
 
 
 def empirical_quantile_gamma(
@@ -260,7 +273,11 @@ def empirical_quantile_gamma(
     """Smallest ``gamma`` whose two forced tail masses of ``|w_ij|`` sum below ``eps / 2``."""
     if not 0.0 < eps < 2.0:
         raise ValueError("eps must lie in (0, 2)")
-    cells = _fairness_weight_cells(model, arm_i, arm_j, direction)
-    weights = np.concatenate([np.abs(w) for _, w in cells])
+    cells = [
+        block
+        for forced in (S_VALUE, SPRIME_VALUE)
+        for block in _fairness_cells(model, arm_i, arm_j.table[None], (direction,), forced)
+    ]
+    weights = np.concatenate([np.abs(w[0, 0]) for _, w in cells])
     probs = np.concatenate([p for p, _ in cells])
     return _min_tail_quantile(weights, probs, eps / 2.0)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocation import cheap_arm_cap
-from .bandit import RunTrace, run_csr, run_two_stage
+from .bandit import MIN_T_CSR, MIN_T_TWO_STAGE, RunTrace, run_csr, run_two_stage
 from .divergence import DivergenceSet
 from .io import instance_digest
 from .model import Instance
@@ -35,6 +35,12 @@ ALGORITHMS = ("csr-v1", "csr-v2", "ts-v1", "ts-v2")
 
 @dataclass(frozen=True)
 class SweepRow:
+    """Tallies of the seeded runs of one (budget, algorithm) cell.
+
+    ``wall_time_s`` is the sum of the per-run seconds.  Runs overlap at
+    ``width > 1``, so there it exceeds the wall time of the sweep.
+    """
+
     budget: int
     algorithm: str
     runs: int
@@ -134,9 +140,15 @@ def run_sweep(
     """Score ``runs`` seeded runs per (budget, algorithm) against the exact oracle."""
     if instance.fairness_eps is None:
         raise ValueError("instance has no fairness_eps; sweeps need the oracle truth")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
+        low = MIN_T_CSR if algorithm.startswith("csr-") else MIN_T_TWO_STAGE
+        short = [int(T) for T in budgets if int(T) < low]
+        if short:
+            raise ValueError(f"{algorithm} needs budgets >= {low}, got {short}")
     truth = oracle_report(instance, instance.fairness_eps)["best_fair"]
     digest = instance_digest(instance)
     budget = default_budget(instance)

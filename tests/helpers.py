@@ -11,8 +11,16 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
+from faircb.divergence import DivergenceSet
 from faircb.model import Arm, CausalModel, Instance
+from faircb.oracles import (
+    attribute_ratio_values,
+    direction_values,
+    enumerate_joint,
+    marginal_rows,
+)
 
 S_CHAIN_F = np.array([0.2, 0.5, 0.9])
 
@@ -203,6 +211,63 @@ def clipped_fairness_expectation(
         if abs(u) <= thr:
             acc += p * model.target_values[values[model.target]] * u
     return acc
+
+
+def _reference_fairness_cells(model: CausalModel, arm_i: Arm, arm_j: Arm, direction: str):
+    """Per forced regime, cells ``(probs under arm i, signed weight w_ij)`` of one pair."""
+    num, den = direction_values(direction)
+    needed = [model.intervention, *model.children(model.sensitive)]
+    v = model.intervention
+    strides = model.row_strides(v)
+    out = []
+    for forced in (0, 1):
+        probs_parts, w_parts = [], []
+        for probs, values in enumerate_joint(model, arm_i, needed, force_s=forced):
+            mask = probs > 0.0
+            sub = {x: col[mask] for x, col in values.items()}
+            rows = np.zeros(int(mask.sum()), dtype=np.int64)
+            for p, st in zip(model.parents[v], strides):
+                rows += sub[p] * st
+            w_v = arm_i.table[rows, sub[v]] / arm_j.table[rows, sub[v]]
+            ratio = attribute_ratio_values(model, arm_i, sub, num, den)
+            probs_parts.append(probs[mask])
+            w_parts.append(w_v * (ratio - 1.0))
+        out.append((np.concatenate(probs_parts), np.concatenate(w_parts)))
+    return out
+
+
+def reference_divergence_set(model: CausalModel, arms) -> DivergenceSet:
+    """Exact ``M``, ``D_ssp`` and ``D_sps`` computed one (target, source) pair at a time.
+
+    Each fairness entry enumerates the joint afresh for its own pair, and each
+    outcome entry reduces its own cells, so the vectorized matrices of
+    ``DivergenceSet.exact`` are checked against a separate code path.
+    """
+    k = len(arms)
+    marg = marginal_rows(model, model.intervention)
+    m = np.ones((k, k), dtype=float)
+    for j in range(k):
+        pj = marg[:, None] * arms[j].table
+        mask = pj > 0.0
+        for i in range(k):
+            if i == j:
+                continue
+            w = arms[i].table[mask] / arms[j].table[mask]
+            pos = w > 0.0
+            m[i, j] = 1.0 + float(
+                logsumexp(np.log(pj[mask][pos]) + np.log(w[pos]) + w[pos] - 1.0)
+            )
+    d = {}
+    for direction in ("ssp", "sps"):
+        d[direction] = np.zeros((k, k), dtype=float)
+        for i in range(k):
+            for j in range(k):
+                parts = [
+                    logsumexp(np.log(probs) + np.abs(w))
+                    for probs, w in _reference_fairness_cells(model, arms[i], arms[j], direction)
+                ]
+                d[direction][i, j] = float(np.logaddexp(*parts))
+    return DivergenceSet(m=m, d_ssp=d["ssp"], d_sps=d["sps"])
 
 
 def maxmin_vertex_value(problem, feas_tol: float = 1e-7) -> float | None:

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import faircb.sweep as sweep_mod
 from faircb.cli import main
 from faircb.divergence import DivergenceSet
 from faircb.io import load_instance, save_instance
@@ -276,3 +277,36 @@ def test_sweep_cli(tmp_path, instance_file, capsys):
     assert out_csv.read_text().count("\n") == 5  # header + 4 rows
     payload = json.loads(out_json.read_text())
     assert len(payload["rows"]) == 4
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--budgets", "200", "--runs", "0"], "runs must be >= 1"),
+     (["--budgets", "2", "--runs", "1"], "needs budgets >= 4")],
+)
+def test_sweep_cli_rejects_bad_input(tmp_path, instance_file, capsys, flags, message):
+    out_csv = tmp_path / "curve.csv"
+    code = main(["sweep", "--instance", instance_file, *flags, "--out-csv", str(out_csv)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_sweep_cli_warns_on_failed_runs(tmp_path, instance_file, capsys, monkeypatch):
+    args = ["sweep", "--instance", instance_file, "--budgets", "200", "--runs", "2",
+            "--algos", "csr-v1,csr-v2", "--out-csv", str(tmp_path / "curve.csv")]
+    assert main(args) == 0
+    assert "warning" not in capsys.readouterr().err
+
+    real = sweep_mod.run_algorithm
+
+    def flaky(inst, algorithm, T, rng, **kwargs):
+        if algorithm == "csr-v1":
+            raise RuntimeError("synthetic breakage")
+        return real(inst, algorithm, T, rng, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "run_algorithm", flaky)
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert "warning: 2 of 4 runs raised and were scored as errors" in captured.err
+    assert "T=200 csr-v1: error 1.000 (2/2, 0 none, 2 failed)" in captured.out

@@ -19,8 +19,9 @@ from faircb.divergence import (
     outcome_matrix,
 )
 from faircb.model import Arm, CausalModel
+from faircb.synth import SyntheticConfig, generate_synthetic
 
-from helpers import chain_model, random_instance
+from helpers import chain_model, random_instance, reference_divergence_set
 
 # Frozen by explicit cell-by-cell arithmetic over the chain fixture.
 CHAIN_DF1_10 = 0.5730287944613754
@@ -106,6 +107,32 @@ def test_logsumexp_stability_under_extreme_ratios():
     w = 0.9999 / 0.0001
     dominant = math.log(0.0001) + math.log(w) + w - 1.0
     assert m[0, 1] == pytest.approx(1.0 + dominant, abs=1e-6)
+
+
+def _assert_matches_reference(model, arms):
+    got = DivergenceSet.exact(model, arms)
+    want = reference_divergence_set(model, arms)
+    for name in ("m", "d_ssp", "d_sps"):
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-12, err_msg=name
+        )
+    np.testing.assert_array_equal(np.diag(got.m), 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_divergence_set_exact_matches_pairwise_reference_random(seed):
+    inst = random_instance(np.random.default_rng(seed))
+    _assert_matches_reference(inst.model, inst.arms)
+
+
+def test_divergence_set_exact_matches_pairwise_reference_fixtures():
+    _assert_matches_reference(*chain_model())
+    inst = generate_synthetic(
+        SyntheticConfig(n_arms=4, support=5, seed=2, fairness_eps=0.5,
+                        fairness_gap_band=(0.3, 0.45), reward_gap_band=(0.05, 0.15))
+    )
+    _assert_matches_reference(inst.model, inst.arms)
 
 
 def test_divergence_set_exact_vs_mc():

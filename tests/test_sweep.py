@@ -131,6 +131,25 @@ def test_sweep_records_failures_as_errors(instance, monkeypatch):
     assert healthy.failures == 0
 
 
+@pytest.mark.parametrize(
+    "budgets, runs, algorithms, match",
+    [
+        ((200,), 0, ALGORITHMS, "runs must be >= 1"),
+        ((200, 3), 1, ("csr-v1",), r"csr-v1 needs budgets >= 4, got \[3\]"),
+        ((7, 200), 1, ("csr-v2", "ts-v1"), r"ts-v1 needs budgets >= 8, got \[7\]"),
+    ],
+)
+def test_sweep_rejects_bad_input_before_any_run(instance, budgets, runs, algorithms, match):
+    with pytest.raises(ValueError, match=match):
+        run_sweep(instance, budgets=budgets, runs=runs, algorithms=algorithms)
+
+
+def test_sweep_accepts_the_schedule_minimums(instance):
+    curve = run_sweep(instance, budgets=(4,), runs=1, algorithms=("csr-v1", "csr-v2"))
+    curve_ts = run_sweep(instance, budgets=(8,), runs=1, algorithms=("ts-v1", "ts-v2"))
+    assert all(row.failures == 0 for row in curve.rows + curve_ts.rows)
+
+
 def test_sweep_requires_oracle_truth():
     model, arms = chain_model()
     bare = Instance(model=model, arms=arms, name="chain")

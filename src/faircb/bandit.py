@@ -1,11 +1,22 @@
 """Successive-rejection runs: phase schedule, fair set, elimination, traces.
 
-A run splits its pull budget into phases of shrinking accuracy eps = 2^{1-l}.
-Each phase solves the max-min allocation over the surviving arms, pulls the
-rounded counts, re-estimates, computes the set of arms currently certified
-fair, and eliminates arms that are provably suboptimal or unfair at the
-current accuracy.  The v1 variant estimates from the phase's own samples,
-v2 from every sample collected so far (re-clipped at the current eps).
+A stage splits its pull budget into phases of shrinking accuracy
+eps = 2^{1-l}.  One driver, ``_run_stage``, runs every phase of every
+algorithm: it solves the max-min allocation over the surviving arms, pulls
+the rounded counts, re-estimates, records the phase and eliminates.  Its
+``rule`` picks the LP families and the elimination clauses:
+
+- ``joint`` (``run_csr``): both families; the arms certified fair at this
+  phase are the reference for ``eliminate``; a lone survivor is the decision.
+- ``fairness`` (stage one of ``run_two_stage``): forced pulls only; arms are
+  dropped on the unfairness clauses alone, and the stage stops once at most
+  one arm survives.
+- ``outcome`` (stage two of ``run_two_stage``): observational pulls only;
+  every survivor counts as fair, arms are dropped on the reward clause
+  against the survivors, and a lone survivor is the decision.
+
+The v1 variant estimates from the phase's own samples, v2 from every sample
+collected so far (re-clipped at the current eps), across both stages.
 """
 
 from __future__ import annotations
@@ -215,6 +226,77 @@ def _pull_phase(
     return samples, cost
 
 
+@dataclass
+class _Run:
+    """What every phase of one run reads; under v2 all its phases share ``pool``."""
+
+    sampler: Sampler
+    arms: Sequence[Arm]
+    divergences: DivergenceSet
+    budget: float
+    fairness_eps: float
+    variant: str
+    rng: np.random.Generator | None
+    extra_constraints: Sequence[tuple[np.ndarray, float]]
+
+    def __post_init__(self) -> None:
+        self.rng = np.random.default_rng() if self.rng is None else self.rng
+        self.costs = costs_from_arms(self.arms)
+        self.pool = SamplePool(len(self.arms)) if self.variant == "v2" else None
+
+
+def _run_stage(
+    run: _Run, T: int, remaining: tuple[int, ...], stage: int, rule: str,
+    phases: list[PhaseRecord],
+) -> tuple[tuple[int, ...], int | None]:
+    """One phase schedule of ``T`` pulls over ``remaining``; appends a record per phase.
+
+    Returns the survivors and, when the stage ended at a lone survivor, that
+    arm as the decision (None otherwise).  See the module docstring for the
+    three rules.
+    """
+    K = len(run.arms)
+    sched = phase_schedule(T)
+    for l in range(1, sched.n + 1):
+        eps = 2.0 ** (-(l - 1))
+        problem = build_problem(
+            run.divergences, run.costs, run.budget, remaining, run.extra_constraints,
+            include_outcome=rule != "fairness", include_fairness=rule != "outcome",
+        )
+        alloc = _round_phase(solve_maxmin(problem), int(sched.tau[l - 1]), K)
+        pool = SamplePool(K) if run.pool is None else run.pool
+        spent, cost = _pull_phase(run.sampler, pool, alloc, run.costs, run.rng)
+        estimates = estimate_all(pool, run.arms, eps, run.divergences)
+        if rule == "outcome":
+            fair = remaining
+        else:
+            fair = fair_set(estimates, l, run.fairness_eps, remaining)
+        decided = rule != "fairness" and len(remaining) == 1
+        if decided:
+            eliminated = ()
+        elif rule == "joint":
+            eliminated = eliminate(estimates, fair, l, run.fairness_eps, remaining)[1]
+        elif rule == "fairness":
+            eliminated = tuple(_unfair_records(estimates, l, run.fairness_eps, remaining))
+        else:
+            eliminated = tuple(_suboptimal_records(estimates, l, remaining, remaining))
+        phases.append(
+            PhaseRecord(l, stage, eps, remaining, fair, alloc, estimates, eliminated, spent, cost)
+        )
+        if decided:
+            return remaining, remaining[0]
+        dropped = {k for k, _ in eliminated}
+        remaining = tuple(k for k in remaining if k not in dropped)
+        if rule == "fairness" and len(remaining) <= 1:
+            break
+    return remaining, None
+
+
+def _trace(phases: list[PhaseRecord], decision: int | None) -> RunTrace:
+    cost = float(sum(p.cost for p in phases))
+    return RunTrace(phases, decision, sum(p.samples for p in phases), cost)
+
+
 def run_csr(
     sampler: Sampler,
     arms: Sequence[Arm],
@@ -226,55 +308,21 @@ def run_csr(
     rng: np.random.Generator | None = None,
     extra_constraints: Sequence[tuple[np.ndarray, float]] = (),
 ) -> RunTrace:
-    """One joint successive-rejection run over the full budget."""
+    """One joint successive-rejection run over the full budget.
+
+    Without a lone survivor the decision is the best outcome estimate among
+    the fair set of the last phase that certified any arm fair.
+    """
     if variant not in ("v1", "v2"):
         raise ValueError(f"variant must be 'v1' or 'v2', got {variant!r}")
-    rng = np.random.default_rng() if rng is None else rng
-    K = len(arms)
-    costs = costs_from_arms(arms)
-    sched = phase_schedule(T)
-    remaining = tuple(range(K))
-    cumulative = SamplePool(K)
+    run = _Run(sampler, arms, divergences, budget, fairness_eps, variant, rng, extra_constraints)
     phases: list[PhaseRecord] = []
-    samples_spent = 0
-    cost_spent = 0.0
-    last_fair: tuple[tuple[int, ...], EstimateVector] | None = None
-    decision: int | None = None
-    decided = False
-
-    for l in range(1, sched.n + 1):
-        eps = 2.0 ** (-(l - 1))
-        problem = build_problem(divergences, costs, budget, remaining, extra_constraints)
-        alloc = _round_phase(solve_maxmin(problem), int(sched.tau[l - 1]), K)
-        pool = cumulative if variant == "v2" else SamplePool(K)
-        spent, cost = _pull_phase(sampler, pool, alloc, costs, rng)
-        samples_spent += spent
-        cost_spent += cost
-        estimates = estimate_all(pool, arms, eps, divergences)
-        fair = fair_set(estimates, l, fairness_eps, remaining)
-        if fair:
-            last_fair = (fair, estimates)
-        if len(remaining) == 1:
-            phases.append(
-                PhaseRecord(l, 1, eps, remaining, fair, alloc, estimates, (), spent, cost)
-            )
-            decision = remaining[0]
-            decided = True
-            break
-        remaining_new, eliminated = eliminate(estimates, fair, l, fairness_eps, remaining)
-        phases.append(
-            PhaseRecord(l, 1, eps, remaining, fair, alloc, estimates, eliminated, spent, cost)
-        )
-        remaining = remaining_new
-
-    if not decided:
-        if last_fair is not None:
-            decision = _best_outcome(last_fair[1], last_fair[0])
-        else:
-            decision = None
-    return RunTrace(
-        phases=phases, decision=decision, samples_spent=samples_spent, cost_spent=cost_spent
-    )
+    _, decision = _run_stage(run, T, tuple(range(len(arms))), 1, "joint", phases)
+    if decision is None:
+        certified = [p for p in phases if p.fair]
+        if certified:
+            decision = _best_outcome(certified[-1].estimates, certified[-1].fair)
+    return _trace(phases, decision)
 
 
 def run_two_stage(
@@ -293,86 +341,21 @@ def run_two_stage(
     Stage one allocates forced pulls only and eliminates on the fairness
     clauses alone; an empty survivor set means no fair arm.  Stage two
     allocates observational pulls only over the survivors and eliminates on
-    the reward clause alone.
+    the reward clause alone.  Under v2 both stages share one pool.
     """
     if inner not in ("v1", "v2"):
         raise ValueError(f"inner must be 'v1' or 'v2', got {inner!r}")
     if T < MIN_T_TWO_STAGE:
         raise ValueError(f"T must be >= {MIN_T_TWO_STAGE} so each stage gets a schedule")
-    rng = np.random.default_rng() if rng is None else rng
-    K = len(arms)
-    costs = costs_from_arms(arms)
-    half = T // 2
-    remaining = tuple(range(K))
-    cumulative = SamplePool(K)
+    run = _Run(sampler, arms, divergences, budget, fairness_eps, inner, rng, extra_constraints)
     phases: list[PhaseRecord] = []
-    samples_spent = 0
-    cost_spent = 0.0
-
-    sched = phase_schedule(half)
-    for l in range(1, sched.n + 1):
-        eps = 2.0 ** (-(l - 1))
-        problem = build_problem(
-            divergences, costs, budget, remaining, extra_constraints, include_outcome=False
-        )
-        alloc = _round_phase(solve_maxmin(problem), int(sched.tau[l - 1]), K)
-        pool = cumulative if inner == "v2" else SamplePool(K)
-        spent, cost = _pull_phase(sampler, pool, alloc, costs, rng)
-        samples_spent += spent
-        cost_spent += cost
-        estimates = estimate_all(pool, arms, eps, divergences)
-        fair = fair_set(estimates, l, fairness_eps, remaining)
-        eliminated = tuple(_unfair_records(estimates, l, fairness_eps, remaining))
-        dropped = {k for k, _ in eliminated}
-        remaining_new = tuple(k for k in remaining if k not in dropped)
-        phases.append(
-            PhaseRecord(l, 1, eps, remaining, fair, alloc, estimates, eliminated, spent, cost)
-        )
-        remaining = remaining_new
-        if len(remaining) <= 1:
-            break
-
-    if not remaining:
-        return RunTrace(
-            phases=phases, decision=None, samples_spent=samples_spent, cost_spent=cost_spent
-        )
-
-    decision: int | None = None
-    decided = False
-    last_estimates: EstimateVector | None = None
-    sched2 = phase_schedule(half)
-    for l in range(1, sched2.n + 1):
-        eps = 2.0 ** (-(l - 1))
-        problem = build_problem(
-            divergences, costs, budget, remaining, extra_constraints, include_fairness=False
-        )
-        alloc = _round_phase(solve_maxmin(problem), int(sched2.tau[l - 1]), K)
-        pool = cumulative if inner == "v2" else SamplePool(K)
-        spent, cost = _pull_phase(sampler, pool, alloc, costs, rng)
-        samples_spent += spent
-        cost_spent += cost
-        estimates = estimate_all(pool, arms, eps, divergences)
-        last_estimates = estimates
-        if len(remaining) == 1:
-            phases.append(
-                PhaseRecord(l, 2, eps, remaining, remaining, alloc, estimates, (), spent, cost)
-            )
-            decision = remaining[0]
-            decided = True
-            break
-        eliminated = tuple(_suboptimal_records(estimates, l, remaining, remaining))
-        dropped = {k for k, _ in eliminated}
-        remaining_new = tuple(k for k in remaining if k not in dropped)
-        phases.append(
-            PhaseRecord(l, 2, eps, remaining, remaining, alloc, estimates, eliminated, spent, cost)
-        )
-        remaining = remaining_new
-
-    if not decided:
-        decision = _best_outcome(last_estimates, remaining)
-    return RunTrace(
-        phases=phases, decision=decision, samples_spent=samples_spent, cost_spent=cost_spent
-    )
+    survivors, _ = _run_stage(run, T // 2, tuple(range(len(arms))), 1, "fairness", phases)
+    if not survivors:
+        return _trace(phases, None)
+    survivors, decision = _run_stage(run, T // 2, survivors, 2, "outcome", phases)
+    if decision is None:
+        decision = _best_outcome(phases[-1].estimates, survivors)
+    return _trace(phases, decision)
 
 
 def _bracket_phase(numerator: float, gap: float) -> float:

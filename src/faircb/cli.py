@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +57,10 @@ _INVALID = (
     SensitiveNotBinary,
     EnumerationTooLarge,
     ValueError,
-    TypeError,
     OSError,
-    KeyError,
 )
+
+_COST_KEYS = ("cost_pull", "cost_force_s", "cost_force_sprime")
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -88,6 +89,11 @@ def _clean(x):
 
 def _cmd_gen(args) -> int:
     raw = json.loads(Path(args.config).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"{args.config}: the config must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(SyntheticConfig)})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config keys {unknown}")
     for key in ("reward_gap_band", "fairness_gap_band", "divergence_band", "f_values"):
         if raw.get(key) is not None:
             raw[key] = tuple(raw[key])
@@ -163,11 +169,12 @@ def _cmd_allocate(args) -> int:
     dssp = np.loadtxt(args.dssp, delimiter=",", ndmin=2)
     dsps = np.loadtxt(args.dsps, delimiter=",", ndmin=2)
     spend = json.loads(Path(args.costs).read_text())
-    costs = np.vstack([
-        np.asarray(spend["cost_pull"], dtype=float),
-        np.asarray(spend["cost_force_s"], dtype=float),
-        np.asarray(spend["cost_force_sprime"], dtype=float),
-    ])
+    if not isinstance(spend, dict):
+        raise ValueError(f"{args.costs}: the costs file must be a JSON object")
+    missing = [key for key in _COST_KEYS if key not in spend]
+    if missing:
+        raise ValueError(f"{args.costs}: missing {', '.join(missing)}")
+    costs = np.vstack([np.asarray(spend[key], dtype=float) for key in _COST_KEYS])
     budget = args.budget if args.budget is not None else spend.get("budget")
     if budget is None:
         raise ValueError("no budget: pass --budget or store one in the costs file")

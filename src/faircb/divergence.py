@@ -30,7 +30,7 @@ from .oracles import (
     enumerate_joint,
     marginal_rows,
 )
-from .sampling import sample_batch
+from .sampling import counterfactual_weight, sample_batch, transport_weight
 
 __all__ = [
     "f1",
@@ -84,8 +84,7 @@ def conditional_f_divergence(
     if rng is None:
         raise ValueError("mc mode needs an rng")
     batch = sample_batch(model, arm_j, Regime.OBSERVATIONAL, draws, rng)
-    w = arm_i.table[batch.v_row, batch.v_val] / arm_j.table[batch.v_row, batch.v_val]
-    return float(np.mean(f1(w)))
+    return float(np.mean(f1(transport_weight(batch, arm_i.table, arm_j.table))))
 
 
 def outcome_matrix(
@@ -102,27 +101,22 @@ def outcome_matrix(
         raise ValueError("mc mode needs an rng")
     k = len(arms)
     m = np.ones((k, k), dtype=float)
+    tables = np.stack([a.table for a in arms])
     if mode == "exact":
         marg = marginal_rows(model, model.intervention)
-        tables = np.stack([a.table for a in arms])
-        for j in range(k):
-            pj, _, w = _outcome_cells(marg, tables, tables[j])
-            # ln E_j[w e^(w-1)] = ln(1 + D_f1) since the cell masses sum to
-            # one; a zero ratio contributes exp(-inf) = 0.
-            with np.errstate(divide="ignore"):
-                m[:, j] = 1.0 + logsumexp(np.log(pj) + np.log(w) + w - 1.0, axis=-1)
-        np.fill_diagonal(m, 1.0)
-        return m
     for j in range(k):
-        batch = sample_batch(model, arms[j], Regime.OBSERVATIONAL, draws, rng)
-        for i in range(k):
-            if i == j:
-                continue
-            w = arms[i].table[batch.v_row, batch.v_val] / arms[j].table[batch.v_row, batch.v_val]
-            pos = w > 0.0
-            m[i, j] = 1.0 + float(
-                logsumexp(np.log(w[pos]) + w[pos] - 1.0) - np.log(w.shape[0])
-            )
+        if mode == "exact":
+            pj, _, w = _outcome_cells(marg, tables, tables[j])
+            log_p = np.log(pj)
+        else:
+            batch = sample_batch(model, arms[j], Regime.OBSERVATIONAL, draws, rng)
+            w = transport_weight(batch, tables, tables[j])
+            log_p = -np.log(batch.n)
+        # ln E_j[w e^(w-1)] = ln(1 + D_f1) since the cell masses sum to
+        # one; a zero ratio contributes exp(-inf) = 0.
+        with np.errstate(divide="ignore"):
+            m[:, j] = 1.0 + logsumexp(log_p + np.log(w) + w - 1.0, axis=-1)
+    np.fill_diagonal(m, 1.0)
     return m
 
 
@@ -192,28 +186,19 @@ def fairness_matrix(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("mc mode needs an rng")
-    k = len(arms)
-    d = np.zeros((k, k), dtype=float)
-    for i in range(k):
+    tables = np.stack([a.table for a in arms])
+    d = np.zeros((len(arms), len(arms)), dtype=float)
+    for i, arm in enumerate(arms):
         batches = [
-            sample_batch(model, arms[i], reg, draws, rng)
+            sample_batch(model, arm, reg, draws, rng)
             for reg in (Regime.FORCE_S, Regime.FORCE_SPRIME)
         ]
-        for j in range(k):
-            parts = []
-            for batch in batches:
-                w_v = (
-                    arms[i].table[batch.v_row, batch.v_val]
-                    / arms[j].table[batch.v_row, batch.v_val]
-                )
-                rnum = arms[i].table[batch.v_row_s, batch.v_val]
-                rden = arms[i].table[batch.v_row_sp, batch.v_val]
-                ratio = batch.child_ratio * rnum / rden
-                if direction == "sps":
-                    ratio = 1.0 / ratio
-                w = w_v * (ratio - 1.0)
-                parts.append(logsumexp(np.abs(w)) - np.log(w.shape[0]))
-            d[i, j] = float(np.logaddexp(*parts))
+        parts = [
+            logsumexp(np.abs(counterfactual_weight(b, arm.table, tables, direction)), axis=-1)
+            - np.log(b.n)
+            for b in batches
+        ]
+        d[i] = np.logaddexp(*parts)
     return d
 
 

@@ -5,9 +5,6 @@ from __future__ import annotations
 __all__ = [
     "FairCBError",
     "EnumerationTooLarge",
-    "ZeroDenominator",
-    "WrongRegime",
-    "NoSamples",
     "Infeasible",
     "GenerationFailed",
     "ParseError",
@@ -24,18 +21,6 @@ class FairCBError(Exception):
 
 class EnumerationTooLarge(FairCBError):
     """Joint support of the required nodes exceeds the enumeration cap."""
-
-
-class ZeroDenominator(FairCBError):
-    """An importance ratio hit a zero probability in the source measure."""
-
-
-class WrongRegime(FairCBError):
-    """A sample from the wrong regime was fed to a counterfactual weight."""
-
-
-class NoSamples(FairCBError):
-    """An estimator was asked for a value with an empty pool."""
 
 
 class Infeasible(FairCBError):

@@ -11,34 +11,21 @@ by ``2 ln(2 / eps)`` after its ``1 / M`` or ``1 / D`` factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .divergence import DivergenceSet
-from .errors import NoSamples
-from .model import Arm, Regime, Sample
-from .sampling import BatchSamples
+from .model import Regime
+from .sampling import BatchSamples, concat_batches, counterfactual_weight, transport_weight
 
 __all__ = [
     "SamplePool",
     "EstimateVector",
-    "pooled_outcome_estimate",
-    "pooled_fairness_estimate",
     "estimate_all",
 ]
 
 _REGIMES = (Regime.OBSERVATIONAL, Regime.FORCE_S, Regime.FORCE_SPRIME)
-
-
-@dataclass
-class _Packed:
-    y: np.ndarray
-    v_row: np.ndarray
-    v_val: np.ndarray
-    v_row_s: np.ndarray
-    v_row_sp: np.ndarray
-    child_ratio: np.ndarray
 
 
 class SamplePool:
@@ -47,7 +34,7 @@ class SamplePool:
     def __init__(self, n_arms: int):
         self.n_arms = n_arms
         self._blocks: dict[tuple[int, Regime], list[BatchSamples]] = {}
-        self._merged: dict[tuple[int, Regime], _Packed] = {}
+        self._merged: dict[tuple[int, Regime], BatchSamples] = {}
 
     def add(self, batch: BatchSamples) -> None:
         if batch.n == 0:
@@ -58,40 +45,20 @@ class SamplePool:
         self._blocks.setdefault(key, []).append(batch)
         self._merged.pop(key, None)
 
-    def add_sample(self, sample: Sample) -> None:
-        self.add(
-            BatchSamples(
-                arm=sample.arm,
-                regime=sample.regime,
-                y=np.array([sample.outcome]),
-                v_row=np.array([sample.v_row]),
-                v_val=np.array([sample.v_value]),
-                v_row_s=np.array([sample.v_row_s]),
-                v_row_sp=np.array([sample.v_row_sp]),
-                child_ratio=np.array([sample.child_ratio]),
-            )
-        )
-
     def count(self, arm: int, regime: Regime) -> int:
         return sum(b.n for b in self._blocks.get((arm, regime), ()))
 
     def counts(self, regime: Regime) -> np.ndarray:
         return np.array([self.count(j, regime) for j in range(self.n_arms)], dtype=np.int64)
 
-    def packed(self, arm: int, regime: Regime) -> _Packed | None:
+    def packed(self, arm: int, regime: Regime) -> BatchSamples | None:
+        """Every pull of ``arm`` under ``regime`` as one block, or None when there are none."""
         key = (arm, regime)
         blocks = self._blocks.get(key)
         if not blocks:
             return None
         if key not in self._merged:
-            self._merged[key] = _Packed(
-                y=np.concatenate([b.y for b in blocks]),
-                v_row=np.concatenate([b.v_row for b in blocks]),
-                v_val=np.concatenate([b.v_val for b in blocks]),
-                v_row_s=np.concatenate([b.v_row_s for b in blocks]),
-                v_row_sp=np.concatenate([b.v_row_sp for b in blocks]),
-                child_ratio=np.concatenate([b.child_ratio for b in blocks]),
-            )
+            self._merged[key] = concat_batches(blocks)
         return self._merged[key]
 
 
@@ -111,99 +78,21 @@ class EstimateVector:
         return bool(np.isnan(self.zeta_ssp[k]) or np.isnan(self.zeta_sps[k]))
 
 
-def _outcome_regimes(include_forced: bool) -> tuple[Regime, ...]:
-    if include_forced:
-        return _REGIMES
-    return (Regime.OBSERVATIONAL,)
-
-
-def pooled_outcome_estimate(
-    pool: SamplePool,
-    arms,
-    k: int,
-    eps: float,
-    m: np.ndarray,
-    include_forced: bool = False,
-) -> float:
-    """Clipped pooled estimate of the mean outcome of arm ``k``.
-
-    Forced pulls are excluded by default; pooling them keeps the clipping
-    algebra but targets the forced means, so it biases the estimate and is
-    opt-in only.
-    """
-    regimes = _outcome_regimes(include_forced)
-    log_term = 2.0 * math.log(2.0 / eps)
-    z = 0.0
-    acc = 0.0
-    for j in range(pool.n_arms):
-        m_kj = m[k, j]
-        tau_j = sum(pool.count(j, r) for r in regimes)
-        if tau_j == 0:
-            continue
-        z += tau_j / m_kj
-        thr = log_term * m_kj
-        for r in regimes:
-            packed = pool.packed(j, r)
-            if packed is None:
-                continue
-            w = arms[k].table[packed.v_row, packed.v_val] / arms[j].table[packed.v_row, packed.v_val]
-            kept = w <= thr
-            acc += float(np.dot(packed.y[kept], w[kept])) / m_kj
-    if z == 0.0:
-        raise NoSamples(f"no outcome samples available for arm {k}")
-    return acc / z
-
-
-def pooled_fairness_estimate(
-    pool: SamplePool,
-    arms,
-    k: int,
-    eps: float,
-    d: np.ndarray,
-    direction: str,
-) -> float:
-    """Clipped pooled estimate of the counterfactual gap of arm ``k``."""
-    if direction not in ("ssp", "sps"):
-        raise ValueError(f"unknown direction {direction!r}")
-    regime = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
-    log_term = 2.0 * math.log(2.0 / eps)
-    o = 0.0
-    acc = 0.0
-    for j in range(pool.n_arms):
-        packed = pool.packed(j, regime)
-        if packed is None:
-            continue
-        d_kj = d[k, j]
-        o += packed.y.shape[0] / d_kj
-        w = arms[k].table[packed.v_row, packed.v_val] / arms[j].table[packed.v_row, packed.v_val]
-        ratio = (
-            packed.child_ratio
-            * arms[k].table[packed.v_row_s, packed.v_val]
-            / arms[k].table[packed.v_row_sp, packed.v_val]
-        )
-        if direction == "sps":
-            ratio = 1.0 / ratio
-        u = w * (ratio - 1.0)
-        kept = np.abs(u) <= log_term * d_kj
-        acc += float(np.dot(packed.y[kept], u[kept])) / d_kj
-    if o == 0.0:
-        raise NoSamples(f"no forced samples available for arm {k} direction {direction}")
-    return acc / o
-
-
 def estimate_all(
     pool: SamplePool,
     arms,
     eps: float,
     div: DivergenceSet,
-    include_forced: bool = False,
 ) -> EstimateVector:
     """All per-arm estimates at accuracy level ``eps``; empty pools turn into NaN.
 
-    Matches the single-target estimators but batches the per-target gathers,
-    one pass over each source block instead of one per (target, source) pair.
+    One pass over each source block weighs its pulls against every target
+    arm at once.  The outcome estimates read observational pulls only, since
+    forced pulls target the forced means; each fairness direction reads the
+    pulls forced to its evidence value.
     """
     n = pool.n_arms
+    tables = np.stack([arm.table for arm in arms])
     log_term = 2.0 * math.log(2.0 / eps)
     z = np.zeros(n)
     y_acc = np.zeros(n)
@@ -215,25 +104,16 @@ def estimate_all(
             packed = pool.packed(j, regime)
             if packed is None:
                 continue
-            cnt = packed.y.shape[0]
-            probs = np.stack([arm.table[packed.v_row, packed.v_val] for arm in arms])
-            w = probs / probs[j]
-
-            if regime is Regime.OBSERVATIONAL or include_forced:
+            cnt = packed.n
+            if regime is Regime.OBSERVATIONAL:
+                w = transport_weight(packed, tables, tables[j])
                 thr = (log_term * div.m[:, j])[:, None]
                 z += cnt / div.m[:, j]
                 y_acc += ((w * (w <= thr)) @ packed.y) / div.m[:, j]
-
-            if regime is Regime.OBSERVATIONAL:
                 continue
             direction = "ssp" if regime is Regime.FORCE_SPRIME else "sps"
             d = div.d_ssp if direction == "ssp" else div.d_sps
-            num = np.stack([arm.table[packed.v_row_s, packed.v_val] for arm in arms])
-            den = np.stack([arm.table[packed.v_row_sp, packed.v_val] for arm in arms])
-            ratio = packed.child_ratio[None, :] * num / den
-            if direction == "sps":
-                ratio = 1.0 / ratio
-            u = w * (ratio - 1.0)
+            u = counterfactual_weight(packed, tables, tables[j], direction)
             thr = (log_term * d[:, j])[:, None]
             o[direction] += cnt / d[:, j]
             z_acc[direction] += ((u * (np.abs(u) <= thr)) @ packed.y) / d[:, j]

@@ -19,7 +19,6 @@ __all__ = [
     "Regime",
     "CausalModel",
     "Arm",
-    "Sample",
     "Instance",
     "ValidationReport",
     "validate_model",
@@ -104,14 +103,6 @@ class CausalModel:
             acc *= cards[i]
         return tuple(strides)
 
-    def row_index(self, node: str, parent_values: Sequence[int]) -> int:
-        strides = self.row_strides(node)
-        if len(parent_values) != len(strides):
-            raise ValueError(
-                f"{node} expects {len(strides)} parent values, got {len(parent_values)}"
-            )
-        return int(sum(int(v) * st for v, st in zip(parent_values, strides)))
-
     def children(self, node: str) -> tuple[str, ...]:
         if self._children is None:
             ch: dict[str, list[str]] = {x: [] for x in self.nodes}
@@ -166,33 +157,6 @@ class Arm:
 
     def __post_init__(self) -> None:
         self.table = _as_table(self.table)
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One pull: the observer sees the intervention context, the children of S and Y.
-
-    ``v_parents`` lists the realized parent values of the intervention node in
-    declared order (the forced S value appears there when S is a parent) and
-    ``s_child_contexts`` holds ``(child, parent values without S, child value)``
-    for every child of the sensitive node.  ``v_row``, ``v_row_s``,
-    ``v_row_sp`` and ``child_ratio`` cache what the importance weights need:
-    the realized table row, the same row with the S slot set to s and to s',
-    and the product over the non intervention children of S of
-    ``P(x | pa, s) / P(x | pa, s')``.
-    """
-
-    arm: int
-    regime: Regime
-    s_value: int
-    v_parents: tuple[int, ...]
-    v_value: int
-    s_child_contexts: tuple[tuple[str, tuple[int, ...], int], ...]
-    outcome: float
-    v_row: int
-    v_row_s: int
-    v_row_sp: int
-    child_ratio: float
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EnumerationTooLarge
 from .model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
-from .sampling import sample_batch
+from .sampling import counterfactual_weight, sample_batch
 
 __all__ = [
     "enumeration_cap",
@@ -182,12 +182,7 @@ def mc_fairness(
     """Monte Carlo estimate of the counterfactual gap from forced pulls of the arm itself."""
     regime = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
     batch = sample_batch(model, arm, regime, draws, rng)
-    num = arm.table[batch.v_row_s, batch.v_val]
-    den = arm.table[batch.v_row_sp, batch.v_val]
-    ratio = batch.child_ratio * num / den
-    if direction == "sps":
-        ratio = 1.0 / ratio
-    return float((batch.y * (ratio - 1.0)).mean())
+    return float((batch.y * counterfactual_weight(batch, arm.table, arm.table, direction)).mean())
 
 
 def oracle_report(

@@ -1,4 +1,11 @@
-"""Ancestral sampling under an arm and a regime, plus per-sample importance weights."""
+"""Ancestral sampling under an arm and a regime, plus the per-pull importance weights.
+
+``transport_weight`` and ``counterfactual_weight`` are the one place that
+turns a block of pulls into weights; the estimators, the Monte Carlo
+divergences and the Monte Carlo oracle all read pulls through them.  Both
+broadcast over leading table axes, so a ``(K, rows, card)`` stack of arm
+tables yields the weights of every pull against K arms at once.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +14,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import WrongRegime, ZeroDenominator
-from .model import Arm, CausalModel, Regime, Sample, S_VALUE, SPRIME_VALUE
+from .model import Arm, CausalModel, Regime, S_VALUE, SPRIME_VALUE
 
 __all__ = [
     "BatchSamples",
-    "sample",
+    "concat_batches",
     "sample_batch",
     "make_sampler",
-    "importance_weight_outcome",
-    "importance_weight_fairness",
+    "transport_weight",
+    "counterfactual_weight",
 ]
 
 
@@ -44,6 +50,19 @@ class BatchSamples:
     @property
     def n(self) -> int:
         return int(self.y.shape[0])
+
+
+_PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
+
+
+def concat_batches(batches: Sequence[BatchSamples]) -> BatchSamples:
+    """One block holding the pulls of ``batches``, which share an arm and a regime."""
+    first = batches[0]
+    return BatchSamples(
+        arm=first.arm,
+        regime=first.regime,
+        **{f: np.concatenate([getattr(b, f) for b in batches]) for f in _PULL_FIELDS},
+    )
 
 
 def _categorical_rows(table: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -144,30 +163,6 @@ def sample_batch(
     return _pack(model, arm, regime, values)
 
 
-def sample(model: CausalModel, arm: Arm, regime: Regime, rng: np.random.Generator) -> Sample:
-    """Draw a single pull with the full observed contexts spelled out."""
-    values = _draw_values(model, arm, regime, 1, rng)
-    packed = _pack(model, arm, regime, values)
-    s = model.sensitive
-    contexts = []
-    for x in model.children(s):
-        pa = tuple(int(values[p][0]) for p in model.parents[x] if p != s)
-        contexts.append((x, pa, int(values[x][0])))
-    return Sample(
-        arm=arm.index,
-        regime=regime,
-        s_value=int(values[s][0]),
-        v_parents=tuple(int(values[p][0]) for p in model.parents[model.intervention]),
-        v_value=int(values[model.intervention][0]),
-        s_child_contexts=tuple(contexts),
-        outcome=float(packed.y[0]),
-        v_row=int(packed.v_row[0]),
-        v_row_s=int(packed.v_row_s[0]),
-        v_row_sp=int(packed.v_row_sp[0]),
-        child_ratio=float(packed.child_ratio[0]),
-    )
-
-
 def make_sampler(
     model: CausalModel, arms: Sequence[Arm]
 ) -> Callable[[int, Regime, int, np.random.Generator], BatchSamples]:
@@ -179,46 +174,32 @@ def make_sampler(
     return pull
 
 
-def importance_weight_outcome(sample: Sample, from_arm: Arm, to_arm: Arm) -> float:
-    """Ratio that reweights an outcome sample of ``from_arm`` onto ``to_arm``."""
-    denom = float(from_arm.table[sample.v_row, sample.v_value])
-    if denom <= 0.0:
-        raise ZeroDenominator(
-            f"arm {from_arm.index} puts zero mass on its own sample at row {sample.v_row}"
-        )
-    return float(to_arm.table[sample.v_row, sample.v_value]) / denom
+def transport_weight(batch: BatchSamples, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """``P_target(v | pa) / P_source(v | pa)`` at every pull of ``batch``.
+
+    ``targets`` and ``sources`` are intervention tables or stacks of them;
+    their leading axes broadcast, and the pulls run along the last axis.
+    """
+    return targets[..., batch.v_row, batch.v_val] / sources[..., batch.v_row, batch.v_val]
 
 
-def _attribute_ratio(sample: Sample, to_arm: Arm) -> float:
-    """Product over the children of S of P(x | pa, s) / P(x | pa, s') under ``to_arm``."""
-    num = float(to_arm.table[sample.v_row_s, sample.v_value])
-    den = float(to_arm.table[sample.v_row_sp, sample.v_value])
-    if den <= 0.0:
-        raise ZeroDenominator(f"arm {to_arm.index} has empty s' support at the sampled value")
-    return sample.child_ratio * num / den
+def counterfactual_weight(
+    batch: BatchSamples, targets: np.ndarray, sources: np.ndarray, direction: str
+) -> np.ndarray:
+    """Signed weight ``w * (ratio - 1)`` whose mean over forced pulls is the counterfactual gap.
 
-
-def importance_weight_fairness(
-    sample: Sample,
-    from_arm: Arm,
-    to_arm: Arm,
-    direction: str,
-) -> float:
-    """Signed weight whose mean over forced pulls is the counterfactual gap.
-
-    ``direction`` is ``"ssp"`` for the gap of the counterfactual s against
-    evidence s' (needs a pull forced to s') and ``"sps"`` for the reverse
-    (needs a pull forced to s).
+    ``w`` is the transport weight and ``ratio`` the product over the children
+    of S of ``P(x | pa, s) / P(x | pa, s')`` under the target, inverted for
+    ``"sps"``.  ``"ssp"`` (counterfactual s, evidence s') reads pulls forced to
+    s', ``"sps"`` pulls forced to s; the caller supplies the matching batch.
     """
     if direction not in ("ssp", "sps"):
         raise ValueError(f"unknown direction {direction!r}")
-    needed = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
-    if sample.regime is not needed:
-        raise WrongRegime(f"direction {direction} needs regime {needed.value}, got {sample.regime.value}")
-    w = importance_weight_outcome(sample, from_arm, to_arm)
-    ratio = _attribute_ratio(sample, to_arm)
-    if direction == "ssp":
-        return w * (ratio - 1.0)
-    if ratio <= 0.0:
-        raise ZeroDenominator("attribute ratio vanished on a forced-s pull")
-    return w * (1.0 / ratio - 1.0)
+    ratio = (
+        batch.child_ratio
+        * targets[..., batch.v_row_s, batch.v_val]
+        / targets[..., batch.v_row_sp, batch.v_val]
+    )
+    if direction == "sps":
+        ratio = 1.0 / ratio
+    return transport_weight(batch, targets, sources) * (ratio - 1.0)

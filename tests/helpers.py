@@ -2,19 +2,26 @@
 
 The brute-force functions enumerate with plain ``itertools.product`` loops and
 no ancestral pruning, so they cross-check the vectorized oracles through a
-completely separate code path.
+completely separate code path.  Likewise the single-pull sampler, the scalar
+importance weights and the per-target pooled estimators below are written
+apart from the batched sampling kernel and ``estimate_all``, which the tests
+compare against them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from faircb.divergence import DivergenceSet
-from faircb.model import Arm, CausalModel, Instance
+from faircb.errors import FairCBError
+from faircb.estimation import SamplePool
+from faircb.model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
+from faircb.sampling import BatchSamples
 from faircb.oracles import (
     attribute_ratio_values,
     direction_values,
@@ -345,3 +352,211 @@ def maxmin_vertex_value(problem, feas_tol: float = 1e-7) -> float | None:
     if not np.any(feasible):
         return None
     return float(np.max(xs[feasible, -1]))
+
+
+class ZeroDenominator(FairCBError):
+    """An importance ratio hit a zero probability in the source measure."""
+
+
+class WrongRegime(FairCBError):
+    """A sample from the wrong regime was fed to a counterfactual weight."""
+
+
+class NoSamples(FairCBError):
+    """An estimator was asked for a value with an empty pool."""
+
+
+@dataclass(frozen=True)
+class Sample:
+    """One pull: the observer sees the intervention context, the children of S and Y.
+
+    ``v_parents`` lists the realized parent values of the intervention node in
+    declared order (the forced S value appears there when S is a parent) and
+    ``s_child_contexts`` holds ``(child, parent values without S, child value)``
+    for every child of the sensitive node.  ``v_row``, ``v_row_s``,
+    ``v_row_sp`` and ``child_ratio`` cache what the importance weights need:
+    the realized table row, the same row with the S slot set to s and to s',
+    and the product over the non intervention children of S of
+    ``P(x | pa, s) / P(x | pa, s')``.
+    """
+
+    arm: int
+    regime: Regime
+    s_value: int
+    v_parents: tuple[int, ...]
+    v_value: int
+    s_child_contexts: tuple[tuple[str, tuple[int, ...], int], ...]
+    outcome: float
+    v_row: int
+    v_row_s: int
+    v_row_sp: int
+    child_ratio: float
+
+
+def _row(model: CausalModel, node: str, values: dict, s_value: int | None = None) -> int:
+    """Table row of ``node`` at ``values``, with the S slot overridden by ``s_value``."""
+    row = 0
+    for p, st in zip(model.parents[node], model.row_strides(node)):
+        v = s_value if (p == model.sensitive and s_value is not None) else values[p]
+        row += v * st
+    return row
+
+
+def sample(model: CausalModel, arm: Arm, regime: Regime, rng: np.random.Generator) -> Sample:
+    """Draw a single pull node by node, with the full observed contexts spelled out.
+
+    It consumes one uniform per unforced node in topological order, the same
+    draws as a one-pull ``sample_batch``.
+    """
+    values: dict[str, int] = {}
+    forced = regime.forced_value
+    for node in model.topological_order():
+        if node == model.sensitive and forced is not None:
+            values[node] = forced
+            continue
+        table = arm.table if node == model.intervention else model.cpts[node]
+        cum = np.cumsum(table[_row(model, node, values)])
+        values[node] = min(int((rng.random() > cum).sum()), table.shape[1] - 1)
+    s, v = model.sensitive, model.intervention
+    child_ratio = 1.0
+    contexts = []
+    for x in model.children(s):
+        contexts.append((x, tuple(values[p] for p in model.parents[x] if p != s), values[x]))
+        if x != v:
+            cpt = model.cpts[x]
+            child_ratio *= (
+                cpt[_row(model, x, values, S_VALUE), values[x]]
+                / cpt[_row(model, x, values, SPRIME_VALUE), values[x]]
+            )
+    return Sample(
+        arm=arm.index,
+        regime=regime,
+        s_value=values[s],
+        v_parents=tuple(values[p] for p in model.parents[v]),
+        v_value=values[v],
+        s_child_contexts=tuple(contexts),
+        outcome=float(model.target_values[values[model.target]]),
+        v_row=_row(model, v, values),
+        v_row_s=_row(model, v, values, S_VALUE),
+        v_row_sp=_row(model, v, values, SPRIME_VALUE),
+        child_ratio=float(child_ratio),
+    )
+
+
+def as_batch(samples: list[Sample]) -> BatchSamples:
+    """Pack pulls of one arm under one regime into a batch."""
+    return BatchSamples(
+        arm=samples[0].arm,
+        regime=samples[0].regime,
+        y=np.array([s.outcome for s in samples]),
+        v_row=np.array([s.v_row for s in samples]),
+        v_val=np.array([s.v_value for s in samples]),
+        v_row_s=np.array([s.v_row_s for s in samples]),
+        v_row_sp=np.array([s.v_row_sp for s in samples]),
+        child_ratio=np.array([s.child_ratio for s in samples]),
+    )
+
+
+def add_sample(pool: SamplePool, sample: Sample) -> None:
+    pool.add(as_batch([sample]))
+
+
+def importance_weight_outcome(sample: Sample, from_arm: Arm, to_arm: Arm) -> float:
+    """Ratio that reweights an outcome sample of ``from_arm`` onto ``to_arm``."""
+    denom = float(from_arm.table[sample.v_row, sample.v_value])
+    if denom <= 0.0:
+        raise ZeroDenominator(
+            f"arm {from_arm.index} puts zero mass on its own sample at row {sample.v_row}"
+        )
+    return float(to_arm.table[sample.v_row, sample.v_value]) / denom
+
+
+def _attribute_ratio(sample: Sample, to_arm: Arm) -> float:
+    """Product over the children of S of P(x | pa, s) / P(x | pa, s') under ``to_arm``."""
+    num = float(to_arm.table[sample.v_row_s, sample.v_value])
+    den = float(to_arm.table[sample.v_row_sp, sample.v_value])
+    if den <= 0.0:
+        raise ZeroDenominator(f"arm {to_arm.index} has empty s' support at the sampled value")
+    return sample.child_ratio * num / den
+
+
+def importance_weight_fairness(
+    sample: Sample,
+    from_arm: Arm,
+    to_arm: Arm,
+    direction: str,
+) -> float:
+    """Signed weight whose mean over forced pulls is the counterfactual gap.
+
+    ``direction`` is ``"ssp"`` for the gap of the counterfactual s against
+    evidence s' (needs a pull forced to s') and ``"sps"`` for the reverse
+    (needs a pull forced to s).
+    """
+    if direction not in ("ssp", "sps"):
+        raise ValueError(f"unknown direction {direction!r}")
+    needed = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
+    if sample.regime is not needed:
+        raise WrongRegime(f"direction {direction} needs regime {needed.value}, got {sample.regime.value}")
+    w = importance_weight_outcome(sample, from_arm, to_arm)
+    ratio = _attribute_ratio(sample, to_arm)
+    if direction == "ssp":
+        return w * (ratio - 1.0)
+    if ratio <= 0.0:
+        raise ZeroDenominator("attribute ratio vanished on a forced-s pull")
+    return w * (1.0 / ratio - 1.0)
+
+
+def pooled_outcome_estimate(pool: SamplePool, arms, k: int, eps: float, m: np.ndarray) -> float:
+    """Clipped pooled estimate of the mean outcome of arm ``k`` from observational pulls."""
+    log_term = 2.0 * math.log(2.0 / eps)
+    z = 0.0
+    acc = 0.0
+    for j in range(pool.n_arms):
+        packed = pool.packed(j, Regime.OBSERVATIONAL)
+        if packed is None:
+            continue
+        m_kj = m[k, j]
+        z += packed.y.shape[0] / m_kj
+        w = arms[k].table[packed.v_row, packed.v_val] / arms[j].table[packed.v_row, packed.v_val]
+        kept = w <= log_term * m_kj
+        acc += float(np.dot(packed.y[kept], w[kept])) / m_kj
+    if z == 0.0:
+        raise NoSamples(f"no outcome samples available for arm {k}")
+    return acc / z
+
+
+def pooled_fairness_estimate(
+    pool: SamplePool,
+    arms,
+    k: int,
+    eps: float,
+    d: np.ndarray,
+    direction: str,
+) -> float:
+    """Clipped pooled estimate of the counterfactual gap of arm ``k``."""
+    if direction not in ("ssp", "sps"):
+        raise ValueError(f"unknown direction {direction!r}")
+    regime = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
+    log_term = 2.0 * math.log(2.0 / eps)
+    o = 0.0
+    acc = 0.0
+    for j in range(pool.n_arms):
+        packed = pool.packed(j, regime)
+        if packed is None:
+            continue
+        d_kj = d[k, j]
+        o += packed.y.shape[0] / d_kj
+        w = arms[k].table[packed.v_row, packed.v_val] / arms[j].table[packed.v_row, packed.v_val]
+        ratio = (
+            packed.child_ratio
+            * arms[k].table[packed.v_row_s, packed.v_val]
+            / arms[k].table[packed.v_row_sp, packed.v_val]
+        )
+        if direction == "sps":
+            ratio = 1.0 / ratio
+        u = w * (ratio - 1.0)
+        kept = np.abs(u) <= log_term * d_kj
+        acc += float(np.dot(packed.y[kept], u[kept])) / d_kj
+    if o == 0.0:
+        raise NoSamples(f"no forced samples available for arm {k} direction {direction}")
+    return acc / o

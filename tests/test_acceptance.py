@@ -24,7 +24,7 @@ from faircb.divergence import (
     empirical_quantile_gamma,
 )
 from faircb.errors import Infeasible
-from faircb.estimation import SamplePool, pooled_fairness_estimate, pooled_outcome_estimate
+from faircb.estimation import SamplePool
 from faircb.model import Regime, validate_model
 from faircb.netgen import build_network_experiment, liver_network, network_states
 from faircb.oracles import exact_fairness, exact_outcome_mean, oracle_report
@@ -37,6 +37,8 @@ from helpers import (
     clipped_fairness_expectation,
     clipped_outcome_expectation,
     maxmin_vertex_value,
+    pooled_fairness_estimate,
+    pooled_outcome_estimate,
     random_instance,
 )
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from faircb.estimation import EstimateVector
 from faircb.model import Arm, Instance
 from faircb.oracles import oracle_report
 from faircb.sampling import make_sampler
+from faircb.sweep import ALGORITHMS, run_algorithm
 
 from helpers import chain_model, side_child_model
 
@@ -348,3 +352,48 @@ def test_bound_report_monotone_in_horizon():
     large = bound_report(oracle, ds, costs, 1.0, 1_000_000)
     assert large["fairness_error_bound"] <= small["fairness_error_bound"] + 1e-12
     assert large["misidentification_bound"] <= small["misidentification_bound"] + 1e-12
+
+
+# (fixture, fairness_eps): the chain has a fair best arm at 0.2; at 0.05 the
+# side-child model has no fair arm, which the two-stage baseline can miss.
+SEEDED_FIXTURES = {"chain": (chain_model, 0.2), "side-child": (side_child_model, 0.05)}
+SEEDED_TRACES = json.loads((Path(__file__).parent / "seeded_traces.json").read_text())
+
+
+def trace_digest(trace) -> str:
+    """Hash of each phase's stage, index, arm sets, eliminations and rounded counts."""
+    rows = [
+        (
+            p.stage, p.phase, p.remaining, p.fair, p.eliminated,
+            p.allocation.tau_y.tolist(), p.allocation.tau_s.tolist(), p.allocation.tau_sp.tolist(),
+        )
+        for p in trace.phases
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def seeded_trace(fixture: str, algorithm: str, seed: int, T: int):
+    build, fairness_eps = SEEDED_FIXTURES[fixture]
+    model, arms = build()
+    instance = Instance(model=model, arms=tuple(arms))
+    return run_algorithm(
+        instance, algorithm, T, np.random.default_rng(seed), budget=1.0, fairness_eps=fairness_eps
+    )
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))
+def test_seeded_traces_are_pinned(fixture, algorithm):
+    """Decisions, spending, phase records and final estimates of seeded runs stay put."""
+    for seed in (0, 1, 2):
+        for T in (2000, 20_000):
+            pinned = SEEDED_TRACES[f"{fixture}/{algorithm}/{seed}/{T}"]
+            trace = seeded_trace(fixture, algorithm, seed, T)
+            assert trace.decision == pinned["decision"], (seed, T)
+            assert trace.samples_spent == pinned["samples_spent"], (seed, T)
+            assert trace_digest(trace) == pinned["digest"], (seed, T)
+            last = trace.phases[-1].estimates
+            for name in ("y", "zeta_ssp", "zeta_sps"):
+                np.testing.assert_allclose(
+                    getattr(last, name), pinned[name], rtol=0.0, atol=1e-12, err_msg=name
+                )

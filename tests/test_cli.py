@@ -216,6 +216,23 @@ def test_allocate_without_budget(tmp_path, instance_file):
     assert code == 2
 
 
+def test_allocate_rejects_costs_without_a_regime(tmp_path, instance_file, capsys):
+    prefix = str(tmp_path / "div")
+    main(["divergence", "--instance", instance_file, "--out-prefix", prefix])
+    costs = tmp_path / "costs.json"
+    costs.write_text(json.dumps({
+        "cost_pull": [1.0, 1.0, 1.0],
+        "cost_force_sprime": [1.0, 1.0, 1.0],
+        "budget": 1.0,
+    }))
+    code = main([
+        "allocate", "--m", f"{prefix}_m.csv", "--dssp", f"{prefix}_dssp.csv",
+        "--dsps", f"{prefix}_dsps.csv", "--costs", str(costs),
+    ])
+    assert code == 2
+    assert "missing cost_force_s" in capsys.readouterr().err
+
+
 def test_allocate_infeasible_budget(tmp_path, instance_file):
     prefix = str(tmp_path / "div")
     main(["divergence", "--instance", instance_file, "--out-prefix", prefix])

@@ -10,22 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircb.divergence import DivergenceSet
-from faircb.errors import NoSamples
-from faircb.estimation import (
-    SamplePool,
-    estimate_all,
-    pooled_fairness_estimate,
-    pooled_outcome_estimate,
-)
+from faircb.estimation import SamplePool, estimate_all
 from faircb.model import Arm, CausalModel, Regime
 from faircb.oracles import exact_fairness, exact_outcome_mean
-from faircb.sampling import BatchSamples, sample, sample_batch
+from faircb.sampling import BatchSamples, sample_batch
 
 from helpers import (
+    NoSamples,
+    add_sample,
     chain_model,
     clipped_fairness_expectation,
     clipped_outcome_expectation,
+    pooled_fairness_estimate,
+    pooled_outcome_estimate,
     random_instance,
+    sample,
     side_child_model,
 )
 
@@ -47,7 +46,7 @@ def test_pool_bookkeeping():
     pool.add(sample_batch(model, arms[0], Regime.OBSERVATIONAL, 7, rng))
     pool.add(sample_batch(model, arms[0], Regime.OBSERVATIONAL, 5, rng))
     pool.add(sample_batch(model, arms[2], Regime.FORCE_S, 4, rng))
-    pool.add_sample(sample(model, arms[1], Regime.FORCE_SPRIME, rng))
+    add_sample(pool, sample(model, arms[1], Regime.FORCE_SPRIME, rng))
     assert pool.count(0, Regime.OBSERVATIONAL) == 12
     assert pool.count(2, Regime.FORCE_S) == 4
     np.testing.assert_array_equal(pool.counts(Regime.OBSERVATIONAL), [12, 0, 0])
@@ -79,12 +78,6 @@ def test_estimate_all_matches_single_target():
             )
             assert vec.zeta_sps[k] == pytest.approx(
                 pooled_fairness_estimate(pool, arms, k, eps, div.d_sps, "sps"), abs=1e-12
-            )
-        vec_f = estimate_all(pool, arms, eps, div, include_forced=True)
-        for k in range(3):
-            assert vec_f.y[k] == pytest.approx(
-                pooled_outcome_estimate(pool, arms, k, eps, div.m, include_forced=True),
-                abs=1e-12,
             )
 
 

@@ -27,7 +27,6 @@ def test_s_conventions():
 def test_row_indexing_is_row_major():
     model, _ = side_child_model()
     assert model.row_strides("Y") == (2, 1)
-    assert model.row_index("Y", (1, 0)) == 2
     assert model.n_rows("Y") == 4
     assert model.n_rows("S") == 1
 

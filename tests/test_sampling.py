@@ -7,17 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faircb.errors import WrongRegime, ZeroDenominator
-from faircb.model import Arm, CausalModel, Regime, Sample
+from faircb.model import Arm, CausalModel, Regime
 from faircb.sampling import (
-    importance_weight_fairness,
-    importance_weight_outcome,
+    counterfactual_weight,
     make_sampler,
-    sample,
     sample_batch,
+    transport_weight,
 )
 
-from helpers import chain_model, random_instance
+from helpers import (
+    Sample,
+    WrongRegime,
+    ZeroDenominator,
+    as_batch,
+    chain_model,
+    importance_weight_fairness,
+    importance_weight_outcome,
+    random_instance,
+    sample,
+)
 
 
 def detached_v_model():
@@ -180,6 +188,8 @@ def test_fairness_weight_regime_guard():
     assert np.isfinite(importance_weight_fairness(forced_s, arms[0], arms[0], "sps"))
     with pytest.raises(ValueError):
         importance_weight_fairness(forced_sp, arms[0], arms[0], "spsp")
+    with pytest.raises(ValueError):
+        counterfactual_weight(as_batch([forced_sp]), arms[0].table, arms[0].table, "spsp")
 
 
 def test_zero_denominator_errors():
@@ -220,3 +230,40 @@ def test_batch_invariants_on_random_instances(seed):
             np.testing.assert_array_equal(batch.v_row, batch.v_row_s)
         else:
             np.testing.assert_array_equal(batch.v_row, batch.v_row_sp)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_weight_kernel_matches_scalar_references(seed):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng)
+    model, arms = inst.model, inst.arms
+    tables = np.stack([a.table for a in arms])
+    # Every (target, source) pair at once: targets on axis 0, sources on axis 1.
+    targets, sources = tables[:, None], tables[None, :]
+    for arm in arms:
+        for regime in Regime:
+            # The batched sampler and the single-pull reference agree draw for draw.
+            draw_seed = int(rng.integers(2**32))
+            one = sample_batch(model, arm, regime, 1, np.random.default_rng(draw_seed))
+            ref = as_batch([sample(model, arm, regime, np.random.default_rng(draw_seed))])
+            for name in ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio"):
+                np.testing.assert_array_equal(getattr(one, name), getattr(ref, name), err_msg=name)
+
+            pulls = [sample(model, arm, regime, rng) for _ in range(12)]
+            batch = as_batch(pulls)
+            w = transport_weight(batch, targets, sources)
+            expected = [
+                [[importance_weight_outcome(p, src, tgt) for p in pulls] for src in arms]
+                for tgt in arms
+            ]
+            np.testing.assert_allclose(w, expected, rtol=1e-12, atol=0.0)
+            if regime is Regime.OBSERVATIONAL:
+                continue
+            direction = "ssp" if regime is Regime.FORCE_SPRIME else "sps"
+            u = counterfactual_weight(batch, targets, sources, direction)
+            expected = [
+                [[importance_weight_fairness(p, src, tgt, direction) for p in pulls] for src in arms]
+                for tgt in arms
+            ]
+            np.testing.assert_allclose(u, expected, rtol=1e-12, atol=0.0)

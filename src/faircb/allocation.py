@@ -114,6 +114,8 @@ def build_problem(
     active = tuple(sorted(set(int(k) for k in active)))
     if not active:
         raise ValueError("active set must be nonempty")
+    if active[0] < 0 or active[-1] >= divergences.n_arms:
+        raise ValueError(f"active arms must lie in 0..{divergences.n_arms - 1}, got {list(active)}")
     if not (include_outcome or include_fairness):
         raise ValueError("at least one estimator family must stay in the objective")
     extras = tuple(

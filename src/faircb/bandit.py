@@ -15,6 +15,10 @@ the rounded counts, re-estimates, records the phase and eliminates.  Its
   every survivor counts as fair, arms are dropped on the reward clause
   against the survivors, and a lone survivor is the decision.
 
+Within a run only the survivors and the rule change the LP, so each
+distinct (survivors, rule) problem is solved once and its unrounded solution
+reused by later phases.
+
 The v1 variant estimates from the phase's own samples, v2 from every sample
 collected so far (re-clipped at the current eps), across both stages.
 """
@@ -243,6 +247,19 @@ class _Run:
         self.rng = np.random.default_rng() if self.rng is None else self.rng
         self.costs = costs_from_arms(self.arms)
         self.pool = SamplePool(len(self.arms)) if self.variant == "v2" else None
+        # Unrounded LP solutions by (remaining, rule): nothing else varies within a run.
+        self.allocations: dict[tuple[tuple[int, ...], str], Allocation] = {}
+
+    def allocation(self, remaining: tuple[int, ...], rule: str) -> Allocation:
+        """The max-min allocation over ``remaining`` under ``rule``, solved once per run."""
+        key = (remaining, rule)
+        if key not in self.allocations:
+            problem = build_problem(
+                self.divergences, self.costs, self.budget, remaining, self.extra_constraints,
+                include_outcome=rule != "fairness", include_fairness=rule != "outcome",
+            )
+            self.allocations[key] = solve_maxmin(problem)
+        return self.allocations[key]
 
 
 def _run_stage(
@@ -259,11 +276,7 @@ def _run_stage(
     sched = phase_schedule(T)
     for l in range(1, sched.n + 1):
         eps = 2.0 ** (-(l - 1))
-        problem = build_problem(
-            run.divergences, run.costs, run.budget, remaining, run.extra_constraints,
-            include_outcome=rule != "fairness", include_fairness=rule != "outcome",
-        )
-        alloc = _round_phase(solve_maxmin(problem), int(sched.tau[l - 1]), K)
+        alloc = _round_phase(run.allocation(remaining, rule), int(sched.tau[l - 1]), K)
         pool = SamplePool(K) if run.pool is None else run.pool
         spent, cost = _pull_phase(run.sampler, pool, alloc, run.costs, run.rng)
         estimates = estimate_all(pool, run.arms, eps, run.divergences)

@@ -14,6 +14,8 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -87,6 +89,39 @@ def _clean(x):
     return x
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _typed(where: str, value, hint):
+    """A JSON value checked against a field annotation: int, float, bool, tuple of floats, or None.
+
+    Ints may stand for floats, bools for neither; lists become tuples.
+    """
+    if get_origin(hint) is UnionType:
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if get_origin(hint) is tuple:
+        size = None if get_args(hint)[-1] is Ellipsis else len(get_args(hint))
+        if isinstance(value, list) and all(map(_is_number, value)) and size in (None, len(value)):
+            return tuple(value)
+        want = "a list of numbers" if size is None else f"a list of {size} numbers"
+    elif hint is bool:
+        if isinstance(value, bool):
+            return value
+        want = "true or false"
+    elif hint is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        want = "an integer"
+    else:
+        if _is_number(value):
+            return value
+        want = "a number"
+    raise ValueError(f"{where} must be {want}, got {json.dumps(value)}")
+
+
 def _cmd_gen(args) -> int:
     raw = json.loads(Path(args.config).read_text())
     if not isinstance(raw, dict):
@@ -94,10 +129,10 @@ def _cmd_gen(args) -> int:
     unknown = sorted(set(raw) - {f.name for f in fields(SyntheticConfig)})
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys {unknown}")
-    for key in ("reward_gap_band", "fairness_gap_band", "divergence_band", "f_values"):
-        if raw.get(key) is not None:
-            raw[key] = tuple(raw[key])
-    config = SyntheticConfig(**raw)
+    hints = get_type_hints(SyntheticConfig)
+    config = SyntheticConfig(
+        **{key: _typed(f"{args.config}: {key}", value, hints[key]) for key, value in raw.items()}
+    )
     instance = generate_synthetic(config)
     save_instance(instance, args.out)
     print(f"wrote {args.out} ({instance.name}, digest {instance_digest(instance)})")
@@ -164,6 +199,13 @@ def _cmd_divergence(args) -> int:
     return EXIT_OK
 
 
+def _cost_row(where: str, value) -> np.ndarray:
+    """One per-arm cost row of a costs file: a number or a list of numbers."""
+    if not all(map(_is_number, value if isinstance(value, list) else [value])):
+        raise ValueError(f"{where} must be a number or a list of numbers, got {json.dumps(value)}")
+    return np.asarray(value, dtype=float)
+
+
 def _cmd_allocate(args) -> int:
     m = np.loadtxt(args.m, delimiter=",", ndmin=2)
     dssp = np.loadtxt(args.dssp, delimiter=",", ndmin=2)
@@ -174,10 +216,11 @@ def _cmd_allocate(args) -> int:
     missing = [key for key in _COST_KEYS if key not in spend]
     if missing:
         raise ValueError(f"{args.costs}: missing {', '.join(missing)}")
-    costs = np.vstack([np.asarray(spend[key], dtype=float) for key in _COST_KEYS])
+    costs = np.vstack([_cost_row(f"{args.costs}: {key}", spend[key]) for key in _COST_KEYS])
     budget = args.budget if args.budget is not None else spend.get("budget")
     if budget is None:
         raise ValueError("no budget: pass --budget or store one in the costs file")
+    budget = _typed(f"{args.costs}: budget", budget, float)
     active = (
         tuple(int(k) for k in args.active.split(","))
         if args.active

@@ -1,5 +1,20 @@
 """Ancestral sampling under an arm and a regime, plus the per-pull importance weights.
 
+A batch reads only Y, S, V and V's parents, and the children of S with
+their parents.  The *sampled* nodes are the ancestral closure of those;
+every other node is *barren*: nothing downstream of the batch depends on
+it, so it is never drawn.  Each model carries a plan, built on its first
+batch: the sampled nodes in topological order, each with its parents and
+row strides, and the number of barren nodes before it and after the last.
+
+Stream contract: a batch of ``n`` pulls consumes exactly the uniforms of a
+walk over every node in topological order, ``n`` per node except a forced
+S.  A run of ``r`` consecutive barren nodes takes its ``n * r`` uniforms in
+one ``rng.random`` call whose values are dropped; a ``Generator`` fills
+doubles in sequence, so the sampled nodes, and every later draw from the
+same generator, see the same numbers as under the full walk.  S is always
+sampled, even when childless, since a forced S draws nothing.
+
 ``transport_weight`` and ``counterfactual_weight`` are the one place that
 turns a block of pulls into weights; the estimators, the Monte Carlo
 divergences and the Monte Carlo oracle all read pulls through them.  Both
@@ -73,6 +88,53 @@ def _categorical_rows(table: np.ndarray, rows: np.ndarray, rng: np.random.Genera
     return np.minimum(vals, table.shape[1] - 1)
 
 
+@dataclass(frozen=True)
+class _Step:
+    """Draw ``node`` from its table after skipping the uniforms of ``barren`` nodes."""
+
+    barren: int
+    node: str
+    parents: tuple[str, ...]
+    strides: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The sampled nodes in topological order and the barren nodes after the last."""
+
+    steps: tuple[_Step, ...]
+    trailing: int
+    strides: dict[str, tuple[int, ...]]
+
+
+def _plan(model: CausalModel) -> _Plan:
+    """The sampling plan of ``model``, built on first use and cached on the model."""
+    if model._sample_plan is not None:
+        return model._sample_plan
+    s = model.sensitive
+    sampled = set(model.ancestors({s, model.intervention, model.target, *model.children(s)}))
+    steps = []
+    barren = 0
+    for node in model.topological_order():
+        if node not in sampled:
+            barren += 1
+            continue
+        steps.append(_Step(barren, node, model.parents[node], model.row_strides(node)))
+        barren = 0
+    model._sample_plan = _Plan(tuple(steps), barren, {st.node: st.strides for st in steps})
+    return model._sample_plan
+
+
+def _rows(
+    values: dict[str, np.ndarray], parents: Sequence[str], strides: Sequence[int], n: int
+) -> np.ndarray:
+    """Row-major table row of every pull given its parents' values."""
+    rows = np.zeros(n, dtype=np.int64)
+    for p, st in zip(parents, strides):
+        rows += values[p] * st
+    return rows
+
+
 def _draw_values(
     model: CausalModel,
     arm: Arm,
@@ -80,22 +142,21 @@ def _draw_values(
     n: int,
     rng: np.random.Generator,
 ) -> dict[str, np.ndarray]:
+    """Values of the sampled nodes; each barren node still uses up its ``n`` uniforms."""
     values: dict[str, np.ndarray] = {}
     forced = regime.forced_value
-    for node in model.topological_order():
+    plan = _plan(model)
+    for step in plan.steps:
+        if step.barren:
+            rng.random(n * step.barren)
+        node = step.node
         if node == model.sensitive and forced is not None:
             values[node] = np.full(n, forced, dtype=np.int64)
             continue
         table = arm.table if node == model.intervention else model.cpts[node]
-        ps = model.parents[node]
-        if ps:
-            strides = model.row_strides(node)
-            rows = np.zeros(n, dtype=np.int64)
-            for p, st in zip(ps, strides):
-                rows += values[p] * st
-        else:
-            rows = np.zeros(n, dtype=np.int64)
-        values[node] = _categorical_rows(table, rows, rng)
+        values[node] = _categorical_rows(table, _rows(values, step.parents, step.strides, n), rng)
+    if plan.trailing:
+        rng.random(n * plan.trailing)
     return values
 
 
@@ -108,14 +169,12 @@ def _pack(
     n = values[model.target].shape[0]
     v = model.intervention
     s = model.sensitive
+    strides = _plan(model).strides
 
     ps = model.parents[v]
-    strides = model.row_strides(v)
-    v_row = np.zeros(n, dtype=np.int64)
-    for p, st in zip(ps, strides):
-        v_row += values[p] * st
+    v_row = _rows(values, ps, strides[v], n)
     if s in ps:
-        s_stride = strides[ps.index(s)]
+        s_stride = strides[v][ps.index(s)]
         base = v_row - values[s] * s_stride
         v_row_s = base + S_VALUE * s_stride
         v_row_sp = base + SPRIME_VALUE * s_stride
@@ -128,11 +187,8 @@ def _pack(
         if x == v:
             continue
         xps = model.parents[x]
-        xst = model.row_strides(x)
-        rows = np.zeros(n, dtype=np.int64)
-        for p, st in zip(xps, xst):
-            rows += values[p] * st
-        s_stride = xst[xps.index(s)]
+        rows = _rows(values, xps, strides[x], n)
+        s_stride = strides[x][xps.index(s)]
         base = rows - values[s] * s_stride
         cpt = model.cpts[x]
         xv = values[x]

@@ -2,10 +2,10 @@
 
 The brute-force functions enumerate with plain ``itertools.product`` loops and
 no ancestral pruning, so they cross-check the vectorized oracles through a
-completely separate code path.  Likewise the single-pull sampler, the scalar
-importance weights and the per-target pooled estimators below are written
-apart from the batched sampling kernel and ``estimate_all``, which the tests
-compare against them.
+completely separate code path.  Likewise the single-pull sampler, the
+full-walk batch sampler, the scalar importance weights and the per-target
+pooled estimators below are written apart from the batched sampling kernel
+and ``estimate_all``, which the tests compare against them.
 """
 
 from __future__ import annotations
@@ -454,6 +454,60 @@ def as_batch(samples: list[Sample]) -> BatchSamples:
         v_row_s=np.array([s.v_row_s for s in samples]),
         v_row_sp=np.array([s.v_row_sp for s in samples]),
         child_ratio=np.array([s.child_ratio for s in samples]),
+    )
+
+
+def reference_sample_batch(
+    model: CausalModel, arm: Arm, regime: Regime, n: int, rng: np.random.Generator
+) -> BatchSamples:
+    """``n`` pulls by a walk over every node in topological order, barren ones included.
+
+    Each unforced node draws its ``n`` uniforms when the walk reaches it;
+    ``sample_batch`` must return the same batch and leave ``rng`` in the same
+    state.
+    """
+    values: dict[str, np.ndarray] = {}
+    forced = regime.forced_value
+
+    def rows(node: str) -> np.ndarray:
+        out = np.zeros(n, dtype=np.int64)
+        for p, st in zip(model.parents[node], model.row_strides(node)):
+            out += values[p] * st
+        return out
+
+    for node in model.topological_order():
+        if node == model.sensitive and forced is not None:
+            values[node] = np.full(n, forced, dtype=np.int64)
+            continue
+        table = arm.table if node == model.intervention else model.cpts[node]
+        cum = np.cumsum(table[rows(node)], axis=1)
+        u = rng.random(n)
+        values[node] = np.minimum((u[:, None] > cum).sum(axis=1), table.shape[1] - 1)
+
+    s, v = model.sensitive, model.intervention
+    v_row = rows(v)
+    v_row_s, v_row_sp = v_row, v_row
+    if s in model.parents[v]:
+        s_stride = model.row_strides(v)[model.parents[v].index(s)]
+        base = v_row - values[s] * s_stride
+        v_row_s, v_row_sp = base + S_VALUE * s_stride, base + SPRIME_VALUE * s_stride
+    child_ratio = np.ones(n, dtype=float)
+    for x in model.children(s):
+        if x == v:
+            continue
+        s_stride = model.row_strides(x)[model.parents[x].index(s)]
+        base = rows(x) - values[s] * s_stride
+        cpt, xv = model.cpts[x], values[x]
+        child_ratio *= cpt[base + S_VALUE * s_stride, xv] / cpt[base + SPRIME_VALUE * s_stride, xv]
+    return BatchSamples(
+        arm=arm.index,
+        regime=regime,
+        y=model.target_values[values[model.target]],
+        v_row=v_row,
+        v_val=values[v].astype(np.int64),
+        v_row_s=v_row_s,
+        v_row_sp=v_row_sp,
+        child_ratio=child_ratio,
     )
 
 

@@ -63,6 +63,9 @@ def test_build_problem_reciprocals_and_validation():
         build_problem(ds, unit_costs(3), -1.0, [0])
     with pytest.raises(ValueError):
         build_problem(ds, unit_costs(3), 1.0, [])
+    for out_of_range in ([0, 3], [-1], [9, 1]):
+        with pytest.raises(ValueError, match="active arms"):
+            build_problem(ds, unit_costs(3), 1.0, out_of_range)
     with pytest.raises(ValueError):
         build_problem(ds, unit_costs(3), 1.0, [0], extra_constraints=((np.ones(4), 1.0),))
     with pytest.raises(ValueError):

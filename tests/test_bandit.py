@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import faircb.bandit as bandit
 from faircb.allocation import cheap_arm_cap
 from faircb.bandit import (
     bound_report,
@@ -397,3 +398,28 @@ def test_seeded_traces_are_pinned(fixture, algorithm):
                 np.testing.assert_allclose(
                     getattr(last, name), pinned[name], rtol=0.0, atol=1e-12, err_msg=name
                 )
+
+
+@pytest.mark.parametrize("runner", [run_csr, run_two_stage])
+def test_each_distinct_allocation_problem_is_solved_once_per_run(monkeypatch, runner):
+    model, arms = chain_model()
+    divergences = DivergenceSet.exact(model, arms)
+    solve = bandit.solve_maxmin
+    solves = []
+
+    def counted(problem):
+        solves.append(problem.active)
+        return solve(problem)
+
+    monkeypatch.setattr(bandit, "solve_maxmin", counted)
+    repeats = 0
+    for seed in range(3):
+        solves.clear()
+        trace = runner(
+            make_sampler(model, arms), arms, divergences, 1.0, 20_000, 0.2, "v2",
+            np.random.default_rng(seed),
+        )
+        distinct = {(p.remaining, p.stage) for p in trace.phases}
+        assert len(solves) == len(distinct), seed
+        repeats += len(trace.phases) - len(solves)
+    assert repeats > 0

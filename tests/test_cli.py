@@ -60,6 +60,33 @@ def test_gen_rejects_unknown_keys(tmp_path):
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"n_arms": "3"},
+        {"n_arms": True},
+        {"seed": 1.5},
+        {"fairness_eps": None},
+        {"cheap_arm": 1},
+        {"reward_gap_band": [0.05, "0.15"]},
+        {"fairness_gap_band": [0.2, 0.3, 0.4]},
+        {"divergence_band": 10},
+        {"f_values": {"a": 1}},
+    ],
+)
+def test_gen_rejects_wrongly_typed_values(tmp_path, capsys, override):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(CONFIG, **override)))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+    assert next(iter(override)) in capsys.readouterr().err
+
+
+def test_gen_accepts_ints_for_floats(tmp_path):
+    cfg = tmp_path / "ints.json"
+    cfg.write_text(json.dumps(dict(CONFIG, fairness_eps=1, epsilon_param=1, divergence_band=None)))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 0
+
+
 def test_bif_import_skeleton(tmp_path, capsys):
     bif = tmp_path / "mini.bif"
     bif.write_text(MINI)
@@ -231,6 +258,46 @@ def test_allocate_rejects_costs_without_a_regime(tmp_path, instance_file, capsys
     ])
     assert code == 2
     assert "missing cost_force_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override", [{"cost_pull": {"a": 1}}, {"cost_force_s": [1.0, "1", 1.0]}, {"budget": "1"}]
+)
+def test_allocate_rejects_wrongly_typed_costs(tmp_path, instance_file, capsys, override):
+    prefix = str(tmp_path / "div")
+    main(["divergence", "--instance", instance_file, "--out-prefix", prefix])
+    costs = tmp_path / "costs.json"
+    costs.write_text(json.dumps(dict({
+        "cost_pull": [1.0, 1.0, 1.0],
+        "cost_force_s": [1.0, 1.0, 1.0],
+        "cost_force_sprime": [1.0, 1.0, 1.0],
+        "budget": 1.0,
+    }, **override)))
+    code = main([
+        "allocate", "--m", f"{prefix}_m.csv", "--dssp", f"{prefix}_dssp.csv",
+        "--dsps", f"{prefix}_dsps.csv", "--costs", str(costs),
+    ])
+    assert code == 2
+    assert next(iter(override)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("active", ["0,9", "-1"])
+def test_allocate_rejects_out_of_range_arms(tmp_path, instance_file, capsys, active):
+    prefix = str(tmp_path / "div")
+    main(["divergence", "--instance", instance_file, "--out-prefix", prefix])
+    costs = tmp_path / "costs.json"
+    costs.write_text(json.dumps({
+        "cost_pull": [1.0, 1.0, 1.0],
+        "cost_force_s": [1.0, 1.0, 1.0],
+        "cost_force_sprime": [1.0, 1.0, 1.0],
+        "budget": 1.0,
+    }))
+    code = main([
+        "allocate", "--m", f"{prefix}_m.csv", "--dssp", f"{prefix}_dssp.csv",
+        "--dsps", f"{prefix}_dsps.csv", "--costs", str(costs), f"--active={active}",
+    ])
+    assert code == 2
+    assert "active arms" in capsys.readouterr().err
 
 
 def test_allocate_infeasible_budget(tmp_path, instance_file):

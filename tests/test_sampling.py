@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircb.model import Arm, CausalModel, Regime
+from faircb.netgen import build_network_experiment, liver_network
 from faircb.sampling import (
     counterfactual_weight,
     make_sampler,
@@ -24,8 +25,11 @@ from helpers import (
     importance_weight_fairness,
     importance_weight_outcome,
     random_instance,
+    reference_sample_batch,
     sample,
 )
+
+_PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
 
 
 def detached_v_model():
@@ -247,7 +251,7 @@ def test_weight_kernel_matches_scalar_references(seed):
             draw_seed = int(rng.integers(2**32))
             one = sample_batch(model, arm, regime, 1, np.random.default_rng(draw_seed))
             ref = as_batch([sample(model, arm, regime, np.random.default_rng(draw_seed))])
-            for name in ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio"):
+            for name in _PULL_FIELDS:
                 np.testing.assert_array_equal(getattr(one, name), getattr(ref, name), err_msg=name)
 
             pulls = [sample(model, arm, regime, rng) for _ in range(12)]
@@ -267,3 +271,69 @@ def test_weight_kernel_matches_scalar_references(seed):
                 for tgt in arms
             ]
             np.testing.assert_allclose(u, expected, rtol=1e-12, atol=0.0)
+
+
+def barren_model():
+    """A childless S among barren nodes: before the first sampled node, between two, after the last.
+
+    Topological order: B0 S A B1 V B2 Y B3.  Only S, A, V and Y are read.
+    """
+    model = CausalModel(
+        nodes=("B0", "S", "A", "B1", "V", "B2", "Y", "B3"),
+        cards={"B0": 3, "S": 2, "A": 2, "B1": 2, "V": 3, "B2": 2, "Y": 2, "B3": 4},
+        parents={
+            "B0": (), "S": (), "A": (), "B1": ("A",), "V": ("A",),
+            "B2": ("V", "B1"), "Y": ("V",), "B3": ("Y", "B0"),
+        },
+        cpts={
+            "B0": np.array([[0.2, 0.3, 0.5]]),
+            "S": np.array([[0.4, 0.6]]),
+            "A": np.array([[0.7, 0.3]]),
+            "B1": np.array([[0.5, 0.5], [0.1, 0.9]]),
+            "V": np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]]),
+            "B2": np.full((6, 2), 0.5),
+            "Y": np.array([[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]]),
+            "B3": np.full((6, 4), 0.25),
+        },
+        sensitive="S",
+        intervention="V",
+        target="Y",
+        target_values=np.array([0.0, 1.0]),
+    )
+    arms = (Arm(0, model.cpts["V"].copy()), Arm(1, np.full((2, 3), 1.0 / 3.0)))
+    return model, arms
+
+
+def assert_same_stream(model, arm, regime, n, seed):
+    """``sample_batch`` and the full walk agree on the batch and on the draws after it."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = sample_batch(model, arm, regime, n, rng)
+    ref = reference_sample_batch(model, arm, regime, n, ref_rng)
+    assert (batch.arm, batch.regime) == (ref.arm, ref.regime)
+    for name in _PULL_FIELDS:
+        np.testing.assert_array_equal(getattr(batch, name), getattr(ref, name), err_msg=name)
+    np.testing.assert_array_equal(rng.random(5), ref_rng.random(5))
+
+
+@pytest.mark.parametrize("n", [1, 500])
+@pytest.mark.parametrize("regime", list(Regime))
+def test_pruned_sampling_keeps_the_stream(regime, n):
+    model, arms = barren_model()
+    for seed in range(3):
+        for arm in arms:
+            assert_same_stream(model, arm, regime, n, seed)
+    liver = build_network_experiment(
+        liver_network(), "fibrosis", "sex", "carcinoma", n_arms=3, seed=0, fairness_eps=0.2
+    )
+    for arm in liver.arms:
+        assert_same_stream(liver.model, arm, regime, n, 7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_pruned_sampling_keeps_the_stream_on_random_instances(seed):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng)
+    for regime in Regime:
+        for n in (1, 37):
+            assert_same_stream(inst.model, inst.arms[-1], regime, n, seed)

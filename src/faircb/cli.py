@@ -330,6 +330,10 @@ def _cmd_sweep(args) -> int:
             f"warning: {failed} of {total} runs raised and were scored as errors",
             file=sys.stderr,
         )
+        for row in curve.rows:
+            if row.first_failure is not None:
+                print(f"  T={row.budget} {row.algorithm}: first failure {row.first_failure}",
+                      file=sys.stderr)
     return EXIT_OK
 
 

@@ -6,6 +6,16 @@ ratio exceeds ``2 ln(2 / eps) M[k, j]``.  The counterfactual estimates do the
 same with the signed weights and the fairness cutoffs ``D``.  Cutoffs never
 fall below one (outcome) or ``ln 2`` (fairness), so every kept term is bounded
 by ``2 ln(2 / eps)`` after its ``1 / M`` or ``1 / D`` factor.
+
+A pull enters the estimates only through its cell (``sampling`` documents the
+cell code), so the pool keeps counts, not pulls: one int64 vector of
+``n_cells`` counts per (source arm, regime), 3K * ``n_cells`` words in all,
+plus one copy of the six pull fields per cell.  Each source block weighs its
+occupied cells once against every target and dots the kept weights with
+``count * y``, so a phase costs O(K * occupied cells) per source block, the
+same at any horizon and for any number of pooled phases.  A cell's fields are
+copied from its pulls, so its weights and clip masks are bit for bit those of
+each of its pulls; only the order of the summation differs.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import numpy as np
 
 from .divergence import DivergenceSet
 from .model import Regime
-from .sampling import BatchSamples, concat_batches, counterfactual_weight, transport_weight
+from .sampling import PULL_FIELDS, BatchSamples, counterfactual_weight, transport_weight
 
 __all__ = [
     "SamplePool",
@@ -29,37 +39,53 @@ _REGIMES = (Regime.OBSERVATIONAL, Regime.FORCE_S, Regime.FORCE_SPRIME)
 
 
 class SamplePool:
-    """Append-only store of pulls grouped by source arm and regime."""
+    """Append-only per-cell counts of the pulls of every source arm under every regime."""
 
     def __init__(self, n_arms: int):
         self.n_arms = n_arms
-        self._blocks: dict[tuple[int, Regime], list[BatchSamples]] = {}
-        self._merged: dict[tuple[int, Regime], BatchSamples] = {}
+        self._counts: dict[tuple[int, Regime], np.ndarray] = {}
+        self._fields: dict[str, np.ndarray] = {}
+        self._seen: np.ndarray | None = None
 
     def add(self, batch: BatchSamples) -> None:
         if batch.n == 0:
             return
         if not 0 <= batch.arm < self.n_arms:
             raise ValueError(f"arm index {batch.arm} out of range")
+        if self._seen is None:
+            self._seen = np.zeros(batch.n_cells, dtype=bool)
+            self._fields = {f: np.zeros(batch.n_cells, getattr(batch, f).dtype) for f in PULL_FIELDS}
+        hits = np.bincount(batch.cell, minlength=batch.n_cells)
+        fresh = (hits > 0) & ~self._seen
+        if fresh.any():
+            for f in PULL_FIELDS:
+                self._fields[f][batch.cell] = getattr(batch, f)
+            self._seen |= fresh
         key = (batch.arm, batch.regime)
-        self._blocks.setdefault(key, []).append(batch)
-        self._merged.pop(key, None)
+        self._counts[key] = self._counts.get(key, 0) + hits
 
     def count(self, arm: int, regime: Regime) -> int:
-        return sum(b.n for b in self._blocks.get((arm, regime), ()))
+        counts = self._counts.get((arm, regime))
+        return 0 if counts is None else int(counts.sum())
 
     def counts(self, regime: Regime) -> np.ndarray:
         return np.array([self.count(j, regime) for j in range(self.n_arms)], dtype=np.int64)
 
-    def packed(self, arm: int, regime: Regime) -> BatchSamples | None:
-        """Every pull of ``arm`` under ``regime`` as one block, or None when there are none."""
-        key = (arm, regime)
-        blocks = self._blocks.get(key)
-        if not blocks:
+    def cells(self, arm: int, regime: Regime) -> tuple[BatchSamples, np.ndarray] | None:
+        """One pull per occupied cell of ``arm`` under ``regime`` and the cell counts,
+        or None when there are no pulls."""
+        counts = self._counts.get((arm, regime))
+        if counts is None:
             return None
-        if key not in self._merged:
-            self._merged[key] = concat_batches(blocks)
-        return self._merged[key]
+        occupied = np.flatnonzero(counts)
+        cells = BatchSamples(
+            arm=arm,
+            regime=regime,
+            cell=occupied,
+            n_cells=counts.shape[0],
+            **{f: self._fields[f][occupied] for f in PULL_FIELDS},
+        )
+        return cells, counts[occupied]
 
 
 @dataclass
@@ -86,10 +112,10 @@ def estimate_all(
 ) -> EstimateVector:
     """All per-arm estimates at accuracy level ``eps``; empty pools turn into NaN.
 
-    One pass over each source block weighs its pulls against every target
-    arm at once.  The outcome estimates read observational pulls only, since
-    forced pulls target the forced means; each fairness direction reads the
-    pulls forced to its evidence value.
+    One pass over each source block weighs its occupied cells against every
+    target arm at once.  The outcome estimates read observational pulls only,
+    since forced pulls target the forced means; each fairness direction reads
+    the pulls forced to its evidence value.
     """
     n = pool.n_arms
     tables = np.stack([arm.table for arm in arms])
@@ -101,22 +127,24 @@ def estimate_all(
 
     for j in range(n):
         for regime in _REGIMES:
-            packed = pool.packed(j, regime)
-            if packed is None:
+            block = pool.cells(j, regime)
+            if block is None:
                 continue
-            cnt = packed.n
+            cells, counts = block
+            cnt = int(counts.sum())
+            mass = counts * cells.y
             if regime is Regime.OBSERVATIONAL:
-                w = transport_weight(packed, tables, tables[j])
+                w = transport_weight(cells, tables, tables[j])
                 thr = (log_term * div.m[:, j])[:, None]
                 z += cnt / div.m[:, j]
-                y_acc += ((w * (w <= thr)) @ packed.y) / div.m[:, j]
+                y_acc += ((w * (w <= thr)) @ mass) / div.m[:, j]
                 continue
             direction = "ssp" if regime is Regime.FORCE_SPRIME else "sps"
             d = div.d_ssp if direction == "ssp" else div.d_sps
-            u = counterfactual_weight(packed, tables, tables[j], direction)
+            u = counterfactual_weight(cells, tables, tables[j], direction)
             thr = (log_term * d[:, j])[:, None]
             o[direction] += cnt / d[:, j]
-            z_acc[direction] += ((u * (np.abs(u) <= thr)) @ packed.y) / d[:, j]
+            z_acc[direction] += ((u * (np.abs(u) <= thr)) @ mass) / d[:, j]
 
     with np.errstate(invalid="ignore", divide="ignore"):
         y = np.where(z > 0.0, y_acc / z, np.nan)

@@ -15,6 +15,15 @@ doubles in sequence, so the sampled nodes, and every later draw from the
 same generator, see the same numbers as under the full walk.  S is always
 sampled, even when childless, since a forced S draws nothing.
 
+Cell code: the estimators read a pull only through the values of its *read
+nodes*: V's parents, V and Y, then each child of S other than V followed by
+its parents, each node once at its first place in that list.  ``cell`` is the
+row-major mixed-radix code of those values (the first read node varies
+slowest), so the plan's ``n_cells`` is the product of their cardinalities and
+every pull field is a function of the cell alone.  A model whose ``n_cells``
+exceeds ``oracles.enumeration_cap()`` raises ``EnumerationTooLarge`` on its
+first batch, which bounds the per-cell pools of the estimators.
+
 ``transport_weight`` and ``counterfactual_weight`` are the one place that
 turns a block of pulls into weights; the estimators, the Monte Carlo
 divergences and the Monte Carlo oracle all read pulls through them.  Both
@@ -24,16 +33,17 @@ tables yields the weights of every pull against K arms at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import EnumerationTooLarge
 from .model import Arm, CausalModel, Regime, S_VALUE, SPRIME_VALUE
 
 __all__ = [
     "BatchSamples",
-    "concat_batches",
     "sample_batch",
     "make_sampler",
     "transport_weight",
@@ -50,7 +60,8 @@ class BatchSamples:
     with the S slot forced to s and s' (all three coincide when S is not a
     parent of the intervention node).  ``child_ratio`` carries the product over
     the non intervention children of S of ``P(x | pa, s) / P(x | pa, s')`` at
-    the realized values.
+    the realized values.  ``cell`` is each pull's code among the model's
+    ``n_cells`` cells (see the module docstring).
     """
 
     arm: int
@@ -61,23 +72,16 @@ class BatchSamples:
     v_row_s: np.ndarray
     v_row_sp: np.ndarray
     child_ratio: np.ndarray
+    cell: np.ndarray
+    n_cells: int
 
     @property
     def n(self) -> int:
         return int(self.y.shape[0])
 
 
-_PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
-
-
-def concat_batches(batches: Sequence[BatchSamples]) -> BatchSamples:
-    """One block holding the pulls of ``batches``, which share an arm and a regime."""
-    first = batches[0]
-    return BatchSamples(
-        arm=first.arm,
-        regime=first.regime,
-        **{f: np.concatenate([getattr(b, f) for b in batches]) for f in _PULL_FIELDS},
-    )
+# The per-pull fields the weights and the estimators read; each is a function of the cell.
+PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
 
 
 def _categorical_rows(table: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -100,11 +104,34 @@ class _Step:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The sampled nodes in topological order and the barren nodes after the last."""
+    """The sampled nodes in topological order, the barren nodes after the last,
+    and the mixed-radix cell code over the read nodes."""
 
     steps: tuple[_Step, ...]
     trailing: int
     strides: dict[str, tuple[int, ...]]
+    cell_nodes: tuple[str, ...]
+    cell_strides: tuple[int, ...]
+    n_cells: int
+
+
+def _cell_code(model: CausalModel) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+    """Read nodes, their row-major strides and the cell count; raises past the enumeration cap."""
+    from .oracles import enumeration_cap  # oracles imports this module
+
+    s, v = model.sensitive, model.intervention
+    read = [*model.parents[v], v, model.target]
+    for x in model.children(s):
+        if x != v:
+            read += [x, *model.parents[x]]
+    nodes = tuple(dict.fromkeys(read))
+    cards = [model.cards[x] for x in nodes]
+    n_cells = math.prod(cards)
+    cap = enumeration_cap()
+    if n_cells > cap:
+        raise EnumerationTooLarge(f"{n_cells} cells over {nodes} exceeds the cap of {cap}")
+    strides = tuple(math.prod(cards[i + 1 :]) for i in range(len(cards)))
+    return nodes, strides, n_cells
 
 
 def _plan(model: CausalModel) -> _Plan:
@@ -121,7 +148,9 @@ def _plan(model: CausalModel) -> _Plan:
             continue
         steps.append(_Step(barren, node, model.parents[node], model.row_strides(node)))
         barren = 0
-    model._sample_plan = _Plan(tuple(steps), barren, {st.node: st.strides for st in steps})
+    model._sample_plan = _Plan(
+        tuple(steps), barren, {st.node: st.strides for st in steps}, *_cell_code(model)
+    )
     return model._sample_plan
 
 
@@ -169,7 +198,8 @@ def _pack(
     n = values[model.target].shape[0]
     v = model.intervention
     s = model.sensitive
-    strides = _plan(model).strides
+    plan = _plan(model)
+    strides = plan.strides
 
     ps = model.parents[v]
     v_row = _rows(values, ps, strides[v], n)
@@ -204,6 +234,8 @@ def _pack(
         v_row_s=v_row_s,
         v_row_sp=v_row_sp,
         child_ratio=child_ratio,
+        cell=_rows(values, plan.cell_nodes, plan.cell_strides, n),
+        n_cells=plan.n_cells,
     )
 
 

@@ -3,7 +3,11 @@
 Every run draws its generator from ``SeedSequence(base_seed,
 spawn_key=(budget_index, algorithm_id, run_index))``, so any row of the
 output is reproducible in isolation.  A run that raises is recorded as a
-failure and scored as an error.
+failure, by exception class, and scored as an error.
+
+At ``width > 1`` the instance, its divergences, the cost cap and the oracle
+truth reach each worker process once, through the pool initializer; a cell
+then travels as its indices only, one (budget, algorithm) row per chunk.
 """
 
 from __future__ import annotations
@@ -11,10 +15,11 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +44,8 @@ class SweepRow:
 
     ``wall_time_s`` is the sum of the per-run seconds.  Runs overlap at
     ``width > 1``, so there it exceeds the wall time of the sweep.
+    ``failure_kinds`` counts the failed runs by exception class and
+    ``first_failure`` is ``"Class: message"`` of the first, or None.
     """
 
     budget: int
@@ -50,6 +57,8 @@ class SweepRow:
     error_rate: float
     wall_time_s: float
     base_seed: int
+    failure_kinds: dict[str, int]
+    first_failure: str | None
 
 
 @dataclass
@@ -102,18 +111,25 @@ def run_algorithm(
     )
 
 
+class _Outcome(NamedTuple):
+    wrong: bool
+    declared_none: bool
+    seconds: float
+    failure: tuple[str, str] | None  # (class name, message) of what a failed run raised
+
+
 def _run_cell(
     instance: Instance,
+    divergences: DivergenceSet,
+    budget: float,
+    truth: int | None,
     algorithm: str,
     T: int,
     base_seed: int,
     budget_index: int,
     run_index: int,
-    truth: int | None,
-    budget: float,
-    divergences: DivergenceSet,
-) -> tuple[bool, bool, bool, float]:
-    """One seeded run scored against the oracle: (wrong, declared_none, failed, seconds)."""
+) -> _Outcome:
+    """One seeded run scored against the oracle."""
     ss = np.random.SeedSequence(
         base_seed, spawn_key=(budget_index, ALGORITHMS.index(algorithm), run_index)
     )
@@ -123,10 +139,42 @@ def _run_cell(
         trace = run_algorithm(
             instance, algorithm, T, rng, budget=budget, divergences=divergences
         )
-    except Exception:
-        return True, False, True, time.perf_counter() - start
+    except Exception as exc:
+        return _Outcome(True, False, time.perf_counter() - start, (type(exc).__name__, str(exc)))
     elapsed = time.perf_counter() - start
-    return trace.decision != truth, trace.decision is None, False, elapsed
+    return _Outcome(trace.decision != truth, trace.decision is None, elapsed, None)
+
+
+# What every cell of a pooled sweep shares, set once per worker process by ``_init_worker``.
+_SHARED: tuple[Instance, DivergenceSet, float, int | None] | None = None
+
+
+def _init_worker(instance: Instance, divergences: DivergenceSet, budget: float, truth) -> None:
+    global _SHARED
+    _SHARED = (instance, divergences, budget, truth)
+
+
+def _run_shared_cell(cell: tuple) -> _Outcome:
+    return _run_cell(*_SHARED, *cell)
+
+
+def _row(T: int, algorithm: str, base_seed: int, outcomes: Sequence[_Outcome]) -> SweepRow:
+    runs = len(outcomes)
+    wrong = sum(o.wrong for o in outcomes)
+    failures = [o.failure for o in outcomes if o.failure is not None]
+    return SweepRow(
+        budget=T,
+        algorithm=algorithm,
+        runs=runs,
+        misidentifications=wrong,
+        no_fair_arm=sum(o.declared_none for o in outcomes),
+        failures=len(failures),
+        error_rate=wrong / runs,
+        wall_time_s=sum(o.seconds for o in outcomes),
+        base_seed=base_seed,
+        failure_kinds=dict(Counter(kind for kind, _ in failures)),
+        first_failure=": ".join(failures[0]) if failures else None,
+    )
 
 
 def run_sweep(
@@ -151,48 +199,24 @@ def run_sweep(
             raise ValueError(f"{algorithm} needs budgets >= {low}, got {short}")
     truth = oracle_report(instance, instance.fairness_eps)["best_fair"]
     digest = instance_digest(instance)
-    budget = default_budget(instance)
-    divergences = DivergenceSet.exact(instance.model, instance.arms)
+    shared = (instance, DivergenceSet.exact(instance.model, instance.arms),
+              default_budget(instance), truth)
 
-    cells = [
-        (instance, algorithm, int(T), base_seed, bi, run, truth, budget, divergences)
-        for bi, T in enumerate(budgets)
-        for algorithm in algorithms
-        for run in range(runs)
-    ]
+    grid = [(int(T), algorithm, bi) for bi, T in enumerate(budgets) for algorithm in algorithms]
+    cells = [(algorithm, T, base_seed, bi, run) for T, algorithm, bi in grid for run in range(runs)]
     if width > 1:
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            outcomes = list(pool.map(_run_cell_star, cells, chunksize=1))
+        with ProcessPoolExecutor(
+            max_workers=width, initializer=_init_worker, initargs=shared
+        ) as pool:
+            outcomes = list(pool.map(_run_shared_cell, cells, chunksize=runs))
     else:
-        outcomes = [_run_cell(*cell) for cell in cells]
+        outcomes = [_run_cell(*shared, *cell) for cell in cells]
 
-    rows = []
-    i = 0
-    for bi, T in enumerate(budgets):
-        for algorithm in algorithms:
-            chunk = outcomes[i : i + runs]
-            i += runs
-            wrong = sum(1 for w, _, _, _ in chunk if w)
-            none_count = sum(1 for _, nd, _, _ in chunk if nd)
-            failed = sum(1 for _, _, f, _ in chunk if f)
-            rows.append(
-                SweepRow(
-                    budget=int(T),
-                    algorithm=algorithm,
-                    runs=runs,
-                    misidentifications=wrong,
-                    no_fair_arm=none_count,
-                    failures=failed,
-                    error_rate=wrong / runs,
-                    wall_time_s=sum(dt for _, _, _, dt in chunk),
-                    base_seed=base_seed,
-                )
-            )
-    return ErrorCurve(rows=tuple(rows), instance_digest=digest, truth=truth)
-
-
-def _run_cell_star(args) -> tuple[bool, bool, bool, float]:
-    return _run_cell(*args)
+    rows = tuple(
+        _row(T, algorithm, base_seed, outcomes[i * runs : (i + 1) * runs])
+        for i, (T, algorithm, _) in enumerate(grid)
+    )
+    return ErrorCurve(rows=rows, instance_digest=digest, truth=truth)
 
 
 _CSV_FIELDS = [
@@ -203,7 +227,7 @@ _CSV_FIELDS = [
 
 def error_curve_to_csv(curve: ErrorCurve, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
         for row in curve.rows:
             record = asdict(row)

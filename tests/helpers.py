@@ -3,9 +3,10 @@
 The brute-force functions enumerate with plain ``itertools.product`` loops and
 no ancestral pruning, so they cross-check the vectorized oracles through a
 completely separate code path.  Likewise the single-pull sampler, the
-full-walk batch sampler, the scalar importance weights and the per-target
-pooled estimators below are written apart from the batched sampling kernel
-and ``estimate_all``, which the tests compare against them.
+full-walk batch sampler, the scalar importance weights, the per-pull
+``ReferencePool`` and the per-target pooled estimators below are written
+apart from the batched sampling kernel, the per-cell ``SamplePool`` and
+``estimate_all``, which the tests compare against them.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from scipy.special import logsumexp
 
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError
-from faircb.estimation import SamplePool
 from faircb.model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
-from faircb.sampling import BatchSamples
+from faircb.sampling import PULL_FIELDS, BatchSamples
 from faircb.oracles import (
     attribute_ratio_values,
     direction_values,
@@ -377,7 +377,8 @@ class Sample:
     ``v_row_sp`` and ``child_ratio`` cache what the importance weights need:
     the realized table row, the same row with the S slot set to s and to s',
     and the product over the non intervention children of S of
-    ``P(x | pa, s) / P(x | pa, s')``.
+    ``P(x | pa, s) / P(x | pa, s')``.  ``cell`` is the pull's code among
+    ``n_cells`` cells, as ``reference_cell_code`` computes it.
     """
 
     arm: int
@@ -391,6 +392,26 @@ class Sample:
     v_row_s: int
     v_row_sp: int
     child_ratio: float
+    cell: int
+    n_cells: int
+
+
+def reference_cell_code(model: CausalModel, values: dict):
+    """``(cell, n_cells)`` of the read-node values in ``values`` (ints or arrays), by Horner's rule.
+
+    The read nodes are V's parents, V, Y, then each child of S other than V
+    followed by its parents, each at its first place in that list.
+    """
+    s, v = model.sensitive, model.intervention
+    read = [*model.parents[v], v, model.target]
+    for x in model.children(s):
+        if x != v:
+            read += [x, *model.parents[x]]
+    cell, n_cells = 0, 1
+    for x in dict.fromkeys(read):
+        cell = cell * model.cards[x] + values[x]
+        n_cells *= model.cards[x]
+    return cell, n_cells
 
 
 def _row(model: CausalModel, node: str, values: dict, s_value: int | None = None) -> int:
@@ -428,6 +449,7 @@ def sample(model: CausalModel, arm: Arm, regime: Regime, rng: np.random.Generato
                 cpt[_row(model, x, values, S_VALUE), values[x]]
                 / cpt[_row(model, x, values, SPRIME_VALUE), values[x]]
             )
+    cell, n_cells = reference_cell_code(model, values)
     return Sample(
         arm=arm.index,
         regime=regime,
@@ -440,6 +462,8 @@ def sample(model: CausalModel, arm: Arm, regime: Regime, rng: np.random.Generato
         v_row_s=_row(model, v, values, S_VALUE),
         v_row_sp=_row(model, v, values, SPRIME_VALUE),
         child_ratio=float(child_ratio),
+        cell=cell,
+        n_cells=n_cells,
     )
 
 
@@ -454,6 +478,8 @@ def as_batch(samples: list[Sample]) -> BatchSamples:
         v_row_s=np.array([s.v_row_s for s in samples]),
         v_row_sp=np.array([s.v_row_sp for s in samples]),
         child_ratio=np.array([s.child_ratio for s in samples]),
+        cell=np.array([s.cell for s in samples], dtype=np.int64),
+        n_cells=samples[0].n_cells,
     )
 
 
@@ -499,6 +525,7 @@ def reference_sample_batch(
         base = rows(x) - values[s] * s_stride
         cpt, xv = model.cpts[x], values[x]
         child_ratio *= cpt[base + S_VALUE * s_stride, xv] / cpt[base + SPRIME_VALUE * s_stride, xv]
+    cell, n_cells = reference_cell_code(model, values)
     return BatchSamples(
         arm=arm.index,
         regime=regime,
@@ -508,10 +535,40 @@ def reference_sample_batch(
         v_row_s=v_row_s,
         v_row_sp=v_row_sp,
         child_ratio=child_ratio,
+        cell=np.asarray(cell, dtype=np.int64),
+        n_cells=n_cells,
     )
 
 
-def add_sample(pool: SamplePool, sample: Sample) -> None:
+class ReferencePool:
+    """Every pull of every source arm under every regime, kept pull by pull."""
+
+    def __init__(self, n_arms: int):
+        self.n_arms = n_arms
+        self._blocks: dict[tuple[int, Regime], list[BatchSamples]] = {}
+
+    def add(self, batch: BatchSamples) -> None:
+        if batch.n == 0:
+            return
+        if not 0 <= batch.arm < self.n_arms:
+            raise ValueError(f"arm index {batch.arm} out of range")
+        self._blocks.setdefault((batch.arm, batch.regime), []).append(batch)
+
+    def packed(self, arm: int, regime: Regime) -> BatchSamples | None:
+        """Every pull of ``arm`` under ``regime`` as one block, or None when there are none."""
+        blocks = self._blocks.get((arm, regime))
+        if not blocks:
+            return None
+        return BatchSamples(
+            arm=arm,
+            regime=regime,
+            cell=np.concatenate([b.cell for b in blocks]),
+            n_cells=blocks[0].n_cells,
+            **{f: np.concatenate([getattr(b, f) for b in blocks]) for f in PULL_FIELDS},
+        )
+
+
+def add_sample(pool, sample: Sample) -> None:
     pool.add(as_batch([sample]))
 
 
@@ -560,7 +617,7 @@ def importance_weight_fairness(
     return w * (1.0 / ratio - 1.0)
 
 
-def pooled_outcome_estimate(pool: SamplePool, arms, k: int, eps: float, m: np.ndarray) -> float:
+def pooled_outcome_estimate(pool: ReferencePool, arms, k: int, eps: float, m: np.ndarray) -> float:
     """Clipped pooled estimate of the mean outcome of arm ``k`` from observational pulls."""
     log_term = 2.0 * math.log(2.0 / eps)
     z = 0.0
@@ -580,7 +637,7 @@ def pooled_outcome_estimate(pool: SamplePool, arms, k: int, eps: float, m: np.nd
 
 
 def pooled_fairness_estimate(
-    pool: SamplePool,
+    pool: ReferencePool,
     arms,
     k: int,
     eps: float,

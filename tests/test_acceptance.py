@@ -24,7 +24,6 @@ from faircb.divergence import (
     empirical_quantile_gamma,
 )
 from faircb.errors import Infeasible
-from faircb.estimation import SamplePool
 from faircb.model import Regime, validate_model
 from faircb.netgen import build_network_experiment, liver_network, network_states
 from faircb.oracles import exact_fairness, exact_outcome_mean, oracle_report
@@ -33,6 +32,7 @@ from faircb.sweep import ALGORITHMS, error_curve_to_csv, run_algorithm, run_swee
 from faircb.synth import SyntheticConfig, generate_synthetic
 
 from helpers import (
+    ReferencePool,
     chain_model,
     clipped_fairness_expectation,
     clipped_outcome_expectation,
@@ -170,7 +170,7 @@ def test_acceptance_04_concentration_bound():
     viol_z = np.zeros((len(deltas), K), dtype=int)
     rng = np.random.default_rng(31)
     for _ in range(reps):
-        pool = SamplePool(K)
+        pool = ReferencePool(K)
         for j, arm in enumerate(arms):
             pool.add(sample_batch(model, arm, Regime.OBSERVATIONAL, counts[j], rng))
             pool.add(sample_batch(model, arm, Regime.FORCE_SPRIME, counts[j], rng))

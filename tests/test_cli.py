@@ -393,4 +393,6 @@ def test_sweep_cli_warns_on_failed_runs(tmp_path, instance_file, capsys, monkeyp
     assert main(args) == 0
     captured = capsys.readouterr()
     assert "warning: 2 of 4 runs raised and were scored as errors" in captured.err
+    assert "T=200 csr-v1: first failure RuntimeError: synthetic breakage" in captured.err
+    assert "csr-v2: first failure" not in captured.err
     assert "T=200 csr-v1: error 1.000 (2/2, 0 none, 2 failed)" in captured.out

@@ -17,6 +17,7 @@ from faircb.sampling import BatchSamples, sample_batch
 
 from helpers import (
     NoSamples,
+    ReferencePool,
     add_sample,
     chain_model,
     clipped_fairness_expectation,
@@ -31,12 +32,15 @@ from helpers import (
 EPS_GRID = (1.0, 0.5, 0.25, 0.125)
 
 
-def fill_pool(model, arms, per_regime, rng) -> SamplePool:
-    pool = SamplePool(len(arms))
+def fill_pools(model, arms, per_regime, rng) -> tuple[SamplePool, ReferencePool]:
+    """The same pulls in a per-cell pool and in a per-pull reference pool."""
+    pool, ref = SamplePool(len(arms)), ReferencePool(len(arms))
     for arm in arms:
         for regime in Regime:
-            pool.add(sample_batch(model, arm, regime, per_regime, rng))
-    return pool
+            batch = sample_batch(model, arm, regime, per_regime, rng)
+            pool.add(batch)
+            ref.add(batch)
+    return pool, ref
 
 
 def test_pool_bookkeeping():
@@ -51,8 +55,10 @@ def test_pool_bookkeeping():
     assert pool.count(2, Regime.FORCE_S) == 4
     np.testing.assert_array_equal(pool.counts(Regime.OBSERVATIONAL), [12, 0, 0])
     np.testing.assert_array_equal(pool.counts(Regime.FORCE_SPRIME), [0, 1, 0])
-    assert pool.packed(0, Regime.OBSERVATIONAL).y.shape == (12,)
-    assert pool.packed(1, Regime.OBSERVATIONAL) is None
+    cells, counts = pool.cells(0, Regime.OBSERVATIONAL)
+    assert counts.sum() == 12 and np.all(counts > 0)
+    assert cells.n == counts.shape[0] <= cells.n_cells
+    assert pool.cells(1, Regime.OBSERVATIONAL) is None
     # Zero-length batches are dropped silently; foreign arm indices are not.
     pool.add(sample_batch(model, arms[1], Regime.OBSERVATIONAL, 0, rng))
     assert pool.count(1, Regime.OBSERVATIONAL) == 0
@@ -65,20 +71,62 @@ def test_pool_bookkeeping():
 def test_estimate_all_matches_single_target():
     model, arms = chain_model()
     div = DivergenceSet.exact(model, arms)
-    pool = fill_pool(model, arms, 400, np.random.default_rng(1))
+    pool, ref = fill_pools(model, arms, 400, np.random.default_rng(1))
     for eps in (1.0, 0.25):
         vec = estimate_all(pool, arms, eps, div)
         assert vec.eps == eps
         for k in range(3):
             assert vec.y[k] == pytest.approx(
-                pooled_outcome_estimate(pool, arms, k, eps, div.m), abs=1e-12
+                pooled_outcome_estimate(ref, arms, k, eps, div.m), abs=1e-12
             )
             assert vec.zeta_ssp[k] == pytest.approx(
-                pooled_fairness_estimate(pool, arms, k, eps, div.d_ssp, "ssp"), abs=1e-12
+                pooled_fairness_estimate(ref, arms, k, eps, div.d_ssp, "ssp"), abs=1e-12
             )
             assert vec.zeta_sps[k] == pytest.approx(
-                pooled_fairness_estimate(pool, arms, k, eps, div.d_sps, "sps"), abs=1e-12
+                pooled_fairness_estimate(ref, arms, k, eps, div.d_sps, "sps"), abs=1e-12
             )
+
+
+def _reference_or_nan(estimate, *args) -> float:
+    try:
+        return estimate(*args)
+    except NoSamples:
+        return math.nan
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_cell_pool_matches_per_pull_reference(seed):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng)
+    model, arms = inst.model, inst.arms
+    div = DivergenceSet.exact(model, arms)
+    pool, ref = SamplePool(len(arms)), ReferencePool(len(arms))
+    blocks = [(arm, regime) for arm in arms for regime in Regime]
+    # Up to three adds per block; some blocks stay empty, so some estimates are missing.
+    adds = [(arm, regime, int(n)) for arm, regime in blocks
+            for n in rng.choice([0, 1, 3, 20, 150], size=int(rng.integers(0, 4)))]
+    # At least one one-pull and one zero-length batch, next to a non-empty add of the same block.
+    arm, regime = blocks[int(rng.integers(len(blocks)))]
+    adds += [(arm, regime, 1), (arm, regime, 0), (arm, regime, 12)]
+    for arm, regime, n in adds:
+        batch = sample_batch(model, arm, regime, n, rng)
+        pool.add(batch)
+        ref.add(batch)
+    for regime in Regime:
+        np.testing.assert_array_equal(pool.counts(regime), [
+            0 if ref.packed(j, regime) is None else ref.packed(j, regime).n
+            for j in range(len(arms))
+        ])
+    for eps in EPS_GRID:
+        vec = estimate_all(pool, arms, eps, div)
+        for name, got, estimate, extra in (
+            ("y", vec.y, pooled_outcome_estimate, (div.m,)),
+            ("ssp", vec.zeta_ssp, pooled_fairness_estimate, (div.d_ssp, "ssp")),
+            ("sps", vec.zeta_sps, pooled_fairness_estimate, (div.d_sps, "sps")),
+        ):
+            want = [_reference_or_nan(estimate, ref, arms, k, eps, *extra) for k in range(len(arms))]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def exact_estimator_mean_outcome(model, arms, k, eps, m, tau):
@@ -142,7 +190,7 @@ def test_exact_bias_brackets_random(seed):
 def test_estimator_concentrates_on_exact_mean():
     model, arms = chain_model()
     div = DivergenceSet.exact(model, arms)
-    pool = fill_pool(model, arms, 2000, np.random.default_rng(17))
+    pool, _ = fill_pools(model, arms, 2000, np.random.default_rng(17))
     eps = 0.25
     vec = estimate_all(pool, arms, eps, div)
     tau = np.full(3, 2000)
@@ -158,22 +206,24 @@ def test_estimator_concentrates_on_exact_mean():
 def test_missing_estimates_are_nan():
     model, arms = chain_model()
     div = DivergenceSet.exact(model, arms)
-    pool = SamplePool(3)
+    pool, ref = SamplePool(3), ReferencePool(3)
     vec = estimate_all(pool, arms, 0.5, div)
     assert np.all(np.isnan(vec.y))
     with pytest.raises(NoSamples):
-        pooled_outcome_estimate(pool, arms, 0, 0.5, div.m)
+        pooled_outcome_estimate(ref, arms, 0, 0.5, div.m)
     rng = np.random.default_rng(3)
-    pool.add(sample_batch(model, arms[0], Regime.OBSERVATIONAL, 50, rng))
+    batch = sample_batch(model, arms[0], Regime.OBSERVATIONAL, 50, rng)
+    pool.add(batch)
+    ref.add(batch)
     vec = estimate_all(pool, arms, 0.5, div)
     # One observational source transports to every target arm.
     assert np.all(np.isfinite(vec.y))
     assert np.all(np.isnan(vec.zeta_ssp)) and np.all(np.isnan(vec.zeta_sps))
     assert vec.is_missing_fairness(1) and not vec.is_missing_outcome(1)
     with pytest.raises(NoSamples):
-        pooled_fairness_estimate(pool, arms, 0, 0.5, div.d_ssp, "ssp")
+        pooled_fairness_estimate(ref, arms, 0, 0.5, div.d_ssp, "ssp")
     with pytest.raises(ValueError):
-        pooled_fairness_estimate(pool, arms, 0, 0.5, div.d_ssp, "spsp")
+        pooled_fairness_estimate(ref, arms, 0, 0.5, div.d_ssp, "spsp")
     pool.add(sample_batch(model, arms[1], Regime.FORCE_SPRIME, 50, rng))
     vec = estimate_all(pool, arms, 0.5, div)
     assert np.all(np.isfinite(vec.zeta_ssp)) and np.all(np.isnan(vec.zeta_sps))
@@ -204,7 +254,7 @@ def single_context_model():
 def test_clipping_drops_oversized_weights():
     model, arms = single_context_model()
     div = DivergenceSet.exact(model, arms)
-    pool = SamplePool(2)
+    pool = ReferencePool(2)
     pool.add(
         # One hand-built pull of arm 0 at v = 0 with y = 1: the transported
         # weight onto arm 1 is 0.9 / 0.1 = 9.
@@ -217,6 +267,8 @@ def test_clipping_drops_oversized_weights():
             v_row_s=np.array([0]),
             v_row_sp=np.array([0]),
             child_ratio=np.array([1.0]),
+            cell=np.array([0]),
+            n_cells=8,
         )
     )
     wide = pooled_outcome_estimate(pool, arms, 1, 0.5, div.m)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircb.errors import EnumerationTooLarge
 from faircb.model import Arm, CausalModel, Regime
 from faircb.netgen import build_network_experiment, liver_network
 from faircb.sampling import (
@@ -27,9 +28,10 @@ from helpers import (
     random_instance,
     reference_sample_batch,
     sample,
+    side_child_model,
 )
 
-_PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
+_PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio", "cell")
 
 
 def detached_v_model():
@@ -68,6 +70,8 @@ def make_test_sample(**overrides) -> Sample:
         v_row_s=0,
         v_row_sp=1,
         child_ratio=1.0,
+        cell=0,
+        n_cells=8,
     )
     base.update(overrides)
     return Sample(**base)
@@ -251,6 +255,7 @@ def test_weight_kernel_matches_scalar_references(seed):
             draw_seed = int(rng.integers(2**32))
             one = sample_batch(model, arm, regime, 1, np.random.default_rng(draw_seed))
             ref = as_batch([sample(model, arm, regime, np.random.default_rng(draw_seed))])
+            assert one.n_cells == ref.n_cells
             for name in _PULL_FIELDS:
                 np.testing.assert_array_equal(getattr(one, name), getattr(ref, name), err_msg=name)
 
@@ -309,7 +314,7 @@ def assert_same_stream(model, arm, regime, n, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     batch = sample_batch(model, arm, regime, n, rng)
     ref = reference_sample_batch(model, arm, regime, n, ref_rng)
-    assert (batch.arm, batch.regime) == (ref.arm, ref.regime)
+    assert (batch.arm, batch.regime, batch.n_cells) == (ref.arm, ref.regime, ref.n_cells)
     for name in _PULL_FIELDS:
         np.testing.assert_array_equal(getattr(batch, name), getattr(ref, name), err_msg=name)
     np.testing.assert_array_equal(rng.random(5), ref_rng.random(5))
@@ -337,3 +342,32 @@ def test_pruned_sampling_keeps_the_stream_on_random_instances(seed):
     for regime in Regime:
         for n in (1, 37):
             assert_same_stream(inst.model, inst.arms[-1], regime, n, seed)
+
+
+def test_cell_code_covers_the_read_nodes():
+    # Side child: the read nodes are S, V, Y, W (S is V's parent and W's), 16 cells.
+    model, arms = side_child_model()
+    rng = np.random.default_rng(4)
+    batch = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 400, rng)
+    assert batch.n_cells == 16
+    assert batch.cell.min() >= 0 and batch.cell.max() < 16
+    # Every pull field is a function of the cell.
+    for code in np.unique(batch.cell):
+        at = batch.cell == code
+        for name in _PULL_FIELDS:
+            assert np.unique(getattr(batch, name)[at]).shape == (1,), name
+    # The read nodes of the liver network span 384 cells.
+    liver = build_network_experiment(
+        liver_network(), "fibrosis", "sex", "carcinoma", n_arms=2, seed=0, fairness_eps=0.2
+    )
+    assert sample_batch(liver.model, liver.arms[0], Regime.FORCE_S, 5, rng).n_cells == 384
+
+
+def test_cell_count_above_the_enumeration_cap_raises(monkeypatch):
+    monkeypatch.setenv("FCB_ENUM_CAP", "11")
+    model, arms = chain_model()  # reads S, V and Y: 2 * 3 * 2 = 12 cells
+    with pytest.raises(EnumerationTooLarge, match="12 cells"):
+        sample_batch(model, arms[0], Regime.OBSERVATIONAL, 3, np.random.default_rng(0))
+    monkeypatch.setenv("FCB_ENUM_CAP", "12")
+    model, arms = chain_model()
+    assert sample_batch(model, arms[0], Regime.OBSERVATIONAL, 3, np.random.default_rng(0)).n_cells == 12

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -112,6 +113,19 @@ def test_algorithm_subsets_reproduce_full_sweep_rows(instance):
     assert row_key(sub_row) == row_key(full_row)
 
 
+def test_pooled_sweep_equals_the_serial_sweep(instance):
+    serial = run_sweep(instance, budgets=(200, 400), runs=3, base_seed=11)
+    pooled = run_sweep(instance, budgets=(200, 400), runs=3, base_seed=11, width=2)
+    assert (pooled.instance_digest, pooled.truth) == (serial.instance_digest, serial.truth)
+
+    def fields(row):
+        record = asdict(row)
+        del record["wall_time_s"]
+        return record
+
+    assert [fields(r) for r in pooled.rows] == [fields(r) for r in serial.rows]
+
+
 def test_sweep_records_failures_as_errors(instance, monkeypatch):
     real = run_algorithm
 
@@ -128,7 +142,10 @@ def test_sweep_records_failures_as_errors(instance, monkeypatch):
     assert broken.misidentifications == 3
     assert broken.error_rate == 1.0
     assert broken.no_fair_arm == 0
+    assert broken.failure_kinds == {"RuntimeError": 3}
+    assert broken.first_failure == "RuntimeError: synthetic breakage"
     assert healthy.failures == 0
+    assert healthy.failure_kinds == {} and healthy.first_failure is None
 
 
 @pytest.mark.parametrize(
@@ -172,6 +189,7 @@ def test_error_curve_files(tmp_path, instance):
     with open(csv_path, newline="") as fh:
         records = list(csv.DictReader(fh))
     assert len(records) == len(curve.rows)
+    assert list(records[0]) == sweep_mod._CSV_FIELDS
     for record, row in zip(records, curve.rows):
         assert int(record["budget"]) == row.budget
         assert record["algorithm"] == row.algorithm
@@ -184,3 +202,5 @@ def test_error_curve_files(tmp_path, instance):
     assert payload["truth"] == curve.truth
     assert len(payload["rows"]) == len(curve.rows)
     assert payload["rows"][0]["algorithm"] == curve.rows[0].algorithm
+    assert payload["rows"][0]["failure_kinds"] == {}
+    assert payload["rows"][0]["first_failure"] is None

@@ -15,9 +15,26 @@ the rounded counts, re-estimates, records the phase and eliminates.  Its
   every survivor counts as fair, arms are dropped on the reward clause
   against the survivors, and a lone survivor is the decision.
 
-Within a run only the survivors and the rule change the LP, so each
-distinct (survivors, rule) problem is solved once and its unrounded solution
-reused by later phases.
+The LP of a phase depends only on the instance content (the three divergence
+matrices, the cost rows, the budget and the extra rows; the cheap-arm cap
+brings in T) and on the (survivors, rule) pair.  Seeded runs of one instance
+keep meeting the same problems, so every run and ``bound_report`` solve
+through one memo that lives for the whole process:
+
+- the outer map is keyed on the bytes, shape and dtype of the matrices and
+  on the cost rows, budget and extra rows, never on object identity, so an
+  in-place edit of a ``DivergenceSet`` makes a new instance.  The matrix
+  bytes are held once per instance; each instance maps (survivors, rule) to
+  its solution.  At most ``_MEMO_INSTANCES`` instances with at most
+  ``_MEMO_PROBLEMS`` solutions each are kept, the least recently used going
+  first;
+- a memoized ``Allocation`` is shared by every phase record that reuses it,
+  so its ``nu_*`` arrays are read-only.
+
+A hit returns the very solution a miss would compute, since HiGHS is
+deterministic on equal input: seeded runs do not depend on the memo's state.
+Sweep workers started by fork inherit it warm.  The memo takes no lock:
+threads of one process must not run concurrently through it.
 
 The v1 variant estimates from the phase's own samples, v2 from every sample
 collected so far (re-clipped at the current eps), across both stages.
@@ -26,6 +43,7 @@ collected so far (re-clipped at the current eps), across both stages.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -230,6 +248,65 @@ def _pull_phase(
     return samples, cost
 
 
+# Bounds of the allocation memo: instances kept, and solved problems per instance.
+_MEMO_INSTANCES = 8
+_MEMO_PROBLEMS = 512
+_SOLVED: OrderedDict[tuple, OrderedDict[tuple[tuple[int, ...], str], Allocation]] = OrderedDict()
+
+
+def _bytes_key(array) -> tuple:
+    array = np.asarray(array)
+    return array.shape, array.dtype.str, array.tobytes()
+
+
+class _Allocator:
+    """Max-min allocations over the survivors of one LP instance, memoized process-wide."""
+
+    def __init__(
+        self,
+        divergences: DivergenceSet,
+        costs: np.ndarray,
+        budget: float,
+        extra_constraints: Sequence[tuple[np.ndarray, float]],
+    ) -> None:
+        self.divergences = divergences
+        self.costs = costs
+        self.budget = budget
+        self.extra_constraints = extra_constraints
+        key = (
+            tuple(_bytes_key(a) for a in (divergences.m, divergences.d_ssp, divergences.d_sps)),
+            _bytes_key(costs),
+            float(budget),
+            tuple((_bytes_key(coeffs), float(ub)) for coeffs, ub in extra_constraints),
+        )
+        self.solved = _SOLVED.get(key)
+        if self.solved is None:
+            self.solved = _SOLVED[key] = OrderedDict()
+            if len(_SOLVED) > _MEMO_INSTANCES:
+                _SOLVED.popitem(last=False)
+        else:
+            _SOLVED.move_to_end(key)
+
+    def __call__(self, remaining: tuple[int, ...], rule: str) -> Allocation:
+        """The allocation over ``remaining`` (sorted) under ``rule``, solved on a miss only."""
+        key = (remaining, rule)
+        alloc = self.solved.get(key)
+        if alloc is not None:
+            self.solved.move_to_end(key)
+            return alloc
+        problem = build_problem(
+            self.divergences, self.costs, self.budget, remaining, self.extra_constraints,
+            include_outcome=rule != "fairness", include_fairness=rule != "outcome",
+        )
+        alloc = solve_maxmin(problem)
+        for nu in (alloc.nu_y, alloc.nu_s, alloc.nu_sp):
+            nu.flags.writeable = False
+        self.solved[key] = alloc
+        if len(self.solved) > _MEMO_PROBLEMS:
+            self.solved.popitem(last=False)
+        return alloc
+
+
 @dataclass
 class _Run:
     """What every phase of one run reads; under v2 all its phases share ``pool``."""
@@ -247,19 +324,9 @@ class _Run:
         self.rng = np.random.default_rng() if self.rng is None else self.rng
         self.costs = costs_from_arms(self.arms)
         self.pool = SamplePool(len(self.arms)) if self.variant == "v2" else None
-        # Unrounded LP solutions by (remaining, rule): nothing else varies within a run.
-        self.allocations: dict[tuple[tuple[int, ...], str], Allocation] = {}
-
-    def allocation(self, remaining: tuple[int, ...], rule: str) -> Allocation:
-        """The max-min allocation over ``remaining`` under ``rule``, solved once per run."""
-        key = (remaining, rule)
-        if key not in self.allocations:
-            problem = build_problem(
-                self.divergences, self.costs, self.budget, remaining, self.extra_constraints,
-                include_outcome=rule != "fairness", include_fairness=rule != "outcome",
-            )
-            self.allocations[key] = solve_maxmin(problem)
-        return self.allocations[key]
+        self.allocation = _Allocator(
+            self.divergences, self.costs, self.budget, self.extra_constraints
+        )
 
 
 def _run_stage(
@@ -402,9 +469,10 @@ def bound_report(
     K = mu.shape[0]
     sched = phase_schedule(T)
 
+    allocation = _Allocator(divergences, costs, budget, extra_constraints)
+
     def vstar(active: Sequence[int]) -> float:
-        problem = build_problem(divergences, costs, budget, active, extra_constraints)
-        return solve_maxmin(problem).v_star
+        return allocation(tuple(sorted({int(k) for k in active})), "joint").v_star
 
     delta = [None if best is None else float(mu[best] - mu[k]) for k in range(K)]
     so = [

@@ -5,9 +5,12 @@ spawn_key=(budget_index, algorithm_id, run_index))``, so any row of the
 output is reproducible in isolation.  A run that raises is recorded as a
 failure, by exception class, and scored as an error.
 
-At ``width > 1`` the instance, its divergences, the cost cap and the oracle
-truth reach each worker process once, through the pool initializer; a cell
-then travels as its indices only, one (budget, algorithm) row per chunk.
+At ``width > 1`` the runs go to a pool of ``min(width, rows)`` worker
+processes, one per (budget, algorithm) row at most.  The instance, its
+divergences, the cost cap and the oracle truth reach each worker once,
+through the pool initializer; a cell then travels as its indices only, one
+row per chunk.  Workers started by fork inherit the parent's allocation
+memo (see ``bandit``).
 """
 
 from __future__ import annotations
@@ -185,11 +188,16 @@ def run_sweep(
     base_seed: int = 0,
     width: int = 1,
 ) -> ErrorCurve:
-    """Score ``runs`` seeded runs per (budget, algorithm) against the exact oracle."""
+    """Score ``runs`` seeded runs per (budget, algorithm) against the exact oracle.
+
+    ``width`` (at least 1) caps the worker processes; width 1 runs serially.
+    """
     if instance.fairness_eps is None:
         raise ValueError("instance has no fairness_eps; sweeps need the oracle truth")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -204,9 +212,11 @@ def run_sweep(
 
     grid = [(int(T), algorithm, bi) for bi, T in enumerate(budgets) for algorithm in algorithms]
     cells = [(algorithm, T, base_seed, bi, run) for T, algorithm, bi in grid for run in range(runs)]
-    if width > 1:
+    # One chunk per row, so more workers than rows would only sit idle.
+    workers = min(width, len(grid))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=width, initializer=_init_worker, initargs=shared
+            max_workers=workers, initializer=_init_worker, initargs=shared
         ) as pool:
             outcomes = list(pool.map(_run_shared_cell, cells, chunksize=runs))
     else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -400,10 +401,8 @@ def test_seeded_traces_are_pinned(fixture, algorithm):
                 )
 
 
-@pytest.mark.parametrize("runner", [run_csr, run_two_stage])
-def test_each_distinct_allocation_problem_is_solved_once_per_run(monkeypatch, runner):
-    model, arms = chain_model()
-    divergences = DivergenceSet.exact(model, arms)
+def count_solves(monkeypatch) -> list:
+    """The active set of every LP the bandit module solves from here on."""
     solve = bandit.solve_maxmin
     solves = []
 
@@ -412,14 +411,98 @@ def test_each_distinct_allocation_problem_is_solved_once_per_run(monkeypatch, ru
         return solve(problem)
 
     monkeypatch.setattr(bandit, "solve_maxmin", counted)
-    repeats = 0
-    for seed in range(3):
-        solves.clear()
-        trace = runner(
+    return solves
+
+
+@pytest.mark.parametrize("runner", [run_csr, run_two_stage])
+def test_each_distinct_allocation_problem_is_solved_once_per_run(monkeypatch, runner):
+    model, arms = chain_model()
+    divergences = DivergenceSet.exact(model, arms)
+    bandit._SOLVED.clear()
+    solves = count_solves(monkeypatch)
+
+    def run(seed):
+        return runner(
             make_sampler(model, arms), arms, divergences, 1.0, 20_000, 0.2, "v2",
             np.random.default_rng(seed),
         )
-        distinct = {(p.remaining, p.stage) for p in trace.phases}
-        assert len(solves) == len(distinct), seed
-        repeats += len(trace.phases) - len(solves)
-    assert repeats > 0
+
+    traces = [run(seed) for seed in range(3)]
+    distinct = {(p.remaining, p.stage) for trace in traces for p in trace.phases}
+    assert len(solves) == len(distinct)
+    assert sum(len(trace.phases) for trace in traces) > len(solves)
+    solves.clear()
+    assert pickle.dumps(run(0)) == pickle.dumps(traces[0])
+    assert solves == []
+
+
+@pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))
+def test_seeded_traces_do_not_depend_on_the_memo(fixture):
+    cases = [(a, seed, T) for a in ALGORITHMS for seed in (0, 1, 2) for T in (2000, 20_000)]
+    cold = {}
+    for case in cases:
+        bandit._SOLVED.clear()
+        cold[case] = pickle.dumps(seeded_trace(fixture, *case))
+    for case in cases:
+        assert pickle.dumps(seeded_trace(fixture, *case)) == cold[case], case
+
+
+def test_memoized_fractions_are_read_only():
+    trace = make_chain_run()
+    for record in trace.phases:
+        with pytest.raises(ValueError, match="read-only"):
+            record.allocation.nu_y[0] = 0.5
+
+
+def test_editing_divergences_in_place_forces_a_new_solve(monkeypatch):
+    model, arms = chain_model()
+    divergences = DivergenceSet.exact(model, arms)
+    solves = count_solves(monkeypatch)
+
+    def run():
+        return run_csr(
+            make_sampler(model, arms), arms, divergences, 1.0, 2000, 0.2,
+            rng=np.random.default_rng(0),
+        )
+
+    run()
+    solves.clear()
+    run()
+    assert solves == []
+    divergences.m[0, 1] *= 1.5
+    run()
+    assert solves
+
+
+def test_memo_stays_within_its_bounds(monkeypatch):
+    monkeypatch.setattr(bandit, "_MEMO_INSTANCES", 2)
+    monkeypatch.setattr(bandit, "_MEMO_PROBLEMS", 3)
+    model, arms = chain_model()
+    divergences = DivergenceSet.exact(model, arms)
+    bandit._SOLVED.clear()
+    for budget in (1.0, 1.5, 2.0, 2.5):
+        allocate = bandit._Allocator(divergences, np.ones((3, 3)), budget, ())
+        for remaining in ((0,), (1,), (2,), (0, 1), (0, 2)):
+            for rule in ("joint", "fairness", "outcome"):
+                allocate(remaining, rule)
+                assert len(bandit._SOLVED) <= 2
+                assert all(len(solved) <= 3 for solved in bandit._SOLVED.values())
+    assert len(bandit._SOLVED) == 2
+    # The most recent problem survives eviction.
+    solves = count_solves(monkeypatch)
+    allocate((0, 2), "outcome")
+    assert solves == []
+
+
+@pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))
+def test_bound_report_solves_each_distinct_set_once(monkeypatch, fixture):
+    build, fairness_eps = SEEDED_FIXTURES[fixture]
+    model, arms = build()
+    oracle = oracle_report(Instance(model=model, arms=tuple(arms)), fairness_eps=fairness_eps)
+    divergences = DivergenceSet.exact(model, arms)
+    bandit._SOLVED.clear()
+    solves = count_solves(monkeypatch)
+    report = bound_report(oracle, divergences, np.ones((3, len(arms))), 1.0, 10_000)
+    # v_star is solved for every r_star set but the best arm's, and for the full set.
+    sets = {tuple(r) for k, r in report["r_star"].items() if k != report["best_fair"]}
+    assert len(solves) == len(sets | {tuple(range(len(arms)))})

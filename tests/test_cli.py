@@ -366,7 +366,8 @@ def test_sweep_cli(tmp_path, instance_file, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [(["--budgets", "200", "--runs", "0"], "runs must be >= 1"),
-     (["--budgets", "2", "--runs", "1"], "needs budgets >= 4")],
+     (["--budgets", "2", "--runs", "1"], "needs budgets >= 4"),
+     (["--budgets", "200", "--runs", "1", "--width", "0"], "width must be >= 1")],
 )
 def test_sweep_cli_rejects_bad_input(tmp_path, instance_file, capsys, flags, message):
     out_csv = tmp_path / "curve.csv"

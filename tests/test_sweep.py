@@ -126,6 +126,42 @@ def test_pooled_sweep_equals_the_serial_sweep(instance):
     assert [fields(r) for r in pooled.rows] == [fields(r) for r in serial.rows]
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_sweep_rejects_a_width_below_one(instance, width):
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        run_sweep(instance, budgets=(200,), runs=1, width=width)
+
+
+def test_pool_is_capped_at_one_worker_per_row(instance, monkeypatch):
+    widths = []
+
+    class RecordingExecutor:
+        """Records ``max_workers`` and runs the cells in this process; starts no worker."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            widths.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells, chunksize):
+            return map(fn, cells)
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(sweep_mod, "_SHARED", None)
+    algorithms = ("csr-v1", "csr-v2")
+    wide = run_sweep(instance, budgets=(200, 400), runs=2, algorithms=algorithms, width=64)
+    assert widths == [4]
+    serial = run_sweep(instance, budgets=(200, 400), runs=2, algorithms=algorithms)
+    assert [row_key(r) for r in wide.rows] == [row_key(r) for r in serial.rows]
+    run_sweep(instance, budgets=(200,), runs=2, algorithms=("csr-v1",), width=64)
+    assert widths == [4]  # a single row runs serially
+
+
 def test_sweep_records_failures_as_errors(instance, monkeypatch):
     real = run_algorithm
 

@@ -91,6 +91,8 @@ def cheap_arm_cap(n_arms: int, cheap: int, T: int) -> tuple[np.ndarray, float]:
     The strict cap is closed off by a 1e-12 shave so the feasible region
     stays closed.
     """
+    if not T >= 1:
+        raise ValueError(f"the cheap-arm cap needs a budget T >= 1, got {T}")
     coeffs = np.ones(3 * n_arms)
     coeffs[[cheap, n_arms + cheap, 2 * n_arms + cheap]] = 0.0
     return coeffs, (1.0 - 1e-12) / np.sqrt(T)

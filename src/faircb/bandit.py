@@ -52,7 +52,7 @@ import numpy as np
 from .allocation import Allocation, build_problem, costs_from_arms, round_counts, solve_maxmin
 from .divergence import DivergenceSet
 from .estimation import EstimateVector, SamplePool, estimate_all
-from .model import Arm, Regime
+from .model import Arm, Regime, check_fairness_eps
 from .sampling import BatchSamples
 
 __all__ = [
@@ -395,6 +395,7 @@ def run_csr(
     """
     if variant not in ("v1", "v2"):
         raise ValueError(f"variant must be 'v1' or 'v2', got {variant!r}")
+    check_fairness_eps(fairness_eps)
     run = _Run(sampler, arms, divergences, budget, fairness_eps, variant, rng, extra_constraints)
     phases: list[PhaseRecord] = []
     _, decision = _run_stage(run, T, tuple(range(len(arms))), 1, "joint", phases)
@@ -425,6 +426,7 @@ def run_two_stage(
     """
     if inner not in ("v1", "v2"):
         raise ValueError(f"inner must be 'v1' or 'v2', got {inner!r}")
+    check_fairness_eps(fairness_eps)
     if T < MIN_T_TWO_STAGE:
         raise ValueError(f"T must be >= {MIN_T_TWO_STAGE} so each stage gets a schedule")
     run = _Run(sampler, arms, divergences, budget, fairness_eps, inner, rng, extra_constraints)

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedConstruct,
 )
 from .io import instance_digest, load_instance, save_instance
-from .model import Instance, validate_model
+from .model import Instance, check_fairness_eps, validate_model
 from .netgen import build_network_experiment
 from .oracles import oracle_report
 from .bif import parse_bif
@@ -174,7 +174,7 @@ def _eps_of(instance: Instance, flag: float | None) -> float:
     eps = instance.fairness_eps if flag is None else flag
     if eps is None:
         raise ValueError("no fairness tolerance: pass --fairness-eps or store one in the instance")
-    return float(eps)
+    return check_fairness_eps(eps)
 
 
 def _cmd_oracle(args) -> int:
@@ -186,6 +186,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
+    if args.mc < 0:
+        raise ValueError(f"--mc must be >= 0 (0 means exact), got {args.mc}")
     instance = _load_checked(args.instance)
     if args.mc:
         rng = np.random.default_rng(args.seed)

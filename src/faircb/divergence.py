@@ -10,10 +10,20 @@ throughout, so entries stay finite even when individual weights overflow
 
 Cost of the exact matrices: the fairness cells depend only on the target arm,
 so each target is enumerated twice, once per forced regime, and every block
-yields its weights against all K source arms in both directions at once.  The
-outcome cells need one more enumeration, for the marginal of the intervention
-context.  ``DivergenceSet.exact`` on K arms thus calls ``enumerate_joint``
+yields its weights against every source table in both directions at once.
+The outcome cells need one more enumeration, for the marginal of the
+intervention context, and then one pass over the context cells per source
+column.  ``DivergenceSet.exact`` on K arms thus calls ``enumerate_joint``
 2K + 1 times, and reduces block by block so it holds O(K * block) floats.
+A caller that needs fewer source columns (the generator's band check reads
+column 0 only) passes fewer source tables and pays for those alone.
+
+The arrays reduced here hold a few dozen cells, where the per-call overhead
+of ``scipy.special.logsumexp`` (array-API dispatch, dtype promotion, the
+always-computed fallback) outweighs the arithmetic.  The module therefore
+uses no scipy ``logsumexp``: ``_logsumexp`` is a numpy port of it for real
+input that performs the same operations in the same order, so its results
+are bit-identical to scipy's.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import Arm, CausalModel, Regime, S_VALUE, SPRIME_VALUE
 from .oracles import (
@@ -38,6 +47,7 @@ __all__ = [
     "outcome_matrix",
     "fairness_matrix",
     "DivergenceSet",
+    "exact_columns",
     "empirical_quantile_eta",
     "empirical_quantile_gamma",
 ]
@@ -50,6 +60,30 @@ def f1(x):
     x = np.asarray(x, dtype=float)
     out = x * np.exp(x - 1.0) - 1.0
     return out if out.ndim else float(out)
+
+
+def _logsumexp(a) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=-1)`` for real input, bit for bit.
+
+    The operations are scipy 1.17's, in its order: the maximum, the count
+    ``m`` of entries equal to it, the sum of the shifted exponentials of the
+    other entries, ``s / m`` unless ``s`` is zero, then
+    ``log1p(s) + log(m) + max``.  Where that is not finite (an all ``-inf``
+    row, an infinite or NaN entry) the result is ``log(sum(exp(a)))``, as in
+    scipy.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = np.max(a, axis=-1, keepdims=True)
+    top = a == a_max
+    m = np.sum(top, axis=-1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[..., 0]
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=-1)))
+    return out
 
 
 def _outcome_cells(marg: np.ndarray, targets: np.ndarray, source: np.ndarray):
@@ -87,6 +121,24 @@ def conditional_f_divergence(
     return float(np.mean(f1(transport_weight(batch, arm_i.table, arm_j.table))))
 
 
+def _outcome_cutoff(log_p, w: np.ndarray) -> np.ndarray:
+    """``1 + ln E_j[w e^(w-1)]`` per row of ``w``, with ``log_p`` the log cell masses."""
+    # ln E_j[w e^(w-1)] = ln(1 + D_f1) since the cell masses sum to one; a
+    # zero ratio contributes exp(-inf) = 0.
+    with np.errstate(divide="ignore"):
+        return 1.0 + _logsumexp(log_p + np.log(w) + w - 1.0)
+
+
+def _outcome_column(marg: np.ndarray, tables: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Exact ``M[:, j]`` of the source table ``source`` against the ``tables`` stack.
+
+    ``marg`` is the marginal over the intervention context rows.  The
+    diagonal cell comes out near 1, not exactly 1.
+    """
+    pj, _, w = _outcome_cells(marg, tables, source)
+    return _outcome_cutoff(np.log(pj), w)
+
+
 def outcome_matrix(
     model: CausalModel,
     arms: list[Arm] | tuple[Arm, ...],
@@ -106,16 +158,11 @@ def outcome_matrix(
         marg = marginal_rows(model, model.intervention)
     for j in range(k):
         if mode == "exact":
-            pj, _, w = _outcome_cells(marg, tables, tables[j])
-            log_p = np.log(pj)
+            m[:, j] = _outcome_column(marg, tables, tables[j])
         else:
             batch = sample_batch(model, arms[j], Regime.OBSERVATIONAL, draws, rng)
             w = transport_weight(batch, tables, tables[j])
-            log_p = -np.log(batch.n)
-        # ln E_j[w e^(w-1)] = ln(1 + D_f1) since the cell masses sum to
-        # one; a zero ratio contributes exp(-inf) = 0.
-        with np.errstate(divide="ignore"):
-            m[:, j] = 1.0 + logsumexp(log_p + np.log(w) + w - 1.0, axis=-1)
+            m[:, j] = _outcome_cutoff(-np.log(batch.n), w)
     np.fill_diagonal(m, 1.0)
     return m
 
@@ -154,20 +201,47 @@ def _fairness_cells(
         yield probs[mask], w
 
 
-def _fairness_rows(model: CausalModel, arms, directions: tuple[str, ...]) -> np.ndarray:
-    """Exact ``D`` matrices of ``directions``, shape ``(len(directions), K, K)``."""
-    k = len(arms)
-    tables = np.stack([a.table for a in arms])
-    d = np.empty((len(directions), k, k), dtype=float)
+def _fairness_rows(
+    model: CausalModel,
+    arms,
+    directions: tuple[str, ...],
+    sources: np.ndarray | None = None,
+) -> np.ndarray:
+    """Exact ``D`` columns of ``directions``, shape ``(len(directions), K, J)``.
+
+    ``sources`` is a ``(J, rows, card)`` stack of source tables, every arm's
+    by default; each column depends only on its own source table.
+    """
+    if sources is None:
+        sources = np.stack([a.table for a in arms])
+    d = np.empty((len(directions), len(arms), len(sources)), dtype=float)
     for i, arm in enumerate(arms):
         parts = []
         for forced in (S_VALUE, SPRIME_VALUE):
-            acc = np.full((len(directions), k), -np.inf)
-            for probs, w in _fairness_cells(model, arm, tables, directions, forced):
-                acc = np.logaddexp(acc, logsumexp(np.log(probs) + np.abs(w), axis=-1))
+            acc = np.full((len(directions), len(sources)), -np.inf)
+            for probs, w in _fairness_cells(model, arm, sources, directions, forced):
+                acc = np.logaddexp(acc, _logsumexp(np.log(probs) + np.abs(w)))
             parts.append(acc)
         d[:, i] = np.logaddexp(*parts)
     return d
+
+
+def exact_columns(model: CausalModel, arms, source: int):
+    """Column ``source`` of ``M``, ``D_ssp`` and ``D_sps``, in that order, built lazily.
+
+    A generator: each column is built when it is asked for.  ``M``'s needs
+    one enumeration; the two ``D`` columns come from the same 2K (one per
+    target arm and forced regime), which a caller that stops after ``M``
+    skips.  Every column equals the matching column of
+    ``DivergenceSet.exact`` bit for bit, since it is the same arithmetic on
+    one source table instead of K.
+    """
+    tables = np.stack([a.table for a in arms])
+    marg = marginal_rows(model, model.intervention)
+    m = _outcome_column(marg, tables, tables[source])
+    m[source] = 1.0
+    yield m
+    yield from _fairness_rows(model, arms, ("ssp", "sps"), tables[source : source + 1])[..., 0]
 
 
 def fairness_matrix(
@@ -194,7 +268,7 @@ def fairness_matrix(
             for reg in (Regime.FORCE_S, Regime.FORCE_SPRIME)
         ]
         parts = [
-            logsumexp(np.abs(counterfactual_weight(b, arm.table, tables, direction)), axis=-1)
+            _logsumexp(np.abs(counterfactual_weight(b, arm.table, tables, direction)))
             - np.log(b.n)
             for b in batches
         ]

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .model import Arm, CausalModel, Instance
+from .model import Arm, CausalModel, Instance, check_fairness_eps
 
 __all__ = ["FORMAT_TAG", "instance_to_dict", "instance_from_dict",
            "save_instance", "load_instance", "instance_digest"]
@@ -56,6 +56,8 @@ def instance_to_dict(instance: Instance) -> dict:
 def instance_from_dict(payload: dict) -> Instance:
     if payload.get("format") != FORMAT_TAG:
         raise ParseError(f"unknown instance format {payload.get('format')!r}")
+    if payload.get("fairness_eps") is not None:
+        check_fairness_eps(payload["fairness_eps"])
     try:
         md = payload["model"]
         model = CausalModel(

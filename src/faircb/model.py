@@ -9,8 +9,10 @@ are alternative conditional tables for the intervention node ``V``.  The target
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -20,6 +22,7 @@ __all__ = [
     "CausalModel",
     "Arm",
     "Instance",
+    "check_fairness_eps",
     "ValidationReport",
     "validate_model",
     "S_VALUE",
@@ -179,6 +182,17 @@ class Instance:
     @property
     def n_arms(self) -> int:
         return len(self.arms)
+
+
+def check_fairness_eps(eps) -> float:
+    """``eps`` as a float; raises ``ValueError`` unless it is a positive finite number.
+
+    A tolerance of zero or below, or NaN, certifies no arm fair and an
+    infinite one certifies every arm, so no run could find anything.
+    """
+    if isinstance(eps, bool) or not isinstance(eps, Real) or not 0.0 < eps < math.inf:
+        raise ValueError(f"fairness_eps must be a positive finite number, got {eps!r}")
+    return float(eps)
 
 
 @dataclass

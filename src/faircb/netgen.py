@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NodeNotFound, SensitiveNotBinary
-from .model import Arm, CausalModel, Instance, validate_model
+from .model import Arm, CausalModel, Instance, check_fairness_eps, validate_model
 
 __all__ = ["liver_network", "network_states", "build_network_experiment"]
 
@@ -194,6 +194,7 @@ def build_network_experiment(
         )
     if n_arms < 1:
         raise ValueError("need at least one arm")
+    check_fairness_eps(fairness_eps)
 
     card_y = model.cards[target]
     designated = CausalModel(

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EnumerationTooLarge
-from .model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
+from .model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE, check_fairness_eps
 from .sampling import counterfactual_weight, sample_batch
 
 __all__ = [
@@ -193,6 +193,7 @@ def oracle_report(
     rng: np.random.Generator | None = None,
 ) -> dict:
     """Ground truth per arm: means, counterfactual gaps, the fair set and the best fair arm."""
+    check_fairness_eps(fairness_eps)
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown oracle mode {mode!r}")
     if mode == "mc" and rng is None:

@@ -12,19 +12,31 @@ with q the noise parameter and (c, d) the per-attribute success parameters.
 g is strictly increasing, so the generator hits requested reward and
 fairness gaps exactly by inverting it, then keeps only draws whose exact
 oracle report and divergence matrices satisfy the configured bands.
+
+Order of the checks on a draw: ``validate_model`` (it guards the tables the
+builders read), then the divergence band, which rejects most draws of a
+banded config, on column 0 only (``divergence.exact_columns``: ``M[:, 0]``
+alone, and both ``D[:, 0]`` columns only when ``M`` passes), then the exact
+oracle report.  All random draws of an attempt happen before its first
+check and no check reads the generator, so the order decides only how soon
+a draw is rejected, never which draw is returned: the instance is the same
+byte for byte whatever the order.  The root finder computes the binomial
+coefficients once per support size and the bracket values ``g(lo)`` and
+``g(hi)`` once per attempt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from .divergence import DivergenceSet
+from .divergence import exact_columns
 from .errors import GenerationFailed
-from .model import Arm, CausalModel, Instance, validate_model
+from .model import Arm, CausalModel, Instance, check_fairness_eps, validate_model
 from .oracles import oracle_report
 
 __all__ = ["SyntheticConfig", "generate_synthetic"]
@@ -67,8 +79,9 @@ class SyntheticConfig:
             raise ValueError("support must be >= 2")
         if not 0.5 < self.epsilon_param <= 1.0:
             raise ValueError("epsilon_param must lie in (0.5, 1]")
-        if self.fairness_eps <= 0.0:
-            raise ValueError("fairness_eps must be positive")
+        check_fairness_eps(self.fairness_eps)
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         for name in ("reward_gap_band", "fairness_gap_band", "divergence_band"):
             band = getattr(self, name)
             if band is None:
@@ -118,12 +131,18 @@ def _build_model(config: SyntheticConfig, f: np.ndarray, arm0: np.ndarray) -> Ca
     )
 
 
-def _binom_row(m: int, p: float) -> np.ndarray:
-    """Binomial(m-1, p) pmf over {0..m-1}, in one vectorized log-space pass."""
+@lru_cache(maxsize=None)
+def _binom_terms(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Successes ``v``, failures ``m-1-v`` and log binomial coefficients over {0..m-1}."""
     n = m - 1
     v = np.arange(m)
-    log_coef = gammaln(n + 1) - gammaln(v + 1) - gammaln(n - v + 1)
-    return np.exp(log_coef + v * np.log(p) + (n - v) * np.log1p(-p))
+    return v, n - v, gammaln(n + 1) - gammaln(v + 1) - gammaln(n - v + 1)
+
+
+def _binom_row(m: int, p: float) -> np.ndarray:
+    """Binomial(m-1, p) pmf over {0..m-1}, in one vectorized log-space pass."""
+    v, rest, log_coef = _binom_terms(m)
+    return np.exp(log_coef + v * np.log(p) + rest * np.log1p(-p))
 
 
 def _g_factory(m: int, f: np.ndarray):
@@ -133,8 +152,9 @@ def _g_factory(m: int, f: np.ndarray):
     return g
 
 
-def _invert_g(g, target: float) -> float | None:
-    lo, hi = g(_PARAM_LO), g(_PARAM_HI)
+def _invert_g(g, bracket: tuple[float, float], target: float) -> float | None:
+    """The parameter with ``g = target``; ``bracket`` holds ``g`` at both parameter bounds."""
+    lo, hi = bracket
     if not lo < target < hi:
         return None
     return float(brentq(lambda p: g(p) - target, _PARAM_LO, _PARAM_HI, xtol=1e-14))
@@ -210,10 +230,11 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
         levels = a_star - shift
 
         params = np.empty((K, 2))
+        bracket = g(_PARAM_LO), g(_PARAM_HI)
         ok = True
         for k in range(K):
-            c = _invert_g(g, levels[k] + z[k] / 2.0)
-            d = _invert_g(g, levels[k] - z[k] / 2.0)
+            c = _invert_g(g, bracket, levels[k] + z[k] / 2.0)
+            d = _invert_g(g, bracket, levels[k] - z[k] / 2.0)
             if c is None or d is None:
                 ok = False
                 break
@@ -238,6 +259,11 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
         )
         if not validate_model(model, arms).ok:
             continue
+        if config.divergence_band is not None:
+            dlo, dhi = config.divergence_band
+            columns = exact_columns(model, arms, 0)
+            if not all(np.all(col[1:] > dlo) and np.all(col[1:] < dhi) for col in columns):
+                continue
 
         report = oracle_report(instance, eps)
         if set(report["fair"]) != set(fair):
@@ -258,12 +284,6 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
             continue
         if abs(report["xi_star"] - blo) > 1e-9:
             continue
-        if config.divergence_band is not None:
-            div = DivergenceSet.exact(model, arms)
-            dlo, dhi = config.divergence_band
-            cols = np.concatenate([div.m[1:, 0], div.d_ssp[1:, 0], div.d_sps[1:, 0]])
-            if not (np.all(cols > dlo) and np.all(cols < dhi)):
-                continue
         return instance
 
     raise GenerationFailed(

@@ -184,6 +184,12 @@ def test_cheap_arm_cap_binds():
     assert capped.v_star < free.v_star - 0.1
 
 
+@pytest.mark.parametrize("T", [0, -4])
+def test_cheap_arm_cap_rejects_a_budget_below_one(T):
+    with pytest.raises(ValueError, match="T >= 1"):
+        cheap_arm_cap(3, 0, T)
+
+
 def test_allocation_invariants_on_random_problems():
     rng = np.random.default_rng(31)
     for _ in range(10):

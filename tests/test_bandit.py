@@ -309,6 +309,17 @@ def test_run_two_stage_validation():
         run_two_stage(sampler, arms, ds, 1.0, 1000, 0.2, inner="v3")
 
 
+@pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
+def test_runs_reject_a_bad_fairness_tolerance(eps):
+    model, arms = chain_model()
+    sampler = make_sampler(model, arms)
+    ds = DivergenceSet.exact(model, arms)
+    with pytest.raises(ValueError, match="fairness_eps"):
+        run_csr(sampler, arms, ds, 1.0, 1000, eps)
+    with pytest.raises(ValueError, match="fairness_eps"):
+        run_two_stage(sampler, arms, ds, 1.0, 1000, eps)
+
+
 def test_bound_report_structure_and_frozen_constants():
     model, arms = chain_model()
     ds = DivergenceSet.exact(model, arms)

@@ -7,7 +7,8 @@ import pytest
 
 from faircb.bif import ParsedNetwork, parse_bif, serialize_bif
 from faircb.errors import NormalizationError, ParseError, UnsupportedConstruct
-from faircb.netgen import liver_network, network_states
+from faircb.io import instance_digest
+from faircb.netgen import build_network_experiment, liver_network, network_states
 
 MINI = """\
 network mini {
@@ -91,6 +92,16 @@ def test_liver_network_round_trip():
     for x in model.nodes:
         assert back.model.parents[x] == tuple(model.parents[x])
         np.testing.assert_allclose(back.model.cpts[x], model.cpts[x], rtol=1e-12, atol=0)
+
+
+def test_liver_experiment_through_bif_is_pinned():
+    # The liver-k10 benchmark instance, built from the serialized network.
+    net = ParsedNetwork(name="liver", model=liver_network(), states=network_states())
+    parsed = parse_bif(serialize_bif(net))
+    instance = build_network_experiment(
+        parsed.model, "fibrosis", "sex", "carcinoma", n_arms=10, seed=0, fairness_eps=0.2
+    )
+    assert instance_digest(instance) == "f2cc4be287ff2fc6"
 
 
 def test_rows_inside_tolerance_are_renormalized_exactly():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ def test_gen_reports_infeasible_bands(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 3
+
+
+def test_gen_rejects_no_attempts(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**CONFIG, "max_attempts": 0}))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+    assert "max_attempts must be >= 1" in capsys.readouterr().err
 
 
 def test_gen_rejects_unknown_keys(tmp_path):
@@ -157,6 +165,37 @@ def test_oracle_needs_a_fairness_tolerance(tmp_path, capsys):
     assert json.loads(out.read_text())["fair"] == [0, 2]
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "nan"])
+def test_bad_fairness_tolerance_flag_is_rejected(instance_file, capsys, eps):
+    assert main(["oracle", "--instance", instance_file, "--fairness-eps", eps]) == 2
+    assert "fairness_eps must be a positive finite number" in capsys.readouterr().err
+    code = main(["run", "--instance", instance_file, "--algo", "csr-v2", "--T", "400",
+                 "--fairness-eps", eps])
+    assert code == 2
+    assert "fairness_eps must be a positive finite number" in capsys.readouterr().err
+
+
+def test_sweep_rejects_an_instance_with_a_bad_tolerance(tmp_path, instance_file, capsys):
+    payload = json.loads(Path(instance_file).read_text())
+    payload["fairness_eps"] = -0.5
+    path = tmp_path / "bad_eps.json"
+    path.write_text(json.dumps(payload))
+    out_csv = tmp_path / "curve.csv"
+    code = main(["sweep", "--instance", str(path), "--budgets", "200", "--runs", "1",
+                 "--out-csv", str(out_csv)])
+    assert code == 2
+    assert "fairness_eps" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_divergence_rejects_negative_draws(tmp_path, instance_file, capsys):
+    prefix = str(tmp_path / "div")
+    code = main(["divergence", "--instance", instance_file, "--out-prefix", prefix,
+                 "--mc", "-5"])
+    assert code == 2
+    assert "--mc must be >= 0" in capsys.readouterr().err
+
+
 def test_oracle_missing_file(tmp_path):
     assert main(["oracle", "--instance", str(tmp_path / "nope.json")]) == 2
 
@@ -225,6 +264,21 @@ def test_allocate_subsets_and_caps(tmp_path, instance_file):
         sum(payload["nu_y"][1:]) + sum(payload["nu_s"][1:]) + sum(payload["nu_sp"][1:])
     )
     assert off_cheap <= 0.01 + 1e-9
+
+
+def test_allocate_rejects_a_negative_cheap_arm_cap(tmp_path, instance_file, capsys):
+    prefix = str(tmp_path / "div")
+    main(["divergence", "--instance", instance_file, "--out-prefix", prefix])
+    costs = tmp_path / "costs.json"
+    costs.write_text(json.dumps({key: [1.0, 1.0, 1.0] for key in
+                                 ("cost_pull", "cost_force_s", "cost_force_sprime")}))
+    code = main([
+        "allocate", "--m", f"{prefix}_m.csv", "--dssp", f"{prefix}_dssp.csv",
+        "--dsps", f"{prefix}_dsps.csv", "--costs", str(costs), "--budget", "1.0",
+        "--cheap-arm-cap", "-4",
+    ])
+    assert code == 2
+    assert "the cheap-arm cap needs a budget T >= 1, got -4" in capsys.readouterr().err
 
 
 def test_allocate_without_budget(tmp_path, instance_file):

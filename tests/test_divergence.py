@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from faircb.divergence import (
     DivergenceSet,
+    _logsumexp,
     conditional_f_divergence,
     empirical_quantile_eta,
     empirical_quantile_gamma,
@@ -107,6 +110,40 @@ def test_logsumexp_stability_under_extreme_ratios():
     w = 0.9999 / 0.0001
     dominant = math.log(0.0001) + math.log(w) + w - 1.0
     assert m[0, 1] == pytest.approx(1.0 + dominant, abs=1e-6)
+
+
+@st.composite
+def _lse_inputs(draw):
+    """Float arrays of 1 to 3 axes with -inf entries, -inf rows, ties and huge entries."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=7))
+    special = st.sampled_from([-np.inf, 0.0, 1.0, 709.0, 709.78, 709.79, 710.0, 1e300, -745.2])
+    elements = st.one_of(st.floats(-800.0, 800.0), special)
+    a = draw(hnp.arrays(np.float64, shape, elements=elements))
+    rows = draw(hnp.arrays(np.bool_, shape[:-1]))
+    a[rows] = -np.inf
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lse_inputs())
+def test_logsumexp_port_is_scipy_bit_for_bit(a):
+    got = np.asarray(_logsumexp(a))
+    want = np.asarray(logsumexp(a, axis=-1))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_logsumexp_port_edge_rows():
+    a = np.array([
+        [-np.inf, -np.inf, -np.inf],
+        [2.0, 2.0, 2.0],
+        [709.78, 709.78, -np.inf],
+        [1e308, 1e308, 0.0],
+        [np.inf, 0.0, 1.0],
+    ])
+    got = _logsumexp(a)
+    assert got.tobytes() == logsumexp(a, axis=-1).tobytes()
+    assert got[0] == -np.inf and got[-1] == np.inf
 
 
 def _assert_matches_reference(model, arms):

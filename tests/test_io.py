@@ -108,6 +108,14 @@ def test_malformed_payload_is_rejected(synthetic_instance):
         instance_from_dict(payload)
 
 
+@pytest.mark.parametrize("eps", [-0.5, 0.0, float("nan"), "0.5"])
+def test_bad_fairness_tolerance_is_rejected(synthetic_instance, eps):
+    payload = instance_to_dict(synthetic_instance)
+    payload["fairness_eps"] = eps
+    with pytest.raises(ValueError, match="fairness_eps"):
+        instance_from_dict(payload)
+
+
 def test_unparseable_file_is_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -144,3 +144,8 @@ def test_experiment_rejects_bad_sensitive(net):
 def test_experiment_rejects_empty_arm_list(net):
     with pytest.raises(ValueError, match="at least one arm"):
         build_network_experiment(net, "fibrosis", "sex", "carcinoma", 0, 0, 0.2)
+
+
+def test_experiment_rejects_a_bad_fairness_tolerance(net):
+    with pytest.raises(ValueError, match="fairness_eps"):
+        build_network_experiment(net, "fibrosis", "sex", "carcinoma", 2, 0, -0.2)

@@ -163,6 +163,13 @@ def test_mc_oracles_approach_exact():
     assert mc_fairness(model, arms[1], "sps", 200_000, rng) == pytest.approx(0.35, abs=0.03)
 
 
+@pytest.mark.parametrize("eps", [-1.0, 0.0, float("nan"), None])
+def test_oracle_report_rejects_a_bad_fairness_tolerance(eps):
+    model, arms = chain_model()
+    with pytest.raises(ValueError, match="fairness_eps"):
+        oracle_report(Instance(model=model, arms=arms), fairness_eps=eps)
+
+
 def test_oracle_report_mc_mode():
     model, arms = chain_model()
     inst = Instance(model=model, arms=arms)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from faircb.divergence import DivergenceSet
+from faircb.divergence import DivergenceSet, exact_columns
 from faircb.errors import GenerationFailed
 from faircb.io import instance_digest
 from faircb.model import validate_model
 from faircb.oracles import oracle_report
 from faircb.synth import SyntheticConfig, generate_synthetic
+
+from helpers import random_instance
 
 LOW_BAND = SyntheticConfig(
     n_arms=5,
@@ -85,6 +87,40 @@ def test_divergence_band_high():
     div = DivergenceSet.exact(inst.model, inst.arms)
     cols = np.concatenate([div.m[1:, 0], div.d_ssp[1:, 0], div.d_sps[1:, 0]])
     assert (cols > 10.0).all() and (cols < 50.0).all()
+    # The band-k5 benchmark instance: the band check rejects hundreds of
+    # draws before this one, so any change to what it reads moves the digest.
+    assert instance_digest(inst) == "8cec750594dab990"
+
+
+def test_large_instance_is_pinned():
+    # The synth-k30 benchmark instance, without a divergence band.
+    config = SyntheticConfig(
+        n_arms=30,
+        support=20,
+        seed=5,
+        reward_gap_band=(0.02, 0.06),
+        fairness_gap_band=(1.93, 1.99),
+    )
+    assert instance_digest(generate_synthetic(config)) == "a45c3686c4a34ba0"
+
+
+def _assert_columns_match(model, arms, source):
+    div = DivergenceSet.exact(model, arms)
+    got = list(exact_columns(model, arms, source))
+    assert len(got) == 3
+    for col, full in zip(got, (div.m, div.d_ssp, div.d_sps)):
+        assert col.tobytes() == full[:, source].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_band_columns_equal_the_full_build(seed):
+    inst = random_instance(np.random.default_rng(seed))
+    _assert_columns_match(inst.model, inst.arms, 0)
+    _assert_columns_match(inst.model, inst.arms, len(inst.arms) - 1)
+
+
+def test_band_columns_equal_the_full_build_on_low_band(low_band_instance):
+    _assert_columns_match(low_band_instance.model, low_band_instance.arms, 0)
 
 
 def test_unfair_count_is_respected():
@@ -218,6 +254,10 @@ def test_impossible_band_fails_fast():
         ({"support": 3, "f_values": (0.9, 0.5, 0.1)}, "nondecreasing"),
         ({"support": 3, "f_values": (0.4, 0.4, 0.4)}, "nondecreasing"),
         ({"support": 3, "f_values": (0.1, 0.5, 1.1)}, "lie in"),
+        ({"fairness_eps": -0.5}, "fairness_eps"),
+        ({"fairness_eps": float("nan")}, "fairness_eps"),
+        ({"fairness_eps": float("inf")}, "fairness_eps"),
+        ({"max_attempts": 0}, "max_attempts"),
     ],
 )
 def test_config_validation_errors(overrides, message):

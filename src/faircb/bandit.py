@@ -52,7 +52,7 @@ import numpy as np
 from .allocation import Allocation, build_problem, costs_from_arms, round_counts, solve_maxmin
 from .divergence import DivergenceSet
 from .estimation import EstimateVector, SamplePool, estimate_all
-from .model import Arm, Regime, check_fairness_eps
+from .model import REGIMES, Arm, Regime, check_fairness_eps
 from .sampling import BatchSamples
 
 __all__ = [
@@ -70,8 +70,6 @@ __all__ = [
 ]
 
 Sampler = Callable[[int, Regime, int, np.random.Generator], BatchSamples]
-
-_REGIME_ROWS = (Regime.OBSERVATIONAL, Regime.FORCE_S, Regime.FORCE_SPRIME)
 
 # Smallest budgets with a phase schedule: one for ``run_csr``, one per stage
 # for ``run_two_stage``.
@@ -239,7 +237,7 @@ def _pull_phase(
     samples = 0
     cost = 0.0
     for j in range(costs.shape[1]):
-        for row, regime in enumerate(_REGIME_ROWS):
+        for row, regime in enumerate(REGIMES):
             cnt = int(counts[row][j])
             if cnt > 0:
                 pool.add(sampler(j, regime, cnt, rng))

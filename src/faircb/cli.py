@@ -22,17 +22,7 @@ import numpy as np
 from .allocation import build_problem, cheap_arm_cap, round_counts, solve_maxmin
 from .bandit import RunTrace
 from .divergence import DivergenceSet
-from .errors import (
-    EnumerationTooLarge,
-    FairCBError,
-    GenerationFailed,
-    Infeasible,
-    NodeNotFound,
-    NormalizationError,
-    ParseError,
-    SensitiveNotBinary,
-    UnsupportedConstruct,
-)
+from .errors import FairCBError, GenerationFailed, Infeasible
 from .io import instance_digest, load_instance, save_instance
 from .model import Instance, check_fairness_eps, validate_model
 from .netgen import build_network_experiment
@@ -50,17 +40,6 @@ from .synth import SyntheticConfig, generate_synthetic
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
-
-_INVALID = (
-    ParseError,
-    NormalizationError,
-    UnsupportedConstruct,
-    NodeNotFound,
-    SensitiveNotBinary,
-    EnumerationTooLarge,
-    ValueError,
-    OSError,
-)
 
 _COST_KEYS = ("cost_pull", "cost_force_s", "cost_force_sprime")
 
@@ -418,10 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     except (Infeasible, GenerationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except _INVALID as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except FairCBError as exc:
+    except (FairCBError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

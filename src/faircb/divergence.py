@@ -1,4 +1,4 @@
-"""Divergence matrices between arms and the empirical quantiles they dominate.
+"""Divergence cutoff matrices between arms, exact and Monte Carlo.
 
 The outcome side uses the conditional f-divergence with ``f1(x) = x e^(x-1) - 1``
 and the cutoff ``M[i, j] = 1 + ln(1 + D_f1(P_i || P_j))``.  The fairness side
@@ -41,25 +41,9 @@ from .oracles import (
 )
 from .sampling import counterfactual_weight, sample_batch, transport_weight
 
-__all__ = [
-    "f1",
-    "conditional_f_divergence",
-    "outcome_matrix",
-    "fairness_matrix",
-    "DivergenceSet",
-    "exact_columns",
-    "empirical_quantile_eta",
-    "empirical_quantile_gamma",
-]
+__all__ = ["DivergenceSet", "exact_columns"]
 
-_QUANTILE_ATOL = 1e-12
-
-
-def f1(x):
-    """Convex generator ``x * exp(x - 1) - 1`` with ``f1(1) = 0``."""
-    x = np.asarray(x, dtype=float)
-    out = x * np.exp(x - 1.0) - 1.0
-    return out if out.ndim else float(out)
+_DIRECTIONS = ("ssp", "sps")
 
 
 def _logsumexp(a) -> np.ndarray:
@@ -86,41 +70,6 @@ def _logsumexp(a) -> np.ndarray:
     return out
 
 
-def _outcome_cells(marg: np.ndarray, targets: np.ndarray, source: np.ndarray):
-    """Cells ``(p_j, p_i, w)`` of the intervention context under the source measure.
-
-    ``marg`` is the marginal over the context rows and ``targets`` a
-    ``(K, rows, card)`` stack of target tables; ``p_i`` and ``w = P_i / P_j``
-    carry one row per target.  ``p_j > 0`` on every returned cell; the shared
-    zero pattern between arms makes ``w`` finite there.
-    """
-    pj = marg[:, None] * source
-    mask = pj > 0.0
-    pi = (marg[:, None] * targets)[:, mask]
-    return pj[mask], pi, targets[:, mask] / source[mask]
-
-
-def conditional_f_divergence(
-    model: CausalModel,
-    arm_i: Arm,
-    arm_j: Arm,
-    mode: str = "exact",
-    draws: int = 100_000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """``E_j[f1(P_i / P_j)]`` over the intervention context, exact by default."""
-    if mode == "exact":
-        marg = marginal_rows(model, model.intervention)
-        pj, _, w = _outcome_cells(marg, arm_i.table[None], arm_j.table)
-        return float(pj @ f1(w[0]))
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("mc mode needs an rng")
-    batch = sample_batch(model, arm_j, Regime.OBSERVATIONAL, draws, rng)
-    return float(np.mean(f1(transport_weight(batch, arm_i.table, arm_j.table))))
-
-
 def _outcome_cutoff(log_p, w: np.ndarray) -> np.ndarray:
     """``1 + ln E_j[w e^(w-1)]`` per row of ``w``, with ``log_p`` the log cell masses."""
     # ln E_j[w e^(w-1)] = ln(1 + D_f1) since the cell masses sum to one; a
@@ -132,55 +81,24 @@ def _outcome_cutoff(log_p, w: np.ndarray) -> np.ndarray:
 def _outcome_column(marg: np.ndarray, tables: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Exact ``M[:, j]`` of the source table ``source`` against the ``tables`` stack.
 
-    ``marg`` is the marginal over the intervention context rows.  The
-    diagonal cell comes out near 1, not exactly 1.
+    ``marg`` is the marginal over the intervention context rows.  Only the
+    cells with ``p_j > 0`` enter, where the shared zero pattern between arms
+    keeps ``w = P_i / P_j`` finite.  The diagonal cell comes out near 1, not
+    exactly 1.
     """
-    pj, _, w = _outcome_cells(marg, tables, source)
-    return _outcome_cutoff(np.log(pj), w)
+    pj = marg[:, None] * source
+    mask = pj > 0.0
+    return _outcome_cutoff(np.log(pj[mask]), tables[:, mask] / source[mask])
 
 
-def outcome_matrix(
-    model: CausalModel,
-    arms: list[Arm] | tuple[Arm, ...],
-    mode: str = "exact",
-    draws: int = 100_000,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Cutoff matrix ``M[i, j] = 1 + ln(1 + D_f1(P_i || P_j))`` with unit diagonal."""
-    if mode not in ("exact", "mc"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "mc" and rng is None:
-        raise ValueError("mc mode needs an rng")
-    k = len(arms)
-    m = np.ones((k, k), dtype=float)
-    tables = np.stack([a.table for a in arms])
-    if mode == "exact":
-        marg = marginal_rows(model, model.intervention)
-    for j in range(k):
-        if mode == "exact":
-            m[:, j] = _outcome_column(marg, tables, tables[j])
-        else:
-            batch = sample_batch(model, arms[j], Regime.OBSERVATIONAL, draws, rng)
-            w = transport_weight(batch, tables, tables[j])
-            m[:, j] = _outcome_cutoff(-np.log(batch.n), w)
-    np.fill_diagonal(m, 1.0)
-    return m
-
-
-def _fairness_cells(
-    model: CausalModel,
-    target: Arm,
-    sources: np.ndarray,
-    directions: tuple[str, ...],
-    forced: int,
-):
+def _fairness_cells(model: CausalModel, target: Arm, sources: np.ndarray, forced: int):
     """Blocks ``(probs under the target, w)`` of the forced regime S <- ``forced``.
 
     ``sources`` is a ``(K, rows, card)`` stack of source tables and ``w`` has
-    shape ``(len(directions), K, cells)``: the signed weight of each direction
+    shape ``(2, K, cells)``: the signed weight of ``ssp``, then of ``sps``,
     against each source.  The weight keeps the orientation of its direction
     while the evidence attribute runs over both values, which is what the
-    two-regime expectation and the two-sided quantile need.
+    two-regime expectation needs.
     """
     needed = [model.intervention, *model.children(model.sensitive)]
     v = model.intervention
@@ -194,32 +112,27 @@ def _fairness_cells(
         for p, st in zip(model.parents[v], strides):
             rows += sub[p] * st
         w_v = target.table[rows, sub[v]] / sources[:, rows, sub[v]]
-        w = np.empty((len(directions),) + w_v.shape)
-        for out, direction in zip(w, directions):
+        w = np.empty((len(_DIRECTIONS),) + w_v.shape)
+        for out, direction in zip(w, _DIRECTIONS):
             ratio = attribute_ratio_values(model, target, sub, *direction_values(direction))
             np.multiply(w_v, ratio - 1.0, out=out)
         yield probs[mask], w
 
 
-def _fairness_rows(
-    model: CausalModel,
-    arms,
-    directions: tuple[str, ...],
-    sources: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact ``D`` columns of ``directions``, shape ``(len(directions), K, J)``.
+def _fairness_rows(model: CausalModel, arms, sources: np.ndarray | None = None) -> np.ndarray:
+    """Exact ``D_ssp`` and ``D_sps`` columns, shape ``(2, K, J)``.
 
     ``sources`` is a ``(J, rows, card)`` stack of source tables, every arm's
     by default; each column depends only on its own source table.
     """
     if sources is None:
         sources = np.stack([a.table for a in arms])
-    d = np.empty((len(directions), len(arms), len(sources)), dtype=float)
+    d = np.empty((len(_DIRECTIONS), len(arms), len(sources)), dtype=float)
     for i, arm in enumerate(arms):
         parts = []
         for forced in (S_VALUE, SPRIME_VALUE):
-            acc = np.full((len(directions), len(sources)), -np.inf)
-            for probs, w in _fairness_cells(model, arm, sources, directions, forced):
+            acc = np.full((len(_DIRECTIONS), len(sources)), -np.inf)
+            for probs, w in _fairness_cells(model, arm, sources, forced):
                 acc = np.logaddexp(acc, _logsumexp(np.log(probs) + np.abs(w)))
             parts.append(acc)
         d[:, i] = np.logaddexp(*parts)
@@ -241,39 +154,7 @@ def exact_columns(model: CausalModel, arms, source: int):
     m = _outcome_column(marg, tables, tables[source])
     m[source] = 1.0
     yield m
-    yield from _fairness_rows(model, arms, ("ssp", "sps"), tables[source : source + 1])[..., 0]
-
-
-def fairness_matrix(
-    model: CausalModel,
-    arms: list[Arm] | tuple[Arm, ...],
-    direction: str,
-    mode: str = "exact",
-    draws: int = 100_000,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Cutoff matrix ``D[i, j]`` for the counterfactual weights of ``direction``."""
-    direction_values(direction)  # rejects an unknown direction in either mode
-    if mode == "exact":
-        return _fairness_rows(model, arms, (direction,))[0]
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("mc mode needs an rng")
-    tables = np.stack([a.table for a in arms])
-    d = np.zeros((len(arms), len(arms)), dtype=float)
-    for i, arm in enumerate(arms):
-        batches = [
-            sample_batch(model, arm, reg, draws, rng)
-            for reg in (Regime.FORCE_S, Regime.FORCE_SPRIME)
-        ]
-        parts = [
-            _logsumexp(np.abs(counterfactual_weight(b, arm.table, tables, direction)))
-            - np.log(b.n)
-            for b in batches
-        ]
-        d[i] = np.logaddexp(*parts)
-    return d
+    yield from _fairness_rows(model, arms, tables[source : source + 1])[..., 0]
 
 
 @dataclass
@@ -286,57 +167,41 @@ class DivergenceSet:
 
     @classmethod
     def exact(cls, model: CausalModel, arms) -> "DivergenceSet":
-        d_ssp, d_sps = _fairness_rows(model, arms, ("ssp", "sps"))
-        return cls(m=outcome_matrix(model, arms), d_ssp=d_ssp, d_sps=d_sps)
+        d_ssp, d_sps = _fairness_rows(model, arms)
+        tables = np.stack([a.table for a in arms])
+        marg = marginal_rows(model, model.intervention)
+        m = np.ones((len(arms), len(arms)), dtype=float)
+        for j, source in enumerate(tables):
+            m[:, j] = _outcome_column(marg, tables, source)
+        np.fill_diagonal(m, 1.0)
+        return cls(m=m, d_ssp=d_ssp, d_sps=d_sps)
 
     @classmethod
     def mc(cls, model: CausalModel, arms, draws: int, rng: np.random.Generator) -> "DivergenceSet":
-        return cls(
-            m=outcome_matrix(model, arms, mode="mc", draws=draws, rng=rng),
-            d_ssp=fairness_matrix(model, arms, "ssp", mode="mc", draws=draws, rng=rng),
-            d_sps=fairness_matrix(model, arms, "sps", mode="mc", draws=draws, rng=rng),
-        )
+        """Monte Carlo matrices from batches of ``draws`` pulls, drawn in a fixed order.
+
+        First one observational batch per source arm for ``M``; then, for
+        ``D_ssp`` and again for ``D_sps``, one batch per target arm under
+        S <- s and one under S <- s'.
+        """
+        k = len(arms)
+        tables = np.stack([a.table for a in arms])
+        m = np.ones((k, k), dtype=float)
+        for j, arm in enumerate(arms):
+            batch = sample_batch(model, arm, Regime.OBSERVATIONAL, draws, rng)
+            m[:, j] = _outcome_cutoff(-np.log(batch.n), transport_weight(batch, tables, tables[j]))
+        np.fill_diagonal(m, 1.0)
+        d = np.zeros((len(_DIRECTIONS), k, k), dtype=float)
+        for out, direction in zip(d, _DIRECTIONS):
+            for i, arm in enumerate(arms):
+                parts = []
+                for regime in (Regime.FORCE_S, Regime.FORCE_SPRIME):
+                    b = sample_batch(model, arm, regime, draws, rng)
+                    u = counterfactual_weight(b, arm.table, tables, direction)
+                    parts.append(_logsumexp(np.abs(u)) - np.log(b.n))
+                out[i] = np.logaddexp(*parts)
+        return cls(m=m, d_ssp=d[0], d_sps=d[1])
 
     @property
     def n_arms(self) -> int:
         return self.m.shape[0]
-
-
-def _min_tail_quantile(weights: np.ndarray, probs: np.ndarray, bound: float) -> float:
-    """Smallest support value ``q`` with ``P(W > q) <= bound``."""
-    order = np.argsort(weights, kind="stable")
-    w, p = weights[order], probs[order]
-    uniq, start = np.unique(w, return_index=True)
-    ends = np.r_[start[1:], w.shape[0]] - 1
-    cum = np.cumsum(p)
-    tails = cum[-1] - cum[ends]
-    ok = tails <= bound + _QUANTILE_ATOL
-    return float(uniq[int(np.argmax(ok))])
-
-
-def empirical_quantile_eta(
-    model: CausalModel, arm_i: Arm, arm_j: Arm, eps: float
-) -> float:
-    """Smallest ``eta`` with ``P_i(P_i / P_j > eta) <= eps / 2``."""
-    if not 0.0 < eps < 2.0:
-        raise ValueError("eps must lie in (0, 2)")
-    marg = marginal_rows(model, model.intervention)
-    _, pi, w = _outcome_cells(marg, arm_i.table[None], arm_j.table)
-    mask = pi[0] > 0.0
-    return _min_tail_quantile(w[0][mask], pi[0][mask], eps / 2.0)
-
-
-def empirical_quantile_gamma(
-    model: CausalModel, arm_i: Arm, arm_j: Arm, eps: float, direction: str
-) -> float:
-    """Smallest ``gamma`` whose two forced tail masses of ``|w_ij|`` sum below ``eps / 2``."""
-    if not 0.0 < eps < 2.0:
-        raise ValueError("eps must lie in (0, 2)")
-    cells = [
-        block
-        for forced in (S_VALUE, SPRIME_VALUE)
-        for block in _fairness_cells(model, arm_i, arm_j.table[None], (direction,), forced)
-    ]
-    weights = np.concatenate([np.abs(w[0, 0]) for _, w in cells])
-    probs = np.concatenate([p for p, _ in cells])
-    return _min_tail_quantile(weights, probs, eps / 2.0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import DivergenceSet
-from .model import Regime
+from .model import REGIMES, Regime
 from .sampling import PULL_FIELDS, BatchSamples, counterfactual_weight, transport_weight
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "EstimateVector",
     "estimate_all",
 ]
-
-_REGIMES = (Regime.OBSERVATIONAL, Regime.FORCE_S, Regime.FORCE_SPRIME)
 
 
 class SamplePool:
@@ -97,12 +95,6 @@ class EstimateVector:
     zeta_sps: np.ndarray
     eps: float
 
-    def is_missing_outcome(self, k: int) -> bool:
-        return bool(np.isnan(self.y[k]))
-
-    def is_missing_fairness(self, k: int) -> bool:
-        return bool(np.isnan(self.zeta_ssp[k]) or np.isnan(self.zeta_sps[k]))
-
 
 def estimate_all(
     pool: SamplePool,
@@ -126,7 +118,7 @@ def estimate_all(
     z_acc = {"ssp": np.zeros(n), "sps": np.zeros(n)}
 
     for j in range(n):
-        for regime in _REGIMES:
+        for regime in REGIMES:
             block = pool.cells(j, regime)
             if block is None:
                 continue

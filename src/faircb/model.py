@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "Regime",
+    "REGIMES",
     "CausalModel",
     "Arm",
     "Instance",
@@ -49,6 +50,12 @@ class Regime(Enum):
         if self is Regime.FORCE_SPRIME:
             return SPRIME_VALUE
         return None
+
+
+# Every regime in the row order of ``allocation.costs_from_arms`` (pull,
+# force-s, force-s').  A tuple, since a pass over the enum itself costs about
+# 1.8 us against 0.1 us (Python 3.11) and the phase loop makes one per arm.
+REGIMES = tuple(Regime)
 
 
 def _as_table(x: Sequence | np.ndarray) -> np.ndarray:
@@ -199,9 +206,6 @@ def check_fairness_eps(eps) -> float:
 class ValidationReport:
     ok: bool
     problems: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _row_problems(name: str, table: np.ndarray, n_rows: int, card: int) -> list[str]:

@@ -1,4 +1,4 @@
-"""Exact oracles by enumeration over ancestral closures, plus Monte Carlo counterparts.
+"""Exact oracles by enumeration over ancestral closures.
 
 Enumeration only visits the ancestors of the nodes a quantity depends on, so
 pruning barren nodes keeps exactness while making deep graphs affordable.  The
@@ -9,13 +9,12 @@ the default of ten million cells).
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import EnumerationTooLarge
-from .model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE, check_fairness_eps
-from .sampling import counterfactual_weight, sample_batch
+from .model import Arm, CausalModel, Instance, S_VALUE, SPRIME_VALUE, check_fairness_eps
 
 __all__ = [
     "enumeration_cap",
@@ -25,8 +24,6 @@ __all__ = [
     "direction_values",
     "exact_outcome_mean",
     "exact_fairness",
-    "mc_outcome_mean",
-    "mc_fairness",
     "oracle_report",
 ]
 
@@ -170,45 +167,13 @@ def exact_fairness(model: CausalModel, arm: Arm, direction: str) -> float:
     return acc
 
 
-def mc_outcome_mean(model: CausalModel, arm: Arm, draws: int, rng: np.random.Generator) -> float:
-    """Monte Carlo estimate of the arm mean, for cross checks and oversized graphs."""
-    batch = sample_batch(model, arm, Regime.OBSERVATIONAL, draws, rng)
-    return float(batch.y.mean())
-
-
-def mc_fairness(
-    model: CausalModel, arm: Arm, direction: str, draws: int, rng: np.random.Generator
-) -> float:
-    """Monte Carlo estimate of the counterfactual gap from forced pulls of the arm itself."""
-    regime = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
-    batch = sample_batch(model, arm, regime, draws, rng)
-    return float((batch.y * counterfactual_weight(batch, arm.table, arm.table, direction)).mean())
-
-
-def oracle_report(
-    instance: Instance,
-    fairness_eps: float,
-    mode: str = "exact",
-    draws: int = 200_000,
-    rng: np.random.Generator | None = None,
-) -> dict:
+def oracle_report(instance: Instance, fairness_eps: float) -> dict:
     """Ground truth per arm: means, counterfactual gaps, the fair set and the best fair arm."""
     check_fairness_eps(fairness_eps)
-    if mode not in ("exact", "mc"):
-        raise ValueError(f"unknown oracle mode {mode!r}")
-    if mode == "mc" and rng is None:
-        rng = np.random.default_rng(0)
     model, arms = instance.model, instance.arms
-    mu, z_ssp, z_sps = [], [], []
-    for arm in arms:
-        if mode == "exact":
-            mu.append(exact_outcome_mean(model, arm))
-            z_ssp.append(exact_fairness(model, arm, "ssp"))
-            z_sps.append(exact_fairness(model, arm, "sps"))
-        else:
-            mu.append(mc_outcome_mean(model, arm, draws, rng))
-            z_ssp.append(mc_fairness(model, arm, "ssp", draws, rng))
-            z_sps.append(mc_fairness(model, arm, "sps", draws, rng))
+    mu = [exact_outcome_mean(model, arm) for arm in arms]
+    z_ssp = [exact_fairness(model, arm, "ssp") for arm in arms]
+    z_sps = [exact_fairness(model, arm, "sps") for arm in arms]
     fair = [
         k
         for k in range(len(arms))
@@ -225,7 +190,7 @@ def oracle_report(
     # A tied best mean makes the identification target ill separated.
     degenerate = best is not None and any(gaps[k] == 0.0 for k in fair if k != best)
     return {
-        "mode": mode,
+        "mode": "exact",
         "fairness_eps": fairness_eps,
         "mu": mu,
         "zeta_ssp": z_ssp,

@@ -25,10 +25,10 @@ exceeds ``oracles.enumeration_cap()`` raises ``EnumerationTooLarge`` on its
 first batch, which bounds the per-cell pools of the estimators.
 
 ``transport_weight`` and ``counterfactual_weight`` are the one place that
-turns a block of pulls into weights; the estimators, the Monte Carlo
-divergences and the Monte Carlo oracle all read pulls through them.  Both
-broadcast over leading table axes, so a ``(K, rows, card)`` stack of arm
-tables yields the weights of every pull against K arms at once.
+turns a block of pulls into weights; the estimators and the Monte Carlo
+divergences read pulls through them.  Both broadcast over leading table
+axes, so a ``(K, rows, card)`` stack of arm tables yields the weights of
+every pull against K arms at once.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import EnumerationTooLarge
 from .model import Arm, CausalModel, Regime, S_VALUE, SPRIME_VALUE
+from .oracles import enumeration_cap
 
 __all__ = [
     "BatchSamples",
@@ -117,8 +118,6 @@ class _Plan:
 
 def _cell_code(model: CausalModel) -> tuple[tuple[str, ...], tuple[int, ...], int]:
     """Read nodes, their row-major strides and the cell count; raises past the enumeration cap."""
-    from .oracles import enumeration_cap  # oracles imports this module
-
     s, v = model.sensitive, model.intervention
     read = [*model.parents[v], v, model.target]
     for x in model.children(s):

@@ -6,7 +6,10 @@ completely separate code path.  Likewise the single-pull sampler, the
 full-walk batch sampler, the scalar importance weights, the per-pull
 ``ReferencePool`` and the per-target pooled estimators below are written
 apart from the batched sampling kernel, the per-cell ``SamplePool`` and
-``estimate_all``, which the tests compare against them.
+``estimate_all``, which the tests compare against them.  The conditional
+f-divergence, the empirical weight quantiles that the cutoff matrices must
+dominate, and the Monte Carlo oracles are references the package itself
+never needs.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from scipy.special import logsumexp
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError
 from faircb.model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
-from faircb.sampling import PULL_FIELDS, BatchSamples
+from faircb.sampling import PULL_FIELDS, BatchSamples, counterfactual_weight, sample_batch
 from faircb.oracles import (
     attribute_ratio_values,
     direction_values,
@@ -275,6 +278,70 @@ def reference_divergence_set(model: CausalModel, arms) -> DivergenceSet:
                 ]
                 d[direction][i, j] = float(np.logaddexp(*parts))
     return DivergenceSet(m=m, d_ssp=d["ssp"], d_sps=d["sps"])
+
+
+def f1(x):
+    """Convex generator ``x * exp(x - 1) - 1`` with ``f1(1) = 0``."""
+    x = np.asarray(x, dtype=float)
+    out = x * np.exp(x - 1.0) - 1.0
+    return out if out.ndim else float(out)
+
+
+def conditional_f_divergence(model: CausalModel, arm_i: Arm, arm_j: Arm) -> float:
+    """Exact ``E_j[f1(P_i / P_j)]`` over the intervention context."""
+    marg = marginal_rows(model, model.intervention)
+    pj = marg[:, None] * arm_j.table
+    mask = pj > 0.0
+    return float(pj[mask] @ f1(arm_i.table[mask] / arm_j.table[mask]))
+
+
+def _min_tail_quantile(weights: np.ndarray, probs: np.ndarray, bound: float) -> float:
+    """Smallest support value ``q`` with ``P(W > q) <= bound``, up to 1e-12 of mass."""
+    order = np.argsort(weights, kind="stable")
+    w, p = weights[order], probs[order]
+    uniq, start = np.unique(w, return_index=True)
+    ends = np.r_[start[1:], w.shape[0]] - 1
+    cum = np.cumsum(p)
+    tails = cum[-1] - cum[ends]
+    ok = tails <= bound + 1e-12
+    return float(uniq[int(np.argmax(ok))])
+
+
+def empirical_quantile_eta(model: CausalModel, arm_i: Arm, arm_j: Arm, eps: float) -> float:
+    """Smallest ``eta`` with ``P_i(P_i / P_j > eta) <= eps / 2``."""
+    if not 0.0 < eps < 2.0:
+        raise ValueError("eps must lie in (0, 2)")
+    marg = marginal_rows(model, model.intervention)
+    pi = marg[:, None] * arm_i.table
+    mask = (marg[:, None] * arm_j.table > 0.0) & (pi > 0.0)
+    return _min_tail_quantile(arm_i.table[mask] / arm_j.table[mask], pi[mask], eps / 2.0)
+
+
+def empirical_quantile_gamma(
+    model: CausalModel, arm_i: Arm, arm_j: Arm, eps: float, direction: str
+) -> float:
+    """Smallest ``gamma`` whose two forced tail masses of ``|w_ij|`` sum below ``eps / 2``."""
+    if not 0.0 < eps < 2.0:
+        raise ValueError("eps must lie in (0, 2)")
+    cells = _reference_fairness_cells(model, arm_i, arm_j, direction)
+    weights = np.concatenate([np.abs(w) for _, w in cells])
+    probs = np.concatenate([p for p, _ in cells])
+    return _min_tail_quantile(weights, probs, eps / 2.0)
+
+
+def mc_outcome_mean(model: CausalModel, arm: Arm, draws: int, rng: np.random.Generator) -> float:
+    """Monte Carlo estimate of the arm mean from observational pulls."""
+    batch = sample_batch(model, arm, Regime.OBSERVATIONAL, draws, rng)
+    return float(batch.y.mean())
+
+
+def mc_fairness(
+    model: CausalModel, arm: Arm, direction: str, draws: int, rng: np.random.Generator
+) -> float:
+    """Monte Carlo estimate of the counterfactual gap from forced pulls of the arm itself."""
+    regime = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
+    batch = sample_batch(model, arm, regime, draws, rng)
+    return float((batch.y * counterfactual_weight(batch, arm.table, arm.table, direction)).mean())
 
 
 def maxmin_vertex_value(problem, feas_tol: float = 1e-7) -> float | None:

@@ -18,11 +18,7 @@ import conftest
 
 from faircb.allocation import build_problem, cheap_arm_cap, solve_maxmin
 from faircb.bif import ParsedNetwork, parse_bif, serialize_bif
-from faircb.divergence import (
-    DivergenceSet,
-    empirical_quantile_eta,
-    empirical_quantile_gamma,
-)
+from faircb.divergence import DivergenceSet
 from faircb.errors import Infeasible
 from faircb.model import Regime, validate_model
 from faircb.netgen import build_network_experiment, liver_network, network_states
@@ -36,6 +32,8 @@ from helpers import (
     chain_model,
     clipped_fairness_expectation,
     clipped_outcome_expectation,
+    empirical_quantile_eta,
+    empirical_quantile_gamma,
     maxmin_vertex_value,
     pooled_fairness_estimate,
     pooled_outcome_estimate,

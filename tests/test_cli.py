@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import faircb.cli as cli_mod
 import faircb.sweep as sweep_mod
+from faircb import errors
 from faircb.cli import main
 from faircb.divergence import DivergenceSet
 from faircb.io import load_instance, save_instance
@@ -451,3 +453,19 @@ def test_sweep_cli_warns_on_failed_runs(tmp_path, instance_file, capsys, monkeyp
     assert "T=200 csr-v1: first failure RuntimeError: synthetic breakage" in captured.err
     assert "csr-v2: first failure" not in captured.err
     assert "T=200 csr-v1: error 1.000 (2/2, 0 none, 2 failed)" in captured.out
+
+
+@pytest.mark.parametrize(
+    "exc", [getattr(errors, name) for name in errors.__all__] + [ValueError, OSError],
+    ids=lambda exc: exc.__name__,
+)
+def test_errors_map_to_exit_codes(monkeypatch, capsys, exc):
+    """Package errors and bad input exit 2; an infeasible budget or failed generation exits 3."""
+
+    def failing(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli_mod, "_cmd_oracle", failing)
+    want = 3 if exc in (errors.Infeasible, errors.GenerationFailed) else 2
+    assert main(["oracle", "--instance", "unused.json"]) == want
+    assert "error: boom" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,20 +12,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
-from faircb.divergence import (
-    DivergenceSet,
-    _logsumexp,
+from faircb.divergence import DivergenceSet, _logsumexp
+from faircb.model import Arm, CausalModel
+from faircb.synth import SyntheticConfig, generate_synthetic
+
+from helpers import (
+    chain_model,
     conditional_f_divergence,
     empirical_quantile_eta,
     empirical_quantile_gamma,
     f1,
-    fairness_matrix,
-    outcome_matrix,
+    random_instance,
+    reference_divergence_set,
+    side_child_model,
 )
-from faircb.model import Arm, CausalModel
-from faircb.synth import SyntheticConfig, generate_synthetic
-
-from helpers import chain_model, random_instance, reference_divergence_set
 
 # Frozen by explicit cell-by-cell arithmetic over the chain fixture.
 CHAIN_DF1_10 = 0.5730287944613754
@@ -53,7 +54,7 @@ def test_conditional_f_divergence_frozen():
 
 def test_outcome_matrix_frozen_and_shape():
     model, arms = chain_model()
-    m = outcome_matrix(model, arms)
+    m = DivergenceSet.exact(model, arms).m
     assert m.shape == (3, 3)
     np.testing.assert_allclose(np.diag(m), 1.0, atol=0)
     assert m[1, 0] == pytest.approx(CHAIN_M_10, abs=1e-12)
@@ -62,7 +63,7 @@ def test_outcome_matrix_frozen_and_shape():
 
 def test_fairness_matrix_frozen():
     model, arms = chain_model()
-    d = fairness_matrix(model, arms, "ssp")
+    d = DivergenceSet.exact(model, arms).d_ssp
     assert d[1, 1] == pytest.approx(CHAIN_D_SSP_11, abs=1e-12)
     # Against itself each weight is |ratio - 1| >= 0, so every entry >= ln 2.
     assert np.all(d >= math.log(2.0) - 1e-12)
@@ -71,7 +72,7 @@ def test_fairness_matrix_frozen():
 def test_fairness_matrix_independent_recomputation():
     model, arms = chain_model()
     t1, t0 = arms[1].table, arms[0].table
-    d = fairness_matrix(model, arms, "ssp")
+    d = DivergenceSet.exact(model, arms).d_ssp
     parts = []
     for a in (0, 1):
         total = 0.0
@@ -103,13 +104,12 @@ def test_logsumexp_stability_under_extreme_ratios():
         Arm(index=1, table=np.array([[0.0001, 0.9999]])),
     )
     with np.errstate(over="raise"):
-        m = outcome_matrix(model, arms)
-        d = fairness_matrix(model, arms, "ssp")
-    assert np.all(np.isfinite(m)) and np.all(np.isfinite(d))
+        ds = DivergenceSet.exact(model, arms)
+    assert all(np.all(np.isfinite(x)) for x in (ds.m, ds.d_ssp, ds.d_sps))
     # The huge cell dominates: ln E[w exp(w - 1)] ~ ln p + ln w + w - 1.
     w = 0.9999 / 0.0001
     dominant = math.log(0.0001) + math.log(w) + w - 1.0
-    assert m[0, 1] == pytest.approx(1.0 + dominant, abs=1e-6)
+    assert ds.m[0, 1] == pytest.approx(1.0 + dominant, abs=1e-6)
 
 
 @st.composite
@@ -183,16 +183,22 @@ def test_divergence_set_exact_vs_mc():
     assert exact.n_arms == 2
 
 
-def test_mode_validation():
-    model, arms = chain_model()
-    with pytest.raises(ValueError):
-        outcome_matrix(model, arms, mode="approx")
-    with pytest.raises(ValueError):
-        outcome_matrix(model, arms, mode="mc")
-    with pytest.raises(ValueError):
-        fairness_matrix(model, arms, "ssp", mode="mc")
-    with pytest.raises(ValueError):
-        conditional_f_divergence(model, arms[0], arms[1], mode="mc")
+# sha256 prefixes of DivergenceSet.mc(..., draws=5000, rng=default_rng(20211)).
+MC_PINS = {"chain": "fb4ae3ddc184551d", "side-child": "d6b694f81af27699"}
+
+
+@pytest.mark.parametrize("fixture", sorted(MC_PINS))
+def test_divergence_set_mc_stream_is_pinned(fixture):
+    """``faircb divergence --mc`` draws the same batches in the same order.
+
+    The entries are rounded to 1e-10 before hashing, so a last-place
+    difference in a platform's ``exp`` or ``log`` cannot move the pin, while
+    any change to the draws moves every entry by far more.
+    """
+    model, arms = {"chain": chain_model, "side-child": side_child_model}[fixture]()
+    ds = DivergenceSet.mc(model, arms, draws=5000, rng=np.random.default_rng(20211))
+    raw = b"".join(np.round(getattr(ds, n), 10).tobytes() for n in ("m", "d_ssp", "d_sps"))
+    assert hashlib.sha256(raw).hexdigest()[:16] == MC_PINS[fixture]
 
 
 def test_quantile_frozen_values_and_validation():

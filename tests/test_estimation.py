@@ -219,7 +219,6 @@ def test_missing_estimates_are_nan():
     # One observational source transports to every target arm.
     assert np.all(np.isfinite(vec.y))
     assert np.all(np.isnan(vec.zeta_ssp)) and np.all(np.isnan(vec.zeta_sps))
-    assert vec.is_missing_fairness(1) and not vec.is_missing_outcome(1)
     with pytest.raises(NoSamples):
         pooled_fairness_estimate(ref, arms, 0, 0.5, div.d_ssp, "ssp")
     with pytest.raises(ValueError):

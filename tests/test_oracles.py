@@ -1,4 +1,4 @@
-"""Exact and Monte Carlo ground-truth oracles against independent brute force."""
+"""Exact ground-truth oracles against independent brute force and Monte Carlo references."""
 
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from faircb.oracles import (
     exact_fairness,
     exact_outcome_mean,
     marginal_rows,
-    mc_fairness,
-    mc_outcome_mean,
     oracle_report,
 )
 
@@ -26,6 +24,8 @@ from helpers import (
     brute_fairness,
     brute_mean,
     chain_model,
+    mc_fairness,
+    mc_outcome_mean,
     random_instance,
     side_child_model,
 )
@@ -168,15 +168,3 @@ def test_oracle_report_rejects_a_bad_fairness_tolerance(eps):
     model, arms = chain_model()
     with pytest.raises(ValueError, match="fairness_eps"):
         oracle_report(Instance(model=model, arms=arms), fairness_eps=eps)
-
-
-def test_oracle_report_mc_mode():
-    model, arms = chain_model()
-    inst = Instance(model=model, arms=arms)
-    report = oracle_report(inst, fairness_eps=0.2, mode="mc", draws=50_000,
-                           rng=np.random.default_rng(3))
-    assert report["mode"] == "mc"
-    assert report["fair"] == [0, 2]
-    assert report["best_fair"] == 2
-    with pytest.raises(ValueError):
-        oracle_report(inst, fairness_eps=0.2, mode="approx")

@@ -180,34 +180,49 @@ def _cmd_divergence(args) -> int:
     return EXIT_OK
 
 
-def _cost_row(where: str, value) -> np.ndarray:
-    """One per-arm cost row of a costs file: a number or a list of numbers."""
-    if not all(map(_is_number, value if isinstance(value, list) else [value])):
-        raise ValueError(f"{where} must be a number or a list of numbers, got {json.dumps(value)}")
+def _cost_row(where: str, value, k: int) -> np.ndarray:
+    """One per-arm cost row of a costs file: a list of ``k`` numbers."""
+    if not (isinstance(value, list) and len(value) == k and all(map(_is_number, value))):
+        raise ValueError(f"{where} must be a list of {k} numbers, got {json.dumps(value)}")
     return np.asarray(value, dtype=float)
 
 
+def _cutoff_matrices(paths) -> list[np.ndarray]:
+    """The ``M``, ``D_ssp`` and ``D_sps`` files: K x K each, every entry finite and positive.
+
+    Entries below one are allowed, since a Monte Carlo ``M`` can dip there.
+    """
+    mats = [np.loadtxt(path, delimiter=",", ndmin=2) for path in paths]
+    k = mats[0].shape[0]
+    for path, mat in zip(paths, mats):
+        if mat.shape != (k, k):
+            rows, cols = mat.shape
+            raise ValueError(f"{path}: expected a {k} x {k} matrix, got {rows} x {cols}")
+        if not np.all(np.isfinite(mat) & (mat > 0.0)):
+            raise ValueError(f"{path}: every entry must be finite and positive")
+    return mats
+
+
 def _cmd_allocate(args) -> int:
-    m = np.loadtxt(args.m, delimiter=",", ndmin=2)
-    dssp = np.loadtxt(args.dssp, delimiter=",", ndmin=2)
-    dsps = np.loadtxt(args.dsps, delimiter=",", ndmin=2)
+    m, dssp, dsps = _cutoff_matrices((args.m, args.dssp, args.dsps))
     spend = json.loads(Path(args.costs).read_text())
     if not isinstance(spend, dict):
         raise ValueError(f"{args.costs}: the costs file must be a JSON object")
     missing = [key for key in _COST_KEYS if key not in spend]
     if missing:
         raise ValueError(f"{args.costs}: missing {', '.join(missing)}")
-    costs = np.vstack([_cost_row(f"{args.costs}: {key}", spend[key]) for key in _COST_KEYS])
+    k = m.shape[0]
+    costs = np.vstack([_cost_row(f"{args.costs}: {key}", spend[key], k) for key in _COST_KEYS])
     budget = args.budget if args.budget is not None else spend.get("budget")
     if budget is None:
         raise ValueError("no budget: pass --budget or store one in the costs file")
     budget = _typed(f"{args.costs}: budget", budget, float)
     active = (
-        tuple(int(k) for k in args.active.split(","))
+        tuple(int(arm) for arm in args.active.split(","))
         if args.active
-        else tuple(range(m.shape[0]))
+        else tuple(range(k))
     )
-    extra = (cheap_arm_cap(m.shape[0], 0, args.cheap_arm_cap),) if args.cheap_arm_cap else ()
+    extra = (cheap_arm_cap(k, 0, args.cheap_arm_cap),) if args.cheap_arm_cap else ()
     div = DivergenceSet(m=m, d_ssp=dssp, d_sps=dsps)
     problem = build_problem(div, costs, float(budget), active, extra_constraints=extra)
     allocation = solve_maxmin(problem)

@@ -189,7 +189,8 @@ class DivergenceSet:
         m = np.ones((k, k), dtype=float)
         for j, arm in enumerate(arms):
             batch = sample_batch(model, arm, Regime.OBSERVATIONAL, draws, rng)
-            m[:, j] = _outcome_cutoff(-np.log(batch.n), transport_weight(batch, tables, tables[j]))
+            w = transport_weight(batch.cells.take(batch.cell), tables, tables[j])
+            m[:, j] = _outcome_cutoff(-np.log(batch.n), w)
         np.fill_diagonal(m, 1.0)
         d = np.zeros((len(_DIRECTIONS), k, k), dtype=float)
         for out, direction in zip(d, _DIRECTIONS):
@@ -197,7 +198,7 @@ class DivergenceSet:
                 parts = []
                 for regime in (Regime.FORCE_S, Regime.FORCE_SPRIME):
                     b = sample_batch(model, arm, regime, draws, rng)
-                    u = counterfactual_weight(b, arm.table, tables, direction)
+                    u = counterfactual_weight(b.cells.take(b.cell), arm.table, tables, direction)
                     parts.append(_logsumexp(np.abs(u)) - np.log(b.n))
                 out[i] = np.logaddexp(*parts)
         return cls(m=m, d_ssp=d[0], d_sps=d[1])

@@ -8,14 +8,14 @@ fall below one (outcome) or ``ln 2`` (fairness), so every kept term is bounded
 by ``2 ln(2 / eps)`` after its ``1 / M`` or ``1 / D`` factor.
 
 A pull enters the estimates only through its cell (``sampling`` documents the
-cell code), so the pool keeps counts, not pulls: one int64 vector of
-``n_cells`` counts per (source arm, regime), 3K * ``n_cells`` words in all,
-plus one copy of the six pull fields per cell.  Each source block weighs its
-occupied cells once against every target and dots the kept weights with
-``count * y``, so a phase costs O(K * occupied cells) per source block, the
-same at any horizon and for any number of pooled phases.  A cell's fields are
-copied from its pulls, so its weights and clip masks are bit for bit those of
-each of its pulls; only the order of the summation differs.
+cell code and the model's ``Cells`` table), so the pool keeps counts, not
+pulls: one int64 vector of ``n_cells`` counts per (source arm, regime), 3K *
+``n_cells`` words in all, and a reference to the table.  Each source block
+weighs its occupied cells once against every target and dots the kept
+weights with ``count * y``, so a phase costs O(K * occupied cells) per source
+block, the same at any horizon and for any number of pooled phases.  A cell's
+fields are bit for bit those of each of its pulls, so are its weights and
+clip masks; only the order of the summation differs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .divergence import DivergenceSet
 from .model import REGIMES, Regime
-from .sampling import PULL_FIELDS, BatchSamples, counterfactual_weight, transport_weight
+from .sampling import BatchSamples, Cells, counterfactual_weight, transport_weight
 
 __all__ = [
     "SamplePool",
@@ -42,24 +42,16 @@ class SamplePool:
     def __init__(self, n_arms: int):
         self.n_arms = n_arms
         self._counts: dict[tuple[int, Regime], np.ndarray] = {}
-        self._fields: dict[str, np.ndarray] = {}
-        self._seen: np.ndarray | None = None
+        self._cells: Cells | None = None
 
     def add(self, batch: BatchSamples) -> None:
         if batch.n == 0:
             return
         if not 0 <= batch.arm < self.n_arms:
             raise ValueError(f"arm index {batch.arm} out of range")
-        if self._seen is None:
-            self._seen = np.zeros(batch.n_cells, dtype=bool)
-            self._fields = {f: np.zeros(batch.n_cells, getattr(batch, f).dtype) for f in PULL_FIELDS}
-        hits = np.bincount(batch.cell, minlength=batch.n_cells)
-        fresh = (hits > 0) & ~self._seen
-        if fresh.any():
-            for f in PULL_FIELDS:
-                self._fields[f][batch.cell] = getattr(batch, f)
-            self._seen |= fresh
+        self._cells = batch.cells
         key = (batch.arm, batch.regime)
+        hits = np.bincount(batch.cell, minlength=batch.n_cells)
         self._counts[key] = self._counts.get(key, 0) + hits
 
     def count(self, arm: int, regime: Regime) -> int:
@@ -69,21 +61,14 @@ class SamplePool:
     def counts(self, regime: Regime) -> np.ndarray:
         return np.array([self.count(j, regime) for j in range(self.n_arms)], dtype=np.int64)
 
-    def cells(self, arm: int, regime: Regime) -> tuple[BatchSamples, np.ndarray] | None:
-        """One pull per occupied cell of ``arm`` under ``regime`` and the cell counts,
+    def cells(self, arm: int, regime: Regime) -> tuple[Cells, np.ndarray] | None:
+        """The fields and counts of the occupied cells of ``arm`` under ``regime``,
         or None when there are no pulls."""
         counts = self._counts.get((arm, regime))
         if counts is None:
             return None
         occupied = np.flatnonzero(counts)
-        cells = BatchSamples(
-            arm=arm,
-            regime=regime,
-            cell=occupied,
-            n_cells=counts.shape[0],
-            **{f: self._fields[f][occupied] for f in PULL_FIELDS},
-        )
-        return cells, counts[occupied]
+        return self._cells.take(occupied), counts[occupied]
 
 
 @dataclass

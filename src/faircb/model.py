@@ -287,7 +287,10 @@ def validate_model(model: CausalModel, arms: Sequence[Arm] = ()) -> ValidationRe
 
     v = model.intervention
     n_rows_v, card_v = model.n_rows(v), model.cards[v]
-    for arm in arms:
+    for position, arm in enumerate(arms):
+        # Samplers pull arms by position and pools credit pulls to ``index``.
+        if arm.index != position:
+            problems.append(f"arm {arm.index}: index differs from its position {position}")
         problems.extend(_row_problems(f"arm {arm.index}", arm.table, n_rows_v, card_v))
         for c in (arm.cost_pull, arm.cost_force_s, arm.cost_force_sprime):
             if c < 0:

@@ -1,4 +1,4 @@
-"""Ancestral sampling under an arm and a regime, plus the per-pull importance weights.
+"""Ancestral sampling under an arm and a regime, per-cell pull fields, and importance weights.
 
 A batch reads only Y, S, V and V's parents, and the children of S with
 their parents.  The *sampled* nodes are the ancestral closure of those;
@@ -20,15 +20,19 @@ nodes*: V's parents, V and Y, then each child of S other than V followed by
 its parents, each node once at its first place in that list.  ``cell`` is the
 row-major mixed-radix code of those values (the first read node varies
 slowest), so the plan's ``n_cells`` is the product of their cardinalities and
-every pull field is a function of the cell alone.  A model whose ``n_cells``
-exceeds ``oracles.enumeration_cap()`` raises ``EnumerationTooLarge`` on its
-first batch, which bounds the per-cell pools of the estimators.
+every pull field is a function of the cell alone.  The plan decodes each code
+into its fields once per model, a ``Cells`` table of six ``n_cells`` vectors;
+a batch carries its pulls' cell codes and that table, and
+``batch.cells.take(batch.cell)`` gives its fields pull by pull.  A model whose
+``n_cells`` exceeds ``oracles.enumeration_cap()`` raises
+``EnumerationTooLarge`` on its first batch, which bounds the table and the
+per-cell counts of the estimators.
 
 ``transport_weight`` and ``counterfactual_weight`` are the one place that
-turns a block of pulls into weights; the estimators and the Monte Carlo
-divergences read pulls through them.  Both broadcast over leading table
-axes, so a ``(K, rows, card)`` stack of arm tables yields the weights of
-every pull against K arms at once.
+turns pull fields into weights: the estimators feed them the occupied cells,
+the Monte Carlo divergences the fields of each pull.  Both broadcast over
+leading table axes, so a ``(K, rows, card)`` stack of arm tables yields the
+weights of every entry against K arms at once.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .model import Arm, CausalModel, Regime, S_VALUE, SPRIME_VALUE
 from .oracles import enumeration_cap
 
 __all__ = [
+    "Cells",
     "BatchSamples",
     "sample_batch",
     "make_sampler",
@@ -52,37 +57,53 @@ __all__ = [
 ]
 
 
-@dataclass
-class BatchSamples:
-    """A packed block of pulls from one arm under one regime.
+@dataclass(frozen=True)
+class Cells:
+    """The six pull fields of each of a model's cells, indexed by cell code.
 
-    ``v_row`` indexes the realized parent assignment of the intervention node
-    into the arm tables; ``v_row_s`` and ``v_row_sp`` are the same assignment
-    with the S slot forced to s and s' (all three coincide when S is not a
-    parent of the intervention node).  ``child_ratio`` carries the product over
-    the non intervention children of S of ``P(x | pa, s) / P(x | pa, s')`` at
-    the realized values.  ``cell`` is each pull's code among the model's
-    ``n_cells`` cells (see the module docstring).
+    ``y`` is the encoded outcome.  ``v_row`` indexes the parent assignment of
+    the intervention node into the arm tables and ``v_val`` is its value;
+    ``v_row_s`` and ``v_row_sp`` are the same assignment with the S slot
+    forced to s and s' (all three coincide when S is not a parent of the
+    intervention node).  ``child_ratio`` is the product over the non
+    intervention children of S of ``P(x | pa, s) / P(x | pa, s')`` at the
+    cell's values.  ``take(codes)`` holds the fields of the cells ``codes``,
+    so ``batch.cells.take(batch.cell)`` gives the fields of every pull.
     """
 
-    arm: int
-    regime: Regime
     y: np.ndarray
     v_row: np.ndarray
     v_val: np.ndarray
     v_row_s: np.ndarray
     v_row_sp: np.ndarray
     child_ratio: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        return int(self.y.shape[0])
+
+    def take(self, codes: np.ndarray) -> "Cells":
+        return Cells(self.y[codes], self.v_row[codes], self.v_val[codes],
+                     self.v_row_s[codes], self.v_row_sp[codes], self.child_ratio[codes])
+
+
+@dataclass
+class BatchSamples:
+    """A block of pulls from one arm under one regime: each pull's cell code
+    (see the module docstring) and the table of the model's cells."""
+
+    arm: int
+    regime: Regime
     cell: np.ndarray
-    n_cells: int
+    cells: Cells
 
     @property
     def n(self) -> int:
-        return int(self.y.shape[0])
+        return int(self.cell.shape[0])
 
-
-# The per-pull fields the weights and the estimators read; each is a function of the cell.
-PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
+    @property
+    def n_cells(self) -> int:
+        return self.cells.n_cells
 
 
 def _categorical_rows(table: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -106,14 +127,13 @@ class _Step:
 @dataclass(frozen=True)
 class _Plan:
     """The sampled nodes in topological order, the barren nodes after the last,
-    and the mixed-radix cell code over the read nodes."""
+    the mixed-radix cell code over the read nodes and the table of its cells."""
 
     steps: tuple[_Step, ...]
     trailing: int
-    strides: dict[str, tuple[int, ...]]
     cell_nodes: tuple[str, ...]
     cell_strides: tuple[int, ...]
-    n_cells: int
+    cells: Cells
 
 
 def _cell_code(model: CausalModel) -> tuple[tuple[str, ...], tuple[int, ...], int]:
@@ -133,6 +153,43 @@ def _cell_code(model: CausalModel) -> tuple[tuple[str, ...], tuple[int, ...], in
     return nodes, strides, n_cells
 
 
+def _decode_cells(
+    model: CausalModel, nodes: Sequence[str], strides: Sequence[int], n_cells: int
+) -> Cells:
+    """The pull fields of every cell code ``0 .. n_cells - 1``, from its read-node values.
+
+    The arithmetic is elementwise, so a cell's fields are bit for bit those of
+    any pull in it.  A cell no pull can reach may hold an inf or NaN ratio.
+    """
+    codes = np.arange(n_cells, dtype=np.int64)
+    values = {x: codes // st % model.cards[x] for x, st in zip(nodes, strides)}
+    v, s = model.intervention, model.sensitive
+
+    ps = model.parents[v]
+    v_strides = model.row_strides(v)
+    v_row_s = v_row_sp = v_row = _rows(values, ps, v_strides, n_cells)
+    if s in ps:
+        s_stride = v_strides[ps.index(s)]
+        base = v_row - values[s] * s_stride
+        v_row_s = base + S_VALUE * s_stride
+        v_row_sp = base + SPRIME_VALUE * s_stride
+
+    child_ratio = np.ones(n_cells, dtype=float)
+    for x in model.children(s):
+        if x == v:
+            continue
+        xps, x_strides = model.parents[x], model.row_strides(x)
+        s_stride = x_strides[xps.index(s)]
+        base = _rows(values, xps, x_strides, n_cells) - values[s] * s_stride
+        cpt, xv = model.cpts[x], values[x]
+        num, den = cpt[base + S_VALUE * s_stride, xv], cpt[base + SPRIME_VALUE * s_stride, xv]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            child_ratio *= num / den
+
+    y = model.target_values[values[model.target]]
+    return Cells(y, v_row, values[v], v_row_s, v_row_sp, child_ratio)
+
+
 def _plan(model: CausalModel) -> _Plan:
     """The sampling plan of ``model``, built on first use and cached on the model."""
     if model._sample_plan is not None:
@@ -147,9 +204,9 @@ def _plan(model: CausalModel) -> _Plan:
             continue
         steps.append(_Step(barren, node, model.parents[node], model.row_strides(node)))
         barren = 0
-    model._sample_plan = _Plan(
-        tuple(steps), barren, {st.node: st.strides for st in steps}, *_cell_code(model)
-    )
+    nodes, strides, n_cells = _cell_code(model)
+    cells = _decode_cells(model, nodes, strides, n_cells)
+    model._sample_plan = _Plan(tuple(steps), barren, nodes, strides, cells)
     return model._sample_plan
 
 
@@ -188,56 +245,6 @@ def _draw_values(
     return values
 
 
-def _pack(
-    model: CausalModel,
-    arm: Arm,
-    regime: Regime,
-    values: dict[str, np.ndarray],
-) -> BatchSamples:
-    n = values[model.target].shape[0]
-    v = model.intervention
-    s = model.sensitive
-    plan = _plan(model)
-    strides = plan.strides
-
-    ps = model.parents[v]
-    v_row = _rows(values, ps, strides[v], n)
-    if s in ps:
-        s_stride = strides[v][ps.index(s)]
-        base = v_row - values[s] * s_stride
-        v_row_s = base + S_VALUE * s_stride
-        v_row_sp = base + SPRIME_VALUE * s_stride
-    else:
-        v_row_s = v_row
-        v_row_sp = v_row
-
-    child_ratio = np.ones(n, dtype=float)
-    for x in model.children(s):
-        if x == v:
-            continue
-        xps = model.parents[x]
-        rows = _rows(values, xps, strides[x], n)
-        s_stride = strides[x][xps.index(s)]
-        base = rows - values[s] * s_stride
-        cpt = model.cpts[x]
-        xv = values[x]
-        child_ratio *= cpt[base + S_VALUE * s_stride, xv] / cpt[base + SPRIME_VALUE * s_stride, xv]
-
-    y = model.target_values[values[model.target]]
-    return BatchSamples(
-        arm=arm.index,
-        regime=regime,
-        y=y,
-        v_row=v_row,
-        v_val=values[v].astype(np.int64),
-        v_row_s=v_row_s,
-        v_row_sp=v_row_sp,
-        child_ratio=child_ratio,
-        cell=_rows(values, plan.cell_nodes, plan.cell_strides, n),
-        n_cells=plan.n_cells,
-    )
-
-
 def sample_batch(
     model: CausalModel,
     arm: Arm,
@@ -247,7 +254,9 @@ def sample_batch(
 ) -> BatchSamples:
     """Draw ``n`` pulls of ``arm`` under ``regime``."""
     values = _draw_values(model, arm, regime, n, rng)
-    return _pack(model, arm, regime, values)
+    plan = _plan(model)
+    cell = _rows(values, plan.cell_nodes, plan.cell_strides, n)
+    return BatchSamples(arm=arm.index, regime=regime, cell=cell, cells=plan.cells)
 
 
 def make_sampler(
@@ -261,32 +270,32 @@ def make_sampler(
     return pull
 
 
-def transport_weight(batch: BatchSamples, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """``P_target(v | pa) / P_source(v | pa)`` at every pull of ``batch``.
+def transport_weight(cells: Cells, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """``P_target(v | pa) / P_source(v | pa)`` at every entry of ``cells``.
 
     ``targets`` and ``sources`` are intervention tables or stacks of them;
-    their leading axes broadcast, and the pulls run along the last axis.
+    their leading axes broadcast, and the entries run along the last axis.
     """
-    return targets[..., batch.v_row, batch.v_val] / sources[..., batch.v_row, batch.v_val]
+    return targets[..., cells.v_row, cells.v_val] / sources[..., cells.v_row, cells.v_val]
 
 
 def counterfactual_weight(
-    batch: BatchSamples, targets: np.ndarray, sources: np.ndarray, direction: str
+    cells: Cells, targets: np.ndarray, sources: np.ndarray, direction: str
 ) -> np.ndarray:
     """Signed weight ``w * (ratio - 1)`` whose mean over forced pulls is the counterfactual gap.
 
     ``w`` is the transport weight and ``ratio`` the product over the children
     of S of ``P(x | pa, s) / P(x | pa, s')`` under the target, inverted for
     ``"sps"``.  ``"ssp"`` (counterfactual s, evidence s') reads pulls forced to
-    s', ``"sps"`` pulls forced to s; the caller supplies the matching batch.
+    s', ``"sps"`` pulls forced to s; the caller supplies matching cells.
     """
     if direction not in ("ssp", "sps"):
         raise ValueError(f"unknown direction {direction!r}")
     ratio = (
-        batch.child_ratio
-        * targets[..., batch.v_row_s, batch.v_val]
-        / targets[..., batch.v_row_sp, batch.v_val]
+        cells.child_ratio
+        * targets[..., cells.v_row_s, cells.v_val]
+        / targets[..., cells.v_row_sp, cells.v_val]
     )
     if direction == "sps":
         ratio = 1.0 / ratio
-    return transport_weight(batch, targets, sources) * (ratio - 1.0)
+    return transport_weight(cells, targets, sources) * (ratio - 1.0)

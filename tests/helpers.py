@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import logsumexp
@@ -24,7 +24,7 @@ from scipy.special import logsumexp
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError
 from faircb.model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
-from faircb.sampling import PULL_FIELDS, BatchSamples, counterfactual_weight, sample_batch
+from faircb.sampling import BatchSamples, Cells, counterfactual_weight, sample_batch
 from faircb.oracles import (
     attribute_ratio_values,
     direction_values,
@@ -332,7 +332,7 @@ def empirical_quantile_gamma(
 def mc_outcome_mean(model: CausalModel, arm: Arm, draws: int, rng: np.random.Generator) -> float:
     """Monte Carlo estimate of the arm mean from observational pulls."""
     batch = sample_batch(model, arm, Regime.OBSERVATIONAL, draws, rng)
-    return float(batch.y.mean())
+    return float(batch.cells.take(batch.cell).y.mean())
 
 
 def mc_fairness(
@@ -341,7 +341,8 @@ def mc_fairness(
     """Monte Carlo estimate of the counterfactual gap from forced pulls of the arm itself."""
     regime = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
     batch = sample_batch(model, arm, regime, draws, rng)
-    return float((batch.y * counterfactual_weight(batch, arm.table, arm.table, direction)).mean())
+    pulls = batch.cells.take(batch.cell)
+    return float((pulls.y * counterfactual_weight(pulls, arm.table, arm.table, direction)).mean())
 
 
 def maxmin_vertex_value(problem, feas_tol: float = 1e-7) -> float | None:
@@ -534,30 +535,44 @@ def sample(model: CausalModel, arm: Arm, regime: Regime, rng: np.random.Generato
     )
 
 
-def as_batch(samples: list[Sample]) -> BatchSamples:
-    """Pack pulls of one arm under one regime into a batch."""
-    return BatchSamples(
+@dataclass(frozen=True)
+class Pulls:
+    """A block of pulls of one arm under one regime, field by field: each
+    pull's cell code among ``n_cells`` and its six pull fields."""
+
+    arm: int
+    regime: Regime
+    cell: np.ndarray
+    n_cells: int
+    fields: Cells
+
+
+def as_pulls(samples: list[Sample]) -> Pulls:
+    """Pack single pulls of one arm under one regime into a block."""
+    return Pulls(
         arm=samples[0].arm,
         regime=samples[0].regime,
-        y=np.array([s.outcome for s in samples]),
-        v_row=np.array([s.v_row for s in samples]),
-        v_val=np.array([s.v_value for s in samples]),
-        v_row_s=np.array([s.v_row_s for s in samples]),
-        v_row_sp=np.array([s.v_row_sp for s in samples]),
-        child_ratio=np.array([s.child_ratio for s in samples]),
         cell=np.array([s.cell for s in samples], dtype=np.int64),
         n_cells=samples[0].n_cells,
+        fields=Cells(
+            y=np.array([s.outcome for s in samples]),
+            v_row=np.array([s.v_row for s in samples]),
+            v_val=np.array([s.v_value for s in samples]),
+            v_row_s=np.array([s.v_row_s for s in samples]),
+            v_row_sp=np.array([s.v_row_sp for s in samples]),
+            child_ratio=np.array([s.child_ratio for s in samples]),
+        ),
     )
 
 
 def reference_sample_batch(
     model: CausalModel, arm: Arm, regime: Regime, n: int, rng: np.random.Generator
-) -> BatchSamples:
+) -> Pulls:
     """``n`` pulls by a walk over every node in topological order, barren ones included.
 
     Each unforced node draws its ``n`` uniforms when the walk reaches it;
-    ``sample_batch`` must return the same batch and leave ``rng`` in the same
-    state.
+    ``sample_batch`` must return the same cell codes, with the same fields,
+    and leave ``rng`` in the same state.
     """
     values: dict[str, np.ndarray] = {}
     forced = regime.forced_value
@@ -593,17 +608,19 @@ def reference_sample_batch(
         cpt, xv = model.cpts[x], values[x]
         child_ratio *= cpt[base + S_VALUE * s_stride, xv] / cpt[base + SPRIME_VALUE * s_stride, xv]
     cell, n_cells = reference_cell_code(model, values)
-    return BatchSamples(
+    return Pulls(
         arm=arm.index,
         regime=regime,
-        y=model.target_values[values[model.target]],
-        v_row=v_row,
-        v_val=values[v].astype(np.int64),
-        v_row_s=v_row_s,
-        v_row_sp=v_row_sp,
-        child_ratio=child_ratio,
         cell=np.asarray(cell, dtype=np.int64),
         n_cells=n_cells,
+        fields=Cells(
+            y=model.target_values[values[model.target]],
+            v_row=v_row,
+            v_val=values[v].astype(np.int64),
+            v_row_s=v_row_s,
+            v_row_sp=v_row_sp,
+            child_ratio=child_ratio,
+        ),
     )
 
 
@@ -621,22 +638,14 @@ class ReferencePool:
             raise ValueError(f"arm index {batch.arm} out of range")
         self._blocks.setdefault((batch.arm, batch.regime), []).append(batch)
 
-    def packed(self, arm: int, regime: Regime) -> BatchSamples | None:
-        """Every pull of ``arm`` under ``regime`` as one block, or None when there are none."""
+    def packed(self, arm: int, regime: Regime) -> Cells | None:
+        """The fields of every pull of ``arm`` under ``regime``, pull by pull,
+        or None when there are none."""
         blocks = self._blocks.get((arm, regime))
         if not blocks:
             return None
-        return BatchSamples(
-            arm=arm,
-            regime=regime,
-            cell=np.concatenate([b.cell for b in blocks]),
-            n_cells=blocks[0].n_cells,
-            **{f: np.concatenate([getattr(b, f) for b in blocks]) for f in PULL_FIELDS},
-        )
-
-
-def add_sample(pool, sample: Sample) -> None:
-    pool.add(as_batch([sample]))
+        pulls = [b.cells.take(b.cell) for b in blocks]
+        return Cells(*(np.concatenate([getattr(p, f.name) for p in pulls]) for f in fields(Cells)))
 
 
 def importance_weight_outcome(sample: Sample, from_arm: Arm, to_arm: Arm) -> float:

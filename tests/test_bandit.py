@@ -25,6 +25,7 @@ from faircb.divergence import DivergenceSet
 from faircb.errors import Infeasible
 from faircb.estimation import EstimateVector
 from faircb.model import Arm, Instance
+from faircb.netgen import build_network_experiment, liver_network
 from faircb.oracles import oracle_report
 from faircb.sampling import make_sampler
 from faircb.sweep import ALGORITHMS, run_algorithm
@@ -410,6 +411,34 @@ def test_seeded_traces_are_pinned(fixture, algorithm):
                 np.testing.assert_allclose(
                     getattr(last, name), pinned[name], rtol=0.0, atol=1e-12, err_msg=name
                 )
+
+
+# sha256 prefixes of every phase's tau_* and estimate arrays' bytes, seeded
+# runs on the liver experiment (3 arms, T=2000): barren nodes and a
+# multi-parent cell code, which the fixtures above lack.
+LIVER_PHASE_PINS = {
+    "csr-v1/0": "966335d44859889d",
+    "csr-v1/1": "b8da0d935b7da49f",
+    "csr-v1/2": "5137077576e45ab6",
+    "ts-v2/0": "28181c1e0df2b9fe",
+    "ts-v2/1": "2f6e2a2a585ece55",
+    "ts-v2/2": "0b336ce20370d329",
+}
+
+
+def test_liver_phase_arrays_are_pinned():
+    instance = build_network_experiment(
+        liver_network(), "fibrosis", "sex", "carcinoma", n_arms=3, seed=0, fairness_eps=0.2
+    )
+    for key, pinned in LIVER_PHASE_PINS.items():
+        algorithm, seed = key.split("/")
+        trace = run_algorithm(instance, algorithm, 2000, np.random.default_rng(int(seed)), budget=1.0)
+        h = hashlib.sha256()
+        for p in trace.phases:
+            a, e = p.allocation, p.estimates
+            for arr in (a.tau_y, a.tau_s, a.tau_sp, e.y, e.zeta_ssp, e.zeta_sps):
+                h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest()[:16] == pinned, key
 
 
 def count_solves(monkeypatch) -> list:

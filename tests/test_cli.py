@@ -373,6 +373,52 @@ def test_allocate_infeasible_budget(tmp_path, instance_file):
     assert code == 3
 
 
+# (file, content) of one defective input, against 2 x 2 cutoff matrices and costs.
+ALLOCATE_DEFECTS = {
+    "negative entry": ("m", "1,-2\n2,1\n"),
+    "zero entry": ("dssp", "1,0\n1,1\n"),
+    "NaN entry": ("dsps", "1,nan\n1,1\n"),
+    "shape mismatch": ("dssp", "1,1,1\n1,1,1\n1,1,1\n"),
+    "number as cost row": ("costs", json.dumps({
+        "cost_pull": 1.0, "cost_force_s": [1.0, 1.0], "cost_force_sprime": [1.0, 1.0],
+    })),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(ALLOCATE_DEFECTS))
+def test_allocate_rejects_bad_input_files(tmp_path, capsys, defect):
+    files = {
+        "m": "1,2\n2,1\n",
+        "dssp": "1,1\n1,1\n",
+        "dsps": "1,1\n1,1\n",
+        "costs": json.dumps({key: [1.0, 1.0] for key in cli_mod._COST_KEYS}),
+    }
+    broken, content = ALLOCATE_DEFECTS[defect]
+    files[broken] = content
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code = main([
+        "allocate", "--m", str(paths["m"]), "--dssp", str(paths["dssp"]),
+        "--dsps", str(paths["dsps"]), "--costs", str(paths["costs"]), "--budget", "1.0",
+    ])
+    assert code == 2
+    assert str(paths[broken]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("indices", [[1, 0, 2], [0, 7, 2]])
+def test_run_rejects_arm_indices_out_of_position(tmp_path, instance_file, capsys, indices):
+    payload = json.loads(Path(instance_file).read_text())
+    for arm, index in zip(payload["arms"], indices):
+        arm["index"] = index
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(payload))
+    code = main(["run", "--instance", str(path), "--algo", "csr-v2", "--T", "400"])
+    assert code == 2
+    assert "index differs from its position" in capsys.readouterr().err
+
+
 def test_run_with_trace(tmp_path, instance_file):
     out = tmp_path / "run.json"
     trace = tmp_path / "trace.jsonl"

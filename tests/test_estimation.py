@@ -13,19 +13,17 @@ from faircb.divergence import DivergenceSet
 from faircb.estimation import SamplePool, estimate_all
 from faircb.model import Arm, CausalModel, Regime
 from faircb.oracles import exact_fairness, exact_outcome_mean
-from faircb.sampling import BatchSamples, sample_batch
+from faircb.sampling import BatchSamples, Cells, sample_batch
 
 from helpers import (
     NoSamples,
     ReferencePool,
-    add_sample,
     chain_model,
     clipped_fairness_expectation,
     clipped_outcome_expectation,
     pooled_fairness_estimate,
     pooled_outcome_estimate,
     random_instance,
-    sample,
     side_child_model,
 )
 
@@ -50,14 +48,14 @@ def test_pool_bookkeeping():
     pool.add(sample_batch(model, arms[0], Regime.OBSERVATIONAL, 7, rng))
     pool.add(sample_batch(model, arms[0], Regime.OBSERVATIONAL, 5, rng))
     pool.add(sample_batch(model, arms[2], Regime.FORCE_S, 4, rng))
-    add_sample(pool, sample(model, arms[1], Regime.FORCE_SPRIME, rng))
+    pool.add(sample_batch(model, arms[1], Regime.FORCE_SPRIME, 1, rng))
     assert pool.count(0, Regime.OBSERVATIONAL) == 12
     assert pool.count(2, Regime.FORCE_S) == 4
     np.testing.assert_array_equal(pool.counts(Regime.OBSERVATIONAL), [12, 0, 0])
     np.testing.assert_array_equal(pool.counts(Regime.FORCE_SPRIME), [0, 1, 0])
     cells, counts = pool.cells(0, Regime.OBSERVATIONAL)
     assert counts.sum() == 12 and np.all(counts > 0)
-    assert cells.n == counts.shape[0] <= cells.n_cells
+    assert cells.n_cells == counts.shape[0] <= 12  # the chain model has 12 cells
     assert pool.cells(1, Regime.OBSERVATIONAL) is None
     # Zero-length batches are dropped silently; foreign arm indices are not.
     pool.add(sample_batch(model, arms[1], Regime.OBSERVATIONAL, 0, rng))
@@ -115,7 +113,7 @@ def test_cell_pool_matches_per_pull_reference(seed):
         ref.add(batch)
     for regime in Regime:
         np.testing.assert_array_equal(pool.counts(regime), [
-            0 if ref.packed(j, regime) is None else ref.packed(j, regime).n
+            0 if ref.packed(j, regime) is None else ref.packed(j, regime).y.shape[0]
             for j in range(len(arms))
         ])
     for eps in EPS_GRID:
@@ -260,14 +258,15 @@ def test_clipping_drops_oversized_weights():
         BatchSamples(
             arm=0,
             regime=Regime.OBSERVATIONAL,
-            y=np.array([1.0]),
-            v_row=np.array([0]),
-            v_val=np.array([0]),
-            v_row_s=np.array([0]),
-            v_row_sp=np.array([0]),
-            child_ratio=np.array([1.0]),
             cell=np.array([0]),
-            n_cells=8,
+            cells=Cells(
+                y=np.array([1.0]),
+                v_row=np.array([0]),
+                v_val=np.array([0]),
+                v_row_s=np.array([0]),
+                v_row_sp=np.array([0]),
+                child_ratio=np.array([1.0]),
+            ),
         )
     )
     wide = pooled_outcome_estimate(pool, arms, 1, 0.5, div.m)

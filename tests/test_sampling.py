@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faircb.sampling as sampling
 from faircb.errors import EnumerationTooLarge
-from faircb.model import Arm, CausalModel, Regime
+from faircb.model import Arm, CausalModel, Instance, Regime
 from faircb.netgen import build_network_experiment, liver_network
 from faircb.sampling import (
     counterfactual_weight,
@@ -16,12 +17,13 @@ from faircb.sampling import (
     sample_batch,
     transport_weight,
 )
+from faircb.sweep import run_algorithm
 
 from helpers import (
     Sample,
     WrongRegime,
     ZeroDenominator,
-    as_batch,
+    as_pulls,
     chain_model,
     importance_weight_fairness,
     importance_weight_outcome,
@@ -31,7 +33,16 @@ from helpers import (
     side_child_model,
 )
 
-_PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio", "cell")
+_PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
+
+
+def assert_same_pulls(batch, ref) -> None:
+    """``batch`` holds the cell codes and, cell by cell, the pull fields of the reference ``ref``."""
+    assert (batch.arm, batch.regime, batch.n_cells) == (ref.arm, ref.regime, ref.n_cells)
+    np.testing.assert_array_equal(batch.cell, ref.cell, err_msg="cell")
+    pulls = batch.cells.take(batch.cell)
+    for name in _PULL_FIELDS:
+        np.testing.assert_array_equal(getattr(pulls, name), getattr(ref.fields, name), err_msg=name)
 
 
 def detached_v_model():
@@ -83,42 +94,47 @@ def test_batch_shapes_and_ranges():
     assert batch.n == 500
     assert batch.arm == 1
     assert batch.regime is Regime.OBSERVATIONAL
-    for field in (batch.y, batch.v_row, batch.v_val, batch.v_row_s, batch.v_row_sp, batch.child_ratio):
+    pulls = batch.cells.take(batch.cell)
+    for field in (pulls.y, pulls.v_row, pulls.v_val, pulls.v_row_s, pulls.v_row_sp, pulls.child_ratio):
         assert field.shape == (500,)
-    assert set(np.unique(batch.v_val)) <= {0, 1, 2}
-    assert set(np.unique(batch.v_row)) <= {0, 1}
-    np.testing.assert_array_equal(batch.v_row_s, 0)
-    np.testing.assert_array_equal(batch.v_row_sp, 1)
+    assert set(np.unique(pulls.v_val)) <= {0, 1, 2}
+    assert set(np.unique(pulls.v_row)) <= {0, 1}
+    np.testing.assert_array_equal(pulls.v_row_s, 0)
+    np.testing.assert_array_equal(pulls.v_row_sp, 1)
     # V is the only child of S here, so no residual child ratio remains.
-    np.testing.assert_array_equal(batch.child_ratio, 1.0)
+    np.testing.assert_array_equal(pulls.child_ratio, 1.0)
 
 
 def test_rows_collapse_when_sensitive_not_a_parent():
     model, arms = detached_v_model()
     batch = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 200, np.random.default_rng(1))
-    np.testing.assert_array_equal(batch.v_row, 0)
-    np.testing.assert_array_equal(batch.v_row_s, batch.v_row)
-    np.testing.assert_array_equal(batch.v_row_sp, batch.v_row)
+    pulls = batch.cells.take(batch.cell)
+    np.testing.assert_array_equal(pulls.v_row, 0)
+    np.testing.assert_array_equal(pulls.v_row_s, pulls.v_row)
+    np.testing.assert_array_equal(pulls.v_row_sp, pulls.v_row)
     # Y is a non intervention child of S: the packed ratio is P(y|s,v)/P(y|s',v).
-    assert not np.allclose(batch.child_ratio, 1.0)
-    assert np.all(batch.child_ratio > 0)
+    assert not np.allclose(pulls.child_ratio, 1.0)
+    assert np.all(pulls.child_ratio > 0)
 
 
 def test_empirical_frequencies():
     model, arms = chain_model()
     rng = np.random.default_rng(42)
     batch = sample_batch(model, arms[0], Regime.OBSERVATIONAL, 20_000, rng)
+    pulls = batch.cells.take(batch.cell)
     # v_row realizes S, so its frequencies recover P(S); y recovers the arm mean.
-    assert batch.v_row.mean() == pytest.approx(0.6, abs=0.015)
-    assert batch.y.mean() == pytest.approx(0.508, abs=0.015)
+    assert pulls.v_row.mean() == pytest.approx(0.6, abs=0.015)
+    assert pulls.y.mean() == pytest.approx(0.508, abs=0.015)
 
 
 def test_forced_regimes_clamp_sensitive():
     model, arms = chain_model()
     rng = np.random.default_rng(3)
-    forced_s = sample_batch(model, arms[0], Regime.FORCE_S, 300, rng)
+    batch = sample_batch(model, arms[0], Regime.FORCE_S, 300, rng)
+    forced_s = batch.cells.take(batch.cell)
     np.testing.assert_array_equal(forced_s.v_row, forced_s.v_row_s)
-    forced_sp = sample_batch(model, arms[0], Regime.FORCE_SPRIME, 300, rng)
+    batch = sample_batch(model, arms[0], Regime.FORCE_SPRIME, 300, rng)
+    forced_sp = batch.cells.take(batch.cell)
     np.testing.assert_array_equal(forced_sp.v_row, forced_sp.v_row_sp)
     assert sample(model, arms[0], Regime.FORCE_S, rng).s_value == 0
     assert sample(model, arms[0], Regime.FORCE_SPRIME, rng).s_value == 1
@@ -141,8 +157,9 @@ def test_sampling_is_deterministic_per_seed():
     model, arms = chain_model()
     a = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 100, np.random.default_rng(5))
     b = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 100, np.random.default_rng(5))
-    np.testing.assert_array_equal(a.y, b.y)
-    np.testing.assert_array_equal(a.v_val, b.v_val)
+    np.testing.assert_array_equal(a.cell, b.cell)
+    np.testing.assert_array_equal(a.cells.take(a.cell).y, b.cells.take(b.cell).y)
+    np.testing.assert_array_equal(a.cells.take(a.cell).v_val, b.cells.take(b.cell).v_val)
 
 
 def test_make_sampler_binds_arms():
@@ -162,8 +179,9 @@ def test_outcome_weight_identity_and_transport():
     assert importance_weight_outcome(smp, arms[1], arms[0]) == pytest.approx(expected, rel=1e-12)
     # Reweighted pulls of arm 1 recover the mean of arm 2 in expectation.
     batch = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 50_000, rng)
-    w = arms[2].table[batch.v_row, batch.v_val] / arms[1].table[batch.v_row, batch.v_val]
-    assert (batch.y * w).mean() == pytest.approx(8.0 / 15.0, abs=0.03)
+    pulls = batch.cells.take(batch.cell)
+    w = arms[2].table[pulls.v_row, pulls.v_val] / arms[1].table[pulls.v_row, pulls.v_val]
+    assert (pulls.y * w).mean() == pytest.approx(8.0 / 15.0, abs=0.03)
 
 
 def test_fairness_weight_value_and_mean():
@@ -175,8 +193,9 @@ def test_fairness_weight_value_and_mean():
         ratio - 1.0, rel=1e-12
     )
     batch = sample_batch(model, arms[1], Regime.FORCE_SPRIME, 50_000, rng)
-    r = arms[1].table[batch.v_row_s, batch.v_val] / arms[1].table[batch.v_row_sp, batch.v_val]
-    assert (batch.y * (r - 1.0)).mean() == pytest.approx(-0.35, abs=0.03)
+    pulls = batch.cells.take(batch.cell)
+    r = arms[1].table[pulls.v_row_s, pulls.v_val] / arms[1].table[pulls.v_row_sp, pulls.v_val]
+    assert (pulls.y * (r - 1.0)).mean() == pytest.approx(-0.35, abs=0.03)
 
 
 def test_fairness_weight_regime_guard():
@@ -197,7 +216,7 @@ def test_fairness_weight_regime_guard():
     with pytest.raises(ValueError):
         importance_weight_fairness(forced_sp, arms[0], arms[0], "spsp")
     with pytest.raises(ValueError):
-        counterfactual_weight(as_batch([forced_sp]), arms[0].table, arms[0].table, "spsp")
+        counterfactual_weight(as_pulls([forced_sp]).fields, arms[0].table, arms[0].table, "spsp")
 
 
 def test_zero_denominator_errors():
@@ -229,15 +248,16 @@ def test_batch_invariants_on_random_instances(seed):
     model = inst.model
     for regime in Regime:
         batch = sample_batch(model, inst.arms[-1], regime, 64, rng)
-        assert np.all(np.isfinite(batch.child_ratio)) and np.all(batch.child_ratio > 0)
-        assert np.all((batch.y >= 0.0) & (batch.y <= 1.0))
-        on_row = np.where(batch.v_row == batch.v_row_s, True, batch.v_row == batch.v_row_sp)
+        pulls = batch.cells.take(batch.cell)
+        assert np.all(np.isfinite(pulls.child_ratio)) and np.all(pulls.child_ratio > 0)
+        assert np.all((pulls.y >= 0.0) & (pulls.y <= 1.0))
+        on_row = np.where(pulls.v_row == pulls.v_row_s, True, pulls.v_row == pulls.v_row_sp)
         if regime is Regime.OBSERVATIONAL:
             assert np.all(on_row)
         elif regime is Regime.FORCE_S:
-            np.testing.assert_array_equal(batch.v_row, batch.v_row_s)
+            np.testing.assert_array_equal(pulls.v_row, pulls.v_row_s)
         else:
-            np.testing.assert_array_equal(batch.v_row, batch.v_row_sp)
+            np.testing.assert_array_equal(pulls.v_row, pulls.v_row_sp)
 
 
 @settings(max_examples=20, deadline=None)
@@ -254,13 +274,11 @@ def test_weight_kernel_matches_scalar_references(seed):
             # The batched sampler and the single-pull reference agree draw for draw.
             draw_seed = int(rng.integers(2**32))
             one = sample_batch(model, arm, regime, 1, np.random.default_rng(draw_seed))
-            ref = as_batch([sample(model, arm, regime, np.random.default_rng(draw_seed))])
-            assert one.n_cells == ref.n_cells
-            for name in _PULL_FIELDS:
-                np.testing.assert_array_equal(getattr(one, name), getattr(ref, name), err_msg=name)
+            ref = as_pulls([sample(model, arm, regime, np.random.default_rng(draw_seed))])
+            assert_same_pulls(one, ref)
 
             pulls = [sample(model, arm, regime, rng) for _ in range(12)]
-            batch = as_batch(pulls)
+            batch = as_pulls(pulls).fields
             w = transport_weight(batch, targets, sources)
             expected = [
                 [[importance_weight_outcome(p, src, tgt) for p in pulls] for src in arms]
@@ -312,11 +330,9 @@ def barren_model():
 def assert_same_stream(model, arm, regime, n, seed):
     """``sample_batch`` and the full walk agree on the batch and on the draws after it."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = sample_batch(model, arm, regime, n, rng)
-    ref = reference_sample_batch(model, arm, regime, n, ref_rng)
-    assert (batch.arm, batch.regime, batch.n_cells) == (ref.arm, ref.regime, ref.n_cells)
-    for name in _PULL_FIELDS:
-        np.testing.assert_array_equal(getattr(batch, name), getattr(ref, name), err_msg=name)
+    assert_same_pulls(
+        sample_batch(model, arm, regime, n, rng), reference_sample_batch(model, arm, regime, n, ref_rng)
+    )
     np.testing.assert_array_equal(rng.random(5), ref_rng.random(5))
 
 
@@ -352,10 +368,11 @@ def test_cell_code_covers_the_read_nodes():
     assert batch.n_cells == 16
     assert batch.cell.min() >= 0 and batch.cell.max() < 16
     # Every pull field is a function of the cell.
+    pulls = batch.cells.take(batch.cell)
     for code in np.unique(batch.cell):
         at = batch.cell == code
         for name in _PULL_FIELDS:
-            assert np.unique(getattr(batch, name)[at]).shape == (1,), name
+            assert np.unique(getattr(pulls, name)[at]).shape == (1,), name
     # The read nodes of the liver network span 384 cells.
     liver = build_network_experiment(
         liver_network(), "fibrosis", "sex", "carcinoma", n_arms=2, seed=0, fairness_eps=0.2
@@ -371,3 +388,24 @@ def test_cell_count_above_the_enumeration_cap_raises(monkeypatch):
     monkeypatch.setenv("FCB_ENUM_CAP", "12")
     model, arms = chain_model()
     assert sample_batch(model, arms[0], Regime.OBSERVATIONAL, 3, np.random.default_rng(0)).n_cells == 12
+
+
+def test_cell_table_is_decoded_once_per_model(monkeypatch):
+    decode = sampling._decode_cells
+    decoded = []
+
+    def counted(model, *args):
+        decoded.append(model)
+        return decode(model, *args)
+
+    monkeypatch.setattr(sampling, "_decode_cells", counted)
+    model, arms = chain_model()
+    instance = Instance(model=model, arms=tuple(arms))
+    # csr-v1 pools each phase apart, csr-v2 pools them all; both read the one table.
+    traces = [
+        run_algorithm(instance, algorithm, 20_000, np.random.default_rng(0), budget=1.0,
+                      fairness_eps=0.2)
+        for algorithm in ("csr-v1", "csr-v2")
+    ]
+    assert sum(len(trace.phases) for trace in traces) > 2
+    assert len(decoded) == 1 and decoded[0] is model

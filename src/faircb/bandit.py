@@ -52,8 +52,8 @@ import numpy as np
 from .allocation import Allocation, build_problem, costs_from_arms, round_counts, solve_maxmin
 from .divergence import DivergenceSet
 from .estimation import EstimateVector, SamplePool, estimate_all
-from .model import REGIMES, Arm, Regime, check_fairness_eps
-from .sampling import BatchSamples
+from .model import REGIMES, Arm, check_fairness_eps
+from .sampling import BatchSamples, Block
 
 __all__ = [
     "MIN_T_CSR",
@@ -69,7 +69,7 @@ __all__ = [
     "bound_report",
 ]
 
-Sampler = Callable[[int, Regime, int, np.random.Generator], BatchSamples]
+Sampler = Callable[[Sequence[Block], np.random.Generator], BatchSamples]
 
 # Smallest budgets with a phase schedule: one for ``run_csr``, one per stage
 # for ``run_two_stage``.
@@ -232,18 +232,22 @@ def _pull_phase(
     costs: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[int, float]:
-    """Execute the rounded counts; returns (samples, cost) spent."""
+    """Execute the rounded counts in one sampler call; returns (samples, cost) spent.
+
+    The blocks run arm by arm, then in ``REGIMES`` order, skipping zero counts.
+    """
     counts = (allocation.tau_y, allocation.tau_s, allocation.tau_sp)
-    samples = 0
+    blocks = []
     cost = 0.0
     for j in range(costs.shape[1]):
         for row, regime in enumerate(REGIMES):
             cnt = int(counts[row][j])
             if cnt > 0:
-                pool.add(sampler(j, regime, cnt, rng))
-                samples += cnt
+                blocks.append((j, regime, cnt))
                 cost += costs[row, j] * cnt
-    return samples, cost
+    if blocks:
+        pool.add(sampler(blocks, rng))
+    return sum(n for _, _, n in blocks), cost
 
 
 # Bounds of the allocation memo: instances kept, and solved problems per instance.

@@ -180,6 +180,17 @@ def _cmd_divergence(args) -> int:
     return EXIT_OK
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The comma separated integers given to ``flag``."""
+    out = []
+    for entry in text.split(","):
+        try:
+            out.append(int(entry))
+        except ValueError:
+            raise ValueError(f"{flag}: {entry!r} is not an integer") from None
+    return out
+
+
 def _cost_row(where: str, value, k: int) -> np.ndarray:
     """One per-arm cost row of a costs file: a list of ``k`` numbers."""
     if not (isinstance(value, list) and len(value) == k and all(map(_is_number, value))):
@@ -217,11 +228,7 @@ def _cmd_allocate(args) -> int:
     if budget is None:
         raise ValueError("no budget: pass --budget or store one in the costs file")
     budget = _typed(f"{args.costs}: budget", budget, float)
-    active = (
-        tuple(int(arm) for arm in args.active.split(","))
-        if args.active
-        else tuple(range(k))
-    )
+    active = tuple(_int_list("--active", args.active)) if args.active else tuple(range(k))
     extra = (cheap_arm_cap(k, 0, args.cheap_arm_cap),) if args.cheap_arm_cap else ()
     div = DivergenceSet(m=m, d_ssp=dssp, d_sps=dsps)
     problem = build_problem(div, costs, float(budget), active, extra_constraints=extra)
@@ -299,7 +306,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     instance = _load_checked(args.instance)
-    budgets = [int(b) for b in args.budgets.split(",")]
+    budgets = _int_list("--budgets", args.budgets)
     algorithms = tuple(args.algos.split(",")) if args.algos else ALGORITHMS
     curve = run_sweep(
         instance,

@@ -10,7 +10,9 @@ by ``2 ln(2 / eps)`` after its ``1 / M`` or ``1 / D`` factor.
 A pull enters the estimates only through its cell (``sampling`` documents the
 cell code and the model's ``Cells`` table), so the pool keeps counts, not
 pulls: one int64 vector of ``n_cells`` counts per (source arm, regime), 3K *
-``n_cells`` words in all, and a reference to the table.  Each source block
+``n_cells`` words in all, and a reference to the table.  ``add`` counts a
+whole batch, every block of a phase, in one ``bincount`` over
+``block * n_cells + cell``.  Each source block
 weighs its occupied cells once against every target and dots the kept
 weights with ``count * y``, so a phase costs O(K * occupied cells) per source
 block, the same at any horizon and for any number of pooled phases.  A cell's
@@ -45,14 +47,21 @@ class SamplePool:
         self._cells: Cells | None = None
 
     def add(self, batch: BatchSamples) -> None:
+        """Count the pulls of every block of ``batch``, in one ``bincount``."""
         if batch.n == 0:
             return
-        if not 0 <= batch.arm < self.n_arms:
-            raise ValueError(f"arm index {batch.arm} out of range")
+        for arm, _, _ in batch.blocks:
+            if not 0 <= arm < self.n_arms:
+                raise ValueError(f"arm index {arm} out of range")
         self._cells = batch.cells
-        key = (batch.arm, batch.regime)
-        hits = np.bincount(batch.cell, minlength=batch.n_cells)
-        self._counts[key] = self._counts.get(key, 0) + hits
+        sizes = [n for _, _, n in batch.blocks]
+        width = batch.n_cells
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        hits = np.bincount(block * width + batch.cell, minlength=len(sizes) * width)
+        for (arm, regime, n), counts in zip(batch.blocks, hits.reshape(len(sizes), width)):
+            if n:
+                key = (arm, regime)
+                self._counts[key] = self._counts.get(key, 0) + counts
 
     def count(self, arm: int, regime: Regime) -> int:
         counts = self._counts.get((arm, regime))

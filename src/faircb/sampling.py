@@ -1,19 +1,27 @@
 """Ancestral sampling under an arm and a regime, per-cell pull fields, and importance weights.
 
-A batch reads only Y, S, V and V's parents, and the children of S with
-their parents.  The *sampled* nodes are the ancestral closure of those;
-every other node is *barren*: nothing downstream of the batch depends on
-it, so it is never drawn.  Each model carries a plan, built on its first
-batch: the sampled nodes in topological order, each with its parents and
-row strides, and the number of barren nodes before it and after the last.
+A batch is a sequence of *blocks* ``(arm, regime, n)``, drawn in order; the
+bandit loop draws a whole phase, arm by arm and regime by regime, in one
+``sample_batch`` call.  A pull reads only Y, S, V and V's parents, and the
+children of S with their parents.  The *sampled* nodes are the ancestral
+closure of those; every other node is *barren*: nothing downstream of the
+batch depends on it, so it is never drawn.  Each model carries a plan, built
+on its first batch: the sampled nodes in topological order, each with its
+parents, row strides and table cumulated along each row.  The arms' tables
+are cumulated once per ``make_sampler`` into an ``ArmTables`` stack, from
+which the intervention node reads each pull's own arm.  Cumulating a whole
+table gives the same bits as cumulating its gathered rows.
 
-Stream contract: a batch of ``n`` pulls consumes exactly the uniforms of a
-walk over every node in topological order, ``n`` per node except a forced
-S.  A run of ``r`` consecutive barren nodes takes its ``n * r`` uniforms in
-one ``rng.random`` call whose values are dropped; a ``Generator`` fills
-doubles in sequence, so the sampled nodes, and every later draw from the
-same generator, see the same numbers as under the full walk.  S is always
-sampled, even when childless, since a forced S draws nothing.
+Stream contract: block after block, in the order given, a block of ``n``
+pulls consumes exactly the uniforms of a walk over every node in
+topological order, ``n`` per node except a forced S, node after node.  Each
+block takes them in one ``rng.random`` call and keeps the rows of the
+sampled nodes, dropping those of the barren ones; a ``Generator`` fills
+doubles in sequence, so every pull, and every later draw from the same
+generator, sees the same numbers as under one full walk per block.  A
+sequence of blocks is thus drawn exactly as by one batch per block in the
+same order.  S is always sampled, even when childless, since a forced S
+draws nothing.
 
 Cell code: the estimators read a pull only through the values of its *read
 nodes*: V's parents, V and Y, then each child of S other than V followed by
@@ -49,7 +57,9 @@ from .oracles import enumeration_cap
 
 __all__ = [
     "Cells",
+    "Block",
     "BatchSamples",
+    "ArmTables",
     "sample_batch",
     "make_sampler",
     "transport_weight",
@@ -87,13 +97,17 @@ class Cells:
                      self.v_row_s[codes], self.v_row_sp[codes], self.child_ratio[codes])
 
 
+Block = tuple[int, Regime, int]
+"""``(arm, regime, n)``: ``n`` pulls of one arm under one regime."""
+
+
 @dataclass
 class BatchSamples:
-    """A block of pulls from one arm under one regime: each pull's cell code
-    (see the module docstring) and the table of the model's cells."""
+    """Pulls drawn in blocks: ``blocks[b]`` is ``(arm index, regime, n)`` in draw
+    order, ``cell`` holds every pull's cell code (see the module docstring),
+    block after block, and ``cells`` is the table of the model's cells."""
 
-    arm: int
-    regime: Regime
+    blocks: tuple[Block, ...]
     cell: np.ndarray
     cells: Cells
 
@@ -106,31 +120,42 @@ class BatchSamples:
         return self.cells.n_cells
 
 
-def _categorical_rows(table: np.ndarray, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one value per entry of ``rows`` from the categorical rows of ``table``."""
-    cum = np.cumsum(table[rows], axis=1)
-    u = rng.random(rows.shape[0])
-    vals = (u[:, None] > cum).sum(axis=1)
-    return np.minimum(vals, table.shape[1] - 1)
+@dataclass(frozen=True)
+class ArmTables:
+    """Arms as the sampler reads them: each arm's pool index, and the
+    ``(K, rows, card)`` stack of their tables cumulated along each row."""
+
+    index: tuple[int, ...]
+    cum: np.ndarray
+
+    @classmethod
+    def of(cls, arms: Sequence[Arm]) -> "ArmTables":
+        cum = np.cumsum(np.stack([arm.table for arm in arms]), axis=2)
+        return cls(tuple(arm.index for arm in arms), cum)
 
 
 @dataclass(frozen=True)
 class _Step:
-    """Draw ``node`` from its table after skipping the uniforms of ``barren`` nodes."""
+    """Draw ``node`` from ``cum``, its table cumulated along each row (None for
+    the intervention node, which reads the pull's arm), at its parents' row."""
 
-    barren: int
     node: str
     parents: tuple[str, ...]
     strides: tuple[int, ...]
+    cum: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """The sampled nodes in topological order, the barren nodes after the last,
-    the mixed-radix cell code over the read nodes and the table of its cells."""
+    """The sampled nodes in topological order; where each one's uniforms sit in
+    a block's walk over all ``walk`` nodes (``walk - 1`` with S forced, S's
+    own entry then a placeholder); the mixed-radix cell code over the read
+    nodes and the table of its cells."""
 
     steps: tuple[_Step, ...]
-    trailing: int
+    walk: int
+    rows: np.ndarray
+    rows_forced: np.ndarray
     cell_nodes: tuple[str, ...]
     cell_strides: tuple[int, ...]
     cells: Cells
@@ -194,19 +219,21 @@ def _plan(model: CausalModel) -> _Plan:
     """The sampling plan of ``model``, built on first use and cached on the model."""
     if model._sample_plan is not None:
         return model._sample_plan
-    s = model.sensitive
-    sampled = set(model.ancestors({s, model.intervention, model.target, *model.children(s)}))
-    steps = []
-    barren = 0
-    for node in model.topological_order():
-        if node not in sampled:
-            barren += 1
-            continue
-        steps.append(_Step(barren, node, model.parents[node], model.row_strides(node)))
-        barren = 0
+    s, v = model.sensitive, model.intervention
+    sampled = set(model.ancestors({s, v, model.target, *model.children(s)}))
+    order = model.topological_order()
+    steps = tuple(
+        _Step(node, model.parents[node], model.row_strides(node),
+              None if node == v else np.cumsum(model.cpts[node], axis=1))
+        for node in order if node in sampled
+    )
+    rows = np.array([order.index(step.node) for step in steps], dtype=np.int64)
+    at_s = order.index(s)
+    rows_forced = np.where(rows > at_s, rows - 1, rows)
+    rows_forced[rows == at_s] = 0
     nodes, strides, n_cells = _cell_code(model)
     cells = _decode_cells(model, nodes, strides, n_cells)
-    model._sample_plan = _Plan(tuple(steps), barren, nodes, strides, cells)
+    model._sample_plan = _Plan(steps, len(order), rows, rows_forced, nodes, strides, cells)
     return model._sample_plan
 
 
@@ -220,52 +247,54 @@ def _rows(
     return rows
 
 
-def _draw_values(
-    model: CausalModel,
-    arm: Arm,
-    regime: Regime,
-    n: int,
-    rng: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    """Values of the sampled nodes; each barren node still uses up its ``n`` uniforms."""
-    values: dict[str, np.ndarray] = {}
-    forced = regime.forced_value
-    plan = _plan(model)
-    for step in plan.steps:
-        if step.barren:
-            rng.random(n * step.barren)
-        node = step.node
-        if node == model.sensitive and forced is not None:
-            values[node] = np.full(n, forced, dtype=np.int64)
-            continue
-        table = arm.table if node == model.intervention else model.cpts[node]
-        values[node] = _categorical_rows(table, _rows(values, step.parents, step.strides, n), rng)
-    if plan.trailing:
-        rng.random(n * plan.trailing)
-    return values
-
-
 def sample_batch(
     model: CausalModel,
-    arm: Arm,
-    regime: Regime,
-    n: int,
+    arms: ArmTables,
+    blocks: Sequence[Block],
     rng: np.random.Generator,
 ) -> BatchSamples:
-    """Draw ``n`` pulls of ``arm`` under ``regime``."""
-    values = _draw_values(model, arm, regime, n, rng)
+    """Draw each block ``(j, regime, n)``: ``n`` pulls of the ``j``-th arm under ``regime``.
+
+    Each block takes the uniforms of its full walk in one ``rng.random`` call
+    and keeps the rows of the sampled nodes; one walk over the sampled nodes
+    then draws every pull of every block.
+    """
     plan = _plan(model)
-    cell = _rows(values, plan.cell_nodes, plan.cell_strides, n)
-    return BatchSamples(arm=arm.index, regime=regime, cell=cell, cells=plan.cells)
+    sizes = [n for _, _, n in blocks]
+    total = sum(sizes)
+    u = np.empty((len(plan.steps), total))
+    s_forced = np.full(total, -1, dtype=np.int64)
+    start = 0
+    for (_, regime, n), stop in zip(blocks, np.cumsum(sizes).tolist()):
+        forced = regime.forced_value
+        keep, width = (plan.rows, plan.walk) if forced is None else (plan.rows_forced, plan.walk - 1)
+        u[:, start:stop] = rng.random(n * width).reshape(width, n)[keep]
+        if forced is not None:
+            s_forced[start:stop] = forced
+        start = stop
+    arm = np.repeat(np.array([j for j, _, _ in blocks], dtype=np.int64), sizes)
+    values: dict[str, np.ndarray] = {}
+    for draws, step in zip(u, plan.steps):
+        rows = _rows(values, step.parents, step.strides, total)
+        cum = arms.cum[arm, rows] if step.cum is None else step.cum[rows]
+        vals = np.minimum((draws[:, None] > cum).sum(axis=1), cum.shape[1] - 1)
+        if step.node == model.sensitive:
+            vals = np.where(s_forced < 0, vals, s_forced)
+        values[step.node] = vals
+    cell = _rows(values, plan.cell_nodes, plan.cell_strides, total)
+    drawn = tuple((arms.index[j], regime, n) for j, regime, n in blocks)
+    return BatchSamples(blocks=drawn, cell=cell, cells=plan.cells)
 
 
 def make_sampler(
     model: CausalModel, arms: Sequence[Arm]
-) -> Callable[[int, Regime, int, np.random.Generator], BatchSamples]:
-    """Bind a model and arms into the pull interface the bandit loop consumes."""
+) -> Callable[[Sequence[Block], np.random.Generator], BatchSamples]:
+    """Bind a model and arms into the pull interface the bandit loop consumes:
+    one ``sample_batch`` call per sequence of blocks."""
+    tables = ArmTables.of(arms)
 
-    def pull(arm_index: int, regime: Regime, n: int, rng: np.random.Generator) -> BatchSamples:
-        return sample_batch(model, arms[arm_index], regime, n, rng)
+    def pull(blocks: Sequence[Block], rng: np.random.Generator) -> BatchSamples:
+        return sample_batch(model, tables, blocks, rng)
 
     return pull
 

@@ -24,7 +24,7 @@ from scipy.special import logsumexp
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError
 from faircb.model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
-from faircb.sampling import BatchSamples, Cells, counterfactual_weight, sample_batch
+from faircb.sampling import ArmTables, BatchSamples, Cells, counterfactual_weight, sample_batch
 from faircb.oracles import (
     attribute_ratio_values,
     direction_values,
@@ -329,9 +329,16 @@ def empirical_quantile_gamma(
     return _min_tail_quantile(weights, probs, eps / 2.0)
 
 
+def sample_block(
+    model: CausalModel, arm: Arm, regime: Regime, n: int, rng: np.random.Generator
+) -> BatchSamples:
+    """``n`` pulls of ``arm`` under ``regime``: ``sample_batch`` with one block."""
+    return sample_batch(model, ArmTables.of([arm]), [(0, regime, n)], rng)
+
+
 def mc_outcome_mean(model: CausalModel, arm: Arm, draws: int, rng: np.random.Generator) -> float:
     """Monte Carlo estimate of the arm mean from observational pulls."""
-    batch = sample_batch(model, arm, Regime.OBSERVATIONAL, draws, rng)
+    batch = sample_block(model, arm, Regime.OBSERVATIONAL, draws, rng)
     return float(batch.cells.take(batch.cell).y.mean())
 
 
@@ -340,7 +347,7 @@ def mc_fairness(
 ) -> float:
     """Monte Carlo estimate of the counterfactual gap from forced pulls of the arm itself."""
     regime = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
-    batch = sample_batch(model, arm, regime, draws, rng)
+    batch = sample_block(model, arm, regime, draws, rng)
     pulls = batch.cells.take(batch.cell)
     return float((pulls.y * counterfactual_weight(pulls, arm.table, arm.table, direction)).mean())
 
@@ -629,22 +636,24 @@ class ReferencePool:
 
     def __init__(self, n_arms: int):
         self.n_arms = n_arms
-        self._blocks: dict[tuple[int, Regime], list[BatchSamples]] = {}
+        self._blocks: dict[tuple[int, Regime], list[Cells]] = {}
 
     def add(self, batch: BatchSamples) -> None:
-        if batch.n == 0:
-            return
-        if not 0 <= batch.arm < self.n_arms:
-            raise ValueError(f"arm index {batch.arm} out of range")
-        self._blocks.setdefault((batch.arm, batch.regime), []).append(batch)
+        start = 0
+        for arm, regime, n in batch.blocks:
+            if not 0 <= arm < self.n_arms:
+                raise ValueError(f"arm index {arm} out of range")
+            if n:
+                cell = batch.cell[start : start + n]
+                self._blocks.setdefault((arm, regime), []).append(batch.cells.take(cell))
+            start += n
 
     def packed(self, arm: int, regime: Regime) -> Cells | None:
         """The fields of every pull of ``arm`` under ``regime``, pull by pull,
         or None when there are none."""
-        blocks = self._blocks.get((arm, regime))
-        if not blocks:
+        pulls = self._blocks.get((arm, regime))
+        if not pulls:
             return None
-        pulls = [b.cells.take(b.cell) for b in blocks]
         return Cells(*(np.concatenate([getattr(p, f.name) for p in pulls]) for f in fields(Cells)))
 
 

@@ -23,7 +23,6 @@ from faircb.errors import Infeasible
 from faircb.model import Regime, validate_model
 from faircb.netgen import build_network_experiment, liver_network, network_states
 from faircb.oracles import exact_fairness, exact_outcome_mean, oracle_report
-from faircb.sampling import sample_batch
 from faircb.sweep import ALGORITHMS, error_curve_to_csv, run_algorithm, run_sweep
 from faircb.synth import SyntheticConfig, generate_synthetic
 
@@ -38,6 +37,7 @@ from helpers import (
     pooled_fairness_estimate,
     pooled_outcome_estimate,
     random_instance,
+    sample_block,
 )
 
 EPS_GRID = (1.0, 0.5, 0.25, 0.125)
@@ -170,8 +170,8 @@ def test_acceptance_04_concentration_bound():
     for _ in range(reps):
         pool = ReferencePool(K)
         for j, arm in enumerate(arms):
-            pool.add(sample_batch(model, arm, Regime.OBSERVATIONAL, counts[j], rng))
-            pool.add(sample_batch(model, arm, Regime.FORCE_SPRIME, counts[j], rng))
+            pool.add(sample_block(model, arm, Regime.OBSERVATIONAL, counts[j], rng))
+            pool.add(sample_block(model, arm, Regime.FORCE_SPRIME, counts[j], rng))
         for k in range(K):
             y_hat = pooled_outcome_estimate(pool, arms, k, eps, div.m)
             z_hat = pooled_fairness_estimate(pool, arms, k, eps, div.d_ssp, "ssp")

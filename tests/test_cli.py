@@ -407,6 +407,20 @@ def test_allocate_rejects_bad_input_files(tmp_path, capsys, defect):
     assert str(paths[broken]) in capsys.readouterr().err
 
 
+def test_allocate_names_a_non_integer_active_entry(tmp_path, capsys):
+    paths = {}
+    for name, text in {"m": "1,2\n2,1\n", "d": "1,1\n1,1\n",
+                       "costs": json.dumps({key: [1.0, 1.0] for key in cli_mod._COST_KEYS})}.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code = main([
+        "allocate", "--m", str(paths["m"]), "--dssp", str(paths["d"]), "--dsps", str(paths["d"]),
+        "--costs", str(paths["costs"]), "--budget", "1.0", "--active", "a,1",
+    ])
+    assert code == 2
+    assert "--active: 'a' is not an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("indices", [[1, 0, 2], [0, 7, 2]])
 def test_run_rejects_arm_indices_out_of_position(tmp_path, instance_file, capsys, indices):
     payload = json.loads(Path(instance_file).read_text())
@@ -469,7 +483,8 @@ def test_sweep_cli(tmp_path, instance_file, capsys):
     "flags, message",
     [(["--budgets", "200", "--runs", "0"], "runs must be >= 1"),
      (["--budgets", "2", "--runs", "1"], "needs budgets >= 4"),
-     (["--budgets", "200", "--runs", "1", "--width", "0"], "width must be >= 1")],
+     (["--budgets", "200", "--runs", "1", "--width", "0"], "width must be >= 1"),
+     (["--budgets", "1000,x", "--runs", "1"], "--budgets: 'x' is not an integer")],
 )
 def test_sweep_cli_rejects_bad_input(tmp_path, instance_file, capsys, flags, message):
     out_csv = tmp_path / "curve.csv"

@@ -13,7 +13,7 @@ from faircb.divergence import DivergenceSet
 from faircb.estimation import SamplePool, estimate_all
 from faircb.model import Arm, CausalModel, Regime
 from faircb.oracles import exact_fairness, exact_outcome_mean
-from faircb.sampling import BatchSamples, Cells, sample_batch
+from faircb.sampling import BatchSamples, Cells
 
 from helpers import (
     NoSamples,
@@ -24,6 +24,7 @@ from helpers import (
     pooled_fairness_estimate,
     pooled_outcome_estimate,
     random_instance,
+    sample_block,
     side_child_model,
 )
 
@@ -35,7 +36,7 @@ def fill_pools(model, arms, per_regime, rng) -> tuple[SamplePool, ReferencePool]
     pool, ref = SamplePool(len(arms)), ReferencePool(len(arms))
     for arm in arms:
         for regime in Regime:
-            batch = sample_batch(model, arm, regime, per_regime, rng)
+            batch = sample_block(model, arm, regime, per_regime, rng)
             pool.add(batch)
             ref.add(batch)
     return pool, ref
@@ -45,10 +46,10 @@ def test_pool_bookkeeping():
     model, arms = chain_model()
     rng = np.random.default_rng(0)
     pool = SamplePool(3)
-    pool.add(sample_batch(model, arms[0], Regime.OBSERVATIONAL, 7, rng))
-    pool.add(sample_batch(model, arms[0], Regime.OBSERVATIONAL, 5, rng))
-    pool.add(sample_batch(model, arms[2], Regime.FORCE_S, 4, rng))
-    pool.add(sample_batch(model, arms[1], Regime.FORCE_SPRIME, 1, rng))
+    pool.add(sample_block(model, arms[0], Regime.OBSERVATIONAL, 7, rng))
+    pool.add(sample_block(model, arms[0], Regime.OBSERVATIONAL, 5, rng))
+    pool.add(sample_block(model, arms[2], Regime.FORCE_S, 4, rng))
+    pool.add(sample_block(model, arms[1], Regime.FORCE_SPRIME, 1, rng))
     assert pool.count(0, Regime.OBSERVATIONAL) == 12
     assert pool.count(2, Regime.FORCE_S) == 4
     np.testing.assert_array_equal(pool.counts(Regime.OBSERVATIONAL), [12, 0, 0])
@@ -58,10 +59,10 @@ def test_pool_bookkeeping():
     assert cells.n_cells == counts.shape[0] <= 12  # the chain model has 12 cells
     assert pool.cells(1, Regime.OBSERVATIONAL) is None
     # Zero-length batches are dropped silently; foreign arm indices are not.
-    pool.add(sample_batch(model, arms[1], Regime.OBSERVATIONAL, 0, rng))
+    pool.add(sample_block(model, arms[1], Regime.OBSERVATIONAL, 0, rng))
     assert pool.count(1, Regime.OBSERVATIONAL) == 0
-    bad = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 3, rng)
-    bad.arm = 9
+    bad = sample_block(model, arms[1], Regime.OBSERVATIONAL, 3, rng)
+    bad.blocks = ((9, Regime.OBSERVATIONAL, 3),)
     with pytest.raises(ValueError):
         pool.add(bad)
 
@@ -108,7 +109,7 @@ def test_cell_pool_matches_per_pull_reference(seed):
     arm, regime = blocks[int(rng.integers(len(blocks)))]
     adds += [(arm, regime, 1), (arm, regime, 0), (arm, regime, 12)]
     for arm, regime, n in adds:
-        batch = sample_batch(model, arm, regime, n, rng)
+        batch = sample_block(model, arm, regime, n, rng)
         pool.add(batch)
         ref.add(batch)
     for regime in Regime:
@@ -210,7 +211,7 @@ def test_missing_estimates_are_nan():
     with pytest.raises(NoSamples):
         pooled_outcome_estimate(ref, arms, 0, 0.5, div.m)
     rng = np.random.default_rng(3)
-    batch = sample_batch(model, arms[0], Regime.OBSERVATIONAL, 50, rng)
+    batch = sample_block(model, arms[0], Regime.OBSERVATIONAL, 50, rng)
     pool.add(batch)
     ref.add(batch)
     vec = estimate_all(pool, arms, 0.5, div)
@@ -221,7 +222,7 @@ def test_missing_estimates_are_nan():
         pooled_fairness_estimate(ref, arms, 0, 0.5, div.d_ssp, "ssp")
     with pytest.raises(ValueError):
         pooled_fairness_estimate(ref, arms, 0, 0.5, div.d_ssp, "spsp")
-    pool.add(sample_batch(model, arms[1], Regime.FORCE_SPRIME, 50, rng))
+    pool.add(sample_block(model, arms[1], Regime.FORCE_SPRIME, 50, rng))
     vec = estimate_all(pool, arms, 0.5, div)
     assert np.all(np.isfinite(vec.zeta_ssp)) and np.all(np.isnan(vec.zeta_sps))
 
@@ -256,8 +257,7 @@ def test_clipping_drops_oversized_weights():
         # One hand-built pull of arm 0 at v = 0 with y = 1: the transported
         # weight onto arm 1 is 0.9 / 0.1 = 9.
         BatchSamples(
-            arm=0,
-            regime=Regime.OBSERVATIONAL,
+            blocks=((0, Regime.OBSERVATIONAL, 1),),
             cell=np.array([0]),
             cells=Cells(
                 y=np.array([1.0]),

@@ -12,6 +12,7 @@ from faircb.errors import EnumerationTooLarge
 from faircb.model import Arm, CausalModel, Instance, Regime
 from faircb.netgen import build_network_experiment, liver_network
 from faircb.sampling import (
+    ArmTables,
     counterfactual_weight,
     make_sampler,
     sample_batch,
@@ -30,6 +31,7 @@ from helpers import (
     random_instance,
     reference_sample_batch,
     sample,
+    sample_block,
     side_child_model,
 )
 
@@ -38,7 +40,8 @@ _PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
 
 def assert_same_pulls(batch, ref) -> None:
     """``batch`` holds the cell codes and, cell by cell, the pull fields of the reference ``ref``."""
-    assert (batch.arm, batch.regime, batch.n_cells) == (ref.arm, ref.regime, ref.n_cells)
+    assert batch.blocks == ((ref.arm, ref.regime, ref.cell.shape[0]),)
+    assert batch.n_cells == ref.n_cells
     np.testing.assert_array_equal(batch.cell, ref.cell, err_msg="cell")
     pulls = batch.cells.take(batch.cell)
     for name in _PULL_FIELDS:
@@ -90,10 +93,9 @@ def make_test_sample(**overrides) -> Sample:
 
 def test_batch_shapes_and_ranges():
     model, arms = chain_model()
-    batch = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 500, np.random.default_rng(0))
+    batch = sample_block(model, arms[1], Regime.OBSERVATIONAL, 500, np.random.default_rng(0))
     assert batch.n == 500
-    assert batch.arm == 1
-    assert batch.regime is Regime.OBSERVATIONAL
+    assert batch.blocks == ((1, Regime.OBSERVATIONAL, 500),)
     pulls = batch.cells.take(batch.cell)
     for field in (pulls.y, pulls.v_row, pulls.v_val, pulls.v_row_s, pulls.v_row_sp, pulls.child_ratio):
         assert field.shape == (500,)
@@ -107,7 +109,7 @@ def test_batch_shapes_and_ranges():
 
 def test_rows_collapse_when_sensitive_not_a_parent():
     model, arms = detached_v_model()
-    batch = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 200, np.random.default_rng(1))
+    batch = sample_block(model, arms[1], Regime.OBSERVATIONAL, 200, np.random.default_rng(1))
     pulls = batch.cells.take(batch.cell)
     np.testing.assert_array_equal(pulls.v_row, 0)
     np.testing.assert_array_equal(pulls.v_row_s, pulls.v_row)
@@ -120,7 +122,7 @@ def test_rows_collapse_when_sensitive_not_a_parent():
 def test_empirical_frequencies():
     model, arms = chain_model()
     rng = np.random.default_rng(42)
-    batch = sample_batch(model, arms[0], Regime.OBSERVATIONAL, 20_000, rng)
+    batch = sample_block(model, arms[0], Regime.OBSERVATIONAL, 20_000, rng)
     pulls = batch.cells.take(batch.cell)
     # v_row realizes S, so its frequencies recover P(S); y recovers the arm mean.
     assert pulls.v_row.mean() == pytest.approx(0.6, abs=0.015)
@@ -130,10 +132,10 @@ def test_empirical_frequencies():
 def test_forced_regimes_clamp_sensitive():
     model, arms = chain_model()
     rng = np.random.default_rng(3)
-    batch = sample_batch(model, arms[0], Regime.FORCE_S, 300, rng)
+    batch = sample_block(model, arms[0], Regime.FORCE_S, 300, rng)
     forced_s = batch.cells.take(batch.cell)
     np.testing.assert_array_equal(forced_s.v_row, forced_s.v_row_s)
-    batch = sample_batch(model, arms[0], Regime.FORCE_SPRIME, 300, rng)
+    batch = sample_block(model, arms[0], Regime.FORCE_SPRIME, 300, rng)
     forced_sp = batch.cells.take(batch.cell)
     np.testing.assert_array_equal(forced_sp.v_row, forced_sp.v_row_sp)
     assert sample(model, arms[0], Regime.FORCE_S, rng).s_value == 0
@@ -155,8 +157,8 @@ def test_single_sample_consistency():
 
 def test_sampling_is_deterministic_per_seed():
     model, arms = chain_model()
-    a = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 100, np.random.default_rng(5))
-    b = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 100, np.random.default_rng(5))
+    a = sample_block(model, arms[1], Regime.OBSERVATIONAL, 100, np.random.default_rng(5))
+    b = sample_block(model, arms[1], Regime.OBSERVATIONAL, 100, np.random.default_rng(5))
     np.testing.assert_array_equal(a.cell, b.cell)
     np.testing.assert_array_equal(a.cells.take(a.cell).y, b.cells.take(b.cell).y)
     np.testing.assert_array_equal(a.cells.take(a.cell).v_val, b.cells.take(b.cell).v_val)
@@ -165,9 +167,10 @@ def test_sampling_is_deterministic_per_seed():
 def test_make_sampler_binds_arms():
     model, arms = chain_model()
     pull = make_sampler(model, arms)
-    batch = pull(2, Regime.OBSERVATIONAL, 16, np.random.default_rng(0))
-    assert batch.arm == 2
-    assert batch.n == 16
+    blocks = [(2, Regime.OBSERVATIONAL, 16), (0, Regime.FORCE_S, 3)]
+    batch = pull(blocks, np.random.default_rng(0))
+    assert batch.blocks == tuple(blocks)
+    assert batch.n == 19
 
 
 def test_outcome_weight_identity_and_transport():
@@ -178,7 +181,7 @@ def test_outcome_weight_identity_and_transport():
     expected = arms[0].table[smp.v_row, smp.v_value] / arms[1].table[smp.v_row, smp.v_value]
     assert importance_weight_outcome(smp, arms[1], arms[0]) == pytest.approx(expected, rel=1e-12)
     # Reweighted pulls of arm 1 recover the mean of arm 2 in expectation.
-    batch = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 50_000, rng)
+    batch = sample_block(model, arms[1], Regime.OBSERVATIONAL, 50_000, rng)
     pulls = batch.cells.take(batch.cell)
     w = arms[2].table[pulls.v_row, pulls.v_val] / arms[1].table[pulls.v_row, pulls.v_val]
     assert (pulls.y * w).mean() == pytest.approx(8.0 / 15.0, abs=0.03)
@@ -192,7 +195,7 @@ def test_fairness_weight_value_and_mean():
     assert importance_weight_fairness(smp, arms[1], arms[1], "ssp") == pytest.approx(
         ratio - 1.0, rel=1e-12
     )
-    batch = sample_batch(model, arms[1], Regime.FORCE_SPRIME, 50_000, rng)
+    batch = sample_block(model, arms[1], Regime.FORCE_SPRIME, 50_000, rng)
     pulls = batch.cells.take(batch.cell)
     r = arms[1].table[pulls.v_row_s, pulls.v_val] / arms[1].table[pulls.v_row_sp, pulls.v_val]
     assert (pulls.y * (r - 1.0)).mean() == pytest.approx(-0.35, abs=0.03)
@@ -247,7 +250,7 @@ def test_batch_invariants_on_random_instances(seed):
     inst = random_instance(rng)
     model = inst.model
     for regime in Regime:
-        batch = sample_batch(model, inst.arms[-1], regime, 64, rng)
+        batch = sample_block(model, inst.arms[-1], regime, 64, rng)
         pulls = batch.cells.take(batch.cell)
         assert np.all(np.isfinite(pulls.child_ratio)) and np.all(pulls.child_ratio > 0)
         assert np.all((pulls.y >= 0.0) & (pulls.y <= 1.0))
@@ -273,7 +276,7 @@ def test_weight_kernel_matches_scalar_references(seed):
         for regime in Regime:
             # The batched sampler and the single-pull reference agree draw for draw.
             draw_seed = int(rng.integers(2**32))
-            one = sample_batch(model, arm, regime, 1, np.random.default_rng(draw_seed))
+            one = sample_block(model, arm, regime, 1, np.random.default_rng(draw_seed))
             ref = as_pulls([sample(model, arm, regime, np.random.default_rng(draw_seed))])
             assert_same_pulls(one, ref)
 
@@ -327,11 +330,17 @@ def barren_model():
     return model, arms
 
 
+def liver_experiment(n_arms: int):
+    return build_network_experiment(
+        liver_network(), "fibrosis", "sex", "carcinoma", n_arms=n_arms, seed=0, fairness_eps=0.2
+    )
+
+
 def assert_same_stream(model, arm, regime, n, seed):
     """``sample_batch`` and the full walk agree on the batch and on the draws after it."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert_same_pulls(
-        sample_batch(model, arm, regime, n, rng), reference_sample_batch(model, arm, regime, n, ref_rng)
+        sample_block(model, arm, regime, n, rng), reference_sample_batch(model, arm, regime, n, ref_rng)
     )
     np.testing.assert_array_equal(rng.random(5), ref_rng.random(5))
 
@@ -343,9 +352,7 @@ def test_pruned_sampling_keeps_the_stream(regime, n):
     for seed in range(3):
         for arm in arms:
             assert_same_stream(model, arm, regime, n, seed)
-    liver = build_network_experiment(
-        liver_network(), "fibrosis", "sex", "carcinoma", n_arms=3, seed=0, fairness_eps=0.2
-    )
+    liver = liver_experiment(3)
     for arm in liver.arms:
         assert_same_stream(liver.model, arm, regime, n, 7)
 
@@ -360,34 +367,87 @@ def test_pruned_sampling_keeps_the_stream_on_random_instances(seed):
             assert_same_stream(inst.model, inst.arms[-1], regime, n, seed)
 
 
+def assert_phase_stream(model, arms, blocks, seed):
+    """One ``sample_batch`` over ``blocks`` gives, block for block, the cell codes
+    of consecutive full-walk batches, and leaves the generator where they do."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = sample_batch(model, ArmTables.of(arms), blocks, rng)
+    assert batch.blocks == tuple((arms[j].index, regime, n) for j, regime, n in blocks)
+    start = 0
+    for j, regime, n in blocks:
+        ref = reference_sample_batch(model, arms[j], regime, n, ref_rng)
+        np.testing.assert_array_equal(batch.cell[start : start + n], ref.cell, err_msg=f"{j} {regime}")
+        start += n
+    assert batch.n == start
+    assert rng.random() == ref_rng.random()
+
+
+block_lists = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from(list(Regime)), st.sampled_from([0, 1, 2, 7, 40])),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), block_lists)
+def test_phase_draw_keeps_the_stream_on_random_instances(seed, blocks):
+    # Arms in any order, repeated or not, every regime, zero-count blocks
+    # among them; S has children on some instances and none on others.
+    inst = random_instance(np.random.default_rng(seed))
+    blocks = [(j % len(inst.arms), regime, n) for j, regime, n in blocks]
+    assert_phase_stream(inst.model, inst.arms, blocks, seed)
+
+
+def test_phase_draw_keeps_the_stream_with_barren_nodes():
+    # A childless S among barren nodes, and the liver network: 60 barren
+    # nodes and read nodes with several parents.
+    model, arms = barren_model()
+    blocks = [(1, Regime.FORCE_S, 5), (0, Regime.OBSERVATIONAL, 9), (1, Regime.FORCE_SPRIME, 0),
+              (0, Regime.FORCE_SPRIME, 4)]
+    assert_phase_stream(model, arms, blocks, 3)
+    liver = liver_experiment(3)
+    blocks = [(j, regime, 20 + 3 * j) for j in range(3) for regime in Regime]
+    assert_phase_stream(liver.model, liver.arms, blocks, 11)
+
+
+def assert_cells_hold_the_full_walk_fields(model, arm, regime, n, seed):
+    """The table entry of every occupied cell holds the fields that the full
+    walk computes for each of the pulls in that cell."""
+    table = sample_block(model, arm, regime, 1, np.random.default_rng(seed)).cells
+    ref = reference_sample_batch(model, arm, regime, n, np.random.default_rng(seed))
+    assert table.n_cells == ref.n_cells
+    for code in np.unique(ref.cell):
+        at = ref.cell == code
+        for name in _PULL_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(ref.fields, name)[at], getattr(table, name)[code], err_msg=f"{name} of cell {code}"
+            )
+
+
 def test_cell_code_covers_the_read_nodes():
     # Side child: the read nodes are S, V, Y, W (S is V's parent and W's), 16 cells.
     model, arms = side_child_model()
-    rng = np.random.default_rng(4)
-    batch = sample_batch(model, arms[1], Regime.OBSERVATIONAL, 400, rng)
+    batch = sample_block(model, arms[1], Regime.OBSERVATIONAL, 400, np.random.default_rng(4))
     assert batch.n_cells == 16
     assert batch.cell.min() >= 0 and batch.cell.max() < 16
-    # Every pull field is a function of the cell.
-    pulls = batch.cells.take(batch.cell)
-    for code in np.unique(batch.cell):
-        at = batch.cell == code
-        for name in _PULL_FIELDS:
-            assert np.unique(getattr(pulls, name)[at]).shape == (1,), name
+    for regime in Regime:
+        for arm in arms:
+            assert_cells_hold_the_full_walk_fields(model, arm, regime, 400, 4)
     # The read nodes of the liver network span 384 cells.
-    liver = build_network_experiment(
-        liver_network(), "fibrosis", "sex", "carcinoma", n_arms=2, seed=0, fairness_eps=0.2
-    )
-    assert sample_batch(liver.model, liver.arms[0], Regime.FORCE_S, 5, rng).n_cells == 384
+    liver = liver_experiment(2)
+    for regime in Regime:
+        assert_cells_hold_the_full_walk_fields(liver.model, liver.arms[0], regime, 2000, 5)
 
 
 def test_cell_count_above_the_enumeration_cap_raises(monkeypatch):
     monkeypatch.setenv("FCB_ENUM_CAP", "11")
     model, arms = chain_model()  # reads S, V and Y: 2 * 3 * 2 = 12 cells
     with pytest.raises(EnumerationTooLarge, match="12 cells"):
-        sample_batch(model, arms[0], Regime.OBSERVATIONAL, 3, np.random.default_rng(0))
+        sample_block(model, arms[0], Regime.OBSERVATIONAL, 3, np.random.default_rng(0))
     monkeypatch.setenv("FCB_ENUM_CAP", "12")
     model, arms = chain_model()
-    assert sample_batch(model, arms[0], Regime.OBSERVATIONAL, 3, np.random.default_rng(0)).n_cells == 12
+    assert sample_block(model, arms[0], Regime.OBSERVATIONAL, 3, np.random.default_rng(0)).n_cells == 12
 
 
 def test_cell_table_is_decoded_once_per_model(monkeypatch):

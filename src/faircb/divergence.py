@@ -39,7 +39,7 @@ from .oracles import (
     enumerate_joint,
     marginal_rows,
 )
-from .sampling import ArmTables, counterfactual_weight, sample_batch, transport_weight
+from .sampling import counterfactual_weight, make_sampler, transport_weight
 
 __all__ = ["DivergenceSet", "exact_columns"]
 
@@ -186,10 +186,10 @@ class DivergenceSet:
         """
         k = len(arms)
         tables = np.stack([a.table for a in arms])
-        sampled = ArmTables.of(arms)
+        pull = make_sampler(model, arms)
         m = np.ones((k, k), dtype=float)
         for j in range(k):
-            batch = sample_batch(model, sampled, [(j, Regime.OBSERVATIONAL, draws)], rng)
+            batch = pull([(j, Regime.OBSERVATIONAL, draws)], rng)
             w = transport_weight(batch.cells.take(batch.cell), tables, tables[j])
             m[:, j] = _outcome_cutoff(-np.log(batch.n), w)
         np.fill_diagonal(m, 1.0)
@@ -198,7 +198,7 @@ class DivergenceSet:
             for i, arm in enumerate(arms):
                 parts = []
                 for regime in (Regime.FORCE_S, Regime.FORCE_SPRIME):
-                    b = sample_batch(model, sampled, [(i, regime, draws)], rng)
+                    b = pull([(i, regime, draws)], rng)
                     u = counterfactual_weight(b.cells.take(b.cell), arm.table, tables, direction)
                     parts.append(_logsumexp(np.abs(u)) - np.log(b.n))
                 out[i] = np.logaddexp(*parts)

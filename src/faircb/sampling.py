@@ -8,8 +8,8 @@ closure of those; every other node is *barren*: nothing downstream of the
 batch depends on it, so it is never drawn.  Each model carries a plan, built
 on its first batch: the sampled nodes in topological order, each with its
 parents, row strides and table cumulated along each row.  The arms' tables
-are cumulated once per ``make_sampler`` into an ``ArmTables`` stack, from
-which the intervention node reads each pull's own arm.  Cumulating a whole
+are cumulated once per ``make_sampler`` into one ``(K, rows, card)`` stack,
+from which the intervention node reads each pull's own arm.  Cumulating a whole
 table gives the same bits as cumulating its gathered rows.
 
 Stream contract: block after block, in the order given, a block of ``n``
@@ -59,7 +59,6 @@ __all__ = [
     "Cells",
     "Block",
     "BatchSamples",
-    "ArmTables",
     "sample_batch",
     "make_sampler",
     "transport_weight",
@@ -121,7 +120,7 @@ class BatchSamples:
 
 
 @dataclass(frozen=True)
-class ArmTables:
+class _ArmTables:
     """Arms as the sampler reads them: each arm's pool index, and the
     ``(K, rows, card)`` stack of their tables cumulated along each row."""
 
@@ -129,7 +128,7 @@ class ArmTables:
     cum: np.ndarray
 
     @classmethod
-    def of(cls, arms: Sequence[Arm]) -> "ArmTables":
+    def of(cls, arms: Sequence[Arm]) -> "_ArmTables":
         cum = np.cumsum(np.stack([arm.table for arm in arms]), axis=2)
         return cls(tuple(arm.index for arm in arms), cum)
 
@@ -249,7 +248,7 @@ def _rows(
 
 def sample_batch(
     model: CausalModel,
-    arms: ArmTables,
+    arms: _ArmTables,
     blocks: Sequence[Block],
     rng: np.random.Generator,
 ) -> BatchSamples:
@@ -291,7 +290,7 @@ def make_sampler(
 ) -> Callable[[Sequence[Block], np.random.Generator], BatchSamples]:
     """Bind a model and arms into the pull interface the bandit loop consumes:
     one ``sample_batch`` call per sequence of blocks."""
-    tables = ArmTables.of(arms)
+    tables = _ArmTables.of(arms)
 
     def pull(blocks: Sequence[Block], rng: np.random.Generator) -> BatchSamples:
         return sample_batch(model, tables, blocks, rng)

@@ -24,7 +24,7 @@ from scipy.special import logsumexp
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError
 from faircb.model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
-from faircb.sampling import ArmTables, BatchSamples, Cells, counterfactual_weight, sample_batch
+from faircb.sampling import BatchSamples, Cells, counterfactual_weight, make_sampler
 from faircb.oracles import (
     attribute_ratio_values,
     direction_values,
@@ -332,8 +332,8 @@ def empirical_quantile_gamma(
 def sample_block(
     model: CausalModel, arm: Arm, regime: Regime, n: int, rng: np.random.Generator
 ) -> BatchSamples:
-    """``n`` pulls of ``arm`` under ``regime``: ``sample_batch`` with one block."""
-    return sample_batch(model, ArmTables.of([arm]), [(0, regime, n)], rng)
+    """``n`` pulls of ``arm`` under ``regime``: a sampler call with one block."""
+    return make_sampler(model, [arm])([(0, regime, n)], rng)
 
 
 def mc_outcome_mean(model: CausalModel, arm: Arm, draws: int, rng: np.random.Generator) -> float:

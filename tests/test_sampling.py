@@ -11,13 +11,7 @@ import faircb.sampling as sampling
 from faircb.errors import EnumerationTooLarge
 from faircb.model import Arm, CausalModel, Instance, Regime
 from faircb.netgen import build_network_experiment, liver_network
-from faircb.sampling import (
-    ArmTables,
-    counterfactual_weight,
-    make_sampler,
-    sample_batch,
-    transport_weight,
-)
+from faircb.sampling import counterfactual_weight, make_sampler, transport_weight
 from faircb.sweep import run_algorithm
 
 from helpers import (
@@ -368,10 +362,10 @@ def test_pruned_sampling_keeps_the_stream_on_random_instances(seed):
 
 
 def assert_phase_stream(model, arms, blocks, seed):
-    """One ``sample_batch`` over ``blocks`` gives, block for block, the cell codes
+    """One sampler call over ``blocks`` gives, block for block, the cell codes
     of consecutive full-walk batches, and leaves the generator where they do."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = sample_batch(model, ArmTables.of(arms), blocks, rng)
+    batch = make_sampler(model, arms)(blocks, rng)
     assert batch.blocks == tuple((arms[j].index, regime, n) for j, regime, n in blocks)
     start = 0
     for j, regime, n in blocks:
@@ -436,6 +430,7 @@ def test_cell_code_covers_the_read_nodes():
             assert_cells_hold_the_full_walk_fields(model, arm, regime, 400, 4)
     # The read nodes of the liver network span 384 cells.
     liver = liver_experiment(2)
+    assert sample_block(liver.model, liver.arms[0], Regime.FORCE_S, 5, np.random.default_rng(5)).n_cells == 384
     for regime in Regime:
         assert_cells_hold_the_full_walk_fields(liver.model, liver.arms[0], regime, 2000, 5)
 

@@ -52,7 +52,7 @@ import numpy as np
 from .allocation import Allocation, build_problem, costs_from_arms, round_counts, solve_maxmin
 from .divergence import DivergenceSet
 from .estimation import EstimateVector, SamplePool, estimate_all
-from .model import REGIMES, Arm, check_fairness_eps
+from .model import REGIMES, Arm, array_key, check_fairness_eps
 from .sampling import BatchSamples, Block
 
 __all__ = [
@@ -256,11 +256,6 @@ _MEMO_PROBLEMS = 512
 _SOLVED: OrderedDict[tuple, OrderedDict[tuple[tuple[int, ...], str], Allocation]] = OrderedDict()
 
 
-def _bytes_key(array) -> tuple:
-    array = np.asarray(array)
-    return array.shape, array.dtype.str, array.tobytes()
-
-
 class _Allocator:
     """Max-min allocations over the survivors of one LP instance, memoized process-wide."""
 
@@ -276,10 +271,10 @@ class _Allocator:
         self.budget = budget
         self.extra_constraints = extra_constraints
         key = (
-            tuple(_bytes_key(a) for a in (divergences.m, divergences.d_ssp, divergences.d_sps)),
-            _bytes_key(costs),
+            tuple(array_key(a) for a in (divergences.m, divergences.d_ssp, divergences.d_sps)),
+            array_key(costs),
             float(budget),
-            tuple((_bytes_key(coeffs), float(ub)) for coeffs, ub in extra_constraints),
+            tuple((array_key(coeffs), float(ub)) for coeffs, ub in extra_constraints),
         )
         self.solved = _SOLVED.get(key)
         if self.solved is None:

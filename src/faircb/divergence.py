@@ -180,28 +180,34 @@ class DivergenceSet:
     def mc(cls, model: CausalModel, arms, draws: int, rng: np.random.Generator) -> "DivergenceSet":
         """Monte Carlo matrices from batches of ``draws`` pulls, drawn in a fixed order.
 
-        First one observational batch per source arm for ``M``; then, for
-        ``D_ssp`` and again for ``D_sps``, one batch per target arm under
-        S <- s and one under S <- s'.
+        First one observational batch per source arm for ``M``; then, per
+        target arm, one batch under S <- s and one under S <- s', each read by
+        both ``D_ssp`` and ``D_sps``.  Each batch enters through its occupied
+        cells, weighed by their empirical masses ``count / draws``.
         """
         k = len(arms)
         tables = np.stack([a.table for a in arms])
         pull = make_sampler(model, arms)
+
+        def occupied(j: int, regime: Regime):
+            batch = pull([(j, regime, draws)], rng)
+            at = np.flatnonzero(batch.counts[0])
+            return batch.cells.take(at), np.log(batch.counts[0, at] / batch.n)
+
         m = np.ones((k, k), dtype=float)
         for j in range(k):
-            batch = pull([(j, Regime.OBSERVATIONAL, draws)], rng)
-            w = transport_weight(batch.cells.take(batch.cell), tables, tables[j])
-            m[:, j] = _outcome_cutoff(-np.log(batch.n), w)
+            cells, log_p = occupied(j, Regime.OBSERVATIONAL)
+            m[:, j] = _outcome_cutoff(log_p, transport_weight(cells, tables, tables[j]))
         np.fill_diagonal(m, 1.0)
-        d = np.zeros((len(_DIRECTIONS), k, k), dtype=float)
-        for out, direction in zip(d, _DIRECTIONS):
-            for i, arm in enumerate(arms):
-                parts = []
-                for regime in (Regime.FORCE_S, Regime.FORCE_SPRIME):
-                    b = pull([(i, regime, draws)], rng)
-                    u = counterfactual_weight(b.cells.take(b.cell), arm.table, tables, direction)
-                    parts.append(_logsumexp(np.abs(u)) - np.log(b.n))
-                out[i] = np.logaddexp(*parts)
+        d = np.empty((len(_DIRECTIONS), k, k), dtype=float)
+        for i, arm in enumerate(arms):
+            parts = []
+            for regime in (Regime.FORCE_S, Regime.FORCE_SPRIME):
+                cells, log_p = occupied(i, regime)
+                u = np.stack([counterfactual_weight(cells, arm.table, tables, direction)
+                              for direction in _DIRECTIONS])
+                parts.append(_logsumexp(log_p + np.abs(u)))
+            d[:, i] = np.logaddexp(*parts)
         return cls(m=m, d_ssp=d[0], d_sps=d[1])
 
     @property

@@ -8,16 +8,16 @@ fall below one (outcome) or ``ln 2`` (fairness), so every kept term is bounded
 by ``2 ln(2 / eps)`` after its ``1 / M`` or ``1 / D`` factor.
 
 A pull enters the estimates only through its cell (``sampling`` documents the
-cell code and the model's ``Cells`` table), so the pool keeps counts, not
-pulls: one int64 vector of ``n_cells`` counts per (source arm, regime), 3K *
-``n_cells`` words in all, and a reference to the table.  ``add`` counts a
-whole batch, every block of a phase, in one ``bincount`` over
-``block * n_cells + cell``.  Each source block
-weighs its occupied cells once against every target and dots the kept
-weights with ``count * y``, so a phase costs O(K * occupied cells) per source
-block, the same at any horizon and for any number of pooled phases.  A cell's
-fields are bit for bit those of each of its pulls, so are its weights and
-clip masks; only the order of the summation differs.
+cell code, the cell law and the model's ``Cells`` table), so the pool keeps
+counts, not pulls: one int64 vector of ``n_cells`` counts per (source arm,
+regime), 3K * ``n_cells`` words in all, and a reference to the table.  ``add``
+takes a batch as the sampler draws it, one row of per-cell counts per block,
+and sums each row into its (arm, regime) vector.  Each source block weighs
+its occupied cells once against every target and dots the kept weights with
+``count * y``, so a phase costs O(K * occupied cells) per source block, the
+same at any horizon and for any number of pooled phases.  A cell's fields
+are bit for bit those of each of its pulls, so are its weights and clip
+masks; only the order of the summation differs.
 """
 
 from __future__ import annotations
@@ -47,18 +47,12 @@ class SamplePool:
         self._cells: Cells | None = None
 
     def add(self, batch: BatchSamples) -> None:
-        """Count the pulls of every block of ``batch``, in one ``bincount``."""
-        if batch.n == 0:
-            return
+        """Sum the count row of every block of ``batch`` into its (arm, regime) counts."""
         for arm, _, _ in batch.blocks:
             if not 0 <= arm < self.n_arms:
                 raise ValueError(f"arm index {arm} out of range")
         self._cells = batch.cells
-        sizes = [n for _, _, n in batch.blocks]
-        width = batch.n_cells
-        block = np.repeat(np.arange(len(sizes)), sizes)
-        hits = np.bincount(block * width + batch.cell, minlength=len(sizes) * width)
-        for (arm, regime, n), counts in zip(batch.blocks, hits.reshape(len(sizes), width)):
+        for (arm, regime, n), counts in zip(batch.blocks, batch.counts):
             if n:
                 key = (arm, regime)
                 self._counts[key] = self._counts.get(key, 0) + counts

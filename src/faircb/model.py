@@ -28,6 +28,7 @@ __all__ = [
     "validate_model",
     "S_VALUE",
     "SPRIME_VALUE",
+    "array_key",
 ]
 
 S_VALUE = 0
@@ -56,6 +57,12 @@ class Regime(Enum):
 # force-s, force-s').  A tuple, since a pass over the enum itself costs about
 # 1.8 us against 0.1 us (Python 3.11) and the phase loop makes one per arm.
 REGIMES = tuple(Regime)
+
+
+def array_key(array) -> tuple:
+    """Shape, dtype and bytes of ``array``: a key for memos keyed on content, not identity."""
+    array = np.asarray(array)
+    return array.shape, array.dtype.str, array.tobytes()
 
 
 def _as_table(x: Sequence | np.ndarray) -> np.ndarray:

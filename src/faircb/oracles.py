@@ -3,11 +3,13 @@
 Enumeration only visits the ancestors of the nodes a quantity depends on, so
 pruning barren nodes keeps exactness while making deep graphs affordable.  The
 cell count of the visited closure is still capped (``FCB_ENUM_CAP`` overrides
-the default of ten million cells).
+the default of ten million cells).  Arms differ only in V's factor, so
+``enumerate_arms`` serves a whole stack of arm tables from one enumeration.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterable, Iterator
 
@@ -18,6 +20,7 @@ from .model import Arm, CausalModel, Instance, S_VALUE, SPRIME_VALUE, check_fair
 
 __all__ = [
     "enumeration_cap",
+    "enumerate_arms",
     "enumerate_joint",
     "marginal_rows",
     "attribute_ratio_values",
@@ -41,46 +44,56 @@ def enumeration_cap() -> int:
     return cap
 
 
-def enumerate_joint(
-    model: CausalModel,
-    arm: Arm | None,
-    needed: Iterable[str],
-    force_s: int | None = None,
+def enumerate_arms(
+    model: CausalModel, tables: np.ndarray, needed: Iterable[str], force_s: int | None = None
 ) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray]]]:
     """Yield ``(probs, values)`` blocks over the ancestral closure of ``needed``.
 
-    ``values`` maps every closure node to an integer array aligned with
-    ``probs``.  With ``force_s`` the sensitive node is clamped and its factor
-    dropped, which is the hard intervention S <- s or S <- s'.
+    Row ``k`` of ``probs`` is the joint with ``tables[k]`` as V's conditional;
+    ``values`` maps every closure node to an integer array aligned with the
+    rows.  With ``force_s`` the sensitive node is clamped and its factor
+    dropped, which is the hard intervention S <- s or S <- s'.  Every factor
+    but V's is gathered once for all K tables, and they multiply in closure
+    order: a row is bit for bit the one-table row if both fit one block of
+    ``_BLOCK // K`` cells.
     """
     closure = model.ancestors(needed)
-    cards = [1 if (x == model.sensitive and force_s is not None) else model.cards[x] for x in closure]
-    total = 1
-    for c in cards:
-        total *= c
+    forced = model.sensitive if force_s is not None else None
+    cards = [1 if x == forced else model.cards[x] for x in closure]
+    total = math.prod(cards)
     cap = enumeration_cap()
     if total > cap:
         raise EnumerationTooLarge(f"{total} cells over {closure} exceeds the cap of {cap}")
 
     strides = np.cumprod([1] + cards[::-1][:-1])[::-1]  # row-major over the closure
-    for lo in range(0, total, _BLOCK):
-        idx = np.arange(lo, min(lo + _BLOCK, total))
-        values: dict[str, np.ndarray] = {}
-        for x, card, st in zip(closure, cards, strides):
-            if x == model.sensitive and force_s is not None:
-                values[x] = np.full(idx.shape[0], force_s, dtype=np.int64)
-            else:
-                values[x] = (idx // st) % card
-        probs = np.ones(idx.shape[0], dtype=float)
+    k, step = len(tables), max(1, _BLOCK // len(tables))
+    for lo in range(0, total, step):
+        idx = np.arange(lo, min(lo + step, total))
+        values = {x: (idx // st) % card for x, card, st in zip(closure, cards, strides)}
+        if forced in values:
+            values[forced] = np.full(idx.shape[0], force_s, dtype=np.int64)
+        probs = np.ones((1, idx.shape[0]), dtype=float)
         for x in closure:
-            if x == model.sensitive and force_s is not None:
+            if x == forced:
                 continue
-            table = arm.table if (arm is not None and x == model.intervention) else model.cpts[x]
             rows = np.zeros(idx.shape[0], dtype=np.int64)
             for p, st_p in zip(model.parents[x], model.row_strides(x)):
                 rows += values[p] * st_p
-            probs *= table[rows, values[x]]
-        yield probs, values
+            if x == model.intervention:  # one C-ordered (K, cells) gather of every arm's factor
+                factor = np.take(tables.reshape(k, -1), rows * tables.shape[2] + values[x], axis=1)
+                probs = np.multiply(factor, probs, out=factor)
+            else:
+                probs *= model.cpts[x][rows, values[x]]
+        yield (probs if len(probs) == k else np.repeat(probs, k, axis=0)), values
+
+
+def enumerate_joint(
+    model: CausalModel, arm: Arm | None, needed: Iterable[str], force_s: int | None = None
+) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray]]]:
+    """``enumerate_arms`` under one arm's table, or the model's own for None."""
+    table = model.cpts[model.intervention] if arm is None else arm.table
+    for probs, values in enumerate_arms(model, table[None], needed, force_s):
+        yield probs[0], values
 
 
 def marginal_rows(model: CausalModel, node: str) -> np.ndarray:
@@ -103,12 +116,19 @@ def marginal_rows(model: CausalModel, node: str) -> np.ndarray:
     return out
 
 
+def _outcome_means(model: CausalModel, arms) -> list[float]:
+    """Mean encoded target value under each arm, by one enumeration for all."""
+    acc = [0.0] * len(arms)
+    for probs, values in enumerate_arms(model, np.stack([a.table for a in arms]), [model.target]):
+        y = model.target_values[values[model.target]]
+        for k, p in enumerate(probs):
+            acc[k] += float(p @ y)
+    return acc
+
+
 def exact_outcome_mean(model: CausalModel, arm: Arm) -> float:
     """Mean encoded target value under the arm, by enumeration."""
-    acc = 0.0
-    for probs, values in enumerate_joint(model, arm, [model.target]):
-        acc += float(probs @ model.target_values[values[model.target]])
-    return acc
+    return _outcome_means(model, [arm])[0]
 
 
 def attribute_ratio_values(
@@ -151,29 +171,34 @@ def direction_values(direction: str) -> tuple[int, int]:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def exact_fairness(model: CausalModel, arm: Arm, direction: str) -> float:
-    """Counterfactual gap of the arm, by enumeration under the forced evidence attribute."""
+def _fairness_gaps(model: CausalModel, arms, direction: str) -> list[float]:
+    """Counterfactual gap of each arm, by one enumeration under the forced evidence attribute."""
     cf, ev = direction_values(direction)
     needed = [model.target, *model.children(model.sensitive)]
-    acc = 0.0
-    for probs, values in enumerate_joint(model, arm, needed, force_s=ev):
-        mask = probs > 0.0
-        if not np.any(mask):
-            continue
-        sub = {x: v[mask] for x, v in values.items()}
-        ratio = attribute_ratio_values(model, arm, sub, cf, ev)
-        y = model.target_values[sub[model.target]]
-        acc += float(probs[mask] @ (y * (ratio - 1.0)))
+    acc = [0.0] * len(arms)
+    for probs, values in enumerate_arms(model, np.stack([a.table for a in arms]), needed, ev):
+        for k, (arm, p) in enumerate(zip(arms, probs)):
+            mask, sub = p > 0.0, values
+            if not mask.all():
+                p, sub = p[mask], {x: v[mask] for x, v in values.items()}
+            if p.size:
+                ratio = attribute_ratio_values(model, arm, sub, cf, ev)
+                acc[k] += float(p @ (model.target_values[sub[model.target]] * (ratio - 1.0)))
     return acc
+
+
+def exact_fairness(model: CausalModel, arm: Arm, direction: str) -> float:
+    """Counterfactual gap of the arm, by enumeration under the forced evidence attribute."""
+    return _fairness_gaps(model, [arm], direction)[0]
 
 
 def oracle_report(instance: Instance, fairness_eps: float) -> dict:
     """Ground truth per arm: means, counterfactual gaps, the fair set and the best fair arm."""
     check_fairness_eps(fairness_eps)
     model, arms = instance.model, instance.arms
-    mu = [exact_outcome_mean(model, arm) for arm in arms]
-    z_ssp = [exact_fairness(model, arm, "ssp") for arm in arms]
-    z_sps = [exact_fairness(model, arm, "sps") for arm in arms]
+    mu = _outcome_means(model, arms)
+    z_ssp = _fairness_gaps(model, arms, "ssp")
+    z_sps = _fairness_gaps(model, arms, "sps")
     fair = [
         k
         for k in range(len(arms))

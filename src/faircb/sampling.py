@@ -1,59 +1,56 @@
-"""Ancestral sampling under an arm and a regime, per-cell pull fields, and importance weights.
-
-A batch is a sequence of *blocks* ``(arm, regime, n)``, drawn in order; the
-bandit loop draws a whole phase, arm by arm and regime by regime, in one
-``sample_batch`` call.  A pull reads only Y, S, V and V's parents, and the
-children of S with their parents.  The *sampled* nodes are the ancestral
-closure of those; every other node is *barren*: nothing downstream of the
-batch depends on it, so it is never drawn.  Each model carries a plan, built
-on its first batch: the sampled nodes in topological order, each with its
-parents, row strides and table cumulated along each row.  The arms' tables
-are cumulated once per ``make_sampler`` into one ``(K, rows, card)`` stack,
-from which the intervention node reads each pull's own arm.  Cumulating a whole
-table gives the same bits as cumulating its gathered rows.
-
-Stream contract: block after block, in the order given, a block of ``n``
-pulls consumes exactly the uniforms of a walk over every node in
-topological order, ``n`` per node except a forced S, node after node.  Each
-block takes them in one ``rng.random`` call and keeps the rows of the
-sampled nodes, dropping those of the barren ones; a ``Generator`` fills
-doubles in sequence, so every pull, and every later draw from the same
-generator, sees the same numbers as under one full walk per block.  A
-sequence of blocks is thus drawn exactly as by one batch per block in the
-same order.  S is always sampled, even when childless, since a forced S
-draws nothing.
+"""Pulls as cell counts drawn from the cell law, per-cell pull fields, and importance weights.
 
 Cell code: the estimators read a pull only through the values of its *read
 nodes*: V's parents, V and Y, then each child of S other than V followed by
-its parents, each node once at its first place in that list.  ``cell`` is the
-row-major mixed-radix code of those values (the first read node varies
-slowest), so the plan's ``n_cells`` is the product of their cardinalities and
-every pull field is a function of the cell alone.  The plan decodes each code
-into its fields once per model, a ``Cells`` table of six ``n_cells`` vectors;
-a batch carries its pulls' cell codes and that table, and
-``batch.cells.take(batch.cell)`` gives its fields pull by pull.  A model whose
-``n_cells`` exceeds ``oracles.enumeration_cap()`` raises
-``EnumerationTooLarge`` on its first batch, which bounds the table and the
-per-cell counts of the estimators.
+its parents, each node once at its first place in that list.  A pull's cell
+is the row-major mixed-radix code of those values (the first read node
+varies slowest), so the plan's ``n_cells`` is the product of their
+cardinalities and every pull field is a function of the cell alone.  The
+plan decodes each code into its fields once per model, a ``Cells`` table of
+six ``n_cells`` vectors.  A model whose ``n_cells`` exceeds
+``oracles.enumeration_cap()`` raises ``EnumerationTooLarge``, which bounds the
+table and the per-cell counts of the estimators.
+
+Cell law: since a pull enters every estimate only through its cell, ``n``
+pulls of one arm under one regime are fully described by
+``multinomial(n, P(cell | arm, regime))``.  ``make_sampler`` looks up the
+``(K, 3, n_cells)`` table of these laws, regimes in ``REGIMES`` order, in a
+process-wide memo keyed on content (the closure's structure and tables, the
+designated and the read nodes, the arm tables), so equal models built apart
+share one build and an edit in place forces a new one.  It keeps at most
+``_MEMO_LAWS`` entries and, like the allocation memo, takes no lock.  A miss
+enumerates the ancestral closure of the read nodes once per regime for all
+arms (``oracles.enumerate_arms``), which raises ``EnumerationTooLarge`` in
+``make_sampler``, before any pull, when that closure is over the cap.
+
+Stream contract: a batch is a sequence of *blocks* ``(arm, regime, n)``; the
+bandit loop draws a whole phase in one ``sample_batch`` call.  That call
+draws every block in one ``rng.multinomial(sizes, laws[arms, regimes])``,
+which consumes the generator block after block exactly as one
+``rng.multinomial(n, law)`` per block, in order.  So a phase drawn in one
+call has the counts, and leaves the generator in the state, of one call per
+block.  A batch carries one row of ``n_cells`` counts per block and the
+model's ``Cells`` table.
 
 ``transport_weight`` and ``counterfactual_weight`` are the one place that
-turns pull fields into weights: the estimators feed them the occupied cells,
-the Monte Carlo divergences the fields of each pull.  Both broadcast over
-leading table axes, so a ``(K, rows, card)`` stack of arm tables yields the
-weights of every entry against K arms at once.
+turns pull fields into weights: the estimators and the Monte Carlo
+divergences feed them the occupied cells.  Both broadcast over leading table
+axes, so a ``(K, rows, card)`` stack of arm tables yields the weights of
+every entry against K arms at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EnumerationTooLarge
-from .model import Arm, CausalModel, Regime, S_VALUE, SPRIME_VALUE
-from .oracles import enumeration_cap
+from .model import REGIMES, Arm, CausalModel, Regime, S_VALUE, SPRIME_VALUE, array_key
+from .oracles import enumerate_arms, enumeration_cap
 
 __all__ = [
     "Cells",
@@ -76,8 +73,7 @@ class Cells:
     forced to s and s' (all three coincide when S is not a parent of the
     intervention node).  ``child_ratio`` is the product over the non
     intervention children of S of ``P(x | pa, s) / P(x | pa, s')`` at the
-    cell's values.  ``take(codes)`` holds the fields of the cells ``codes``,
-    so ``batch.cells.take(batch.cell)`` gives the fields of every pull.
+    cell's values.  ``take(codes)`` holds the fields of the cells ``codes``.
     """
 
     y: np.ndarray
@@ -103,16 +99,16 @@ Block = tuple[int, Regime, int]
 @dataclass
 class BatchSamples:
     """Pulls drawn in blocks: ``blocks[b]`` is ``(arm index, regime, n)`` in draw
-    order, ``cell`` holds every pull's cell code (see the module docstring),
-    block after block, and ``cells`` is the table of the model's cells."""
+    order, ``counts[b]`` that block's pulls per cell code (see the module
+    docstring) and ``cells`` the table of the model's cells."""
 
     blocks: tuple[Block, ...]
-    cell: np.ndarray
+    counts: np.ndarray
     cells: Cells
 
     @property
     def n(self) -> int:
-        return int(self.cell.shape[0])
+        return sum(n for _, _, n in self.blocks)
 
     @property
     def n_cells(self) -> int:
@@ -120,41 +116,11 @@ class BatchSamples:
 
 
 @dataclass(frozen=True)
-class _ArmTables:
-    """Arms as the sampler reads them: each arm's pool index, and the
-    ``(K, rows, card)`` stack of their tables cumulated along each row."""
-
-    index: tuple[int, ...]
-    cum: np.ndarray
-
-    @classmethod
-    def of(cls, arms: Sequence[Arm]) -> "_ArmTables":
-        cum = np.cumsum(np.stack([arm.table for arm in arms]), axis=2)
-        return cls(tuple(arm.index for arm in arms), cum)
-
-
-@dataclass(frozen=True)
-class _Step:
-    """Draw ``node`` from ``cum``, its table cumulated along each row (None for
-    the intervention node, which reads the pull's arm), at its parents' row."""
-
-    node: str
-    parents: tuple[str, ...]
-    strides: tuple[int, ...]
-    cum: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class _Plan:
-    """The sampled nodes in topological order; where each one's uniforms sit in
-    a block's walk over all ``walk`` nodes (``walk - 1`` with S forced, S's
-    own entry then a placeholder); the mixed-radix cell code over the read
-    nodes and the table of its cells."""
+    """The mixed-radix cell code over the read nodes, the table of its cells and
+    the read nodes' ancestral closure, whose enumeration gives the cell laws."""
 
-    steps: tuple[_Step, ...]
-    walk: int
-    rows: np.ndarray
-    rows_forced: np.ndarray
+    closure: tuple[str, ...]
     cell_nodes: tuple[str, ...]
     cell_strides: tuple[int, ...]
     cells: Cells
@@ -216,23 +182,10 @@ def _decode_cells(
 
 def _plan(model: CausalModel) -> _Plan:
     """The sampling plan of ``model``, built on first use and cached on the model."""
-    if model._sample_plan is not None:
-        return model._sample_plan
-    s, v = model.sensitive, model.intervention
-    sampled = set(model.ancestors({s, v, model.target, *model.children(s)}))
-    order = model.topological_order()
-    steps = tuple(
-        _Step(node, model.parents[node], model.row_strides(node),
-              None if node == v else np.cumsum(model.cpts[node], axis=1))
-        for node in order if node in sampled
-    )
-    rows = np.array([order.index(step.node) for step in steps], dtype=np.int64)
-    at_s = order.index(s)
-    rows_forced = np.where(rows > at_s, rows - 1, rows)
-    rows_forced[rows == at_s] = 0
-    nodes, strides, n_cells = _cell_code(model)
-    cells = _decode_cells(model, nodes, strides, n_cells)
-    model._sample_plan = _Plan(steps, len(order), rows, rows_forced, nodes, strides, cells)
+    if model._sample_plan is None:
+        nodes, strides, n_cells = _cell_code(model)
+        cells = _decode_cells(model, nodes, strides, n_cells)
+        model._sample_plan = _Plan(model.ancestors(nodes), nodes, strides, cells)
     return model._sample_plan
 
 
@@ -246,54 +199,73 @@ def _rows(
     return rows
 
 
-def sample_batch(
-    model: CausalModel,
-    arms: _ArmTables,
-    blocks: Sequence[Block],
-    rng: np.random.Generator,
-) -> BatchSamples:
-    """Draw each block ``(j, regime, n)``: ``n`` pulls of the ``j``-th arm under ``regime``.
+# Bound of the cell-law memo: the law tables kept, one per model and arm set.
+_MEMO_LAWS = 8
+_LAWS: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
-    Each block takes the uniforms of its full walk in one ``rng.random`` call
-    and keeps the rows of the sampled nodes; one walk over the sampled nodes
-    then draws every pull of every block.
+
+def _build_laws(model: CausalModel, plan: _Plan, tables: np.ndarray) -> np.ndarray:
+    """``P(cell | arm, regime)`` of every arm of the ``(K, rows, card)`` stack ``tables``.
+
+    One enumeration of the closure per regime gives every arm's joint, which
+    is binned by cell code.  Every law is normalized, so that tables whose
+    rows sum to one only within ``ROW_ATOL`` still give valid multinomials.
     """
+    n_cells = plan.cells.n_cells
+    laws = np.zeros((len(tables), len(REGIMES), n_cells))
+    for row, regime in enumerate(REGIMES):
+        for probs, values in enumerate_arms(model, tables, plan.cell_nodes, regime.forced_value):
+            code = _rows(values, plan.cell_nodes, plan.cell_strides, probs.shape[1])
+            for law, p in zip(laws[:, row], probs):
+                law += np.bincount(code, weights=p, minlength=n_cells)
+    return laws / laws.sum(axis=2, keepdims=True)
+
+
+def _laws(model: CausalModel, tables: np.ndarray) -> np.ndarray:
+    """The cell laws of the arm tables ``tables``, from the memo or built on a miss."""
     plan = _plan(model)
-    sizes = [n for _, _, n in blocks]
-    total = sum(sizes)
-    u = np.empty((len(plan.steps), total))
-    s_forced = np.full(total, -1, dtype=np.int64)
-    start = 0
-    for (_, regime, n), stop in zip(blocks, np.cumsum(sizes).tolist()):
-        forced = regime.forced_value
-        keep, width = (plan.rows, plan.walk) if forced is None else (plan.rows_forced, plan.walk - 1)
-        u[:, start:stop] = rng.random(n * width).reshape(width, n)[keep]
-        if forced is not None:
-            s_forced[start:stop] = forced
-        start = stop
-    arm = np.repeat(np.array([j for j, _, _ in blocks], dtype=np.int64), sizes)
-    values: dict[str, np.ndarray] = {}
-    for draws, step in zip(u, plan.steps):
-        rows = _rows(values, step.parents, step.strides, total)
-        cum = arms.cum[arm, rows] if step.cum is None else step.cum[rows]
-        vals = np.minimum((draws[:, None] > cum).sum(axis=1), cum.shape[1] - 1)
-        if step.node == model.sensitive:
-            vals = np.where(s_forced < 0, vals, s_forced)
-        values[step.node] = vals
-    cell = _rows(values, plan.cell_nodes, plan.cell_strides, total)
-    drawn = tuple((arms.index[j], regime, n) for j, regime, n in blocks)
-    return BatchSamples(blocks=drawn, cell=cell, cells=plan.cells)
+    v = model.intervention
+    key = (
+        tuple((x, model.cards[x], model.parents[x]) for x in plan.closure), plan.cell_nodes,
+        tuple(array_key(model.cpts[x]) for x in plan.closure if x != v),
+        (model.sensitive, v), array_key(tables),
+    )
+    laws = _LAWS.get(key)
+    if laws is None:
+        laws = _LAWS[key] = _build_laws(model, plan, tables)
+        laws.flags.writeable = False
+        if len(_LAWS) > _MEMO_LAWS:
+            _LAWS.popitem(last=False)
+    else:
+        _LAWS.move_to_end(key)
+    return laws
+
+
+def sample_batch(
+    model: CausalModel, laws: np.ndarray, blocks: Sequence[Block], rng: np.random.Generator
+) -> BatchSamples:
+    """Draw each block ``(j, regime, n)``: the cell counts of ``n`` pulls of the
+    arm of law ``laws[j]`` under ``regime``, every block in one ``rng.multinomial``."""
+    arms = [j for j, _, _ in blocks]
+    rows = [REGIMES.index(regime) for _, regime, _ in blocks]
+    counts = rng.multinomial([n for _, _, n in blocks], laws[arms, rows])
+    return BatchSamples(blocks=tuple(blocks), counts=counts, cells=_plan(model).cells)
 
 
 def make_sampler(
     model: CausalModel, arms: Sequence[Arm]
 ) -> Callable[[Sequence[Block], np.random.Generator], BatchSamples]:
     """Bind a model and arms into the pull interface the bandit loop consumes:
-    one ``sample_batch`` call per sequence of blocks."""
-    tables = _ArmTables.of(arms)
+    one ``sample_batch`` call per sequence of blocks, whose arm positions come
+    back as the arms' pool indices.  The cell laws are found or built here, so
+    a closure over the enumeration cap raises before any pull."""
+    laws = _laws(model, np.stack([arm.table for arm in arms]))
+    index = [arm.index for arm in arms]
 
     def pull(blocks: Sequence[Block], rng: np.random.Generator) -> BatchSamples:
-        return sample_batch(model, tables, blocks, rng)
+        batch = sample_batch(model, laws, blocks, rng)
+        batch.blocks = tuple((index[j], regime, n) for j, regime, n in blocks)
+        return batch
 
     return pull
 

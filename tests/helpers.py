@@ -3,13 +3,13 @@
 The brute-force functions enumerate with plain ``itertools.product`` loops and
 no ancestral pruning, so they cross-check the vectorized oracles through a
 completely separate code path.  Likewise the single-pull sampler, the
-full-walk batch sampler, the scalar importance weights, the per-pull
-``ReferencePool`` and the per-target pooled estimators below are written
-apart from the batched sampling kernel, the per-cell ``SamplePool`` and
-``estimate_all``, which the tests compare against them.  The conditional
-f-divergence, the empirical weight quantiles that the cutoff matrices must
-dominate, and the Monte Carlo oracles are references the package itself
-never needs.
+full-walk ancestral batch sampler, the brute-force cell law, the scalar
+importance weights, the per-pull ``ReferencePool`` and the per-target pooled
+estimators below are written apart from the cell-law sampler, the per-cell
+``SamplePool`` and ``estimate_all``, which the tests compare against them.
+The conditional f-divergence, the empirical weight quantiles that the cutoff
+matrices must dominate, and the Monte Carlo oracles are references the
+package itself never needs.
 """
 
 from __future__ import annotations
@@ -189,6 +189,15 @@ def brute_fairness(model: CausalModel, arm: Arm, direction: str) -> float:
     return acc
 
 
+def brute_law(model: CausalModel, arm: Arm, regime: Regime) -> np.ndarray:
+    """``P(cell | arm, regime)`` over the full joint, barren nodes included, by ``reference_cell_code``."""
+    _, n_cells = reference_cell_code(model, dict.fromkeys(model.nodes, 0))
+    law = np.zeros(n_cells)
+    for p, values in _joint(model, arm, force_s=regime.forced_value):
+        law[reference_cell_code(model, values)[0]] += p
+    return law
+
+
 def clipped_outcome_expectation(model: CausalModel, arms, k: int, j: int, eps: float, m_kj: float) -> float:
     """Exact E_j[Y * w_kj * 1{w_kj <= 2 ln(2/eps) m_kj}] by enumeration."""
     thr = 2.0 * math.log(2.0 / eps) * m_kj
@@ -336,10 +345,21 @@ def sample_block(
     return make_sampler(model, [arm])([(0, regime, n)], rng)
 
 
+def cell_codes(batch: BatchSamples) -> np.ndarray:
+    """The cell code of every pull of ``batch``, block after block, ascending within a block."""
+    codes = np.tile(np.arange(batch.n_cells), len(batch.blocks))
+    return np.repeat(codes, batch.counts.ravel())
+
+
+def pull_fields(batch: BatchSamples) -> Cells:
+    """The fields of every pull of ``batch``, in the order of ``cell_codes``."""
+    return batch.cells.take(cell_codes(batch))
+
+
 def mc_outcome_mean(model: CausalModel, arm: Arm, draws: int, rng: np.random.Generator) -> float:
     """Monte Carlo estimate of the arm mean from observational pulls."""
     batch = sample_block(model, arm, Regime.OBSERVATIONAL, draws, rng)
-    return float(batch.cells.take(batch.cell).y.mean())
+    return float(pull_fields(batch).y.mean())
 
 
 def mc_fairness(
@@ -347,8 +367,7 @@ def mc_fairness(
 ) -> float:
     """Monte Carlo estimate of the counterfactual gap from forced pulls of the arm itself."""
     regime = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
-    batch = sample_block(model, arm, regime, draws, rng)
-    pulls = batch.cells.take(batch.cell)
+    pulls = pull_fields(sample_block(model, arm, regime, draws, rng))
     return float((pulls.y * counterfactual_weight(pulls, arm.table, arm.table, direction)).mean())
 
 
@@ -502,7 +521,7 @@ def sample(model: CausalModel, arm: Arm, regime: Regime, rng: np.random.Generato
     """Draw a single pull node by node, with the full observed contexts spelled out.
 
     It consumes one uniform per unforced node in topological order, the same
-    draws as a one-pull ``sample_batch``.
+    draws as a one-pull ``reference_sample_batch``.
     """
     values: dict[str, int] = {}
     forced = regime.forced_value
@@ -577,9 +596,10 @@ def reference_sample_batch(
 ) -> Pulls:
     """``n`` pulls by a walk over every node in topological order, barren ones included.
 
-    Each unforced node draws its ``n`` uniforms when the walk reaches it;
-    ``sample_batch`` must return the same cell codes, with the same fields,
-    and leave ``rng`` in the same state.
+    Each unforced node draws its ``n`` uniforms when the walk reaches it.
+    This is the ancestral reference of the cell-law sampler: its cell
+    frequencies must follow the laws, and each of its pulls must carry the
+    fields that the model's ``Cells`` table holds for its cell.
     """
     values: dict[str, np.ndarray] = {}
     forced = regime.forced_value
@@ -639,14 +659,13 @@ class ReferencePool:
         self._blocks: dict[tuple[int, Regime], list[Cells]] = {}
 
     def add(self, batch: BatchSamples) -> None:
-        start = 0
-        for arm, regime, n in batch.blocks:
+        """Unpack each block's counts into one pull per count, in cell order."""
+        for (arm, regime, n), counts in zip(batch.blocks, batch.counts):
             if not 0 <= arm < self.n_arms:
                 raise ValueError(f"arm index {arm} out of range")
             if n:
-                cell = batch.cell[start : start + n]
+                cell = np.repeat(np.arange(batch.n_cells), counts)
                 self._blocks.setdefault((arm, regime), []).append(batch.cells.take(cell))
-            start += n
 
     def packed(self, arm: int, regime: Regime) -> Cells | None:
         """The fields of every pull of ``arm`` under ``regime``, pull by pull,

@@ -15,6 +15,7 @@ from faircb.cli import main
 from faircb.divergence import DivergenceSet
 from faircb.io import load_instance, save_instance
 from faircb.model import Instance
+from faircb.netgen import build_network_experiment, liver_network
 
 from helpers import chain_model
 from test_bif import MINI
@@ -217,6 +218,21 @@ def test_divergence_exact_and_mc(tmp_path, instance_file):
                  "--mc", "20000", "--seed", "1"]) == 0
     approx = np.loadtxt(f"{mc_prefix}_m.csv", delimiter=",")
     np.testing.assert_allclose(approx, truth.m, rtol=0.05)
+
+
+def test_divergence_mc_needs_an_enumerable_closure(tmp_path, monkeypatch, capsys):
+    # The Monte Carlo matrices draw from the cell laws, which enumerate the
+    # closure of the read nodes: 384 read cells, 9216 closure cells.
+    path = tmp_path / "liver.json"
+    save_instance(build_network_experiment(
+        liver_network(), "fibrosis", "sex", "carcinoma", n_arms=2, seed=0, fairness_eps=0.2), path)
+    monkeypatch.setenv("FCB_ENUM_CAP", "1000")
+    prefix = str(tmp_path / "mc")
+    code = main(["divergence", "--instance", str(path), "--out-prefix", prefix, "--mc", "100"])
+    assert code == cli_mod.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "9216 cells over" in err and "'fibrosis'" in err and "cap of 1000" in err
+    assert not Path(f"{prefix}_m.csv").exists()
 
 
 def test_allocate(tmp_path, instance_file):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
+from faircb import divergence
 from faircb.divergence import DivergenceSet, _logsumexp
 from faircb.model import Arm, CausalModel
 from faircb.synth import SyntheticConfig, generate_synthetic
@@ -184,21 +185,44 @@ def test_divergence_set_exact_vs_mc():
 
 
 # sha256 prefixes of DivergenceSet.mc(..., draws=5000, rng=default_rng(20211)).
-MC_PINS = {"chain": "fb4ae3ddc184551d", "side-child": "d6b694f81af27699"}
+MC_PINS = {"chain": "ca48643706949785", "side-child": "d3f447db7e7afb84"}
 
 
 @pytest.mark.parametrize("fixture", sorted(MC_PINS))
 def test_divergence_set_mc_stream_is_pinned(fixture):
     """``faircb divergence --mc`` draws the same batches in the same order.
 
-    The entries are rounded to 1e-10 before hashing, so a last-place
-    difference in a platform's ``exp`` or ``log`` cannot move the pin, while
-    any change to the draws moves every entry by far more.
+    Pinned on the cell-law sampler's stream, one batch per (target arm,
+    forced regime) read by both directions.  The entries are rounded to
+    1e-10 before hashing, so a last-place difference in a platform's ``exp``
+    or ``log`` cannot move the pin, while any change to the draws moves every
+    entry by far more.
     """
     model, arms = {"chain": chain_model, "side-child": side_child_model}[fixture]()
     ds = DivergenceSet.mc(model, arms, draws=5000, rng=np.random.default_rng(20211))
     raw = b"".join(np.round(getattr(ds, n), 10).tobytes() for n in ("m", "d_ssp", "d_sps"))
     assert hashlib.sha256(raw).hexdigest()[:16] == MC_PINS[fixture]
+
+
+def test_divergence_set_mc_draws_each_batch_once(monkeypatch):
+    # One observational batch per source arm, then one batch per (target
+    # arm, forced regime) that feeds both D_ssp and D_sps: 3K calls, 9 on the chain.
+    make_sampler = divergence.make_sampler
+    calls = []
+
+    def counted(model, arms):
+        pull = make_sampler(model, arms)
+
+        def wrapped(blocks, rng):
+            calls.append(tuple(blocks))
+            return pull(blocks, rng)
+
+        return wrapped
+
+    monkeypatch.setattr(divergence, "make_sampler", counted)
+    model, arms = chain_model()
+    DivergenceSet.mc(model, arms, draws=100, rng=np.random.default_rng(0))
+    assert len(calls) == len(set(calls)) == 3 * len(arms)
 
 
 def test_quantile_frozen_values_and_validation():

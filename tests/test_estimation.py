@@ -258,7 +258,7 @@ def test_clipping_drops_oversized_weights():
         # weight onto arm 1 is 0.9 / 0.1 = 9.
         BatchSamples(
             blocks=((0, Regime.OBSERVATIONAL, 1),),
-            cell=np.array([0]),
+            counts=np.array([[1]]),
             cells=Cells(
                 y=np.array([1.0]),
                 v_row=np.array([0]),

@@ -12,6 +12,7 @@ from faircb.model import Arm, Instance
 from faircb.oracles import (
     DEFAULT_ENUM_CAP,
     direction_values,
+    enumerate_arms,
     enumerate_joint,
     enumeration_cap,
     exact_fairness,
@@ -168,3 +169,26 @@ def test_oracle_report_rejects_a_bad_fairness_tolerance(eps):
     model, arms = chain_model()
     with pytest.raises(ValueError, match="fairness_eps"):
         oracle_report(Instance(model=model, arms=arms), fairness_eps=eps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_enumerate_arms_rows_are_the_one_arm_enumerations(seed):
+    # Every arm's row is bit for bit its own enumeration, forced or not, with
+    # V inside the closure (Y's) and outside it (V's parents only); the
+    # report over all arms equals the per-arm oracles bit for bit.
+    inst = random_instance(np.random.default_rng(seed))
+    model, arms = inst.model, inst.arms
+    tables = np.stack([a.table for a in arms])
+    for needed in ([model.target], [*model.parents[model.intervention], "S"]):
+        for force_s in (None, 0, 1):
+            blocks = list(enumerate_arms(model, tables, needed, force_s))
+            for k, arm in enumerate(arms):
+                (probs, values), = list(enumerate_joint(model, arm, needed, force_s))
+                (all_probs, all_values), = blocks
+                np.testing.assert_array_equal(all_probs[k], probs)
+                assert all_values.keys() == values.keys()
+    report = oracle_report(inst, 0.2)
+    assert report["mu"] == [exact_outcome_mean(model, a) for a in arms]
+    assert report["zeta_ssp"] == [exact_fairness(model, a, "ssp") for a in arms]
+    assert report["zeta_sps"] == [exact_fairness(model, a, "sps") for a in arms]

@@ -1,9 +1,10 @@
-"""Vectorized ancestral sampling and per-sample reweighting."""
+"""The cell-law sampler, its stream contract and memo, and per-sample reweighting."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,17 +12,22 @@ import faircb.sampling as sampling
 from faircb.errors import EnumerationTooLarge
 from faircb.model import Arm, CausalModel, Instance, Regime
 from faircb.netgen import build_network_experiment, liver_network
+from faircb.oracles import exact_fairness, exact_outcome_mean
 from faircb.sampling import counterfactual_weight, make_sampler, transport_weight
 from faircb.sweep import run_algorithm
+from faircb.synth import SyntheticConfig, generate_synthetic
 
 from helpers import (
     Sample,
     WrongRegime,
     ZeroDenominator,
     as_pulls,
+    brute_fairness,
+    brute_law,
     chain_model,
     importance_weight_fairness,
     importance_weight_outcome,
+    pull_fields,
     random_instance,
     reference_sample_batch,
     sample,
@@ -32,14 +38,17 @@ from helpers import (
 _PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
 
 
-def assert_same_pulls(batch, ref) -> None:
-    """``batch`` holds the cell codes and, cell by cell, the pull fields of the reference ``ref``."""
-    assert batch.blocks == ((ref.arm, ref.regime, ref.cell.shape[0]),)
-    assert batch.n_cells == ref.n_cells
-    np.testing.assert_array_equal(batch.cell, ref.cell, err_msg="cell")
-    pulls = batch.cells.take(batch.cell)
+def laws_of(model, arms) -> np.ndarray:
+    """The ``(K, 3, n_cells)`` cell laws a sampler over ``arms`` draws from."""
+    return sampling._laws(model, np.stack([arm.table for arm in arms]))
+
+
+def assert_table_holds(cells, ref) -> None:
+    """The ``Cells`` table entry of every pull of the reference ``ref`` holds that pull's fields."""
+    assert cells.n_cells == ref.n_cells
+    at = cells.take(ref.cell)
     for name in _PULL_FIELDS:
-        np.testing.assert_array_equal(getattr(pulls, name), getattr(ref.fields, name), err_msg=name)
+        np.testing.assert_array_equal(getattr(at, name), getattr(ref.fields, name), err_msg=name)
 
 
 def detached_v_model():
@@ -90,7 +99,8 @@ def test_batch_shapes_and_ranges():
     batch = sample_block(model, arms[1], Regime.OBSERVATIONAL, 500, np.random.default_rng(0))
     assert batch.n == 500
     assert batch.blocks == ((1, Regime.OBSERVATIONAL, 500),)
-    pulls = batch.cells.take(batch.cell)
+    assert batch.counts.shape == (1, 12) and batch.counts.sum() == 500
+    pulls = pull_fields(batch)
     for field in (pulls.y, pulls.v_row, pulls.v_val, pulls.v_row_s, pulls.v_row_sp, pulls.child_ratio):
         assert field.shape == (500,)
     assert set(np.unique(pulls.v_val)) <= {0, 1, 2}
@@ -104,7 +114,7 @@ def test_batch_shapes_and_ranges():
 def test_rows_collapse_when_sensitive_not_a_parent():
     model, arms = detached_v_model()
     batch = sample_block(model, arms[1], Regime.OBSERVATIONAL, 200, np.random.default_rng(1))
-    pulls = batch.cells.take(batch.cell)
+    pulls = pull_fields(batch)
     np.testing.assert_array_equal(pulls.v_row, 0)
     np.testing.assert_array_equal(pulls.v_row_s, pulls.v_row)
     np.testing.assert_array_equal(pulls.v_row_sp, pulls.v_row)
@@ -117,7 +127,7 @@ def test_empirical_frequencies():
     model, arms = chain_model()
     rng = np.random.default_rng(42)
     batch = sample_block(model, arms[0], Regime.OBSERVATIONAL, 20_000, rng)
-    pulls = batch.cells.take(batch.cell)
+    pulls = pull_fields(batch)
     # v_row realizes S, so its frequencies recover P(S); y recovers the arm mean.
     assert pulls.v_row.mean() == pytest.approx(0.6, abs=0.015)
     assert pulls.y.mean() == pytest.approx(0.508, abs=0.015)
@@ -127,10 +137,10 @@ def test_forced_regimes_clamp_sensitive():
     model, arms = chain_model()
     rng = np.random.default_rng(3)
     batch = sample_block(model, arms[0], Regime.FORCE_S, 300, rng)
-    forced_s = batch.cells.take(batch.cell)
+    forced_s = pull_fields(batch)
     np.testing.assert_array_equal(forced_s.v_row, forced_s.v_row_s)
     batch = sample_block(model, arms[0], Regime.FORCE_SPRIME, 300, rng)
-    forced_sp = batch.cells.take(batch.cell)
+    forced_sp = pull_fields(batch)
     np.testing.assert_array_equal(forced_sp.v_row, forced_sp.v_row_sp)
     assert sample(model, arms[0], Regime.FORCE_S, rng).s_value == 0
     assert sample(model, arms[0], Regime.FORCE_SPRIME, rng).s_value == 1
@@ -153,9 +163,9 @@ def test_sampling_is_deterministic_per_seed():
     model, arms = chain_model()
     a = sample_block(model, arms[1], Regime.OBSERVATIONAL, 100, np.random.default_rng(5))
     b = sample_block(model, arms[1], Regime.OBSERVATIONAL, 100, np.random.default_rng(5))
-    np.testing.assert_array_equal(a.cell, b.cell)
-    np.testing.assert_array_equal(a.cells.take(a.cell).y, b.cells.take(b.cell).y)
-    np.testing.assert_array_equal(a.cells.take(a.cell).v_val, b.cells.take(b.cell).v_val)
+    np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_array_equal(pull_fields(a).y, pull_fields(b).y)
+    np.testing.assert_array_equal(pull_fields(a).v_val, pull_fields(b).v_val)
 
 
 def test_make_sampler_binds_arms():
@@ -165,6 +175,10 @@ def test_make_sampler_binds_arms():
     batch = pull(blocks, np.random.default_rng(0))
     assert batch.blocks == tuple(blocks)
     assert batch.n == 19
+    np.testing.assert_array_equal(batch.counts.sum(axis=1), [16, 3])
+    # Arm positions come back as the arms' pool indices.
+    one = make_sampler(model, [arms[2]])([(0, Regime.FORCE_S, 4)], np.random.default_rng(0))
+    assert one.blocks == ((2, Regime.FORCE_S, 4),)
 
 
 def test_outcome_weight_identity_and_transport():
@@ -176,7 +190,7 @@ def test_outcome_weight_identity_and_transport():
     assert importance_weight_outcome(smp, arms[1], arms[0]) == pytest.approx(expected, rel=1e-12)
     # Reweighted pulls of arm 1 recover the mean of arm 2 in expectation.
     batch = sample_block(model, arms[1], Regime.OBSERVATIONAL, 50_000, rng)
-    pulls = batch.cells.take(batch.cell)
+    pulls = pull_fields(batch)
     w = arms[2].table[pulls.v_row, pulls.v_val] / arms[1].table[pulls.v_row, pulls.v_val]
     assert (pulls.y * w).mean() == pytest.approx(8.0 / 15.0, abs=0.03)
 
@@ -190,7 +204,7 @@ def test_fairness_weight_value_and_mean():
         ratio - 1.0, rel=1e-12
     )
     batch = sample_block(model, arms[1], Regime.FORCE_SPRIME, 50_000, rng)
-    pulls = batch.cells.take(batch.cell)
+    pulls = pull_fields(batch)
     r = arms[1].table[pulls.v_row_s, pulls.v_val] / arms[1].table[pulls.v_row_sp, pulls.v_val]
     assert (pulls.y * (r - 1.0)).mean() == pytest.approx(-0.35, abs=0.03)
 
@@ -245,7 +259,7 @@ def test_batch_invariants_on_random_instances(seed):
     model = inst.model
     for regime in Regime:
         batch = sample_block(model, inst.arms[-1], regime, 64, rng)
-        pulls = batch.cells.take(batch.cell)
+        pulls = pull_fields(batch)
         assert np.all(np.isfinite(pulls.child_ratio)) and np.all(pulls.child_ratio > 0)
         assert np.all((pulls.y >= 0.0) & (pulls.y <= 1.0))
         on_row = np.where(pulls.v_row == pulls.v_row_s, True, pulls.v_row == pulls.v_row_sp)
@@ -268,11 +282,9 @@ def test_weight_kernel_matches_scalar_references(seed):
     targets, sources = tables[:, None], tables[None, :]
     for arm in arms:
         for regime in Regime:
-            # The batched sampler and the single-pull reference agree draw for draw.
-            draw_seed = int(rng.integers(2**32))
-            one = sample_block(model, arm, regime, 1, np.random.default_rng(draw_seed))
-            ref = as_pulls([sample(model, arm, regime, np.random.default_rng(draw_seed))])
-            assert_same_pulls(one, ref)
+            # The model's cell table holds the fields of a single-pull reference draw.
+            ref = as_pulls([sample(model, arm, regime, rng)])
+            assert_table_holds(sampling._plan(model).cells, ref)
 
             pulls = [sample(model, arm, regime, rng) for _ in range(12)]
             batch = as_pulls(pulls).fields
@@ -330,25 +342,38 @@ def liver_experiment(n_arms: int):
     )
 
 
-def assert_same_stream(model, arm, regime, n, seed):
-    """``sample_batch`` and the full walk agree on the batch and on the draws after it."""
+def assert_block_is_one_multinomial(model, arms, j, regime, n, seed):
+    """A one-block draw is ``rng.multinomial(n, law)`` of its cell law, and leaves
+    the generator where that multinomial does."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert_same_pulls(
-        sample_block(model, arm, regime, n, rng), reference_sample_batch(model, arm, regime, n, ref_rng)
-    )
-    np.testing.assert_array_equal(rng.random(5), ref_rng.random(5))
+    batch = make_sampler(model, arms)([(j, regime, n)], rng)
+    law = laws_of(model, arms)[j, list(Regime).index(regime)]
+    np.testing.assert_array_equal(batch.counts, [ref_rng.multinomial(n, law)])
+    assert rng.random() == ref_rng.random()
+
+
+def assert_pruned_law_is_the_full_joint_law(model, arms):
+    """The laws enumerated over the closure of the read nodes equal, to
+    1e-12, the brute-force laws over the full joint, barren nodes included."""
+    laws = laws_of(model, arms)
+    for k, arm in enumerate(arms):
+        for row, regime in enumerate(Regime):
+            np.testing.assert_allclose(laws[k, row], brute_law(model, arm, regime), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 500])
 @pytest.mark.parametrize("regime", list(Regime))
 def test_pruned_sampling_keeps_the_stream(regime, n):
+    # Sampling enumerates the closure of the read nodes only; each block is
+    # still one multinomial of its law, and that law is the full joint's.
     model, arms = barren_model()
+    assert_pruned_law_is_the_full_joint_law(model, arms)
     for seed in range(3):
-        for arm in arms:
-            assert_same_stream(model, arm, regime, n, seed)
+        for j in range(len(arms)):
+            assert_block_is_one_multinomial(model, arms, j, regime, n, seed)
     liver = liver_experiment(3)
-    for arm in liver.arms:
-        assert_same_stream(liver.model, arm, regime, n, 7)
+    for j in range(len(liver.arms)):
+        assert_block_is_one_multinomial(liver.model, liver.arms, j, regime, n, 7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -356,23 +381,23 @@ def test_pruned_sampling_keeps_the_stream(regime, n):
 def test_pruned_sampling_keeps_the_stream_on_random_instances(seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng)
+    assert_pruned_law_is_the_full_joint_law(inst.model, inst.arms)
     for regime in Regime:
         for n in (1, 37):
-            assert_same_stream(inst.model, inst.arms[-1], regime, n, seed)
+            assert_block_is_one_multinomial(inst.model, inst.arms, len(inst.arms) - 1, regime, n, seed)
 
 
 def assert_phase_stream(model, arms, blocks, seed):
-    """One sampler call over ``blocks`` gives, block for block, the cell codes
-    of consecutive full-walk batches, and leaves the generator where they do."""
+    """One sampler call over ``blocks`` gives, block for block, the counts of
+    consecutive one-block calls, and leaves the generator where they do."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = make_sampler(model, arms)(blocks, rng)
+    pull = make_sampler(model, arms)
+    batch = pull(blocks, rng)
     assert batch.blocks == tuple((arms[j].index, regime, n) for j, regime, n in blocks)
-    start = 0
-    for j, regime, n in blocks:
-        ref = reference_sample_batch(model, arms[j], regime, n, ref_rng)
-        np.testing.assert_array_equal(batch.cell[start : start + n], ref.cell, err_msg=f"{j} {regime}")
-        start += n
-    assert batch.n == start
+    assert batch.counts.shape == (len(blocks), batch.n_cells)
+    for row, block in zip(batch.counts, blocks):
+        np.testing.assert_array_equal(row, pull([block], ref_rng).counts[0], err_msg=str(block))
+    assert batch.n == sum(n for _, _, n in blocks) == batch.counts.sum()
     assert rng.random() == ref_rng.random()
 
 
@@ -424,7 +449,7 @@ def test_cell_code_covers_the_read_nodes():
     model, arms = side_child_model()
     batch = sample_block(model, arms[1], Regime.OBSERVATIONAL, 400, np.random.default_rng(4))
     assert batch.n_cells == 16
-    assert batch.cell.min() >= 0 and batch.cell.max() < 16
+    assert batch.counts.shape == (1, 16) and batch.counts.sum() == 400
     for regime in Regime:
         for arm in arms:
             assert_cells_hold_the_full_walk_fields(model, arm, regime, 400, 4)
@@ -464,3 +489,160 @@ def test_cell_table_is_decoded_once_per_model(monkeypatch):
     ]
     assert sum(len(trace.phases) for trace in traces) > 2
     assert len(decoded) == 1 and decoded[0] is model
+
+
+def assert_laws_match_the_oracles(model, arms, fairness) -> None:
+    """Each arm's observational law, weighed by y, gives its exact mean, and
+    each forced law, weighed by y times the arm's own counterfactual weight,
+    gives its counterfactual gap ``fairness(model, arm, direction)``, to 1e-12."""
+    laws = laws_of(model, arms)
+    cells = sampling._plan(model).cells
+    rows = {regime: row for row, regime in enumerate(Regime)}
+    for k, arm in enumerate(arms):
+        law = laws[k, rows[Regime.OBSERVATIONAL]]
+        assert law @ cells.y == pytest.approx(exact_outcome_mean(model, arm), abs=1e-12)
+        for direction, regime in (("ssp", Regime.FORCE_SPRIME), ("sps", Regime.FORCE_S)):
+            law = laws[k, rows[regime]]
+            at = np.flatnonzero(law)
+            occupied = cells.take(at)
+            u = counterfactual_weight(occupied, arm.table, arm.table, direction)
+            assert law[at] @ (occupied.y * u) == pytest.approx(fairness(model, arm, direction), abs=1e-12)
+        np.testing.assert_allclose(laws[k].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["chain", "side-child", "liver"])
+def test_laws_match_the_exact_oracles(fixture):
+    if fixture == "liver":
+        # Seventy nodes are beyond the brute force; the pruned enumeration
+        # oracle is the reference there.
+        liver = liver_experiment(10)
+        assert_laws_match_the_oracles(liver.model, liver.arms, exact_fairness)
+        return
+    model, arms = {"chain": chain_model, "side-child": side_child_model}[fixture]()
+    assert_laws_match_the_oracles(model, arms, brute_fairness)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_laws_match_the_exact_oracles_on_random_instances(seed):
+    inst = random_instance(np.random.default_rng(seed))
+    assert_laws_match_the_oracles(inst.model, inst.arms, brute_fairness)
+
+
+BENCH_INSTANCES = {
+    "synth-k30": lambda: generate_synthetic(SyntheticConfig(
+        n_arms=30, support=20, seed=5, reward_gap_band=(0.02, 0.06), fairness_gap_band=(1.93, 1.99))),
+    "liver-k10": lambda: liver_experiment(10),
+    "band-k5": lambda: generate_synthetic(SyntheticConfig(
+        n_arms=5, support=6, seed=4, fairness_eps=0.5, fairness_gap_band=(0.3, 0.45),
+        reward_gap_band=(0.3, 0.45), divergence_band=(10.0, 50.0))),
+}
+"""Builders of the instances of the three benchmark workloads."""
+
+
+# Each (arm, regime) law is tested once; every p-value must reach 1e-6.  Under
+# the null the chance that any of the 135 tests falls below is about 1.4e-4.
+CHI2_DRAWS = 20_000
+CHI2_P_MIN = 1e-6
+
+
+def chi_square_p(observed: np.ndarray, law: np.ndarray) -> float:
+    """Pearson's test of ``observed`` counts against ``law``, the cells with an
+    expected count under five pooled into one bin.  A pull in a cell of zero
+    law fails outright."""
+    n = observed.sum()
+    expected = n * law
+    if observed[law == 0.0].any():
+        return 0.0
+    small = expected < 5.0
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    keep = exp > 0.0
+    obs, exp = obs[keep], exp[keep]
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    return float(scipy.stats.chi2.sf(stat, obs.size - 1))
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_INSTANCES))
+def test_laws_follow_the_ancestral_reference(workload):
+    inst = BENCH_INSTANCES[workload]()
+    model, arms = inst.model, inst.arms
+    laws = laws_of(model, arms)
+    rng = np.random.default_rng(20260)
+    p_values = {}
+    for k, arm in enumerate(arms):
+        for row, regime in enumerate(Regime):
+            ref = reference_sample_batch(model, arm, regime, CHI2_DRAWS, rng)
+            observed = np.bincount(ref.cell, minlength=ref.n_cells)
+            p_values[k, regime.value] = chi_square_p(observed, laws[k, row])
+    worst = min(p_values, key=p_values.get)
+    assert p_values[worst] >= CHI2_P_MIN, (worst, p_values[worst])
+
+
+def test_closure_over_the_cap_raises_before_any_pull(monkeypatch):
+    # The liver's read nodes span 384 cells, their closure 9216.
+    liver = liver_experiment(2)
+    monkeypatch.setenv("FCB_ENUM_CAP", "9215")
+    sampling._LAWS.clear()
+    with pytest.raises(EnumerationTooLarge, match="9216 cells over .*'fibrosis'"):
+        make_sampler(liver.model, liver.arms)
+    assert not sampling._LAWS
+    monkeypatch.setenv("FCB_ENUM_CAP", "9216")
+    assert make_sampler(liver.model, liver.arms)([], np.random.default_rng(0)).n == 0
+
+
+def count_law_builds(monkeypatch) -> list:
+    """The models whose cell laws are built from here on, from a cold memo."""
+    build = sampling._build_laws
+    builds = []
+
+    def counted(model, *args):
+        builds.append(model)
+        return build(model, *args)
+
+    monkeypatch.setattr(sampling, "_build_laws", counted)
+    sampling._LAWS.clear()
+    return builds
+
+
+def test_equal_models_share_one_law_build(monkeypatch):
+    builds = count_law_builds(monkeypatch)
+    (model_a, arms_a), (model_b, arms_b) = chain_model(), chain_model()
+    blocks = [(j, regime, 50) for j in range(3) for regime in Regime]
+    a = make_sampler(model_a, arms_a)(blocks, np.random.default_rng(4))
+    b = make_sampler(model_b, arms_b)(blocks, np.random.default_rng(4))
+    assert builds == [model_a]
+    np.testing.assert_array_equal(a.counts, b.counts)
+
+
+def test_editing_an_arm_table_in_place_forces_a_rebuild(monkeypatch):
+    builds = count_law_builds(monkeypatch)
+    model, arms = chain_model()
+    before = laws_of(model, arms).copy()
+    make_sampler(model, arms)
+    assert len(builds) == 1
+    arms[1].table[0] = [0.2, 0.2, 0.6]
+    make_sampler(model, arms)
+    assert len(builds) == 2
+    after = laws_of(model, arms)
+    assert not np.array_equal(before[1], after[1])
+    np.testing.assert_array_equal(before[[0, 2]], after[[0, 2]])
+    with pytest.raises(ValueError, match="read-only"):
+        after[0, 0, 0] = 0.5
+
+
+def test_law_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(sampling, "_MEMO_LAWS", 2)
+    builds = count_law_builds(monkeypatch)
+    model, arms = chain_model()
+    subsets = [arms[:1], arms[1:2], arms[2:], arms[:2], arms]
+    for subset in subsets:
+        make_sampler(model, subset)
+        assert len(sampling._LAWS) <= 2
+    assert len(builds) == len(subsets)
+    # The two most recent arm sets survive eviction; the first does not.
+    make_sampler(model, arms)
+    make_sampler(model, arms[:2])
+    assert len(builds) == len(subsets)
+    make_sampler(model, arms[:1])
+    assert len(builds) == len(subsets) + 1

@@ -24,6 +24,7 @@ from scipy.special import logsumexp
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError
 from faircb.model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
+from faircb.netgen import build_network_experiment, liver_network
 from faircb.sampling import BatchSamples, Cells, counterfactual_weight, make_sampler
 from faircb.oracles import (
     attribute_ratio_values,
@@ -31,6 +32,7 @@ from faircb.oracles import (
     enumerate_joint,
     marginal_rows,
 )
+from faircb.synth import SyntheticConfig, generate_synthetic
 
 S_CHAIN_F = np.array([0.2, 0.5, 0.9])
 
@@ -137,6 +139,23 @@ def random_instance(rng: np.random.Generator, floor: float = 0.02) -> Instance:
     n_arms = int(rng.integers(2, 5))
     arms = tuple(Arm(k, random_table(n_rows_v, cards["V"])) for k in range(n_arms))
     return Instance(model=model, arms=arms, name="random")
+
+
+def liver_experiment(n_arms: int) -> Instance:
+    return build_network_experiment(
+        liver_network(), "fibrosis", "sex", "carcinoma", n_arms=n_arms, seed=0, fairness_eps=0.2
+    )
+
+
+BENCH_INSTANCES = {
+    "synth-k30": lambda: generate_synthetic(SyntheticConfig(
+        n_arms=30, support=20, seed=5, reward_gap_band=(0.02, 0.06), fairness_gap_band=(1.93, 1.99))),
+    "liver-k10": lambda: liver_experiment(10),
+    "band-k5": lambda: generate_synthetic(SyntheticConfig(
+        n_arms=5, support=6, seed=4, fairness_eps=0.5, fairness_gap_band=(0.3, 0.45),
+        reward_gap_band=(0.3, 0.45), divergence_band=(10.0, 50.0))),
+}
+"""Builders of the instances of the three benchmark workloads."""
 
 
 def _joint(model: CausalModel, arm: Arm | None, force_s: int | None = None):

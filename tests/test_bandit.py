@@ -31,7 +31,7 @@ from faircb.oracles import oracle_report
 from faircb.sampling import make_sampler
 from faircb.sweep import ALGORITHMS, run_algorithm
 
-from helpers import chain_model, side_child_model
+from helpers import BENCH_INSTANCES, chain_model, side_child_model
 
 NAN = float("nan")
 
@@ -439,6 +439,55 @@ def test_liver_phase_arrays_are_pinned():
             for arr in (a.tau_y, a.tau_s, a.tau_sp, e.y, e.zeta_ssp, e.zeta_sps):
                 h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest()[:16] == pinned, key
+
+
+# sha256 prefixes of every phase's estimate arrays' bytes and of the decision,
+# seeded runs of every algorithm on the benchmark instances at their top
+# budgets, with the default budget the benchmark's runs use.
+BENCH_TOP_BUDGETS = {"synth-k30": 6000, "liver-k10": 10_000, "band-k5": 4000}
+BENCH_ESTIMATE_PINS = {
+    "synth-k30": {
+        "csr-v1/0": "93b17df309839ef5", "csr-v1/1": "5352f5da405b06c8", "csr-v1/2": "6ea772472364aaa6",
+        "csr-v2/0": "96bd910a60406723", "csr-v2/1": "291ae9878f9d1ebd", "csr-v2/2": "d3ee802dba4af5b1",
+        "ts-v1/0": "21aff8e26ca701db", "ts-v1/1": "afd6fec25a24d84c", "ts-v1/2": "b93d4027d6fcca50",
+        "ts-v2/0": "2d5ebab452d42592", "ts-v2/1": "187a0400448a0a33", "ts-v2/2": "29f06e9edf183cc1",
+    },
+    "liver-k10": {
+        "csr-v1/0": "cd1c71f57521479a", "csr-v1/1": "1b9a2297608f2638", "csr-v1/2": "35b054698b6a3005",
+        "csr-v2/0": "569230ad4d645a6d", "csr-v2/1": "8dd257f7cfe185cf", "csr-v2/2": "8831b7970f15a45b",
+        "ts-v1/0": "8e7a96b8c3c3ba91", "ts-v1/1": "0ffd4fcfae392833", "ts-v1/2": "8bd155c31e81a774",
+        "ts-v2/0": "660637346683e321", "ts-v2/1": "9c6a3e37fea415d5", "ts-v2/2": "1a062ea54125487c",
+    },
+    "band-k5": {
+        "csr-v1/0": "2d8a3ff32e51869c", "csr-v1/1": "c0c5c6b8dfe4aa13", "csr-v1/2": "2446d5ccc849c27a",
+        "csr-v2/0": "941e2db448114dc3", "csr-v2/1": "802247ee4393ac9b", "csr-v2/2": "3a2668f99d94f66f",
+        "ts-v1/0": "905c995d111fdbbe", "ts-v1/1": "a014c237494a5f5e", "ts-v1/2": "34fc846f988eb6c9",
+        "ts-v2/0": "95ba3bc216396090", "ts-v2/1": "2affbe71995feeeb", "ts-v2/2": "41b9900f9772d557",
+    },
+}
+
+
+def estimate_digest(trace) -> str:
+    h = hashlib.sha256()
+    for p in trace.phases:
+        for arr in (p.estimates.y, p.estimates.zeta_ssp, p.estimates.zeta_sps):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr(trace.decision).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_TOP_BUDGETS))
+def test_bench_phase_estimates_are_pinned(workload):
+    instance = BENCH_INSTANCES[workload]()
+    divergences = DivergenceSet.exact(instance.model, instance.arms)
+    got = {
+        f"{algorithm}/{seed}": estimate_digest(run_algorithm(
+            instance, algorithm, BENCH_TOP_BUDGETS[workload], np.random.default_rng(seed),
+            divergences=divergences,
+        ))
+        for algorithm in ALGORITHMS for seed in (0, 1, 2)
+    }
+    assert got == BENCH_ESTIMATE_PINS[workload]
 
 
 def count_solves(monkeypatch) -> list:

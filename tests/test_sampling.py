@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 import faircb.sampling as sampling
 from faircb.errors import EnumerationTooLarge
 from faircb.model import Arm, CausalModel, Instance, Regime
-from faircb.netgen import build_network_experiment, liver_network
 from faircb.oracles import exact_fairness, exact_outcome_mean
 from faircb.sampling import counterfactual_weight, make_sampler, transport_weight
 from faircb.sweep import run_algorithm
-from faircb.synth import SyntheticConfig, generate_synthetic
 
 from helpers import (
+    BENCH_INSTANCES,
     Sample,
     WrongRegime,
     ZeroDenominator,
@@ -27,6 +26,7 @@ from helpers import (
     chain_model,
     importance_weight_fairness,
     importance_weight_outcome,
+    liver_experiment,
     pull_fields,
     random_instance,
     reference_sample_batch,
@@ -336,12 +336,6 @@ def barren_model():
     return model, arms
 
 
-def liver_experiment(n_arms: int):
-    return build_network_experiment(
-        liver_network(), "fibrosis", "sex", "carcinoma", n_arms=n_arms, seed=0, fairness_eps=0.2
-    )
-
-
 def assert_block_is_one_multinomial(model, arms, j, regime, n, seed):
     """A one-block draw is ``rng.multinomial(n, law)`` of its cell law, and leaves
     the generator where that multinomial does."""
@@ -527,17 +521,6 @@ def test_laws_match_the_exact_oracles(fixture):
 def test_laws_match_the_exact_oracles_on_random_instances(seed):
     inst = random_instance(np.random.default_rng(seed))
     assert_laws_match_the_oracles(inst.model, inst.arms, brute_fairness)
-
-
-BENCH_INSTANCES = {
-    "synth-k30": lambda: generate_synthetic(SyntheticConfig(
-        n_arms=30, support=20, seed=5, reward_gap_band=(0.02, 0.06), fairness_gap_band=(1.93, 1.99))),
-    "liver-k10": lambda: liver_experiment(10),
-    "band-k5": lambda: generate_synthetic(SyntheticConfig(
-        n_arms=5, support=6, seed=4, fairness_eps=0.5, fairness_gap_band=(0.3, 0.45),
-        reward_gap_band=(0.3, 0.45), divergence_band=(10.0, 50.0))),
-}
-"""Builders of the instances of the three benchmark workloads."""
 
 
 # Each (arm, regime) law is tested once; every p-value must reach 1e-6.  Under

@@ -18,8 +18,8 @@ the rounded counts, re-estimates, records the phase and eliminates.  Its
 The LP of a phase depends only on the instance content (the three divergence
 matrices, the cost rows, the budget and the extra rows; the cheap-arm cap
 brings in T) and on the (survivors, rule) pair.  Seeded runs of one instance
-keep meeting the same problems, so every run and ``bound_report`` solve
-through one memo that lives for the whole process:
+keep meeting the same problems, so every run solves through one memo that
+lives for the whole process:
 
 - the outer map is keyed on the bytes, shape and dtype of the matrices and
   on the cost rows, budget and extra rows, never on object identity, so an
@@ -66,7 +66,6 @@ __all__ = [
     "eliminate",
     "run_csr",
     "run_two_stage",
-    "bound_report",
 ]
 
 Sampler = Callable[[Sequence[Block], np.random.Generator], BatchSamples]
@@ -320,7 +319,7 @@ class _Run:
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng() if self.rng is None else self.rng
         self.costs = costs_from_arms(self.arms)
-        self.pool = SamplePool(len(self.arms)) if self.variant == "v2" else None
+        self.pool = SamplePool(self.arms) if self.variant == "v2" else None
         self.allocation = _Allocator(
             self.divergences, self.costs, self.budget, self.extra_constraints
         )
@@ -341,9 +340,9 @@ def _run_stage(
     for l in range(1, sched.n + 1):
         eps = 2.0 ** (-(l - 1))
         alloc = _round_phase(run.allocation(remaining, rule), int(sched.tau[l - 1]), K)
-        pool = SamplePool(K) if run.pool is None else run.pool
+        pool = SamplePool(run.arms) if run.pool is None else run.pool
         spent, cost = _pull_phase(run.sampler, pool, alloc, run.costs, run.rng)
-        estimates = estimate_all(pool, run.arms, eps, run.divergences)
+        estimates = estimate_all(pool, eps, run.divergences)
         if rule == "outcome":
             fair = remaining
         else:
@@ -435,145 +434,3 @@ def run_two_stage(
     if decision is None:
         decision = _best_outcome(phases[-1].estimates, survivors)
     return _trace(phases, decision)
-
-
-def _bracket_phase(numerator: float, gap: float) -> float:
-    """Smallest integer phase l with numerator/2^l < gap; inf when gap <= 0."""
-    if gap <= 0.0:
-        return math.inf
-    return float(max(1, math.ceil(math.log2(numerator / gap))))
-
-
-def bound_report(
-    oracle: dict,
-    divergences: DivergenceSet,
-    costs: np.ndarray,
-    budget: float,
-    T: int,
-    extra_constraints: Sequence[tuple[np.ndarray, float]] = (),
-) -> dict:
-    """Problem-dependent constants and both error bounds for an instance.
-
-    Takes the exact oracle report (means, directional gaps, fair set) and
-    rebuilds every constant of the two guarantees: per-arm ideal deletion
-    phases, the hardness constant, and the exponential bounds, clamped to
-    [0, 1] for reporting.
-    """
-    mu = np.asarray(oracle["mu"], dtype=float)
-    zeta_ssp = np.asarray(oracle["zeta_ssp"], dtype=float)
-    zeta_sps = np.asarray(oracle["zeta_sps"], dtype=float)
-    fairness_eps = float(oracle["fairness_eps"])
-    fair = list(oracle["fair"])
-    best = oracle["best_fair"]
-    K = mu.shape[0]
-    sched = phase_schedule(T)
-
-    allocation = _Allocator(divergences, costs, budget, extra_constraints)
-
-    def vstar(active: Sequence[int]) -> float:
-        return allocation(tuple(sorted({int(k) for k in active})), "joint").v_star
-
-    delta = [None if best is None else float(mu[best] - mu[k]) for k in range(K)]
-    so = [
-        math.inf if delta[k] is None else _bracket_phase(10.0, delta[k]) for k in range(K)
-    ]
-    f_ssp = [
-        _bracket_phase(6.0, max(zeta_ssp[k] - fairness_eps, -fairness_eps - zeta_ssp[k]))
-        for k in range(K)
-    ]
-    f_sps = [
-        _bracket_phase(6.0, max(zeta_sps[k] - fairness_eps, -fairness_eps - zeta_sps[k]))
-        for k in range(K)
-    ]
-
-    l0 = None
-    if best is not None:
-        slacks = [
-            fairness_eps + zeta_ssp[best],
-            fairness_eps - zeta_ssp[best],
-            fairness_eps + zeta_sps[best],
-            fairness_eps - zeta_sps[best],
-        ]
-        l0 = float(max(math.log2(5.0 / s) for s in slacks))
-
-    rho = []
-    for k in range(K):
-        if k == best:
-            rho.append(math.inf)
-            continue
-        so_term = so[k] if l0 is None else max(so[k], l0)
-        rho.append(float(min(so_term, f_ssp[k], f_sps[k])))
-
-    # Minimal category gaps feed the worst-case deletion phase rho*.
-    so_gaps = [delta[k] for k in fair if k != best and delta[k] is not None and delta[k] > 0]
-    ssp_gaps = [
-        min(abs(zeta_ssp[k] - fairness_eps), abs(zeta_ssp[k] + fairness_eps))
-        for k in range(K)
-        if abs(zeta_ssp[k]) >= fairness_eps
-    ]
-    sps_gaps = [
-        min(abs(zeta_sps[k] - fairness_eps), abs(zeta_sps[k] + fairness_eps))
-        for k in range(K)
-        if abs(zeta_sps[k]) >= fairness_eps
-    ]
-    terms = []
-    if so_gaps:
-        terms.append(math.log2(20.0 / min(so_gaps)))
-    if ssp_gaps:
-        terms.append(math.log2(12.0 / min(ssp_gaps)))
-    if sps_gaps:
-        terms.append(math.log2(12.0 / min(sps_gaps)))
-    rho_star = float(max(terms)) if terms else math.inf
-
-    r_star = {k: [a for a in range(K) if rho[a] >= rho[k]] for k in range(K)}
-    v_star_k = {}
-    h_bar = 0.0
-    for k in range(K):
-        if k == best:
-            continue
-        v = vstar(r_star[k])
-        v_star_k[k] = v
-        if math.isinf(rho[k]):
-            h_bar = math.inf
-        else:
-            h_bar = max(h_bar, rho[k] ** 3 * 2.0 ** (2.0 * rho[k]) / v**2)
-
-    misid = None
-    if best is not None and K > 1:
-        expo = 0.0 if math.isinf(h_bar) else T / (8.0 * h_bar * sched.logbar)
-        misid = float(min(1.0, 8.0 * K**2 * rho_star * math.exp(-expo)))
-
-    v_full = vstar(range(K))
-    xi_star = float(oracle["xi_star"])
-    fair_err = float(
-        min(
-            1.0,
-            4.0
-            * K
-            * sched.n
-            * math.exp(-(xi_star**2) * T * v_full**2 / (32.0 * sched.n**3 * sched.logbar)),
-        )
-    )
-
-    return {
-        "T": T,
-        "budget": float(budget),
-        "fairness_eps": fairness_eps,
-        "n_phases": sched.n,
-        "logbar": sched.logbar,
-        "best_fair": best,
-        "delta": delta,
-        "so": so,
-        "f_ssp": f_ssp,
-        "f_sps": f_sps,
-        "l0": l0,
-        "rho": rho,
-        "rho_star": rho_star,
-        "r_star": r_star,
-        "v_star": v_star_k,
-        "v_star_full": v_full,
-        "h_bar": h_bar,
-        "xi_star": xi_star,
-        "misidentification_bound": misid,
-        "fairness_error_bound": fair_err,
-    }

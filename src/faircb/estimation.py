@@ -10,26 +10,36 @@ by ``2 ln(2 / eps)`` after its ``1 / M`` or ``1 / D`` factor.
 A pull enters the estimates only through its cell (``sampling`` documents the
 cell code, the cell law and the model's ``Cells`` table), so the pool keeps
 counts, not pulls: one int64 vector of ``n_cells`` counts per (source arm,
-regime), 3K * ``n_cells`` words in all, and a reference to the table.  ``add``
-takes a batch as the sampler draws it, one row of per-cell counts per block,
-and sums each row into its (arm, regime) vector.  Each source block weighs
-its occupied cells once against every target and dots the kept weights with
-``count * y``, so a phase costs O(K * occupied cells) per source block, the
-same at any horizon and for any number of pooled phases.  A cell's fields
-are bit for bit those of each of its pulls, so are its weights and clip
-masks; only the order of the summation differs.
+regime), 3K * ``n_cells`` words in all.  ``add`` takes a batch as the sampler
+draws it, one row of per-cell counts per block, and sums each row into its
+(arm, regime) vector.
+
+A weight depends only on the cell and on the source and target arm tables,
+never on the phase or ``eps``; only the clip mask depends on ``eps``.  So the
+pool's first ``add`` looks up the instance's weight kernel
+(``sampling.weight_kernel``): the ``(3, K, K, n_cells)`` weights of every cell
+for every (regime, source, target), 3K^2 * ``n_cells`` floats, built once per
+instance through ``transport_weight`` and ``counterfactual_weight`` and kept
+in a bounded memo keyed on content, so fresh per-phase pools (v1) and later
+runs reuse it.  Each phase then gathers, per source block, the kernel columns
+of the block's occupied cells, clips them and dots the kept weights with
+``count * y``: O(K * occupied cells) per block, the same at any horizon and
+for any number of pooled phases.  A cell's fields are bit for bit those of
+each of its pulls, so are its weights and clip masks; only the order of the
+summation differs from a per-pull sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .divergence import DivergenceSet
-from .model import REGIMES, Regime
-from .sampling import BatchSamples, Cells, counterfactual_weight, transport_weight
+from .model import REGIMES, Arm, Regime
+from .sampling import BatchSamples, weight_kernel
 
 __all__ = [
     "SamplePool",
@@ -39,19 +49,25 @@ __all__ = [
 
 
 class SamplePool:
-    """Append-only per-cell counts of the pulls of every source arm under every regime."""
+    """Append-only per-cell counts of the pulls of every source arm under every
+    regime, weighed against the target ``arms``."""
 
-    def __init__(self, n_arms: int):
-        self.n_arms = n_arms
+    def __init__(self, arms: Sequence[Arm]):
+        self.n_arms = len(arms)
+        self._arms = arms
         self._counts: dict[tuple[int, Regime], np.ndarray] = {}
-        self._cells: Cells | None = None
+        self._y: np.ndarray | None = None
+        self._kernel: np.ndarray | None = None
 
     def add(self, batch: BatchSamples) -> None:
-        """Sum the count row of every block of ``batch`` into its (arm, regime) counts."""
+        """Sum the count row of every block of ``batch`` into its (arm, regime)
+        counts; the first add looks up the weight kernel of the batch's cells."""
         for arm, _, _ in batch.blocks:
             if not 0 <= arm < self.n_arms:
                 raise ValueError(f"arm index {arm} out of range")
-        self._cells = batch.cells
+        if self._kernel is None:
+            self._kernel = weight_kernel(batch.cells, np.stack([arm.table for arm in self._arms]))
+            self._y = batch.cells.y
         for (arm, regime, n), counts in zip(batch.blocks, batch.counts):
             if n:
                 key = (arm, regime)
@@ -64,14 +80,17 @@ class SamplePool:
     def counts(self, regime: Regime) -> np.ndarray:
         return np.array([self.count(j, regime) for j in range(self.n_arms)], dtype=np.int64)
 
-    def cells(self, arm: int, regime: Regime) -> tuple[Cells, np.ndarray] | None:
-        """The fields and counts of the occupied cells of ``arm`` under ``regime``,
-        or None when there are no pulls."""
+    def block(self, arm: int, regime: Regime) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The kernel weights against every target arm, the counts and the outcomes
+        of the occupied cells of ``arm`` under ``regime``, or None when there are no pulls."""
         counts = self._counts.get((arm, regime))
         if counts is None:
             return None
         occupied = np.flatnonzero(counts)
-        return self._cells.take(occupied), counts[occupied]
+        # A cell-major gather: the matrix product's summation order, and so
+        # the estimates' bits, follow this (target-fastest) layout.
+        weights = self._kernel[REGIMES.index(regime), arm].T[occupied].T
+        return weights, counts[occupied], self._y[occupied]
 
 
 @dataclass
@@ -84,50 +103,32 @@ class EstimateVector:
     eps: float
 
 
-def estimate_all(
-    pool: SamplePool,
-    arms,
-    eps: float,
-    div: DivergenceSet,
-) -> EstimateVector:
+def estimate_all(pool: SamplePool, eps: float, div: DivergenceSet) -> EstimateVector:
     """All per-arm estimates at accuracy level ``eps``; empty pools turn into NaN.
 
-    One pass over each source block weighs its occupied cells against every
-    target arm at once.  The outcome estimates read observational pulls only,
-    since forced pulls target the forced means; each fairness direction reads
-    the pulls forced to its evidence value.
+    Each source block is clipped and summed against every target arm at once,
+    source arm by source arm, then in ``REGIMES`` order.  The outcome
+    estimates read observational pulls only, since forced pulls target the
+    forced means; each fairness direction reads the pulls forced to its
+    evidence value: ``"sps"`` those forced to s, ``"ssp"`` those forced to s'.
+    Transport weights are never negative, so one ``|w| <= cutoff`` mask
+    serves all three.
     """
     n = pool.n_arms
-    tables = np.stack([arm.table for arm in arms])
     log_term = 2.0 * math.log(2.0 / eps)
-    z = np.zeros(n)
-    y_acc = np.zeros(n)
-    o = {"ssp": np.zeros(n), "sps": np.zeros(n)}
-    z_acc = {"ssp": np.zeros(n), "sps": np.zeros(n)}
-
+    cutoffs = (div.m, div.d_sps, div.d_ssp)
+    norm = np.zeros((len(REGIMES), n))
+    acc = np.zeros((len(REGIMES), n))
     for j in range(n):
-        for regime in REGIMES:
-            block = pool.cells(j, regime)
+        for r, regime in enumerate(REGIMES):
+            block = pool.block(j, regime)
             if block is None:
                 continue
-            cells, counts = block
-            cnt = int(counts.sum())
-            mass = counts * cells.y
-            if regime is Regime.OBSERVATIONAL:
-                w = transport_weight(cells, tables, tables[j])
-                thr = (log_term * div.m[:, j])[:, None]
-                z += cnt / div.m[:, j]
-                y_acc += ((w * (w <= thr)) @ mass) / div.m[:, j]
-                continue
-            direction = "ssp" if regime is Regime.FORCE_SPRIME else "sps"
-            d = div.d_ssp if direction == "ssp" else div.d_sps
-            u = counterfactual_weight(cells, tables, tables[j], direction)
-            thr = (log_term * d[:, j])[:, None]
-            o[direction] += cnt / d[:, j]
-            z_acc[direction] += ((u * (np.abs(u) <= thr)) @ mass) / d[:, j]
+            w, counts, y = block
+            c = cutoffs[r][:, j]
+            norm[r] += int(counts.sum()) / c
+            acc[r] += ((w * (np.abs(w) <= (log_term * c)[:, None])) @ (counts * y)) / c
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        y = np.where(z > 0.0, y_acc / z, np.nan)
-        zeta_ssp = np.where(o["ssp"] > 0.0, z_acc["ssp"] / o["ssp"], np.nan)
-        zeta_sps = np.where(o["sps"] > 0.0, z_acc["sps"] / o["sps"], np.nan)
+        y, zeta_sps, zeta_ssp = np.where(norm > 0.0, acc / norm, np.nan)
     return EstimateVector(y=y, zeta_ssp=zeta_ssp, zeta_sps=zeta_sps, eps=eps)

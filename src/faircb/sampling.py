@@ -33,17 +33,20 @@ block.  A batch carries one row of ``n_cells`` counts per block and the
 model's ``Cells`` table.
 
 ``transport_weight`` and ``counterfactual_weight`` are the one place that
-turns pull fields into weights: the estimators and the Monte Carlo
-divergences feed them the occupied cells.  Both broadcast over leading table
-axes, so a ``(K, rows, card)`` stack of arm tables yields the weights of
-every entry against K arms at once.
+turns pull fields into weights.  Both broadcast over leading table axes, so a
+``(K, rows, card)`` stack of arm tables yields the weights of every entry
+against K arms at once.  The Monte Carlo divergences feed them the occupied
+cells; the estimators read ``weight_kernel``, their table over every cell of
+an instance, which is found in a memo like the cell laws' (keyed on the
+contents of the ``Cells`` table and the arm tables, bounded by
+``_MEMO_LAWS``) and holds 3K^2 * ``n_cells`` floats.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +63,7 @@ __all__ = [
     "make_sampler",
     "transport_weight",
     "counterfactual_weight",
+    "weight_kernel",
 ]
 
 
@@ -199,7 +203,8 @@ def _rows(
     return rows
 
 
-# Bound of the cell-law memo: the law tables kept, one per model and arm set.
+# Bound of the cell-law and weight-kernel memos: the tables each keeps, one per
+# model (or cell table) and arm set.
 _MEMO_LAWS = 8
 _LAWS: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
@@ -221,6 +226,19 @@ def _build_laws(model: CausalModel, plan: _Plan, tables: np.ndarray) -> np.ndarr
     return laws / laws.sum(axis=2, keepdims=True)
 
 
+def _memoized(memo: OrderedDict, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """``memo[key]``, built read-only on a miss; the ``_MEMO_LAWS`` most recent are kept."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build()
+        value.flags.writeable = False
+        if len(memo) > _MEMO_LAWS:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    return value
+
+
 def _laws(model: CausalModel, tables: np.ndarray) -> np.ndarray:
     """The cell laws of the arm tables ``tables``, from the memo or built on a miss."""
     plan = _plan(model)
@@ -230,15 +248,7 @@ def _laws(model: CausalModel, tables: np.ndarray) -> np.ndarray:
         tuple(array_key(model.cpts[x]) for x in plan.closure if x != v),
         (model.sensitive, v), array_key(tables),
     )
-    laws = _LAWS.get(key)
-    if laws is None:
-        laws = _LAWS[key] = _build_laws(model, plan, tables)
-        laws.flags.writeable = False
-        if len(_LAWS) > _MEMO_LAWS:
-            _LAWS.popitem(last=False)
-    else:
-        _LAWS.move_to_end(key)
-    return laws
+    return _memoized(_LAWS, key, lambda: _build_laws(model, plan, tables))
 
 
 def sample_batch(
@@ -299,3 +309,33 @@ def counterfactual_weight(
     if direction == "sps":
         ratio = 1.0 / ratio
     return transport_weight(cells, targets, sources) * (ratio - 1.0)
+
+
+_KERNELS: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def _build_kernel(cells: Cells, tables: np.ndarray) -> np.ndarray:
+    """The ``(3, K, K, n_cells)`` weights of every cell: ``[r, j, k]`` weighs source
+    arm ``j``'s pulls under ``REGIMES[r]`` against target arm ``k``.
+
+    Observational pulls carry the transport weight, pulls forced to s the
+    ``"sps"`` weight and pulls forced to s' the ``"ssp"`` weight.  A cell no
+    pull can reach may hold an inf or NaN weight.
+    """
+    sources = tables[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.stack([
+            transport_weight(cells, tables, sources),
+            counterfactual_weight(cells, tables, sources, "sps"),
+            counterfactual_weight(cells, tables, sources, "ssp"),
+        ])
+    # Stored cell-major: the weights of gathered cells then come out in the
+    # (target-fastest) layout that both functions give a subset of cells.
+    return np.ascontiguousarray(kernel.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+
+
+def weight_kernel(cells: Cells, tables: np.ndarray) -> np.ndarray:
+    """The read-only weight kernel of ``cells`` under the ``(K, rows, card)`` arm
+    tables, from a memo keyed on both contents or built on a miss (see ``_build_kernel``)."""
+    key = (tuple(array_key(getattr(cells, f.name)) for f in fields(cells)), array_key(tables))
+    return _memoized(_KERNELS, key, lambda: _build_kernel(cells, tables))

@@ -8,7 +8,8 @@ importance weights, the per-pull ``ReferencePool`` and the per-target pooled
 estimators below are written apart from the cell-law sampler, the per-cell
 ``SamplePool`` and ``estimate_all``, which the tests compare against them.
 The conditional f-divergence, the empirical weight quantiles that the cutoff
-matrices must dominate, and the Monte Carlo oracles are references the
+matrices must dominate, the Monte Carlo oracles and ``bound_report`` (the
+paper's problem-dependent constants and error bounds) are references the
 package itself never needs.
 """
 
@@ -17,10 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
+from faircb import sampling
+from faircb.bandit import _Allocator, phase_schedule
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError
 from faircb.model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
@@ -794,3 +798,160 @@ def pooled_fairness_estimate(
     if o == 0.0:
         raise NoSamples(f"no forced samples available for arm {k} direction {direction}")
     return acc / o
+
+
+def count_kernel_builds(monkeypatch) -> list:
+    """The arm-table stacks whose weight kernels are built from here on, from a cold memo."""
+    build = sampling._build_kernel
+    builds = []
+
+    def counted(cells, tables):
+        builds.append(tables)
+        return build(cells, tables)
+
+    monkeypatch.setattr(sampling, "_build_kernel", counted)
+    sampling._KERNELS.clear()
+    return builds
+
+
+def _bracket_phase(numerator: float, gap: float) -> float:
+    """Smallest integer phase l with numerator/2^l < gap; inf when gap <= 0."""
+    if gap <= 0.0:
+        return math.inf
+    return float(max(1, math.ceil(math.log2(numerator / gap))))
+
+
+def bound_report(
+    oracle: dict,
+    divergences: DivergenceSet,
+    costs: np.ndarray,
+    budget: float,
+    T: int,
+    extra_constraints: Sequence[tuple[np.ndarray, float]] = (),
+) -> dict:
+    """Problem-dependent constants and both error bounds for an instance.
+
+    Takes the exact oracle report (means, directional gaps, fair set) and
+    rebuilds every constant of the two guarantees: per-arm ideal deletion
+    phases, the hardness constant, and the exponential bounds, clamped to
+    [0, 1] for reporting.  Its LPs go through ``bandit._Allocator``, so they
+    share the runs' process-wide memo.
+    """
+    mu = np.asarray(oracle["mu"], dtype=float)
+    zeta_ssp = np.asarray(oracle["zeta_ssp"], dtype=float)
+    zeta_sps = np.asarray(oracle["zeta_sps"], dtype=float)
+    fairness_eps = float(oracle["fairness_eps"])
+    fair = list(oracle["fair"])
+    best = oracle["best_fair"]
+    K = mu.shape[0]
+    sched = phase_schedule(T)
+
+    allocation = _Allocator(divergences, costs, budget, extra_constraints)
+
+    def vstar(active: Sequence[int]) -> float:
+        return allocation(tuple(sorted({int(k) for k in active})), "joint").v_star
+
+    delta = [None if best is None else float(mu[best] - mu[k]) for k in range(K)]
+    so = [
+        math.inf if delta[k] is None else _bracket_phase(10.0, delta[k]) for k in range(K)
+    ]
+    f_ssp = [
+        _bracket_phase(6.0, max(zeta_ssp[k] - fairness_eps, -fairness_eps - zeta_ssp[k]))
+        for k in range(K)
+    ]
+    f_sps = [
+        _bracket_phase(6.0, max(zeta_sps[k] - fairness_eps, -fairness_eps - zeta_sps[k]))
+        for k in range(K)
+    ]
+
+    l0 = None
+    if best is not None:
+        slacks = [
+            fairness_eps + zeta_ssp[best],
+            fairness_eps - zeta_ssp[best],
+            fairness_eps + zeta_sps[best],
+            fairness_eps - zeta_sps[best],
+        ]
+        l0 = float(max(math.log2(5.0 / s) for s in slacks))
+
+    rho = []
+    for k in range(K):
+        if k == best:
+            rho.append(math.inf)
+            continue
+        so_term = so[k] if l0 is None else max(so[k], l0)
+        rho.append(float(min(so_term, f_ssp[k], f_sps[k])))
+
+    # Minimal category gaps feed the worst-case deletion phase rho*.
+    so_gaps = [delta[k] for k in fair if k != best and delta[k] is not None and delta[k] > 0]
+    ssp_gaps = [
+        min(abs(zeta_ssp[k] - fairness_eps), abs(zeta_ssp[k] + fairness_eps))
+        for k in range(K)
+        if abs(zeta_ssp[k]) >= fairness_eps
+    ]
+    sps_gaps = [
+        min(abs(zeta_sps[k] - fairness_eps), abs(zeta_sps[k] + fairness_eps))
+        for k in range(K)
+        if abs(zeta_sps[k]) >= fairness_eps
+    ]
+    terms = []
+    if so_gaps:
+        terms.append(math.log2(20.0 / min(so_gaps)))
+    if ssp_gaps:
+        terms.append(math.log2(12.0 / min(ssp_gaps)))
+    if sps_gaps:
+        terms.append(math.log2(12.0 / min(sps_gaps)))
+    rho_star = float(max(terms)) if terms else math.inf
+
+    r_star = {k: [a for a in range(K) if rho[a] >= rho[k]] for k in range(K)}
+    v_star_k = {}
+    h_bar = 0.0
+    for k in range(K):
+        if k == best:
+            continue
+        v = vstar(r_star[k])
+        v_star_k[k] = v
+        if math.isinf(rho[k]):
+            h_bar = math.inf
+        else:
+            h_bar = max(h_bar, rho[k] ** 3 * 2.0 ** (2.0 * rho[k]) / v**2)
+
+    misid = None
+    if best is not None and K > 1:
+        expo = 0.0 if math.isinf(h_bar) else T / (8.0 * h_bar * sched.logbar)
+        misid = float(min(1.0, 8.0 * K**2 * rho_star * math.exp(-expo)))
+
+    v_full = vstar(range(K))
+    xi_star = float(oracle["xi_star"])
+    fair_err = float(
+        min(
+            1.0,
+            4.0
+            * K
+            * sched.n
+            * math.exp(-(xi_star**2) * T * v_full**2 / (32.0 * sched.n**3 * sched.logbar)),
+        )
+    )
+
+    return {
+        "T": T,
+        "budget": float(budget),
+        "fairness_eps": fairness_eps,
+        "n_phases": sched.n,
+        "logbar": sched.logbar,
+        "best_fair": best,
+        "delta": delta,
+        "so": so,
+        "f_ssp": f_ssp,
+        "f_sps": f_sps,
+        "l0": l0,
+        "rho": rho,
+        "rho_star": rho_star,
+        "r_star": r_star,
+        "v_star": v_star_k,
+        "v_star_full": v_full,
+        "h_bar": h_bar,
+        "xi_star": xi_star,
+        "misidentification_bound": misid,
+        "fairness_error_bound": fair_err,
+    }

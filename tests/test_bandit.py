@@ -14,14 +14,7 @@ import pytest
 import faircb.bandit as bandit
 import faircb.sampling as sampling
 from faircb.allocation import cheap_arm_cap
-from faircb.bandit import (
-    bound_report,
-    eliminate,
-    fair_set,
-    phase_schedule,
-    run_csr,
-    run_two_stage,
-)
+from faircb.bandit import eliminate, fair_set, phase_schedule, run_csr, run_two_stage
 from faircb.divergence import DivergenceSet
 from faircb.errors import Infeasible
 from faircb.estimation import EstimateVector
@@ -31,7 +24,13 @@ from faircb.oracles import oracle_report
 from faircb.sampling import make_sampler
 from faircb.sweep import ALGORITHMS, run_algorithm
 
-from helpers import BENCH_INSTANCES, chain_model, side_child_model
+from helpers import (
+    BENCH_INSTANCES,
+    bound_report,
+    chain_model,
+    count_kernel_builds,
+    side_child_model,
+)
 
 NAN = float("nan")
 
@@ -536,15 +535,32 @@ def test_seeded_traces_do_not_depend_on_the_memo(fixture):
         assert pickle.dumps(seeded_trace(fixture, *case)) == cold[case], case
 
 
-@pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))
-def test_seeded_traces_do_not_depend_on_the_law_memo(fixture):
+def assert_traces_do_not_depend_on(memo, fixture: str) -> None:
+    """Seeded traces from a ``memo`` cleared before each run equal those from a warm one."""
     cases = [(a, seed, 2000) for a in ALGORITHMS for seed in (0, 1, 2)]
     cold = {}
     for case in cases:
-        sampling._LAWS.clear()
+        memo.clear()
         cold[case] = pickle.dumps(seeded_trace(fixture, *case))
     for case in cases:
         assert pickle.dumps(seeded_trace(fixture, *case)) == cold[case], case
+
+
+@pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))
+def test_seeded_traces_do_not_depend_on_the_law_memo(fixture):
+    assert_traces_do_not_depend_on(sampling._LAWS, fixture)
+
+
+@pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))
+def test_seeded_traces_do_not_depend_on_the_kernel_memo(fixture):
+    assert_traces_do_not_depend_on(sampling._KERNELS, fixture)
+
+
+def test_a_v1_run_builds_the_kernel_once(monkeypatch):
+    builds = count_kernel_builds(monkeypatch)
+    trace = make_chain_run(T=20_000, variant="v1")
+    assert len(trace.phases) > 1
+    assert len(builds) == 1
 
 
 def test_memoized_fractions_are_read_only():

@@ -13,7 +13,7 @@ from faircb.divergence import DivergenceSet
 from faircb.estimation import SamplePool, estimate_all
 from faircb.model import Arm, CausalModel, Regime
 from faircb.oracles import exact_fairness, exact_outcome_mean
-from faircb.sampling import BatchSamples, Cells
+from faircb.sampling import BatchSamples, Cells, make_sampler
 
 from helpers import (
     NoSamples,
@@ -33,7 +33,7 @@ EPS_GRID = (1.0, 0.5, 0.25, 0.125)
 
 def fill_pools(model, arms, per_regime, rng) -> tuple[SamplePool, ReferencePool]:
     """The same pulls in a per-cell pool and in a per-pull reference pool."""
-    pool, ref = SamplePool(len(arms)), ReferencePool(len(arms))
+    pool, ref = SamplePool(arms), ReferencePool(len(arms))
     for arm in arms:
         for regime in Regime:
             batch = sample_block(model, arm, regime, per_regime, rng)
@@ -45,7 +45,7 @@ def fill_pools(model, arms, per_regime, rng) -> tuple[SamplePool, ReferencePool]
 def test_pool_bookkeeping():
     model, arms = chain_model()
     rng = np.random.default_rng(0)
-    pool = SamplePool(3)
+    pool = SamplePool(arms)
     pool.add(sample_block(model, arms[0], Regime.OBSERVATIONAL, 7, rng))
     pool.add(sample_block(model, arms[0], Regime.OBSERVATIONAL, 5, rng))
     pool.add(sample_block(model, arms[2], Regime.FORCE_S, 4, rng))
@@ -54,10 +54,11 @@ def test_pool_bookkeeping():
     assert pool.count(2, Regime.FORCE_S) == 4
     np.testing.assert_array_equal(pool.counts(Regime.OBSERVATIONAL), [12, 0, 0])
     np.testing.assert_array_equal(pool.counts(Regime.FORCE_SPRIME), [0, 1, 0])
-    cells, counts = pool.cells(0, Regime.OBSERVATIONAL)
+    weights, counts, y = pool.block(0, Regime.OBSERVATIONAL)
     assert counts.sum() == 12 and np.all(counts > 0)
-    assert cells.n_cells == counts.shape[0] <= 12  # the chain model has 12 cells
-    assert pool.cells(1, Regime.OBSERVATIONAL) is None
+    assert y.shape == counts.shape and counts.shape[0] <= 12  # the chain model has 12 cells
+    assert weights.shape == (3, counts.shape[0])
+    assert pool.block(1, Regime.OBSERVATIONAL) is None
     # Zero-length batches are dropped silently; foreign arm indices are not.
     pool.add(sample_block(model, arms[1], Regime.OBSERVATIONAL, 0, rng))
     assert pool.count(1, Regime.OBSERVATIONAL) == 0
@@ -72,7 +73,7 @@ def test_estimate_all_matches_single_target():
     div = DivergenceSet.exact(model, arms)
     pool, ref = fill_pools(model, arms, 400, np.random.default_rng(1))
     for eps in (1.0, 0.25):
-        vec = estimate_all(pool, arms, eps, div)
+        vec = estimate_all(pool, eps, div)
         assert vec.eps == eps
         for k in range(3):
             assert vec.y[k] == pytest.approx(
@@ -100,7 +101,7 @@ def test_cell_pool_matches_per_pull_reference(seed):
     inst = random_instance(rng)
     model, arms = inst.model, inst.arms
     div = DivergenceSet.exact(model, arms)
-    pool, ref = SamplePool(len(arms)), ReferencePool(len(arms))
+    pool, ref = SamplePool(arms), ReferencePool(len(arms))
     blocks = [(arm, regime) for arm in arms for regime in Regime]
     # Up to three adds per block; some blocks stay empty, so some estimates are missing.
     adds = [(arm, regime, int(n)) for arm, regime in blocks
@@ -118,7 +119,7 @@ def test_cell_pool_matches_per_pull_reference(seed):
             for j in range(len(arms))
         ])
     for eps in EPS_GRID:
-        vec = estimate_all(pool, arms, eps, div)
+        vec = estimate_all(pool, eps, div)
         for name, got, estimate, extra in (
             ("y", vec.y, pooled_outcome_estimate, (div.m,)),
             ("ssp", vec.zeta_ssp, pooled_fairness_estimate, (div.d_ssp, "ssp")),
@@ -191,7 +192,7 @@ def test_estimator_concentrates_on_exact_mean():
     div = DivergenceSet.exact(model, arms)
     pool, _ = fill_pools(model, arms, 2000, np.random.default_rng(17))
     eps = 0.25
-    vec = estimate_all(pool, arms, eps, div)
+    vec = estimate_all(pool, eps, div)
     tau = np.full(3, 2000)
     for k in range(3):
         assert vec.y[k] == pytest.approx(
@@ -205,8 +206,8 @@ def test_estimator_concentrates_on_exact_mean():
 def test_missing_estimates_are_nan():
     model, arms = chain_model()
     div = DivergenceSet.exact(model, arms)
-    pool, ref = SamplePool(3), ReferencePool(3)
-    vec = estimate_all(pool, arms, 0.5, div)
+    pool, ref = SamplePool(arms), ReferencePool(3)
+    vec = estimate_all(pool, 0.5, div)
     assert np.all(np.isnan(vec.y))
     with pytest.raises(NoSamples):
         pooled_outcome_estimate(ref, arms, 0, 0.5, div.m)
@@ -214,7 +215,7 @@ def test_missing_estimates_are_nan():
     batch = sample_block(model, arms[0], Regime.OBSERVATIONAL, 50, rng)
     pool.add(batch)
     ref.add(batch)
-    vec = estimate_all(pool, arms, 0.5, div)
+    vec = estimate_all(pool, 0.5, div)
     # One observational source transports to every target arm.
     assert np.all(np.isfinite(vec.y))
     assert np.all(np.isnan(vec.zeta_ssp)) and np.all(np.isnan(vec.zeta_sps))
@@ -223,7 +224,7 @@ def test_missing_estimates_are_nan():
     with pytest.raises(ValueError):
         pooled_fairness_estimate(ref, arms, 0, 0.5, div.d_ssp, "spsp")
     pool.add(sample_block(model, arms[1], Regime.FORCE_SPRIME, 50, rng))
-    vec = estimate_all(pool, arms, 0.5, div)
+    vec = estimate_all(pool, 0.5, div)
     assert np.all(np.isfinite(vec.zeta_ssp)) and np.all(np.isnan(vec.zeta_sps))
 
 
@@ -274,3 +275,44 @@ def test_clipping_drops_oversized_weights():
     thr = 2.0 * math.log(2.0 / 1.5) * div.m[1, 0]
     assert thr < 9.0
     assert pooled_outcome_estimate(pool, arms, 1, 1.5, div.m) == 0.0
+
+
+def estimate_bytes(pool, div) -> bytes:
+    """The bytes of every estimate array of ``pool`` over the eps grid."""
+    chunks = []
+    for eps in EPS_GRID:
+        vec = estimate_all(pool, eps, div)
+        chunks += [arr.tobytes() for arr in (vec.y, vec.zeta_ssp, vec.zeta_sps)]
+    return b"".join(chunks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_estimates_do_not_depend_on_how_pulls_are_split_over_adds(seed):
+    """A pool fed one phase's batch whole, or cut into pieces added in any order
+    (blocks apart, a block's pulls split across adds, empty adds), gives the same bytes."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng)
+    model, arms = inst.model, inst.arms
+    div = DivergenceSet.exact(model, arms)
+    blocks = [(j, regime, int(rng.integers(0, 60)))
+              for j in range(len(arms)) for regime in Regime if rng.random() < 0.7]
+    batch = make_sampler(model, arms)(blocks, rng)
+    whole = SamplePool(arms)
+    whole.add(batch)
+    pieces = []
+    for block, counts in zip(batch.blocks, batch.counts):
+        part = rng.binomial(counts, rng.random())
+        for share in (part, counts - part):
+            pieces.append(((block[0], block[1], int(share.sum())), share))
+    order = rng.permutation(len(pieces))
+    split = SamplePool(arms)
+    for group in np.array_split(order, int(rng.integers(1, len(pieces) + 2))):
+        split.add(BatchSamples(
+            tuple(pieces[i][0] for i in group),
+            np.array([pieces[i][1] for i in group]).reshape(len(group), batch.n_cells),
+            batch.cells,
+        ))
+    for regime in Regime:
+        np.testing.assert_array_equal(split.counts(regime), whole.counts(regime))
+    assert estimate_bytes(split, div) == estimate_bytes(whole, div)

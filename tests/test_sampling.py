@@ -1,4 +1,4 @@
-"""The cell-law sampler, its stream contract and memo, and per-sample reweighting."""
+"""The cell-law sampler, its stream contract and memo, per-sample reweighting and the weight kernel."""
 
 from __future__ import annotations
 
@@ -10,9 +10,16 @@ from hypothesis import strategies as st
 
 import faircb.sampling as sampling
 from faircb.errors import EnumerationTooLarge
-from faircb.model import Arm, CausalModel, Instance, Regime
+from faircb.estimation import SamplePool
+from faircb.model import REGIMES, Arm, CausalModel, Instance, Regime
 from faircb.oracles import exact_fairness, exact_outcome_mean
-from faircb.sampling import counterfactual_weight, make_sampler, transport_weight
+from faircb.sampling import (
+    BatchSamples,
+    counterfactual_weight,
+    make_sampler,
+    transport_weight,
+    weight_kernel,
+)
 from faircb.sweep import run_algorithm
 
 from helpers import (
@@ -24,6 +31,7 @@ from helpers import (
     brute_fairness,
     brute_law,
     chain_model,
+    count_kernel_builds,
     importance_weight_fairness,
     importance_weight_outcome,
     liver_experiment,
@@ -628,4 +636,98 @@ def test_law_memo_stays_within_its_bound(monkeypatch):
     make_sampler(model, arms[:2])
     assert len(builds) == len(subsets)
     make_sampler(model, arms[:1])
+    assert len(builds) == len(subsets) + 1
+
+
+def kernel_of(model, arms) -> tuple[np.ndarray, sampling.Cells, np.ndarray]:
+    """The weight kernel of ``arms`` over the model's cells, the cells and the arm tables."""
+    cells = make_sampler(model, arms)([], np.random.default_rng(0)).cells
+    tables = np.stack([arm.table for arm in arms])
+    return weight_kernel(cells, tables), cells, tables
+
+
+def layout(a: np.ndarray) -> tuple[bool, bool]:
+    return a.flags.c_contiguous, a.flags.f_contiguous
+
+
+KERNEL_FIXTURES = {"chain": chain_model, "side-child": side_child_model}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["random", *KERNEL_FIXTURES]), st.integers(0, 10_000))
+def test_kernel_is_the_weights_of_any_cell_subset(fixture, seed):
+    """``W[r, j][:, occ]`` is, bit for bit, what the weight functions give the
+    cells ``occ``; the pool's gather of those cells also keeps their layout,
+    which fixes the estimates' summation order.  The chain and side-child
+    models have S as a parent of V."""
+    rng = np.random.default_rng(seed)
+    if fixture == "random":
+        inst = random_instance(rng)
+        model, arms = inst.model, inst.arms
+    else:
+        model, arms = KERNEL_FIXTURES[fixture]()
+    kernel, cells, tables = kernel_of(model, arms)
+    K = len(arms)
+    assert kernel.shape == (3, K, K, cells.n_cells)
+    for j in range(K):
+        for r, regime in enumerate(REGIMES):
+            occ = np.flatnonzero(rng.random(cells.n_cells) < rng.random())
+            sub = cells.take(occ)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if regime is Regime.OBSERVATIONAL:
+                    want = transport_weight(sub, tables, tables[j])
+                else:
+                    direction = "sps" if regime is Regime.FORCE_S else "ssp"
+                    want = counterfactual_weight(sub, tables, tables[j], direction)
+            assert kernel[r, j][:, occ].tobytes() == want.tobytes(), (j, regime)
+            if occ.size == 0:
+                continue
+            counts = np.zeros((1, cells.n_cells), dtype=np.int64)
+            counts[0, occ] = rng.integers(1, 5, size=occ.size)
+            pool = SamplePool(arms)
+            pool.add(BatchSamples(((j, regime, int(counts.sum())),), counts, cells))
+            got, _, _ = pool.block(j, regime)
+            assert got.tobytes() == want.tobytes() and layout(got) == layout(want), (j, regime)
+
+
+def test_equal_instances_share_one_kernel(monkeypatch):
+    builds = count_kernel_builds(monkeypatch)
+    (model_a, arms_a), (model_b, arms_b) = chain_model(), chain_model()
+    kernel_a = kernel_of(model_a, arms_a)[0]
+    kernel_b = kernel_of(model_b, arms_b)[0]
+    assert len(builds) == 1
+    assert kernel_a is kernel_b
+
+
+def test_editing_an_arm_table_in_place_forces_a_kernel_rebuild(monkeypatch):
+    builds = count_kernel_builds(monkeypatch)
+    model, arms = chain_model()
+    before = kernel_of(model, arms)[0]
+    assert kernel_of(model, arms)[0] is before
+    arms[1].table[0] = [0.2, 0.2, 0.6]
+    after = kernel_of(model, arms)[0]
+    assert len(builds) == 2
+    # Arm 1's weights move as a source and as a target; no other pair's do.
+    assert not np.array_equal(before[:, 1], after[:, 1], equal_nan=True)
+    assert not np.array_equal(before[:, :, 1], after[:, :, 1], equal_nan=True)
+    np.testing.assert_array_equal(before[:, 0][:, [0, 2]], after[:, 0][:, [0, 2]])
+    np.testing.assert_array_equal(before[:, 2][:, [0, 2]], after[:, 2][:, [0, 2]])
+    with pytest.raises(ValueError, match="read-only"):
+        after[0, 0, 0, 0] = 0.5
+
+
+def test_kernel_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(sampling, "_MEMO_LAWS", 2)
+    builds = count_kernel_builds(monkeypatch)
+    model, arms = chain_model()
+    subsets = [arms[:1], arms[1:2], arms[2:], arms[:2], arms]
+    for subset in subsets:
+        kernel_of(model, subset)
+        assert len(sampling._KERNELS) <= 2
+    assert len(builds) == len(subsets)
+    # The two most recent arm sets survive eviction; the first does not.
+    kernel_of(model, arms)
+    kernel_of(model, arms[:2])
+    assert len(builds) == len(subsets)
+    kernel_of(model, arms[:1])
     assert len(builds) == len(subsets) + 1

@@ -23,6 +23,7 @@ from helpers import (
     empirical_quantile_eta,
     empirical_quantile_gamma,
     f1,
+    BENCH_INSTANCES,
     random_instance,
     reference_divergence_set,
     side_child_model,
@@ -202,6 +203,29 @@ def test_divergence_set_mc_stream_is_pinned(fixture):
     ds = DivergenceSet.mc(model, arms, draws=5000, rng=np.random.default_rng(20211))
     raw = b"".join(np.round(getattr(ds, n), 10).tobytes() for n in ("m", "d_ssp", "d_sps"))
     assert hashlib.sha256(raw).hexdigest()[:16] == MC_PINS[fixture]
+
+
+# sha256 prefixes of the m, d_ssp and d_sps bytes of DivergenceSet.exact.
+EXACT_PINS = {
+    "band-k5": "2d37f8cc633a8ff8",
+    "liver-k10": "13dab3e2e41904b7",
+    "synth-k30": "86a57f4fd4defe93",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(EXACT_PINS))
+def test_divergence_set_exact_is_pinned_on_the_bench_instances(workload):
+    """The exact matrices of the three benchmark instances, byte for byte.
+
+    Unrounded: a reordered sum or a reduction split differently moves the
+    last bits, and every run's cutoffs read these matrices.
+    """
+    instance = BENCH_INSTANCES[workload]()
+    ds = DivergenceSet.exact(instance.model, instance.arms)
+    h = hashlib.sha256()
+    for name in ("m", "d_ssp", "d_sps"):
+        h.update(getattr(ds, name).tobytes())
+    assert h.hexdigest()[:16] == EXACT_PINS[workload]
 
 
 def test_divergence_set_mc_draws_each_batch_once(monkeypatch):

@@ -305,7 +305,8 @@ class _Allocator:
 
 @dataclass
 class _Run:
-    """What every phase of one run reads; under v2 all its phases share ``pool``."""
+    """What every phase of one run reads; every phase pulls into ``pool``,
+    which under v1 each phase clears first."""
 
     sampler: Sampler
     arms: Sequence[Arm]
@@ -319,7 +320,7 @@ class _Run:
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng() if self.rng is None else self.rng
         self.costs = costs_from_arms(self.arms)
-        self.pool = SamplePool(self.arms) if self.variant == "v2" else None
+        self.pool = SamplePool(self.arms)
         self.allocation = _Allocator(
             self.divergences, self.costs, self.budget, self.extra_constraints
         )
@@ -340,9 +341,10 @@ def _run_stage(
     for l in range(1, sched.n + 1):
         eps = 2.0 ** (-(l - 1))
         alloc = _round_phase(run.allocation(remaining, rule), int(sched.tau[l - 1]), K)
-        pool = SamplePool(run.arms) if run.pool is None else run.pool
-        spent, cost = _pull_phase(run.sampler, pool, alloc, run.costs, run.rng)
-        estimates = estimate_all(pool, eps, run.divergences)
+        if run.variant == "v1":
+            run.pool.clear()
+        spent, cost = _pull_phase(run.sampler, run.pool, alloc, run.costs, run.rng)
+        estimates = estimate_all(run.pool, eps, run.divergences)
         if rule == "outcome":
             fair = remaining
         else:

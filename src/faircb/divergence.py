@@ -16,7 +16,8 @@ intervention context, and then one pass over the context cells per source
 column.  ``DivergenceSet.exact`` on K arms thus calls ``enumerate_joint``
 2K + 1 times, and reduces block by block so it holds O(K * block) floats.
 A caller that needs fewer source columns (the generator's band check reads
-column 0 only) passes fewer source tables and pays for those alone.
+column 0 only, one target arm at a time) passes fewer tables and pays for
+those alone.
 
 The arrays reduced here hold a few dozen cells, where the per-call overhead
 of ``scipy.special.logsumexp`` (array-API dispatch, dtype promotion, the
@@ -41,7 +42,7 @@ from .oracles import (
 )
 from .sampling import counterfactual_weight, make_sampler, transport_weight
 
-__all__ = ["DivergenceSet", "exact_columns"]
+__all__ = ["DivergenceSet", "exact_columns", "outcome_column"]
 
 _DIRECTIONS = ("ssp", "sps")
 
@@ -78,13 +79,14 @@ def _outcome_cutoff(log_p, w: np.ndarray) -> np.ndarray:
         return 1.0 + _logsumexp(log_p + np.log(w) + w - 1.0)
 
 
-def _outcome_column(marg: np.ndarray, tables: np.ndarray, source: np.ndarray) -> np.ndarray:
+def outcome_column(marg: np.ndarray, tables: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Exact ``M[:, j]`` of the source table ``source`` against the ``tables`` stack.
 
     ``marg`` is the marginal over the intervention context rows.  Only the
     cells with ``p_j > 0`` enter, where the shared zero pattern between arms
     keeps ``w = P_i / P_j`` finite.  The diagonal cell comes out near 1, not
-    exactly 1.
+    exactly 1.  Each entry is the same bit for bit whatever the other rows of
+    a stack of two or more; a one-row stack sums in another order.
     """
     pj = marg[:, None] * source
     mask = pj > 0.0
@@ -151,7 +153,7 @@ def exact_columns(model: CausalModel, arms, source: int):
     """
     tables = np.stack([a.table for a in arms])
     marg = marginal_rows(model, model.intervention)
-    m = _outcome_column(marg, tables, tables[source])
+    m = outcome_column(marg, tables, tables[source])
     m[source] = 1.0
     yield m
     yield from _fairness_rows(model, arms, tables[source : source + 1])[..., 0]
@@ -172,7 +174,7 @@ class DivergenceSet:
         marg = marginal_rows(model, model.intervention)
         m = np.ones((len(arms), len(arms)), dtype=float)
         for j, source in enumerate(tables):
-            m[:, j] = _outcome_column(marg, tables, source)
+            m[:, j] = outcome_column(marg, tables, source)
         np.fill_diagonal(m, 1.0)
         return cls(m=m, d_ssp=d_ssp, d_sps=d_sps)
 

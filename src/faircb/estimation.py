@@ -20,11 +20,12 @@ pool's first ``add`` looks up the instance's weight kernel
 (``sampling.weight_kernel``): the ``(3, K, K, n_cells)`` weights of every cell
 for every (regime, source, target), 3K^2 * ``n_cells`` floats, built once per
 instance through ``transport_weight`` and ``counterfactual_weight`` and kept
-in a bounded memo keyed on content, so fresh per-phase pools (v1) and later
-runs reuse it.  Each phase then gathers, per source block, the kernel columns
-of the block's occupied cells, clips them and dots the kept weights with
-``count * y``: O(K * occupied cells) per block, the same at any horizon and
-for any number of pooled phases.  A cell's fields are bit for bit those of
+in a bounded memo keyed on content, so later runs reuse it.  A v1 run
+clears its one pool between phases, so it too looks the kernel up once.
+Each phase then gathers, per source block, the kernel columns of the block's
+occupied cells, clips them and dots the kept weights with ``count * y``:
+O(K * occupied cells) per block, the same at any horizon and for any number
+of pooled phases.  A cell's fields are bit for bit those of
 each of its pulls, so are its weights and clip masks; only the order of the
 summation differs from a per-pull sum.
 """
@@ -72,6 +73,11 @@ class SamplePool:
             if n:
                 key = (arm, regime)
                 self._counts[key] = self._counts.get(key, 0) + counts
+
+    def clear(self) -> None:
+        """Drop every count and keep the weight kernel, for a phase that
+        estimates from its own pulls alone (v1)."""
+        self._counts = {}
 
     def count(self, arm: int, regime: Regime) -> int:
         counts = self._counts.get((arm, regime))

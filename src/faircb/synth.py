@@ -13,16 +13,19 @@ g is strictly increasing, so the generator hits requested reward and
 fairness gaps exactly by inverting it, then keeps only draws whose exact
 oracle report and divergence matrices satisfy the configured bands.
 
-Order of the checks on a draw: ``validate_model`` (it guards the tables the
-builders read), then the divergence band, which rejects most draws of a
-banded config, on column 0 only (``divergence.exact_columns``: ``M[:, 0]``
-alone, and both ``D[:, 0]`` columns only when ``M`` passes), then the exact
-oracle report.  All random draws of an attempt happen before its first
-check and no check reads the generator, so the order decides only how soon
-a draw is rejected, never which draw is returned: the instance is the same
-byte for byte whatever the order.  The root finder computes the binomial
-coefficients once per support size and the bracket values ``g(lo)`` and
-``g(hi)`` once per attempt.
+Order of the checks on a draw.  The arms are built one at a time: arm k's
+two parameters are inverted, its table is built, and under a divergence band
+``M[k, 0]`` is checked at once (``_m_to_deployed``), so a draw ends at its
+first arm outside the band or whose level ``g`` cannot reach.  Most draws of a
+banded config end there, after one or two arms.  A draw whose arms all pass
+goes on to both ``D[:, 0]`` columns (``divergence.exact_columns``), then to
+``validate_model`` (once per such candidate, and no instance is returned
+without it), then to the exact oracle report.  All random draws of an attempt
+happen before its first inversion and no check reads the generator, so the
+order decides only how soon a draw is rejected, never which draw is returned:
+the instance is the same byte for byte whatever the order.  The root finder
+computes the binomial coefficients once per support size and the bracket
+values ``g(lo)`` and ``g(hi)`` once per attempt.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from .divergence import exact_columns
+from .divergence import exact_columns, outcome_column
 from .errors import GenerationFailed
 from .model import Arm, CausalModel, Instance, check_fairness_eps, validate_model
-from .oracles import oracle_report
+from .oracles import marginal_rows, oracle_report
 
 __all__ = ["SyntheticConfig", "generate_synthetic"]
 
@@ -160,6 +163,22 @@ def _invert_g(g, bracket: tuple[float, float], target: float) -> float | None:
     return float(brentq(lambda p: g(p) - target, _PARAM_LO, _PARAM_HI, xtol=1e-14))
 
 
+def _inside(band: tuple[float, float], values: np.ndarray) -> bool:
+    """Whether every entry lies strictly inside ``band``."""
+    lo, hi = band
+    return bool(np.all(values > lo) and np.all(values < hi))
+
+
+def _m_to_deployed(marg: np.ndarray, deployed: np.ndarray, table: np.ndarray) -> float:
+    """``M[k, 0]`` of the arm ``table`` against the ``deployed`` arm 0, bit for bit.
+
+    Built from the pair (arm 0, arm k), not from ``table`` alone: a stack of
+    one row sums its cells pairwise, a stack of two or more (the full build's
+    K) one cell after another, and the two can differ in the last bit.
+    """
+    return outcome_column(marg, np.stack((deployed, table)), deployed)[1]
+
+
 def generate_synthetic(config: SyntheticConfig) -> Instance:
     """Draw-and-verify loop; raises GenerationFailed when bands never hold."""
     config.validate()
@@ -169,6 +188,8 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
     glo, ghi = config.reward_gap_band
     blo, bhi = config.fairness_gap_band
     eps = config.fairness_eps
+    band = config.divergence_band
+    marg = None  # the marginal of V's parent rows, for the band check
 
     for attempt in range(config.max_attempts):
         if config.f_values is not None:
@@ -197,7 +218,7 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
         margins[pinned] = blo
         # A low divergence band needs clustered arm parameters (one shared
         # asymmetry sign), a high band needs spread; alternate per attempt.
-        cluster = config.divergence_band is not None and attempt % 2 == 0
+        cluster = band is not None and attempt % 2 == 0
         shared = rng.choice((-1.0, 1.0)) if cluster else None
         zeta = np.empty(K)
         for k in ids:
@@ -229,26 +250,35 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
         a_star = rng.uniform(lo_req, hi_req)
         levels = a_star - shift
 
-        params = np.empty((K, 2))
+        # One arm at a time: invert, build, and (banded) check M[k, 0] at
+        # once, so a draw ends at its first arm outside the band.
         bracket = g(_PARAM_LO), g(_PARAM_HI)
-        ok = True
+        arms = []
         for k in range(K):
             c = _invert_g(g, bracket, levels[k] + z[k] / 2.0)
             d = _invert_g(g, bracket, levels[k] - z[k] / 2.0)
             if c is None or d is None:
-                ok = False
                 break
-            params[k] = (c, d)
-        if not ok:
-            continue
-
-        arms = []
-        for k in range(K):
-            table = np.vstack([_binom_row(m, params[k, 0]), _binom_row(m, params[k, 1])])
+            table = np.vstack([_binom_row(m, c), _binom_row(m, d)])
             table = table / table.sum(axis=1, keepdims=True)
+            if k > 0 and band is not None:
+                if marg is None:
+                    # V's one parent is S, whose table no draw changes.
+                    marg = marginal_rows(_build_model(config, f, arms[0].table), "V")
+                if not _inside(band, _m_to_deployed(marg, arms[0].table, table)):
+                    break
             cost = 0.0 if (config.cheap_arm and k == 0) else 1.0
             arms.append(Arm(k, table, cost, cost, cost))
+        if len(arms) < K:
+            continue
         model = _build_model(config, f, arms[0].table.copy())
+        if band is not None:
+            _, *d_columns = exact_columns(model, arms, 0)
+            if not all(_inside(band, col[1:]) for col in d_columns):
+                continue
+        if not validate_model(model, arms).ok:
+            continue
+
         instance = Instance(
             model=model,
             arms=arms,
@@ -257,14 +287,6 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
             observed=["S", "V", "Y"],
             fairness_eps=eps,
         )
-        if not validate_model(model, arms).ok:
-            continue
-        if config.divergence_band is not None:
-            dlo, dhi = config.divergence_band
-            columns = exact_columns(model, arms, 0)
-            if not all(np.all(col[1:] > dlo) and np.all(col[1:] < dhi) for col in columns):
-                continue
-
         report = oracle_report(instance, eps)
         if set(report["fair"]) != set(fair):
             continue

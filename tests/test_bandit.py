@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import faircb.bandit as bandit
+import faircb.estimation as estimation
 import faircb.sampling as sampling
 from faircb.allocation import cheap_arm_cap
 from faircb.bandit import eliminate, fair_set, phase_schedule, run_csr, run_two_stage
@@ -561,6 +562,27 @@ def test_a_v1_run_builds_the_kernel_once(monkeypatch):
     trace = make_chain_run(T=20_000, variant="v1")
     assert len(trace.phases) > 1
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("runner", [run_csr, run_two_stage])
+def test_a_v1_run_looks_the_kernel_up_once(monkeypatch, runner):
+    # A content-keyed lookup costs tens of microseconds; a v1 run pays it
+    # once, not once per phase.
+    lookup = sampling.weight_kernel
+    lookups = []
+
+    def counted(cells, tables):
+        lookups.append(tables)
+        return lookup(cells, tables)
+
+    monkeypatch.setattr(estimation, "weight_kernel", counted)
+    model, arms = chain_model()
+    trace = runner(
+        make_sampler(model, arms), arms, DivergenceSet.exact(model, arms), 1.0, 20_000, 0.2,
+        "v1", np.random.default_rng(0),
+    )
+    assert len(trace.phases) > 1
+    assert len(lookups) == 1
 
 
 def test_memoized_fractions_are_read_only():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from faircb.model import (
-    Arm,
     CausalModel,
     Regime,
     S_VALUE,

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from faircb import synth
 from faircb.divergence import DivergenceSet, exact_columns
 from faircb.errors import GenerationFailed
 from faircb.io import instance_digest
-from faircb.model import validate_model
-from faircb.oracles import oracle_report
+from faircb.model import Arm, ValidationReport, validate_model
+from faircb.oracles import marginal_rows, oracle_report
 from faircb.synth import SyntheticConfig, generate_synthetic
 
-from helpers import random_instance
+from helpers import BENCH_INSTANCES, random_instance
 
 LOW_BAND = SyntheticConfig(
     n_arms=5,
@@ -121,6 +126,75 @@ def test_band_columns_equal_the_full_build(seed):
 
 def test_band_columns_equal_the_full_build_on_low_band(low_band_instance):
     _assert_columns_match(low_band_instance.model, low_band_instance.arms, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    support=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    params=st.lists(
+        st.tuples(*[st.floats(synth._PARAM_LO, synth._PARAM_HI)] * 2), min_size=2, max_size=8
+    ),
+)
+# A one-row stack gives this example's M[1, 0] one ulp above the full build's.
+@example(support=7, seed=0, params=[(0.109375, 0.75), (0.109375, 0.75)])
+def test_early_band_check_is_row_k_of_the_column(support, seed, params):
+    # The generator rejects a draw on M[k, 0] of one arm at a time; that
+    # entry must be the stacked column's bit for bit, or the early check
+    # could reject a draw the full build keeps.
+    f = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, size=support))
+    tables = []
+    for c, d in params:
+        table = np.vstack([synth._binom_row(support, c), synth._binom_row(support, d)])
+        tables.append(table / table.sum(axis=1, keepdims=True))
+    config = SyntheticConfig(n_arms=len(params), support=support)
+    model = synth._build_model(config, f, tables[0].copy())
+    arms = [Arm(k, table) for k, table in enumerate(tables)]
+    marg = marginal_rows(model, "V")
+    column = next(exact_columns(model, arms, 0))
+    full = DivergenceSet.exact(model, arms).m[:, 0]
+    for k in range(1, len(arms)):
+        early = np.float64(synth._m_to_deployed(marg, tables[0], tables[k]))
+        assert early.tobytes() == column[k].tobytes() == full[k].tobytes()
+
+
+def test_band_k5_inverts_each_arm_only_until_its_draw_fails(monkeypatch):
+    # Before the per-arm band check, every one of the 290 attempts inverted
+    # all 2K parameters (2900 calls) and validated its tables.
+    invert, validate = synth._invert_g, synth.validate_model
+    inversions, validated = [], []
+
+    def counted_invert(g, bracket, target):
+        inversions.append(target)
+        return invert(g, bracket, target)
+
+    def counted_validate(model, arms):
+        validated.append((model, arms))
+        return validate(model, arms)
+
+    monkeypatch.setattr(synth, "_invert_g", counted_invert)
+    monkeypatch.setattr(synth, "validate_model", counted_validate)
+    inst = BENCH_INSTANCES["band-k5"]()
+    assert len(inversions) <= 1400
+    assert len(validated) == 1
+    model, arms = validated[0]
+    assert model is inst.model
+    assert all(a is b for a, b in zip(arms, inst.arms, strict=True))
+
+
+def test_a_draw_that_fails_validation_is_never_returned(monkeypatch):
+    config = replace(LOW_BAND, max_attempts=30)
+    generate_synthetic(config)  # passes the bands within these attempts
+    validated = []
+
+    def failing(model, arms):
+        validated.append(model)
+        return ValidationReport(False, ("rejected",))
+
+    monkeypatch.setattr(synth, "validate_model", failing)
+    with pytest.raises(GenerationFailed, match="30 attempts"):
+        generate_synthetic(config)
+    assert validated
 
 
 def test_unfair_count_is_respected():

@@ -133,23 +133,14 @@ def fair_set(
 ) -> tuple[int, ...]:
     """Arms whose both directional estimates clear the threshold by 3/2^l.
 
-    All four inequalities are strict; a missing estimate keeps the arm out.
+    All four inequalities are strict; a missing estimate (NaN, which compares
+    false) keeps the arm out.
     """
     margin = 3.0 / 2.0**l
-    fair = []
-    for k in remaining:
-        z1 = estimates.zeta_ssp[k]
-        z2 = estimates.zeta_sps[k]
-        if np.isnan(z1) or np.isnan(z2):
-            continue
-        if (
-            z1 + margin < fairness_eps
-            and z1 - margin > -fairness_eps
-            and z2 + margin < fairness_eps
-            and z2 - margin > -fairness_eps
-        ):
-            fair.append(k)
-    return tuple(fair)
+    arms = np.asarray(remaining, dtype=np.intp)
+    z = np.array((estimates.zeta_ssp[arms], estimates.zeta_sps[arms]))
+    fair = ((z + margin < fairness_eps) & (z - margin > -fairness_eps)).all(axis=0)
+    return tuple(arms[fair].tolist())
 
 
 def _best_outcome(estimates: EstimateVector, candidates: Sequence[int]) -> int | None:
@@ -164,35 +155,36 @@ def _best_outcome(estimates: EstimateVector, candidates: Sequence[int]) -> int |
     return best
 
 
+_UNFAIR_TAGS = ("unfair-high-ssp", "unfair-low-ssp", "unfair-high-sps", "unfair-low-sps")
+
+
 def _unfair_records(
     estimates: EstimateVector, l: int, fairness_eps: float, remaining: Sequence[int]
 ) -> list[tuple[int, str]]:
+    """One record per fired unfairness clause, arm by arm in ``_UNFAIR_TAGS`` order;
+    a missing (NaN) estimate fires none."""
     margin = 3.0 / 2.0**l
-    records = []
-    for k in remaining:
-        for z, tag in ((estimates.zeta_ssp[k], "ssp"), (estimates.zeta_sps[k], "sps")):
-            if np.isnan(z):
-                continue
-            if z - margin > fairness_eps:
-                records.append((k, f"unfair-high-{tag}"))
-            if z + margin < -fairness_eps:
-                records.append((k, f"unfair-low-{tag}"))
-    return records
+    arms = np.asarray(remaining, dtype=np.intp)
+    z = np.array((estimates.zeta_ssp[arms], estimates.zeta_sps[arms])).T
+    # fired[i, d, h]: arm i, direction d (ssp, sps), high or low; row-major is
+    # arm by arm in ``_UNFAIR_TAGS`` order.
+    fired = np.array((z - margin > fairness_eps, z + margin < -fairness_eps)).transpose(1, 2, 0)
+    rows, tags = np.nonzero(fired.reshape(len(arms), len(_UNFAIR_TAGS)))
+    return [(k, _UNFAIR_TAGS[t]) for k, t in zip(arms[rows].tolist(), tags.tolist())]
 
 
 def _suboptimal_records(
     estimates: EstimateVector, l: int, reference: Sequence[int], remaining: Sequence[int]
 ) -> list[tuple[int, str]]:
-    y_ref = [estimates.y[k] for k in reference if not np.isnan(estimates.y[k])]
-    if not y_ref:
+    """Arms of ``remaining`` whose outcome estimate trails the best of ``reference``
+    by more than 5/2^l; missing estimates neither set nor fail the bar."""
+    y_ref = estimates.y[np.asarray(reference, dtype=np.intp)]
+    y_ref = y_ref[~np.isnan(y_ref)]
+    if not y_ref.size:
         return []
-    y_h = max(y_ref)
-    gap = 5.0 / 2.0**l
-    return [
-        (k, "suboptimal")
-        for k in remaining
-        if not np.isnan(estimates.y[k]) and y_h > estimates.y[k] + gap
-    ]
+    arms = np.asarray(remaining, dtype=np.intp)
+    beaten = y_ref.max() > estimates.y[arms] + 5.0 / 2.0**l
+    return [(k, "suboptimal") for k in arms[beaten].tolist()]
 
 
 def eliminate(
@@ -235,15 +227,13 @@ def _pull_phase(
 
     The blocks run arm by arm, then in ``REGIMES`` order, skipping zero counts.
     """
-    counts = (allocation.tau_y, allocation.tau_s, allocation.tau_sp)
+    counts = np.array((allocation.tau_y, allocation.tau_s, allocation.tau_sp)).T
+    arms, rows = np.nonzero(counts)
     blocks = []
     cost = 0.0
-    for j in range(costs.shape[1]):
-        for row, regime in enumerate(REGIMES):
-            cnt = int(counts[row][j])
-            if cnt > 0:
-                blocks.append((j, regime, cnt))
-                cost += costs[row, j] * cnt
+    for j, row, cnt in zip(arms.tolist(), rows.tolist(), counts[arms, rows].tolist()):
+        blocks.append((j, REGIMES[row], cnt))
+        cost += costs[row, j] * cnt
     if blocks:
         pool.add(sampler(blocks, rng))
     return sum(n for _, _, n in blocks), cost

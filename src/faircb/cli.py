@@ -272,6 +272,11 @@ def _trace_lines(trace: RunTrace) -> list[str]:
                 "zeta_ssp": p.estimates.zeta_ssp,
                 "zeta_sps": p.estimates.zeta_sps,
             },
+            "n_eff": {
+                "y": p.estimates.n_eff_y,
+                "ssp": p.estimates.n_eff_ssp,
+                "sps": p.estimates.n_eff_sps,
+            },
         }
         lines.append(json.dumps(_clean(record)))
     return lines

@@ -9,10 +9,12 @@ by ``2 ln(2 / eps)`` after its ``1 / M`` or ``1 / D`` factor.
 
 A pull enters the estimates only through its cell (``sampling`` documents the
 cell code, the cell law and the model's ``Cells`` table), so the pool keeps
-counts, not pulls: one int64 vector of ``n_cells`` counts per (source arm,
-regime), 3K * ``n_cells`` words in all.  ``add`` takes a batch as the sampler
-draws it, one row of per-cell counts per block, and sums each row into its
-(arm, regime) vector.
+counts, not pulls: one dense ``(K, 3, n_cells)`` int64 array, a row of
+per-cell counts per (source arm, regime) with regimes in ``REGIMES`` order,
+allocated at the first ``add``, and a ``(K, 3)`` mask of the blocks that have
+pulls.  ``add`` takes a batch as the sampler draws it, one row of per-cell
+counts per block, and sums each row into its slot; ``clear`` zeroes both in
+place.
 
 A weight depends only on the cell and on the source and target arm tables,
 never on the phase or ``eps``; only the clip mask depends on ``eps``.  So the
@@ -22,7 +24,8 @@ for every (regime, source, target), 3K^2 * ``n_cells`` floats, built once per
 instance through ``transport_weight`` and ``counterfactual_weight`` and kept
 in a bounded memo keyed on content, so later runs reuse it.  A v1 run
 clears its one pool between phases, so it too looks the kernel up once.
-Each phase then gathers, per source block, the kernel columns of the block's
+Each phase then gathers, per pulled block (the mask's nonzero entries, source
+arm by source arm, then in ``REGIMES`` order), the kernel columns of the block's
 occupied cells, clips them and dots the kept weights with ``count * y``:
 O(K * occupied cells) per block, the same at any horizon and for any number
 of pooled phases.  A cell's fields are bit for bit those of
@@ -56,85 +59,99 @@ class SamplePool:
     def __init__(self, arms: Sequence[Arm]):
         self.n_arms = len(arms)
         self._arms = arms
-        self._counts: dict[tuple[int, Regime], np.ndarray] = {}
+        self._counts: np.ndarray | None = None
+        self._pulled = np.zeros((self.n_arms, len(REGIMES)), dtype=bool)
         self._y: np.ndarray | None = None
         self._kernel: np.ndarray | None = None
 
     def add(self, batch: BatchSamples) -> None:
         """Sum the count row of every block of ``batch`` into its (arm, regime)
-        counts; the first add looks up the weight kernel of the batch's cells."""
+        slot; the first add looks up the weight kernel of the batch's cells."""
         for arm, _, _ in batch.blocks:
             if not 0 <= arm < self.n_arms:
                 raise ValueError(f"arm index {arm} out of range")
         if self._kernel is None:
             self._kernel = weight_kernel(batch.cells, np.stack([arm.table for arm in self._arms]))
             self._y = batch.cells.y
+            self._counts = np.zeros((self.n_arms, len(REGIMES), batch.n_cells), dtype=np.int64)
         for (arm, regime, n), counts in zip(batch.blocks, batch.counts):
             if n:
-                key = (arm, regime)
-                self._counts[key] = self._counts.get(key, 0) + counts
+                r = REGIMES.index(regime)
+                self._counts[arm, r] += counts
+                self._pulled[arm, r] = True
 
     def clear(self) -> None:
         """Drop every count and keep the weight kernel, for a phase that
         estimates from its own pulls alone (v1)."""
-        self._counts = {}
+        if self._counts is not None:
+            self._counts.fill(0)
+        self._pulled.fill(False)
 
     def count(self, arm: int, regime: Regime) -> int:
-        counts = self._counts.get((arm, regime))
-        return 0 if counts is None else int(counts.sum())
+        return int(self.counts(regime)[arm])
 
     def counts(self, regime: Regime) -> np.ndarray:
-        return np.array([self.count(j, regime) for j in range(self.n_arms)], dtype=np.int64)
+        if self._counts is None:
+            return np.zeros(self.n_arms, dtype=np.int64)
+        return self._counts[:, REGIMES.index(regime)].sum(axis=1)
 
     def block(self, arm: int, regime: Regime) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """The kernel weights against every target arm, the counts and the outcomes
         of the occupied cells of ``arm`` under ``regime``, or None when there are no pulls."""
-        counts = self._counts.get((arm, regime))
-        if counts is None:
-            return None
-        occupied = np.flatnonzero(counts)
+        r = REGIMES.index(regime)
+        return self._gather(arm, r) if self._pulled[arm, r] else None
+
+    def _gather(self, arm: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        counts = self._counts[arm, r]
+        occupied = counts.nonzero()[0]
         # A cell-major gather: the matrix product's summation order, and so
         # the estimates' bits, follow this (target-fastest) layout.
-        weights = self._kernel[REGIMES.index(regime), arm].T[occupied].T
+        weights = self._kernel[r, arm].T[occupied].T
         return weights, counts[occupied], self._y[occupied]
 
 
 @dataclass
 class EstimateVector:
-    """Per-arm estimates for one phase; missing entries are NaN, never zero."""
+    """Per-arm estimates for one phase; missing entries are NaN, never zero.
+
+    ``n_eff_*`` are the effective samples behind each estimate, sum_j n_j / C_kj
+    over the pooled pulls of its regime, with C the estimate's cutoff matrix
+    (M, D_sps or D_ssp); zero where the estimate is missing.
+    """
 
     y: np.ndarray
     zeta_ssp: np.ndarray
     zeta_sps: np.ndarray
     eps: float
+    n_eff_y: np.ndarray
+    n_eff_ssp: np.ndarray
+    n_eff_sps: np.ndarray
 
 
 def estimate_all(pool: SamplePool, eps: float, div: DivergenceSet) -> EstimateVector:
     """All per-arm estimates at accuracy level ``eps``; empty pools turn into NaN.
 
-    Each source block is clipped and summed against every target arm at once,
-    source arm by source arm, then in ``REGIMES`` order.  The outcome
+    Each pulled source block is clipped and summed against every target arm
+    at once, source arm by source arm, then in ``REGIMES`` order.  The outcome
     estimates read observational pulls only, since forced pulls target the
     forced means; each fairness direction reads the pulls forced to its
     evidence value: ``"sps"`` those forced to s, ``"ssp"`` those forced to s'.
     Transport weights are never negative, so one ``|w| <= cutoff`` mask
     serves all three.
     """
-    n = pool.n_arms
     log_term = 2.0 * math.log(2.0 / eps)
     cutoffs = (div.m, div.d_sps, div.d_ssp)
-    norm = np.zeros((len(REGIMES), n))
-    acc = np.zeros((len(REGIMES), n))
-    for j in range(n):
-        for r, regime in enumerate(REGIMES):
-            block = pool.block(j, regime)
-            if block is None:
-                continue
-            w, counts, y = block
-            c = cutoffs[r][:, j]
-            norm[r] += int(counts.sum()) / c
-            acc[r] += ((w * (np.abs(w) <= (log_term * c)[:, None])) @ (counts * y)) / c
+    norm = np.zeros((len(REGIMES), pool.n_arms))
+    acc = np.zeros((len(REGIMES), pool.n_arms))
+    for j, r in zip(*np.nonzero(pool._pulled)):
+        w, counts, y = pool._gather(j, r)
+        c = cutoffs[r][:, j]
+        norm[r] += int(counts.sum()) / c
+        acc[r] += ((w * (np.abs(w) <= (log_term * c)[:, None])) @ (counts * y)) / c
 
     with np.errstate(invalid="ignore", divide="ignore"):
         y, zeta_sps, zeta_ssp = np.where(norm > 0.0, acc / norm, np.nan)
-    return EstimateVector(y=y, zeta_ssp=zeta_ssp, zeta_sps=zeta_sps, eps=eps)
+    return EstimateVector(
+        y=y, zeta_ssp=zeta_ssp, zeta_sps=zeta_sps, eps=eps,
+        n_eff_y=norm[0], n_eff_ssp=norm[2], n_eff_sps=norm[1],
+    )

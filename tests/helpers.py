@@ -6,7 +6,9 @@ completely separate code path.  Likewise the single-pull sampler, the
 full-walk ancestral batch sampler, the brute-force cell law, the scalar
 importance weights, the per-pull ``ReferencePool`` and the per-target pooled
 estimators below are written apart from the cell-law sampler, the per-cell
-``SamplePool`` and ``estimate_all``, which the tests compare against them.
+``SamplePool`` and ``estimate_all``, which the tests compare against them; the
+arm-by-arm certification and elimination loops likewise check the vectorized
+clauses of ``bandit``.
 The conditional f-divergence, the empirical weight quantiles that the cutoff
 matrices must dominate, the Monte Carlo oracles and ``bound_report`` (the
 paper's problem-dependent constants and error bounds) are references the
@@ -798,6 +800,54 @@ def pooled_fairness_estimate(
     if o == 0.0:
         raise NoSamples(f"no forced samples available for arm {k} direction {direction}")
     return acc / o
+
+
+def reference_fair_set(estimates, l: int, fairness_eps: float, remaining) -> tuple[int, ...]:
+    """``bandit.fair_set`` arm by arm: both directions clear the threshold by 3/2^l."""
+    margin = 3.0 / 2.0**l
+    fair = []
+    for k in remaining:
+        z1 = estimates.zeta_ssp[k]
+        z2 = estimates.zeta_sps[k]
+        if np.isnan(z1) or np.isnan(z2):
+            continue
+        if (
+            z1 + margin < fairness_eps
+            and z1 - margin > -fairness_eps
+            and z2 + margin < fairness_eps
+            and z2 - margin > -fairness_eps
+        ):
+            fair.append(k)
+    return tuple(fair)
+
+
+def reference_unfair_records(estimates, l: int, fairness_eps: float, remaining) -> list:
+    """``bandit._unfair_records`` arm by arm, clause by clause."""
+    margin = 3.0 / 2.0**l
+    records = []
+    for k in remaining:
+        for z, tag in ((estimates.zeta_ssp[k], "ssp"), (estimates.zeta_sps[k], "sps")):
+            if np.isnan(z):
+                continue
+            if z - margin > fairness_eps:
+                records.append((k, f"unfair-high-{tag}"))
+            if z + margin < -fairness_eps:
+                records.append((k, f"unfair-low-{tag}"))
+    return records
+
+
+def reference_suboptimal_records(estimates, l: int, reference, remaining) -> list:
+    """``bandit._suboptimal_records`` arm by arm."""
+    y_ref = [estimates.y[k] for k in reference if not np.isnan(estimates.y[k])]
+    if not y_ref:
+        return []
+    y_h = max(y_ref)
+    gap = 5.0 / 2.0**l
+    return [
+        (k, "suboptimal")
+        for k in remaining
+        if not np.isnan(estimates.y[k]) and y_h > estimates.y[k] + gap
+    ]
 
 
 def count_kernel_builds(monkeypatch) -> list:

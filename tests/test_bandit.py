@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faircb.bandit as bandit
 import faircb.estimation as estimation
@@ -30,6 +32,10 @@ from helpers import (
     bound_report,
     chain_model,
     count_kernel_builds,
+    random_instance,
+    reference_fair_set,
+    reference_suboptimal_records,
+    reference_unfair_records,
     side_child_model,
 )
 
@@ -37,11 +43,16 @@ NAN = float("nan")
 
 
 def vec(y, zssp, zsps, eps=0.25) -> EstimateVector:
+    """Estimates for the clause tests; the effective samples are not read there."""
+    y = np.asarray(y, dtype=float)
     return EstimateVector(
-        y=np.asarray(y, dtype=float),
+        y=y,
         zeta_ssp=np.asarray(zssp, dtype=float),
         zeta_sps=np.asarray(zsps, dtype=float),
         eps=eps,
+        n_eff_y=np.zeros_like(y),
+        n_eff_ssp=np.zeros_like(y),
+        n_eff_sps=np.zeros_like(y),
     )
 
 
@@ -99,6 +110,68 @@ def test_eliminate_clauses_and_reasons():
     )
     # Without a certified fair arm the phase must not eliminate anything.
     assert eliminate(estimates, (), 3, 0.2, remaining) == (remaining, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_vectorized_clauses_match_the_arm_by_arm_loops(data):
+    """Same records in the same order, arms as Python ints, on NaN, +-inf, random
+    values and values at (and one ulp off) every clause's threshold."""
+    K = data.draw(st.integers(1, 6))
+    l = data.draw(st.integers(1, 10))
+    fairness_eps = data.draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    margin, gap = 3.0 / 2.0**l, 5.0 / 2.0**l
+    edges = [s * fairness_eps + t * margin for s in (1, -1) for t in (1, -1)] + [0.0, gap, -gap]
+    specials = [math.nan, math.inf, -math.inf, *edges]
+    specials += [float(np.nextafter(e, d)) for e in edges for d in (-math.inf, math.inf)]
+    value = st.one_of(st.sampled_from(specials), st.floats(-3.0, 3.0))
+    y, zssp, zsps = (data.draw(st.lists(value, min_size=K, max_size=K)) for _ in range(3))
+    estimates = vec(y, zssp, zsps)
+    remaining = tuple(sorted(data.draw(st.sets(st.integers(0, K - 1)))))
+    reference = tuple(sorted(data.draw(st.sets(st.integers(0, K - 1)))))
+    pairs = (
+        (fair_set(estimates, l, fairness_eps, remaining),
+         reference_fair_set(estimates, l, fairness_eps, remaining)),
+        (bandit._unfair_records(estimates, l, fairness_eps, remaining),
+         reference_unfair_records(estimates, l, fairness_eps, remaining)),
+        (bandit._suboptimal_records(estimates, l, reference, remaining),
+         reference_suboptimal_records(estimates, l, reference, remaining)),
+    )
+    for got, want in pairs:
+        assert repr(got) == repr(want)
+
+
+# The LP families each phase rule includes, by the effective samples that serve them.
+RULE_FAMILIES = {"joint": ("y", "ssp", "sps"), "fairness": ("ssp", "sps"), "outcome": ("y",)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(ALGORITHMS))
+def test_effective_samples_keep_the_lp_promise(seed, algorithm):
+    """Rounding puts each count within one pull of nu_j * tau, so every survivor k
+    of a phase that pulls gets n_eff_k >= tau * v* - sum_j 1/C_kj in each family
+    of its rule; under v2 the right-hand side adds up over the phases k survived."""
+    rng = np.random.default_rng(seed)
+    instance = random_instance(rng)
+    divergences = DivergenceSet.exact(instance.model, instance.arms)
+    T = int(rng.integers(16, 3000))
+    trace = run_algorithm(instance, algorithm, T, rng, fairness_eps=0.3, divergences=divergences)
+    cutoffs = {"y": divergences.m, "ssp": divergences.d_ssp, "sps": divergences.d_sps}
+    slack = {family: (1.0 / c).sum(axis=1) for family, c in cutoffs.items()}
+    promised = {family: np.zeros(len(instance.arms)) for family in cutoffs}
+    for p in trace.phases:
+        if algorithm.endswith("v1"):
+            promised = {family: np.zeros(len(instance.arms)) for family in cutoffs}
+        if p.samples == 0:
+            continue
+        rule = "joint" if algorithm.startswith("csr") else ("fairness", "outcome")[p.stage - 1]
+        survivors = list(p.remaining)
+        for family in RULE_FAMILIES[rule]:
+            promised[family][survivors] += (
+                p.samples * p.allocation.v_star - slack[family][survivors]
+            )
+            n_eff = getattr(p.estimates, f"n_eff_{family}")[survivors]
+            assert np.all(n_eff >= promised[family][survivors] - 1e-9), (p.stage, p.phase, family)
 
 
 def make_chain_run(T=2000, fairness_eps=0.2, seed=0, variant="v2", **kwargs):

@@ -466,6 +466,11 @@ def test_run_with_trace(tmp_path, instance_file):
         assert record["stage"] in (0, 1, 2)
         assert len(record["estimates"]["y"]) == 3
         assert record["v_star"] >= 0.0
+        for family, estimate in (("y", "y"), ("ssp", "zeta_ssp"), ("sps", "zeta_sps")):
+            n_eff = record["n_eff"][family]
+            assert len(n_eff) == 3 and min(n_eff) >= 0.0
+            # An estimate is missing exactly where it has no effective samples.
+            assert [n == 0.0 for n in n_eff] == [z is None for z in record["estimates"][estimate]]
     # Same seed, same outcome.
     rerun = tmp_path / "rerun.json"
     main(["run", "--instance", instance_file, "--algo", "csr-v2", "--T", "400",

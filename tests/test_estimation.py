@@ -68,6 +68,30 @@ def test_pool_bookkeeping():
         pool.add(bad)
 
 
+def test_estimate_all_reads_only_the_pulled_block(monkeypatch):
+    model, arms = chain_model()
+    div = DivergenceSet.exact(model, arms)
+    rng = np.random.default_rng(3)
+    for j, arm in enumerate(arms):
+        for r, regime in enumerate(Regime):
+            pool = SamplePool(arms)
+            pool.add(sample_block(model, arm, regime, 50, rng))
+            read = []
+            gather = pool._gather
+            monkeypatch.setattr(pool, "_gather", lambda *block: read.append(block) or gather(*block))
+            vec = estimate_all(pool, 0.5, div)
+            assert read == [(j, r)]
+            n_eff = (vec.n_eff_y, vec.n_eff_sps, vec.n_eff_ssp)
+            estimates = (vec.y, vec.zeta_sps, vec.zeta_ssp)
+            cutoffs = (div.m, div.d_sps, div.d_ssp)
+            for row in range(3):
+                if row == r:
+                    np.testing.assert_array_equal(n_eff[row], 50 / cutoffs[row][:, j])
+                    assert not np.isnan(estimates[row]).any()
+                else:
+                    assert not n_eff[row].any() and np.isnan(estimates[row]).all()
+
+
 def test_estimate_all_matches_single_target():
     model, arms = chain_model()
     div = DivergenceSet.exact(model, arms)

@@ -24,12 +24,12 @@ for every (regime, source, target), 3K^2 * ``n_cells`` floats, built once per
 instance through ``transport_weight`` and ``counterfactual_weight`` and kept
 in a bounded memo keyed on content, so later runs reuse it.  A v1 run
 clears its one pool between phases, so it too looks the kernel up once.
-Each phase then gathers, per pulled block (the mask's nonzero entries, source
-arm by source arm, then in ``REGIMES`` order), the kernel columns of the block's
-occupied cells, clips them and dots the kept weights with ``count * y``:
-O(K * occupied cells) per block, the same at any horizon and for any number
-of pooled phases.  A cell's fields are bit for bit those of
-each of its pulls, so are its weights and clip masks; only the order of the
+Each phase then gathers, per pulled block (``SamplePool.pulled_blocks``: the
+mask's nonzero entries, source arm by source arm, then in ``REGIMES``
+order), the kernel columns of the block's occupied cells, clips them and
+dots the kept weights with ``count * y``: O(K * occupied cells) per block,
+the same at any horizon and for any number of pooled phases.  A cell's
+fields are bit for bit those of each of its pulls, so are its weights and clip masks; only the order of the
 summation differs from a per-pull sum.
 """
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -95,19 +95,17 @@ class SamplePool:
             return np.zeros(self.n_arms, dtype=np.int64)
         return self._counts[:, REGIMES.index(regime)].sum(axis=1)
 
-    def block(self, arm: int, regime: Regime) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """The kernel weights against every target arm, the counts and the outcomes
-        of the occupied cells of ``arm`` under ``regime``, or None when there are no pulls."""
-        r = REGIMES.index(regime)
-        return self._gather(arm, r) if self._pulled[arm, r] else None
-
-    def _gather(self, arm: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts = self._counts[arm, r]
-        occupied = counts.nonzero()[0]
-        # A cell-major gather: the matrix product's summation order, and so
-        # the estimates' bits, follow this (target-fastest) layout.
-        weights = self._kernel[r, arm].T[occupied].T
-        return weights, counts[occupied], self._y[occupied]
+    def pulled_blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per block with pulls, source arm by source arm, then in ``REGIMES``
+        order: the arm, the regime's index, the kernel weights of its occupied
+        cells against every target arm, their counts and their outcomes."""
+        for arm, r in zip(*np.nonzero(self._pulled)):
+            counts = self._counts[arm, r]
+            occupied = counts.nonzero()[0]
+            # A cell-major gather: the matrix product's summation order, and so
+            # the estimates' bits, follow this (target-fastest) layout.
+            weights = self._kernel[r, arm].T[occupied].T
+            yield int(arm), int(r), weights, counts[occupied], self._y[occupied]
 
 
 @dataclass
@@ -143,8 +141,7 @@ def estimate_all(pool: SamplePool, eps: float, div: DivergenceSet) -> EstimateVe
     cutoffs = (div.m, div.d_sps, div.d_ssp)
     norm = np.zeros((len(REGIMES), pool.n_arms))
     acc = np.zeros((len(REGIMES), pool.n_arms))
-    for j, r in zip(*np.nonzero(pool._pulled)):
-        w, counts, y = pool._gather(j, r)
+    for j, r, w, counts, y in pool.pulled_blocks():
         c = cutoffs[r][:, j]
         norm[r] += int(counts.sum()) / c
         acc[r] += ((w * (np.abs(w) <= (log_term * c)[:, None])) @ (counts * y)) / c

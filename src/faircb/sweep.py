@@ -187,13 +187,10 @@ def run_sweep(
     algorithms: Sequence[str] = ALGORITHMS,
     base_seed: int = 0,
     width: int = 1,
-    divergences: DivergenceSet | None = None,
 ) -> ErrorCurve:
     """Score ``runs`` seeded runs per (budget, algorithm) against the exact oracle.
 
     ``width`` (at least 1) caps the worker processes; width 1 runs serially.
-    ``divergences`` defaults to ``DivergenceSet.exact`` of the instance; the
-    oracle truth is always computed here, since it defines the score.
     """
     if instance.fairness_eps is None:
         raise ValueError("instance has no fairness_eps; sweeps need the oracle truth")
@@ -210,9 +207,8 @@ def run_sweep(
             raise ValueError(f"{algorithm} needs budgets >= {low}, got {short}")
     truth = oracle_report(instance, instance.fairness_eps)["best_fair"]
     digest = instance_digest(instance)
-    if divergences is None:
-        divergences = DivergenceSet.exact(instance.model, instance.arms)
-    shared = (instance, divergences, default_budget(instance), truth)
+    shared = (instance, DivergenceSet.exact(instance.model, instance.arms),
+              default_budget(instance), truth)
 
     grid = [(int(T), algorithm, bi) for bi, T in enumerate(budgets) for algorithm in algorithms]
     cells = [(algorithm, T, base_seed, bi, run) for T, algorithm, bi in grid for run in range(runs)]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from faircb.divergence import DivergenceSet
 from faircb.estimation import SamplePool, estimate_all
-from faircb.model import Arm, CausalModel, Regime
+from faircb.model import REGIMES, Arm, CausalModel, Regime
 from faircb.oracles import exact_fairness, exact_outcome_mean
 from faircb.sampling import BatchSamples, Cells, make_sampler
 
@@ -54,11 +54,12 @@ def test_pool_bookkeeping():
     assert pool.count(2, Regime.FORCE_S) == 4
     np.testing.assert_array_equal(pool.counts(Regime.OBSERVATIONAL), [12, 0, 0])
     np.testing.assert_array_equal(pool.counts(Regime.FORCE_SPRIME), [0, 1, 0])
-    weights, counts, y = pool.block(0, Regime.OBSERVATIONAL)
+    blocks = {(j, REGIMES[r]): rest for j, r, *rest in pool.pulled_blocks()}
+    assert list(blocks) == [(0, Regime.OBSERVATIONAL), (1, Regime.FORCE_SPRIME), (2, Regime.FORCE_S)]
+    weights, counts, y = blocks[0, Regime.OBSERVATIONAL]
     assert counts.sum() == 12 and np.all(counts > 0)
     assert y.shape == counts.shape and counts.shape[0] <= 12  # the chain model has 12 cells
     assert weights.shape == (3, counts.shape[0])
-    assert pool.block(1, Regime.OBSERVATIONAL) is None
     # Zero-length batches are dropped silently; foreign arm indices are not.
     pool.add(sample_block(model, arms[1], Regime.OBSERVATIONAL, 0, rng))
     assert pool.count(1, Regime.OBSERVATIONAL) == 0
@@ -77,8 +78,9 @@ def test_estimate_all_reads_only_the_pulled_block(monkeypatch):
             pool = SamplePool(arms)
             pool.add(sample_block(model, arm, regime, 50, rng))
             read = []
-            gather = pool._gather
-            monkeypatch.setattr(pool, "_gather", lambda *block: read.append(block) or gather(*block))
+            pulled_blocks = pool.pulled_blocks
+            monkeypatch.setattr(pool, "pulled_blocks",
+                                lambda: (read.append(b[:2]) or b for b in pulled_blocks()))
             vec = estimate_all(pool, 0.5, div)
             assert read == [(j, r)]
             n_eff = (vec.n_eff_y, vec.n_eff_sps, vec.n_eff_ssp)

@@ -686,7 +686,7 @@ def test_kernel_is_the_weights_of_any_cell_subset(fixture, seed):
             counts[0, occ] = rng.integers(1, 5, size=occ.size)
             pool = SamplePool(arms)
             pool.add(BatchSamples(((j, regime, int(counts.sum())),), counts, cells))
-            got, _, _ = pool.block(j, regime)
+            [(_, _, got, _, _)] = pool.pulled_blocks()
             assert got.tobytes() == want.tobytes() and layout(got) == layout(want), (j, regime)
 
 

@@ -11,7 +11,6 @@ import pytest
 
 import faircb.sweep as sweep_mod
 from faircb.bandit import RunTrace
-from faircb.divergence import DivergenceSet
 from faircb.io import instance_digest
 from faircb.model import Instance
 from faircb.sweep import (
@@ -125,24 +124,6 @@ def test_pooled_sweep_equals_the_serial_sweep(instance):
         return record
 
     assert [fields(r) for r in pooled.rows] == [fields(r) for r in serial.rows]
-
-
-def test_sweep_reuses_the_callers_divergences(instance, monkeypatch):
-    divergences = DivergenceSet.exact(instance.model, instance.arms)
-    built = run_sweep(instance, budgets=(200, 400), runs=2, base_seed=5)
-    calls = []
-    exact = DivergenceSet.exact
-
-    def counted(cls, *args, **kwargs):
-        calls.append(args)
-        return exact(*args, **kwargs)
-
-    monkeypatch.setattr(DivergenceSet, "exact", classmethod(counted))
-    given = run_sweep(instance, budgets=(200, 400), runs=2, base_seed=5, divergences=divergences)
-    assert calls == []
-    assert (given.instance_digest, given.truth) == (built.instance_digest, built.truth)
-    untimed = lambda curve: [{**asdict(r), "wall_time_s": None} for r in curve.rows]  # noqa: E731
-    assert untimed(given) == untimed(built)
 
 
 @pytest.mark.parametrize("width", [0, -1])

@@ -45,15 +45,15 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import sampling
 from .allocation import Allocation, build_problem, costs_from_arms, round_counts, solve_maxmin
 from .divergence import DivergenceSet
 from .estimation import EstimateVector, SamplePool, estimate_all
-from .model import REGIMES, Arm, array_key, check_fairness_eps
-from .sampling import BatchSamples, Block
+from .model import Arm, CausalModel, array_key, check_fairness_eps
 
 __all__ = [
     "MIN_T_CSR",
@@ -67,8 +67,6 @@ __all__ = [
     "run_csr",
     "run_two_stage",
 ]
-
-Sampler = Callable[[Sequence[Block], np.random.Generator], BatchSamples]
 
 # Smallest budgets with a phase schedule: one for ``run_csr``, one per stage
 # for ``run_two_stage``.
@@ -216,27 +214,21 @@ def _round_phase(alloc: Allocation, tau_l: int, n_arms: int) -> Allocation:
     return replace(alloc, tau_y=zero, tau_s=zero.copy(), tau_sp=zero.copy())
 
 
-def _pull_phase(
-    sampler: Sampler,
-    pool: SamplePool,
-    allocation: Allocation,
-    costs: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[int, float]:
-    """Execute the rounded counts in one sampler call; returns (samples, cost) spent.
+def _pull_phase(run: _Run, allocation: Allocation) -> tuple[int, float]:
+    """Draw the rounded ``(K, 3)`` counts into the pool in one ``sample_batch`` call;
+    returns (samples, cost) spent.
 
-    The blocks run arm by arm, then in ``REGIMES`` order, skipping zero counts.
+    The cost adds up arm by arm, then in ``REGIMES`` order, one term at a time:
+    ``np.sum`` sums pairwise past eight terms, which would move its last bits.
     """
     counts = np.array((allocation.tau_y, allocation.tau_s, allocation.tau_sp)).T
-    arms, rows = np.nonzero(counts)
-    blocks = []
+    drawn = counts > 0
     cost = 0.0
-    for j, row, cnt in zip(arms.tolist(), rows.tolist(), counts[arms, rows].tolist()):
-        blocks.append((j, REGIMES[row], cnt))
-        cost += costs[row, j] * cnt
-    if blocks:
-        pool.add(sampler(blocks, rng))
-    return sum(n for _, _, n in blocks), cost
+    for spent in (run.costs.T[drawn] * counts[drawn]).tolist():
+        cost += spent
+    if drawn.any():
+        run.pool.add(sampling.sample_batch(run.model, run.laws, counts, run.rng))
+    return int(counts.sum()), cost
 
 
 # Bounds of the allocation memo: instances kept, and solved problems per instance.
@@ -295,10 +287,10 @@ class _Allocator:
 
 @dataclass
 class _Run:
-    """What every phase of one run reads; every phase pulls into ``pool``,
-    which under v1 each phase clears first."""
+    """What every phase of one run reads; every phase pulls from the arms'
+    cell ``laws`` into ``pool``, which under v1 each phase clears first."""
 
-    sampler: Sampler
+    model: CausalModel
     arms: Sequence[Arm]
     divergences: DivergenceSet
     budget: float
@@ -309,6 +301,7 @@ class _Run:
 
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng() if self.rng is None else self.rng
+        self.laws = sampling.cell_laws(self.model, self.arms)
         self.costs = costs_from_arms(self.arms)
         self.pool = SamplePool(self.arms)
         self.allocation = _Allocator(
@@ -333,7 +326,7 @@ def _run_stage(
         alloc = _round_phase(run.allocation(remaining, rule), int(sched.tau[l - 1]), K)
         if run.variant == "v1":
             run.pool.clear()
-        spent, cost = _pull_phase(run.sampler, run.pool, alloc, run.costs, run.rng)
+        spent, cost = _pull_phase(run, alloc)
         estimates = estimate_all(run.pool, eps, run.divergences)
         if rule == "outcome":
             fair = remaining
@@ -366,7 +359,7 @@ def _trace(phases: list[PhaseRecord], decision: int | None) -> RunTrace:
 
 
 def run_csr(
-    sampler: Sampler,
+    model: CausalModel,
     arms: Sequence[Arm],
     divergences: DivergenceSet,
     budget: float,
@@ -384,7 +377,7 @@ def run_csr(
     if variant not in ("v1", "v2"):
         raise ValueError(f"variant must be 'v1' or 'v2', got {variant!r}")
     check_fairness_eps(fairness_eps)
-    run = _Run(sampler, arms, divergences, budget, fairness_eps, variant, rng, extra_constraints)
+    run = _Run(model, arms, divergences, budget, fairness_eps, variant, rng, extra_constraints)
     phases: list[PhaseRecord] = []
     _, decision = _run_stage(run, T, tuple(range(len(arms))), 1, "joint", phases)
     if decision is None:
@@ -395,7 +388,7 @@ def run_csr(
 
 
 def run_two_stage(
-    sampler: Sampler,
+    model: CausalModel,
     arms: Sequence[Arm],
     divergences: DivergenceSet,
     budget: float,
@@ -417,7 +410,7 @@ def run_two_stage(
     check_fairness_eps(fairness_eps)
     if T < MIN_T_TWO_STAGE:
         raise ValueError(f"T must be >= {MIN_T_TWO_STAGE} so each stage gets a schedule")
-    run = _Run(sampler, arms, divergences, budget, fairness_eps, inner, rng, extra_constraints)
+    run = _Run(model, arms, divergences, budget, fairness_eps, inner, rng, extra_constraints)
     phases: list[PhaseRecord] = []
     survivors, _ = _run_stage(run, T // 2, tuple(range(len(arms))), 1, "fairness", phases)
     if not survivors:

@@ -16,8 +16,9 @@ intervention context, and then one pass over the context cells per source
 column.  ``DivergenceSet.exact`` on K arms thus calls ``enumerate_joint``
 2K + 1 times, and reduces block by block so it holds O(K * block) floats.
 A caller that needs fewer source columns (the generator's band check reads
-column 0 only, one target arm at a time) passes fewer tables and pays for
-those alone.
+column 0 only: ``outcome_column`` one target arm at a time, then
+``fairness_columns`` of arm 0's table) passes fewer tables and pays for those
+alone.
 
 The arrays reduced here hold a few dozen cells, where the per-call overhead
 of ``scipy.special.logsumexp`` (array-API dispatch, dtype promotion, the
@@ -33,16 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Arm, CausalModel, Regime, S_VALUE, SPRIME_VALUE
+from .model import REGIMES, Arm, CausalModel, S_VALUE, SPRIME_VALUE, encode_rows
 from .oracles import (
     attribute_ratio_values,
     direction_values,
     enumerate_joint,
     marginal_rows,
 )
-from .sampling import counterfactual_weight, make_sampler, transport_weight
+from .sampling import cell_laws, counterfactual_weight, sample_batch, transport_weight
 
-__all__ = ["DivergenceSet", "exact_columns", "outcome_column"]
+__all__ = ["DivergenceSet", "fairness_columns", "outcome_column"]
 
 _DIRECTIONS = ("ssp", "sps")
 
@@ -110,25 +111,22 @@ def _fairness_cells(model: CausalModel, target: Arm, sources: np.ndarray, forced
         if not mask.any():
             continue
         sub = {x: col[mask] for x, col in values.items()}
-        rows = np.zeros(int(mask.sum()), dtype=np.int64)
-        for p, st in zip(model.parents[v], strides):
-            rows += sub[p] * st
+        rows = encode_rows(sub, model.parents[v], strides, int(mask.sum()))
         w_v = target.table[rows, sub[v]] / sources[:, rows, sub[v]]
         w = np.empty((len(_DIRECTIONS),) + w_v.shape)
         for out, direction in zip(w, _DIRECTIONS):
-            ratio = attribute_ratio_values(model, target, sub, *direction_values(direction))
+            ratio = attribute_ratio_values(model, target.table, sub, *direction_values(direction))
             np.multiply(w_v, ratio - 1.0, out=out)
         yield probs[mask], w
 
 
-def _fairness_rows(model: CausalModel, arms, sources: np.ndarray | None = None) -> np.ndarray:
+def fairness_columns(model: CausalModel, arms, sources: np.ndarray) -> np.ndarray:
     """Exact ``D_ssp`` and ``D_sps`` columns, shape ``(2, K, J)``.
 
-    ``sources`` is a ``(J, rows, card)`` stack of source tables, every arm's
-    by default; each column depends only on its own source table.
+    ``sources`` is a ``(J, rows, card)`` stack of source tables.  Each column
+    depends only on its own source table, so it equals the matching column of
+    ``DivergenceSet.exact`` bit for bit.
     """
-    if sources is None:
-        sources = np.stack([a.table for a in arms])
     d = np.empty((len(_DIRECTIONS), len(arms), len(sources)), dtype=float)
     for i, arm in enumerate(arms):
         parts = []
@@ -141,24 +139,6 @@ def _fairness_rows(model: CausalModel, arms, sources: np.ndarray | None = None) 
     return d
 
 
-def exact_columns(model: CausalModel, arms, source: int):
-    """Column ``source`` of ``M``, ``D_ssp`` and ``D_sps``, in that order, built lazily.
-
-    A generator: each column is built when it is asked for.  ``M``'s needs
-    one enumeration; the two ``D`` columns come from the same 2K (one per
-    target arm and forced regime), which a caller that stops after ``M``
-    skips.  Every column equals the matching column of
-    ``DivergenceSet.exact`` bit for bit, since it is the same arithmetic on
-    one source table instead of K.
-    """
-    tables = np.stack([a.table for a in arms])
-    marg = marginal_rows(model, model.intervention)
-    m = outcome_column(marg, tables, tables[source])
-    m[source] = 1.0
-    yield m
-    yield from _fairness_rows(model, arms, tables[source : source + 1])[..., 0]
-
-
 @dataclass
 class DivergenceSet:
     """The three cutoff matrices a run needs, rows = target arm, columns = source arm."""
@@ -169,8 +149,8 @@ class DivergenceSet:
 
     @classmethod
     def exact(cls, model: CausalModel, arms) -> "DivergenceSet":
-        d_ssp, d_sps = _fairness_rows(model, arms)
         tables = np.stack([a.table for a in arms])
+        d_ssp, d_sps = fairness_columns(model, arms, tables)
         marg = marginal_rows(model, model.intervention)
         m = np.ones((len(arms), len(arms)), dtype=float)
         for j, source in enumerate(tables):
@@ -189,23 +169,25 @@ class DivergenceSet:
         """
         k = len(arms)
         tables = np.stack([a.table for a in arms])
-        pull = make_sampler(model, arms)
+        laws = cell_laws(model, arms)
 
-        def occupied(j: int, regime: Regime):
-            batch = pull([(j, regime, draws)], rng)
+        def occupied(j: int, r: int):
+            sizes = np.zeros((k, len(REGIMES)), dtype=np.int64)
+            sizes[j, r] = draws
+            batch = sample_batch(model, laws, sizes, rng)
             at = np.flatnonzero(batch.counts[0])
             return batch.cells.take(at), np.log(batch.counts[0, at] / batch.n)
 
         m = np.ones((k, k), dtype=float)
         for j in range(k):
-            cells, log_p = occupied(j, Regime.OBSERVATIONAL)
+            cells, log_p = occupied(j, 0)
             m[:, j] = _outcome_cutoff(log_p, transport_weight(cells, tables, tables[j]))
         np.fill_diagonal(m, 1.0)
         d = np.empty((len(_DIRECTIONS), k, k), dtype=float)
         for i, arm in enumerate(arms):
             parts = []
-            for regime in (Regime.FORCE_S, Regime.FORCE_SPRIME):
-                cells, log_p = occupied(i, regime)
+            for r in (1, 2):  # REGIMES[1:]: S <- s, then S <- s'
+                cells, log_p = occupied(i, r)
                 u = np.stack([counterfactual_weight(cells, arm.table, tables, direction)
                               for direction in _DIRECTIONS])
                 parts.append(_logsumexp(log_p + np.abs(u)))

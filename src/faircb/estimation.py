@@ -12,9 +12,10 @@ cell code, the cell law and the model's ``Cells`` table), so the pool keeps
 counts, not pulls: one dense ``(K, 3, n_cells)`` int64 array, a row of
 per-cell counts per (source arm, regime) with regimes in ``REGIMES`` order,
 allocated at the first ``add``, and a ``(K, 3)`` mask of the blocks that have
-pulls.  ``add`` takes a batch as the sampler draws it, one row of per-cell
-counts per block, and sums each row into its slot; ``clear`` zeroes both in
-place.
+pulls.  ``add`` takes a batch as ``sampling.sample_batch`` draws it, one row
+of per-cell counts per nonzero entry of the phase's ``(K, 3)`` count matrix,
+and sums the rows into their slots in one indexed add; ``clear`` zeroes both
+in place.
 
 A weight depends only on the cell and on the source and target arm tables,
 never on the phase or ``eps``; only the clip mask depends on ``eps``.  So the
@@ -65,20 +66,14 @@ class SamplePool:
         self._kernel: np.ndarray | None = None
 
     def add(self, batch: BatchSamples) -> None:
-        """Sum the count row of every block of ``batch`` into its (arm, regime)
+        """Sum the count row of every drawn entry of ``batch`` into its (arm, regime)
         slot; the first add looks up the weight kernel of the batch's cells."""
-        for arm, _, _ in batch.blocks:
-            if not 0 <= arm < self.n_arms:
-                raise ValueError(f"arm index {arm} out of range")
         if self._kernel is None:
             self._kernel = weight_kernel(batch.cells, np.stack([arm.table for arm in self._arms]))
             self._y = batch.cells.y
             self._counts = np.zeros((self.n_arms, len(REGIMES), batch.n_cells), dtype=np.int64)
-        for (arm, regime, n), counts in zip(batch.blocks, batch.counts):
-            if n:
-                r = REGIMES.index(regime)
-                self._counts[arm, r] += counts
-                self._pulled[arm, r] = True
+        self._counts[batch.drawn] += batch.counts
+        self._pulled[batch.drawn] = True
 
     def clear(self) -> None:
         """Drop every count and keep the weight kernel, for a phase that

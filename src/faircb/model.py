@@ -29,6 +29,7 @@ __all__ = [
     "S_VALUE",
     "SPRIME_VALUE",
     "array_key",
+    "encode_rows",
 ]
 
 S_VALUE = 0
@@ -63,6 +64,17 @@ def array_key(array) -> tuple:
     """Shape, dtype and bytes of ``array``: a key for memos keyed on content, not identity."""
     array = np.asarray(array)
     return array.shape, array.dtype.str, array.tobytes()
+
+
+def encode_rows(
+    values: dict[str, np.ndarray], nodes: Sequence[str], strides: Sequence[int], n: int
+) -> np.ndarray:
+    """Row-major code of ``n`` entries from the values of ``nodes`` under ``strides``:
+    a table row given a node's parents, or a cell given the read nodes."""
+    rows = np.zeros(n, dtype=np.int64)
+    for x, st in zip(nodes, strides):
+        rows += values[x] * st
+    return rows
 
 
 def _as_table(x: Sequence | np.ndarray) -> np.ndarray:
@@ -295,7 +307,7 @@ def validate_model(model: CausalModel, arms: Sequence[Arm] = ()) -> ValidationRe
     v = model.intervention
     n_rows_v, card_v = model.n_rows(v), model.cards[v]
     for position, arm in enumerate(arms):
-        # Samplers pull arms by position and pools credit pulls to ``index``.
+        # A run pulls, pools and reports arm j as row j of its count matrix.
         if arm.index != position:
             problems.append(f"arm {arm.index}: index differs from its position {position}")
         problems.extend(_row_problems(f"arm {arm.index}", arm.table, n_rows_v, card_v))

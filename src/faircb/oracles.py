@@ -16,7 +16,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import EnumerationTooLarge
-from .model import Arm, CausalModel, Instance, S_VALUE, SPRIME_VALUE, check_fairness_eps
+from .model import (
+    Arm, CausalModel, Instance, S_VALUE, SPRIME_VALUE, check_fairness_eps, encode_rows,
+)
 
 __all__ = [
     "enumeration_cap",
@@ -76,9 +78,7 @@ def enumerate_arms(
         for x in closure:
             if x == forced:
                 continue
-            rows = np.zeros(idx.shape[0], dtype=np.int64)
-            for p, st_p in zip(model.parents[x], model.row_strides(x)):
-                rows += values[p] * st_p
+            rows = encode_rows(values, model.parents[x], model.row_strides(x), idx.shape[0])
             if x == model.intervention:  # one C-ordered (K, cells) gather of every arm's factor
                 factor = np.take(tables.reshape(k, -1), rows * tables.shape[2] + values[x], axis=1)
                 probs = np.multiply(factor, probs, out=factor)
@@ -109,10 +109,7 @@ def marginal_rows(model: CausalModel, node: str) -> np.ndarray:
         return out
     strides = model.row_strides(node)
     for probs, values in enumerate_joint(model, None, ps):
-        rows = np.zeros(probs.shape[0], dtype=np.int64)
-        for p, st in zip(ps, strides):
-            rows += values[p] * st
-        np.add.at(out, rows, probs)
+        np.add.at(out, encode_rows(values, ps, strides, probs.shape[0]), probs)
     return out
 
 
@@ -133,28 +130,28 @@ def exact_outcome_mean(model: CausalModel, arm: Arm) -> float:
 
 def attribute_ratio_values(
     model: CausalModel,
-    arm: Arm,
+    v_table: np.ndarray | None,
     values: dict[str, np.ndarray],
     num_attr: int,
     den_attr: int,
 ) -> np.ndarray:
     """Product over the children of S of ``P(x | pa, num) / P(x | pa, den)`` at given cells.
 
-    The intervention node's factor comes from ``arm``; the cells must carry a
-    value column for S and for every child of S with its parents.
+    The intervention node's factor comes from ``v_table``, and None leaves it
+    out; the cells must carry a value column for S and for every other child
+    of S with its parents.
     """
     s = model.sensitive
     n = next(iter(values.values())).shape[0]
     ratio = np.ones(n, dtype=float)
     for x in model.children(s):
-        table = arm.table if x == model.intervention else model.cpts[x]
+        table = v_table if x == model.intervention else model.cpts[x]
+        if table is None:
+            continue
         ps = model.parents[x]
         strides = model.row_strides(x)
         s_stride = strides[ps.index(s)]
-        rows = np.zeros(n, dtype=np.int64)
-        for p, st in zip(ps, strides):
-            rows += values[p] * st
-        base = rows - values[s] * s_stride
+        base = encode_rows(values, ps, strides, n) - values[s] * s_stride
         num = table[base + num_attr * s_stride, values[x]]
         den = table[base + den_attr * s_stride, values[x]]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -182,7 +179,7 @@ def _fairness_gaps(model: CausalModel, arms, direction: str) -> list[float]:
             if not mask.all():
                 p, sub = p[mask], {x: v[mask] for x, v in values.items()}
             if p.size:
-                ratio = attribute_ratio_values(model, arm, sub, cf, ev)
+                ratio = attribute_ratio_values(model, arm.table, sub, cf, ev)
                 acc[k] += float(p @ (model.target_values[sub[model.target]] * (ratio - 1.0)))
     return acc
 

@@ -13,24 +13,27 @@ table and the per-cell counts of the estimators.
 
 Cell law: since a pull enters every estimate only through its cell, ``n``
 pulls of one arm under one regime are fully described by
-``multinomial(n, P(cell | arm, regime))``.  ``make_sampler`` looks up the
-``(K, 3, n_cells)`` table of these laws, regimes in ``REGIMES`` order, in a
-process-wide memo keyed on content (the closure's structure and tables, the
-designated and the read nodes, the arm tables), so equal models built apart
-share one build and an edit in place forces a new one.  It keeps at most
-``_MEMO_LAWS`` entries and, like the allocation memo, takes no lock.  A miss
-enumerates the ancestral closure of the read nodes once per regime for all
-arms (``oracles.enumerate_arms``), which raises ``EnumerationTooLarge`` in
-``make_sampler``, before any pull, when that closure is over the cap.
+``multinomial(n, P(cell | arm, regime))``.  ``cell_laws`` looks up the
+``(K, 3, n_cells)`` table of these laws, arms by position and regimes in
+``REGIMES`` order, in a process-wide memo keyed on content (the closure's
+structure and tables, the designated and the read nodes, the arm tables), so
+equal models built apart share one build and an edit in place forces a new
+one.  It keeps at most ``_MEMO_LAWS`` entries and, like the allocation memo,
+takes no lock.  A miss enumerates the ancestral closure of the read nodes
+once per regime for all arms (``oracles.enumerate_arms``), which raises
+``EnumerationTooLarge`` in ``cell_laws``, before any pull, when that closure
+is over the cap.
 
-Stream contract: a batch is a sequence of *blocks* ``(arm, regime, n)``; the
-bandit loop draws a whole phase in one ``sample_batch`` call.  That call
-draws every block in one ``rng.multinomial(sizes, laws[arms, regimes])``,
-which consumes the generator block after block exactly as one
-``rng.multinomial(n, law)`` per block, in order.  So a phase drawn in one
-call has the counts, and leaves the generator in the state, of one call per
-block.  A batch carries one row of ``n_cells`` counts per block and the
-model's ``Cells`` table.
+Stream contract: a batch is a ``(K, 3)`` count matrix, ``sizes[j, r]`` pulls
+of arm ``j`` under ``REGIMES[r]``; the bandit loop draws a whole phase in one
+``sample_batch`` call.  That call draws every nonzero entry, row-major (arm
+by arm, then in ``REGIMES`` order), in one ``rng.multinomial``, which
+consumes the generator entry after entry exactly as one
+``rng.multinomial(n, law)`` per entry, in that order, and draws nothing for a
+zero entry.  So a phase drawn in one call has the counts, and leaves the
+generator in the state, of one call per nonzero entry.  A batch carries the
+drawn entries, one row of ``n_cells`` counts per entry, and the model's
+``Cells`` table.
 
 ``transport_weight`` and ``counterfactual_weight`` are the one place that
 turns pull fields into weights.  Both broadcast over leading table axes, so a
@@ -52,15 +55,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EnumerationTooLarge
-from .model import REGIMES, Arm, CausalModel, Regime, S_VALUE, SPRIME_VALUE, array_key
-from .oracles import enumerate_arms, enumeration_cap
+from .model import REGIMES, Arm, CausalModel, S_VALUE, SPRIME_VALUE, array_key, encode_rows
+from .oracles import attribute_ratio_values, enumerate_arms, enumeration_cap
 
 __all__ = [
     "Cells",
-    "Block",
     "BatchSamples",
+    "cell_laws",
     "sample_batch",
-    "make_sampler",
     "transport_weight",
     "counterfactual_weight",
     "weight_kernel",
@@ -96,23 +98,20 @@ class Cells:
                      self.v_row_s[codes], self.v_row_sp[codes], self.child_ratio[codes])
 
 
-Block = tuple[int, Regime, int]
-"""``(arm, regime, n)``: ``n`` pulls of one arm under one regime."""
-
-
 @dataclass
 class BatchSamples:
-    """Pulls drawn in blocks: ``blocks[b]`` is ``(arm index, regime, n)`` in draw
-    order, ``counts[b]`` that block's pulls per cell code (see the module
-    docstring) and ``cells`` the table of the model's cells."""
+    """Pulls drawn from a count matrix: ``drawn`` holds the arm and regime indices
+    of its nonzero entries, each (arm, regime) once, in draw order; ``counts[b]``
+    the pulls of entry ``b`` per cell code (see the module docstring) and
+    ``cells`` the table of the model's cells."""
 
-    blocks: tuple[Block, ...]
+    drawn: tuple[np.ndarray, np.ndarray]
     counts: np.ndarray
     cells: Cells
 
     @property
     def n(self) -> int:
-        return sum(n for _, _, n in self.blocks)
+        return int(self.counts.sum())
 
     @property
     def n_cells(self) -> int:
@@ -161,25 +160,14 @@ def _decode_cells(
 
     ps = model.parents[v]
     v_strides = model.row_strides(v)
-    v_row_s = v_row_sp = v_row = _rows(values, ps, v_strides, n_cells)
+    v_row_s = v_row_sp = v_row = encode_rows(values, ps, v_strides, n_cells)
     if s in ps:
         s_stride = v_strides[ps.index(s)]
         base = v_row - values[s] * s_stride
         v_row_s = base + S_VALUE * s_stride
         v_row_sp = base + SPRIME_VALUE * s_stride
 
-    child_ratio = np.ones(n_cells, dtype=float)
-    for x in model.children(s):
-        if x == v:
-            continue
-        xps, x_strides = model.parents[x], model.row_strides(x)
-        s_stride = x_strides[xps.index(s)]
-        base = _rows(values, xps, x_strides, n_cells) - values[s] * s_stride
-        cpt, xv = model.cpts[x], values[x]
-        num, den = cpt[base + S_VALUE * s_stride, xv], cpt[base + SPRIME_VALUE * s_stride, xv]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            child_ratio *= num / den
-
+    child_ratio = attribute_ratio_values(model, None, values, S_VALUE, SPRIME_VALUE)
     y = model.target_values[values[model.target]]
     return Cells(y, v_row, values[v], v_row_s, v_row_sp, child_ratio)
 
@@ -191,16 +179,6 @@ def _plan(model: CausalModel) -> _Plan:
         cells = _decode_cells(model, nodes, strides, n_cells)
         model._sample_plan = _Plan(model.ancestors(nodes), nodes, strides, cells)
     return model._sample_plan
-
-
-def _rows(
-    values: dict[str, np.ndarray], parents: Sequence[str], strides: Sequence[int], n: int
-) -> np.ndarray:
-    """Row-major table row of every pull given its parents' values."""
-    rows = np.zeros(n, dtype=np.int64)
-    for p, st in zip(parents, strides):
-        rows += values[p] * st
-    return rows
 
 
 # Bound of the cell-law and weight-kernel memos: the tables each keeps, one per
@@ -220,7 +198,7 @@ def _build_laws(model: CausalModel, plan: _Plan, tables: np.ndarray) -> np.ndarr
     laws = np.zeros((len(tables), len(REGIMES), n_cells))
     for row, regime in enumerate(REGIMES):
         for probs, values in enumerate_arms(model, tables, plan.cell_nodes, regime.forced_value):
-            code = _rows(values, plan.cell_nodes, plan.cell_strides, probs.shape[1])
+            code = encode_rows(values, plan.cell_nodes, plan.cell_strides, probs.shape[1])
             for law, p in zip(laws[:, row], probs):
                 law += np.bincount(code, weights=p, minlength=n_cells)
     return laws / laws.sum(axis=2, keepdims=True)
@@ -239,9 +217,11 @@ def _memoized(memo: OrderedDict, key: tuple, build: Callable[[], np.ndarray]) ->
     return value
 
 
-def _laws(model: CausalModel, tables: np.ndarray) -> np.ndarray:
-    """The cell laws of the arm tables ``tables``, from the memo or built on a miss."""
+def cell_laws(model: CausalModel, arms: Sequence[Arm]) -> np.ndarray:
+    """The read-only ``(K, 3, n_cells)`` cell laws of ``arms``, from the memo or built
+    on a miss; a closure over the enumeration cap raises here, before any pull."""
     plan = _plan(model)
+    tables = np.stack([arm.table for arm in arms])
     v = model.intervention
     key = (
         tuple((x, model.cards[x], model.parents[x]) for x in plan.closure), plan.cell_nodes,
@@ -252,32 +232,13 @@ def _laws(model: CausalModel, tables: np.ndarray) -> np.ndarray:
 
 
 def sample_batch(
-    model: CausalModel, laws: np.ndarray, blocks: Sequence[Block], rng: np.random.Generator
+    model: CausalModel, laws: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
 ) -> BatchSamples:
-    """Draw each block ``(j, regime, n)``: the cell counts of ``n`` pulls of the
-    arm of law ``laws[j]`` under ``regime``, every block in one ``rng.multinomial``."""
-    arms = [j for j, _, _ in blocks]
-    rows = [REGIMES.index(regime) for _, regime, _ in blocks]
-    counts = rng.multinomial([n for _, _, n in blocks], laws[arms, rows])
-    return BatchSamples(blocks=tuple(blocks), counts=counts, cells=_plan(model).cells)
-
-
-def make_sampler(
-    model: CausalModel, arms: Sequence[Arm]
-) -> Callable[[Sequence[Block], np.random.Generator], BatchSamples]:
-    """Bind a model and arms into the pull interface the bandit loop consumes:
-    one ``sample_batch`` call per sequence of blocks, whose arm positions come
-    back as the arms' pool indices.  The cell laws are found or built here, so
-    a closure over the enumeration cap raises before any pull."""
-    laws = _laws(model, np.stack([arm.table for arm in arms]))
-    index = [arm.index for arm in arms]
-
-    def pull(blocks: Sequence[Block], rng: np.random.Generator) -> BatchSamples:
-        batch = sample_batch(model, laws, blocks, rng)
-        batch.blocks = tuple((index[j], regime, n) for j, regime, n in blocks)
-        return batch
-
-    return pull
+    """Draw the ``(K, 3)`` count matrix ``sizes``: the cell counts of ``sizes[j, r]``
+    pulls from the law ``laws[j, r]``, every nonzero entry in one ``rng.multinomial``."""
+    drawn = np.nonzero(sizes)
+    counts = rng.multinomial(sizes[drawn], laws[drawn])
+    return BatchSamples(drawn, counts, _plan(model).cells)
 
 
 def transport_weight(cells: Cells, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:

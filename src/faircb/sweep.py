@@ -32,7 +32,6 @@ from .divergence import DivergenceSet
 from .io import instance_digest
 from .model import Instance
 from .oracles import oracle_report
-from .sampling import make_sampler
 
 __all__ = ["ALGORITHMS", "SweepRow", "ErrorCurve", "default_budget",
            "run_algorithm", "run_sweep", "error_curve_to_csv", "error_curve_to_json"]
@@ -104,12 +103,11 @@ def run_algorithm(
         divergences = DivergenceSet.exact(instance.model, instance.arms)
     if budget is None:
         budget = default_budget(instance)
-    sampler = make_sampler(instance.model, instance.arms)
     extra = _extra_constraints(instance, T)
     family, variant = algorithm.split("-")
     runner = run_csr if family == "csr" else run_two_stage
     return runner(
-        sampler, instance.arms, divergences, budget, T, eps,
+        instance.model, instance.arms, divergences, budget, T, eps,
         variant, rng, extra_constraints=extra,
     )
 

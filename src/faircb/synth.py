@@ -18,7 +18,7 @@ two parameters are inverted, its table is built, and under a divergence band
 ``M[k, 0]`` is checked at once (``_m_to_deployed``), so a draw ends at its
 first arm outside the band or whose level ``g`` cannot reach.  Most draws of a
 banded config end there, after one or two arms.  A draw whose arms all pass
-goes on to both ``D[:, 0]`` columns (``divergence.exact_columns``), then to
+goes on to both ``D[:, 0]`` columns (``divergence.fairness_columns``), then to
 ``validate_model`` (once per such candidate, and no instance is returned
 without it), then to the exact oracle report.  All random draws of an attempt
 happen before its first inversion and no check reads the generator, so the
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from .divergence import exact_columns, outcome_column
+from .divergence import fairness_columns, outcome_column
 from .errors import GenerationFailed
 from .model import Arm, CausalModel, Instance, check_fairness_eps, validate_model
 from .oracles import marginal_rows, oracle_report
@@ -273,7 +273,7 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
             continue
         model = _build_model(config, f, arms[0].table.copy())
         if band is not None:
-            _, *d_columns = exact_columns(model, arms, 0)
+            d_columns = fairness_columns(model, arms, arms[0].table[None])[..., 0]
             if not all(_inside(band, col[1:]) for col in d_columns):
                 continue
         if not validate_model(model, arms).ok:

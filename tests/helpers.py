@@ -29,9 +29,9 @@ from faircb import sampling
 from faircb.bandit import _Allocator, phase_schedule
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError
-from faircb.model import Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
+from faircb.model import REGIMES, Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
 from faircb.netgen import build_network_experiment, liver_network
-from faircb.sampling import BatchSamples, Cells, counterfactual_weight, make_sampler
+from faircb.sampling import BatchSamples, Cells, counterfactual_weight
 from faircb.oracles import (
     attribute_ratio_values,
     direction_values,
@@ -273,7 +273,7 @@ def _reference_fairness_cells(model: CausalModel, arm_i: Arm, arm_j: Arm, direct
             for p, st in zip(model.parents[v], strides):
                 rows += sub[p] * st
             w_v = arm_i.table[rows, sub[v]] / arm_j.table[rows, sub[v]]
-            ratio = attribute_ratio_values(model, arm_i, sub, num, den)
+            ratio = attribute_ratio_values(model, arm_i.table, sub, num, den)
             probs_parts.append(probs[mask])
             w_parts.append(w_v * (ratio - 1.0))
         out.append((np.concatenate(probs_parts), np.concatenate(w_parts)))
@@ -366,13 +366,18 @@ def empirical_quantile_gamma(
 def sample_block(
     model: CausalModel, arm: Arm, regime: Regime, n: int, rng: np.random.Generator
 ) -> BatchSamples:
-    """``n`` pulls of ``arm`` under ``regime``: a sampler call with one block."""
-    return make_sampler(model, [arm])([(0, regime, n)], rng)
+    """``n`` pulls of ``arm`` under ``regime``: a count matrix whose one entry sits in
+    row ``arm.index``, drawn from that arm's own cell laws."""
+    sizes = np.zeros((arm.index + 1, len(REGIMES)), dtype=np.int64)
+    sizes[arm.index, REGIMES.index(regime)] = n
+    laws = sampling.cell_laws(model, [arm])
+    laws = np.broadcast_to(laws, sizes.shape + laws.shape[2:])
+    return sampling.sample_batch(model, laws, sizes, rng)
 
 
 def cell_codes(batch: BatchSamples) -> np.ndarray:
-    """The cell code of every pull of ``batch``, block after block, ascending within a block."""
-    codes = np.tile(np.arange(batch.n_cells), len(batch.blocks))
+    """The cell code of every pull of ``batch``, entry after entry, ascending within an entry."""
+    codes = np.tile(np.arange(batch.n_cells), len(batch.counts))
     return np.repeat(codes, batch.counts.ravel())
 
 
@@ -684,13 +689,12 @@ class ReferencePool:
         self._blocks: dict[tuple[int, Regime], list[Cells]] = {}
 
     def add(self, batch: BatchSamples) -> None:
-        """Unpack each block's counts into one pull per count, in cell order."""
-        for (arm, regime, n), counts in zip(batch.blocks, batch.counts):
+        """Unpack each drawn entry's counts into one pull per count, in cell order."""
+        for arm, r, counts in zip(*batch.drawn, batch.counts):
             if not 0 <= arm < self.n_arms:
                 raise ValueError(f"arm index {arm} out of range")
-            if n:
-                cell = np.repeat(np.arange(batch.n_cells), counts)
-                self._blocks.setdefault((arm, regime), []).append(batch.cells.take(cell))
+            cell = np.repeat(np.arange(batch.n_cells), counts)
+            self._blocks.setdefault((int(arm), REGIMES[r]), []).append(batch.cells.take(cell))
 
     def packed(self, arm: int, regime: Regime) -> Cells | None:
         """The fields of every pull of ``arm`` under ``regime``, pull by pull,

@@ -24,7 +24,6 @@ from faircb.estimation import EstimateVector
 from faircb.model import Arm, Instance
 from faircb.netgen import build_network_experiment, liver_network
 from faircb.oracles import oracle_report
-from faircb.sampling import make_sampler
 from faircb.sweep import ALGORITHMS, run_algorithm
 
 from helpers import (
@@ -176,10 +175,9 @@ def test_effective_samples_keep_the_lp_promise(seed, algorithm):
 
 def make_chain_run(T=2000, fairness_eps=0.2, seed=0, variant="v2", **kwargs):
     model, arms = chain_model()
-    sampler = make_sampler(model, arms)
     divergences = DivergenceSet.exact(model, arms)
     return run_csr(
-        sampler,
+        model,
         arms,
         divergences,
         budget=1.0,
@@ -241,7 +239,7 @@ def test_run_csr_early_return_stops_spending():
 def test_run_csr_no_fair_arm():
     model, arms = side_child_model()
     trace = run_csr(
-        make_sampler(model, arms),
+        model,
         arms,
         DivergenceSet.exact(model, arms),
         budget=1.0,
@@ -259,7 +257,7 @@ def test_run_csr_propagates_infeasible():
     model, arms = chain_model()
     with pytest.raises(Infeasible):
         run_csr(
-            make_sampler(model, arms),
+            model,
             arms,
             DivergenceSet.exact(model, arms),
             budget=0.0,
@@ -287,7 +285,7 @@ def test_budget_accounting_nonuniform_costs():
     ]
     budget = 0.9
     trace = run_csr(
-        make_sampler(model, arms),
+        model,
         arms,
         DivergenceSet.exact(model, arms),
         budget=budget,
@@ -304,7 +302,7 @@ def test_budget_accounting_nonuniform_costs():
 def test_run_two_stage_contract():
     model, arms = chain_model()
     trace = run_two_stage(
-        make_sampler(model, arms),
+        model,
         arms,
         DivergenceSet.exact(model, arms),
         budget=1.0,
@@ -334,7 +332,7 @@ def test_run_two_stage_no_fair_arm_skips_stage_two():
     model, arms = side_child_model()
     twins = (arms[0], Arm(index=1, table=arms[0].table.copy()))
     trace = run_two_stage(
-        make_sampler(model, twins),
+        model,
         twins,
         DivergenceSet.exact(model, twins),
         budget=1.0,
@@ -358,7 +356,7 @@ def test_run_two_stage_lone_unfair_survivor_is_kept():
     lone = 0
     for seed in range(12):
         trace = run_two_stage(
-            make_sampler(model, arms), arms, divergences, budget=1.0, T=20_000,
+            model, arms, divergences, budget=1.0, T=20_000,
             fairness_eps=0.05, rng=np.random.default_rng(seed),
         )
         stage_two = [record.remaining for record in trace.phases if record.stage == 2]
@@ -366,7 +364,7 @@ def test_run_two_stage_lone_unfair_survivor_is_kept():
             lone += 1
             assert trace.decision == stage_two[0][0], seed
         joint = run_csr(
-            make_sampler(model, arms), arms, divergences, budget=1.0, T=20_000,
+            model, arms, divergences, budget=1.0, T=20_000,
             fairness_eps=0.05, rng=np.random.default_rng(seed),
         )
         assert joint.decision is None, seed
@@ -375,23 +373,21 @@ def test_run_two_stage_lone_unfair_survivor_is_kept():
 
 def test_run_two_stage_validation():
     model, arms = chain_model()
-    sampler = make_sampler(model, arms)
     ds = DivergenceSet.exact(model, arms)
     with pytest.raises(ValueError):
-        run_two_stage(sampler, arms, ds, 1.0, 7, 0.2)
+        run_two_stage(model, arms, ds, 1.0, 7, 0.2)
     with pytest.raises(ValueError):
-        run_two_stage(sampler, arms, ds, 1.0, 1000, 0.2, inner="v3")
+        run_two_stage(model, arms, ds, 1.0, 1000, 0.2, inner="v3")
 
 
 @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
 def test_runs_reject_a_bad_fairness_tolerance(eps):
     model, arms = chain_model()
-    sampler = make_sampler(model, arms)
     ds = DivergenceSet.exact(model, arms)
     with pytest.raises(ValueError, match="fairness_eps"):
-        run_csr(sampler, arms, ds, 1.0, 1000, eps)
+        run_csr(model, arms, ds, 1.0, 1000, eps)
     with pytest.raises(ValueError, match="fairness_eps"):
-        run_two_stage(sampler, arms, ds, 1.0, 1000, eps)
+        run_two_stage(model, arms, ds, 1.0, 1000, eps)
 
 
 def test_bound_report_structure_and_frozen_constants():
@@ -585,7 +581,7 @@ def test_each_distinct_allocation_problem_is_solved_once_per_run(monkeypatch, ru
 
     def run(seed):
         return runner(
-            make_sampler(model, arms), arms, divergences, 1.0, 20_000, 0.2, "v2",
+            model, arms, divergences, 1.0, 20_000, 0.2, "v2",
             np.random.default_rng(seed),
         )
 
@@ -651,7 +647,7 @@ def test_a_v1_run_looks_the_kernel_up_once(monkeypatch, runner):
     monkeypatch.setattr(estimation, "weight_kernel", counted)
     model, arms = chain_model()
     trace = runner(
-        make_sampler(model, arms), arms, DivergenceSet.exact(model, arms), 1.0, 20_000, 0.2,
+        model, arms, DivergenceSet.exact(model, arms), 1.0, 20_000, 0.2,
         "v1", np.random.default_rng(0),
     )
     assert len(trace.phases) > 1
@@ -672,7 +668,7 @@ def test_editing_divergences_in_place_forces_a_new_solve(monkeypatch):
 
     def run():
         return run_csr(
-            make_sampler(model, arms), arms, divergences, 1.0, 2000, 0.2,
+            model, arms, divergences, 1.0, 2000, 0.2,
             rng=np.random.default_rng(0),
         )
 

@@ -230,23 +230,21 @@ def test_divergence_set_exact_is_pinned_on_the_bench_instances(workload):
 
 def test_divergence_set_mc_draws_each_batch_once(monkeypatch):
     # One observational batch per source arm, then one batch per (target
-    # arm, forced regime) that feeds both D_ssp and D_sps: 3K calls, 9 on the chain.
-    make_sampler = divergence.make_sampler
-    calls = []
+    # arm, forced regime) that feeds both D_ssp and D_sps: 3K calls, 9 on the
+    # chain, each drawing a single entry of its own.
+    sample_batch = divergence.sample_batch
+    entries = []
 
-    def counted(model, arms):
-        pull = make_sampler(model, arms)
+    def counted(model, laws, sizes, rng):
+        (j, r), = zip(*np.nonzero(sizes))
+        assert sizes[j, r] == 100
+        entries.append((int(j), int(r)))
+        return sample_batch(model, laws, sizes, rng)
 
-        def wrapped(blocks, rng):
-            calls.append(tuple(blocks))
-            return pull(blocks, rng)
-
-        return wrapped
-
-    monkeypatch.setattr(divergence, "make_sampler", counted)
+    monkeypatch.setattr(divergence, "sample_batch", counted)
     model, arms = chain_model()
     DivergenceSet.mc(model, arms, draws=100, rng=np.random.default_rng(0))
-    assert len(calls) == len(set(calls)) == 3 * len(arms)
+    assert len(entries) == len(set(entries)) == 3 * len(arms)
 
 
 def test_quantile_frozen_values_and_validation():

@@ -13,7 +13,8 @@ from faircb.divergence import DivergenceSet
 from faircb.estimation import SamplePool, estimate_all
 from faircb.model import REGIMES, Arm, CausalModel, Regime
 from faircb.oracles import exact_fairness, exact_outcome_mean
-from faircb.sampling import BatchSamples, Cells, make_sampler
+from faircb import sampling
+from faircb.sampling import BatchSamples, Cells
 
 from helpers import (
     NoSamples,
@@ -60,13 +61,10 @@ def test_pool_bookkeeping():
     assert counts.sum() == 12 and np.all(counts > 0)
     assert y.shape == counts.shape and counts.shape[0] <= 12  # the chain model has 12 cells
     assert weights.shape == (3, counts.shape[0])
-    # Zero-length batches are dropped silently; foreign arm indices are not.
+    # A zero-length batch draws no entry, so it marks no block as pulled.
     pool.add(sample_block(model, arms[1], Regime.OBSERVATIONAL, 0, rng))
     assert pool.count(1, Regime.OBSERVATIONAL) == 0
-    bad = sample_block(model, arms[1], Regime.OBSERVATIONAL, 3, rng)
-    bad.blocks = ((9, Regime.OBSERVATIONAL, 3),)
-    with pytest.raises(ValueError):
-        pool.add(bad)
+    assert len(list(pool.pulled_blocks())) == 3
 
 
 def test_estimate_all_reads_only_the_pulled_block(monkeypatch):
@@ -284,7 +282,7 @@ def test_clipping_drops_oversized_weights():
         # One hand-built pull of arm 0 at v = 0 with y = 1: the transported
         # weight onto arm 1 is 0.9 / 0.1 = 9.
         BatchSamples(
-            blocks=((0, Regime.OBSERVATIONAL, 1),),
+            drawn=(np.array([0]), np.array([0])),
             counts=np.array([[1]]),
             cells=Cells(
                 y=np.array([1.0]),
@@ -316,29 +314,34 @@ def estimate_bytes(pool, div) -> bytes:
 @given(st.integers(0, 10_000))
 def test_estimates_do_not_depend_on_how_pulls_are_split_over_adds(seed):
     """A pool fed one phase's batch whole, or cut into pieces added in any order
-    (blocks apart, a block's pulls split across adds, empty adds), gives the same bytes."""
+    (entries apart, an entry's pulls split across adds, empty adds), gives the same bytes."""
     rng = np.random.default_rng(seed)
     inst = random_instance(rng)
     model, arms = inst.model, inst.arms
     div = DivergenceSet.exact(model, arms)
-    blocks = [(j, regime, int(rng.integers(0, 60)))
-              for j in range(len(arms)) for regime in Regime if rng.random() < 0.7]
-    batch = make_sampler(model, arms)(blocks, rng)
+    shape = (len(arms), len(REGIMES))
+    sizes = rng.integers(0, 60, size=shape) * (rng.random(shape) < 0.7)
+    batch = sampling.sample_batch(model, sampling.cell_laws(model, arms), sizes, rng)
     whole = SamplePool(arms)
     whole.add(batch)
-    pieces = []
-    for block, counts in zip(batch.blocks, batch.counts):
+    # Each piece is one entry's share; a batch holds each (arm, regime) at most
+    # once, so the two shares of an entry go to different adds.
+    halves = [[], []]
+    for j, r, counts in zip(*batch.drawn, batch.counts):
         part = rng.binomial(counts, rng.random())
-        for share in (part, counts - part):
-            pieces.append(((block[0], block[1], int(share.sum())), share))
-    order = rng.permutation(len(pieces))
+        for half, share in zip(halves, (part, counts - part)):
+            if share.any():
+                half.append((j, r, share))
     split = SamplePool(arms)
-    for group in np.array_split(order, int(rng.integers(1, len(pieces) + 2))):
-        split.add(BatchSamples(
-            tuple(pieces[i][0] for i in group),
-            np.array([pieces[i][1] for i in group]).reshape(len(group), batch.n_cells),
-            batch.cells,
-        ))
+    for half in (halves[i] for i in rng.permutation(2)):
+        order = rng.permutation(len(half))
+        for group in np.array_split(order, int(rng.integers(1, len(half) + 2))):
+            split.add(BatchSamples(
+                (np.array([half[i][0] for i in group], dtype=np.intp),
+                 np.array([half[i][1] for i in group], dtype=np.intp)),
+                np.array([half[i][2] for i in group], dtype=np.int64).reshape(len(group), batch.n_cells),
+                batch.cells,
+            ))
     for regime in Regime:
         np.testing.assert_array_equal(split.counts(regime), whole.counts(regime))
     assert estimate_bytes(split, div) == estimate_bytes(whole, div)

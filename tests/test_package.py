@@ -1,4 +1,5 @@
-"""Every module imports on its own, exports only names it defines and uses what it imports."""
+"""Every module imports on its own, exports only names it defines and uses what it
+imports; every test file uses what it imports too."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ import pytest
 import faircb
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(faircb.__path__))
+TESTS = Path(__file__).resolve().parent
+TEST_FILES = sorted(f"tests/{path.name}" for path in TESTS.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,12 +36,16 @@ def test_module_imports_alone_and_its_all_resolves(name):
     assert not missing, missing
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", MODULES + TEST_FILES)
 def test_module_uses_every_name_it_imports(name):
     # An import that nothing reads and ``__all__`` does not export is dead
     # code; the scan reads names, so a use inside an annotation counts.
-    module = importlib.import_module(f"faircb.{name}")
-    tree = ast.parse(Path(module.__file__).read_text())
+    if name in TEST_FILES:
+        path, exported = TESTS / Path(name).name, ()
+    else:
+        module = importlib.import_module(f"faircb.{name}")
+        path, exported = Path(module.__file__), getattr(module, "__all__", ())
+    tree = ast.parse(path.read_text())
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -48,6 +55,6 @@ def test_module_uses_every_name_it_imports(name):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used.update(getattr(module, "__all__", ()))
+    used.update(exported)
     unused = {x: line for x, line in imported.items() if x not in used}
     assert not unused, f"imported and never used (name: line): {unused}"

@@ -16,7 +16,6 @@ from faircb.oracles import exact_fairness, exact_outcome_mean
 from faircb.sampling import (
     BatchSamples,
     counterfactual_weight,
-    make_sampler,
     transport_weight,
     weight_kernel,
 )
@@ -47,8 +46,13 @@ _PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
 
 
 def laws_of(model, arms) -> np.ndarray:
-    """The ``(K, 3, n_cells)`` cell laws a sampler over ``arms`` draws from."""
-    return sampling._laws(model, np.stack([arm.table for arm in arms]))
+    """The ``(K, 3, n_cells)`` cell laws a run over ``arms`` draws from."""
+    return sampling.cell_laws(model, arms)
+
+
+def draw(model, arms, sizes, rng) -> BatchSamples:
+    """One ``sample_batch`` call over the count matrix ``sizes`` of ``arms``."""
+    return sampling.sample_batch(model, laws_of(model, arms), np.asarray(sizes), rng)
 
 
 def assert_table_holds(cells, ref) -> None:
@@ -106,7 +110,7 @@ def test_batch_shapes_and_ranges():
     model, arms = chain_model()
     batch = sample_block(model, arms[1], Regime.OBSERVATIONAL, 500, np.random.default_rng(0))
     assert batch.n == 500
-    assert batch.blocks == ((1, Regime.OBSERVATIONAL, 500),)
+    assert [a.tolist() for a in batch.drawn] == [[1], [0]]
     assert batch.counts.shape == (1, 12) and batch.counts.sum() == 500
     pulls = pull_fields(batch)
     for field in (pulls.y, pulls.v_row, pulls.v_val, pulls.v_row_s, pulls.v_row_sp, pulls.child_ratio):
@@ -174,19 +178,6 @@ def test_sampling_is_deterministic_per_seed():
     np.testing.assert_array_equal(a.counts, b.counts)
     np.testing.assert_array_equal(pull_fields(a).y, pull_fields(b).y)
     np.testing.assert_array_equal(pull_fields(a).v_val, pull_fields(b).v_val)
-
-
-def test_make_sampler_binds_arms():
-    model, arms = chain_model()
-    pull = make_sampler(model, arms)
-    blocks = [(2, Regime.OBSERVATIONAL, 16), (0, Regime.FORCE_S, 3)]
-    batch = pull(blocks, np.random.default_rng(0))
-    assert batch.blocks == tuple(blocks)
-    assert batch.n == 19
-    np.testing.assert_array_equal(batch.counts.sum(axis=1), [16, 3])
-    # Arm positions come back as the arms' pool indices.
-    one = make_sampler(model, [arms[2]])([(0, Regime.FORCE_S, 4)], np.random.default_rng(0))
-    assert one.blocks == ((2, Regime.FORCE_S, 4),)
 
 
 def test_outcome_weight_identity_and_transport():
@@ -345,11 +336,13 @@ def barren_model():
 
 
 def assert_block_is_one_multinomial(model, arms, j, regime, n, seed):
-    """A one-block draw is ``rng.multinomial(n, law)`` of its cell law, and leaves
+    """A one-entry draw is ``rng.multinomial(n, law)`` of its cell law, and leaves
     the generator where that multinomial does."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = make_sampler(model, arms)([(j, regime, n)], rng)
-    law = laws_of(model, arms)[j, list(Regime).index(regime)]
+    sizes = np.zeros((len(arms), len(REGIMES)), dtype=np.int64)
+    sizes[j, REGIMES.index(regime)] = n
+    batch = draw(model, arms, sizes, rng)
+    law = laws_of(model, arms)[j, REGIMES.index(regime)]
     np.testing.assert_array_equal(batch.counts, [ref_rng.multinomial(n, law)])
     assert rng.random() == ref_rng.random()
 
@@ -389,47 +382,45 @@ def test_pruned_sampling_keeps_the_stream_on_random_instances(seed):
             assert_block_is_one_multinomial(inst.model, inst.arms, len(inst.arms) - 1, regime, n, seed)
 
 
-def assert_phase_stream(model, arms, blocks, seed):
-    """One sampler call over ``blocks`` gives, block for block, the counts of
-    consecutive one-block calls, and leaves the generator where they do."""
+def assert_phase_stream(model, arms, sizes, seed):
+    """One ``sample_batch`` call over the count matrix ``sizes`` gives, entry for
+    entry in row-major order, the counts of one ``rng.multinomial`` per nonzero
+    entry, draws nothing for a zero entry, and leaves the generator where those
+    multinomials do."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    pull = make_sampler(model, arms)
-    batch = pull(blocks, rng)
-    assert batch.blocks == tuple((arms[j].index, regime, n) for j, regime, n in blocks)
-    assert batch.counts.shape == (len(blocks), batch.n_cells)
-    for row, block in zip(batch.counts, blocks):
-        np.testing.assert_array_equal(row, pull([block], ref_rng).counts[0], err_msg=str(block))
-    assert batch.n == sum(n for _, _, n in blocks) == batch.counts.sum()
+    laws = laws_of(model, arms)
+    batch = sampling.sample_batch(model, laws, sizes, rng)
+    entries = [(j, r) for j in range(len(arms)) for r in range(len(REGIMES)) if sizes[j, r]]
+    assert list(zip(*(a.tolist() for a in batch.drawn))) == entries
+    assert batch.counts.shape == (len(entries), batch.n_cells)
+    for row, (j, r) in zip(batch.counts, entries):
+        np.testing.assert_array_equal(row, ref_rng.multinomial(sizes[j, r], laws[j, r]))
+    assert batch.n == sizes.sum() == batch.counts.sum()
     assert rng.random() == ref_rng.random()
 
 
-block_lists = st.lists(
-    st.tuples(st.integers(0, 3), st.sampled_from(list(Regime)), st.sampled_from([0, 1, 2, 7, 40])),
-    min_size=1,
-    max_size=8,
-)
+# Twelve entries fill the (K, 3) count matrix of up to four arms.
+entry_lists = st.lists(st.sampled_from([0, 0, 1, 2, 7, 40]), min_size=12, max_size=12)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), block_lists)
-def test_phase_draw_keeps_the_stream_on_random_instances(seed, blocks):
-    # Arms in any order, repeated or not, every regime, zero-count blocks
-    # among them; S has children on some instances and none on others.
+@given(st.integers(0, 10_000), entry_lists)
+def test_phase_draw_keeps_the_stream_on_random_instances(seed, entries):
+    # Any (K, 3) count matrix with zeros among its entries, the all-zero one
+    # too; S has children on some instances and none on others.
     inst = random_instance(np.random.default_rng(seed))
-    blocks = [(j % len(inst.arms), regime, n) for j, regime, n in blocks]
-    assert_phase_stream(inst.model, inst.arms, blocks, seed)
+    sizes = np.array(entries[: 3 * len(inst.arms)]).reshape(len(inst.arms), len(REGIMES))
+    assert_phase_stream(inst.model, inst.arms, sizes, seed)
 
 
 def test_phase_draw_keeps_the_stream_with_barren_nodes():
     # A childless S among barren nodes, and the liver network: 60 barren
     # nodes and read nodes with several parents.
     model, arms = barren_model()
-    blocks = [(1, Regime.FORCE_S, 5), (0, Regime.OBSERVATIONAL, 9), (1, Regime.FORCE_SPRIME, 0),
-              (0, Regime.FORCE_SPRIME, 4)]
-    assert_phase_stream(model, arms, blocks, 3)
+    assert_phase_stream(model, arms, np.array([[9, 0, 4], [0, 5, 0]]), 3)
     liver = liver_experiment(3)
-    blocks = [(j, regime, 20 + 3 * j) for j in range(3) for regime in Regime]
-    assert_phase_stream(liver.model, liver.arms, blocks, 11)
+    sizes = np.repeat(20 + 3 * np.arange(3), 3).reshape(3, 3)
+    assert_phase_stream(liver.model, liver.arms, sizes, 11)
 
 
 def assert_cells_hold_the_full_walk_fields(model, arm, regime, n, seed):
@@ -576,10 +567,11 @@ def test_closure_over_the_cap_raises_before_any_pull(monkeypatch):
     monkeypatch.setenv("FCB_ENUM_CAP", "9215")
     sampling._LAWS.clear()
     with pytest.raises(EnumerationTooLarge, match="9216 cells over .*'fibrosis'"):
-        make_sampler(liver.model, liver.arms)
+        sampling.cell_laws(liver.model, liver.arms)
     assert not sampling._LAWS
     monkeypatch.setenv("FCB_ENUM_CAP", "9216")
-    assert make_sampler(liver.model, liver.arms)([], np.random.default_rng(0)).n == 0
+    empty = np.zeros((2, 3), dtype=np.int64)
+    assert draw(liver.model, liver.arms, empty, np.random.default_rng(0)).n == 0
 
 
 def count_law_builds(monkeypatch) -> list:
@@ -599,9 +591,9 @@ def count_law_builds(monkeypatch) -> list:
 def test_equal_models_share_one_law_build(monkeypatch):
     builds = count_law_builds(monkeypatch)
     (model_a, arms_a), (model_b, arms_b) = chain_model(), chain_model()
-    blocks = [(j, regime, 50) for j in range(3) for regime in Regime]
-    a = make_sampler(model_a, arms_a)(blocks, np.random.default_rng(4))
-    b = make_sampler(model_b, arms_b)(blocks, np.random.default_rng(4))
+    sizes = np.full((3, 3), 50)
+    a = draw(model_a, arms_a, sizes, np.random.default_rng(4))
+    b = draw(model_b, arms_b, sizes, np.random.default_rng(4))
     assert builds == [model_a]
     np.testing.assert_array_equal(a.counts, b.counts)
 
@@ -610,10 +602,10 @@ def test_editing_an_arm_table_in_place_forces_a_rebuild(monkeypatch):
     builds = count_law_builds(monkeypatch)
     model, arms = chain_model()
     before = laws_of(model, arms).copy()
-    make_sampler(model, arms)
+    laws_of(model, arms)
     assert len(builds) == 1
     arms[1].table[0] = [0.2, 0.2, 0.6]
-    make_sampler(model, arms)
+    laws_of(model, arms)
     assert len(builds) == 2
     after = laws_of(model, arms)
     assert not np.array_equal(before[1], after[1])
@@ -628,20 +620,20 @@ def test_law_memo_stays_within_its_bound(monkeypatch):
     model, arms = chain_model()
     subsets = [arms[:1], arms[1:2], arms[2:], arms[:2], arms]
     for subset in subsets:
-        make_sampler(model, subset)
+        laws_of(model, subset)
         assert len(sampling._LAWS) <= 2
     assert len(builds) == len(subsets)
     # The two most recent arm sets survive eviction; the first does not.
-    make_sampler(model, arms)
-    make_sampler(model, arms[:2])
+    laws_of(model, arms)
+    laws_of(model, arms[:2])
     assert len(builds) == len(subsets)
-    make_sampler(model, arms[:1])
+    laws_of(model, arms[:1])
     assert len(builds) == len(subsets) + 1
 
 
 def kernel_of(model, arms) -> tuple[np.ndarray, sampling.Cells, np.ndarray]:
     """The weight kernel of ``arms`` over the model's cells, the cells and the arm tables."""
-    cells = make_sampler(model, arms)([], np.random.default_rng(0)).cells
+    cells = sampling._plan(model).cells
     tables = np.stack([arm.table for arm in arms])
     return weight_kernel(cells, tables), cells, tables
 
@@ -685,7 +677,7 @@ def test_kernel_is_the_weights_of_any_cell_subset(fixture, seed):
             counts = np.zeros((1, cells.n_cells), dtype=np.int64)
             counts[0, occ] = rng.integers(1, 5, size=occ.size)
             pool = SamplePool(arms)
-            pool.add(BatchSamples(((j, regime, int(counts.sum())),), counts, cells))
+            pool.add(BatchSamples((np.array([j]), np.array([r])), counts, cells))
             [(_, _, got, _, _)] = pool.pulled_blocks()
             assert got.tobytes() == want.tobytes() and layout(got) == layout(want), (j, regime)
 

@@ -222,16 +222,19 @@ def solve_maxmin(problem: AllocationProblem) -> Allocation:
 def round_counts(allocation: Allocation, tau: int) -> Allocation:
     """Largest-remainder rounding of the 3K fractions to integers summing tau.
 
-    Ties in the remainders go to the lowest concatenated index.
+    Ties in the remainders go to the lowest concatenated index.  The targets
+    and the remainders are snapped to a 1e-9 grid first, so a tie that is
+    exact in real arithmetic stays a tie whatever the LP's last bits; the
+    deficit stays nonnegative, since 3K * 5e-10 < 1.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
     fractions = np.concatenate([allocation.nu_y, allocation.nu_s, allocation.nu_sp])
     target = fractions * tau
-    counts = np.floor(target).astype(np.int64)
+    counts = np.floor(target.round(9)).astype(np.int64)
     deficit = int(tau - counts.sum())
     if deficit > 0:
-        order = np.argsort(-(target - counts), kind="stable")
+        order = np.argsort(-(target - counts).round(9), kind="stable")
         counts[order[:deficit]] += 1
     K = allocation.nu_y.shape[0]
     return replace(

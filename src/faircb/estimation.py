@@ -82,9 +82,6 @@ class SamplePool:
             self._counts.fill(0)
         self._pulled.fill(False)
 
-    def count(self, arm: int, regime: Regime) -> int:
-        return int(self.counts(regime)[arm])
-
     def counts(self, regime: Regime) -> np.ndarray:
         if self._counts is None:
             return np.zeros(self.n_arms, dtype=np.int64)

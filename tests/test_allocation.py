@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircb.allocation import (
     Allocation,
@@ -237,6 +239,44 @@ def test_round_counts_largest_remainder_properties():
         assert np.all(counts >= 0)
         assert np.max(np.abs(counts - raw * tau)) < 1.0
         assert np.all(counts[raw >= 1.0 / tau] >= 1)
+
+
+def split(fractions: np.ndarray) -> Allocation:
+    k = fractions.size // 3
+    return Allocation(
+        nu_y=fractions[:k], nu_s=fractions[k : 2 * k], nu_sp=fractions[2 * k :], v_star=0.0
+    )
+
+
+def stacked_counts(rounded: Allocation) -> np.ndarray:
+    return np.concatenate([rounded.tau_y, rounded.tau_s, rounded.tau_sp])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_round_counts_ignore_last_bit_noise(data):
+    # Fractions w / sum(w) over small integer weights: equal weights make
+    # exact ties, and no target lies within a few ulps of a rounding edge.
+    k = data.draw(st.integers(1, 4))
+    weights = np.array(data.draw(st.lists(st.integers(0, 9), min_size=3 * k, max_size=3 * k)))
+    if not weights.any():
+        weights[-1] = 1
+    tau = data.draw(st.integers(1, 2000))
+    fractions = weights / weights.sum()
+    noisy = fractions.copy()
+    for i in range(3 * k):
+        for _ in range(data.draw(st.integers(0, 3))):
+            noisy[i] = np.nextafter(noisy[i], data.draw(st.sampled_from([0.0, 1.0])))
+    noisy /= noisy.sum()
+    counts = stacked_counts(round_counts(split(fractions), tau))
+    np.testing.assert_array_equal(stacked_counts(round_counts(split(noisy), tau)), counts)
+    assert counts.sum() == tau
+    assert np.all(np.abs(counts - fractions * tau) < 1.0)
+    # Of two equal weights, the higher index never gets the larger count.
+    for i in range(3 * k):
+        for j in range(i + 1, 3 * k):
+            if weights[i] == weights[j]:
+                assert counts[i] >= counts[j]
 
 
 def test_rounded_counts_keep_precision_slack():

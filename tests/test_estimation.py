@@ -51,8 +51,8 @@ def test_pool_bookkeeping():
     pool.add(sample_block(model, arms[0], Regime.OBSERVATIONAL, 5, rng))
     pool.add(sample_block(model, arms[2], Regime.FORCE_S, 4, rng))
     pool.add(sample_block(model, arms[1], Regime.FORCE_SPRIME, 1, rng))
-    assert pool.count(0, Regime.OBSERVATIONAL) == 12
-    assert pool.count(2, Regime.FORCE_S) == 4
+    assert pool.counts(Regime.OBSERVATIONAL)[0] == 12
+    assert pool.counts(Regime.FORCE_S)[2] == 4
     np.testing.assert_array_equal(pool.counts(Regime.OBSERVATIONAL), [12, 0, 0])
     np.testing.assert_array_equal(pool.counts(Regime.FORCE_SPRIME), [0, 1, 0])
     blocks = {(j, REGIMES[r]): rest for j, r, *rest in pool.pulled_blocks()}
@@ -63,7 +63,7 @@ def test_pool_bookkeeping():
     assert weights.shape == (3, counts.shape[0])
     # A zero-length batch draws no entry, so it marks no block as pulled.
     pool.add(sample_block(model, arms[1], Regime.OBSERVATIONAL, 0, rng))
-    assert pool.count(1, Regime.OBSERVATIONAL) == 0
+    assert pool.counts(Regime.OBSERVATIONAL)[1] == 0
     assert len(list(pool.pulled_blocks())) == 3
 
 

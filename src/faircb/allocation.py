@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+# Private to scipy; test_solve_maxmin_matches_linprog_bit_for_bit pins it to linprog.
+from scipy.optimize._highspy import _core as _highs
 
 from .divergence import DivergenceSet
 from .errors import Infeasible
@@ -30,6 +31,13 @@ __all__ = [
     "solve_maxmin",
     "round_counts",
 ]
+
+# The options linprog(method="highs") sets: presolve on, no output, dual simplex.
+_HIGHS_OPTIONS = _highs.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.output_flag = _HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.highs_debug_level = _highs.kHighsDebugLevelNone
+_HIGHS_OPTIONS.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 
 
 @dataclass
@@ -144,79 +152,71 @@ def solve_maxmin(problem: AllocationProblem) -> Allocation:
 
     Epigraph form over x = [nu_y, nu_s, nu_sp, t]: each active arm k
     contributes rows (A nu_y)_k >= t, (B nu_s)_k >= t, (C nu_sp)_k >= t,
-    plus the cost budget, the unit simplex over all 3K fractions, and any
-    extra rows.  Raises Infeasible when the region is empty.
+    plus the cost budget, any extra rows and the unit simplex over all 3K
+    fractions.  Raises Infeasible when the region is empty.
+
+    HiGHS gets the arrays and options that ``linprog(method="highs")`` would
+    pass it, so the solution has the same bits, without the front end's
+    per-call option checks and result wrapping.
     """
     K = problem.n_arms
     n_var = 3 * K + 1
-    rows: list[np.ndarray] = []
-    ubs: list[float] = []
-
-    def _precision_rows(recip: np.ndarray, offset: int) -> None:
-        for k in problem.active:
-            row = np.zeros(n_var)
-            row[offset : offset + K] = -recip[k]
-            row[-1] = 1.0
-            rows.append(row)
-            ubs.append(0.0)
-
-    if problem.include_outcome:
-        _precision_rows(problem.recip_m, 0)
+    active = list(problem.active)
+    families = [(problem.recip_m, 0)] if problem.include_outcome else []
     if problem.include_fairness:
-        _precision_rows(problem.recip_dsps, K)
-        _precision_rows(problem.recip_dssp, 2 * K)
-
-    budget_row = np.zeros(n_var)
-    budget_row[: 3 * K] = problem.costs.reshape(-1)
-    rows.append(budget_row)
-    ubs.append(problem.budget)
-
-    for coeffs, ub in problem.extra_constraints:
-        row = np.zeros(n_var)
+        families += [(problem.recip_dsps, K), (problem.recip_dssp, 2 * K)]
+    precision = np.zeros((len(families), len(active), n_var))
+    for f, (recip, offset) in enumerate(families):
+        precision[f, :, offset : offset + K] = -recip[active]
+    precision[..., -1] = 1.0
+    # linprog's row order: the budget, the extra rows, then the simplex as an equality row.
+    fractions = np.zeros((len(problem.extra_constraints) + 2, n_var))
+    fractions[0, : 3 * K] = problem.costs.reshape(-1)
+    for row, (coeffs, _) in zip(fractions[1:], problem.extra_constraints):
         row[: 3 * K] = coeffs
-        rows.append(row)
-        ubs.append(ub)
-
-    a_eq = np.zeros((1, n_var))
-    a_eq[0, : 3 * K] = 1.0
-
-    bounds: list[tuple[float, float | None]] = []
-    for enabled in (problem.include_outcome, problem.include_fairness, problem.include_fairness):
-        bounds.extend([(0.0, None) if enabled else (0.0, 0.0)] * K)
-    bounds.append((0.0, None))
-
+    fractions[-1, : 3 * K] = 1.0
+    a = np.vstack([precision.reshape(-1, n_var), fractions])
+    row_upper = np.zeros(a.shape[0])
+    row_upper[-len(fractions) :] = [problem.budget, *(ub for _, ub in problem.extra_constraints), 1.0]
+    row_lower = np.full(a.shape[0], -_highs.kHighsInf)
+    row_lower[-1] = 1.0
+    col_upper = np.full(n_var, _highs.kHighsInf)
+    if not problem.include_outcome:
+        col_upper[:K] = 0.0
+    if not problem.include_fairness:
+        col_upper[K : 3 * K] = 0.0
     objective = np.zeros(n_var)
     objective[-1] = -1.0
-    res = linprog(
-        objective,
-        A_ub=np.array(rows),
-        b_ub=np.array(ubs),
-        A_eq=a_eq,
-        b_eq=np.array([1.0]),
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 2:
-        raise Infeasible("allocation LP has no feasible point")
-    if res.status != 0:
-        raise RuntimeError(f"LP solve failed with status {res.status}: {res.message}")
 
-    nu = np.clip(res.x[: 3 * K], 0.0, None)
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_var
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = objective, np.zeros(n_var), col_upper
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    # Compressed columns over the nonzeros, rows ascending within a column.
+    cols, rows = np.nonzero(a.T)
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_var))])
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = a.T[cols, rows]
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the allocation LP")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == _highs.HighsModelStatus.kInfeasible:
+        raise Infeasible("allocation LP has no feasible point")
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP solve failed: {highs.modelStatusToString(status)}")
+
+    nu = np.clip(np.array(highs.getSolution().col_value)[: 3 * K], 0.0, None)
     total = nu.sum()
     if total > 0.0:
         nu = nu / total
-    nu_y, nu_s, nu_sp = nu[:K], nu[K : 2 * K], nu[2 * K :]
-
     # Recompute v* from the cleaned fractions so it is consistent with them.
-    idx = list(problem.active)
-    values = []
-    if problem.include_outcome:
-        values.append((problem.recip_m @ nu_y)[idx])
-    if problem.include_fairness:
-        values.append((problem.recip_dsps @ nu_s)[idx])
-        values.append((problem.recip_dssp @ nu_sp)[idx])
-    v_star = float(min(np.min(v) for v in values))
-    return Allocation(nu_y=nu_y, nu_s=nu_s, nu_sp=nu_sp, v_star=v_star)
+    v_star = min(float((recip @ nu[offset : offset + K])[active].min()) for recip, offset in families)
+    return Allocation(nu_y=nu[:K], nu_s=nu[K : 2 * K], nu_sp=nu[2 * K :], v_star=v_star)
 
 
 def round_counts(allocation: Allocation, tau: int) -> Allocation:

@@ -33,11 +33,8 @@ lives for the whole process:
 
 A hit returns the very solution a miss would compute, since HiGHS is
 deterministic on equal input: seeded runs do not depend on the memo's state.
-The memo flows both ways across a sweep's process pool: forked workers
-inherit it warm, and what a worker solves inside ``recording_solves`` goes
-back to the parent's ``merge_solved``, which never replaces an entry (a
-pickled float64 array keeps its bits).  The memo takes no lock: threads of
-one process must not run concurrently through it.
+Sweep workers started by fork inherit it warm.  The memo takes no lock:
+threads of one process must not run concurrently through it.
 
 The v1 variant estimates from the phase's own samples, v2 from every sample
 collected so far (re-clipped at the current eps), across both stages.
@@ -47,9 +44,8 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,8 +66,6 @@ __all__ = [
     "eliminate",
     "run_csr",
     "run_two_stage",
-    "recording_solves",
-    "merge_solved",
 ]
 
 # Smallest budgets with a phase schedule: one for ``run_csr``, one per stage
@@ -240,54 +234,7 @@ def _pull_phase(run: _Run, allocation: Allocation) -> tuple[int, float]:
 # Bounds of the allocation memo: instances kept, and solved problems per instance.
 _MEMO_INSTANCES = 8
 _MEMO_PROBLEMS = 512
-_Problems = OrderedDict[tuple[tuple[int, ...], str], Allocation]  # (survivors, rule) -> solution
-_SOLVED: OrderedDict[tuple, _Problems] = OrderedDict()
-# Inside ``recording_solves``: (instance key, (survivors, rule), Allocation) per solve made here.
-_Entry = tuple[tuple, tuple[tuple[int, ...], str], Allocation]
-_SOLVES: list[_Entry] | None = None
-
-
-def _instance_memo(key: tuple) -> _Problems:
-    """The solutions memoized for one instance key, now the most recently used."""
-    solved = _SOLVED.get(key)
-    if solved is None:
-        solved = _SOLVED[key] = OrderedDict()
-        if len(_SOLVED) > _MEMO_INSTANCES:
-            _SOLVED.popitem(last=False)
-    else:
-        _SOLVED.move_to_end(key)
-    return solved
-
-
-def _memoize(solved: _Problems, key: tuple[tuple[int, ...], str], alloc: Allocation) -> None:
-    for nu in (alloc.nu_y, alloc.nu_s, alloc.nu_sp):
-        nu.flags.writeable = False
-    solved[key] = alloc
-    if len(solved) > _MEMO_PROBLEMS:
-        solved.popitem(last=False)
-
-
-@contextmanager
-def recording_solves() -> Iterator[list[_Entry]]:
-    """Yield a list of the memo entries this process solves, not finds, inside the block."""
-    global _SOLVES
-    _SOLVES = solves = []
-    try:
-        yield solves
-    finally:
-        _SOLVES = None
-
-
-def merge_solved(entries: Sequence[_Entry]) -> None:
-    """Add entries that ``recording_solves`` collected, maybe in another process, to this
-    process's memo, within its bounds; an entry already present is kept as it is."""
-    for instance_key, key, alloc in entries:
-        solved = _instance_memo(instance_key)
-        if key not in solved:
-            # An unpickled array holds its own copy of the float64 dtype; a view
-            # on the shared one pickles just like a fresh solve's array.
-            nu = {name: getattr(alloc, name).view(np.float64) for name in ("nu_y", "nu_s", "nu_sp")}
-            _memoize(solved, key, replace(alloc, **nu))
+_SOLVED: OrderedDict[tuple, OrderedDict[tuple[tuple[int, ...], str], Allocation]] = OrderedDict()
 
 
 class _Allocator:
@@ -304,13 +251,19 @@ class _Allocator:
         self.costs = costs
         self.budget = budget
         self.extra_constraints = extra_constraints
-        self.key = (
+        key = (
             tuple(array_key(a) for a in (divergences.m, divergences.d_ssp, divergences.d_sps)),
             array_key(costs),
             float(budget),
             tuple((array_key(coeffs), float(ub)) for coeffs, ub in extra_constraints),
         )
-        self.solved = _instance_memo(self.key)
+        self.solved = _SOLVED.get(key)
+        if self.solved is None:
+            self.solved = _SOLVED[key] = OrderedDict()
+            if len(_SOLVED) > _MEMO_INSTANCES:
+                _SOLVED.popitem(last=False)
+        else:
+            _SOLVED.move_to_end(key)
 
     def __call__(self, remaining: tuple[int, ...], rule: str) -> Allocation:
         """The allocation over ``remaining`` (sorted) under ``rule``, solved on a miss only."""
@@ -324,9 +277,11 @@ class _Allocator:
             include_outcome=rule != "fairness", include_fairness=rule != "outcome",
         )
         alloc = solve_maxmin(problem)
-        _memoize(self.solved, key, alloc)
-        if _SOLVES is not None:
-            _SOLVES.append((self.key, key, alloc))
+        for nu in (alloc.nu_y, alloc.nu_s, alloc.nu_sp):
+            nu.flags.writeable = False
+        self.solved[key] = alloc
+        if len(self.solved) > _MEMO_PROBLEMS:
+            self.solved.popitem(last=False)
         return alloc
 
 

@@ -5,13 +5,12 @@ spawn_key=(budget_index, algorithm_id, run_index))``, so any row of the
 output is reproducible in isolation.  A run that raises is recorded as a
 failure, by exception class, and scored as an error.
 
-A task is one (budget, algorithm) row.  At ``width > 1`` the rows go to a
-pool of ``min(width, rows)`` worker processes.  The instance, its
+At ``width > 1`` the runs go to a pool of ``min(width, rows)`` worker
+processes, one per (budget, algorithm) row at most.  The instance, its
 divergences, the cost cap and the oracle truth reach each worker once,
-through the pool initializer; a row then travels as its indices only.  A
-row returns its outcomes with the LPs its process solved, which the parent
-merges into its allocation memo as rows arrive: the next sweep forks warm
-workers, and the parent's own runs hit too (see ``bandit``).
+through the pool initializer; a cell then travels as its indices only, one
+row per chunk.  Workers started by fork inherit the parent's allocation
+memo (see ``bandit``).
 """
 
 from __future__ import annotations
@@ -21,14 +20,12 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import bandit
 from .allocation import cheap_arm_cap
 from .bandit import MIN_T_CSR, MIN_T_TWO_STAGE, RunTrace, run_csr, run_two_stage
 from .divergence import DivergenceSet
@@ -158,18 +155,8 @@ def _init_worker(instance: Instance, divergences: DivergenceSet, budget: float, 
     _SHARED = (instance, divergences, budget, truth)
 
 
-def _run_row(shared: tuple, task: tuple) -> tuple[list[_Outcome], list]:
-    """The seeded runs of one row, with the memo entries this process solved for them."""
-    algorithm, T, base_seed, budget_index, runs = task
-    with bandit.recording_solves() as solves:
-        outcomes = [
-            _run_cell(*shared, algorithm, T, base_seed, budget_index, run) for run in range(runs)
-        ]
-    return outcomes, solves
-
-
-def _run_shared_row(task: tuple) -> tuple[list[_Outcome], list]:
-    return _run_row(_SHARED, task)
+def _run_shared_cell(cell: tuple) -> _Outcome:
+    return _run_cell(*_SHARED, *cell)
 
 
 def _row(T: int, algorithm: str, base_seed: int, outcomes: Sequence[_Outcome]) -> SweepRow:
@@ -221,22 +208,23 @@ def run_sweep(
     shared = (instance, DivergenceSet.exact(instance.model, instance.arms),
               default_budget(instance), truth)
 
-    tasks = [(algorithm, int(T), base_seed, bi, runs)
-             for bi, T in enumerate(budgets) for algorithm in algorithms]
-    # One task per row, so more workers than rows would only sit idle.
-    workers = min(width, len(tasks))
+    grid = [(int(T), algorithm, bi) for bi, T in enumerate(budgets) for algorithm in algorithms]
+    cells = [(algorithm, T, base_seed, bi, run) for T, algorithm, bi in grid for run in range(runs)]
+    # One chunk per row, so more workers than rows would only sit idle.
+    workers = min(width, len(grid))
     if workers > 1:
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=shared)
-        results = pool.map(_run_shared_row, tasks)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=shared
+        ) as pool:
+            outcomes = list(pool.map(_run_shared_cell, cells, chunksize=runs))
     else:
-        pool = nullcontext()
-        results = (_run_row(shared, task) for task in tasks)
-    with pool:
-        rows = []
-        for (algorithm, T, *_), (outcomes, solves) in zip(tasks, results):
-            bandit.merge_solved(solves)
-            rows.append(_row(T, algorithm, base_seed, outcomes))
-    return ErrorCurve(rows=tuple(rows), instance_digest=digest, truth=truth)
+        outcomes = [_run_cell(*shared, *cell) for cell in cells]
+
+    rows = tuple(
+        _row(T, algorithm, base_seed, outcomes[i * runs : (i + 1) * runs])
+        for i, (T, algorithm, _) in enumerate(grid)
+    )
+    return ErrorCurve(rows=rows, instance_digest=digest, truth=truth)
 
 
 _CSV_FIELDS = [

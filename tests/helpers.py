@@ -23,12 +23,14 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from faircb import sampling
+from faircb.allocation import Allocation
 from faircb.bandit import _Allocator, phase_schedule
 from faircb.divergence import DivergenceSet
-from faircb.errors import FairCBError
+from faircb.errors import FairCBError, Infeasible
 from faircb.model import REGIMES, Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
 from faircb.netgen import build_network_experiment, liver_network
 from faircb.sampling import BatchSamples, Cells, counterfactual_weight
@@ -399,6 +401,49 @@ def mc_fairness(
     regime = Regime.FORCE_SPRIME if direction == "ssp" else Regime.FORCE_S
     pulls = pull_fields(sample_block(model, arm, regime, draws, rng))
     return float((pulls.y * counterfactual_weight(pulls, arm.table, arm.table, direction)).mean())
+
+
+def linprog_maxmin(problem) -> Allocation:
+    """``solve_maxmin`` through ``scipy.optimize.linprog``: the same epigraph LP,
+    built row by row, and the same clean-up of the fractions and of v*."""
+    K = problem.n_arms
+    n_var = 3 * K + 1
+    rows, ubs = [], []
+    families = [(problem.recip_m, 0)] if problem.include_outcome else []
+    if problem.include_fairness:
+        families += [(problem.recip_dsps, K), (problem.recip_dssp, 2 * K)]
+    for recip, offset in families:
+        for k in problem.active:
+            row = np.zeros(n_var)
+            row[offset : offset + K] = -recip[k]
+            row[-1] = 1.0
+            rows.append(row)
+            ubs.append(0.0)
+    for coeffs, ub in ((problem.costs.reshape(-1), problem.budget), *problem.extra_constraints):
+        row = np.zeros(n_var)
+        row[: 3 * K] = coeffs
+        rows.append(row)
+        ubs.append(ub)
+    a_eq = np.zeros((1, n_var))
+    a_eq[0, : 3 * K] = 1.0
+    bounds = []
+    for enabled in (problem.include_outcome, problem.include_fairness, problem.include_fairness):
+        bounds.extend([(0.0, None) if enabled else (0.0, 0.0)] * K)
+    bounds.append((0.0, None))
+    objective = np.zeros(n_var)
+    objective[-1] = -1.0
+    res = linprog(objective, A_ub=np.array(rows), b_ub=np.array(ubs), A_eq=a_eq,
+                  b_eq=np.array([1.0]), bounds=bounds, method="highs")
+    if res.status == 2:
+        raise Infeasible("allocation LP has no feasible point")
+    assert res.status == 0, res.message
+    nu = np.clip(res.x[: 3 * K], 0.0, None)
+    if nu.sum() > 0.0:
+        nu = nu / nu.sum()
+    nu_y, nu_s, nu_sp = nu[:K], nu[K : 2 * K], nu[2 * K :]
+    idx = list(problem.active)
+    values = [(recip @ nu[offset : offset + K])[idx] for recip, offset in families]
+    return Allocation(nu_y=nu_y, nu_s=nu_s, nu_sp=nu_sp, v_star=float(min(np.min(v) for v in values)))
 
 
 def maxmin_vertex_value(problem, feas_tol: float = 1e-7) -> float | None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faircb.bandit as bandit
 from faircb.allocation import (
     Allocation,
     build_problem,
@@ -20,8 +21,9 @@ from faircb.allocation import (
 from faircb.divergence import DivergenceSet
 from faircb.errors import Infeasible
 from faircb.model import Arm
+from faircb.sweep import ALGORITHMS, run_algorithm
 
-from helpers import maxmin_vertex_value
+from helpers import BENCH_INSTANCES, linprog_maxmin, maxmin_vertex_value
 
 
 def unit_costs(k: int) -> np.ndarray:
@@ -208,6 +210,58 @@ def test_allocation_invariants_on_random_problems():
             assert prob.recip_m[k] @ alloc.nu_y >= alloc.v_star - 1e-12
             assert prob.recip_dsps[k] @ alloc.nu_s >= alloc.v_star - 1e-12
             assert prob.recip_dssp[k] @ alloc.nu_sp >= alloc.v_star - 1e-12
+
+
+def assert_same_solution(problem) -> None:
+    """``solve_maxmin`` and the ``linprog`` reference agree bit for bit, or both raise."""
+    try:
+        expected = linprog_maxmin(problem)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            solve_maxmin(problem)
+        return
+    got = solve_maxmin(problem)
+    for name in ("nu_y", "nu_s", "nu_sp"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert got.v_star == expected.v_star
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_maxmin_matches_linprog_bit_for_bit(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(1, 8))
+    active = sorted(rng.choice(k, size=data.draw(st.integers(1, k)), replace=False))
+    rule = data.draw(st.sampled_from(["joint", "fairness", "outcome"]))
+    extras = []
+    if data.draw(st.booleans()):
+        extras.append(cheap_arm_cap(k, data.draw(st.integers(0, k - 1)), data.draw(st.integers(1, 10**4))))
+    # Budgets down to below the cheapest pull, where the LP is infeasible.
+    budget = data.draw(st.floats(0.2, 2.5))
+    ds = DivergenceSet(
+        m=1.0 + rng.random((k, k)) * 3.0,
+        d_ssp=0.7 + rng.random((k, k)) * 40.0,
+        d_sps=0.7 + rng.random((k, k)) * 40.0,
+    )
+    assert_same_solution(build_problem(
+        ds, 0.5 + rng.random((3, k)), budget, active, extras,
+        include_outcome=rule != "fairness", include_fairness=rule != "outcome",
+    ))
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_INSTANCES))
+def test_solve_maxmin_matches_linprog_on_the_bench_problems(name, monkeypatch):
+    # Every problem that seeded runs of every algorithm solve on a benchmark instance.
+    instance = BENCH_INSTANCES[name]()
+    divergences = DivergenceSet.exact(instance.model, instance.arms)
+    problems = []
+    monkeypatch.setattr(bandit, "solve_maxmin", lambda p: problems.append(p) or solve_maxmin(p))
+    bandit._SOLVED.clear()
+    for seed, algorithm in enumerate(ALGORITHMS):
+        run_algorithm(instance, algorithm, 3000, np.random.default_rng(seed), divergences=divergences)
+    assert len(problems) > 5
+    for problem in problems:
+        assert_same_solution(problem)
 
 
 def test_round_counts_worked_examples():

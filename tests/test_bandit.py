@@ -25,7 +25,7 @@ from faircb.estimation import EstimateVector
 from faircb.model import Arm, Instance
 from faircb.netgen import build_network_experiment, liver_network
 from faircb.oracles import oracle_report
-from faircb.sweep import ALGORITHMS, run_algorithm, run_sweep
+from faircb.sweep import ALGORITHMS, run_algorithm
 
 from helpers import (
     BENCH_INSTANCES,
@@ -613,7 +613,7 @@ def test_each_distinct_allocation_problem_is_solved_once_per_run(monkeypatch, ru
 
 
 @pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))
-def test_seeded_traces_do_not_depend_on_the_memo(monkeypatch, fixture):
+def test_seeded_traces_do_not_depend_on_the_memo(fixture):
     cases = [(a, seed, T) for a in ALGORITHMS for seed in (0, 1, 2) for T in (2000, 20_000)]
     cold = {}
     for case in cases:
@@ -621,18 +621,6 @@ def test_seeded_traces_do_not_depend_on_the_memo(monkeypatch, fixture):
         cold[case] = pickle.dumps(seeded_trace(fixture, *case))
     for case in cases:
         assert pickle.dumps(seeded_trace(fixture, *case)) == cold[case], case
-    # Solutions that a pooled sweep's workers hand back serve this process's runs too.
-    build, fairness_eps = SEEDED_FIXTURES[fixture]
-    model, arms = build()
-    bandit._SOLVED.clear()
-    instance = Instance(model=model, arms=tuple(arms), fairness_eps=fairness_eps)
-    run_sweep(instance, budgets=(2000,), runs=1, width=2)
-    assert bandit._SOLVED
-    solves = count_solves(monkeypatch)
-    case = ("csr-v2", 0, 2000)
-    trace = seeded_trace(fixture, *case)
-    assert pickle.dumps(trace) == cold[case]
-    assert len(solves) < len({p.remaining for p in trace.phases})
 
 
 def assert_traces_do_not_depend_on(memo, fixture: str) -> None:
@@ -729,75 +717,6 @@ def test_memo_stays_within_its_bounds(monkeypatch):
     solves = count_solves(monkeypatch)
     allocate((0, 2), "outcome")
     assert solves == []
-
-
-def recorded_solves(divergences, budgets, sets) -> list:
-    """The memo entries solved for every (budget, survivors, rule), as another process
-    would hand them over: recorded, then through pickle."""
-    with bandit.recording_solves() as solves:
-        for budget in budgets:
-            allocate = bandit._Allocator(divergences, np.ones((3, 3)), budget, ())
-            for remaining in sets:
-                for rule in ("joint", "fairness", "outcome"):
-                    allocate(remaining, rule)
-    return pickle.loads(pickle.dumps(solves))
-
-
-def test_recording_lists_only_the_solves_made_inside():
-    model, arms = chain_model()
-    divergences = DivergenceSet.exact(model, arms)
-    bandit._SOLVED.clear()
-    allocate = bandit._Allocator(divergences, np.ones((3, 3)), 1.0, ())
-    allocate((0, 1), "joint")
-    with bandit.recording_solves() as solves:
-        allocate((0, 1), "joint")
-        allocate((0,), "joint")
-        allocate((0,), "joint")
-    assert [key for _, key, _ in solves] == [((0,), "joint")]
-    assert solves[0][0] == allocate.key
-    allocate((1,), "joint")
-    assert len(solves) == 1
-
-
-def test_merged_solutions_are_read_only_hits(monkeypatch):
-    model, arms = chain_model()
-    divergences = DivergenceSet.exact(model, arms)
-    bandit._SOLVED.clear()
-    entries = recorded_solves(divergences, (1.0,), ((0,), (0, 2)))
-    assert len(entries) == 6
-    bandit._SOLVED.clear()
-    bandit.merge_solved(entries)
-    solves = count_solves(monkeypatch)
-    allocate = bandit._Allocator(divergences, np.ones((3, 3)), 1.0, ())
-    hits = [allocate(remaining, rule) for _, (remaining, rule), _ in entries]
-    assert solves == []
-    for alloc in hits:
-        for nu in (alloc.nu_y, alloc.nu_s, alloc.nu_sp):
-            with pytest.raises(ValueError, match="read-only"):
-                nu[0] = 0.5
-            # Not the unpickled copy of the dtype: a trace holding a merged
-            # entry pickles byte for byte like one from a fresh solve.
-            assert nu.dtype is np.dtype(np.float64)
-
-
-def test_a_merge_keeps_the_memo_bounds_and_present_entries(monkeypatch):
-    monkeypatch.setattr(bandit, "_MEMO_INSTANCES", 2)
-    monkeypatch.setattr(bandit, "_MEMO_PROBLEMS", 3)
-    model, arms = chain_model()
-    divergences = DivergenceSet.exact(model, arms)
-    bandit._SOLVED.clear()
-    entries = recorded_solves(divergences, (1.0, 1.5, 2.0), ((0,), (1,), (0, 1)))
-    bandit._SOLVED.clear()
-    bandit.merge_solved(entries)
-    assert len(bandit._SOLVED) == 2
-    assert all(len(solved) == 3 for solved in bandit._SOLVED.values())
-    # The most recent entries survive eviction.
-    instance_key, key, alloc = entries[-1]
-    present = bandit._SOLVED[instance_key][key]
-    assert present.v_star == alloc.v_star
-    # An entry already present is never replaced.
-    bandit.merge_solved([(instance_key, key, replace(alloc, v_star=-1.0))])
-    assert bandit._SOLVED[instance_key][key] is present
 
 
 @pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))

@@ -9,7 +9,6 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-import faircb.bandit as bandit
 import faircb.sweep as sweep_mod
 from faircb.bandit import RunTrace
 from faircb.io import instance_digest
@@ -52,13 +51,6 @@ def row_key(row):
         row.error_rate,
         row.base_seed,
     )
-
-
-def outcome_fields(row) -> dict:
-    """Every field except wall_time_s."""
-    record = asdict(row)
-    del record["wall_time_s"]
-    return record
 
 
 def test_default_budget_is_the_most_expensive_pull(instance):
@@ -125,24 +117,13 @@ def test_pooled_sweep_equals_the_serial_sweep(instance):
     serial = run_sweep(instance, budgets=(200, 400), runs=3, base_seed=11)
     pooled = run_sweep(instance, budgets=(200, 400), runs=3, base_seed=11, width=2)
     assert (pooled.instance_digest, pooled.truth) == (serial.instance_digest, serial.truth)
-    assert [outcome_fields(r) for r in pooled.rows] == [outcome_fields(r) for r in serial.rows]
 
+    def fields(row):
+        record = asdict(row)
+        del record["wall_time_s"]
+        return record
 
-def test_a_pooled_sweep_hands_its_solutions_to_this_process(instance, monkeypatch):
-    bandit._SOLVED.clear()
-    pooled = run_sweep(instance, budgets=(200, 400), runs=3, base_seed=5, width=2)
-    assert bandit._SOLVED  # filled by the workers' solutions alone
-    solve = bandit.solve_maxmin
-    solves = []
-
-    def counted(problem):
-        solves.append(problem.active)
-        return solve(problem)
-
-    monkeypatch.setattr(bandit, "solve_maxmin", counted)
-    serial = run_sweep(instance, budgets=(200, 400), runs=3, base_seed=5)
-    assert solves == []
-    assert [outcome_fields(r) for r in serial.rows] == [outcome_fields(r) for r in pooled.rows]
+    assert [fields(r) for r in pooled.rows] == [fields(r) for r in serial.rows]
 
 
 @pytest.mark.parametrize("width", [0, -1])
@@ -155,7 +136,7 @@ def test_pool_is_capped_at_one_worker_per_row(instance, monkeypatch):
     widths = []
 
     class RecordingExecutor:
-        """Records ``max_workers`` and runs the rows in this process; starts no worker."""
+        """Records ``max_workers`` and runs the cells in this process; starts no worker."""
 
         def __init__(self, max_workers, initializer, initargs):
             widths.append(max_workers)
@@ -167,8 +148,8 @@ def test_pool_is_capped_at_one_worker_per_row(instance, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, rows):
-            return map(fn, rows)
+        def map(self, fn, cells, chunksize):
+            return map(fn, cells)
 
     monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(sweep_mod, "_SHARED", None)

@@ -33,6 +33,7 @@ from helpers import (
     chain_model,
     count_kernel_builds,
     random_instance,
+    reference_divergence_set,
     reference_fair_set,
     reference_suboptimal_records,
     reference_unfair_records,
@@ -575,6 +576,31 @@ def test_bench_phase_estimates_are_pinned(workload):
         for algorithm in ALGORITHMS for seed in (0, 1, 2)
     }
     assert got == BENCH_ESTIMATE_PINS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_TOP_BUDGETS))
+def test_bench_runs_on_the_exact_and_the_pairwise_divergences_agree(workload):
+    # The exact matrices and the pairwise reference may differ in the last
+    # bits; the runs they drive make the same decisions, spend the same and
+    # record the same phases, with estimates to 1e-12.
+    instance = BENCH_INSTANCES[workload]()
+    both = (DivergenceSet.exact(instance.model, instance.arms),
+            reference_divergence_set(instance.model, instance.arms))
+    for algorithm in ALGORITHMS:
+        for seed in (0, 1, 2):
+            got, want = (run_algorithm(
+                instance, algorithm, BENCH_TOP_BUDGETS[workload], np.random.default_rng(seed),
+                divergences=divergences,
+            ) for divergences in both)
+            assert (got.decision, got.samples_spent, got.cost_spent, trace_digest(got)) == (
+                want.decision, want.samples_spent, want.cost_spent, trace_digest(want)
+            ), (algorithm, seed)
+            for p, q in zip(got.phases, want.phases, strict=True):
+                for name in ("y", "zeta_ssp", "zeta_sps"):
+                    np.testing.assert_allclose(
+                        getattr(p.estimates, name), getattr(q.estimates, name),
+                        rtol=0.0, atol=1e-12, err_msg=f"{algorithm}/{seed} {name}",
+                    )
 
 
 def count_solves(monkeypatch) -> list:

@@ -174,6 +174,12 @@ def test_divergence_set_exact_matches_pairwise_reference_fixtures():
     _assert_matches_reference(inst.model, inst.arms)
 
 
+@pytest.mark.parametrize("workload", sorted(BENCH_INSTANCES))
+def test_divergence_set_exact_matches_pairwise_reference_on_the_bench_instances(workload):
+    instance = BENCH_INSTANCES[workload]()
+    _assert_matches_reference(instance.model, instance.arms)
+
+
 def test_divergence_set_exact_vs_mc():
     model, arms = chain_model()
     mild = (arms[0], arms[2])

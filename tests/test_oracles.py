@@ -22,11 +22,13 @@ from faircb.oracles import (
 )
 
 from helpers import (
+    BENCH_INSTANCES,
     brute_fairness,
     brute_mean,
     chain_model,
     mc_fairness,
     mc_outcome_mean,
+    liver_experiment,
     random_instance,
     side_child_model,
 )
@@ -192,3 +194,28 @@ def test_enumerate_arms_rows_are_the_one_arm_enumerations(seed):
     assert report["mu"] == [exact_outcome_mean(model, a) for a in arms]
     assert report["zeta_ssp"] == [exact_fairness(model, a, "ssp") for a in arms]
     assert report["zeta_sps"] == [exact_fairness(model, a, "sps") for a in arms]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_INSTANCES))
+def test_oracle_report_matches_the_enumeration_references(workload):
+    instance = BENCH_INSTANCES[workload]()
+    _assert_report_matches_the_references(instance)
+
+
+def test_oracle_report_matches_the_enumeration_references_on_the_fixtures():
+    for build in (chain_model, side_child_model):
+        model, arms = build()
+        _assert_report_matches_the_references(Instance(model=model, arms=arms))
+    _assert_report_matches_the_references(liver_experiment(3))
+
+
+def _assert_report_matches_the_references(instance):
+    model, arms = instance.model, instance.arms
+    report = oracle_report(instance, 0.2)
+    np.testing.assert_allclose(
+        report["mu"], [exact_outcome_mean(model, a) for a in arms], rtol=0.0, atol=1e-12)
+    for direction in ("ssp", "sps"):
+        np.testing.assert_allclose(
+            report[f"zeta_{direction}"], [exact_fairness(model, a, direction) for a in arms],
+            rtol=0.0, atol=1e-12, err_msg=direction,
+        )

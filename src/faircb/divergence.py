@@ -8,17 +8,14 @@ columns the source arm ``j``.  Expectations are evaluated in log-sum-exp form
 throughout, so entries stay finite even when individual weights overflow
 ``exp``.
 
-Cost of the exact matrices: the fairness cells depend only on the target arm,
-so each target is enumerated twice, once per forced regime, and every block
-yields its weights against every source table in both directions at once.
-The outcome cells need one more enumeration, for the marginal of the
-intervention context, and then one pass over the context cells per source
-column.  ``DivergenceSet.exact`` on K arms thus calls ``enumerate_joint``
-2K + 1 times, and reduces block by block so it holds O(K * block) floats.
-A caller that needs fewer source columns (the generator's band check reads
-column 0 only: ``outcome_column`` one target arm at a time, then
-``fairness_columns`` of arm 0's table) passes fewer tables and pays for those
-alone.
+Both sides are reductions of one ``(K, 3, n_cells)`` table of cell masses
+per arm and regime (``_reduce``): column ``j`` of ``M`` reads the cells that
+arm ``j`` reaches observationally, row ``i`` of each ``D`` the cells that arm
+``i`` reaches under each forced regime, and each weighs them against every
+other arm at once.  ``DivergenceSet.exact`` reduces the cell laws, which an
+instance builds once (``sampling.cell_laws``) and shares with the sampler
+and the oracle report; past them it costs O(K^2 * n_cells).
+``DivergenceSet.mc`` reduces the empirical masses of drawn batches.
 
 The arrays reduced here hold a few dozen cells, where the per-call overhead
 of ``scipy.special.logsumexp`` (array-API dispatch, dtype promotion, the
@@ -34,16 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import REGIMES, Arm, CausalModel, S_VALUE, SPRIME_VALUE, encode_rows
-from .oracles import (
-    attribute_ratio_values,
-    direction_values,
-    enumerate_joint,
-    marginal_rows,
+from .model import REGIMES, CausalModel
+# Bound here, though no code of this module calls it, so that the benchmark's
+# tracer (benchmarks/tracing.py) can count the calls made through it.
+from .oracles import enumerate_joint
+from .sampling import (
+    Cells, cell_laws, counterfactual_weight, model_cells, sample_batch, transport_weight,
 )
-from .sampling import cell_laws, counterfactual_weight, sample_batch, transport_weight
 
-__all__ = ["DivergenceSet", "fairness_columns", "outcome_column"]
+__all__ = ["DivergenceSet", "enumerate_joint"]
 
 _DIRECTIONS = ("ssp", "sps")
 
@@ -80,63 +76,36 @@ def _outcome_cutoff(log_p, w: np.ndarray) -> np.ndarray:
         return 1.0 + _logsumexp(log_p + np.log(w) + w - 1.0)
 
 
-def outcome_column(marg: np.ndarray, tables: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Exact ``M[:, j]`` of the source table ``source`` against the ``tables`` stack.
+def _reduce(laws: np.ndarray, cells: Cells, tables: np.ndarray):
+    """``M``, ``D_ssp`` and ``D_sps`` of the ``(K, 3, n_cells)`` cell masses ``laws``.
 
-    ``marg`` is the marginal over the intervention context rows.  Only the
-    cells with ``p_j > 0`` enter, where the shared zero pattern between arms
-    keeps ``w = P_i / P_j`` finite.  The diagonal cell comes out near 1, not
-    exactly 1.  Each entry is the same bit for bit whatever the other rows of
-    a stack of two or more; a one-row stack sums in another order.
+    ``tables`` is the ``(K, rows, card)`` stack of arm tables.  Each
+    expectation reads only the cells its law reaches, where the shared zero
+    pattern between arms keeps the transport weight finite.  The diagonal of
+    ``M`` is set to 1.
     """
-    pj = marg[:, None] * source
-    mask = pj > 0.0
-    return _outcome_cutoff(np.log(pj[mask]), tables[:, mask] / source[mask])
+    k = len(tables)
 
+    def reached(j: int, r: int):
+        at = np.flatnonzero(laws[j, r])
+        return cells.take(at), np.log(laws[j, r, at])
 
-def _fairness_cells(model: CausalModel, target: Arm, sources: np.ndarray, forced: int):
-    """Blocks ``(probs under the target, w)`` of the forced regime S <- ``forced``.
-
-    ``sources`` is a ``(K, rows, card)`` stack of source tables and ``w`` has
-    shape ``(2, K, cells)``: the signed weight of ``ssp``, then of ``sps``,
-    against each source.  The weight keeps the orientation of its direction
-    while the evidence attribute runs over both values, which is what the
-    two-regime expectation needs.
-    """
-    needed = [model.intervention, *model.children(model.sensitive)]
-    v = model.intervention
-    strides = model.row_strides(v)
-    for probs, values in enumerate_joint(model, target, needed, force_s=forced):
-        mask = probs > 0.0
-        if not mask.any():
-            continue
-        sub = {x: col[mask] for x, col in values.items()}
-        rows = encode_rows(sub, model.parents[v], strides, int(mask.sum()))
-        w_v = target.table[rows, sub[v]] / sources[:, rows, sub[v]]
-        w = np.empty((len(_DIRECTIONS),) + w_v.shape)
-        for out, direction in zip(w, _DIRECTIONS):
-            ratio = attribute_ratio_values(model, target.table, sub, *direction_values(direction))
-            np.multiply(w_v, ratio - 1.0, out=out)
-        yield probs[mask], w
-
-
-def fairness_columns(model: CausalModel, arms, sources: np.ndarray) -> np.ndarray:
-    """Exact ``D_ssp`` and ``D_sps`` columns, shape ``(2, K, J)``.
-
-    ``sources`` is a ``(J, rows, card)`` stack of source tables.  Each column
-    depends only on its own source table, so it equals the matching column of
-    ``DivergenceSet.exact`` bit for bit.
-    """
-    d = np.empty((len(_DIRECTIONS), len(arms), len(sources)), dtype=float)
-    for i, arm in enumerate(arms):
+    m = np.ones((k, k), dtype=float)
+    for j in range(k):
+        occupied, log_p = reached(j, 0)
+        m[:, j] = _outcome_cutoff(log_p, transport_weight(occupied, tables, tables[j]))
+    np.fill_diagonal(m, 1.0)
+    d = np.empty((len(_DIRECTIONS), k, k), dtype=float)
+    for i in range(k):
         parts = []
-        for forced in (S_VALUE, SPRIME_VALUE):
-            acc = np.full((len(_DIRECTIONS), len(sources)), -np.inf)
-            for probs, w in _fairness_cells(model, arm, sources, forced):
-                acc = np.logaddexp(acc, _logsumexp(np.log(probs) + np.abs(w)))
-            parts.append(acc)
+        for r in (1, 2):  # REGIMES[1:]: S <- s, then S <- s'
+            occupied, log_p = reached(i, r)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = np.stack([counterfactual_weight(occupied, tables[i], tables, direction)
+                              for direction in _DIRECTIONS])
+            parts.append(_logsumexp(log_p + np.abs(u)))
         d[:, i] = np.logaddexp(*parts)
-    return d
+    return m, d[0], d[1]
 
 
 @dataclass
@@ -150,13 +119,7 @@ class DivergenceSet:
     @classmethod
     def exact(cls, model: CausalModel, arms) -> "DivergenceSet":
         tables = np.stack([a.table for a in arms])
-        d_ssp, d_sps = fairness_columns(model, arms, tables)
-        marg = marginal_rows(model, model.intervention)
-        m = np.ones((len(arms), len(arms)), dtype=float)
-        for j, source in enumerate(tables):
-            m[:, j] = outcome_column(marg, tables, source)
-        np.fill_diagonal(m, 1.0)
-        return cls(m=m, d_ssp=d_ssp, d_sps=d_sps)
+        return cls(*_reduce(cell_laws(model, arms), model_cells(model), tables))
 
     @classmethod
     def mc(cls, model: CausalModel, arms, draws: int, rng: np.random.Generator) -> "DivergenceSet":
@@ -164,35 +127,17 @@ class DivergenceSet:
 
         First one observational batch per source arm for ``M``; then, per
         target arm, one batch under S <- s and one under S <- s', each read by
-        both ``D_ssp`` and ``D_sps``.  Each batch enters through its occupied
-        cells, weighed by their empirical masses ``count / draws``.
+        both ``D_ssp`` and ``D_sps``.  The matrices reduce the empirical cell
+        masses ``count / draws`` of these batches.
         """
         k = len(arms)
-        tables = np.stack([a.table for a in arms])
         laws = cell_laws(model, arms)
-
-        def occupied(j: int, r: int):
+        masses = np.zeros(laws.shape)
+        for j, r in [(j, 0) for j in range(k)] + [(i, r) for i in range(k) for r in (1, 2)]:
             sizes = np.zeros((k, len(REGIMES)), dtype=np.int64)
             sizes[j, r] = draws
-            batch = sample_batch(model, laws, sizes, rng)
-            at = np.flatnonzero(batch.counts[0])
-            return batch.cells.take(at), np.log(batch.counts[0, at] / batch.n)
-
-        m = np.ones((k, k), dtype=float)
-        for j in range(k):
-            cells, log_p = occupied(j, 0)
-            m[:, j] = _outcome_cutoff(log_p, transport_weight(cells, tables, tables[j]))
-        np.fill_diagonal(m, 1.0)
-        d = np.empty((len(_DIRECTIONS), k, k), dtype=float)
-        for i, arm in enumerate(arms):
-            parts = []
-            for r in (1, 2):  # REGIMES[1:]: S <- s, then S <- s'
-                cells, log_p = occupied(i, r)
-                u = np.stack([counterfactual_weight(cells, arm.table, tables, direction)
-                              for direction in _DIRECTIONS])
-                parts.append(_logsumexp(log_p + np.abs(u)))
-            d[:, i] = np.logaddexp(*parts)
-        return cls(m=m, d_ssp=d[0], d_sps=d[1])
+            masses[j, r] = sample_batch(model, laws, sizes, rng).counts[0] / draws
+        return cls(*_reduce(masses, model_cells(model), np.stack([a.table for a in arms])))
 
     @property
     def n_arms(self) -> int:

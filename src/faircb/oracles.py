@@ -1,10 +1,15 @@
-"""Exact oracles by enumeration over ancestral closures.
+"""Enumeration over ancestral closures, and the exact oracle report.
 
 Enumeration only visits the ancestors of the nodes a quantity depends on, so
 pruning barren nodes keeps exactness while making deep graphs affordable.  The
 cell count of the visited closure is still capped (``FCB_ENUM_CAP`` overrides
 the default of ten million cells).  Arms differ only in V's factor, so
-``enumerate_arms`` serves a whole stack of arm tables from one enumeration.
+``enumerate_arms`` serves a whole stack of arm tables from one enumeration;
+it is what builds the cell laws of ``sampling.cell_laws``.
+
+``oracle_report`` reduces those cell laws, so it enumerates nothing once an
+instance's laws are in the memo, and it needs the closure of the read nodes
+(not only of Y) within the cap.
 """
 
 from __future__ import annotations
@@ -16,19 +21,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import EnumerationTooLarge
-from .model import (
-    Arm, CausalModel, Instance, S_VALUE, SPRIME_VALUE, check_fairness_eps, encode_rows,
-)
+from .model import Arm, CausalModel, Instance, check_fairness_eps, encode_rows
 
 __all__ = [
     "enumeration_cap",
     "enumerate_arms",
     "enumerate_joint",
-    "marginal_rows",
     "attribute_ratio_values",
-    "direction_values",
-    "exact_outcome_mean",
-    "exact_fairness",
     "oracle_report",
 ]
 
@@ -96,38 +95,6 @@ def enumerate_joint(
         yield probs[0], values
 
 
-def marginal_rows(model: CausalModel, node: str) -> np.ndarray:
-    """Exact marginal over the parent assignment rows of ``node``.
-
-    Arms only rewrite the conditional of the intervention node, so the
-    marginal of its parents is arm independent.
-    """
-    out = np.zeros(model.n_rows(node), dtype=float)
-    ps = model.parents[node]
-    if not ps:
-        out[0] = 1.0
-        return out
-    strides = model.row_strides(node)
-    for probs, values in enumerate_joint(model, None, ps):
-        np.add.at(out, encode_rows(values, ps, strides, probs.shape[0]), probs)
-    return out
-
-
-def _outcome_means(model: CausalModel, arms) -> list[float]:
-    """Mean encoded target value under each arm, by one enumeration for all."""
-    acc = [0.0] * len(arms)
-    for probs, values in enumerate_arms(model, np.stack([a.table for a in arms]), [model.target]):
-        y = model.target_values[values[model.target]]
-        for k, p in enumerate(probs):
-            acc[k] += float(p @ y)
-    return acc
-
-
-def exact_outcome_mean(model: CausalModel, arm: Arm) -> float:
-    """Mean encoded target value under the arm, by enumeration."""
-    return _outcome_means(model, [arm])[0]
-
-
 def attribute_ratio_values(
     model: CausalModel,
     v_table: np.ndarray | None,
@@ -159,43 +126,33 @@ def attribute_ratio_values(
     return ratio
 
 
-def direction_values(direction: str) -> tuple[int, int]:
-    """Map a direction tag to (counterfactual S value, evidence S value)."""
-    if direction == "ssp":
-        return S_VALUE, SPRIME_VALUE
-    if direction == "sps":
-        return SPRIME_VALUE, S_VALUE
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def _fairness_gaps(model: CausalModel, arms, direction: str) -> list[float]:
-    """Counterfactual gap of each arm, by one enumeration under the forced evidence attribute."""
-    cf, ev = direction_values(direction)
-    needed = [model.target, *model.children(model.sensitive)]
-    acc = [0.0] * len(arms)
-    for probs, values in enumerate_arms(model, np.stack([a.table for a in arms]), needed, ev):
-        for k, (arm, p) in enumerate(zip(arms, probs)):
-            mask, sub = p > 0.0, values
-            if not mask.all():
-                p, sub = p[mask], {x: v[mask] for x, v in values.items()}
-            if p.size:
-                ratio = attribute_ratio_values(model, arm.table, sub, cf, ev)
-                acc[k] += float(p @ (model.target_values[sub[model.target]] * (ratio - 1.0)))
-    return acc
-
-
-def exact_fairness(model: CausalModel, arm: Arm, direction: str) -> float:
-    """Counterfactual gap of the arm, by enumeration under the forced evidence attribute."""
-    return _fairness_gaps(model, [arm], direction)[0]
-
-
 def oracle_report(instance: Instance, fairness_eps: float) -> dict:
-    """Ground truth per arm: means, counterfactual gaps, the fair set and the best fair arm."""
+    """Ground truth per arm: means, counterfactual gaps, the fair set and the best fair arm.
+
+    Every quantity is an expectation under the arms' cell laws
+    (``sampling.cell_laws``): ``mu`` under the observational law, each gap
+    under the law forced to its evidence value, weighing each cell by the
+    arm's own counterfactual weight.
+    """
     check_fairness_eps(fairness_eps)
+    # Imported here: ``sampling`` imports this module, so a module-level
+    # import would close an import cycle.
+    from .sampling import cell_laws, counterfactual_weight, model_cells
+
     model, arms = instance.model, instance.arms
-    mu = _outcome_means(model, arms)
-    z_ssp = _fairness_gaps(model, arms, "ssp")
-    z_sps = _fairness_gaps(model, arms, "sps")
+    laws, cells = cell_laws(model, arms), model_cells(model)
+
+    def gap(k: int, r: int, direction: str) -> float:
+        at = np.flatnonzero(laws[k, r])
+        reached, table = cells.take(at), arms[k].table
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = counterfactual_weight(reached, table, table, direction)
+        return float(laws[k, r, at] @ (reached.y * u))
+
+    mu = [float(law @ cells.y) for law in laws[:, 0]]
+    # "ssp" has evidence s' and reads pulls forced to s' (REGIMES[2]); "sps" the reverse.
+    z_ssp = [gap(k, 2, "ssp") for k in range(len(arms))]
+    z_sps = [gap(k, 1, "sps") for k in range(len(arms))]
     fair = [
         k
         for k in range(len(arms))

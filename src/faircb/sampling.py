@@ -38,10 +38,10 @@ drawn entries, one row of ``n_cells`` counts per entry, and the model's
 ``transport_weight`` and ``counterfactual_weight`` are the one place that
 turns pull fields into weights.  Both broadcast over leading table axes, so a
 ``(K, rows, card)`` stack of arm tables yields the weights of every entry
-against K arms at once.  The Monte Carlo divergences feed them the occupied
-cells; the estimators read ``weight_kernel``, their table over every cell of
-an instance, which is found in a memo like the cell laws' (keyed on the
-contents of the ``Cells`` table and the arm tables, bounded by
+against K arms at once.  The divergences and the oracle report feed them
+the cells a law reaches; the estimators read ``weight_kernel``, their table
+over every cell of an instance, which is found in a memo like the cell laws'
+(keyed on the contents of the ``Cells`` table and the arm tables, bounded by
 ``_MEMO_LAWS``) and holds 3K^2 * ``n_cells`` floats.
 """
 
@@ -62,6 +62,7 @@ __all__ = [
     "Cells",
     "BatchSamples",
     "cell_laws",
+    "model_cells",
     "sample_batch",
     "transport_weight",
     "counterfactual_weight",
@@ -179,6 +180,11 @@ def _plan(model: CausalModel) -> _Plan:
         cells = _decode_cells(model, nodes, strides, n_cells)
         model._sample_plan = _Plan(model.ancestors(nodes), nodes, strides, cells)
     return model._sample_plan
+
+
+def model_cells(model: CausalModel) -> Cells:
+    """The ``Cells`` table of ``model``'s cell codes, decoded once per model."""
+    return _plan(model).cells
 
 
 # Bound of the cell-law and weight-kernel memos: the tables each keeps, one per

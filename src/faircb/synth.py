@@ -15,17 +15,21 @@ oracle report and divergence matrices satisfy the configured bands.
 
 Order of the checks on a draw.  The arms are built one at a time: arm k's
 two parameters are inverted, its table is built, and under a divergence band
-``M[k, 0]`` is checked at once (``_m_to_deployed``), so a draw ends at its
-first arm outside the band or whose level ``g`` cannot reach.  Most draws of a
-banded config end there, after one or two arms.  A draw whose arms all pass
-goes on to both ``D[:, 0]`` columns (``divergence.fairness_columns``), then to
-``validate_model`` (once per such candidate, and no instance is returned
-without it), then to the exact oracle report.  All random draws of an attempt
-happen before its first inversion and no check reads the generator, so the
-order decides only how soon a draw is rejected, never which draw is returned:
-the instance is the same byte for byte whatever the order.  The root finder
-computes the binomial coefficients once per support size and the bracket
-values ``g(lo)`` and ``g(hi)`` once per attempt.
+``M[k, 0]`` is prefiltered at once, in closed form from P(S) and the two V
+tables (``_m_to_deployed``).  That sum runs in another order than
+``DivergenceSet.exact``'s, so the prefilter rejects a draw only when
+``M[k, 0]`` lies outside the band by more than ``_BAND_SLACK`` times its
+upper end, far beyond the rounding between the two.  Most draws of a banded
+config end there, after one or two arms.  A draw whose arms all pass goes on
+to ``DivergenceSet.exact``, whose ``M[:, 0]``, ``D_ssp[:, 0]`` and
+``D_sps[:, 0]`` must lie inside the band, then to ``validate_model`` (once
+per such candidate, and no instance is returned without it), then to the
+exact oracle report, which reduces the cell laws the divergences built.  All
+random draws of an attempt happen before its first inversion, no check reads
+the generator and the prefilter rejects only draws the exact check rejects,
+so the order decides only how soon a draw is rejected, never which draw is
+returned.  The root finder computes the binomial coefficients once per
+support size and the bracket values ``g(lo)`` and ``g(hi)`` once per attempt.
 """
 
 from __future__ import annotations
@@ -37,16 +41,20 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from .divergence import fairness_columns, outcome_column
+from .divergence import DivergenceSet, _outcome_cutoff
 from .errors import GenerationFailed
 from .model import Arm, CausalModel, Instance, check_fairness_eps, validate_model
-from .oracles import marginal_rows, oracle_report
+from .oracles import oracle_report
 
 __all__ = ["SyntheticConfig", "generate_synthetic"]
 
 _PARAM_LO = 1e-6
 _PARAM_HI = 1.0 - 1e-6
 _LEVEL_PAD = 5e-3
+# P(S) of every instance: the sensitive attribute is an unbiased coin.
+_P_S = np.array([0.5, 0.5])
+# Relative slack of the per-arm band prefilter, far above its rounding error.
+_BAND_SLACK = 1e-9
 
 
 @dataclass
@@ -122,7 +130,7 @@ def _build_model(config: SyntheticConfig, f: np.ndarray, arm0: np.ndarray) -> Ca
         cards={"S": 2, "V": m, "eps": 2, "Y": 2},
         parents={"S": [], "V": ["S"], "eps": [], "Y": ["V", "eps"]},
         cpts={
-            "S": np.array([[0.5, 0.5]]),
+            "S": _P_S[None].copy(),
             "V": arm0,
             "eps": np.array([[1.0 - q, q]]),
             "Y": y_rows,
@@ -163,20 +171,22 @@ def _invert_g(g, bracket: tuple[float, float], target: float) -> float | None:
     return float(brentq(lambda p: g(p) - target, _PARAM_LO, _PARAM_HI, xtol=1e-14))
 
 
-def _inside(band: tuple[float, float], values: np.ndarray) -> bool:
-    """Whether every entry lies strictly inside ``band``."""
+def _inside(band: tuple[float, float], values, slack: float = 0.0) -> bool:
+    """Whether every entry lies strictly inside ``band`` widened by ``slack`` at both ends."""
     lo, hi = band
-    return bool(np.all(values > lo) and np.all(values < hi))
+    return bool(np.all(values > lo - slack) and np.all(values < hi + slack))
 
 
-def _m_to_deployed(marg: np.ndarray, deployed: np.ndarray, table: np.ndarray) -> float:
-    """``M[k, 0]`` of the arm ``table`` against the ``deployed`` arm 0, bit for bit.
+def _m_to_deployed(deployed: np.ndarray, table: np.ndarray) -> float:
+    """``M[k, 0]`` of the arm ``table`` against the ``deployed`` arm 0, in closed form.
 
-    Built from the pair (arm 0, arm k), not from ``table`` alone: a stack of
-    one row sums its cells pairwise, a stack of two or more (the full build's
-    K) one cell after another, and the two can differ in the last bit.
+    V's one parent is S, so arm 0 reaches (S, V) with mass ``P(S) * deployed``.
+    ``DivergenceSet.exact`` sums the same terms over the finer cells of the
+    cell code, so the two agree only up to rounding.
     """
-    return outcome_column(marg, np.stack((deployed, table)), deployed)[1]
+    mass = _P_S[:, None] * deployed
+    at = mass > 0.0
+    return float(_outcome_cutoff(np.log(mass[at]), table[at] / deployed[at]))
 
 
 def generate_synthetic(config: SyntheticConfig) -> Instance:
@@ -189,7 +199,6 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
     blo, bhi = config.fairness_gap_band
     eps = config.fairness_eps
     band = config.divergence_band
-    marg = None  # the marginal of V's parent rows, for the band check
 
     for attempt in range(config.max_attempts):
         if config.f_values is not None:
@@ -250,8 +259,8 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
         a_star = rng.uniform(lo_req, hi_req)
         levels = a_star - shift
 
-        # One arm at a time: invert, build, and (banded) check M[k, 0] at
-        # once, so a draw ends at its first arm outside the band.
+        # One arm at a time: invert, build, and (banded) prefilter M[k, 0]
+        # at once, so a draw ends at its first arm clearly outside the band.
         bracket = g(_PARAM_LO), g(_PARAM_HI)
         arms = []
         for k in range(K):
@@ -261,20 +270,18 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
                 break
             table = np.vstack([_binom_row(m, c), _binom_row(m, d)])
             table = table / table.sum(axis=1, keepdims=True)
-            if k > 0 and band is not None:
-                if marg is None:
-                    # V's one parent is S, whose table no draw changes.
-                    marg = marginal_rows(_build_model(config, f, arms[0].table), "V")
-                if not _inside(band, _m_to_deployed(marg, arms[0].table, table)):
-                    break
+            if k > 0 and band is not None and not _inside(
+                band, _m_to_deployed(arms[0].table, table), _BAND_SLACK * abs(band[1])
+            ):
+                break
             cost = 0.0 if (config.cheap_arm and k == 0) else 1.0
             arms.append(Arm(k, table, cost, cost, cost))
         if len(arms) < K:
             continue
         model = _build_model(config, f, arms[0].table.copy())
         if band is not None:
-            d_columns = fairness_columns(model, arms, arms[0].table[None])[..., 0]
-            if not all(_inside(band, col[1:]) for col in d_columns):
+            div = DivergenceSet.exact(model, arms)
+            if not all(_inside(band, c[1:, 0]) for c in (div.m, div.d_ssp, div.d_sps)):
                 continue
         if not validate_model(model, arms).ok:
             continue

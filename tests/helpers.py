@@ -9,6 +9,9 @@ estimators below are written apart from the cell-law sampler, the per-cell
 ``SamplePool`` and ``estimate_all``, which the tests compare against them; the
 arm-by-arm certification and elimination loops likewise check the vectorized
 clauses of ``bandit``.
+The enumeration oracles (``marginal_rows``, ``exact_outcome_mean``,
+``exact_fairness``) walk each quantity's own ancestral closure, apart from
+the cell laws that ``oracle_report`` and ``DivergenceSet.exact`` reduce.
 The conditional f-divergence, the empirical weight quantiles that the cutoff
 matrices must dominate, the Monte Carlo oracles and ``bound_report`` (the
 paper's problem-dependent constants and error bounds) are references the
@@ -31,15 +34,12 @@ from faircb.allocation import Allocation
 from faircb.bandit import _Allocator, phase_schedule
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError, Infeasible
-from faircb.model import REGIMES, Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE
+from faircb.model import (
+    REGIMES, Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE, encode_rows,
+)
 from faircb.netgen import build_network_experiment, liver_network
 from faircb.sampling import BatchSamples, Cells, counterfactual_weight
-from faircb.oracles import (
-    attribute_ratio_values,
-    direction_values,
-    enumerate_joint,
-    marginal_rows,
-)
+from faircb.oracles import attribute_ratio_values, enumerate_arms, enumerate_joint
 from faircb.synth import SyntheticConfig, generate_synthetic
 
 S_CHAIN_F = np.array([0.2, 0.5, 0.9])
@@ -257,6 +257,68 @@ def clipped_fairness_expectation(
         if abs(u) <= thr:
             acc += p * model.target_values[values[model.target]] * u
     return acc
+
+
+def marginal_rows(model: CausalModel, node: str) -> np.ndarray:
+    """Exact marginal over the parent assignment rows of ``node``, by enumeration.
+
+    Arms only rewrite the conditional of the intervention node, so the
+    marginal of its parents is arm independent.
+    """
+    out = np.zeros(model.n_rows(node), dtype=float)
+    ps = model.parents[node]
+    if not ps:
+        out[0] = 1.0
+        return out
+    strides = model.row_strides(node)
+    for probs, values in enumerate_joint(model, None, ps):
+        np.add.at(out, encode_rows(values, ps, strides, probs.shape[0]), probs)
+    return out
+
+
+def _outcome_means(model: CausalModel, arms) -> list[float]:
+    """Mean encoded target value under each arm, by one enumeration of Y's closure for all."""
+    acc = [0.0] * len(arms)
+    for probs, values in enumerate_arms(model, np.stack([a.table for a in arms]), [model.target]):
+        y = model.target_values[values[model.target]]
+        for k, p in enumerate(probs):
+            acc[k] += float(p @ y)
+    return acc
+
+
+def exact_outcome_mean(model: CausalModel, arm: Arm) -> float:
+    """Mean encoded target value under the arm, by enumeration."""
+    return _outcome_means(model, [arm])[0]
+
+
+def direction_values(direction: str) -> tuple[int, int]:
+    """Map a direction tag to (counterfactual S value, evidence S value)."""
+    if direction == "ssp":
+        return S_VALUE, SPRIME_VALUE
+    if direction == "sps":
+        return SPRIME_VALUE, S_VALUE
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def _fairness_gaps(model: CausalModel, arms, direction: str) -> list[float]:
+    """Counterfactual gap of each arm, by one enumeration under the forced evidence attribute."""
+    cf, ev = direction_values(direction)
+    needed = [model.target, *model.children(model.sensitive)]
+    acc = [0.0] * len(arms)
+    for probs, values in enumerate_arms(model, np.stack([a.table for a in arms]), needed, ev):
+        for k, (arm, p) in enumerate(zip(arms, probs)):
+            mask, sub = p > 0.0, values
+            if not mask.all():
+                p, sub = p[mask], {x: v[mask] for x, v in values.items()}
+            if p.size:
+                ratio = attribute_ratio_values(model, arm.table, sub, cf, ev)
+                acc[k] += float(p @ (model.target_values[sub[model.target]] * (ratio - 1.0)))
+    return acc
+
+
+def exact_fairness(model: CausalModel, arm: Arm, direction: str) -> float:
+    """Counterfactual gap of the arm, by enumeration under the forced evidence attribute."""
+    return _fairness_gaps(model, [arm], direction)[0]
 
 
 def _reference_fairness_cells(model: CausalModel, arm_i: Arm, arm_j: Arm, direction: str):

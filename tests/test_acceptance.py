@@ -22,7 +22,7 @@ from faircb.divergence import DivergenceSet
 from faircb.errors import Infeasible
 from faircb.model import Regime, validate_model
 from faircb.netgen import build_network_experiment, liver_network, network_states
-from faircb.oracles import exact_fairness, exact_outcome_mean, oracle_report
+from faircb.oracles import oracle_report
 from faircb.sweep import ALGORITHMS, error_curve_to_csv, run_algorithm, run_sweep
 from faircb.synth import SyntheticConfig, generate_synthetic
 
@@ -33,6 +33,8 @@ from helpers import (
     clipped_outcome_expectation,
     empirical_quantile_eta,
     empirical_quantile_gamma,
+    exact_fairness,
+    exact_outcome_mean,
     maxmin_vertex_value,
     pooled_fairness_estimate,
     pooled_outcome_estimate,

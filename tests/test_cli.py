@@ -220,19 +220,38 @@ def test_divergence_exact_and_mc(tmp_path, instance_file):
     np.testing.assert_allclose(approx, truth.m, rtol=0.05)
 
 
-def test_divergence_mc_needs_an_enumerable_closure(tmp_path, monkeypatch, capsys):
-    # The Monte Carlo matrices draw from the cell laws, which enumerate the
-    # closure of the read nodes: 384 read cells, 9216 closure cells.
+def _liver_over_the_cap(tmp_path, monkeypatch) -> Path:
+    """A liver instance file, with the enumeration cap set below its closure's 9216 cells."""
     path = tmp_path / "liver.json"
     save_instance(build_network_experiment(
         liver_network(), "fibrosis", "sex", "carcinoma", n_arms=2, seed=0, fairness_eps=0.2), path)
     monkeypatch.setenv("FCB_ENUM_CAP", "1000")
+    return path
+
+
+def test_divergence_mc_needs_an_enumerable_closure(tmp_path, monkeypatch, capsys):
+    # The Monte Carlo matrices draw from the cell laws, which enumerate the
+    # closure of the read nodes: 384 read cells, 9216 closure cells.
+    path = _liver_over_the_cap(tmp_path, monkeypatch)
     prefix = str(tmp_path / "mc")
     code = main(["divergence", "--instance", str(path), "--out-prefix", prefix, "--mc", "100"])
     assert code == cli_mod.EXIT_INVALID
     err = capsys.readouterr().err
     assert "9216 cells over" in err and "'fibrosis'" in err and "cap of 1000" in err
     assert not Path(f"{prefix}_m.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "divergence"])
+def test_exact_commands_need_an_enumerable_closure(tmp_path, monkeypatch, capsys, command):
+    # The oracle report and the exact matrices reduce the cell laws, so they
+    # need the closure of the read nodes under the cap, as --mc does.
+    path = _liver_over_the_cap(tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    flags = {"oracle": ["--out", str(out)], "divergence": ["--out-prefix", str(out)]}[command]
+    assert main([command, "--instance", str(path), *flags]) == cli_mod.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "9216 cells over" in err and "'fibrosis'" in err and "cap of 1000" in err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_allocate(tmp_path, instance_file):

@@ -213,9 +213,9 @@ def test_divergence_set_mc_stream_is_pinned(fixture):
 
 # sha256 prefixes of the m, d_ssp and d_sps bytes of DivergenceSet.exact.
 EXACT_PINS = {
-    "band-k5": "2d37f8cc633a8ff8",
-    "liver-k10": "13dab3e2e41904b7",
-    "synth-k30": "86a57f4fd4defe93",
+    "band-k5": "d2092f0485979c13",
+    "liver-k10": "580533434a04be17",
+    "synth-k30": "01e81240988ddce3",
 }
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from faircb.divergence import DivergenceSet
 from faircb.estimation import SamplePool, estimate_all
 from faircb.model import REGIMES, Arm, CausalModel, Regime
-from faircb.oracles import exact_fairness, exact_outcome_mean
 from faircb import sampling
 from faircb.sampling import BatchSamples, Cells
 
@@ -22,6 +21,8 @@ from helpers import (
     chain_model,
     clipped_fairness_expectation,
     clipped_outcome_expectation,
+    exact_fairness,
+    exact_outcome_mean,
     pooled_fairness_estimate,
     pooled_outcome_estimate,
     random_instance,

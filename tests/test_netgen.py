@@ -7,9 +7,9 @@ import pytest
 
 from faircb.errors import NodeNotFound, SensitiveNotBinary
 from faircb.netgen import build_network_experiment, liver_network, network_states
-from faircb.oracles import exact_fairness, exact_outcome_mean, oracle_report
+from faircb.oracles import oracle_report
 
-from helpers import brute_fairness, brute_mean, chain_model
+from helpers import brute_fairness, brute_mean, chain_model, exact_fairness, exact_outcome_mean
 
 
 @pytest.fixture(scope="module")

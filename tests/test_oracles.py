@@ -11,13 +11,9 @@ from faircb.errors import EnumerationTooLarge
 from faircb.model import Arm, Instance
 from faircb.oracles import (
     DEFAULT_ENUM_CAP,
-    direction_values,
     enumerate_arms,
     enumerate_joint,
     enumeration_cap,
-    exact_fairness,
-    exact_outcome_mean,
-    marginal_rows,
     oracle_report,
 )
 
@@ -26,9 +22,13 @@ from helpers import (
     brute_fairness,
     brute_mean,
     chain_model,
+    direction_values,
+    exact_fairness,
+    exact_outcome_mean,
+    liver_experiment,
+    marginal_rows,
     mc_fairness,
     mc_outcome_mean,
-    liver_experiment,
     random_instance,
     side_child_model,
 )
@@ -173,12 +173,25 @@ def test_oracle_report_rejects_a_bad_fairness_tolerance(eps):
         oracle_report(Instance(model=model, arms=arms), fairness_eps=eps)
 
 
+def _assert_report_matches_the_references(instance):
+    model, arms = instance.model, instance.arms
+    report = oracle_report(instance, 0.2)
+    np.testing.assert_allclose(
+        report["mu"], [exact_outcome_mean(model, a) for a in arms], rtol=0.0, atol=1e-12)
+    for direction in ("ssp", "sps"):
+        np.testing.assert_allclose(
+            report[f"zeta_{direction}"], [exact_fairness(model, a, direction) for a in arms],
+            rtol=0.0, atol=1e-12, err_msg=direction,
+        )
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_enumerate_arms_rows_are_the_one_arm_enumerations(seed):
     # Every arm's row is bit for bit its own enumeration, forced or not, with
     # V inside the closure (Y's) and outside it (V's parents only); the
-    # report over all arms equals the per-arm oracles bit for bit.
+    # report, which reduces the cell laws, agrees with the per-arm
+    # enumeration references to 1e-12.
     inst = random_instance(np.random.default_rng(seed))
     model, arms = inst.model, inst.arms
     tables = np.stack([a.table for a in arms])
@@ -190,10 +203,7 @@ def test_enumerate_arms_rows_are_the_one_arm_enumerations(seed):
                 (all_probs, all_values), = blocks
                 np.testing.assert_array_equal(all_probs[k], probs)
                 assert all_values.keys() == values.keys()
-    report = oracle_report(inst, 0.2)
-    assert report["mu"] == [exact_outcome_mean(model, a) for a in arms]
-    assert report["zeta_ssp"] == [exact_fairness(model, a, "ssp") for a in arms]
-    assert report["zeta_sps"] == [exact_fairness(model, a, "sps") for a in arms]
+    _assert_report_matches_the_references(inst)
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH_INSTANCES))
@@ -207,15 +217,3 @@ def test_oracle_report_matches_the_enumeration_references_on_the_fixtures():
         model, arms = build()
         _assert_report_matches_the_references(Instance(model=model, arms=arms))
     _assert_report_matches_the_references(liver_experiment(3))
-
-
-def _assert_report_matches_the_references(instance):
-    model, arms = instance.model, instance.arms
-    report = oracle_report(instance, 0.2)
-    np.testing.assert_allclose(
-        report["mu"], [exact_outcome_mean(model, a) for a in arms], rtol=0.0, atol=1e-12)
-    for direction in ("ssp", "sps"):
-        np.testing.assert_allclose(
-            report[f"zeta_{direction}"], [exact_fairness(model, a, direction) for a in arms],
-            rtol=0.0, atol=1e-12, err_msg=direction,
-        )

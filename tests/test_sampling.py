@@ -12,7 +12,6 @@ import faircb.sampling as sampling
 from faircb.errors import EnumerationTooLarge
 from faircb.estimation import SamplePool
 from faircb.model import REGIMES, Arm, CausalModel, Instance, Regime
-from faircb.oracles import exact_fairness, exact_outcome_mean
 from faircb.sampling import (
     BatchSamples,
     counterfactual_weight,
@@ -31,6 +30,8 @@ from helpers import (
     brute_law,
     chain_model,
     count_kernel_builds,
+    exact_fairness,
+    exact_outcome_mean,
     importance_weight_fairness,
     importance_weight_outcome,
     liver_experiment,

@@ -9,10 +9,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import faircb.sampling as sampling
 import faircb.sweep as sweep_mod
+from faircb import divergence, oracles
 from faircb.bandit import RunTrace
+from faircb.divergence import DivergenceSet
 from faircb.io import instance_digest
 from faircb.model import Instance
+from faircb.oracles import oracle_report
 from faircb.sweep import (
     ALGORITHMS,
     default_budget,
@@ -23,7 +27,7 @@ from faircb.sweep import (
 )
 from faircb.synth import SyntheticConfig, generate_synthetic
 
-from helpers import chain_model
+from helpers import chain_model, liver_experiment
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +244,30 @@ def test_error_curve_files(tmp_path, instance):
     assert payload["rows"][0]["algorithm"] == curve.rows[0].algorithm
     assert payload["rows"][0]["failure_kinds"] == {}
     assert payload["rows"][0]["first_failure"] is None
+
+
+def test_an_instance_builds_its_cell_laws_once(monkeypatch):
+    # The exact divergences, the oracle report, a sweep (which rebuilds both)
+    # and a run that builds its own divergences all reduce one law table.
+    instance = liver_experiment(10)
+    build, joint = sampling._build_laws, oracles.enumerate_joint
+    builds, enumerations = [], []
+
+    def counted_build(model, plan, tables):
+        builds.append(tables)
+        return build(model, plan, tables)
+
+    def counted_enumeration(*args, **kwargs):
+        enumerations.append(args)
+        return joint(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "_build_laws", counted_build)
+    sampling._LAWS.clear()
+    for module in (oracles, divergence):
+        monkeypatch.setattr(module, "enumerate_joint", counted_enumeration)
+    DivergenceSet.exact(instance.model, instance.arms)
+    oracle_report(instance, instance.fairness_eps)
+    run_sweep(instance, [2000], runs=1, algorithms=["csr-v2"], width=1)
+    run_algorithm(instance, "ts-v2", 2000, np.random.default_rng(0))
+    assert len(builds) == 1
+    assert enumerations == []

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faircb import synth
-from faircb.divergence import DivergenceSet, fairness_columns
+from faircb.divergence import DivergenceSet
 from faircb.errors import GenerationFailed
 from faircb.io import instance_digest
 from faircb.model import Arm, ValidationReport, validate_model
-from faircb.oracles import marginal_rows, oracle_report
+from faircb.oracles import oracle_report
 from faircb.synth import SyntheticConfig, generate_synthetic
 
 from helpers import BENCH_INSTANCES, random_instance
@@ -110,11 +110,16 @@ def test_large_instance_is_pinned():
 
 
 def _assert_columns_match(model, arms, source):
+    # The band reads column ``source`` of the full build; each entry of it is
+    # a function of the target and the source arm alone, so the two-arm
+    # build of that pair gives it too, up to rounding.
     div = DivergenceSet.exact(model, arms)
-    got = fairness_columns(model, arms, arms[source].table[None])[..., 0]
-    assert len(got) == 2
-    for col, full in zip(got, (div.d_ssp, div.d_sps)):
-        assert col.tobytes() == full[:, source].tobytes()
+    for i, arm in enumerate(arms):
+        pair = DivergenceSet.exact(model, [arm, arms[source]])
+        for name in ("m", "d_ssp", "d_sps"):
+            full = getattr(div, name)[i, source]
+            assert getattr(pair, name)[0, 1 if i != source else 0] == pytest.approx(
+                full, rel=1e-12, abs=1e-12), (name, i)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -136,12 +141,13 @@ def test_band_columns_equal_the_full_build_on_low_band(low_band_instance):
         st.tuples(*[st.floats(synth._PARAM_LO, synth._PARAM_HI)] * 2), min_size=2, max_size=8
     ),
 )
-# A one-row stack gives this example's M[1, 0] one ulp above the full build's.
+# A one-row stack once gave this example's M[1, 0] one ulp above the full build's.
 @example(support=7, seed=0, params=[(0.109375, 0.75), (0.109375, 0.75)])
 def test_early_band_check_is_row_k_of_the_column(support, seed, params):
-    # The generator rejects a draw on M[k, 0] of one arm at a time; that
-    # entry must be the stacked column's bit for bit, or the early check
-    # could reject a draw the full build keeps.
+    # The generator prefilters a draw on M[k, 0] of one arm at a time, in
+    # closed form; that value must lie far within the prefilter's slack of
+    # the full build's entry, or the prefilter could reject a draw that the
+    # exact check keeps.
     f = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, size=support))
     tables = []
     for c, d in params:
@@ -150,11 +156,10 @@ def test_early_band_check_is_row_k_of_the_column(support, seed, params):
     config = SyntheticConfig(n_arms=len(params), support=support)
     model = synth._build_model(config, f, tables[0].copy())
     arms = [Arm(k, table) for k, table in enumerate(tables)]
-    marg = marginal_rows(model, "V")
     full = DivergenceSet.exact(model, arms).m[:, 0]
     for k in range(1, len(arms)):
-        early = np.float64(synth._m_to_deployed(marg, tables[0], tables[k]))
-        assert early.tobytes() == full[k].tobytes()
+        early = synth._m_to_deployed(tables[0], tables[k])
+        assert abs(early - full[k]) <= 1e-3 * synth._BAND_SLACK * abs(full[k])
 
 
 def test_band_k5_inverts_each_arm_only_until_its_draw_fails(monkeypatch):

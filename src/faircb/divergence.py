@@ -76,7 +76,7 @@ def _outcome_cutoff(log_p, w: np.ndarray) -> np.ndarray:
         return 1.0 + _logsumexp(log_p + np.log(w) + w - 1.0)
 
 
-def _reduce(laws: np.ndarray, cells: Cells, tables: np.ndarray):
+def _reduce(laws: np.ndarray, cells: Cells, tables: np.ndarray) -> tuple[np.ndarray, ...]:
     """``M``, ``D_ssp`` and ``D_sps`` of the ``(K, 3, n_cells)`` cell masses ``laws``.
 
     ``tables`` is the ``(K, rows, card)`` stack of arm tables.  Each

@@ -284,7 +284,7 @@ def test_weight_kernel_matches_scalar_references(seed):
         for regime in Regime:
             # The model's cell table holds the fields of a single-pull reference draw.
             ref = as_pulls([sample(model, arm, regime, rng)])
-            assert_table_holds(sampling._plan(model).cells, ref)
+            assert_table_holds(sampling.model_cells(model), ref)
 
             pulls = [sample(model, arm, regime, rng) for _ in range(12)]
             batch = as_pulls(pulls).fields
@@ -490,7 +490,7 @@ def assert_laws_match_the_oracles(model, arms, fairness) -> None:
     each forced law, weighed by y times the arm's own counterfactual weight,
     gives its counterfactual gap ``fairness(model, arm, direction)``, to 1e-12."""
     laws = laws_of(model, arms)
-    cells = sampling._plan(model).cells
+    cells = sampling.model_cells(model)
     rows = {regime: row for row, regime in enumerate(Regime)}
     for k, arm in enumerate(arms):
         law = laws[k, rows[Regime.OBSERVATIONAL]]
@@ -634,7 +634,7 @@ def test_law_memo_stays_within_its_bound(monkeypatch):
 
 def kernel_of(model, arms) -> tuple[np.ndarray, sampling.Cells, np.ndarray]:
     """The weight kernel of ``arms`` over the model's cells, the cells and the arm tables."""
-    cells = sampling._plan(model).cells
+    cells = sampling.model_cells(model)
     tables = np.stack([arm.table for arm in arms])
     return weight_kernel(cells, tables), cells, tables
 

@@ -302,8 +302,8 @@ class _Run:
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng() if self.rng is None else self.rng
         self.laws = sampling.cell_laws(self.model, self.arms)
+        self.pool = SamplePool(self.model, self.arms)
         self.costs = costs_from_arms(self.arms)
-        self.pool = SamplePool(self.arms)
         self.allocation = _Allocator(
             self.divergences, self.costs, self.budget, self.extra_constraints
         )

@@ -141,11 +141,12 @@ def _parse_float(cur: _Cursor) -> float:
     return val
 
 
-def _parse_number_list(cur: _Cursor) -> list[float]:
-    vals = [_parse_float(cur)]
+def _comma_list(cur: _Cursor, read=_Cursor.next) -> list:
+    """One or more items, each taken by ``read``, separated by commas."""
+    vals = [read(cur)]
     while cur.peek() == ",":
         cur.next()
-        vals.append(_parse_float(cur))
+        vals.append(read(cur))
     return vals
 
 
@@ -169,10 +170,7 @@ def _parse_variable(cur: _Cursor, states: dict[str, tuple[str, ...]]) -> None:
         count = int(_parse_float(cur))
         cur.expect("]")
         cur.expect("{")
-        vals = [cur.next()]
-        while cur.peek() == ",":
-            cur.next()
-            vals.append(cur.next())
+        vals = _comma_list(cur)
         cur.expect("}")
         cur.expect(";")
         if len(vals) != count:
@@ -186,10 +184,7 @@ def _parse_variable(cur: _Cursor, states: dict[str, tuple[str, ...]]) -> None:
 
 def _row_tuple(cur: _Cursor) -> tuple[str, ...]:
     cur.expect("(")
-    vals = [cur.next()]
-    while cur.peek() == ",":
-        cur.next()
-        vals.append(cur.next())
+    vals = _comma_list(cur)
     cur.expect(")")
     return tuple(vals)
 
@@ -218,11 +213,7 @@ def _parse_probability(
     ps: tuple[str, ...] = ()
     if cur.peek() == "|":
         cur.next()
-        names = [cur.next()]
-        while cur.peek() == ",":
-            cur.next()
-            names.append(cur.next())
-        ps = tuple(names)
+        ps = tuple(_comma_list(cur))
     cur.expect(")")
     if child not in states:
         raise cur.error(f"probability block for undeclared variable {child!r}")
@@ -248,7 +239,7 @@ def _parse_probability(
             continue
         if cur.peek() == "table":
             cur.next()
-            vals = _parse_number_list(cur)
+            vals = _comma_list(cur, _parse_float)
             cur.expect(";")
             if len(vals) != n_rows * card:
                 raise cur.error(
@@ -266,7 +257,7 @@ def _parse_probability(
             idx += states[p].index(val) * st
         if not np.isnan(table[idx]).all():
             raise cur.error(f"{child!r} row {key} given twice")
-        vals = _parse_number_list(cur)
+        vals = _comma_list(cur, _parse_float)
         cur.expect(";")
         if len(vals) != card:
             raise cur.error(f"{child!r} row {key} has {len(vals)} entries, expected {card}")

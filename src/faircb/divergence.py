@@ -11,11 +11,12 @@ throughout, so entries stay finite even when individual weights overflow
 Both sides are reductions of one ``(K, 3, n_cells)`` table of cell masses
 per arm and regime (``_reduce``): column ``j`` of ``M`` reads the cells that
 arm ``j`` reaches observationally, row ``i`` of each ``D`` the cells that arm
-``i`` reaches under each forced regime, and each weighs them against every
-other arm at once.  ``DivergenceSet.exact`` reduces the cell laws, which an
-instance builds once (``sampling.cell_laws``) and shares with the sampler
-and the oracle report; past them it costs O(K^2 * n_cells).
-``DivergenceSet.mc`` reduces the empirical masses of drawn batches.
+``i`` reaches under each forced regime, each weighed against every other arm
+by the estimators' weight kernel (``sampling.weight_kernel``).
+``DivergenceSet.exact`` reduces the cell laws (``sampling.cell_laws``); past
+the laws and the kernel, which an instance builds once and each of its runs
+reads too, it costs O(K^2 * n_cells).  ``DivergenceSet.mc`` reduces the
+empirical masses of drawn batches.
 
 The arrays reduced here hold a few dozen cells, where the per-call overhead
 of ``scipy.special.logsumexp`` (array-API dispatch, dtype promotion, the
@@ -35,13 +36,9 @@ from .model import REGIMES, CausalModel
 # Bound here, though no code of this module calls it, so that the benchmark's
 # tracer (benchmarks/tracing.py) can count the calls made through it.
 from .oracles import enumerate_joint
-from .sampling import (
-    Cells, cell_laws, counterfactual_weight, model_cells, sample_batch, transport_weight,
-)
+from .sampling import cell_laws, model_cells, sample_batch, weight_kernel
 
 __all__ = ["DivergenceSet", "enumerate_joint"]
-
-_DIRECTIONS = ("ssp", "sps")
 
 
 def _logsumexp(a) -> np.ndarray:
@@ -76,34 +73,32 @@ def _outcome_cutoff(log_p, w: np.ndarray) -> np.ndarray:
         return 1.0 + _logsumexp(log_p + np.log(w) + w - 1.0)
 
 
-def _reduce(laws: np.ndarray, cells: Cells, tables: np.ndarray) -> tuple[np.ndarray, ...]:
+def _reduce(laws: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, ...]:
     """``M``, ``D_ssp`` and ``D_sps`` of the ``(K, 3, n_cells)`` cell masses ``laws``.
 
-    ``tables`` is the ``(K, rows, card)`` stack of arm tables.  Each
-    expectation reads only the cells its law reaches, where the shared zero
-    pattern between arms keeps the transport weight finite.  The diagonal of
-    ``M`` is set to 1.
+    ``kernel`` is the arms' weight kernel.  Each expectation reads only the
+    cells its law reaches, where the shared zero pattern between arms keeps
+    the transport weight finite.  A gather ``w[..., at]`` comes out cell-major,
+    the other arm fastest, as per-cell weights do, so each sum runs in their
+    order and to their bits.  The diagonal of ``M`` is set to 1.
     """
-    k = len(tables)
+    k = laws.shape[0]
 
     def reached(j: int, r: int):
         at = np.flatnonzero(laws[j, r])
-        return cells.take(at), np.log(laws[j, r, at])
+        return at, np.log(laws[j, r, at])
 
     m = np.ones((k, k), dtype=float)
     for j in range(k):
-        occupied, log_p = reached(j, 0)
-        m[:, j] = _outcome_cutoff(log_p, transport_weight(occupied, tables, tables[j]))
+        at, log_p = reached(j, 0)
+        m[:, j] = _outcome_cutoff(log_p, kernel[0, j][..., at])
     np.fill_diagonal(m, 1.0)
-    d = np.empty((len(_DIRECTIONS), k, k), dtype=float)
+    d = np.empty((2, k, k), dtype=float)
     for i in range(k):
-        parts = []
-        for r in (1, 2):  # REGIMES[1:]: S <- s, then S <- s'
-            occupied, log_p = reached(i, r)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = np.stack([counterfactual_weight(occupied, tables[i], tables, direction)
-                              for direction in _DIRECTIONS])
-            parts.append(_logsumexp(log_p + np.abs(u)))
+        # A view of the "ssp" then the "sps" weights of every source arm against
+        # target i, read on the cells arm i reaches under S <- s, then S <- s'.
+        u = kernel[2:0:-1, :, i]
+        parts = [_logsumexp(lp + np.abs(u[..., at])) for at, lp in (reached(i, 1), reached(i, 2))]
         d[:, i] = np.logaddexp(*parts)
     return m, d[0], d[1]
 
@@ -119,7 +114,7 @@ class DivergenceSet:
     @classmethod
     def exact(cls, model: CausalModel, arms) -> "DivergenceSet":
         tables = np.stack([a.table for a in arms])
-        return cls(*_reduce(cell_laws(model, arms), model_cells(model), tables))
+        return cls(*_reduce(cell_laws(model, arms), weight_kernel(model_cells(model), tables)))
 
     @classmethod
     def mc(cls, model: CausalModel, arms, draws: int, rng: np.random.Generator) -> "DivergenceSet":
@@ -137,7 +132,8 @@ class DivergenceSet:
             sizes = np.zeros((k, len(REGIMES)), dtype=np.int64)
             sizes[j, r] = draws
             masses[j, r] = sample_batch(model, laws, sizes, rng).counts[0] / draws
-        return cls(*_reduce(masses, model_cells(model), np.stack([a.table for a in arms])))
+        tables = np.stack([a.table for a in arms])
+        return cls(*_reduce(masses, weight_kernel(model_cells(model), tables)))
 
     @property
     def n_arms(self) -> int:

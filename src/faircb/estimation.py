@@ -11,27 +11,25 @@ A pull enters the estimates only through its cell (``sampling`` documents the
 cell code, the cell law and the model's ``Cells`` table), so the pool keeps
 counts, not pulls: one dense ``(K, 3, n_cells)`` int64 array, a row of
 per-cell counts per (source arm, regime) with regimes in ``REGIMES`` order,
-allocated at the first ``add``, and a ``(K, 3)`` mask of the blocks that have
-pulls.  ``add`` takes a batch as ``sampling.sample_batch`` draws it, one row
-of per-cell counts per nonzero entry of the phase's ``(K, 3)`` count matrix,
-and sums the rows into their slots in one indexed add; ``clear`` zeroes both
-in place.
+and a ``(K, 3)`` mask of the blocks that have pulls.  ``add`` takes a batch
+as ``sampling.sample_batch`` draws it, one row of per-cell counts per nonzero
+entry of the phase's ``(K, 3)`` count matrix, and sums the rows into their
+slots in one indexed add; ``clear`` zeroes both in place.
 
 A weight depends only on the cell and on the source and target arm tables,
-never on the phase or ``eps``; only the clip mask depends on ``eps``.  So the
-pool's first ``add`` looks up the instance's weight kernel
-(``sampling.weight_kernel``): the ``(3, K, K, n_cells)`` weights of every cell
-for every (regime, source, target), 3K^2 * ``n_cells`` floats, built once per
-instance through ``transport_weight`` and ``counterfactual_weight`` and kept
-in a bounded memo keyed on content, so later runs reuse it.  A v1 run
-clears its one pool between phases, so it too looks the kernel up once.
-Each phase then gathers, per pulled block (``SamplePool.pulled_blocks``: the
-mask's nonzero entries, source arm by source arm, then in ``REGIMES``
+never on the phase or ``eps``; only the clip mask depends on ``eps``.  So a
+pool looks up the instance's weight kernel (``sampling.weight_kernel``) when
+it is made, before any pull: the ``(3, K, K, n_cells)`` weights of every cell
+for every (regime, source, target), kept in a bounded memo keyed on content
+that ``DivergenceSet.exact`` and every run of the instance share.  A run
+makes one pool, which v1 clears between phases, so it looks the kernel up
+once.  Each phase then gathers, per pulled block (``SamplePool.pulled_blocks``:
+the mask's nonzero entries, source arm by source arm, then in ``REGIMES``
 order), the kernel columns of the block's occupied cells, clips them and
 dots the kept weights with ``count * y``: O(K * occupied cells) per block,
 the same at any horizon and for any number of pooled phases.  A cell's
-fields are bit for bit those of each of its pulls, so are its weights and clip masks; only the order of the
-summation differs from a per-pull sum.
+fields are bit for bit those of each of its pulls, so are its weights and
+clip masks; only the order of the summation differs from a per-pull sum.
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .divergence import DivergenceSet
-from .model import REGIMES, Arm, Regime
-from .sampling import BatchSamples, weight_kernel
+from .model import REGIMES, Arm, CausalModel, Regime
+from .sampling import BatchSamples, model_cells, weight_kernel
 
 __all__ = [
     "SamplePool",
@@ -55,36 +53,27 @@ __all__ = [
 
 class SamplePool:
     """Append-only per-cell counts of the pulls of every source arm under every
-    regime, weighed against the target ``arms``."""
+    regime, weighed against the target ``arms`` by ``model``'s weight kernel."""
 
-    def __init__(self, arms: Sequence[Arm]):
+    def __init__(self, model: CausalModel, arms: Sequence[Arm]):
         self.n_arms = len(arms)
-        self._arms = arms
-        self._counts: np.ndarray | None = None
+        cells = model_cells(model)
+        self._kernel = weight_kernel(cells, np.stack([arm.table for arm in arms]))
+        self._y = cells.y
+        self._counts = np.zeros((self.n_arms, len(REGIMES), cells.n_cells), dtype=np.int64)
         self._pulled = np.zeros((self.n_arms, len(REGIMES)), dtype=bool)
-        self._y: np.ndarray | None = None
-        self._kernel: np.ndarray | None = None
 
     def add(self, batch: BatchSamples) -> None:
-        """Sum the count row of every drawn entry of ``batch`` into its (arm, regime)
-        slot; the first add looks up the weight kernel of the batch's cells."""
-        if self._kernel is None:
-            self._kernel = weight_kernel(batch.cells, np.stack([arm.table for arm in self._arms]))
-            self._y = batch.cells.y
-            self._counts = np.zeros((self.n_arms, len(REGIMES), batch.n_cells), dtype=np.int64)
+        """Sum the count row of every drawn entry of ``batch`` into its (arm, regime) slot."""
         self._counts[batch.drawn] += batch.counts
         self._pulled[batch.drawn] = True
 
     def clear(self) -> None:
-        """Drop every count and keep the weight kernel, for a phase that
-        estimates from its own pulls alone (v1)."""
-        if self._counts is not None:
-            self._counts.fill(0)
+        """Drop every count, keeping the kernel, for a phase that reads its own pulls (v1)."""
+        self._counts.fill(0)
         self._pulled.fill(False)
 
     def counts(self, regime: Regime) -> np.ndarray:
-        if self._counts is None:
-            return np.zeros(self.n_arms, dtype=np.int64)
         return self._counts[:, REGIMES.index(regime)].sum(axis=1)
 
     def pulled_blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:

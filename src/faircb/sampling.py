@@ -38,11 +38,11 @@ drawn entries, one row of ``n_cells`` counts per entry, and the model's
 ``transport_weight`` and ``counterfactual_weight`` are the one place that
 turns pull fields into weights.  Both broadcast over leading table axes, so a
 ``(K, rows, card)`` stack of arm tables yields the weights of every entry
-against K arms at once.  The divergences and the oracle report feed them
-the cells a law reaches; the estimators read ``weight_kernel``, their table
-over every cell of an instance, which is found in a memo like the cell laws'
-(keyed on the contents of the ``Cells`` table and the arm tables, bounded by
-``_MEMO_LAWS``) and holds 3K^2 * ``n_cells`` floats.
+against K arms at once.  ``weight_kernel``, their table over every cell of an
+instance, is what the divergences and the estimators read; only the oracle
+report feeds them cells, each arm's own.  The kernel is found in a memo like
+the cell laws' (keyed on the contents of the ``Cells`` table and the arm
+tables, bounded by ``_MEMO_LAWS``) and holds 3K^2 * ``n_cells`` floats.
 """
 
 from __future__ import annotations

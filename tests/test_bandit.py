@@ -20,7 +20,7 @@ import faircb.sampling as sampling
 from faircb.allocation import cheap_arm_cap, round_counts
 from faircb.bandit import eliminate, fair_set, phase_schedule, run_csr, run_two_stage
 from faircb.divergence import DivergenceSet
-from faircb.errors import Infeasible
+from faircb.errors import EnumerationTooLarge, Infeasible
 from faircb.estimation import EstimateVector
 from faircb.model import Arm, Instance
 from faircb.netgen import build_network_experiment, liver_network
@@ -699,6 +699,31 @@ def test_a_v1_run_looks_the_kernel_up_once(monkeypatch, runner):
     assert len(trace.phases) > 1
     assert len(lookups) == 1
 
+
+
+@pytest.mark.parametrize("runner", [run_csr, run_two_stage])
+def test_the_kernel_is_looked_up_before_the_first_pull(monkeypatch, runner):
+    # A kernel that cannot be held fails the run before it draws anything.
+    def too_large(cells, tables):
+        raise EnumerationTooLarge("kernel over the cap")
+
+    sample_batch = sampling.sample_batch
+    pulls = []
+
+    def counted(*args):
+        pulls.append(args)
+        return sample_batch(*args)
+
+    monkeypatch.setattr(estimation, "weight_kernel", too_large)
+    monkeypatch.setattr(sampling, "sample_batch", counted)
+    model, arms = chain_model()
+    divergences = DivergenceSet.exact(model, arms)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(EnumerationTooLarge):
+        runner(model, arms, divergences, 1.0, 20_000, 0.2, "v2", rng)
+    assert pulls == []
+    assert rng.bit_generator.state == state
 
 def test_memoized_fractions_are_read_only():
     trace = make_chain_run()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 
-from faircb import divergence
+from faircb import divergence, sampling
 from faircb.divergence import DivergenceSet, _logsumexp
 from faircb.model import Arm, CausalModel
 from faircb.synth import SyntheticConfig, generate_synthetic
@@ -252,6 +252,24 @@ def test_divergence_set_mc_draws_each_batch_once(monkeypatch):
     DivergenceSet.mc(model, arms, draws=100, rng=np.random.default_rng(0))
     assert len(entries) == len(set(entries)) == 3 * len(arms)
 
+
+
+def test_warm_divergences_work_out_no_weight(monkeypatch):
+    # Both reductions read the weight kernel; once it is warm, no weight is
+    # worked out again (counterfactual_weight calls transport_weight too).
+    model, arms = chain_model()
+    DivergenceSet.exact(model, arms)
+    transport_weight = sampling.transport_weight
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transport_weight(*args)
+
+    monkeypatch.setattr(sampling, "transport_weight", counted)
+    DivergenceSet.exact(model, arms)
+    DivergenceSet.mc(model, arms, draws=100, rng=np.random.default_rng(0))
+    assert calls == []
 
 def test_quantile_frozen_values_and_validation():
     model, arms = chain_model()

@@ -1,5 +1,6 @@
-"""Every module imports on its own, exports only names it defines and uses what it
-imports; every test file uses what it imports too."""
+"""Every module imports on its own, exports only names it defines, uses what it
+imports and reads every private name it defines; every test file uses what it
+imports too."""
 
 from __future__ import annotations
 
@@ -58,3 +59,44 @@ def test_module_uses_every_name_it_imports(name):
     used.update(exported)
     unused = {x: line for x, line in imported.items() if x not in used}
     assert not unused, f"imported and never used (name: line): {unused}"
+
+
+def _unread_private_names(source: str) -> dict[str, int]:
+    """Module-level ``def _f``, ``class _C`` and ``_X = ...`` names that the
+    module never reads, by line."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defined.update((x, node.lineno) for x in names if x.startswith("_") and not x.startswith("__"))
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return {x: line for x, line in defined.items() if x not in read}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_reads_every_private_name_it_defines(name):
+    # A private name is the module's own business: if the module never reads
+    # it, it is dead code.
+    path = Path(importlib.import_module(f"faircb.{name}").__file__)
+    unread = _unread_private_names(path.read_text())
+    assert not unread, f"defined and never read (name: line): {unread}"
+
+
+def test_the_private_name_scan_flags_a_leftover_constant():
+    source = (
+        '_DIRECTIONS = ("ssp", "sps")\n'
+        "_CAP: int = 3\n"
+        "class _C: ...\n"
+        "def _f():\n    return _C, _CAP\n"
+        "x = _f()\n"
+    )
+    assert _unread_private_names(source) == {"_DIRECTIONS": 1}

@@ -677,7 +677,7 @@ def test_kernel_is_the_weights_of_any_cell_subset(fixture, seed):
                 continue
             counts = np.zeros((1, cells.n_cells), dtype=np.int64)
             counts[0, occ] = rng.integers(1, 5, size=occ.size)
-            pool = SamplePool(arms)
+            pool = SamplePool(model, arms)
             pool.add(BatchSamples((np.array([j]), np.array([r])), counts, cells))
             [(_, _, got, _, _)] = pool.pulled_blocks()
             assert got.tobytes() == want.tobytes() and layout(got) == layout(want), (j, regime)

@@ -27,7 +27,7 @@ from faircb.sweep import (
 )
 from faircb.synth import SyntheticConfig, generate_synthetic
 
-from helpers import chain_model, liver_experiment
+from helpers import chain_model, count_kernel_builds, liver_experiment
 
 
 @pytest.fixture(scope="module")
@@ -271,3 +271,14 @@ def test_an_instance_builds_its_cell_laws_once(monkeypatch):
     run_algorithm(instance, "ts-v2", 2000, np.random.default_rng(0))
     assert len(builds) == 1
     assert enumerations == []
+
+
+def test_an_instance_builds_its_weight_kernel_once(monkeypatch):
+    # The exact divergences, a sweep (which rebuilds them) and a run that
+    # builds its own divergences all read one kernel.
+    instance = liver_experiment(10)
+    builds = count_kernel_builds(monkeypatch)
+    DivergenceSet.exact(instance.model, instance.arms)
+    run_sweep(instance, [2000], runs=1, algorithms=["csr-v2"], width=1)
+    run_algorithm(instance, "ts-v2", 2000, np.random.default_rng(0))
+    assert len(builds) == 1

@@ -227,7 +227,7 @@ def _pull_phase(run: _Run, allocation: Allocation) -> tuple[int, float]:
     for spent in (run.costs.T[drawn] * counts[drawn]).tolist():
         cost += spent
     if drawn.any():
-        run.pool.add(sampling.sample_batch(run.model, run.laws, counts, run.rng))
+        run.pool.add(sampling.sample_batch(run.laws, counts, run.rng))
     return int(counts.sum()), cost
 
 
@@ -301,8 +301,9 @@ class _Run:
 
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng() if self.rng is None else self.rng
-        self.laws = sampling.cell_laws(self.model, self.arms)
-        self.pool = SamplePool(self.model, self.arms)
+        tables = sampling.instance_tables(self.model, self.arms)
+        self.laws = tables.laws
+        self.pool = SamplePool(tables)
         self.costs = costs_from_arms(self.arms)
         self.allocation = _Allocator(
             self.divergences, self.costs, self.budget, self.extra_constraints

@@ -12,11 +12,11 @@ Both sides are reductions of one ``(K, 3, n_cells)`` table of cell masses
 per arm and regime (``_reduce``): column ``j`` of ``M`` reads the cells that
 arm ``j`` reaches observationally, row ``i`` of each ``D`` the cells that arm
 ``i`` reaches under each forced regime, each weighed against every other arm
-by the estimators' weight kernel (``sampling.weight_kernel``).
-``DivergenceSet.exact`` reduces the cell laws (``sampling.cell_laws``); past
-the laws and the kernel, which an instance builds once and each of its runs
-reads too, it costs O(K^2 * n_cells).  ``DivergenceSet.mc`` reduces the
-empirical masses of drawn batches.
+by the estimators' weight kernel.  Laws and kernel are the instance's tables
+(``sampling.instance_tables``), which an instance builds once and each of
+its runs reads too.  ``DivergenceSet.exact`` reduces the cell laws; past the
+tables it costs O(K^2 * n_cells).  ``DivergenceSet.mc`` reduces the
+empirical masses of batches drawn from those laws.
 
 The arrays reduced here hold a few dozen cells, where the per-call overhead
 of ``scipy.special.logsumexp`` (array-API dispatch, dtype promotion, the
@@ -36,7 +36,7 @@ from .model import REGIMES, CausalModel
 # Bound here, though no code of this module calls it, so that the benchmark's
 # tracer (benchmarks/tracing.py) can count the calls made through it.
 from .oracles import enumerate_joint
-from .sampling import cell_laws, model_cells, sample_batch, weight_kernel
+from .sampling import instance_tables, sample_batch
 
 __all__ = ["DivergenceSet", "enumerate_joint"]
 
@@ -113,8 +113,8 @@ class DivergenceSet:
 
     @classmethod
     def exact(cls, model: CausalModel, arms) -> "DivergenceSet":
-        tables = np.stack([a.table for a in arms])
-        return cls(*_reduce(cell_laws(model, arms), weight_kernel(model_cells(model), tables)))
+        tables = instance_tables(model, arms)
+        return cls(*_reduce(tables.laws, tables.kernel))
 
     @classmethod
     def mc(cls, model: CausalModel, arms, draws: int, rng: np.random.Generator) -> "DivergenceSet":
@@ -126,14 +126,13 @@ class DivergenceSet:
         masses ``count / draws`` of these batches.
         """
         k = len(arms)
-        laws = cell_laws(model, arms)
-        masses = np.zeros(laws.shape)
+        tables = instance_tables(model, arms)
+        masses = np.zeros(tables.laws.shape)
         for j, r in [(j, 0) for j in range(k)] + [(i, r) for i in range(k) for r in (1, 2)]:
             sizes = np.zeros((k, len(REGIMES)), dtype=np.int64)
             sizes[j, r] = draws
-            masses[j, r] = sample_batch(model, laws, sizes, rng).counts[0] / draws
-        tables = np.stack([a.table for a in arms])
-        return cls(*_reduce(masses, weight_kernel(model_cells(model), tables)))
+            masses[j, r] = sample_batch(tables.laws, sizes, rng).counts[0] / draws
+        return cls(*_reduce(masses, tables.kernel))
 
     @property
     def n_arms(self) -> int:

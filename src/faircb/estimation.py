@@ -8,7 +8,7 @@ fall below one (outcome) or ``ln 2`` (fairness), so every kept term is bounded
 by ``2 ln(2 / eps)`` after its ``1 / M`` or ``1 / D`` factor.
 
 A pull enters the estimates only through its cell (``sampling`` documents the
-cell code, the cell law and the model's ``Cells`` table), so the pool keeps
+cell code, the cell law and the ``Cells`` table), so the pool keeps
 counts, not pulls: one dense ``(K, 3, n_cells)`` int64 array, a row of
 per-cell counts per (source arm, regime) with regimes in ``REGIMES`` order,
 and a ``(K, 3)`` mask of the blocks that have pulls.  ``add`` takes a batch
@@ -18,31 +18,32 @@ slots in one indexed add; ``clear`` zeroes both in place.
 
 A weight depends only on the cell and on the source and target arm tables,
 never on the phase or ``eps``; only the clip mask depends on ``eps``.  So a
-pool looks up the instance's weight kernel (``sampling.weight_kernel``) when
-it is made, before any pull: the ``(3, K, K, n_cells)`` weights of every cell
-for every (regime, source, target), kept in a bounded memo keyed on content
-that ``DivergenceSet.exact`` and every run of the instance share.  A run
-makes one pool, which v1 clears between phases, so it looks the kernel up
-once.  Each phase then gathers, per pulled block (``SamplePool.pulled_blocks``:
-the mask's nonzero entries, source arm by source arm, then in ``REGIMES``
-order), the kernel columns of the block's occupied cells, clips them and
-dots the kept weights with ``count * y``: O(K * occupied cells) per block,
-the same at any horizon and for any number of pooled phases.  A cell's
-fields are bit for bit those of each of its pulls, so are its weights and
-clip masks; only the order of the summation differs from a per-pull sum.
+pool is made from the instance's tables (``sampling.instance_tables``) and
+reads their weight kernel when it is made, before any pull: the
+``(3, K, K, n_cells)`` weights of every cell for every (regime, source,
+target), which ``DivergenceSet.exact`` and every run of the instance share
+through the tables' memo.  A run makes one pool, which v1 clears between
+phases, so it reads the kernel once.  Each phase then gathers, per pulled
+block (``SamplePool.pulled_blocks``: the mask's nonzero entries, source arm
+by source arm, then in ``REGIMES`` order), the kernel columns of the block's
+occupied cells, clips them and dots the kept weights with ``count * y``:
+O(K * occupied cells) per block, the same at any horizon and for any number
+of pooled phases.  A cell's fields are bit for bit those of each of its
+pulls, so are its weights and clip masks; only the order of the summation
+differs from a per-pull sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .divergence import DivergenceSet
-from .model import REGIMES, Arm, CausalModel, Regime
-from .sampling import BatchSamples, model_cells, weight_kernel
+from .model import REGIMES, Regime
+from .sampling import BatchSamples, InstanceTables
 
 __all__ = [
     "SamplePool",
@@ -53,14 +54,13 @@ __all__ = [
 
 class SamplePool:
     """Append-only per-cell counts of the pulls of every source arm under every
-    regime, weighed against the target ``arms`` by ``model``'s weight kernel."""
+    regime, weighed against every arm by the weight kernel of ``tables``."""
 
-    def __init__(self, model: CausalModel, arms: Sequence[Arm]):
-        self.n_arms = len(arms)
-        cells = model_cells(model)
-        self._kernel = weight_kernel(cells, np.stack([arm.table for arm in arms]))
-        self._y = cells.y
-        self._counts = np.zeros((self.n_arms, len(REGIMES), cells.n_cells), dtype=np.int64)
+    def __init__(self, tables: InstanceTables):
+        self._kernel = tables.kernel
+        self._y = tables.cells.y
+        self._counts = np.zeros(tables.laws.shape, dtype=np.int64)
+        self.n_arms = len(self._counts)
         self._pulled = np.zeros((self.n_arms, len(REGIMES)), dtype=bool)
 
     def add(self, batch: BatchSamples) -> None:

@@ -54,12 +54,17 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(payload: dict) -> Instance:
+    if not isinstance(payload, dict):
+        raise ParseError(f"an instance is a JSON object, not a {type(payload).__name__}")
     if payload.get("format") != FORMAT_TAG:
         raise ParseError(f"unknown instance format {payload.get('format')!r}")
     if payload.get("fairness_eps") is not None:
         check_fairness_eps(payload["fairness_eps"])
     try:
         md = payload["model"]
+        for field in ("cards", "parents", "cpts"):
+            if not isinstance(md[field], dict):
+                raise ParseError(f"model.{field} must be an object keyed by node id")
         model = CausalModel(
             nodes=tuple(md["nodes"]),
             cards={x: int(c) for x, c in md["cards"].items()},

@@ -110,7 +110,6 @@ class CausalModel:
         self.target_values = np.asarray(self.target_values, dtype=float)
         self._children: dict[str, tuple[str, ...]] | None = None
         self._topo: tuple[str, ...] | None = None
-        self._sample_plan = None  # built and read by faircb.sampling
 
     # -- structure helpers -------------------------------------------------
 

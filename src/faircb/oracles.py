@@ -5,11 +5,11 @@ pruning barren nodes keeps exactness while making deep graphs affordable.  The
 cell count of the visited closure is still capped (``FCB_ENUM_CAP`` overrides
 the default of ten million cells).  Arms differ only in V's factor, so
 ``enumerate_arms`` serves a whole stack of arm tables from one enumeration;
-it is what builds the cell laws of ``sampling.cell_laws``.
+it is what builds the cell laws of ``sampling.instance_tables``.
 
 ``oracle_report`` reduces those cell laws, so it enumerates nothing once an
-instance's laws are in the memo, and it needs the closure of the read nodes
-(not only of Y) within the cap.
+instance's tables are in the memo, never builds their weight kernel, and
+needs the closure of the read nodes (not only of Y) within the cap.
 """
 
 from __future__ import annotations
@@ -130,24 +130,25 @@ def oracle_report(instance: Instance, fairness_eps: float) -> dict:
     """Ground truth per arm: means, counterfactual gaps, the fair set and the best fair arm.
 
     Every quantity is an expectation under the arms' cell laws
-    (``sampling.cell_laws``): ``mu`` under the observational law, each gap
+    (``sampling.instance_tables``): ``mu`` under the observational law, each gap
     under the law forced to its evidence value, weighing each cell by the
     arm's own counterfactual weight.
     """
     check_fairness_eps(fairness_eps)
     # Imported here: ``sampling`` imports this module, so a module-level
     # import would close an import cycle.
-    from .sampling import cell_laws, counterfactual_weight, model_cells
+    from .sampling import counterfactual_weight, instance_tables
 
-    model, arms = instance.model, instance.arms
-    laws, cells = cell_laws(model, arms), model_cells(model)
+    arms = instance.arms
+    tables = instance_tables(instance.model, arms)
+    laws, cells = tables.laws, tables.cells
 
     def gap(k: int, r: int, direction: str) -> float:
         at = np.flatnonzero(laws[k, r])
-        reached, table = cells.take(at), arms[k].table
+        table = arms[k].table
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = counterfactual_weight(reached, table, table, direction)
-        return float(laws[k, r, at] @ (reached.y * u))
+            u = counterfactual_weight(cells, table, table, direction)[at]
+        return float(laws[k, r, at] @ (cells.y[at] * u))
 
     mu = [float(law @ cells.y) for law in laws[:, 0]]
     # "ssp" has evidence s' and reads pulls forced to s' (REGIMES[2]); "sps" the reverse.

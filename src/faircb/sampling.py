@@ -4,25 +4,26 @@ Cell code: the estimators read a pull only through the values of its *read
 nodes*: V's parents, V and Y, then each child of S other than V followed by
 its parents, each node once at its first place in that list.  A pull's cell
 is the row-major mixed-radix code of those values (the first read node
-varies slowest), so the plan's ``n_cells`` is the product of their
-cardinalities and every pull field is a function of the cell alone.  The
-plan decodes each code into its fields once per model, a ``Cells`` table of
-six ``n_cells`` vectors.  A model whose ``n_cells`` exceeds
-``oracles.enumeration_cap()`` raises ``EnumerationTooLarge``, which bounds the
-table and the per-cell counts of the estimators.
+varies slowest), so ``n_cells`` is the product of their cardinalities and
+every pull field is a function of the cell alone.  The decoded fields of
+every code form a ``Cells`` table of six ``n_cells`` vectors.  A model whose
+``n_cells`` exceeds ``oracles.enumeration_cap()`` raises
+``EnumerationTooLarge``, which bounds the table and the per-cell counts of
+the estimators.
 
 Cell law: since a pull enters every estimate only through its cell, ``n``
 pulls of one arm under one regime are fully described by
-``multinomial(n, P(cell | arm, regime))``.  ``cell_laws`` looks up the
-``(K, 3, n_cells)`` table of these laws, arms by position and regimes in
-``REGIMES`` order, in a process-wide memo keyed on content (the closure's
-structure and tables, the designated and the read nodes, the arm tables), so
-equal models built apart share one build and an edit in place forces a new
-one.  It keeps at most ``_MEMO_LAWS`` entries and, like the allocation memo,
-takes no lock.  A miss enumerates the ancestral closure of the read nodes
-once per regime for all arms (``oracles.enumerate_arms``), which raises
-``EnumerationTooLarge`` in ``cell_laws``, before any pull, when that closure
-is over the cap.
+``multinomial(n, P(cell | arm, regime))``.  ``instance_tables`` looks up the
+``Cells`` table, the ``(K, 3, n_cells)`` table of these laws (arms by
+position, regimes in ``REGIMES`` order) and the weight kernel of a model and
+its arms in one process-wide memo keyed on content (the closure's structure
+and its tables but V's, the read and designated nodes, the target encoding,
+the arm tables), so equal models built apart share one build and an edit in
+place forces a new one.  It keeps at most ``_MEMO_TABLES`` entries and, like
+the allocation memo, takes no lock.  A miss enumerates the ancestral closure
+of the read nodes once per regime for all arms (``oracles.enumerate_arms``),
+which raises ``EnumerationTooLarge`` before any pull when that closure is
+over the cap.
 
 Stream contract: a batch is a ``(K, 3)`` count matrix, ``sizes[j, r]`` pulls
 of arm ``j`` under ``REGIMES[r]``; the bandit loop draws a whole phase in one
@@ -32,25 +33,24 @@ consumes the generator entry after entry exactly as one
 ``rng.multinomial(n, law)`` per entry, in that order, and draws nothing for a
 zero entry.  So a phase drawn in one call has the counts, and leaves the
 generator in the state, of one call per nonzero entry.  A batch carries the
-drawn entries, one row of ``n_cells`` counts per entry, and the model's
-``Cells`` table.
+drawn entries and one row of ``n_cells`` counts per entry.
 
 ``transport_weight`` and ``counterfactual_weight`` are the one place that
 turns pull fields into weights.  Both broadcast over leading table axes, so a
 ``(K, rows, card)`` stack of arm tables yields the weights of every entry
-against K arms at once.  ``weight_kernel``, their table over every cell of an
-instance, is what the divergences and the estimators read; only the oracle
-report feeds them cells, each arm's own.  The kernel is found in a memo like
-the cell laws' (keyed on the contents of the ``Cells`` table and the arm
-tables, bounded by ``_MEMO_LAWS``) and holds 3K^2 * ``n_cells`` floats.
+against K arms at once.  The weight kernel, their table over every cell of an
+instance (3K^2 * ``n_cells`` floats), is what the divergences and the
+estimators read; the oracle report weighs each arm's cells with the arm's
+own table and never builds it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -61,12 +61,11 @@ from .oracles import attribute_ratio_values, enumerate_arms, enumeration_cap
 __all__ = [
     "Cells",
     "BatchSamples",
-    "cell_laws",
-    "model_cells",
+    "InstanceTables",
+    "instance_tables",
     "sample_batch",
     "transport_weight",
     "counterfactual_weight",
-    "weight_kernel",
 ]
 
 
@@ -80,7 +79,7 @@ class Cells:
     forced to s and s' (all three coincide when S is not a parent of the
     intervention node).  ``child_ratio`` is the product over the non
     intervention children of S of ``P(x | pa, s) / P(x | pa, s')`` at the
-    cell's values.  ``take(codes)`` holds the fields of the cells ``codes``.
+    cell's values.
     """
 
     y: np.ndarray
@@ -90,44 +89,19 @@ class Cells:
     v_row_sp: np.ndarray
     child_ratio: np.ndarray
 
-    @property
-    def n_cells(self) -> int:
-        return int(self.y.shape[0])
-
-    def take(self, codes: np.ndarray) -> "Cells":
-        return Cells(self.y[codes], self.v_row[codes], self.v_val[codes],
-                     self.v_row_s[codes], self.v_row_sp[codes], self.child_ratio[codes])
-
 
 @dataclass
 class BatchSamples:
     """Pulls drawn from a count matrix: ``drawn`` holds the arm and regime indices
-    of its nonzero entries, each (arm, regime) once, in draw order; ``counts[b]``
-    the pulls of entry ``b`` per cell code (see the module docstring) and
-    ``cells`` the table of the model's cells."""
+    of its nonzero entries, each (arm, regime) once, in draw order, and
+    ``counts[b]`` the pulls of entry ``b`` per cell code (see the module docstring)."""
 
     drawn: tuple[np.ndarray, np.ndarray]
     counts: np.ndarray
-    cells: Cells
 
     @property
     def n(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def n_cells(self) -> int:
-        return self.cells.n_cells
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """The mixed-radix cell code over the read nodes, the table of its cells and
-    the read nodes' ancestral closure, whose enumeration gives the cell laws."""
-
-    closure: tuple[str, ...]
-    cell_nodes: tuple[str, ...]
-    cell_strides: tuple[int, ...]
-    cells: Cells
 
 
 def _cell_code(model: CausalModel) -> tuple[tuple[str, ...], tuple[int, ...], int]:
@@ -173,78 +147,81 @@ def _decode_cells(
     return Cells(y, v_row, values[v], v_row_s, v_row_sp, child_ratio)
 
 
-def _plan(model: CausalModel) -> _Plan:
-    """The sampling plan of ``model``, built on first use and cached on the model."""
-    if model._sample_plan is None:
-        nodes, strides, n_cells = _cell_code(model)
-        cells = _decode_cells(model, nodes, strides, n_cells)
-        model._sample_plan = _Plan(model.ancestors(nodes), nodes, strides, cells)
-    return model._sample_plan
-
-
-def model_cells(model: CausalModel) -> Cells:
-    """The ``Cells`` table of ``model``'s cell codes, decoded once per model."""
-    return _plan(model).cells
-
-
-# Bound of the cell-law and weight-kernel memos: the tables each keeps, one per
-# model (or cell table) and arm set.
-_MEMO_LAWS = 8
-_LAWS: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-
-def _build_laws(model: CausalModel, plan: _Plan, tables: np.ndarray) -> np.ndarray:
+def _build_laws(
+    model: CausalModel, nodes: Sequence[str], strides: Sequence[int], n_cells: int,
+    tables: np.ndarray,
+) -> np.ndarray:
     """``P(cell | arm, regime)`` of every arm of the ``(K, rows, card)`` stack ``tables``.
 
     One enumeration of the closure per regime gives every arm's joint, which
     is binned by cell code.  Every law is normalized, so that tables whose
     rows sum to one only within ``ROW_ATOL`` still give valid multinomials.
     """
-    n_cells = plan.cells.n_cells
     laws = np.zeros((len(tables), len(REGIMES), n_cells))
     for row, regime in enumerate(REGIMES):
-        for probs, values in enumerate_arms(model, tables, plan.cell_nodes, regime.forced_value):
-            code = encode_rows(values, plan.cell_nodes, plan.cell_strides, probs.shape[1])
+        for probs, values in enumerate_arms(model, tables, nodes, regime.forced_value):
+            code = encode_rows(values, nodes, strides, probs.shape[1])
             for law, p in zip(laws[:, row], probs):
                 law += np.bincount(code, weights=p, minlength=n_cells)
     return laws / laws.sum(axis=2, keepdims=True)
 
 
-def _memoized(memo: OrderedDict, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
-    """``memo[key]``, built read-only on a miss; the ``_MEMO_LAWS`` most recent are kept."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = build()
-        value.flags.writeable = False
-        if len(memo) > _MEMO_LAWS:
-            memo.popitem(last=False)
-    else:
-        memo.move_to_end(key)
-    return value
+@dataclass(frozen=True)
+class InstanceTables:
+    """The cells, cell laws and weight kernel of one model and stack of ``arm_tables``.
+
+    ``laws`` is the read-only ``(K, 3, n_cells)`` cell-law table.  ``kernel``
+    is built on first read (see ``_build_kernel``) and read-only, so a caller
+    that reads only the laws never pays for it.
+    """
+
+    cells: Cells
+    laws: np.ndarray
+    arm_tables: np.ndarray
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        kernel = _build_kernel(self.cells, self.arm_tables)
+        kernel.flags.writeable = False
+        return kernel
 
 
-def cell_laws(model: CausalModel, arms: Sequence[Arm]) -> np.ndarray:
-    """The read-only ``(K, 3, n_cells)`` cell laws of ``arms``, from the memo or built
-    on a miss; a closure over the enumeration cap raises here, before any pull."""
-    plan = _plan(model)
+# Bound of the instance-table memo: the entries it keeps, one per model and arm set.
+_MEMO_TABLES = 8
+_TABLES: OrderedDict[tuple, InstanceTables] = OrderedDict()
+
+
+def instance_tables(model: CausalModel, arms: Sequence[Arm]) -> InstanceTables:
+    """The ``InstanceTables`` of ``arms`` over ``model``'s cells, from the memo or
+    built on a miss; a read set or closure over the enumeration cap raises here,
+    before any pull."""
+    nodes, strides, n_cells = _cell_code(model)
+    closure = model.ancestors(nodes)
     tables = np.stack([arm.table for arm in arms])
     v = model.intervention
     key = (
-        tuple((x, model.cards[x], model.parents[x]) for x in plan.closure), plan.cell_nodes,
-        tuple(array_key(model.cpts[x]) for x in plan.closure if x != v),
-        (model.sensitive, v), array_key(tables),
+        tuple((x, model.cards[x], model.parents[x]) for x in closure), nodes,
+        tuple(array_key(model.cpts[x]) for x in closure if x != v),
+        (model.sensitive, v, model.target), array_key(model.target_values), array_key(tables),
     )
-    return _memoized(_LAWS, key, lambda: _build_laws(model, plan, tables))
+    found = _TABLES.get(key)
+    if found is not None:
+        _TABLES.move_to_end(key)
+        return found
+    laws = _build_laws(model, nodes, strides, n_cells, tables)
+    laws.flags.writeable = tables.flags.writeable = False
+    cells = _decode_cells(model, nodes, strides, n_cells)
+    found = _TABLES[key] = InstanceTables(cells, laws, tables)
+    if len(_TABLES) > _MEMO_TABLES:
+        _TABLES.popitem(last=False)
+    return found
 
 
-def sample_batch(
-    model: CausalModel, laws: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
-) -> BatchSamples:
+def sample_batch(laws: np.ndarray, sizes: np.ndarray, rng: np.random.Generator) -> BatchSamples:
     """Draw the ``(K, 3)`` count matrix ``sizes``: the cell counts of ``sizes[j, r]``
     pulls from the law ``laws[j, r]``, every nonzero entry in one ``rng.multinomial``."""
     drawn = np.nonzero(sizes)
-    counts = rng.multinomial(sizes[drawn], laws[drawn])
-    return BatchSamples(drawn, counts, _plan(model).cells)
+    return BatchSamples(drawn, rng.multinomial(sizes[drawn], laws[drawn]))
 
 
 def transport_weight(cells: Cells, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -278,9 +255,6 @@ def counterfactual_weight(
     return transport_weight(cells, targets, sources) * (ratio - 1.0)
 
 
-_KERNELS: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-
 def _build_kernel(cells: Cells, tables: np.ndarray) -> np.ndarray:
     """The ``(3, K, K, n_cells)`` weights of every cell: ``[r, j, k]`` weighs source
     arm ``j``'s pulls under ``REGIMES[r]`` against target arm ``k``.
@@ -299,10 +273,3 @@ def _build_kernel(cells: Cells, tables: np.ndarray) -> np.ndarray:
     # Stored cell-major: the weights of gathered cells then come out in the
     # (target-fastest) layout that both functions give a subset of cells.
     return np.ascontiguousarray(kernel.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
-
-
-def weight_kernel(cells: Cells, tables: np.ndarray) -> np.ndarray:
-    """The read-only weight kernel of ``cells`` under the ``(K, rows, card)`` arm
-    tables, from a memo keyed on both contents or built on a miss (see ``_build_kernel``)."""
-    key = (tuple(array_key(getattr(cells, f.name)) for f in fields(cells)), array_key(tables))
-    return _memoized(_KERNELS, key, lambda: _build_kernel(cells, tables))

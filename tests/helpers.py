@@ -427,27 +427,45 @@ def empirical_quantile_gamma(
     return _min_tail_quantile(weights, probs, eps / 2.0)
 
 
+def take(cells: Cells, codes: np.ndarray) -> Cells:
+    """The fields of the cells ``codes`` of ``cells``, in that order."""
+    return Cells(*(getattr(cells, f.name)[codes] for f in fields(Cells)))
+
+
+@dataclass
+class CellBatch(BatchSamples):
+    """A drawn batch together with the ``Cells`` table its counts index, so that
+    its pulls can be read one by one."""
+
+    cells: Cells
+
+    @property
+    def n_cells(self) -> int:
+        return self.cells.y.size
+
+
 def sample_block(
     model: CausalModel, arm: Arm, regime: Regime, n: int, rng: np.random.Generator
-) -> BatchSamples:
+) -> CellBatch:
     """``n`` pulls of ``arm`` under ``regime``: a count matrix whose one entry sits in
     row ``arm.index``, drawn from that arm's own cell laws."""
     sizes = np.zeros((arm.index + 1, len(REGIMES)), dtype=np.int64)
     sizes[arm.index, REGIMES.index(regime)] = n
-    laws = sampling.cell_laws(model, [arm])
-    laws = np.broadcast_to(laws, sizes.shape + laws.shape[2:])
-    return sampling.sample_batch(model, laws, sizes, rng)
+    tables = sampling.instance_tables(model, [arm])
+    laws = np.broadcast_to(tables.laws, sizes.shape + tables.laws.shape[2:])
+    batch = sampling.sample_batch(laws, sizes, rng)
+    return CellBatch(batch.drawn, batch.counts, tables.cells)
 
 
-def cell_codes(batch: BatchSamples) -> np.ndarray:
+def cell_codes(batch: CellBatch) -> np.ndarray:
     """The cell code of every pull of ``batch``, entry after entry, ascending within an entry."""
     codes = np.tile(np.arange(batch.n_cells), len(batch.counts))
     return np.repeat(codes, batch.counts.ravel())
 
 
-def pull_fields(batch: BatchSamples) -> Cells:
+def pull_fields(batch: CellBatch) -> Cells:
     """The fields of every pull of ``batch``, in the order of ``cell_codes``."""
-    return batch.cells.take(cell_codes(batch))
+    return take(batch.cells, cell_codes(batch))
 
 
 def mc_outcome_mean(model: CausalModel, arm: Arm, draws: int, rng: np.random.Generator) -> float:
@@ -795,13 +813,13 @@ class ReferencePool:
         self.n_arms = n_arms
         self._blocks: dict[tuple[int, Regime], list[Cells]] = {}
 
-    def add(self, batch: BatchSamples) -> None:
+    def add(self, batch: CellBatch) -> None:
         """Unpack each drawn entry's counts into one pull per count, in cell order."""
         for arm, r, counts in zip(*batch.drawn, batch.counts):
             if not 0 <= arm < self.n_arms:
                 raise ValueError(f"arm index {arm} out of range")
             cell = np.repeat(np.arange(batch.n_cells), counts)
-            self._blocks.setdefault((int(arm), REGIMES[r]), []).append(batch.cells.take(cell))
+            self._blocks.setdefault((int(arm), REGIMES[r]), []).append(take(batch.cells, cell))
 
     def packed(self, arm: int, regime: Regime) -> Cells | None:
         """The fields of every pull of ``arm`` under ``regime``, pull by pull,
@@ -971,7 +989,7 @@ def count_kernel_builds(monkeypatch) -> list:
         return build(cells, tables)
 
     monkeypatch.setattr(sampling, "_build_kernel", counted)
-    sampling._KERNELS.clear()
+    sampling._TABLES.clear()
     return builds
 
 

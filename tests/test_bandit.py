@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faircb.bandit as bandit
-import faircb.estimation as estimation
 import faircb.sampling as sampling
 from faircb.allocation import cheap_arm_cap, round_counts
 from faircb.bandit import eliminate, fair_set, phase_schedule, run_csr, run_two_stage
@@ -664,12 +663,20 @@ def assert_traces_do_not_depend_on(memo, fixture: str) -> None:
 
 @pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))
 def test_seeded_traces_do_not_depend_on_the_law_memo(fixture):
-    assert_traces_do_not_depend_on(sampling._LAWS, fixture)
+    assert_traces_do_not_depend_on(sampling._TABLES, fixture)
+
+
+class _MemoKernels:
+    """The kernels held in the instance-table memo; ``clear`` drops them and keeps the laws."""
+
+    def clear(self) -> None:
+        for tables in sampling._TABLES.values():
+            vars(tables).pop("kernel", None)
 
 
 @pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))
 def test_seeded_traces_do_not_depend_on_the_kernel_memo(fixture):
-    assert_traces_do_not_depend_on(sampling._KERNELS, fixture)
+    assert_traces_do_not_depend_on(_MemoKernels(), fixture)
 
 
 def test_a_v1_run_builds_the_kernel_once(monkeypatch):
@@ -683,14 +690,14 @@ def test_a_v1_run_builds_the_kernel_once(monkeypatch):
 def test_a_v1_run_looks_the_kernel_up_once(monkeypatch, runner):
     # A content-keyed lookup costs tens of microseconds; a v1 run pays it
     # once, not once per phase.
-    lookup = sampling.weight_kernel
+    lookup = sampling.instance_tables
     lookups = []
 
-    def counted(cells, tables):
-        lookups.append(tables)
-        return lookup(cells, tables)
+    def counted(model, arms):
+        lookups.append(arms)
+        return lookup(model, arms)
 
-    monkeypatch.setattr(estimation, "weight_kernel", counted)
+    monkeypatch.setattr(sampling, "instance_tables", counted)
     model, arms = chain_model()
     trace = runner(
         model, arms, DivergenceSet.exact(model, arms), 1.0, 20_000, 0.2,
@@ -714,10 +721,11 @@ def test_the_kernel_is_looked_up_before_the_first_pull(monkeypatch, runner):
         pulls.append(args)
         return sample_batch(*args)
 
-    monkeypatch.setattr(estimation, "weight_kernel", too_large)
-    monkeypatch.setattr(sampling, "sample_batch", counted)
     model, arms = chain_model()
     divergences = DivergenceSet.exact(model, arms)
+    sampling._TABLES.clear()
+    monkeypatch.setattr(sampling, "_build_kernel", too_large)
+    monkeypatch.setattr(sampling, "sample_batch", counted)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(EnumerationTooLarge):

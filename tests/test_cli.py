@@ -13,11 +13,11 @@ import faircb.sweep as sweep_mod
 from faircb import errors
 from faircb.cli import main
 from faircb.divergence import DivergenceSet
-from faircb.io import load_instance, save_instance
+from faircb.io import instance_to_dict, load_instance, save_instance
 from faircb.model import Instance
 from faircb.netgen import build_network_experiment, liver_network
 
-from helpers import chain_model
+from helpers import chain_model, count_kernel_builds
 from test_bif import MINI
 
 CONFIG = {
@@ -156,6 +156,14 @@ def test_oracle_report(tmp_path, instance_file):
     assert "instance_digest" in report
 
 
+def test_oracle_builds_no_weight_kernel(tmp_path, instance_file, monkeypatch):
+    # The report weighs each arm's cells by the arm's own table; the
+    # 3K^2 * n_cells kernel of the instance's tables stays unbuilt.
+    builds = count_kernel_builds(monkeypatch)
+    assert main(["oracle", "--instance", instance_file, "--out", str(tmp_path / "r.json")]) == 0
+    assert builds == []
+
+
 def test_oracle_needs_a_fairness_tolerance(tmp_path, capsys):
     model, arms = chain_model()
     path = tmp_path / "bare.json"
@@ -201,6 +209,67 @@ def test_divergence_rejects_negative_draws(tmp_path, instance_file, capsys):
 
 def test_oracle_missing_file(tmp_path):
     assert main(["oracle", "--instance", str(tmp_path / "nope.json")]) == 2
+
+
+def chain_payload() -> dict:
+    """The instance file contents of the chain model with a fairness tolerance."""
+    model, arms = chain_model()
+    return instance_to_dict(Instance(model=model, arms=arms, name="chain", fairness_eps=0.2))
+
+
+def oracle_exit(tmp_path, payload) -> int:
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    return main(["oracle", "--instance", str(path)])
+
+
+# (payload edit, message) of instance files whose JSON has the wrong shape.
+MISSHAPEN_FILES = {
+    "top-level list": (lambda p: [p], "an instance is a JSON object, not a list"),
+    "cards list": (lambda p: p["model"].update(cards=[2, 3, 2]), "model.cards must be an object"),
+    "parents list": (lambda p: p["model"].update(parents=[[], ["S"], ["V"]]),
+                     "model.parents must be an object"),
+    "cpts list": (lambda p: p["model"].update(cpts=list(p["model"]["cpts"].values())),
+                  "model.cpts must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN_FILES))
+def test_oracle_rejects_a_misshapen_instance_file(tmp_path, capsys, case):
+    edit, message = MISSHAPEN_FILES[case]
+    payload = chain_payload()
+    payload = edit(payload) or payload
+    assert oracle_exit(tmp_path, payload) == 2
+    assert message in capsys.readouterr().err
+
+
+def drop(mapping: dict, key: str) -> None:
+    del mapping[key]
+
+
+# (model edit, problem) for each structural check of ``validate_model`` on the chain S -> V -> Y.
+INVALID_MODELS = {
+    "duplicate node ids": (lambda m: m.update(nodes=["S", "V", "Y", "Y"]), "duplicate node ids"),
+    "unknown parent": (lambda m: m["parents"].update(Y=["V", "Q"]), "Y: unknown parent 'Q'"),
+    "own parent": (lambda m: m["parents"].update(Y=["Y"]), "Y: is its own parent"),
+    "missing parent declaration": (lambda m: drop(m["parents"], "Y"), "Y: missing parent declaration"),
+    "missing table": (lambda m: drop(m["cpts"], "Y"), "Y: missing conditional table"),
+    "empty support": (lambda m: m["cards"].update(Y=0), "Y: support must be nonempty"),
+    "table shape": (lambda m: m["cpts"].update(Y=[[0.5, 0.5]]), "Y: table shape (1, 2) != (3, 2)"),
+    "sensitive not in the model": (lambda m: m.update(sensitive="Q"),
+                                   "sensitive node 'Q' is not in the model"),
+    "target not in the model": (lambda m: m.update(target="Q"), "target node 'Q' is not in the model"),
+    "cycle": (lambda m: m["parents"].update(S=["Y"]), "graph has a cycle"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_MODELS))
+def test_oracle_rejects_an_invalid_model(tmp_path, capsys, case):
+    edit, problem = INVALID_MODELS[case]
+    payload = chain_payload()
+    edit(payload["model"])
+    assert oracle_exit(tmp_path, payload) == 2
+    assert problem in capsys.readouterr().err
 
 
 def test_divergence_exact_and_mc(tmp_path, instance_file):

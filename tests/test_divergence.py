@@ -241,11 +241,11 @@ def test_divergence_set_mc_draws_each_batch_once(monkeypatch):
     sample_batch = divergence.sample_batch
     entries = []
 
-    def counted(model, laws, sizes, rng):
+    def counted(laws, sizes, rng):
         (j, r), = zip(*np.nonzero(sizes))
         assert sizes[j, r] == 100
         entries.append((int(j), int(r)))
-        return sample_batch(model, laws, sizes, rng)
+        return sample_batch(laws, sizes, rng)
 
     monkeypatch.setattr(divergence, "sample_batch", counted)
     model, arms = chain_model()

@@ -16,6 +16,7 @@ from faircb import sampling
 from faircb.sampling import BatchSamples, Cells
 
 from helpers import (
+    CellBatch,
     NoSamples,
     ReferencePool,
     chain_model,
@@ -35,7 +36,7 @@ EPS_GRID = (1.0, 0.5, 0.25, 0.125)
 
 def fill_pools(model, arms, per_regime, rng) -> tuple[SamplePool, ReferencePool]:
     """The same pulls in a per-cell pool and in a per-pull reference pool."""
-    pool, ref = SamplePool(model, arms), ReferencePool(len(arms))
+    pool, ref = SamplePool(sampling.instance_tables(model, arms)), ReferencePool(len(arms))
     for arm in arms:
         for regime in Regime:
             batch = sample_block(model, arm, regime, per_regime, rng)
@@ -47,7 +48,7 @@ def fill_pools(model, arms, per_regime, rng) -> tuple[SamplePool, ReferencePool]
 def test_pool_bookkeeping():
     model, arms = chain_model()
     rng = np.random.default_rng(0)
-    pool = SamplePool(model, arms)
+    pool = SamplePool(sampling.instance_tables(model, arms))
     pool.add(sample_block(model, arms[0], Regime.OBSERVATIONAL, 7, rng))
     pool.add(sample_block(model, arms[0], Regime.OBSERVATIONAL, 5, rng))
     pool.add(sample_block(model, arms[2], Regime.FORCE_S, 4, rng))
@@ -74,7 +75,7 @@ def test_estimate_all_reads_only_the_pulled_block(monkeypatch):
     rng = np.random.default_rng(3)
     for j, arm in enumerate(arms):
         for r, regime in enumerate(Regime):
-            pool = SamplePool(model, arms)
+            pool = SamplePool(sampling.instance_tables(model, arms))
             pool.add(sample_block(model, arm, regime, 50, rng))
             read = []
             pulled_blocks = pool.pulled_blocks
@@ -126,7 +127,7 @@ def test_cell_pool_matches_per_pull_reference(seed):
     inst = random_instance(rng)
     model, arms = inst.model, inst.arms
     div = DivergenceSet.exact(model, arms)
-    pool, ref = SamplePool(model, arms), ReferencePool(len(arms))
+    pool, ref = SamplePool(sampling.instance_tables(model, arms)), ReferencePool(len(arms))
     blocks = [(arm, regime) for arm in arms for regime in Regime]
     # Up to three adds per block; some blocks stay empty, so some estimates are missing.
     adds = [(arm, regime, int(n)) for arm, regime in blocks
@@ -231,7 +232,7 @@ def test_estimator_concentrates_on_exact_mean():
 def test_missing_estimates_are_nan():
     model, arms = chain_model()
     div = DivergenceSet.exact(model, arms)
-    pool, ref = SamplePool(model, arms), ReferencePool(3)
+    pool, ref = SamplePool(sampling.instance_tables(model, arms)), ReferencePool(3)
     vec = estimate_all(pool, 0.5, div)
     assert np.all(np.isnan(vec.y))
     with pytest.raises(NoSamples):
@@ -282,7 +283,7 @@ def test_clipping_drops_oversized_weights():
     pool.add(
         # One hand-built pull of arm 0 at v = 0 with y = 1: the transported
         # weight onto arm 1 is 0.9 / 0.1 = 9.
-        BatchSamples(
+        CellBatch(
             drawn=(np.array([0]), np.array([0])),
             counts=np.array([[1]]),
             cells=Cells(
@@ -322,8 +323,9 @@ def test_estimates_do_not_depend_on_how_pulls_are_split_over_adds(seed):
     div = DivergenceSet.exact(model, arms)
     shape = (len(arms), len(REGIMES))
     sizes = rng.integers(0, 60, size=shape) * (rng.random(shape) < 0.7)
-    batch = sampling.sample_batch(model, sampling.cell_laws(model, arms), sizes, rng)
-    whole = SamplePool(model, arms)
+    tables = sampling.instance_tables(model, arms)
+    batch = sampling.sample_batch(tables.laws, sizes, rng)
+    whole = SamplePool(tables)
     whole.add(batch)
     # Each piece is one entry's share; a batch holds each (arm, regime) at most
     # once, so the two shares of an entry go to different adds.
@@ -333,15 +335,14 @@ def test_estimates_do_not_depend_on_how_pulls_are_split_over_adds(seed):
         for half, share in zip(halves, (part, counts - part)):
             if share.any():
                 half.append((j, r, share))
-    split = SamplePool(model, arms)
+    split = SamplePool(tables)
     for half in (halves[i] for i in rng.permutation(2)):
         order = rng.permutation(len(half))
         for group in np.array_split(order, int(rng.integers(1, len(half) + 2))):
             split.add(BatchSamples(
                 (np.array([half[i][0] for i in group], dtype=np.intp),
                  np.array([half[i][1] for i in group], dtype=np.intp)),
-                np.array([half[i][2] for i in group], dtype=np.int64).reshape(len(group), batch.n_cells),
-                batch.cells,
+                np.array([half[i][2] for i in group], dtype=np.int64).reshape(len(group), tables.laws.shape[2]),
             ))
     for regime in Regime:
         np.testing.assert_array_equal(split.counts(regime), whole.counts(regime))

@@ -1,6 +1,6 @@
 """Every module imports on its own, exports only names it defines, uses what it
-imports and reads every private name it defines; every test file uses what it
-imports too."""
+imports and reads every private name it defines, and no module but ``model``
+stores anything on a model; every test file uses what it imports too."""
 
 from __future__ import annotations
 
@@ -100,3 +100,43 @@ def test_the_private_name_scan_flags_a_leftover_constant():
         "x = _f()\n"
     )
     assert _unread_private_names(source) == {"_DIRECTIONS": 1}
+
+
+def _model_attribute_writes(source: str) -> dict[str, int]:
+    """Each ``param.attr`` that a function stores to, by line, where ``param`` is
+    one of its parameters annotated ``CausalModel``."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+        models = {
+            a.arg for a in params
+            if a.annotation is not None and "CausalModel" in ast.unparse(a.annotation)
+        }
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id in models):
+                found[f"{node.value.id}.{node.attr}"] = node.lineno
+    return found
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "model"])
+def test_module_stores_nothing_on_a_model(name):
+    # A value cached on a model is keyed on its identity, so it goes stale when
+    # the model is edited in place; memos elsewhere are keyed on content.
+    path = Path(importlib.import_module(f"faircb.{name}").__file__)
+    writes = _model_attribute_writes(path.read_text())
+    assert not writes, f"stored on a CausalModel parameter (attribute: line): {writes}"
+
+
+def test_the_model_write_scan_flags_a_cache_on_the_model():
+    source = (
+        "def f(model: CausalModel, other):\n"
+        "    model._plan = 1\n"
+        "    other.x = model.cards\n"
+        "def g(m: 'CausalModel | None'):\n"
+        "    m.n, z = 1, 2\n"
+        "    m.k += 1\n"
+    )
+    assert _model_attribute_writes(source) == {"model._plan": 2, "m.n": 5, "m.k": 6}

@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faircb.sampling as sampling
+from faircb.divergence import DivergenceSet
 from faircb.errors import EnumerationTooLarge
 from faircb.estimation import SamplePool
+from faircb.io import instance_from_dict, instance_to_dict
 from faircb.model import REGIMES, Arm, CausalModel, Instance, Regime
+from faircb.oracles import oracle_report
 from faircb.sampling import (
     BatchSamples,
     counterfactual_weight,
     transport_weight,
-    weight_kernel,
 )
 from faircb.sweep import run_algorithm
 
@@ -41,6 +43,7 @@ from helpers import (
     sample,
     sample_block,
     side_child_model,
+    take,
 )
 
 _PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
@@ -48,18 +51,18 @@ _PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")
 
 def laws_of(model, arms) -> np.ndarray:
     """The ``(K, 3, n_cells)`` cell laws a run over ``arms`` draws from."""
-    return sampling.cell_laws(model, arms)
+    return sampling.instance_tables(model, arms).laws
 
 
 def draw(model, arms, sizes, rng) -> BatchSamples:
     """One ``sample_batch`` call over the count matrix ``sizes`` of ``arms``."""
-    return sampling.sample_batch(model, laws_of(model, arms), np.asarray(sizes), rng)
+    return sampling.sample_batch(laws_of(model, arms), np.asarray(sizes), rng)
 
 
 def assert_table_holds(cells, ref) -> None:
     """The ``Cells`` table entry of every pull of the reference ``ref`` holds that pull's fields."""
-    assert cells.n_cells == ref.n_cells
-    at = cells.take(ref.cell)
+    assert cells.y.size == ref.n_cells
+    at = take(cells, ref.cell)
     for name in _PULL_FIELDS:
         np.testing.assert_array_equal(getattr(at, name), getattr(ref.fields, name), err_msg=name)
 
@@ -284,7 +287,7 @@ def test_weight_kernel_matches_scalar_references(seed):
         for regime in Regime:
             # The model's cell table holds the fields of a single-pull reference draw.
             ref = as_pulls([sample(model, arm, regime, rng)])
-            assert_table_holds(sampling.model_cells(model), ref)
+            assert_table_holds(sampling.instance_tables(model, arms).cells, ref)
 
             pulls = [sample(model, arm, regime, rng) for _ in range(12)]
             batch = as_pulls(pulls).fields
@@ -390,10 +393,10 @@ def assert_phase_stream(model, arms, sizes, seed):
     multinomials do."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     laws = laws_of(model, arms)
-    batch = sampling.sample_batch(model, laws, sizes, rng)
+    batch = sampling.sample_batch(laws, sizes, rng)
     entries = [(j, r) for j in range(len(arms)) for r in range(len(REGIMES)) if sizes[j, r]]
     assert list(zip(*(a.tolist() for a in batch.drawn))) == entries
-    assert batch.counts.shape == (len(entries), batch.n_cells)
+    assert batch.counts.shape == (len(entries), laws.shape[2])
     for row, (j, r) in zip(batch.counts, entries):
         np.testing.assert_array_equal(row, ref_rng.multinomial(sizes[j, r], laws[j, r]))
     assert batch.n == sizes.sum() == batch.counts.sum()
@@ -429,7 +432,7 @@ def assert_cells_hold_the_full_walk_fields(model, arm, regime, n, seed):
     walk computes for each of the pulls in that cell."""
     table = sample_block(model, arm, regime, 1, np.random.default_rng(seed)).cells
     ref = reference_sample_batch(model, arm, regime, n, np.random.default_rng(seed))
-    assert table.n_cells == ref.n_cells
+    assert table.y.size == ref.n_cells
     for code in np.unique(ref.cell):
         at = ref.cell == code
         for name in _PULL_FIELDS:
@@ -473,6 +476,7 @@ def test_cell_table_is_decoded_once_per_model(monkeypatch):
         return decode(model, *args)
 
     monkeypatch.setattr(sampling, "_decode_cells", counted)
+    sampling._TABLES.clear()
     model, arms = chain_model()
     instance = Instance(model=model, arms=tuple(arms))
     # csr-v1 pools each phase apart, csr-v2 pools them all; both read the one table.
@@ -490,7 +494,7 @@ def assert_laws_match_the_oracles(model, arms, fairness) -> None:
     each forced law, weighed by y times the arm's own counterfactual weight,
     gives its counterfactual gap ``fairness(model, arm, direction)``, to 1e-12."""
     laws = laws_of(model, arms)
-    cells = sampling.model_cells(model)
+    cells = sampling.instance_tables(model, arms).cells
     rows = {regime: row for row, regime in enumerate(Regime)}
     for k, arm in enumerate(arms):
         law = laws[k, rows[Regime.OBSERVATIONAL]]
@@ -498,7 +502,7 @@ def assert_laws_match_the_oracles(model, arms, fairness) -> None:
         for direction, regime in (("ssp", Regime.FORCE_SPRIME), ("sps", Regime.FORCE_S)):
             law = laws[k, rows[regime]]
             at = np.flatnonzero(law)
-            occupied = cells.take(at)
+            occupied = take(cells, at)
             u = counterfactual_weight(occupied, arm.table, arm.table, direction)
             assert law[at] @ (occupied.y * u) == pytest.approx(fairness(model, arm, direction), abs=1e-12)
         np.testing.assert_allclose(laws[k].sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -566,10 +570,10 @@ def test_closure_over_the_cap_raises_before_any_pull(monkeypatch):
     # The liver's read nodes span 384 cells, their closure 9216.
     liver = liver_experiment(2)
     monkeypatch.setenv("FCB_ENUM_CAP", "9215")
-    sampling._LAWS.clear()
+    sampling._TABLES.clear()
     with pytest.raises(EnumerationTooLarge, match="9216 cells over .*'fibrosis'"):
-        sampling.cell_laws(liver.model, liver.arms)
-    assert not sampling._LAWS
+        sampling.instance_tables(liver.model, liver.arms)
+    assert not sampling._TABLES
     monkeypatch.setenv("FCB_ENUM_CAP", "9216")
     empty = np.zeros((2, 3), dtype=np.int64)
     assert draw(liver.model, liver.arms, empty, np.random.default_rng(0)).n == 0
@@ -585,7 +589,7 @@ def count_law_builds(monkeypatch) -> list:
         return build(model, *args)
 
     monkeypatch.setattr(sampling, "_build_laws", counted)
-    sampling._LAWS.clear()
+    sampling._TABLES.clear()
     return builds
 
 
@@ -615,14 +619,43 @@ def test_editing_an_arm_table_in_place_forces_a_rebuild(monkeypatch):
         after[0, 0, 0] = 0.5
 
 
+def exact_and_report(instance) -> tuple:
+    """The bytes of the exact divergences of ``instance`` and its oracle report."""
+    div = DivergenceSet.exact(instance.model, instance.arms)
+    report = oracle_report(instance, instance.fairness_eps)
+    return div.m.tobytes(), div.d_ssp.tobytes(), div.d_sps.tobytes(), report
+
+
+def assert_matches_a_fresh_copy(instance) -> tuple:
+    """``exact_and_report`` of ``instance`` equals that of a copy rebuilt from its
+    file contents on a cold memo, bit for bit; returns it."""
+    got = exact_and_report(instance)
+    sampling._TABLES.clear()
+    assert got == exact_and_report(instance_from_dict(instance_to_dict(instance)))
+    return got
+
+
+def test_editing_the_model_in_place_reaches_the_divergences_and_the_report():
+    # PBC is the child of S in the liver network, so its table enters every
+    # counterfactual weight; the target encoding enters every outcome.
+    instance = liver_experiment(10)
+    before = exact_and_report(instance)
+    pbc = instance.model.cpts["PBC"]
+    pbc[:4] = pbc[:4, ::-1].copy()  # the rows of S = s
+    after_pbc = assert_matches_a_fresh_copy(instance)
+    instance.model.target_values[:] = [0.25, 1.0]
+    after_y = assert_matches_a_fresh_copy(instance)
+    assert before != after_pbc != after_y
+
+
 def test_law_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(sampling, "_MEMO_LAWS", 2)
+    monkeypatch.setattr(sampling, "_MEMO_TABLES", 2)
     builds = count_law_builds(monkeypatch)
     model, arms = chain_model()
     subsets = [arms[:1], arms[1:2], arms[2:], arms[:2], arms]
     for subset in subsets:
         laws_of(model, subset)
-        assert len(sampling._LAWS) <= 2
+        assert len(sampling._TABLES) <= 2
     assert len(builds) == len(subsets)
     # The two most recent arm sets survive eviction; the first does not.
     laws_of(model, arms)
@@ -634,9 +667,8 @@ def test_law_memo_stays_within_its_bound(monkeypatch):
 
 def kernel_of(model, arms) -> tuple[np.ndarray, sampling.Cells, np.ndarray]:
     """The weight kernel of ``arms`` over the model's cells, the cells and the arm tables."""
-    cells = sampling.model_cells(model)
-    tables = np.stack([arm.table for arm in arms])
-    return weight_kernel(cells, tables), cells, tables
+    found = sampling.instance_tables(model, arms)
+    return found.kernel, found.cells, np.stack([arm.table for arm in arms])
 
 
 def layout(a: np.ndarray) -> tuple[bool, bool]:
@@ -661,11 +693,11 @@ def test_kernel_is_the_weights_of_any_cell_subset(fixture, seed):
         model, arms = KERNEL_FIXTURES[fixture]()
     kernel, cells, tables = kernel_of(model, arms)
     K = len(arms)
-    assert kernel.shape == (3, K, K, cells.n_cells)
+    assert kernel.shape == (3, K, K, cells.y.size)
     for j in range(K):
         for r, regime in enumerate(REGIMES):
-            occ = np.flatnonzero(rng.random(cells.n_cells) < rng.random())
-            sub = cells.take(occ)
+            occ = np.flatnonzero(rng.random(cells.y.size) < rng.random())
+            sub = take(cells, occ)
             with np.errstate(divide="ignore", invalid="ignore"):
                 if regime is Regime.OBSERVATIONAL:
                     want = transport_weight(sub, tables, tables[j])
@@ -675,10 +707,10 @@ def test_kernel_is_the_weights_of_any_cell_subset(fixture, seed):
             assert kernel[r, j][:, occ].tobytes() == want.tobytes(), (j, regime)
             if occ.size == 0:
                 continue
-            counts = np.zeros((1, cells.n_cells), dtype=np.int64)
+            counts = np.zeros((1, cells.y.size), dtype=np.int64)
             counts[0, occ] = rng.integers(1, 5, size=occ.size)
-            pool = SamplePool(model, arms)
-            pool.add(BatchSamples((np.array([j]), np.array([r])), counts, cells))
+            pool = SamplePool(sampling.instance_tables(model, arms))
+            pool.add(BatchSamples((np.array([j]), np.array([r])), counts))
             [(_, _, got, _, _)] = pool.pulled_blocks()
             assert got.tobytes() == want.tobytes() and layout(got) == layout(want), (j, regime)
 
@@ -710,13 +742,13 @@ def test_editing_an_arm_table_in_place_forces_a_kernel_rebuild(monkeypatch):
 
 
 def test_kernel_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(sampling, "_MEMO_LAWS", 2)
+    monkeypatch.setattr(sampling, "_MEMO_TABLES", 2)
     builds = count_kernel_builds(monkeypatch)
     model, arms = chain_model()
     subsets = [arms[:1], arms[1:2], arms[2:], arms[:2], arms]
     for subset in subsets:
         kernel_of(model, subset)
-        assert len(sampling._KERNELS) <= 2
+        assert len(sampling._TABLES) <= 2
     assert len(builds) == len(subsets)
     # The two most recent arm sets survive eviction; the first does not.
     kernel_of(model, arms)

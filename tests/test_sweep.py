@@ -253,16 +253,16 @@ def test_an_instance_builds_its_cell_laws_once(monkeypatch):
     build, joint = sampling._build_laws, oracles.enumerate_joint
     builds, enumerations = [], []
 
-    def counted_build(model, plan, tables):
-        builds.append(tables)
-        return build(model, plan, tables)
+    def counted_build(model, *args):
+        builds.append(args[-1])
+        return build(model, *args)
 
     def counted_enumeration(*args, **kwargs):
         enumerations.append(args)
         return joint(*args, **kwargs)
 
     monkeypatch.setattr(sampling, "_build_laws", counted_build)
-    sampling._LAWS.clear()
+    sampling._TABLES.clear()
     for module in (oracles, divergence):
         monkeypatch.setattr(module, "enumerate_joint", counted_enumeration)
     DivergenceSet.exact(instance.model, instance.arms)

@@ -10,13 +10,14 @@ renormalized exactly on ingest.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NormalizationError, ParseError, UnsupportedConstruct
-from .model import CausalModel
+from .model import CausalModel, decode_rows, radix_strides
 
 __all__ = ["ParsedNetwork", "parse_bif", "serialize_bif", "ROW_TOL"]
 
@@ -225,10 +226,7 @@ def _parse_probability(
 
     card = len(states[child])
     cards = [len(states[p]) for p in ps]
-    n_rows = int(np.prod(cards)) if cards else 1
-    strides = np.ones(len(cards), dtype=int)
-    for i in range(len(cards) - 2, -1, -1):
-        strides[i] = strides[i + 1] * cards[i + 1]
+    n_rows, strides = math.prod(cards), radix_strides(cards)
 
     table = np.full((n_rows, card), np.nan)
     cur.expect("{")
@@ -347,13 +345,10 @@ def serialize_bif(net: ParsedNetwork) -> str:
             out.append(f"  table {', '.join(_fmt(v) for v in table[0])};")
         else:
             out.append(f"probability ( {x} | {', '.join(ps)} ) {{")
-            cards = [model.cards[p] for p in ps]
+            # Keyed by position, so a parent listed twice keeps both digits.
+            keys = decode_rows(np.arange(table.shape[0]), range(len(ps)), model.parent_cards(x))
             for row in range(table.shape[0]):
-                rem, key = row, []
-                for c in reversed(cards):
-                    key.append(rem % c)
-                    rem //= c
-                labels = [net.states[p][k] for p, k in zip(ps, reversed(key))]
+                labels = [net.states[p][keys[i][row]] for i, p in enumerate(ps)]
                 vals = ", ".join(_fmt(v) for v in table[row])
                 out.append(f"  ( {', '.join(labels)} ) {vals};")
         out.append("}")

@@ -29,7 +29,9 @@ __all__ = [
     "S_VALUE",
     "SPRIME_VALUE",
     "array_key",
+    "radix_strides",
     "encode_rows",
+    "decode_rows",
 ]
 
 S_VALUE = 0
@@ -66,15 +68,29 @@ def array_key(array) -> tuple:
     return array.shape, array.dtype.str, array.tobytes()
 
 
+def radix_strides(cards: Sequence[int]) -> tuple[int, ...]:
+    """Row-major strides over ``cards``: the first position varies slowest."""
+    strides, acc = [], 1
+    for c in reversed(cards):
+        strides.append(acc)
+        acc *= c
+    return tuple(reversed(strides))
+
+
 def encode_rows(
-    values: dict[str, np.ndarray], nodes: Sequence[str], strides: Sequence[int], n: int
+    values: dict[str, np.ndarray], nodes: Sequence[str], cards: Sequence[int], n: int
 ) -> np.ndarray:
-    """Row-major code of ``n`` entries from the values of ``nodes`` under ``strides``:
+    """Row-major code of ``n`` entries from the values of ``nodes`` with ``cards``:
     a table row given a node's parents, or a cell given the read nodes."""
     rows = np.zeros(n, dtype=np.int64)
-    for x, st in zip(nodes, strides):
+    for x, st in zip(nodes, radix_strides(cards)):
         rows += values[x] * st
     return rows
+
+
+def decode_rows(codes: np.ndarray, nodes: Sequence[str], cards: Sequence[int]) -> dict[str, np.ndarray]:
+    """The values of ``nodes`` at each row-major code in ``codes``: ``encode_rows`` inverted."""
+    return {x: codes // st % c for x, c, st in zip(nodes, cards, radix_strides(cards))}
 
 
 def _as_table(x: Sequence | np.ndarray) -> np.ndarray:
@@ -108,8 +124,6 @@ class CausalModel:
         self.parents = {x: tuple(ps) for x, ps in self.parents.items()}
         self.cpts = {x: _as_table(t) for x, t in self.cpts.items()}
         self.target_values = np.asarray(self.target_values, dtype=float)
-        self._children: dict[str, tuple[str, ...]] | None = None
-        self._topo: tuple[str, ...] | None = None
 
     # -- structure helpers -------------------------------------------------
 
@@ -117,49 +131,29 @@ class CausalModel:
         return tuple(self.cards[p] for p in self.parents[node])
 
     def n_rows(self, node: str) -> int:
-        out = 1
-        for c in self.parent_cards(node):
-            out *= c
-        return out
+        return math.prod(self.parent_cards(node))
 
     def row_strides(self, node: str) -> tuple[int, ...]:
         """Row-major strides over the parent tuple of ``node``."""
-        cards = self.parent_cards(node)
-        strides = [0] * len(cards)
-        acc = 1
-        for i in range(len(cards) - 1, -1, -1):
-            strides[i] = acc
-            acc *= cards[i]
-        return tuple(strides)
+        return radix_strides(self.parent_cards(node))
+
+    def s_rows(self, node: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``rows`` of ``node``'s table with the S slot set to s, then to s' (so the
+        pair is indexed by S's value); ``rows`` itself twice when S is not a parent."""
+        ps = self.parents[node]
+        if self.sensitive not in ps:
+            return rows, rows
+        st = self.row_strides(node)[ps.index(self.sensitive)]
+        base = rows - rows // st % self.cards[self.sensitive] * st
+        return base + S_VALUE * st, base + SPRIME_VALUE * st
 
     def children(self, node: str) -> tuple[str, ...]:
-        if self._children is None:
-            ch: dict[str, list[str]] = {x: [] for x in self.nodes}
-            for x in self.nodes:
-                for p in self.parents.get(x, ()):
-                    if p in ch:
-                        ch[p].append(x)
-            self._children = {x: tuple(v) for x, v in ch.items()}  # type: ignore[assignment]
-        return self._children[node]  # type: ignore[index]
+        """The nodes that list ``node`` as a parent, in declared order, once per listing."""
+        return tuple(x for x in self.nodes for p in self.parents.get(x, ()) if p == node)
 
     def topological_order(self) -> tuple[str, ...]:
         """Kahn order, stable in declared node order.  Raises on a cycle."""
-        if self._topo is not None:
-            return self._topo
-        indeg = {x: len(self.parents.get(x, ())) for x in self.nodes}
-        order: list[str] = []
-        ready = [x for x in self.nodes if indeg[x] == 0]
-        while ready:
-            x = ready.pop(0)
-            order.append(x)
-            for c in self.children(x):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if len(order) != len(self.nodes):
-            raise ValueError("graph has a cycle")
-        self._topo = tuple(order)
-        return self._topo
+        return self._kahn(self.nodes)
 
     def ancestors(self, targets: Iterable[str]) -> tuple[str, ...]:
         """Ancestral closure of ``targets`` (inclusive), in topological order."""
@@ -171,7 +165,27 @@ class CausalModel:
                 if p not in want:
                     want.add(p)
                     stack.append(p)
-        return tuple(x for x in self.topological_order() if x in want)
+        # On a set closed under parents the stable pass is the full order
+        # with the other nodes left out.
+        return self._kahn([x for x in self.nodes if x in want])
+
+    def _kahn(self, nodes: Sequence[str]) -> tuple[str, ...]:
+        """Kahn order of ``nodes``, stable in their given order.  Raises on a cycle."""
+        indeg = {x: len(self.parents.get(x, ())) for x in nodes}
+        kids: dict[str, list[str]] = {x: [] for x in nodes}
+        for x in nodes:
+            for p in self.parents.get(x, ()):
+                if p in kids:
+                    kids[p].append(x)
+        order = [x for x in nodes if indeg[x] == 0]
+        for x in order:  # a FIFO queue: the loop reaches what it appends
+            for c in kids[x]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    order.append(c)
+        if len(order) != len(nodes):
+            raise ValueError("graph has a cycle")
+        return tuple(order)
 
 
 @dataclass
@@ -237,19 +251,6 @@ def _row_problems(name: str, table: np.ndarray, n_rows: int, card: int) -> list[
     if np.any(bad):
         out.append(f"{name}: rows {np.flatnonzero(bad).tolist()} do not sum to 1")
     return out
-
-
-def _s_slice_rows(model: CausalModel, node: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """Row indices of ``node``'s table with the S slot set to s and to s'."""
-    ps = model.parents[node]
-    if model.sensitive not in ps:
-        return None
-    strides = model.row_strides(node)
-    s_stride = strides[ps.index(model.sensitive)]
-    rows = np.arange(model.n_rows(node))
-    s_val = (rows // s_stride) % model.cards[model.sensitive]
-    base = rows - s_val * s_stride
-    return base + S_VALUE * s_stride, base + SPRIME_VALUE * s_stride
 
 
 def validate_model(model: CausalModel, arms: Sequence[Arm] = ()) -> ValidationReport:
@@ -325,10 +326,7 @@ def validate_model(model: CausalModel, arms: Sequence[Arm] = ()) -> ValidationRe
     # every child of the sensitive node, including each arm's table when the
     # intervention node is such a child.
     for x in model.children(model.sensitive):
-        rows = _s_slice_rows(model, x)
-        if rows is None:
-            continue
-        rows_s, rows_sp = rows
+        rows_s, rows_sp = model.s_rows(x, np.arange(model.n_rows(x)))
         tables = [(x, model.cpts[x])] if x != v else [(f"arm {a.index}", a.table) for a in arms]
         for name, table in tables:
             if not np.array_equal(table[rows_s] > 0.0, table[rows_sp] > 0.0):

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import EnumerationTooLarge
-from .model import Arm, CausalModel, Instance, check_fairness_eps, encode_rows
+from .model import Arm, CausalModel, Instance, check_fairness_eps, decode_rows, encode_rows
 
 __all__ = [
     "enumeration_cap",
@@ -39,10 +39,9 @@ def enumeration_cap() -> int:
     raw = os.environ.get("FCB_ENUM_CAP")
     if raw is None:
         return DEFAULT_ENUM_CAP
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("FCB_ENUM_CAP must be a positive integer")
-    return cap
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"FCB_ENUM_CAP must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def enumerate_arms(
@@ -66,18 +65,17 @@ def enumerate_arms(
     if total > cap:
         raise EnumerationTooLarge(f"{total} cells over {closure} exceeds the cap of {cap}")
 
-    strides = np.cumprod([1] + cards[::-1][:-1])[::-1]  # row-major over the closure
     k, step = len(tables), max(1, _BLOCK // len(tables))
     for lo in range(0, total, step):
         idx = np.arange(lo, min(lo + step, total))
-        values = {x: (idx // st) % card for x, card, st in zip(closure, cards, strides)}
+        values = decode_rows(idx, closure, cards)
         if forced in values:
             values[forced] = np.full(idx.shape[0], force_s, dtype=np.int64)
         probs = np.ones((1, idx.shape[0]), dtype=float)
         for x in closure:
             if x == forced:
                 continue
-            rows = encode_rows(values, model.parents[x], model.row_strides(x), idx.shape[0])
+            rows = encode_rows(values, model.parents[x], model.parent_cards(x), idx.shape[0])
             if x == model.intervention:  # one C-ordered (K, cells) gather of every arm's factor
                 factor = np.take(tables.reshape(k, -1), rows * tables.shape[2] + values[x], axis=1)
                 probs = np.multiply(factor, probs, out=factor)
@@ -115,12 +113,9 @@ def attribute_ratio_values(
         table = v_table if x == model.intervention else model.cpts[x]
         if table is None:
             continue
-        ps = model.parents[x]
-        strides = model.row_strides(x)
-        s_stride = strides[ps.index(s)]
-        base = encode_rows(values, ps, strides, n) - values[s] * s_stride
-        num = table[base + num_attr * s_stride, values[x]]
-        den = table[base + den_attr * s_stride, values[x]]
+        rows = model.s_rows(x, encode_rows(values, model.parents[x], model.parent_cards(x), n))
+        num = table[rows[num_attr], values[x]]
+        den = table[rows[den_attr], values[x]]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio *= num / den
     return ratio

@@ -55,7 +55,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EnumerationTooLarge
-from .model import REGIMES, Arm, CausalModel, S_VALUE, SPRIME_VALUE, array_key, encode_rows
+from .model import (
+    REGIMES, Arm, CausalModel, S_VALUE, SPRIME_VALUE, array_key, decode_rows, encode_rows,
+)
 from .oracles import attribute_ratio_values, enumerate_arms, enumeration_cap
 
 __all__ = [
@@ -104,8 +106,8 @@ class BatchSamples:
         return int(self.counts.sum())
 
 
-def _cell_code(model: CausalModel) -> tuple[tuple[str, ...], tuple[int, ...], int]:
-    """Read nodes, their row-major strides and the cell count; raises past the enumeration cap."""
+def _cell_code(model: CausalModel) -> tuple[tuple[str, ...], list[int]]:
+    """Read nodes and their cardinalities; raises past the enumeration cap."""
     s, v = model.sensitive, model.intervention
     read = [*model.parents[v], v, model.target]
     for x in model.children(s):
@@ -117,39 +119,27 @@ def _cell_code(model: CausalModel) -> tuple[tuple[str, ...], tuple[int, ...], in
     cap = enumeration_cap()
     if n_cells > cap:
         raise EnumerationTooLarge(f"{n_cells} cells over {nodes} exceeds the cap of {cap}")
-    strides = tuple(math.prod(cards[i + 1 :]) for i in range(len(cards)))
-    return nodes, strides, n_cells
+    return nodes, cards
 
 
-def _decode_cells(
-    model: CausalModel, nodes: Sequence[str], strides: Sequence[int], n_cells: int
-) -> Cells:
+def _decode_cells(model: CausalModel, nodes: Sequence[str], cards: Sequence[int]) -> Cells:
     """The pull fields of every cell code ``0 .. n_cells - 1``, from its read-node values.
 
     The arithmetic is elementwise, so a cell's fields are bit for bit those of
     any pull in it.  A cell no pull can reach may hold an inf or NaN ratio.
     """
-    codes = np.arange(n_cells, dtype=np.int64)
-    values = {x: codes // st % model.cards[x] for x, st in zip(nodes, strides)}
-    v, s = model.intervention, model.sensitive
-
-    ps = model.parents[v]
-    v_strides = model.row_strides(v)
-    v_row_s = v_row_sp = v_row = encode_rows(values, ps, v_strides, n_cells)
-    if s in ps:
-        s_stride = v_strides[ps.index(s)]
-        base = v_row - values[s] * s_stride
-        v_row_s = base + S_VALUE * s_stride
-        v_row_sp = base + SPRIME_VALUE * s_stride
-
+    n_cells = math.prod(cards)
+    values = decode_rows(np.arange(n_cells, dtype=np.int64), nodes, cards)
+    v = model.intervention
+    v_row = encode_rows(values, model.parents[v], model.parent_cards(v), n_cells)
+    v_row_s, v_row_sp = model.s_rows(v, v_row)
     child_ratio = attribute_ratio_values(model, None, values, S_VALUE, SPRIME_VALUE)
     y = model.target_values[values[model.target]]
     return Cells(y, v_row, values[v], v_row_s, v_row_sp, child_ratio)
 
 
 def _build_laws(
-    model: CausalModel, nodes: Sequence[str], strides: Sequence[int], n_cells: int,
-    tables: np.ndarray,
+    model: CausalModel, nodes: Sequence[str], cards: Sequence[int], tables: np.ndarray
 ) -> np.ndarray:
     """``P(cell | arm, regime)`` of every arm of the ``(K, rows, card)`` stack ``tables``.
 
@@ -157,10 +147,11 @@ def _build_laws(
     is binned by cell code.  Every law is normalized, so that tables whose
     rows sum to one only within ``ROW_ATOL`` still give valid multinomials.
     """
+    n_cells = math.prod(cards)
     laws = np.zeros((len(tables), len(REGIMES), n_cells))
     for row, regime in enumerate(REGIMES):
         for probs, values in enumerate_arms(model, tables, nodes, regime.forced_value):
-            code = encode_rows(values, nodes, strides, probs.shape[1])
+            code = encode_rows(values, nodes, cards, probs.shape[1])
             for law, p in zip(laws[:, row], probs):
                 law += np.bincount(code, weights=p, minlength=n_cells)
     return laws / laws.sum(axis=2, keepdims=True)
@@ -195,7 +186,7 @@ def instance_tables(model: CausalModel, arms: Sequence[Arm]) -> InstanceTables:
     """The ``InstanceTables`` of ``arms`` over ``model``'s cells, from the memo or
     built on a miss; a read set or closure over the enumeration cap raises here,
     before any pull."""
-    nodes, strides, n_cells = _cell_code(model)
+    nodes, cards = _cell_code(model)
     closure = model.ancestors(nodes)
     tables = np.stack([arm.table for arm in arms])
     v = model.intervention
@@ -208,9 +199,9 @@ def instance_tables(model: CausalModel, arms: Sequence[Arm]) -> InstanceTables:
     if found is not None:
         _TABLES.move_to_end(key)
         return found
-    laws = _build_laws(model, nodes, strides, n_cells, tables)
+    laws = _build_laws(model, nodes, cards, tables)
     laws.flags.writeable = tables.flags.writeable = False
-    cells = _decode_cells(model, nodes, strides, n_cells)
+    cells = _decode_cells(model, nodes, cards)
     found = _TABLES[key] = InstanceTables(cells, laws, tables)
     if len(_TABLES) > _MEMO_TABLES:
         _TABLES.popitem(last=False)

@@ -199,6 +199,10 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
     blo, bhi = config.fairness_gap_band
     eps = config.fairness_eps
     band = config.divergence_band
+    # Draws rejected per check and the last validation problem, for the error.
+    rejected = dict.fromkeys(
+        ("level window", "inversion", "band prefilter", "exact band", "validation", "oracle"), 0)
+    problem = None
 
     for attempt in range(config.max_attempts):
         if config.f_values is not None:
@@ -255,6 +259,7 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
         lo_req = np.max(f[0] + np.abs(z) / 2.0 + _LEVEL_PAD + shift)
         hi_req = np.min(f[-1] - np.abs(z) / 2.0 - _LEVEL_PAD + shift)
         if not lo_req < hi_req:
+            rejected["level window"] += 1
             continue
         a_star = rng.uniform(lo_req, hi_req)
         levels = a_star - shift
@@ -267,12 +272,14 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
             c = _invert_g(g, bracket, levels[k] + z[k] / 2.0)
             d = _invert_g(g, bracket, levels[k] - z[k] / 2.0)
             if c is None or d is None:
+                rejected["inversion"] += 1
                 break
             table = np.vstack([_binom_row(m, c), _binom_row(m, d)])
             table = table / table.sum(axis=1, keepdims=True)
             if k > 0 and band is not None and not _inside(
                 band, _m_to_deployed(arms[0].table, table), _BAND_SLACK * abs(band[1])
             ):
+                rejected["band prefilter"] += 1
                 break
             cost = 0.0 if (config.cheap_arm and k == 0) else 1.0
             arms.append(Arm(k, table, cost, cost, cost))
@@ -282,8 +289,12 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
         if band is not None:
             div = DivergenceSet.exact(model, arms)
             if not all(_inside(band, c[1:, 0]) for c in (div.m, div.d_ssp, div.d_sps)):
+                rejected["exact band"] += 1
                 continue
-        if not validate_model(model, arms).ok:
+        validation = validate_model(model, arms)
+        if not validation.ok:
+            rejected["validation"] += 1
+            problem = validation.problems[0]
             continue
 
         instance = Instance(
@@ -295,26 +306,23 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
             fairness_eps=eps,
         )
         report = oracle_report(instance, eps)
-        if set(report["fair"]) != set(fair):
-            continue
-        if report["best_fair"] != k_star:
-            continue
-        if fair and len(fair) > 1:
-            gaps = [report["mu"][k_star] - report["mu"][k] for k in fair if k != k_star]
-            if not all(glo - 1e-9 <= gap <= ghi + 1e-9 for gap in gaps):
-                continue
-            if abs(min(gaps) - glo) > 1e-9:
-                continue
+        gaps = [report["mu"][k_star] - report["mu"][k] for k in fair if k != k_star]
         dist = [
             min(abs(abs(report["zeta_ssp"][k]) - eps), abs(abs(report["zeta_sps"][k]) - eps))
             for k in range(K)
         ]
-        if not all(blo - 1e-9 <= d_ <= bhi + 1e-9 for d_ in dist):
-            continue
-        if abs(report["xi_star"] - blo) > 1e-9:
+        if (set(report["fair"]) != set(fair) or report["best_fair"] != k_star
+                or not all(glo - 1e-9 <= gap <= ghi + 1e-9 for gap in gaps)
+                or (gaps and abs(min(gaps) - glo) > 1e-9)
+                or not all(blo - 1e-9 <= d_ <= bhi + 1e-9 for d_ in dist)
+                or abs(report["xi_star"] - blo) > 1e-9):
+            rejected["oracle"] += 1
             continue
         return instance
 
+    counts = ", ".join(f"{check} {n}" for check, n in rejected.items())
+    last = f"; the last validation problem: {problem}" if problem else ""
     raise GenerationFailed(
         f"no instance satisfied the configured bands in {config.max_attempts} attempts"
+        f" (draws rejected per check: {counts}{last})"
     )

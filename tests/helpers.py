@@ -270,9 +270,9 @@ def marginal_rows(model: CausalModel, node: str) -> np.ndarray:
     if not ps:
         out[0] = 1.0
         return out
-    strides = model.row_strides(node)
+    cards = model.parent_cards(node)
     for probs, values in enumerate_joint(model, None, ps):
-        np.add.at(out, encode_rows(values, ps, strides, probs.shape[0]), probs)
+        np.add.at(out, encode_rows(values, ps, cards, probs.shape[0]), probs)
     return out
 
 

@@ -58,6 +58,14 @@ def test_gen_reports_infeasible_bands(tmp_path):
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 3
 
 
+def test_gen_names_the_check_that_rejected_every_draw(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n_arms": 3, "support": 800, "max_attempts": 5}))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 3
+    err = capsys.readouterr().err
+    assert "validation 5" in err and "zero pattern" in err
+
+
 def test_gen_rejects_no_attempts(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({**CONFIG, "max_attempts": 0}))
@@ -308,6 +316,13 @@ def test_divergence_mc_needs_an_enumerable_closure(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert "9216 cells over" in err and "'fibrosis'" in err and "cap of 1000" in err
     assert not Path(f"{prefix}_m.csv").exists()
+
+
+@pytest.mark.parametrize("raw", ["1e6", "0", "ten"])
+def test_a_malformed_enumeration_cap_is_named(instance_file, monkeypatch, capsys, raw):
+    monkeypatch.setenv("FCB_ENUM_CAP", raw)
+    assert main(["oracle", "--instance", instance_file]) == cli_mod.EXIT_INVALID
+    assert f"FCB_ENUM_CAP must be a positive integer, got '{raw}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["oracle", "divergence"])

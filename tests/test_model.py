@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faircb.model import (
     CausalModel,
@@ -37,6 +39,32 @@ def test_topological_order_and_ancestors():
     assert model.ancestors(["Y"]) == order
     assert model.ancestors(["V"]) == ("S", "V")
     assert model.children("S") == ("V", "W")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_graph_walks_on_random_dags(data):
+    # Node i may have parents among nodes 0 .. i-1; the model declares the
+    # nodes, and each parent tuple, in a shuffled order.
+    n = data.draw(st.integers(1, 9))
+    names = [f"X{i}" for i in range(n)]
+    parents = {
+        names[i]: tuple(data.draw(st.permutations(
+            [names[j] for j in range(i) if data.draw(st.booleans())])))
+        for i in range(n)
+    }
+    declared = tuple(data.draw(st.permutations(names)))
+    model = CausalModel(declared, dict.fromkeys(names, 2), parents, {}, "", "", "", [])
+    order = model.topological_order()
+    assert sorted(order) == sorted(names)
+    assert all(order.index(p) < order.index(x) for x in names for p in parents[x])
+    for x in names:
+        assert model.children(x) == tuple(c for c in declared if x in parents[c])
+    targets = data.draw(st.lists(st.sampled_from(names), max_size=3))
+    closure = set(targets)
+    while more := {p for x in closure for p in parents[x]} - closure:
+        closure |= more
+    assert model.ancestors(targets) == tuple(x for x in order if x in closure)
 
 
 def test_cycle_detected():

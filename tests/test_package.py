@@ -1,6 +1,6 @@
 """Every module imports on its own, exports only names it defines, uses what it
-imports and reads every private name it defines, and no module but ``model``
-stores anything on a model; every test file uses what it imports too."""
+imports and reads every private name it defines, and no module stores anything
+on a model but its fields; every test file uses what it imports too."""
 
 from __future__ import annotations
 
@@ -104,9 +104,23 @@ def test_the_private_name_scan_flags_a_leftover_constant():
 
 def _model_attribute_writes(source: str) -> dict[str, int]:
     """Each ``param.attr`` that a function stores to, by line, where ``param`` is
-    one of its parameters annotated ``CausalModel``."""
+    one of its parameters annotated ``CausalModel``, and each ``self.attr`` that
+    the body of ``class CausalModel`` stores to, where ``attr`` is not a field."""
     found = {}
-    for fn in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "CausalModel"):
+            continue
+        fields = {
+            node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        }
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and node.attr not in fields):
+                found[f"self.{node.attr}"] = node.lineno
+    for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         params = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
@@ -121,10 +135,10 @@ def _model_attribute_writes(source: str) -> dict[str, int]:
     return found
 
 
-@pytest.mark.parametrize("name", [m for m in MODULES if m != "model"])
+@pytest.mark.parametrize("name", MODULES)
 def test_module_stores_nothing_on_a_model(name):
     # A value cached on a model is keyed on its identity, so it goes stale when
-    # the model is edited in place; memos elsewhere are keyed on content.
+    # the model is edited in place; memos are keyed on content instead.
     path = Path(importlib.import_module(f"faircb.{name}").__file__)
     writes = _model_attribute_writes(path.read_text())
     assert not writes, f"stored on a CausalModel parameter (attribute: line): {writes}"
@@ -138,5 +152,12 @@ def test_the_model_write_scan_flags_a_cache_on_the_model():
         "def g(m: 'CausalModel | None'):\n"
         "    m.n, z = 1, 2\n"
         "    m.k += 1\n"
+        "class CausalModel:\n"
+        "    nodes: tuple\n"
+        "    def __post_init__(self):\n"
+        "        self.nodes = tuple(self.nodes)\n"
+        "        self._topo = None\n"
     )
-    assert _model_attribute_writes(source) == {"model._plan": 2, "m.n": 5, "m.k": 6}
+    assert _model_attribute_writes(source) == {
+        "model._plan": 2, "m.n": 5, "m.k": 6, "self._topo": 11,
+    }

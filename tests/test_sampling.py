@@ -648,6 +648,20 @@ def test_editing_the_model_in_place_reaches_the_divergences_and_the_report():
     assert before != after_pbc != after_y
 
 
+def test_making_y_a_child_of_s_in_place_reaches_the_report():
+    # The read nodes and the child ratio follow the parent tuples, so a new
+    # child of S must reach the next build, as it does on a fresh copy.
+    model, arms = chain_model()
+    instance = Instance(model, arms, fairness_eps=0.2)
+    before = oracle_report(instance, 0.2)
+    y = np.repeat(model.cpts["Y"], 2, axis=0)  # rows (v, s) of the parents (V, S)
+    y[1::2] = y[1::2, ::-1]  # S = s' flips the outcome
+    model.parents["Y"], model.cpts["Y"] = ("V", "S"), y
+    after = assert_matches_a_fresh_copy(instance)[3]
+    assert after != before
+    assert model.children("S") == ("V", "Y")
+
+
 def test_law_memo_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(sampling, "_MEMO_TABLES", 2)
     builds = count_law_builds(monkeypatch)

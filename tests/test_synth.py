@@ -201,6 +201,18 @@ def test_a_draw_that_fails_validation_is_never_returned(monkeypatch):
     assert validated
 
 
+def test_generation_failure_counts_the_rejections_per_check():
+    # Past a support of about 550 the binomial rows underflow to exact zeros
+    # at different cells per arm, so validation rejects every draw.
+    config = SyntheticConfig(n_arms=3, support=800, max_attempts=5)
+    with pytest.raises(GenerationFailed) as failed:
+        generate_synthetic(config)
+    message = str(failed.value)
+    assert message.startswith("no instance satisfied the configured bands in 5 attempts")
+    assert "level window 0, inversion 0, band prefilter 0, exact band 0, validation 5, oracle 0" in message
+    assert "the last validation problem: arm 1: zero pattern differs from arm 0" in message
+
+
 def test_unfair_count_is_respected():
     config = SyntheticConfig(
         n_arms=5,
@@ -309,8 +321,9 @@ def test_impossible_band_fails_fast():
         divergence_band=(0.0001, 0.0002),
         max_attempts=50,
     )
-    with pytest.raises(GenerationFailed, match="50 attempts"):
+    with pytest.raises(GenerationFailed, match="50 attempts") as failed:
         generate_synthetic(config)
+    assert "validation 0, oracle 0)" in str(failed.value)
 
 
 @pytest.mark.parametrize(

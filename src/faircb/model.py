@@ -260,11 +260,14 @@ def validate_model(model: CausalModel, arms: Sequence[Arm] = ()) -> ValidationRe
     if len(set(model.nodes)) != len(model.nodes):
         problems.append("duplicate node ids")
     for x in model.nodes:
-        for p in model.parents.get(x, ()):
+        parents = model.parents.get(x, ())
+        for i, p in enumerate(parents):
             if p not in model.cards:
                 problems.append(f"{x}: unknown parent {p!r}")
             if p == x:
                 problems.append(f"{x}: is its own parent")
+            if p in parents[:i]:
+                problems.append(f"{x}: parent {p!r} listed twice")
     for x in model.nodes:
         if x not in model.parents:
             problems.append(f"{x}: missing parent declaration")

@@ -7,9 +7,10 @@ the default of ten million cells).  Arms differ only in V's factor, so
 ``enumerate_arms`` serves a whole stack of arm tables from one enumeration;
 it is what builds the cell laws of ``sampling.instance_tables``.
 
-``oracle_report`` reduces those cell laws, so it enumerates nothing once an
-instance's tables are in the memo, never builds their weight kernel, and
-needs the closure of the read nodes (not only of Y) within the cap.
+``oracle_report`` reduces those cell laws against the instance's signed
+weight factors, so it enumerates nothing once an instance's tables are in the
+memo, never builds their weight kernel (nor meets its byte cap), and needs
+the closure of the read nodes (not only of Y) within the cap.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "enumeration_cap",
     "enumerate_arms",
     "enumerate_joint",
-    "attribute_ratio_values",
     "oracle_report",
 ]
 
@@ -93,62 +93,32 @@ def enumerate_joint(
         yield probs[0], values
 
 
-def attribute_ratio_values(
-    model: CausalModel,
-    v_table: np.ndarray | None,
-    values: dict[str, np.ndarray],
-    num_attr: int,
-    den_attr: int,
-) -> np.ndarray:
-    """Product over the children of S of ``P(x | pa, num) / P(x | pa, den)`` at given cells.
-
-    The intervention node's factor comes from ``v_table``, and None leaves it
-    out; the cells must carry a value column for S and for every other child
-    of S with its parents.
-    """
-    s = model.sensitive
-    n = next(iter(values.values())).shape[0]
-    ratio = np.ones(n, dtype=float)
-    for x in model.children(s):
-        table = v_table if x == model.intervention else model.cpts[x]
-        if table is None:
-            continue
-        rows = model.s_rows(x, encode_rows(values, model.parents[x], model.parent_cards(x), n))
-        num = table[rows[num_attr], values[x]]
-        den = table[rows[den_attr], values[x]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio *= num / den
-    return ratio
-
-
 def oracle_report(instance: Instance, fairness_eps: float) -> dict:
     """Ground truth per arm: means, counterfactual gaps, the fair set and the best fair arm.
 
     Every quantity is an expectation under the arms' cell laws
     (``sampling.instance_tables``): ``mu`` under the observational law, each gap
     under the law forced to its evidence value, weighing each cell by the
-    arm's own counterfactual weight.
+    arm's signed weight factor (``InstanceTables.regime``), which is its
+    counterfactual weight against itself on every cell it reaches.
     """
     check_fairness_eps(fairness_eps)
     # Imported here: ``sampling`` imports this module, so a module-level
     # import would close an import cycle.
-    from .sampling import counterfactual_weight, instance_tables
+    from .sampling import instance_tables
 
     arms = instance.arms
     tables = instance_tables(instance.model, arms)
-    laws, cells = tables.laws, tables.cells
+    laws, y = tables.laws, tables.cells.y
 
-    def gap(k: int, r: int, direction: str) -> float:
+    def gap(k: int, r: int) -> float:
         at = np.flatnonzero(laws[k, r])
-        table = arms[k].table
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = counterfactual_weight(cells, table, table, direction)[at]
-        return float(laws[k, r, at] @ (cells.y[at] * u))
+        return float(laws[k, r, at] @ (y[at] * tables.regime[r, k, at]))
 
-    mu = [float(law @ cells.y) for law in laws[:, 0]]
+    mu = [float(law @ y) for law in laws[:, 0]]
     # "ssp" has evidence s' and reads pulls forced to s' (REGIMES[2]); "sps" the reverse.
-    z_ssp = [gap(k, 2, "ssp") for k in range(len(arms))]
-    z_sps = [gap(k, 1, "sps") for k in range(len(arms))]
+    z_ssp = [gap(k, 2) for k in range(len(arms))]
+    z_sps = [gap(k, 1) for k in range(len(arms))]
     fair = [
         k
         for k in range(len(arms))

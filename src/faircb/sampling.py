@@ -15,9 +15,9 @@ Cell law: since a pull enters every estimate only through its cell, ``n``
 pulls of one arm under one regime are fully described by
 ``multinomial(n, P(cell | arm, regime))``.  ``instance_tables`` looks up the
 ``Cells`` table, the ``(K, 3, n_cells)`` table of these laws (arms by
-position, regimes in ``REGIMES`` order) and the weight kernel of a model and
-its arms in one process-wide memo keyed on content (the closure's structure
-and its tables but V's, the read and designated nodes, the target encoding,
+position, regimes in ``REGIMES`` order), the weight factors and kernel of a
+model and its arms in one process-wide memo keyed on content (the closure's
+structure and its tables but V's, the read and designated nodes, the target encoding,
 the arm tables), so equal models built apart share one build and an edit in
 place forces a new one.  It keeps at most ``_MEMO_TABLES`` entries and, like
 the allocation memo, takes no lock.  A miss enumerates the ancestral closure
@@ -35,13 +35,13 @@ zero entry.  So a phase drawn in one call has the counts, and leaves the
 generator in the state, of one call per nonzero entry.  A batch carries the
 drawn entries and one row of ``n_cells`` counts per entry.
 
-``transport_weight`` and ``counterfactual_weight`` are the one place that
-turns pull fields into weights.  Both broadcast over leading table axes, so a
-``(K, rows, card)`` stack of arm tables yields the weights of every entry
-against K arms at once.  The weight kernel, their table over every cell of an
-instance (3K^2 * ``n_cells`` floats), is what the divergences and the
-estimators read; the oracle report weighs each arm's cells with the arm's
-own table and never builds it.
+Weights: a pull of arm ``j`` weighs against arm ``k`` by ``k``'s transport
+factor ``P_k(v | pa)`` over ``j``'s, times ``k``'s signed factor of the pull's
+regime (see ``_weight_factors``), the one place that turns arm tables into
+weights.  The weight kernel, their product over every cell (3K^2 * ``n_cells``
+floats, at most ``_KERNEL_CAP_BYTES``), is what the divergences and the
+estimators read; the oracle report reads an arm's signed factors alone, its
+weight against itself on every cell it reaches, and never builds the kernel.
 """
 
 from __future__ import annotations
@@ -55,10 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EnumerationTooLarge
-from .model import (
-    REGIMES, Arm, CausalModel, S_VALUE, SPRIME_VALUE, array_key, decode_rows, encode_rows,
-)
-from .oracles import attribute_ratio_values, enumerate_arms, enumeration_cap
+from .model import REGIMES, Arm, CausalModel, array_key, decode_rows, encode_rows
+from .oracles import enumerate_arms, enumeration_cap
 
 __all__ = [
     "Cells",
@@ -66,8 +64,6 @@ __all__ = [
     "InstanceTables",
     "instance_tables",
     "sample_batch",
-    "transport_weight",
-    "counterfactual_weight",
 ]
 
 
@@ -133,7 +129,7 @@ def _decode_cells(model: CausalModel, nodes: Sequence[str], cards: Sequence[int]
     v = model.intervention
     v_row = encode_rows(values, model.parents[v], model.parent_cards(v), n_cells)
     v_row_s, v_row_sp = model.s_rows(v, v_row)
-    child_ratio = attribute_ratio_values(model, None, values, S_VALUE, SPRIME_VALUE)
+    child_ratio = _child_ratio(model, values, n_cells)
     y = model.target_values[values[model.target]]
     return Cells(y, v_row, values[v], v_row_s, v_row_sp, child_ratio)
 
@@ -157,22 +153,50 @@ def _build_laws(
     return laws / laws.sum(axis=2, keepdims=True)
 
 
+def _child_ratio(model: CausalModel, values: dict[str, np.ndarray], n: int) -> np.ndarray:
+    """Product over the children of S other than V of ``P(x | pa, s) / P(x | pa, s')``
+    at ``n`` cells; ``values`` holds a column for S and each such child and its parents."""
+    ratio = np.ones(n, dtype=float)
+    for x in model.children(model.sensitive):
+        if x == model.intervention:
+            continue
+        rows = encode_rows(values, model.parents[x], model.parent_cards(x), n)
+        rows_s, rows_sp = model.s_rows(x, rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio *= model.cpts[x][rows_s, values[x]] / model.cpts[x][rows_sp, values[x]]
+    return ratio
+
+
+def _weight_factors(cells: Cells, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(K, n_cells)`` transport factors ``P_k(v | pa)`` of the arm tables
+    ``tables`` and their ``(3, K, n_cells)`` signed factors in ``REGIMES`` order:
+    1, ``1/ratio - 1`` and ``ratio - 1``, with ``ratio`` the product over the
+    children of S of ``P(x | pa, s) / P(x | pa, s')``.  A cell no pull can
+    reach may hold an inf or NaN factor."""
+    t_s, t_sp = tables[:, cells.v_row_s, cells.v_val], tables[:, cells.v_row_sp, cells.v_val]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = cells.child_ratio * t_s / t_sp
+        regime = np.stack([np.ones_like(ratio), 1.0 / ratio - 1.0, ratio - 1.0])
+    return tables[:, cells.v_row, cells.v_val], regime
+
+
 @dataclass(frozen=True)
 class InstanceTables:
-    """The cells, cell laws and weight kernel of one model and stack of ``arm_tables``.
+    """The cells, cell laws, weight factors and weight kernel of one model and arm set.
 
-    ``laws`` is the read-only ``(K, 3, n_cells)`` cell-law table.  ``kernel``
-    is built on first read (see ``_build_kernel``) and read-only, so a caller
-    that reads only the laws never pays for it.
+    ``laws`` (``(K, 3, n_cells)``) and the ``_weight_factors`` ``transport``
+    and ``regime`` are read-only.  ``kernel`` is built from the factors on
+    first read and read-only, so a caller that never reads it never pays for it.
     """
 
     cells: Cells
     laws: np.ndarray
-    arm_tables: np.ndarray
+    transport: np.ndarray
+    regime: np.ndarray
 
     @cached_property
     def kernel(self) -> np.ndarray:
-        kernel = _build_kernel(self.cells, self.arm_tables)
+        kernel = _build_kernel(self.transport, self.regime)
         kernel.flags.writeable = False
         return kernel
 
@@ -200,9 +224,10 @@ def instance_tables(model: CausalModel, arms: Sequence[Arm]) -> InstanceTables:
         _TABLES.move_to_end(key)
         return found
     laws = _build_laws(model, nodes, cards, tables)
-    laws.flags.writeable = tables.flags.writeable = False
     cells = _decode_cells(model, nodes, cards)
-    found = _TABLES[key] = InstanceTables(cells, laws, tables)
+    transport, regime = _weight_factors(cells, tables)
+    laws.flags.writeable = transport.flags.writeable = regime.flags.writeable = False
+    found = _TABLES[key] = InstanceTables(cells, laws, transport, regime)
     if len(_TABLES) > _MEMO_TABLES:
         _TABLES.popitem(last=False)
     return found
@@ -215,52 +240,26 @@ def sample_batch(laws: np.ndarray, sizes: np.ndarray, rng: np.random.Generator) 
     return BatchSamples(drawn, rng.multinomial(sizes[drawn], laws[drawn]))
 
 
-def transport_weight(cells: Cells, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """``P_target(v | pa) / P_source(v | pa)`` at every entry of ``cells``.
-
-    ``targets`` and ``sources`` are intervention tables or stacks of them;
-    their leading axes broadcast, and the entries run along the last axis.
-    """
-    return targets[..., cells.v_row, cells.v_val] / sources[..., cells.v_row, cells.v_val]
+# Bound of the stored weight kernel, in bytes: past it a run is refused before
+# any pull, while the oracle report, which reads only the factors, still runs.
+_KERNEL_CAP_BYTES = 1 << 30
 
 
-def counterfactual_weight(
-    cells: Cells, targets: np.ndarray, sources: np.ndarray, direction: str
-) -> np.ndarray:
-    """Signed weight ``w * (ratio - 1)`` whose mean over forced pulls is the counterfactual gap.
-
-    ``w`` is the transport weight and ``ratio`` the product over the children
-    of S of ``P(x | pa, s) / P(x | pa, s')`` under the target, inverted for
-    ``"sps"``.  ``"ssp"`` (counterfactual s, evidence s') reads pulls forced to
-    s', ``"sps"`` pulls forced to s; the caller supplies matching cells.
-    """
-    if direction not in ("ssp", "sps"):
-        raise ValueError(f"unknown direction {direction!r}")
-    ratio = (
-        cells.child_ratio
-        * targets[..., cells.v_row_s, cells.v_val]
-        / targets[..., cells.v_row_sp, cells.v_val]
-    )
-    if direction == "sps":
-        ratio = 1.0 / ratio
-    return transport_weight(cells, targets, sources) * (ratio - 1.0)
-
-
-def _build_kernel(cells: Cells, tables: np.ndarray) -> np.ndarray:
+def _build_kernel(transport: np.ndarray, regime: np.ndarray) -> np.ndarray:
     """The ``(3, K, K, n_cells)`` weights of every cell: ``[r, j, k]`` weighs source
     arm ``j``'s pulls under ``REGIMES[r]`` against target arm ``k``.
 
-    Observational pulls carry the transport weight, pulls forced to s the
-    ``"sps"`` weight and pulls forced to s' the ``"ssp"`` weight.  A cell no
-    pull can reach may hold an inf or NaN weight.
+    Raises ``EnumerationTooLarge`` before allocating when the kernel would
+    exceed ``_KERNEL_CAP_BYTES``.  A cell no pull can reach may hold an inf or
+    NaN weight.
     """
-    sources = tables[:, None]
+    k, n_cells = transport.shape
+    size = 3 * k * k * n_cells * transport.itemsize
+    if size > _KERNEL_CAP_BYTES:
+        raise EnumerationTooLarge(f"the weight kernel of {k} arms over {n_cells} cells "
+                                  f"needs {size} bytes, over the cap of {_KERNEL_CAP_BYTES}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = np.stack([
-            transport_weight(cells, tables, sources),
-            counterfactual_weight(cells, tables, sources, "sps"),
-            counterfactual_weight(cells, tables, sources, "ssp"),
-        ])
+        kernel = transport[None, None] / transport[None, :, None] * regime[:, None]
     # Stored cell-major: the weights of gathered cells then come out in the
-    # (target-fastest) layout that both functions give a subset of cells.
+    # (target-fastest) layout that computing them for those cells alone gives.
     return np.ascontiguousarray(kernel.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)

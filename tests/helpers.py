@@ -12,10 +12,13 @@ clauses of ``bandit``.
 The enumeration oracles (``marginal_rows``, ``exact_outcome_mean``,
 ``exact_fairness``) walk each quantity's own ancestral closure, apart from
 the cell laws that ``oracle_report`` and ``DivergenceSet.exact`` reduce.
-The conditional f-divergence, the empirical weight quantiles that the cutoff
-matrices must dominate, the Monte Carlo oracles and ``bound_report`` (the
-paper's problem-dependent constants and error bounds) are references the
-package itself never needs.
+The batched weight functions (``transport_weight``, ``counterfactual_weight``)
+and the general ``attribute_ratio_values`` weigh cells straight from arm
+tables, apart from the factor table that the weight kernel and the oracle
+report read.  The conditional f-divergence, the empirical weight quantiles
+that the cutoff matrices must dominate, the Monte Carlo oracles and
+``bound_report`` (the paper's problem-dependent constants and error bounds)
+are references the package itself never needs.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from faircb.model import (
     REGIMES, Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE, encode_rows,
 )
 from faircb.netgen import build_network_experiment, liver_network
-from faircb.sampling import BatchSamples, Cells, counterfactual_weight
-from faircb.oracles import attribute_ratio_values, enumerate_arms, enumerate_joint
+from faircb.sampling import BatchSamples, Cells
+from faircb.oracles import enumerate_arms, enumerate_joint
 from faircb.synth import SyntheticConfig, generate_synthetic
 
 S_CHAIN_F = np.array([0.2, 0.5, 0.9])
@@ -300,6 +303,34 @@ def direction_values(direction: str) -> tuple[int, int]:
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def attribute_ratio_values(
+    model: CausalModel,
+    v_table: np.ndarray | None,
+    values: dict[str, np.ndarray],
+    num_attr: int,
+    den_attr: int,
+) -> np.ndarray:
+    """Product over the children of S of ``P(x | pa, num) / P(x | pa, den)`` at given cells.
+
+    The intervention node's factor comes from ``v_table``, and None leaves it
+    out; the cells must carry a value column for S and for every other child
+    of S with its parents.
+    """
+    s = model.sensitive
+    n = next(iter(values.values())).shape[0]
+    ratio = np.ones(n, dtype=float)
+    for x in model.children(s):
+        table = v_table if x == model.intervention else model.cpts[x]
+        if table is None:
+            continue
+        rows = model.s_rows(x, encode_rows(values, model.parents[x], model.parent_cards(x), n))
+        num = table[rows[num_attr], values[x]]
+        den = table[rows[den_attr], values[x]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio *= num / den
+    return ratio
+
+
 def _fairness_gaps(model: CausalModel, arms, direction: str) -> list[float]:
     """Counterfactual gap of each arm, by one enumeration under the forced evidence attribute."""
     cf, ev = direction_values(direction)
@@ -425,6 +456,37 @@ def empirical_quantile_gamma(
     weights = np.concatenate([np.abs(w) for _, w in cells])
     probs = np.concatenate([p for p, _ in cells])
     return _min_tail_quantile(weights, probs, eps / 2.0)
+
+
+def transport_weight(cells: Cells, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """``P_target(v | pa) / P_source(v | pa)`` at every entry of ``cells``.
+
+    ``targets`` and ``sources`` are intervention tables or stacks of them;
+    their leading axes broadcast, and the entries run along the last axis.
+    """
+    return targets[..., cells.v_row, cells.v_val] / sources[..., cells.v_row, cells.v_val]
+
+
+def counterfactual_weight(
+    cells: Cells, targets: np.ndarray, sources: np.ndarray, direction: str
+) -> np.ndarray:
+    """Signed weight ``w * (ratio - 1)`` whose mean over forced pulls is the counterfactual gap.
+
+    ``w`` is the transport weight and ``ratio`` the product over the children
+    of S of ``P(x | pa, s) / P(x | pa, s')`` under the target, inverted for
+    ``"sps"``.  ``"ssp"`` (counterfactual s, evidence s') reads pulls forced to
+    s', ``"sps"`` pulls forced to s; the caller supplies matching cells.
+    """
+    if direction not in ("ssp", "sps"):
+        raise ValueError(f"unknown direction {direction!r}")
+    ratio = (
+        cells.child_ratio
+        * targets[..., cells.v_row_s, cells.v_val]
+        / targets[..., cells.v_row_sp, cells.v_val]
+    )
+    if direction == "sps":
+        ratio = 1.0 / ratio
+    return transport_weight(cells, targets, sources) * (ratio - 1.0)
 
 
 def take(cells: Cells, codes: np.ndarray) -> Cells:
@@ -980,13 +1042,13 @@ def reference_suboptimal_records(estimates, l: int, reference, remaining) -> lis
 
 
 def count_kernel_builds(monkeypatch) -> list:
-    """The arm-table stacks whose weight kernels are built from here on, from a cold memo."""
+    """The transport factors whose weight kernels are built from here on, from a cold memo."""
     build = sampling._build_kernel
     builds = []
 
-    def counted(cells, tables):
-        builds.append(tables)
-        return build(cells, tables)
+    def counted(transport, regime):
+        builds.append(transport)
+        return build(transport, regime)
 
     monkeypatch.setattr(sampling, "_build_kernel", counted)
     sampling._TABLES.clear()

@@ -711,7 +711,7 @@ def test_a_v1_run_looks_the_kernel_up_once(monkeypatch, runner):
 @pytest.mark.parametrize("runner", [run_csr, run_two_stage])
 def test_the_kernel_is_looked_up_before_the_first_pull(monkeypatch, runner):
     # A kernel that cannot be held fails the run before it draws anything.
-    def too_large(cells, tables):
+    def too_large(transport, regime):
         raise EnumerationTooLarge("kernel over the cap")
 
     sample_batch = sampling.sample_batch

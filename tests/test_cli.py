@@ -10,7 +10,7 @@ import pytest
 
 import faircb.cli as cli_mod
 import faircb.sweep as sweep_mod
-from faircb import errors
+from faircb import errors, sampling
 from faircb.cli import main
 from faircb.divergence import DivergenceSet
 from faircb.io import instance_to_dict, load_instance, save_instance
@@ -165,8 +165,8 @@ def test_oracle_report(tmp_path, instance_file):
 
 
 def test_oracle_builds_no_weight_kernel(tmp_path, instance_file, monkeypatch):
-    # The report weighs each arm's cells by the arm's own table; the
-    # 3K^2 * n_cells kernel of the instance's tables stays unbuilt.
+    # The report weighs each arm's cells by the arm's signed weight factors;
+    # the 3K^2 * n_cells kernel of the instance's tables stays unbuilt.
     builds = count_kernel_builds(monkeypatch)
     assert main(["oracle", "--instance", instance_file, "--out", str(tmp_path / "r.json")]) == 0
     assert builds == []
@@ -260,6 +260,8 @@ INVALID_MODELS = {
     "duplicate node ids": (lambda m: m.update(nodes=["S", "V", "Y", "Y"]), "duplicate node ids"),
     "unknown parent": (lambda m: m["parents"].update(Y=["V", "Q"]), "Y: unknown parent 'Q'"),
     "own parent": (lambda m: m["parents"].update(Y=["Y"]), "Y: is its own parent"),
+    "parent listed twice": (lambda m: m["parents"].update(Y=["V", "S", "S"]),
+                            "Y: parent 'S' listed twice"),
     "missing parent declaration": (lambda m: drop(m["parents"], "Y"), "Y: missing parent declaration"),
     "missing table": (lambda m: drop(m["cpts"], "Y"), "Y: missing conditional table"),
     "empty support": (lambda m: m["cards"].update(Y=0), "Y: support must be nonempty"),
@@ -278,6 +280,29 @@ def test_oracle_rejects_an_invalid_model(tmp_path, capsys, case):
     edit(payload["model"])
     assert oracle_exit(tmp_path, payload) == 2
     assert problem in capsys.readouterr().err
+
+
+def test_a_kernel_over_its_byte_cap_refuses_a_run_but_not_the_report(tmp_path, monkeypatch, capsys):
+    # The chain kernel holds 3 * 3^2 * 12 floats, 2592 bytes.  A run needs it
+    # and is refused before any pull; the report reads only the factors.
+    monkeypatch.setattr(sampling, "_KERNEL_CAP_BYTES", 2591)
+    sampling._TABLES.clear()
+    sample_batch = sampling.sample_batch
+    pulls = []
+
+    def counted(*args):
+        pulls.append(args)
+        return sample_batch(*args)
+
+    monkeypatch.setattr(sampling, "sample_batch", counted)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(chain_payload()))
+    code = main(["run", "--instance", str(path), "--algo", "csr-v2", "--T", "400"])
+    assert code == cli_mod.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "3 arms over 12 cells needs 2592 bytes" in err and "cap of 2591" in err
+    assert pulls == []
+    assert main(["oracle", "--instance", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_divergence_exact_and_mc(tmp_path, instance_file):

@@ -256,17 +256,17 @@ def test_divergence_set_mc_draws_each_batch_once(monkeypatch):
 
 def test_warm_divergences_work_out_no_weight(monkeypatch):
     # Both reductions read the weight kernel; once it is warm, no weight is
-    # worked out again (counterfactual_weight calls transport_weight too).
+    # worked out again (every weight comes from the factor table).
     model, arms = chain_model()
     DivergenceSet.exact(model, arms)
-    transport_weight = sampling.transport_weight
+    weight_factors = sampling._weight_factors
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return transport_weight(*args)
+        return weight_factors(*args)
 
-    monkeypatch.setattr(sampling, "transport_weight", counted)
+    monkeypatch.setattr(sampling, "_weight_factors", counted)
     DivergenceSet.exact(model, arms)
     DivergenceSet.mc(model, arms, draws=100, rng=np.random.default_rng(0))
     assert calls == []

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircb import sampling
 from faircb.errors import EnumerationTooLarge
-from faircb.model import Arm, Instance
+from faircb.model import REGIMES, Arm, Instance, Regime
 from faircb.oracles import (
     DEFAULT_ENUM_CAP,
     enumerate_arms,
@@ -22,6 +23,7 @@ from helpers import (
     brute_fairness,
     brute_mean,
     chain_model,
+    counterfactual_weight,
     direction_values,
     exact_fairness,
     exact_outcome_mean,
@@ -174,15 +176,27 @@ def test_oracle_report_rejects_a_bad_fairness_tolerance(eps):
 
 
 def _assert_report_matches_the_references(instance):
+    """The report agrees with the per-arm enumeration references to 1e-12, and
+    each gap is bit for bit the arm's forced cell law against y times the
+    arm's counterfactual weight against itself."""
     model, arms = instance.model, instance.arms
     report = oracle_report(instance, 0.2)
     np.testing.assert_allclose(
         report["mu"], [exact_outcome_mean(model, a) for a in arms], rtol=0.0, atol=1e-12)
-    for direction in ("ssp", "sps"):
+    tables = sampling.instance_tables(model, arms)
+    laws, cells = tables.laws, tables.cells
+    for direction, regime in (("ssp", Regime.FORCE_SPRIME), ("sps", Regime.FORCE_S)):
         np.testing.assert_allclose(
             report[f"zeta_{direction}"], [exact_fairness(model, a, direction) for a in arms],
             rtol=0.0, atol=1e-12, err_msg=direction,
         )
+        r, want = REGIMES.index(regime), []
+        for k, arm in enumerate(arms):
+            at = np.flatnonzero(laws[k, r])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = counterfactual_weight(cells, arm.table, arm.table, direction)[at]
+            want.append(float(laws[k, r, at] @ (cells.y[at] * u)))
+        assert np.array(report[f"zeta_{direction}"]).tobytes() == np.array(want).tobytes(), direction
 
 
 @settings(max_examples=25, deadline=None)

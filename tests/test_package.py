@@ -1,6 +1,7 @@
 """Every module imports on its own, exports only names it defines, uses what it
-imports and reads every private name it defines, and no module stores anything
-on a model but its fields; every test file uses what it imports too."""
+imports and reads every private name it defines, exports only names that the
+package or the benchmark reads, and no module stores anything on a model but
+its fields; every test file uses what it imports too."""
 
 from __future__ import annotations
 
@@ -100,6 +101,56 @@ def test_the_private_name_scan_flags_a_leftover_constant():
         "x = _f()\n"
     )
     assert _unread_private_names(source) == {"_DIRECTIONS": 1}
+
+
+def _unread_exports(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per source, the names in its ``__all__`` that no source reads as a name,
+    an attribute or an import; the ``__all__`` entry itself is no read."""
+    read, exported = set(), {}
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported[name] = ast.literal_eval(node.value)
+    unread = {name: [x for x in names if x not in read] for name, names in exported.items()}
+    return {name: names for name, names in unread.items() if names}
+
+
+def test_every_export_is_read_by_the_package_or_the_benchmark():
+    # A public name that only the tests read is a reference implementation,
+    # and references belong in tests/.
+    sources = {
+        name: Path(importlib.import_module(f"faircb.{name}").__file__).read_text()
+        for name in MODULES
+    }
+    for path in sorted((TESTS.parent / "benchmarks").glob("*.py")):
+        if not path.name.startswith("test_"):
+            sources[f"benchmarks/{path.name}"] = path.read_text()
+    unread = _unread_exports(sources)
+    assert not unread, f"exported and read only by the tests (module: names): {unread}"
+
+
+def test_the_export_scan_flags_a_name_only_the_tests_read():
+    sources = {
+        "a": (
+            '__all__ = ["f", "g", "h", "K"]\n'
+            "def f(): ...\n"
+            "def g(): ...\n"
+            "def h():\n    return f\n"
+            "class K: ...\n"
+        ),
+        "b": "import a\nfrom a import h\nx = a.g\n",
+    }
+    assert _unread_exports(sources) == {"a": ["K"]}
 
 
 def _model_attribute_writes(source: str) -> dict[str, int]:

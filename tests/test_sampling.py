@@ -15,11 +15,7 @@ from faircb.estimation import SamplePool
 from faircb.io import instance_from_dict, instance_to_dict
 from faircb.model import REGIMES, Arm, CausalModel, Instance, Regime
 from faircb.oracles import oracle_report
-from faircb.sampling import (
-    BatchSamples,
-    counterfactual_weight,
-    transport_weight,
-)
+from faircb.sampling import BatchSamples
 from faircb.sweep import run_algorithm
 
 from helpers import (
@@ -32,6 +28,7 @@ from helpers import (
     brute_law,
     chain_model,
     count_kernel_builds,
+    counterfactual_weight,
     exact_fairness,
     exact_outcome_mean,
     importance_weight_fairness,
@@ -44,6 +41,7 @@ from helpers import (
     sample_block,
     side_child_model,
     take,
+    transport_weight,
 )
 
 _PULL_FIELDS = ("y", "v_row", "v_val", "v_row_s", "v_row_sp", "child_ratio")

@@ -25,11 +25,12 @@ lives for the whole process:
   on the cost rows, budget and extra rows, never on object identity, so an
   in-place edit of a ``DivergenceSet`` makes a new instance.  The matrix
   bytes are held once per instance; each instance maps (survivors, rule) to
-  its solution.  At most ``_MEMO_INSTANCES`` instances with at most
+  its solution and its rounded counts per phase length (at most
+  ``_MEMO_ROUNDINGS``).  At most ``_MEMO_INSTANCES`` instances with at most
   ``_MEMO_PROBLEMS`` solutions each are kept, the least recently used going
   first;
 - a memoized ``Allocation`` is shared by every phase record that reuses it,
-  so its ``nu_*`` arrays are read-only.
+  so its ``nu_*`` and rounded ``tau_*`` arrays are read-only.
 
 A hit returns the very solution a miss would compute, since HiGHS is
 deterministic on equal input: seeded runs do not depend on the memo's state.
@@ -206,14 +207,6 @@ def eliminate(
     return tuple(k for k in remaining if k not in dropped), tuple(records)
 
 
-def _round_phase(alloc: Allocation, tau_l: int, n_arms: int) -> Allocation:
-    """round_counts, except a zero-length phase yields all-zero counts."""
-    if tau_l > 0:
-        return round_counts(alloc, tau_l)
-    zero = np.zeros(n_arms, dtype=np.int64)
-    return replace(alloc, tau_y=zero, tau_s=zero.copy(), tau_sp=zero.copy())
-
-
 def _pull_phase(run: _Run, allocation: Allocation) -> tuple[int, float]:
     """Draw the rounded ``(K, 3)`` counts into the pool in one ``sample_batch`` call;
     returns (samples, cost) spent.
@@ -231,14 +224,15 @@ def _pull_phase(run: _Run, allocation: Allocation) -> tuple[int, float]:
     return int(counts.sum()), cost
 
 
-# Bounds of the allocation memo: instances kept, and solved problems per instance.
+# Bounds of the allocation memo: instances, problems per instance, roundings per problem.
 _MEMO_INSTANCES = 8
 _MEMO_PROBLEMS = 512
-_SOLVED: OrderedDict[tuple, OrderedDict[tuple[tuple[int, ...], str], Allocation]] = OrderedDict()
+_MEMO_ROUNDINGS = 32
+_SOLVED: OrderedDict[tuple, OrderedDict[tuple, tuple[Allocation, dict[int, Allocation]]]] = OrderedDict()
 
 
 class _Allocator:
-    """Max-min allocations over the survivors of one LP instance, memoized process-wide."""
+    """Max-min allocations over the survivors of one LP instance, and their counts, memoized."""
 
     def __init__(
         self,
@@ -265,24 +259,34 @@ class _Allocator:
         else:
             _SOLVED.move_to_end(key)
 
-    def __call__(self, remaining: tuple[int, ...], rule: str) -> Allocation:
-        """The allocation over ``remaining`` (sorted) under ``rule``, solved on a miss only."""
-        key = (remaining, rule)
-        alloc = self.solved.get(key)
-        if alloc is not None:
-            self.solved.move_to_end(key)
-            return alloc
-        problem = build_problem(
-            self.divergences, self.costs, self.budget, remaining, self.extra_constraints,
-            include_outcome=rule != "fairness", include_fairness=rule != "outcome",
-        )
-        alloc = solve_maxmin(problem)
-        for nu in (alloc.nu_y, alloc.nu_s, alloc.nu_sp):
-            nu.flags.writeable = False
-        self.solved[key] = alloc
-        if len(self.solved) > _MEMO_PROBLEMS:
-            self.solved.popitem(last=False)
-        return alloc
+    def __call__(self, remaining: tuple[int, ...], rule: str, tau: int | None = None) -> Allocation:
+        """The allocation over ``remaining`` (sorted) under ``rule``, rounded to
+        ``tau`` pulls when given; solved, and rounded, on a miss only."""
+        found = self.solved.get((remaining, rule))
+        if found is not None:
+            self.solved.move_to_end((remaining, rule))
+        else:
+            alloc = solve_maxmin(build_problem(
+                self.divergences, self.costs, self.budget, remaining, self.extra_constraints,
+                include_outcome=rule != "fairness", include_fairness=rule != "outcome",
+            ))
+            for nu in (alloc.nu_y, alloc.nu_s, alloc.nu_sp):
+                nu.flags.writeable = False
+            found = self.solved[remaining, rule] = (alloc, {})
+            if len(self.solved) > _MEMO_PROBLEMS:
+                self.solved.popitem(last=False)
+        alloc, rounded = found
+        if tau is None or tau in rounded:
+            return alloc if tau is None else rounded[tau]
+        zero = np.zeros(len(self.costs[0]), dtype=np.int64)  # a zero-length phase pulls nothing
+        counts = round_counts(alloc, tau) if tau else replace(
+            alloc, tau_y=zero, tau_s=zero.copy(), tau_sp=zero.copy())
+        for array in (counts.tau_y, counts.tau_s, counts.tau_sp):
+            array.flags.writeable = False
+        rounded[tau] = counts
+        if len(rounded) > _MEMO_ROUNDINGS:
+            del rounded[next(iter(rounded))]
+        return counts
 
 
 @dataclass
@@ -320,11 +324,10 @@ def _run_stage(
     arm as the decision (None otherwise).  See the module docstring for the
     three rules.
     """
-    K = len(run.arms)
     sched = phase_schedule(T)
     for l in range(1, sched.n + 1):
         eps = 2.0 ** (-(l - 1))
-        alloc = _round_phase(run.allocation(remaining, rule), int(sched.tau[l - 1]), K)
+        alloc = run.allocation(remaining, rule, int(sched.tau[l - 1]))
         if run.variant == "v1":
             run.pool.clear()
         spent, cost = _pull_phase(run, alloc)

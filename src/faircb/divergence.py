@@ -14,9 +14,10 @@ arm ``j`` reaches observationally, row ``i`` of each ``D`` the cells that arm
 ``i`` reaches under each forced regime, each weighed against every other arm
 by the estimators' weight kernel.  Laws and kernel are the instance's tables
 (``sampling.instance_tables``), which an instance builds once and each of
-its runs reads too.  ``DivergenceSet.exact`` reduces the cell laws; past the
-tables it costs O(K^2 * n_cells).  ``DivergenceSet.mc`` reduces the
-empirical masses of batches drawn from those laws.
+its runs reads too.  ``DivergenceSet.exact`` reduces the cell laws once per
+instance content, in O(K^2 * n_cells) past the tables, which keep the
+reduction.  ``DivergenceSet.mc`` reduces the empirical masses of batches
+drawn from those laws.
 
 The arrays reduced here hold a few dozen cells, where the per-call overhead
 of ``scipy.special.logsumexp`` (array-API dispatch, dtype promotion, the
@@ -113,8 +114,8 @@ class DivergenceSet:
 
     @classmethod
     def exact(cls, model: CausalModel, arms) -> "DivergenceSet":
-        tables = instance_tables(model, arms)
-        return cls(*_reduce(tables.laws, tables.kernel))
+        """Writable copies of ``InstanceTables.divergences``, reduced once per instance content."""
+        return cls(*(matrix.copy() for matrix in instance_tables(model, arms).divergences))
 
     @classmethod
     def mc(cls, model: CausalModel, arms, draws: int, rng: np.random.Generator) -> "DivergenceSet":

@@ -23,21 +23,23 @@ reads their weight kernel when it is made, before any pull: the
 ``(3, K, K, n_cells)`` weights of every cell for every (regime, source,
 target), which ``DivergenceSet.exact`` and every run of the instance share
 through the tables' memo.  A run makes one pool, which v1 clears between
-phases, so it reads the kernel once.  Each phase then gathers, per pulled
-block (``SamplePool.pulled_blocks``: the mask's nonzero entries, source arm
-by source arm, then in ``REGIMES`` order), the kernel columns of the block's
-occupied cells, clips them and dots the kept weights with ``count * y``:
-O(K * occupied cells) per block, the same at any horizon and for any number
-of pooled phases.  A cell's fields are bit for bit those of each of its
-pulls, so are its weights and clip masks; only the order of the summation
-differs from a per-pull sum.
+phases, so it reads the kernel once.  Each phase gathers the kernel rows of
+the occupied cells of every pulled block at once (``SamplePool.pulled``: the
+mask's nonzero entries, source arm by source arm, then in ``REGIMES`` order),
+clips them in one pass and makes one product per block of its kept weights
+with ``count * y``: O(K * occupied cells) per block at any horizon.  Each
+product reads the block's own slice, in the layout a gather of that block
+alone gives, and the blocks add up one after another, so the bits of the
+estimates do not depend on the other blocks.  A cell's fields are bit for bit
+those of each of its pulls, so are its weights and clip masks; only the
+order of the summation differs from a per-pull sum.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -52,12 +54,18 @@ __all__ = [
 ]
 
 
+# Every pulled block's source arm, regime index, occupied cells and pulls, and
+# per occupied cell, block after block, its weights and its count times its outcome.
+PulledBlocks = namedtuple("PulledBlocks", "arms regimes sizes pulls weights cy")
+
+
 class SamplePool:
     """Append-only per-cell counts of the pulls of every source arm under every
     regime, weighed against every arm by the weight kernel of ``tables``."""
 
     def __init__(self, tables: InstanceTables):
-        self._kernel = tables.kernel
+        # A view of the cell-major kernel; row (r K + j) n_cells + cell is (r, j, cell).
+        self._rows = tables.kernel.transpose(0, 1, 3, 2).reshape(-1, len(tables.laws))
         self._y = tables.cells.y
         self._counts = np.zeros(tables.laws.shape, dtype=np.int64)
         self.n_arms = len(self._counts)
@@ -76,17 +84,18 @@ class SamplePool:
     def counts(self, regime: Regime) -> np.ndarray:
         return self._counts[:, REGIMES.index(regime)].sum(axis=1)
 
-    def pulled_blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-        """Per block with pulls, source arm by source arm, then in ``REGIMES``
-        order: the arm, the regime's index, the kernel weights of its occupied
-        cells against every target arm, their counts and their outcomes."""
-        for arm, r in zip(*np.nonzero(self._pulled)):
-            counts = self._counts[arm, r]
-            occupied = counts.nonzero()[0]
-            # A cell-major gather: the matrix product's summation order, and so
-            # the estimates' bits, follow this (target-fastest) layout.
-            weights = self._kernel[r, arm].T[occupied].T
-            yield int(arm), int(r), weights, counts[occupied], self._y[occupied]
+    def pulled(self) -> PulledBlocks:
+        """Every block with pulls, source arm by source arm, then in ``REGIMES``
+        order, gathered at once: the kernel rows of its occupied cells, and
+        their counts times their outcomes."""
+        arms, regimes = np.nonzero(self._pulled)
+        rows = self._counts[arms, regimes]
+        at = np.flatnonzero(rows)
+        block, cell = np.divmod(at, rows.shape[1])
+        origin = (regimes * self.n_arms + arms) * rows.shape[1]
+        return PulledBlocks(arms, regimes, np.count_nonzero(rows, axis=1), rows.sum(axis=1),
+                            self._rows.take(origin[block] + cell, axis=0),
+                            rows.ravel()[at] * self._y[cell])
 
 
 @dataclass
@@ -110,22 +119,27 @@ class EstimateVector:
 def estimate_all(pool: SamplePool, eps: float, div: DivergenceSet) -> EstimateVector:
     """All per-arm estimates at accuracy level ``eps``; empty pools turn into NaN.
 
-    Each pulled source block is clipped and summed against every target arm
-    at once, source arm by source arm, then in ``REGIMES`` order.  The outcome
-    estimates read observational pulls only, since forced pulls target the
-    forced means; each fairness direction reads the pulls forced to its
-    evidence value: ``"sps"`` those forced to s, ``"ssp"`` those forced to s'.
-    Transport weights are never negative, so one ``|w| <= cutoff`` mask
-    serves all three.
+    Every pulled source block is clipped at once and summed against every
+    target arm in one product, source arm by source arm, then in ``REGIMES``
+    order.  The outcome estimates read observational pulls only, since forced
+    pulls target the forced means; each fairness direction reads the pulls
+    forced to its evidence value: ``"sps"`` those forced to s, ``"ssp"`` those
+    forced to s'.  Transport weights are never negative, so one
+    ``|w| <= cutoff`` mask serves all three.
     """
     log_term = 2.0 * math.log(2.0 / eps)
-    cutoffs = (div.m, div.d_sps, div.d_ssp)
-    norm = np.zeros((len(REGIMES), pool.n_arms))
-    acc = np.zeros((len(REGIMES), pool.n_arms))
-    for j, r, w, counts, y in pool.pulled_blocks():
-        c = cutoffs[r][:, j]
-        norm[r] += int(counts.sum()) / c
-        acc[r] += ((w * (np.abs(w) <= (log_term * c)[:, None])) @ (counts * y)) / c
+    blocks = pool.pulled()
+    c = np.array((div.m, div.d_sps, div.d_ssp))[blocks.regimes, :, blocks.arms]
+    kept = blocks.weights * (
+        np.abs(blocks.weights) <= (log_term * c).repeat(blocks.sizes, axis=0))
+    ends = np.cumsum(blocks.sizes).tolist()
+    dots = np.array([kept[lo:hi].T @ blocks.cy[lo:hi]
+                     for lo, hi in zip([0, *ends], ends)]).reshape(c.shape)
+    # ``add.at`` adds the blocks one after another in block order; ``np.sum``
+    # would sum pairwise and move the last bits.
+    norm, acc = np.zeros((2, len(REGIMES), pool.n_arms))
+    np.add.at(norm, blocks.regimes, blocks.pulls[:, None] / c)
+    np.add.at(acc, blocks.regimes, dots / c)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         y, zeta_sps, zeta_ssp = np.where(norm > 0.0, acc / norm, np.nan)

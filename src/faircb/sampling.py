@@ -15,10 +15,10 @@ Cell law: since a pull enters every estimate only through its cell, ``n``
 pulls of one arm under one regime are fully described by
 ``multinomial(n, P(cell | arm, regime))``.  ``instance_tables`` looks up the
 ``Cells`` table, the ``(K, 3, n_cells)`` table of these laws (arms by
-position, regimes in ``REGIMES`` order), the weight factors and kernel of a
-model and its arms in one process-wide memo keyed on content (the closure's
-structure and its tables but V's, the read and designated nodes, the target encoding,
-the arm tables), so equal models built apart share one build and an edit in
+position, regimes in ``REGIMES`` order), the weight factors, kernel and
+exact divergences of a model and its arms in one process-wide memo keyed on
+content (the closure's structure and its tables but V's, the read and
+designated nodes, the target encoding, the arm tables), so equal models built apart share one build and an edit in
 place forces a new one.  It keeps at most ``_MEMO_TABLES`` entries and, like
 the allocation memo, takes no lock.  A miss enumerates the ancestral closure
 of the read nodes once per regime for all arms (``oracles.enumerate_arms``),
@@ -185,8 +185,8 @@ class InstanceTables:
     """The cells, cell laws, weight factors and weight kernel of one model and arm set.
 
     ``laws`` (``(K, 3, n_cells)``) and the ``_weight_factors`` ``transport``
-    and ``regime`` are read-only.  ``kernel`` is built from the factors on
-    first read and read-only, so a caller that never reads it never pays for it.
+    and ``regime`` are read-only.  ``kernel`` and ``divergences`` are made on
+    first read and read-only, so a caller that never reads them never pays for them.
     """
 
     cells: Cells
@@ -199,6 +199,15 @@ class InstanceTables:
         kernel = _build_kernel(self.transport, self.regime)
         kernel.flags.writeable = False
         return kernel
+
+    @cached_property
+    def divergences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The exact ``(M, D_ssp, D_sps)`` reduced from the laws and the kernel."""
+        from .divergence import _reduce  # divergence imports this module
+        reduced = _reduce(self.laws, self.kernel)
+        for matrix in reduced:
+            matrix.flags.writeable = False
+        return reduced
 
 
 # Bound of the instance-table memo: the entries it keeps, one per model and arm set.
@@ -258,8 +267,11 @@ def _build_kernel(transport: np.ndarray, regime: np.ndarray) -> np.ndarray:
     if size > _KERNEL_CAP_BYTES:
         raise EnumerationTooLarge(f"the weight kernel of {k} arms over {n_cells} cells "
                                   f"needs {size} bytes, over the cap of {_KERNEL_CAP_BYTES}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = transport[None, None] / transport[None, :, None] * regime[:, None]
     # Stored cell-major: the weights of gathered cells then come out in the
     # (target-fastest) layout that computing them for those cells alone gives.
-    return np.ascontiguousarray(kernel.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    # The ratios t_k / t_j, a third of the kernel, go straight into storage.
+    cell_major = np.empty((3, k, n_cells, k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = transport.T[None] / transport[:, :, None]
+        np.multiply(ratio[None], regime.transpose(0, 2, 1)[:, None], out=cell_major)
+    return cell_major.transpose(0, 1, 3, 2)

@@ -6,7 +6,9 @@ completely separate code path.  Likewise the single-pull sampler, the
 full-walk ancestral batch sampler, the brute-force cell law, the scalar
 importance weights, the per-pull ``ReferencePool`` and the per-target pooled
 estimators below are written apart from the cell-law sampler, the per-cell
-``SamplePool`` and ``estimate_all``, which the tests compare against them; the
+``SamplePool`` and ``estimate_all``, which the tests compare against them;
+``blockwise_estimate_all`` is ``estimate_all`` one pulled block at a time, the
+reference for the bytes of its batched pass; the
 arm-by-arm certification and elimination loops likewise check the vectorized
 clauses of ``bandit``.
 The enumeration oracles (``marginal_rows``, ``exact_outcome_mean``,
@@ -37,6 +39,7 @@ from faircb.allocation import Allocation
 from faircb.bandit import _Allocator, phase_schedule
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError, Infeasible
+from faircb.estimation import EstimateVector, SamplePool
 from faircb.model import (
     REGIMES, Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE, encode_rows,
 )
@@ -991,6 +994,42 @@ def pooled_fairness_estimate(
     if o == 0.0:
         raise NoSamples(f"no forced samples available for arm {k} direction {direction}")
     return acc / o
+
+
+def blockwise_pulled_blocks(pool: SamplePool, kernel: np.ndarray):
+    """The pool's pulled blocks one at a time, as ``estimate_all`` once read them:
+    per block with pulls, source arm by source arm, then in ``REGIMES`` order,
+    the arm, the regime's index, the weights ``kernel`` gives its occupied cells
+    against every target arm, their counts and their outcomes."""
+    for arm, r in zip(*np.nonzero(pool._pulled)):
+        counts = pool._counts[arm, r]
+        occupied = counts.nonzero()[0]
+        # A cell-major gather: the matrix product's summation order, and so
+        # the estimates' bits, follow this (target-fastest) layout.
+        weights = kernel[r, arm].T[occupied].T
+        yield int(arm), int(r), weights, counts[occupied], pool._y[occupied]
+
+
+def blockwise_estimate_all(
+    pool: SamplePool, eps: float, div: DivergenceSet, kernel: np.ndarray
+) -> EstimateVector:
+    """``estimate_all`` block by block, one clip and product per pulled block:
+    the reference whose bytes the batched pass keeps."""
+    log_term = 2.0 * math.log(2.0 / eps)
+    cutoffs = (div.m, div.d_sps, div.d_ssp)
+    norm = np.zeros((len(REGIMES), pool.n_arms))
+    acc = np.zeros((len(REGIMES), pool.n_arms))
+    for j, r, w, counts, y in blockwise_pulled_blocks(pool, kernel):
+        c = cutoffs[r][:, j]
+        norm[r] += int(counts.sum()) / c
+        acc[r] += ((w * (np.abs(w) <= (log_term * c)[:, None])) @ (counts * y)) / c
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        y, zeta_sps, zeta_ssp = np.where(norm > 0.0, acc / norm, np.nan)
+    return EstimateVector(
+        y=y, zeta_ssp=zeta_ssp, zeta_sps=zeta_sps, eps=eps,
+        n_eff_y=norm[0], n_eff_ssp=norm[2], n_eff_sps=norm[1],
+    )
 
 
 def reference_fair_set(estimates, l: int, fairness_eps: float, remaining) -> tuple[int, ...]:

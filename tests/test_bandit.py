@@ -740,6 +740,41 @@ def test_memoized_fractions_are_read_only():
             record.allocation.nu_y[0] = 0.5
 
 
+def test_a_warm_memo_rounds_no_phase_again(monkeypatch):
+    bandit._SOLVED.clear()
+    rounds = []
+    round_counts = bandit.round_counts
+
+    def counted(alloc, tau):
+        rounds.append(tau)
+        return round_counts(alloc, tau)
+
+    monkeypatch.setattr(bandit, "round_counts", counted)
+    first = make_chain_run(T=20_000)
+    assert rounds
+    rounds.clear()
+    second = make_chain_run(T=20_000)
+    assert rounds == []
+    assert trace_digest(second) == trace_digest(first)
+    for record in second.phases:
+        for counts in (record.allocation.tau_y, record.allocation.tau_s, record.allocation.tau_sp):
+            with pytest.raises(ValueError, match="read-only"):
+                counts[0] = 1
+
+
+def test_roundings_stay_within_their_bound(monkeypatch):
+    monkeypatch.setattr(bandit, "_MEMO_ROUNDINGS", 2)
+    model, arms = chain_model()
+    bandit._SOLVED.clear()
+    allocate = bandit._Allocator(DivergenceSet.exact(model, arms), np.ones((3, 3)), 1.0, ())
+    for tau in (0, 10, 20, 30):
+        rounded = allocate((0, 1, 2), "joint", tau)
+        assert sum(int(c.sum()) for c in (rounded.tau_y, rounded.tau_s, rounded.tau_sp)) == tau
+        [(solution, roundings)] = allocate.solved.values()
+        assert solution is allocate((0, 1, 2), "joint") and len(roundings) <= 2
+    assert list(roundings) == [20, 30]
+
+
 def test_editing_divergences_in_place_forces_a_new_solve(monkeypatch):
     model, arms = chain_model()
     divergences = DivergenceSet.exact(model, arms)

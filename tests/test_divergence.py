@@ -309,3 +309,55 @@ def test_cutoffs_dominate_quantiles_random(seed, eps):
             for direction, mat in (("ssp", ds.d_ssp), ("sps", ds.d_sps)):
                 gamma = empirical_quantile_gamma(model, arms[i], arms[j], eps, direction)
                 assert gamma <= cap * mat[i, j] + 1e-12
+
+
+def count_reductions(monkeypatch) -> list:
+    """The laws reduced to exact matrices from here on, from a cold tables memo."""
+    reduce = divergence._reduce
+    reductions = []
+
+    def counted(laws, kernel):
+        reductions.append(laws)
+        return reduce(laws, kernel)
+
+    monkeypatch.setattr(divergence, "_reduce", counted)
+    sampling._TABLES.clear()
+    return reductions
+
+
+def test_equal_instances_built_apart_reduce_once(monkeypatch):
+    reductions = count_reductions(monkeypatch)
+    (model_a, arms_a), (model_b, arms_b) = chain_model(), chain_model()
+    a = DivergenceSet.exact(model_a, arms_a)
+    b = DivergenceSet.exact(model_b, arms_b)
+    assert len(reductions) == 1
+    for name in ("m", "d_ssp", "d_sps"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert not np.shares_memory(getattr(a, name), getattr(b, name))
+    with pytest.raises(ValueError, match="read-only"):
+        sampling.instance_tables(model_a, arms_a).divergences[0][0, 1] = 2.0
+
+
+def test_editing_returned_matrices_does_not_reach_the_next_exact(monkeypatch):
+    reductions = count_reductions(monkeypatch)
+    model, arms = chain_model()
+    first = DivergenceSet.exact(model, arms)
+    want = first.m.copy()
+    first.m[0, 1] = 99.0
+    first.d_ssp *= 2.0
+    again = DivergenceSet.exact(model, arms)
+    assert len(reductions) == 1
+    np.testing.assert_array_equal(again.m, want)
+    np.testing.assert_array_equal(again.d_ssp, first.d_ssp / 2.0)
+
+
+def test_editing_an_arm_table_in_place_gives_new_matrices(monkeypatch):
+    reductions = count_reductions(monkeypatch)
+    model, arms = chain_model()
+    before = DivergenceSet.exact(model, arms)
+    arms[1].table[0] = [0.2, 0.2, 0.6]
+    after = DivergenceSet.exact(model, arms)
+    assert len(reductions) == 2
+    assert not np.array_equal(before.m, after.m)
+    assert not np.array_equal(before.d_ssp, after.d_ssp)
+    np.testing.assert_allclose(after.m, reference_divergence_set(model, arms).m, rtol=1e-12)

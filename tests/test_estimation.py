@@ -19,6 +19,8 @@ from helpers import (
     CellBatch,
     NoSamples,
     ReferencePool,
+    blockwise_estimate_all,
+    blockwise_pulled_blocks,
     chain_model,
     clipped_fairness_expectation,
     clipped_outcome_expectation,
@@ -57,16 +59,18 @@ def test_pool_bookkeeping():
     assert pool.counts(Regime.FORCE_S)[2] == 4
     np.testing.assert_array_equal(pool.counts(Regime.OBSERVATIONAL), [12, 0, 0])
     np.testing.assert_array_equal(pool.counts(Regime.FORCE_SPRIME), [0, 1, 0])
-    blocks = {(j, REGIMES[r]): rest for j, r, *rest in pool.pulled_blocks()}
-    assert list(blocks) == [(0, Regime.OBSERVATIONAL), (1, Regime.FORCE_SPRIME), (2, Regime.FORCE_S)]
-    weights, counts, y = blocks[0, Regime.OBSERVATIONAL]
-    assert counts.sum() == 12 and np.all(counts > 0)
-    assert y.shape == counts.shape and counts.shape[0] <= 12  # the chain model has 12 cells
-    assert weights.shape == (3, counts.shape[0])
+    blocks = pool.pulled()
+    assert [(j, REGIMES[r]) for j, r in zip(blocks.arms.tolist(), blocks.regimes.tolist())] == [
+        (0, Regime.OBSERVATIONAL), (1, Regime.FORCE_SPRIME), (2, Regime.FORCE_S)]
+    assert blocks.pulls.tolist() == [12, 1, 4]
+    size = int(blocks.sizes[0])
+    assert 0 < size <= 12  # the chain model has 12 cells
+    assert blocks.sizes.sum() == blocks.cy.shape[0] == blocks.weights.shape[0]
+    assert blocks.weights[:size].T.shape == (3, size)
     # A zero-length batch draws no entry, so it marks no block as pulled.
     pool.add(sample_block(model, arms[1], Regime.OBSERVATIONAL, 0, rng))
     assert pool.counts(Regime.OBSERVATIONAL)[1] == 0
-    assert len(list(pool.pulled_blocks())) == 3
+    assert len(pool.pulled().arms) == 3
 
 
 def test_estimate_all_reads_only_the_pulled_block(monkeypatch):
@@ -78,11 +82,11 @@ def test_estimate_all_reads_only_the_pulled_block(monkeypatch):
             pool = SamplePool(sampling.instance_tables(model, arms))
             pool.add(sample_block(model, arm, regime, 50, rng))
             read = []
-            pulled_blocks = pool.pulled_blocks
-            monkeypatch.setattr(pool, "pulled_blocks",
-                                lambda: (read.append(b[:2]) or b for b in pulled_blocks()))
+            pulled = pool.pulled
+            monkeypatch.setattr(pool, "pulled", lambda: read.append(pulled()) or read[-1])
             vec = estimate_all(pool, 0.5, div)
-            assert read == [(j, r)]
+            [blocks] = read
+            assert list(zip(blocks.arms.tolist(), blocks.regimes.tolist())) == [(j, r)]
             n_eff = (vec.n_eff_y, vec.n_eff_sps, vec.n_eff_ssp)
             estimates = (vec.y, vec.zeta_sps, vec.zeta_ssp)
             cutoffs = (div.m, div.d_sps, div.d_ssp)
@@ -347,3 +351,75 @@ def test_estimates_do_not_depend_on_how_pulls_are_split_over_adds(seed):
     for regime in Regime:
         np.testing.assert_array_equal(split.counts(regime), whole.counts(regime))
     assert estimate_bytes(split, div) == estimate_bytes(whole, div)
+
+
+ESTIMATE_FIELDS = ("y", "zeta_ssp", "zeta_sps", "n_eff_y", "n_eff_ssp", "n_eff_sps")
+ESTIMATE_FIXTURES = {"chain": chain_model, "side-child": side_child_model}
+
+
+def layout(a: np.ndarray) -> tuple[bool, bool]:
+    return a.flags.c_contiguous, a.flags.f_contiguous
+
+
+def assert_blockwise_bytes(pool: SamplePool, div: DivergenceSet, kernel: np.ndarray) -> None:
+    """The batched gather and estimates of ``pool`` are the blockwise ones, byte for byte,
+    at every eps from 1 down to 2^-12, so clipping runs from heavy to none."""
+    blocks = pool.pulled()
+    ref = list(blockwise_pulled_blocks(pool, kernel))
+    assert [(j, r) for j, r, *_ in ref] == list(zip(blocks.arms.tolist(), blocks.regimes.tolist()))
+    ends = np.cumsum(blocks.sizes)
+    for b, ((_, _, w, counts, y), lo, hi) in enumerate(zip(ref, ends - blocks.sizes, ends)):
+        got = blocks.weights[lo:hi].T
+        assert got.tobytes() == w.tobytes() and layout(got) == layout(w)
+        assert blocks.cy[lo:hi].tobytes() == (counts * y).tobytes()
+        assert blocks.pulls[b] == counts.sum()
+    for e in range(13):
+        got = estimate_all(pool, 2.0**-e, div)
+        want = blockwise_estimate_all(pool, 2.0**-e, div, kernel)
+        for name in ESTIMATE_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (e, name)
+
+
+def random_rows(rng, laws: np.ndarray, drawn) -> np.ndarray:
+    """Random count rows for the ``drawn`` entries on cells their laws reach, from
+    a few pulls to thousands per cell; every row has at least one pull."""
+    rows = []
+    for j, r in zip(*drawn):
+        reached = np.flatnonzero(laws[j, r])
+        row = np.zeros(laws.shape[2], dtype=np.int64)
+        at = reached[rng.random(reached.size) < rng.random()]
+        at = at if at.size else reached[:1]
+        row[at] = rng.integers(1, int(rng.choice([2, 20, 2000])) + 1, size=at.size)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(len(drawn[0]), laws.shape[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["random", *ESTIMATE_FIXTURES]), st.integers(0, 10_000))
+def test_batched_estimates_are_the_blockwise_ones_bit_for_bit(fixture, seed):
+    """An empty pool, a single block, random count rows over random block
+    subsets added over several batches, and a pool cleared as v1 clears it."""
+    rng = np.random.default_rng(seed)
+    if fixture == "random":
+        inst = random_instance(rng)
+        model, arms = inst.model, inst.arms
+    else:
+        model, arms = ESTIMATE_FIXTURES[fixture]()
+    tables = sampling.instance_tables(model, arms)
+    div = DivergenceSet.exact(model, arms)
+    pool = SamplePool(tables)
+    assert np.shares_memory(pool._rows, tables.kernel)
+    assert_blockwise_bytes(pool, div, tables.kernel)
+    single = (np.array([rng.integers(len(arms))]), np.array([rng.integers(len(REGIMES))]))
+    pool.add(BatchSamples(single, random_rows(rng, tables.laws, single)))
+    assert_blockwise_bytes(pool, div, tables.kernel)
+    for _ in range(3):
+        drawn = np.nonzero(rng.random((len(arms), len(REGIMES))) < rng.random())
+        pool.add(BatchSamples(drawn, random_rows(rng, tables.laws, drawn)))
+        assert_blockwise_bytes(pool, div, tables.kernel)
+    pool.clear()
+    assert_blockwise_bytes(pool, div, tables.kernel)
+    assert np.isnan(estimate_all(pool, 0.5, div).y).all()
+    drawn = np.nonzero(rng.random((len(arms), len(REGIMES))) < 0.5)
+    pool.add(BatchSamples(drawn, random_rows(rng, tables.laws, drawn)))
+    assert_blockwise_bytes(pool, div, tables.kernel)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -722,9 +724,23 @@ def test_kernel_is_the_weights_of_any_cell_subset(fixture, seed):
             counts = np.zeros((1, cells.y.size), dtype=np.int64)
             counts[0, occ] = rng.integers(1, 5, size=occ.size)
             pool = SamplePool(sampling.instance_tables(model, arms))
+            assert np.shares_memory(pool._rows, kernel)
             pool.add(BatchSamples((np.array([j]), np.array([r])), counts))
-            [(_, _, got, _, _)] = pool.pulled_blocks()
+            got = pool.pulled().weights.T
             assert got.tobytes() == want.tobytes() and layout(got) == layout(want), (j, regime)
+
+
+def test_kernel_build_peaks_under_one_and_a_half_kernels():
+    instance = BENCH_INSTANCES["synth-k30"]()
+    tables = sampling.instance_tables(instance.model, instance.arms)
+    tracemalloc.start()
+    try:
+        kernel = sampling._build_kernel(tables.transport, tables.regime)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * kernel.nbytes
+    assert kernel.tobytes() == tables.kernel.tobytes() and kernel.strides == tables.kernel.strides
 
 
 def test_equal_instances_share_one_kernel(monkeypatch):

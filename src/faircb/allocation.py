@@ -119,8 +119,8 @@ def build_problem(
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (3, divergences.n_arms):
         raise ValueError(f"costs must be (3, K), got {costs.shape}")
-    if np.any(costs < 0.0) or budget < 0.0:
-        raise ValueError("costs and budget must be nonnegative")
+    if not (np.all((costs >= 0.0) & (costs < np.inf)) and budget >= 0.0):
+        raise ValueError("costs must be finite and nonnegative, and the budget nonnegative")
     active = tuple(sorted(set(int(k) for k in active)))
     if not active:
         raise ValueError("active set must be nonempty")

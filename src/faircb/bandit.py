@@ -15,15 +15,18 @@ the rounded counts, re-estimates, records the phase and eliminates.  Its
   every survivor counts as fair, arms are dropped on the reward clause
   against the survivors, and a lone survivor is the decision.
 
-The LP of a phase depends only on the instance content (the three divergence
-matrices, the cost rows, the budget and the extra rows; the cheap-arm cap
-brings in T) and on the (survivors, rule) pair.  Seeded runs of one instance
-keep meeting the same problems, so every run solves through one memo that
-lives for the whole process:
+Runs read a ``PreparedInstance``, built once per model, arm set and cost
+cap by ``prepare``, and look nothing up: a run keeps only its generator,
+sample pool, variant, tolerance and extra rows.  The LP of a phase depends
+only on the instance content (the three divergence matrices, the cost rows,
+the budget and the extra rows; the cheap-arm cap brings in T) and on the
+(survivors, rule) pair.  Seeded runs of one instance keep meeting the same
+problems, so every run solves through one memo that lives for the whole
+process:
 
 - the outer map is keyed on the bytes, shape and dtype of the matrices and
-  on the cost rows, budget and extra rows, never on object identity, so an
-  in-place edit of a ``DivergenceSet`` makes a new instance.  The matrix
+  on the cost rows, budget and extra rows, never on object identity, so
+  equal instances prepared apart share an entry.  The matrix
   bytes are held once per instance; each instance maps (survivors, rule) to
   its solution and its rounded counts per phase length (at most
   ``_MEMO_ROUNDINGS``).  At most ``_MEMO_INSTANCES`` instances with at most
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +68,8 @@ __all__ = [
     "phase_schedule",
     "fair_set",
     "eliminate",
+    "PreparedInstance",
+    "prepare",
     "run_csr",
     "run_two_stage",
 ]
@@ -217,11 +222,48 @@ def _pull_phase(run: _Run, allocation: Allocation) -> tuple[int, float]:
     counts = np.array((allocation.tau_y, allocation.tau_s, allocation.tau_sp)).T
     drawn = counts > 0
     cost = 0.0
-    for spent in (run.costs.T[drawn] * counts[drawn]).tolist():
+    for spent in (run.prepared.costs.T[drawn] * counts[drawn]).tolist():
         cost += spent
     if drawn.any():
-        run.pool.add(sampling.sample_batch(run.laws, counts, run.rng))
+        run.pool.add(sampling.sample_batch(run.prepared.tables.laws, counts, run.rng))
     return int(counts.sum()), cost
+
+
+class PreparedInstance(NamedTuple):
+    """What every run of one instance reads (see ``prepare``): ``divergences`` and
+    ``costs`` are read-only, ``key`` is the content key of its allocation-memo entry.
+    A named tuple, since a run's set-up builds one per ``run_algorithm`` call."""
+
+    tables: sampling.InstanceTables
+    divergences: DivergenceSet
+    costs: np.ndarray
+    budget: float
+    key: tuple
+
+
+def prepare(model: CausalModel, arms: Sequence[Arm], budget: float,
+            divergences: DivergenceSet | None = None) -> PreparedInstance:
+    """A snapshot of an instance's memoized tables, divergences and cost rows, with
+    the per-sample cost cap ``budget``, for any number of runs.
+
+    The divergences default to the tables' read-only exact matrices; given
+    ones are copied read-only and must be K x K for the K arms.  An edit of
+    the model, an arm or the given divergences reaches no run of a snapshot
+    made before it; prepare again to see it.
+    """
+    tables = sampling.instance_tables(model, arms)
+    given = divergences is not None
+    matrices = (divergences.m, divergences.d_ssp, divergences.d_sps) if given else tables.divergences
+    keys = tuple(array_key(matrix) for matrix in matrices)
+    k, shapes = len(arms), [shape for shape, _, _ in keys]
+    if shapes != [(k, k)] * 3:
+        raise ValueError(f"divergences must be {k} x {k} for the {k} arms, got {shapes}")
+    if given:  # read-only views of the key's bytes: the snapshot copies nothing more
+        matrices = [np.ndarray(shape, dtype, data) for shape, dtype, data in keys]
+    costs = costs_from_arms(arms)
+    costs.flags.writeable = False
+    key = (keys, array_key(costs), float(budget))
+    return PreparedInstance(tables, DivergenceSet(*matrices), costs, float(budget), key)
 
 
 # Bounds of the allocation memo: instances, problems per instance, roundings per problem.
@@ -234,23 +276,11 @@ _SOLVED: OrderedDict[tuple, OrderedDict[tuple, tuple[Allocation, dict[int, Alloc
 class _Allocator:
     """Max-min allocations over the survivors of one LP instance, and their counts, memoized."""
 
-    def __init__(
-        self,
-        divergences: DivergenceSet,
-        costs: np.ndarray,
-        budget: float,
-        extra_constraints: Sequence[tuple[np.ndarray, float]],
-    ) -> None:
-        self.divergences = divergences
-        self.costs = costs
-        self.budget = budget
+    def __init__(self, prepared: PreparedInstance,
+                 extra_constraints: Sequence[tuple[np.ndarray, float]]) -> None:
+        self.prepared = prepared
         self.extra_constraints = extra_constraints
-        key = (
-            tuple(array_key(a) for a in (divergences.m, divergences.d_ssp, divergences.d_sps)),
-            array_key(costs),
-            float(budget),
-            tuple((array_key(coeffs), float(ub)) for coeffs, ub in extra_constraints),
-        )
+        key = (prepared.key, tuple((array_key(c), float(ub)) for c, ub in extra_constraints))
         self.solved = _SOLVED.get(key)
         if self.solved is None:
             self.solved = _SOLVED[key] = OrderedDict()
@@ -266,8 +296,9 @@ class _Allocator:
         if found is not None:
             self.solved.move_to_end((remaining, rule))
         else:
+            p = self.prepared
             alloc = solve_maxmin(build_problem(
-                self.divergences, self.costs, self.budget, remaining, self.extra_constraints,
+                p.divergences, p.costs, p.budget, remaining, self.extra_constraints,
                 include_outcome=rule != "fairness", include_fairness=rule != "outcome",
             ))
             for nu in (alloc.nu_y, alloc.nu_s, alloc.nu_sp):
@@ -278,7 +309,7 @@ class _Allocator:
         alloc, rounded = found
         if tau is None or tau in rounded:
             return alloc if tau is None else rounded[tau]
-        zero = np.zeros(len(self.costs[0]), dtype=np.int64)  # a zero-length phase pulls nothing
+        zero = np.zeros(len(alloc.nu_y), dtype=np.int64)  # a zero-length phase pulls nothing
         counts = round_counts(alloc, tau) if tau else replace(
             alloc, tau_y=zero, tau_s=zero.copy(), tau_sp=zero.copy())
         for array in (counts.tau_y, counts.tau_s, counts.tau_sp):
@@ -291,13 +322,10 @@ class _Allocator:
 
 @dataclass
 class _Run:
-    """What every phase of one run reads; every phase pulls from the arms'
-    cell ``laws`` into ``pool``, which under v1 each phase clears first."""
+    """One run's own state over a prepared instance; every phase pulls from
+    the instance's cell laws into ``pool``, which under v1 each phase clears first."""
 
-    model: CausalModel
-    arms: Sequence[Arm]
-    divergences: DivergenceSet
-    budget: float
+    prepared: PreparedInstance
     fairness_eps: float
     variant: str
     rng: np.random.Generator | None
@@ -305,13 +333,8 @@ class _Run:
 
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng() if self.rng is None else self.rng
-        tables = sampling.instance_tables(self.model, self.arms)
-        self.laws = tables.laws
-        self.pool = SamplePool(tables)
-        self.costs = costs_from_arms(self.arms)
-        self.allocation = _Allocator(
-            self.divergences, self.costs, self.budget, self.extra_constraints
-        )
+        self.pool = SamplePool(self.prepared.tables)
+        self.allocation = _Allocator(self.prepared, self.extra_constraints)
 
 
 def _run_stage(
@@ -331,7 +354,7 @@ def _run_stage(
         if run.variant == "v1":
             run.pool.clear()
         spent, cost = _pull_phase(run, alloc)
-        estimates = estimate_all(run.pool, eps, run.divergences)
+        estimates = estimate_all(run.pool, eps, run.prepared.divergences)
         if rule == "outcome":
             fair = remaining
         else:
@@ -363,10 +386,7 @@ def _trace(phases: list[PhaseRecord], decision: int | None) -> RunTrace:
 
 
 def run_csr(
-    model: CausalModel,
-    arms: Sequence[Arm],
-    divergences: DivergenceSet,
-    budget: float,
+    prepared: PreparedInstance,
     T: int,
     fairness_eps: float,
     variant: str = "v2",
@@ -381,9 +401,9 @@ def run_csr(
     if variant not in ("v1", "v2"):
         raise ValueError(f"variant must be 'v1' or 'v2', got {variant!r}")
     check_fairness_eps(fairness_eps)
-    run = _Run(model, arms, divergences, budget, fairness_eps, variant, rng, extra_constraints)
+    run = _Run(prepared, fairness_eps, variant, rng, extra_constraints)
     phases: list[PhaseRecord] = []
-    _, decision = _run_stage(run, T, tuple(range(len(arms))), 1, "joint", phases)
+    _, decision = _run_stage(run, T, tuple(range(prepared.divergences.n_arms)), 1, "joint", phases)
     if decision is None:
         certified = [p for p in phases if p.fair]
         if certified:
@@ -392,10 +412,7 @@ def run_csr(
 
 
 def run_two_stage(
-    model: CausalModel,
-    arms: Sequence[Arm],
-    divergences: DivergenceSet,
-    budget: float,
+    prepared: PreparedInstance,
     T: int,
     fairness_eps: float,
     inner: str = "v2",
@@ -414,9 +431,10 @@ def run_two_stage(
     check_fairness_eps(fairness_eps)
     if T < MIN_T_TWO_STAGE:
         raise ValueError(f"T must be >= {MIN_T_TWO_STAGE} so each stage gets a schedule")
-    run = _Run(model, arms, divergences, budget, fairness_eps, inner, rng, extra_constraints)
+    run = _Run(prepared, fairness_eps, inner, rng, extra_constraints)
     phases: list[PhaseRecord] = []
-    survivors, _ = _run_stage(run, T // 2, tuple(range(len(arms))), 1, "fairness", phases)
+    everyone = tuple(range(prepared.divergences.n_arms))
+    survivors, _ = _run_stage(run, T // 2, everyone, 1, "fairness", phases)
     if not survivors:
         return _trace(phases, None)
     survivors, decision = _run_stage(run, T // 2, survivors, 2, "outcome", phases)

@@ -146,6 +146,10 @@ def _load_checked(path: str) -> Instance:
     report = validate_model(instance.model, instance.arms)
     if not report.ok:
         raise ValueError(f"{path}: " + "; ".join(report.problems))
+    if instance.observed is not None:
+        unseen = [x for x in instance.model.read_nodes() if x not in instance.observed]
+        if unseen:
+            raise ValueError(f"{path}: observed misses the read nodes {unseen}")
     return instance
 
 
@@ -285,14 +289,8 @@ def _trace_lines(trace: RunTrace) -> list[str]:
 def _cmd_run(args) -> int:
     instance = _load_checked(args.instance)
     rng = np.random.default_rng(args.seed)
-    trace = run_algorithm(
-        instance,
-        args.algo,
-        args.T,
-        rng,
-        budget=args.budget,
-        fairness_eps=_eps_of(instance, args.fairness_eps),
-    )
+    trace = run_algorithm(instance, args.algo, args.T, rng, budget=args.budget,
+                          fairness_eps=_eps_of(instance, args.fairness_eps))
     if args.trace:
         Path(args.trace).write_text("\n".join(_trace_lines(trace)) + "\n")
     _emit(
@@ -313,14 +311,8 @@ def _cmd_sweep(args) -> int:
     instance = _load_checked(args.instance)
     budgets = _int_list("--budgets", args.budgets)
     algorithms = tuple(args.algos.split(",")) if args.algos else ALGORITHMS
-    curve = run_sweep(
-        instance,
-        budgets,
-        args.runs,
-        algorithms=algorithms,
-        base_seed=args.base_seed,
-        width=args.width,
-    )
+    curve = run_sweep(instance, budgets, args.runs, algorithms=algorithms,
+                      base_seed=args.base_seed, width=args.width)
     error_curve_to_csv(curve, args.out_csv)
     print(f"wrote {args.out_csv}")
     if args.out_json:

@@ -151,6 +151,16 @@ class CausalModel:
         """The nodes that list ``node`` as a parent, in declared order, once per listing."""
         return tuple(x for x in self.nodes for p in self.parents.get(x, ()) if p == node)
 
+    def read_nodes(self) -> tuple[str, ...]:
+        """The nodes a pull's estimates read, in cell-code order: V's parents, V
+        and Y, then each child of S other than V and its parents, each once."""
+        s, v = self.sensitive, self.intervention
+        read = [*self.parents[v], v, self.target]
+        for x in self.children(s):
+            if x != v:
+                read += [x, *self.parents[x]]
+        return tuple(dict.fromkeys(read))
+
     def topological_order(self) -> tuple[str, ...]:
         """Kahn order, stable in declared node order.  Raises on a cycle."""
         return self._kahn(self.nodes)
@@ -315,8 +325,8 @@ def validate_model(model: CausalModel, arms: Sequence[Arm] = ()) -> ValidationRe
             problems.append(f"arm {arm.index}: index differs from its position {position}")
         problems.extend(_row_problems(f"arm {arm.index}", arm.table, n_rows_v, card_v))
         for c in (arm.cost_pull, arm.cost_force_s, arm.cost_force_sprime):
-            if c < 0:
-                problems.append(f"arm {arm.index}: negative cost")
+            if not 0.0 <= c < math.inf:
+                problems.append(f"arm {arm.index}: cost {c} is not finite and nonnegative")
 
     if arms and not problems:
         # Importance ratios between arms need a shared zero pattern per row.

@@ -155,16 +155,6 @@ def liver_network() -> CausalModel:
     )
 
 
-def _observed_set(model: CausalModel) -> tuple[str, ...]:
-    s, v, y = model.sensitive, model.intervention, model.target
-    want = {s, v, y}
-    want.update(model.parents[v])
-    for c in model.children(s):
-        want.add(c)
-        want.update(model.parents[c])
-    return tuple(x for x in model.topological_order() if x in want)
-
-
 def build_network_experiment(
     model: CausalModel,
     intervention: str,
@@ -178,8 +168,8 @@ def build_network_experiment(
 
     Arm 0 keeps the network's own conditional at the intervention node; the
     other arms draw each row from a flat Dirichlet.  The observation set is
-    the sensitive node, the intervention node and its parents, the children
-    of the sensitive node and their parents, and the target.
+    the sensitive node and the read nodes (``CausalModel.read_nodes``), in
+    topological order.
     """
     for name in (intervention, sensitive, target):
         if name not in model.cards:
@@ -215,12 +205,13 @@ def build_network_experiment(
     for k in range(1, n_arms):
         arms.append(Arm(k, rng.dirichlet(np.ones(card_v), size=n_rows)))
 
+    seen = {sensitive, *designated.read_nodes()}
     instance = Instance(
         model=designated,
         arms=arms,
         name=f"network-{intervention}-K{n_arms}-seed{seed}",
         cheap_arm_constraint=False,
-        observed=_observed_set(designated),
+        observed=tuple(x for x in designated.topological_order() if x in seen),
         fairness_eps=fairness_eps,
     )
     report = validate_model(designated, instance.arms)

@@ -1,8 +1,8 @@
 """Pulls as cell counts drawn from the cell law, per-cell pull fields, and importance weights.
 
 Cell code: the estimators read a pull only through the values of its *read
-nodes*: V's parents, V and Y, then each child of S other than V followed by
-its parents, each node once at its first place in that list.  A pull's cell
+nodes* (``CausalModel.read_nodes``): V's parents, V and Y, then each child of
+S other than V followed by its parents, each node once.  A pull's cell
 is the row-major mixed-radix code of those values (the first read node
 varies slowest), so ``n_cells`` is the product of their cardinalities and
 every pull field is a function of the cell alone.  The decoded fields of
@@ -100,22 +100,6 @@ class BatchSamples:
     @property
     def n(self) -> int:
         return int(self.counts.sum())
-
-
-def _cell_code(model: CausalModel) -> tuple[tuple[str, ...], list[int]]:
-    """Read nodes and their cardinalities; raises past the enumeration cap."""
-    s, v = model.sensitive, model.intervention
-    read = [*model.parents[v], v, model.target]
-    for x in model.children(s):
-        if x != v:
-            read += [x, *model.parents[x]]
-    nodes = tuple(dict.fromkeys(read))
-    cards = [model.cards[x] for x in nodes]
-    n_cells = math.prod(cards)
-    cap = enumeration_cap()
-    if n_cells > cap:
-        raise EnumerationTooLarge(f"{n_cells} cells over {nodes} exceeds the cap of {cap}")
-    return nodes, cards
 
 
 def _decode_cells(model: CausalModel, nodes: Sequence[str], cards: Sequence[int]) -> Cells:
@@ -219,9 +203,15 @@ def instance_tables(model: CausalModel, arms: Sequence[Arm]) -> InstanceTables:
     """The ``InstanceTables`` of ``arms`` over ``model``'s cells, from the memo or
     built on a miss; a read set or closure over the enumeration cap raises here,
     before any pull."""
-    nodes, cards = _cell_code(model)
+    nodes = model.read_nodes()
+    cards = [model.cards[x] for x in nodes]
+    n_cells, cap = math.prod(cards), enumeration_cap()
+    if n_cells > cap:
+        raise EnumerationTooLarge(f"{n_cells} cells over {nodes} exceeds the cap of {cap}")
     closure = model.ancestors(nodes)
-    tables = np.stack([arm.table for arm in arms])
+    tables = np.array([arm.table for arm in arms])  # a third of np.stack's cost
+    if tables.ndim != 3:
+        raise ValueError("an instance needs at least one arm")
     v = model.intervention
     key = (
         tuple((x, model.cards[x], model.parents[x]) for x in closure), nodes,

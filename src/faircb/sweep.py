@@ -5,12 +5,13 @@ spawn_key=(budget_index, algorithm_id, run_index))``, so any row of the
 output is reproducible in isolation.  A run that raises is recorded as a
 failure, by exception class, and scored as an error.
 
-At ``width > 1`` the runs go to a pool of ``min(width, rows)`` worker
-processes, one per (budget, algorithm) row at most.  The instance, its
-divergences, the cost cap and the oracle truth reach each worker once,
-through the pool initializer; a cell then travels as its indices only, one
-row per chunk.  Workers started by fork inherit the parent's allocation
-memo (see ``bandit``).
+A sweep prepares its instance once (``bandit.prepare``) and its cells make
+no content lookup; ``run_algorithm`` prepares on each call.  At ``width > 1``
+the runs go to a pool of ``min(width, rows)`` worker processes, one per
+(budget, algorithm) row at most.  The prepared instance, the instance and
+the oracle truth reach each worker once, through the pool initializer; a cell
+then travels as its indices only, one row per chunk.  Workers started by fork
+inherit the parent's allocation memo (see ``bandit``).
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .allocation import cheap_arm_cap
-from .bandit import MIN_T_CSR, MIN_T_TWO_STAGE, RunTrace, run_csr, run_two_stage
+from .bandit import MIN_T_CSR, MIN_T_TWO_STAGE, PreparedInstance, RunTrace, prepare
+from .bandit import run_csr, run_two_stage
 from .divergence import DivergenceSet
 from .io import instance_digest
 from .model import Instance
@@ -78,12 +81,6 @@ def default_budget(instance: Instance) -> float:
     return max(costs) if costs else 0.0
 
 
-def _extra_constraints(instance: Instance, T: int):
-    if instance.cheap_arm_constraint:
-        return (cheap_arm_cap(instance.n_arms, 0, T),)
-    return ()
-
-
 def run_algorithm(
     instance: Instance,
     algorithm: str,
@@ -93,23 +90,23 @@ def run_algorithm(
     fairness_eps: float | None = None,
     divergences: DivergenceSet | None = None,
 ) -> RunTrace:
-    """Dispatch one seeded run of any registered algorithm."""
+    """Dispatch one seeded run of any registered algorithm, preparing the instance for it."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick one of {ALGORITHMS}")
     eps = instance.fairness_eps if fairness_eps is None else fairness_eps
     if eps is None:
         raise ValueError("no fairness tolerance: set instance.fairness_eps or pass one")
-    if divergences is None:
-        divergences = DivergenceSet.exact(instance.model, instance.arms)
-    if budget is None:
-        budget = default_budget(instance)
-    extra = _extra_constraints(instance, T)
+    budget = default_budget(instance) if budget is None else budget
+    prepared = prepare(instance.model, instance.arms, budget, divergences)
+    return _run_prepared(prepared, instance, algorithm, T, rng, eps)
+
+
+def _run_prepared(prepared: PreparedInstance, instance: Instance, algorithm: str, T: int,
+                  rng: np.random.Generator, fairness_eps: float) -> RunTrace:
     family, variant = algorithm.split("-")
     runner = run_csr if family == "csr" else run_two_stage
-    return runner(
-        instance.model, instance.arms, divergences, budget, T, eps,
-        variant, rng, extra_constraints=extra,
-    )
+    extra = (cheap_arm_cap(instance.n_arms, 0, T),) if instance.cheap_arm_constraint else ()
+    return runner(prepared, T, fairness_eps, variant, rng, extra_constraints=extra)
 
 
 class _Outcome(NamedTuple):
@@ -120,9 +117,8 @@ class _Outcome(NamedTuple):
 
 
 def _run_cell(
+    prepared: PreparedInstance,
     instance: Instance,
-    divergences: DivergenceSet,
-    budget: float,
     truth: int | None,
     algorithm: str,
     T: int,
@@ -137,26 +133,24 @@ def _run_cell(
     rng = np.random.default_rng(ss)
     start = time.perf_counter()
     try:
-        trace = run_algorithm(
-            instance, algorithm, T, rng, budget=budget, divergences=divergences
-        )
+        trace = _run_prepared(prepared, instance, algorithm, T, rng, instance.fairness_eps)
     except Exception as exc:
         return _Outcome(True, False, time.perf_counter() - start, (type(exc).__name__, str(exc)))
     elapsed = time.perf_counter() - start
     return _Outcome(trace.decision != truth, trace.decision is None, elapsed, None)
 
 
-# What every cell of a pooled sweep shares, set once per worker process by ``_init_worker``.
-_SHARED: tuple[Instance, DivergenceSet, float, int | None] | None = None
+# ``_run_cell`` bound to what the cells of a pooled sweep share, set per worker by ``_init_worker``.
+_SHARED: Callable[..., _Outcome] | None = None
 
 
-def _init_worker(instance: Instance, divergences: DivergenceSet, budget: float, truth) -> None:
+def _init_worker(run_cell: Callable[..., _Outcome]) -> None:
     global _SHARED
-    _SHARED = (instance, divergences, budget, truth)
+    _SHARED = run_cell
 
 
 def _run_shared_cell(cell: tuple) -> _Outcome:
-    return _run_cell(*_SHARED, *cell)
+    return _SHARED(*cell)
 
 
 def _row(T: int, algorithm: str, base_seed: int, outcomes: Sequence[_Outcome]) -> SweepRow:
@@ -205,8 +199,8 @@ def run_sweep(
             raise ValueError(f"{algorithm} needs budgets >= {low}, got {short}")
     truth = oracle_report(instance, instance.fairness_eps)["best_fair"]
     digest = instance_digest(instance)
-    shared = (instance, DivergenceSet.exact(instance.model, instance.arms),
-              default_budget(instance), truth)
+    prepared = prepare(instance.model, instance.arms, default_budget(instance))
+    run_cell = partial(_run_cell, prepared, instance, truth)
 
     grid = [(int(T), algorithm, bi) for bi, T in enumerate(budgets) for algorithm in algorithms]
     cells = [(algorithm, T, base_seed, bi, run) for T, algorithm, bi in grid for run in range(runs)]
@@ -214,11 +208,11 @@ def run_sweep(
     workers = min(width, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=shared
+            max_workers=workers, initializer=_init_worker, initargs=(run_cell,)
         ) as pool:
             outcomes = list(pool.map(_run_shared_cell, cells, chunksize=runs))
     else:
-        outcomes = [_run_cell(*shared, *cell) for cell in cells]
+        outcomes = [run_cell(*cell) for cell in cells]
 
     rows = tuple(
         _row(T, algorithm, base_seed, outcomes[i * runs : (i + 1) * runs])

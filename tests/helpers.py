@@ -36,7 +36,7 @@ from scipy.special import logsumexp
 
 from faircb import sampling
 from faircb.allocation import Allocation
-from faircb.bandit import _Allocator, phase_schedule
+from faircb.bandit import PreparedInstance, _Allocator, phase_schedule
 from faircb.divergence import DivergenceSet
 from faircb.errors import FairCBError, Infeasible
 from faircb.estimation import EstimateVector, SamplePool
@@ -1103,9 +1103,7 @@ def _bracket_phase(numerator: float, gap: float) -> float:
 
 def bound_report(
     oracle: dict,
-    divergences: DivergenceSet,
-    costs: np.ndarray,
-    budget: float,
+    prepared: PreparedInstance,
     T: int,
     extra_constraints: Sequence[tuple[np.ndarray, float]] = (),
 ) -> dict:
@@ -1126,7 +1124,7 @@ def bound_report(
     K = mu.shape[0]
     sched = phase_schedule(T)
 
-    allocation = _Allocator(divergences, costs, budget, extra_constraints)
+    allocation = _Allocator(prepared, extra_constraints)
 
     def vstar(active: Sequence[int]) -> float:
         return allocation(tuple(sorted({int(k) for k in active})), "joint").v_star
@@ -1215,7 +1213,7 @@ def bound_report(
 
     return {
         "T": T,
-        "budget": float(budget),
+        "budget": prepared.budget,
         "fairness_eps": fairness_eps,
         "n_phases": sched.n,
         "logbar": sched.logbar,

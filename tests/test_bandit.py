@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import faircb.bandit as bandit
 import faircb.sampling as sampling
 from faircb.allocation import cheap_arm_cap, round_counts
-from faircb.bandit import eliminate, fair_set, phase_schedule, run_csr, run_two_stage
+from faircb.bandit import eliminate, fair_set, phase_schedule, prepare, run_csr, run_two_stage
 from faircb.divergence import DivergenceSet
 from faircb.errors import EnumerationTooLarge, Infeasible
 from faircb.estimation import EstimateVector
@@ -176,12 +176,8 @@ def test_effective_samples_keep_the_lp_promise(seed, algorithm):
 
 def make_chain_run(T=2000, fairness_eps=0.2, seed=0, variant="v2", **kwargs):
     model, arms = chain_model()
-    divergences = DivergenceSet.exact(model, arms)
     return run_csr(
-        model,
-        arms,
-        divergences,
-        budget=1.0,
+        prepare(model, arms, 1.0),
         T=T,
         fairness_eps=fairness_eps,
         variant=variant,
@@ -240,10 +236,7 @@ def test_run_csr_early_return_stops_spending():
 def test_run_csr_no_fair_arm():
     model, arms = side_child_model()
     trace = run_csr(
-        model,
-        arms,
-        DivergenceSet.exact(model, arms),
-        budget=1.0,
+        prepare(model, arms, 1.0),
         T=10_000,
         fairness_eps=0.05,
         rng=np.random.default_rng(0),
@@ -258,10 +251,7 @@ def test_run_csr_propagates_infeasible():
     model, arms = chain_model()
     with pytest.raises(Infeasible):
         run_csr(
-            model,
-            arms,
-            DivergenceSet.exact(model, arms),
-            budget=0.0,
+            prepare(model, arms, 0.0),
             T=1000,
             fairness_eps=0.2,
             rng=np.random.default_rng(0),
@@ -286,10 +276,7 @@ def test_budget_accounting_nonuniform_costs():
     ]
     budget = 0.9
     trace = run_csr(
-        model,
-        arms,
-        DivergenceSet.exact(model, arms),
-        budget=budget,
+        prepare(model, arms, budget),
         T=4000,
         fairness_eps=0.2,
         rng=np.random.default_rng(5),
@@ -303,10 +290,7 @@ def test_budget_accounting_nonuniform_costs():
 def test_run_two_stage_contract():
     model, arms = chain_model()
     trace = run_two_stage(
-        model,
-        arms,
-        DivergenceSet.exact(model, arms),
-        budget=1.0,
+        prepare(model, arms, 1.0),
         T=20_000,
         fairness_eps=0.2,
         rng=np.random.default_rng(2),
@@ -333,10 +317,7 @@ def test_run_two_stage_no_fair_arm_skips_stage_two():
     model, arms = side_child_model()
     twins = (arms[0], Arm(index=1, table=arms[0].table.copy()))
     trace = run_two_stage(
-        model,
-        twins,
-        DivergenceSet.exact(model, twins),
-        budget=1.0,
+        prepare(model, twins, 1.0),
         T=20_000,
         fairness_eps=0.05,
         rng=np.random.default_rng(0),
@@ -353,20 +334,18 @@ def test_run_two_stage_lone_unfair_survivor_is_kept():
     # twelve seeds, every run whose first stage hands one arm to the second
     # returns it, at least one run does, and no joint run declares an arm.
     model, arms = side_child_model()
-    divergences = DivergenceSet.exact(model, arms)
+    prepared = prepare(model, arms, 1.0)
     lone = 0
     for seed in range(12):
         trace = run_two_stage(
-            model, arms, divergences, budget=1.0, T=20_000,
-            fairness_eps=0.05, rng=np.random.default_rng(seed),
+            prepared, T=20_000, fairness_eps=0.05, rng=np.random.default_rng(seed),
         )
         stage_two = [record.remaining for record in trace.phases if record.stage == 2]
         if stage_two and len(stage_two[0]) == 1:
             lone += 1
             assert trace.decision == stage_two[0][0], seed
         joint = run_csr(
-            model, arms, divergences, budget=1.0, T=20_000,
-            fairness_eps=0.05, rng=np.random.default_rng(seed),
+            prepared, T=20_000, fairness_eps=0.05, rng=np.random.default_rng(seed),
         )
         assert joint.decision is None, seed
     assert lone > 0
@@ -374,29 +353,27 @@ def test_run_two_stage_lone_unfair_survivor_is_kept():
 
 def test_run_two_stage_validation():
     model, arms = chain_model()
-    ds = DivergenceSet.exact(model, arms)
+    prepared = prepare(model, arms, 1.0)
     with pytest.raises(ValueError):
-        run_two_stage(model, arms, ds, 1.0, 7, 0.2)
+        run_two_stage(prepared, 7, 0.2)
     with pytest.raises(ValueError):
-        run_two_stage(model, arms, ds, 1.0, 1000, 0.2, inner="v3")
+        run_two_stage(prepared, 1000, 0.2, inner="v3")
 
 
 @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
 def test_runs_reject_a_bad_fairness_tolerance(eps):
     model, arms = chain_model()
-    ds = DivergenceSet.exact(model, arms)
+    prepared = prepare(model, arms, 1.0)
     with pytest.raises(ValueError, match="fairness_eps"):
-        run_csr(model, arms, ds, 1.0, 1000, eps)
+        run_csr(prepared, 1000, eps)
     with pytest.raises(ValueError, match="fairness_eps"):
-        run_two_stage(model, arms, ds, 1.0, 1000, eps)
+        run_two_stage(prepared, 1000, eps)
 
 
 def test_bound_report_structure_and_frozen_constants():
     model, arms = chain_model()
-    ds = DivergenceSet.exact(model, arms)
-    costs = np.ones((3, 3))
     oracle = oracle_report(Instance(model=model, arms=tuple(arms)), fairness_eps=0.2)
-    report = bound_report(oracle, ds, costs, budget=1.0, T=10_000)
+    report = bound_report(oracle, prepare(model, arms, 1.0), T=10_000)
     assert report["best_fair"] == 2
     assert report["delta"][2] == 0.0
     assert report["so"][0] == 9.0  # ceil(log2(10 / 0.025333..))
@@ -418,9 +395,8 @@ def test_bound_report_structure_and_frozen_constants():
 
 def test_bound_report_no_fair_arm():
     model, arms = side_child_model()
-    ds = DivergenceSet.exact(model, arms)
     oracle = oracle_report(Instance(model=model, arms=tuple(arms)), fairness_eps=0.05)
-    report = bound_report(oracle, ds, np.ones((3, 2)), budget=1.0, T=10_000)
+    report = bound_report(oracle, prepare(model, arms, 1.0), T=10_000)
     assert report["best_fair"] is None
     assert report["misidentification_bound"] is None
     assert report["delta"] == [None, None]
@@ -429,11 +405,10 @@ def test_bound_report_no_fair_arm():
 
 def test_bound_report_monotone_in_horizon():
     model, arms = chain_model()
-    ds = DivergenceSet.exact(model, arms)
+    prepared = prepare(model, arms, 1.0)
     oracle = oracle_report(Instance(model=model, arms=tuple(arms)), fairness_eps=0.2)
-    costs = np.ones((3, 3))
-    small = bound_report(oracle, ds, costs, 1.0, 10_000)
-    large = bound_report(oracle, ds, costs, 1.0, 1_000_000)
+    small = bound_report(oracle, prepared, 10_000)
+    large = bound_report(oracle, prepared, 1_000_000)
     assert large["fairness_error_bound"] <= small["fairness_error_bound"] + 1e-12
     assert large["misidentification_bound"] <= small["misidentification_bound"] + 1e-12
 
@@ -620,15 +595,12 @@ def count_solves(monkeypatch) -> list:
 @pytest.mark.parametrize("runner", [run_csr, run_two_stage])
 def test_each_distinct_allocation_problem_is_solved_once_per_run(monkeypatch, runner):
     model, arms = chain_model()
-    divergences = DivergenceSet.exact(model, arms)
+    prepared = prepare(model, arms, 1.0)
     bandit._SOLVED.clear()
     solves = count_solves(monkeypatch)
 
     def run(seed):
-        return runner(
-            model, arms, divergences, 1.0, 20_000, 0.2, "v2",
-            np.random.default_rng(seed),
-        )
+        return runner(prepared, 20_000, 0.2, "v2", np.random.default_rng(seed))
 
     traces = [run(seed) for seed in range(3)]
     distinct = {(p.remaining, p.stage) for trace in traces for p in trace.phases}
@@ -699,10 +671,7 @@ def test_a_v1_run_looks_the_kernel_up_once(monkeypatch, runner):
 
     monkeypatch.setattr(sampling, "instance_tables", counted)
     model, arms = chain_model()
-    trace = runner(
-        model, arms, DivergenceSet.exact(model, arms), 1.0, 20_000, 0.2,
-        "v1", np.random.default_rng(0),
-    )
+    trace = runner(prepare(model, arms, 1.0), 20_000, 0.2, "v1", np.random.default_rng(0))
     assert len(trace.phases) > 1
     assert len(lookups) == 1
 
@@ -729,9 +698,60 @@ def test_the_kernel_is_looked_up_before_the_first_pull(monkeypatch, runner):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(EnumerationTooLarge):
-        runner(model, arms, divergences, 1.0, 20_000, 0.2, "v2", rng)
+        runner(prepare(model, arms, 1.0, divergences), 20_000, 0.2, "v2", rng)
     assert pulls == []
     assert rng.bit_generator.state == state
+
+@pytest.mark.parametrize("edit", ["arm table", "divergences"])
+def test_a_prepared_instance_is_a_snapshot(edit):
+    model, arms = chain_model()
+    divergences = DivergenceSet.exact(model, arms)
+    given = divergences if edit == "divergences" else None
+
+    def run(prepared):
+        return pickle.dumps(run_csr(prepared, 2000, 0.2, rng=np.random.default_rng(0)))
+
+    kept = prepare(model, arms, 1.0, given)
+    before = run(kept)
+    if edit == "divergences":
+        divergences.m[0, 1] *= 1.5
+    else:
+        arms[1].table[:] = arms[2].table
+    assert run(kept) == before
+    fresh = prepare(model, arms, 1.0, given)
+    assert run(fresh) != before
+    for array in (kept.costs, kept.divergences.m, fresh.divergences.d_ssp):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("shapes", [((2, 2),) * 3, ((3, 3), (3, 2), (3, 3))])
+def test_divergences_of_another_shape_are_refused_before_any_pull(monkeypatch, shapes):
+    model, arms = chain_model()
+    divergences = DivergenceSet(*(np.ones(shape) for shape in shapes))
+    pulls = []
+    monkeypatch.setattr(sampling, "sample_batch", lambda *args: pulls.append(args))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"divergences must be 3 x 3 for the 3 arms"):
+        run_algorithm(Instance(model, tuple(arms)), "csr-v2", 2000, rng, fairness_eps=0.2,
+                      divergences=divergences)
+    assert pulls == []
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("runner", [run_csr, run_two_stage])
+def test_a_prepared_run_makes_no_content_lookup(monkeypatch, runner):
+    model, arms = chain_model()
+    prepared = prepare(model, arms, 1.0)
+
+    def lookup(*args):
+        raise AssertionError("a content lookup after prepare")
+
+    monkeypatch.setattr(sampling, "instance_tables", lookup)
+    monkeypatch.setattr(DivergenceSet, "exact", lookup)
+    assert runner(prepared, 2000, 0.2, rng=np.random.default_rng(0)).phases
+
 
 def test_memoized_fractions_are_read_only():
     trace = make_chain_run()
@@ -766,7 +786,7 @@ def test_roundings_stay_within_their_bound(monkeypatch):
     monkeypatch.setattr(bandit, "_MEMO_ROUNDINGS", 2)
     model, arms = chain_model()
     bandit._SOLVED.clear()
-    allocate = bandit._Allocator(DivergenceSet.exact(model, arms), np.ones((3, 3)), 1.0, ())
+    allocate = bandit._Allocator(prepare(model, arms, 1.0), ())
     for tau in (0, 10, 20, 30):
         rounded = allocate((0, 1, 2), "joint", tau)
         assert sum(int(c.sum()) for c in (rounded.tau_y, rounded.tau_s, rounded.tau_sp)) == tau
@@ -781,10 +801,8 @@ def test_editing_divergences_in_place_forces_a_new_solve(monkeypatch):
     solves = count_solves(monkeypatch)
 
     def run():
-        return run_csr(
-            model, arms, divergences, 1.0, 2000, 0.2,
-            rng=np.random.default_rng(0),
-        )
+        return run_csr(prepare(model, arms, 1.0, divergences), 2000, 0.2,
+                       rng=np.random.default_rng(0))
 
     run()
     solves.clear()
@@ -802,7 +820,7 @@ def test_memo_stays_within_its_bounds(monkeypatch):
     divergences = DivergenceSet.exact(model, arms)
     bandit._SOLVED.clear()
     for budget in (1.0, 1.5, 2.0, 2.5):
-        allocate = bandit._Allocator(divergences, np.ones((3, 3)), budget, ())
+        allocate = bandit._Allocator(prepare(model, arms, budget, divergences), ())
         for remaining in ((0,), (1,), (2,), (0, 1), (0, 2)):
             for rule in ("joint", "fairness", "outcome"):
                 allocate(remaining, rule)
@@ -820,10 +838,10 @@ def test_bound_report_solves_each_distinct_set_once(monkeypatch, fixture):
     build, fairness_eps = SEEDED_FIXTURES[fixture]
     model, arms = build()
     oracle = oracle_report(Instance(model=model, arms=tuple(arms)), fairness_eps=fairness_eps)
-    divergences = DivergenceSet.exact(model, arms)
+    prepared = prepare(model, arms, 1.0)
     bandit._SOLVED.clear()
     solves = count_solves(monkeypatch)
-    report = bound_report(oracle, divergences, np.ones((3, len(arms))), 1.0, 10_000)
+    report = bound_report(oracle, prepared, 10_000)
     # v_star is solved for every r_star set but the best arm's, and for the full set.
     sets = {tuple(r) for k, r in report["r_star"].items() if k != report["best_fair"]}
     assert len(solves) == len(sets | {tuple(range(len(arms)))})

@@ -1,11 +1,15 @@
-"""The benchmark's traced pass sees all of the package's sampling and estimation.
+"""The benchmark's traced pass sees all of the package's sampling and estimation,
+and the sweep's cells under the sweep.
 
 ``benchmarks/tracing.py`` charges sampling to the ``sampling.batch`` span it
 wraps around ``faircb.sampling.sample_batch``.  A run must draw every pull
 through that attribute, once per phase that pulls, or the per-layer split
 would hide sampling time in another layer.  Its ``estimation.terms`` counter
 reads the pool that ``faircb.bandit.estimate_all`` is handed, so the pool's
-counts must stay the pulls pooled at that phase.
+counts must stay the pulls pooled at that phase.  Sweep cells must call the
+runners through ``faircb.sweep``'s module attributes, where the tracer wraps
+them, and reduce no divergences that set-up already reduced, or the
+``sweep.cells`` and ``bandit.self_s`` metrics would read wrong without an error.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faircb import sweep
+from faircb import divergence, sweep
 from faircb.model import Instance
 
 from helpers import chain_model
@@ -54,3 +58,17 @@ def test_traced_terms_are_targets_times_pooled_pulls(algorithm):
     pooled = pulls if algorithm == "csr-v1" else np.cumsum(pulls)
     assert sum(span.name == "estimation.estimate" for span in tracer.spans) == len(trace.phases)
     assert tracer.counts["estimation.terms"] == len(arms) * int(pooled.sum()) > 0
+
+
+def test_traced_sweep_cells_run_under_the_sweep_and_reduce_no_divergences():
+    model, arms = chain_model()
+    instance = Instance(model=model, arms=tuple(arms), fairness_eps=0.2)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        divergence.DivergenceSet.exact(model, arms)
+        curve = sweep.run_sweep(instance, [400], runs=1, width=1)
+    [sweep_span] = [span for span in tracer.spans if span.name == "sweep.run"]
+    runs = [span for span in tracer.spans if span.name == "bandit.run"]
+    assert len(runs) == sum(row.runs for row in curve.rows) == len(sweep.ALGORITHMS)
+    assert all(span.parent == sweep_span.id for span in runs)
+    assert sum(span.name == "divergence.exact" for span in tracer.spans) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import faircb.sweep as sweep_mod
 from faircb import errors, sampling
 from faircb.cli import main
 from faircb.divergence import DivergenceSet
-from faircb.io import instance_to_dict, load_instance, save_instance
+from faircb.io import instance_digest, instance_to_dict, load_instance, save_instance
 from faircb.model import Instance
 from faircb.netgen import build_network_experiment, liver_network
 
@@ -104,6 +105,13 @@ def test_gen_accepts_ints_for_floats(tmp_path):
     cfg = tmp_path / "ints.json"
     cfg.write_text(json.dumps(dict(CONFIG, fairness_eps=1, epsilon_param=1, divergence_band=None)))
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 0
+
+
+def test_gen_takes_a_boolean_cheap_arm(tmp_path):
+    cfg = tmp_path / "flag.json"
+    cfg.write_text(json.dumps(dict(CONFIG, cheap_arm=False)))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 0
+    assert load_instance(tmp_path / "x.json").cheap_arm_constraint is False
 
 
 def test_bif_import_skeleton(tmp_path, capsys):
@@ -280,6 +288,72 @@ def test_oracle_rejects_an_invalid_model(tmp_path, capsys, case):
     edit(payload["model"])
     assert oracle_exit(tmp_path, payload) == 2
     assert problem in capsys.readouterr().err
+
+
+def test_an_observed_set_must_hold_every_read_node(tmp_path, capsys):
+    payload = chain_payload()
+    payload["observed"] = ["S", "V", "Y"]
+    assert oracle_exit(tmp_path, payload) == 0
+    payload["observed"] = ["Y", "S"]
+    assert oracle_exit(tmp_path, payload) == 2
+    assert "observed misses the read nodes ['V']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["run", "--algo", "csr-v2", "--T", "400"]])
+def test_an_instance_without_arms_is_refused(tmp_path, capsys, command):
+    payload = chain_payload()
+    payload["arms"] = []
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    assert main([command[0], "--instance", str(path), *command[1:]]) == 2
+    assert "needs at least one arm" in capsys.readouterr().err
+
+
+def test_oracle_prints_its_report_without_out(instance_file, capsys):
+    assert main(["oracle", "--instance", instance_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["instance_digest"] == instance_digest(load_instance(instance_file))
+
+
+# (instance edit, run flags) of each non-finite cost or budget a run refuses.
+NON_FINITE_RUNS = {
+    "NaN arm cost": (lambda p: p["arms"][1].update(cost_pull=math.nan), []),
+    "infinite arm cost": (lambda p: p["arms"][2].update(cost_force_s=math.inf), []),
+    "NaN budget": (lambda p: None, ["--budget", "nan"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_RUNS))
+def test_run_refuses_a_non_finite_cost_or_budget(tmp_path, capsys, case):
+    edit, flags = NON_FINITE_RUNS[case]
+    payload = chain_payload()
+    edit(payload)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    assert main(["run", "--instance", str(path), "--algo", "csr-v2", "--T", "400", *flags]) == 2
+    assert "finite and nonnegative" in capsys.readouterr().err
+
+
+def test_run_takes_an_infinite_budget_as_no_cap(tmp_path, instance_file):
+    out = tmp_path / "run.json"
+    assert main(["run", "--instance", instance_file, "--algo", "csr-v2", "--T", "400",
+                 "--budget", "inf", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["samples_spent"] == 400
+
+
+def test_allocate_refuses_a_non_finite_cost(tmp_path, capsys):
+    paths = {}
+    for name, text in {"m": "1,2\n2,1\n", "d": "1,1\n1,1\n",
+                       "costs": '{"cost_pull": [1.0, NaN], "cost_force_s": [1.0, 1.0], '
+                                '"cost_force_sprime": [1.0, 1.0]}'}.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code = main([
+        "allocate", "--m", str(paths["m"]), "--dssp", str(paths["d"]), "--dsps", str(paths["d"]),
+        "--costs", str(paths["costs"]), "--budget", "1.0",
+    ])
+    assert code == 2
+    assert "costs must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_a_kernel_over_its_byte_cap_refuses_a_run_but_not_the_report(tmp_path, monkeypatch, capsys):
@@ -526,6 +600,7 @@ ALLOCATE_DEFECTS = {
     "number as cost row": ("costs", json.dumps({
         "cost_pull": 1.0, "cost_force_s": [1.0, 1.0], "cost_force_sprime": [1.0, 1.0],
     })),
+    "costs not an object": ("costs", json.dumps([[1.0, 1.0]] * 3)),
 }
 
 
@@ -649,14 +724,14 @@ def test_sweep_cli_warns_on_failed_runs(tmp_path, instance_file, capsys, monkeyp
     assert main(args) == 0
     assert "warning" not in capsys.readouterr().err
 
-    real = sweep_mod.run_algorithm
+    real = sweep_mod.run_csr
 
-    def flaky(inst, algorithm, T, rng, **kwargs):
-        if algorithm == "csr-v1":
+    def flaky(prepared, T, fairness_eps, variant, *args, **kwargs):
+        if variant == "v1":
             raise RuntimeError("synthetic breakage")
-        return real(inst, algorithm, T, rng, **kwargs)
+        return real(prepared, T, fairness_eps, variant, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "run_algorithm", flaky)
+    monkeypatch.setattr(sweep_mod, "run_csr", flaky)
     assert main(args) == 0
     captured = capsys.readouterr()
     assert "warning: 2 of 4 runs raised and were scored as errors" in captured.err

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faircb.model import (
+    Arm,
     CausalModel,
     Regime,
     S_VALUE,
@@ -134,6 +137,20 @@ def test_validate_rejects_bad_target_encoding():
 
 
 def test_validate_rejects_negative_cost():
+    for cost in (-1.0, math.nan, math.inf):
+        model, arms = chain_model()
+        arms[0].cost_pull = cost
+        problem = f"arm 0: cost {cost} is not finite and nonnegative"
+        assert problem in validate_model(model, arms).problems
+
+
+def test_tables_are_promoted_to_two_dimensions():
+    assert Arm(0, [0.25, 0.75]).table.shape == (1, 2)
+    with pytest.raises(ValueError, match=r"must be 2-d, got shape \(1, 1, 2\)"):
+        Arm(0, [[[0.25, 0.75]]])
+
+
+def test_validate_rejects_negative_entries():
     model, arms = chain_model()
-    arms[0].cost_pull = -1.0
-    assert any("negative cost" in p for p in validate_model(model, arms).problems)
+    model.cpts["Y"] = np.array([[1.2, -0.2], [0.5, 0.5], [0.1, 0.9]])
+    assert validate_model(model, arms).problems == ("Y: negative entries",)

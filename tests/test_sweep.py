@@ -167,14 +167,16 @@ def test_pool_is_capped_at_one_worker_per_row(instance, monkeypatch):
 
 
 def test_sweep_records_failures_as_errors(instance, monkeypatch):
-    real = run_algorithm
+    # The cells call the runners through the sweep module, where the
+    # benchmark's tracer also wraps them.
+    real = sweep_mod.run_csr
 
-    def flaky(inst, algorithm, T, rng, **kwargs):
-        if algorithm == "csr-v1":
+    def flaky(prepared, T, fairness_eps, variant, *args, **kwargs):
+        if variant == "v1":
             raise RuntimeError("synthetic breakage")
-        return real(inst, algorithm, T, rng, **kwargs)
+        return real(prepared, T, fairness_eps, variant, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "run_algorithm", flaky)
+    monkeypatch.setattr(sweep_mod, "run_csr", flaky)
     curve = run_sweep(instance, budgets=(200,), runs=3, algorithms=("csr-v1", "csr-v2"))
     broken = next(r for r in curve.rows if r.algorithm == "csr-v1")
     healthy = next(r for r in curve.rows if r.algorithm == "csr-v2")
@@ -246,9 +248,25 @@ def test_error_curve_files(tmp_path, instance):
     assert payload["rows"][0]["first_failure"] is None
 
 
+def test_a_sweep_looks_its_instance_up_once(instance, monkeypatch):
+    # Its oracle report reads the tables once and its prepare once; the cells
+    # run on the prepared instance and look nothing up.
+    lookup = sampling.instance_tables
+    lookups = []
+
+    def counted(model, arms):
+        lookups.append(arms)
+        return lookup(model, arms)
+
+    monkeypatch.setattr(sampling, "instance_tables", counted)
+    curve = run_sweep(instance, budgets=(200, 400), runs=2)
+    assert sum(row.runs for row in curve.rows) == 16
+    assert len(lookups) == 2
+
+
 def test_an_instance_builds_its_cell_laws_once(monkeypatch):
-    # The exact divergences, the oracle report, a sweep (which rebuilds both)
-    # and a run that builds its own divergences all reduce one law table.
+    # The exact divergences, the oracle report, a sweep (which reads both)
+    # and a run that prepares its own divergences all reduce one law table.
     instance = liver_experiment(10)
     build, joint = sampling._build_laws, oracles.enumerate_joint
     builds, enumerations = [], []
@@ -274,8 +292,8 @@ def test_an_instance_builds_its_cell_laws_once(monkeypatch):
 
 
 def test_an_instance_builds_its_weight_kernel_once(monkeypatch):
-    # The exact divergences, a sweep (which rebuilds them) and a run that
-    # builds its own divergences all read one kernel.
+    # The exact divergences, a sweep and a run that prepares its own
+    # divergences all read one kernel.
     instance = liver_experiment(10)
     builds = count_kernel_builds(monkeypatch)
     DivergenceSet.exact(instance.model, instance.arms)

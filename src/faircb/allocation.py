@@ -11,12 +11,16 @@ survivors, so cheap eliminated arms can still be pulled for leakage.
 
 from __future__ import annotations
 
+import importlib
+import os
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Sequence
 
 import numpy as np
-# Private to scipy; test_solve_maxmin_matches_linprog_bit_for_bit pins it to linprog.
-from scipy.optimize._highspy import _core as _highs
+import scipy
 
 from .divergence import DivergenceSet
 from .errors import Infeasible
@@ -31,6 +35,34 @@ __all__ = [
     "solve_maxmin",
     "round_counts",
 ]
+
+
+def _scipy_extension(name: str):
+    """The scipy extension module ``name``, loaded without its packages' ``__init__``.
+
+    A plain import of ``scipy.optimize._zeros`` first runs
+    ``scipy/optimize/__init__.py``, which imports scipy.special, linalg and
+    sparse: hundreds of modules and tens of MB that no faircb process uses.
+    Instead the file is looked up where scipy's layout keeps it (the
+    ``scipy.optimize._zeros`` extension in ``scipy/optimize/`` under
+    ``scipy.__path__[0]``), and the module is entered in ``sys.modules`` under
+    its own name before it runs, so a later ``import scipy.optimize`` (the
+    tests' ``linprog`` reference) reuses this module instead of loading the
+    extension again.  If scipy's layout has no such file, the ordinary package
+    import loads it.
+    """
+    if name not in sys.modules:
+        where = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+        spec = PathFinder.find_spec(name, [where])
+        if spec is not None:
+            module = module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+    return importlib.import_module(name)
+
+
+# Private to scipy; test_solve_maxmin_matches_linprog_bit_for_bit pins it to linprog.
+_highs = _scipy_extension("scipy.optimize._highspy._core")
 
 # The options linprog(method="highs") sets: presolve on, no output, dual simplex.
 _HIGHS_OPTIONS = _highs.HighsOptions()

@@ -11,6 +11,7 @@ renormalized exactly on ingest.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -23,8 +24,14 @@ __all__ = ["ParsedNetwork", "parse_bif", "serialize_bif", "ROW_TOL"]
 
 ROW_TOL = 1e-6
 
-_PUNCT = set("{}()[]|,;")
-_WORD_EXTRA = set("_.+-")
+# One alternative per token kind, tried in order at each offset: blanks and
+# comments, a string, one punctuation mark, a word, else one bad character.
+# ``\w`` is exactly ``str.isalnum()`` plus ``_``.
+_TOKEN = re.compile(
+    r'(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)|"(?P<string>[^"\n]*)"'
+    r"|(?P<word>[{}()\[\]|,;]|[\w.+-]+)|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 @dataclass
@@ -36,70 +43,44 @@ class ParsedNetwork:
     states: dict[str, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
+def _tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The token texts and their offsets in ``text``; a string token is its contents."""
+    toks: list[str] = []
+    offsets: list[int] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "bad":
+            c = m.group(kind)
+            if c == '"':
+                msg = "unterminated string"
+            elif text.startswith("/*", m.start()):
+                msg = "unterminated comment"
+            else:
+                msg = f"unexpected character {c!r}"
+            raise _error(text, m.start(), msg)
+        toks.append(m.group(kind))
+        offsets.append(m.start())
+    return toks, offsets
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(msg: str) -> ParseError:
-        return ParseError(f"line {line}, col {col}: {msg}")
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-        elif c in " \t\r":
-            i, col = i + 1, col + 1
-        elif text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-        elif text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise err("unterminated comment")
-            skipped = text[i : end + 2]
-            line += skipped.count("\n")
-            col = len(skipped) - skipped.rfind("\n") if "\n" in skipped else col + len(skipped)
-            i = end + 2
-        elif c == '"':
-            end = text.find('"', i + 1)
-            if end < 0 or "\n" in text[i + 1 : end]:
-                raise err("unterminated string")
-            toks.append(_Token(text[i + 1 : end], line, col))
-            col += end + 1 - i
-            i = end + 1
-        elif c in _PUNCT:
-            toks.append(_Token(c, line, col))
-            i, col = i + 1, col + 1
-        elif c.isalnum() or c in _WORD_EXTRA:
-            start = i
-            while i < n and (text[i].isalnum() or text[i] in _WORD_EXTRA):
-                i += 1
-            toks.append(_Token(text[start:i], line, col))
-            col += i - start
-        else:
-            raise err(f"unexpected character {c!r}")
-    return toks
+def _error(text: str, offset: int, msg: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    col = offset - text.rfind("\n", 0, offset)
+    return ParseError(f"line {line}, col {col}: {msg}")
 
 
 class _Cursor:
-    def __init__(self, toks: list[_Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks, self.offsets = _tokenize(text)
         self.i = 0
 
     def error(self, msg: str) -> ParseError:
         if self.i < len(self.toks):
-            t = self.toks[self.i]
-            return ParseError(f"line {t.line}, col {t.col}: {msg}")
-        last = self.toks[-1] if self.toks else _Token("", 1, 1)
-        return ParseError(f"line {last.line}, col {last.col}: {msg} (at end of input)")
+            return _error(self.text, self.offsets[self.i], msg)
+        return _error(self.text, self.offsets[-1] if self.toks else 0, f"{msg} (at end of input)")
 
     @property
     def done(self) -> bool:
@@ -108,7 +89,7 @@ class _Cursor:
     def peek(self) -> str:
         if self.done:
             raise self.error("unexpected end of input")
-        return self.toks[self.i].text
+        return self.toks[self.i]
 
     def next(self) -> str:
         t = self.peek()
@@ -276,7 +257,7 @@ def parse_bif(text: str) -> ParsedNetwork:
     by more than ``ROW_TOL``, and UnsupportedConstruct for non-discrete
     variables.
     """
-    cur = _Cursor(_tokenize(text))
+    cur = _Cursor(text)
     cur.expect("network")
     name = cur.next()
     cur.expect("{")

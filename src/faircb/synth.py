@@ -34,13 +34,13 @@ support size and the bracket values ``g(lo)`` and ``g(hi)`` once per attempt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
+from .allocation import _scipy_extension
 from .divergence import DivergenceSet, _outcome_cutoff
 from .errors import GenerationFailed
 from .model import Arm, CausalModel, Instance, check_fairness_eps, validate_model
@@ -55,6 +55,14 @@ _LEVEL_PAD = 5e-3
 _P_S = np.array([0.5, 0.5])
 # Relative slack of the per-arm band prefilter, far above its rounding error.
 _BAND_SLACK = 1e-9
+# The C routine that scipy.optimize.brentq wraps, called with brentq's default
+# rtol; g is finite on the bracket, so brentq's NaN check would never fire.
+_zeros = _scipy_extension("scipy.optimize._zeros")
+_BRENT_RTOL = 4 * np.finfo(float).eps
+# cephes lgam: its Stirling-series coefficients and log(sqrt(2 pi)).
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LOG_SQRT_2PI = 0.91893853320467274178
 
 
 @dataclass
@@ -142,12 +150,38 @@ def _build_model(config: SyntheticConfig, f: np.ndarray, arm0: np.ndarray) -> Ca
     )
 
 
+def _log_gamma(k: int) -> float:
+    """``scipy.special.gammaln(k)`` for a positive integer ``k``, bit for bit.
+
+    The positive-argument branches of cephes ``lgam`` in its operation order:
+    below 13 the log of the exact product ``(k-1)!``, above that Stirling's
+    series with the ``A`` polynomial in ``1/k^2``, from 1000 on its short
+    form, and above 1e8 no series term at all.
+    """
+    if k < 13:
+        return math.log(float(math.factorial(k - 1)))
+    x = float(k)
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    return q + series / x
+
+
 @lru_cache(maxsize=None)
 def _binom_terms(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Successes ``v``, failures ``m-1-v`` and log binomial coefficients over {0..m-1}."""
     n = m - 1
     v = np.arange(m)
-    return v, n - v, gammaln(n + 1) - gammaln(v + 1) - gammaln(n - v + 1)
+    # log_gamma[j] = gammaln(j + 1) = log(j!), so the failures read it reversed.
+    log_gamma = np.array([_log_gamma(j + 1) for j in range(m)])
+    return v, n - v, log_gamma[n] - log_gamma - log_gamma[::-1]
 
 
 def _binom_row(m: int, p: float) -> np.ndarray:
@@ -168,7 +202,10 @@ def _invert_g(g, bracket: tuple[float, float], target: float) -> float | None:
     lo, hi = bracket
     if not lo < target < hi:
         return None
-    return float(brentq(lambda p: g(p) - target, _PARAM_LO, _PARAM_HI, xtol=1e-14))
+    # xtol, rtol, maxiter, args, full_output, disp: brentq(..., xtol=1e-14).
+    return _zeros._brentq(
+        lambda p: g(p) - target, _PARAM_LO, _PARAM_HI, 1e-14, _BRENT_RTOL, 100, (), False, True
+    )
 
 
 def _inside(band: tuple[float, float], values, slack: float = 0.0) -> bool:

@@ -20,20 +20,26 @@ tables, apart from the factor table that the weight kernel and the oracle
 report read.  The conditional f-divergence, the empirical weight quantiles
 that the cutoff matrices must dominate, the Monte Carlo oracles and
 ``bound_report`` (the paper's problem-dependent constants and error bounds)
-are references the package itself never needs.
+are references the package itself never needs.  ``fresh_python`` runs code
+in a new interpreter, for what only a cold process shows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
+import faircb
 from faircb import sampling
 from faircb.allocation import Allocation
 from faircb.bandit import PreparedInstance, _Allocator, phase_schedule
@@ -49,6 +55,16 @@ from faircb.oracles import enumerate_arms, enumerate_joint
 from faircb.synth import SyntheticConfig, generate_synthetic
 
 S_CHAIN_F = np.array([0.2, 0.5, 0.9])
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a new interpreter that imports this checkout's faircb."""
+    src = str(Path(faircb.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
 
 
 def chain_model() -> tuple[CausalModel, list[Arm]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from faircb.errors import Infeasible
 from faircb.model import Arm
 from faircb.sweep import ALGORITHMS, run_algorithm
 
-from helpers import BENCH_INSTANCES, linprog_maxmin, maxmin_vertex_value
+from helpers import BENCH_INSTANCES, fresh_python, linprog_maxmin, maxmin_vertex_value
 
 
 def unit_costs(k: int) -> np.ndarray:
@@ -249,19 +250,52 @@ def test_solve_maxmin_matches_linprog_bit_for_bit(data):
     ))
 
 
-@pytest.mark.parametrize("name", sorted(BENCH_INSTANCES))
-def test_solve_maxmin_matches_linprog_on_the_bench_problems(name, monkeypatch):
-    # Every problem that seeded runs of every algorithm solve on a benchmark instance.
+def bench_problems(name: str, monkeypatch) -> list:
+    """Every problem that seeded runs of every algorithm solve on a benchmark instance."""
     instance = BENCH_INSTANCES[name]()
     divergences = DivergenceSet.exact(instance.model, instance.arms)
     problems = []
-    monkeypatch.setattr(bandit, "solve_maxmin", lambda p: problems.append(p) or solve_maxmin(p))
-    bandit._SOLVED.clear()
-    for seed, algorithm in enumerate(ALGORITHMS):
-        run_algorithm(instance, algorithm, 3000, np.random.default_rng(seed), divergences=divergences)
+    with monkeypatch.context() as patch:
+        patch.setattr(bandit, "solve_maxmin", lambda p: problems.append(p) or solve_maxmin(p))
+        bandit._SOLVED.clear()
+        for seed, algorithm in enumerate(ALGORITHMS):
+            run_algorithm(instance, algorithm, 3000, np.random.default_rng(seed), divergences=divergences)
     assert len(problems) > 5
-    for problem in problems:
+    return problems
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_INSTANCES))
+def test_solve_maxmin_matches_linprog_on_the_bench_problems(name, monkeypatch):
+    for problem in bench_problems(name, monkeypatch):
         assert_same_solution(problem)
+
+
+def test_solve_maxmin_is_bit_identical_through_the_package_import(tmp_path, monkeypatch):
+    # An empty directory ahead of scipy's own in scipy.__path__ leaves the
+    # direct HiGHS load no file to find, so allocation falls back to importing
+    # it through scipy.optimize.
+    problems = [p for name in sorted(BENCH_INSTANCES) for p in bench_problems(name, monkeypatch)]
+    (tmp_path / "problems.pkl").write_bytes(pickle.dumps(problems))
+    (tmp_path / "empty").mkdir()
+    done = fresh_python(
+        "import pickle, sys\n"
+        "import scipy\n"
+        "scipy.__path__.insert(0, sys.argv[2])\n"
+        "from faircb.allocation import solve_maxmin\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "with open(sys.argv[1], 'rb') as f:\n"
+        "    problems = pickle.load(f)\n"
+        "with open(sys.argv[1], 'wb') as f:\n"
+        "    pickle.dump([solve_maxmin(p) for p in problems], f)\n",
+        str(tmp_path / "problems.pkl"), str(tmp_path / "empty"),
+    )
+    assert done.returncode == 0, done.stderr
+    fallback = pickle.loads((tmp_path / "problems.pkl").read_bytes())
+    for problem, got in zip(problems, fallback, strict=True):
+        want = solve_maxmin(problem)
+        for name in ("nu_y", "nu_s", "nu_sp"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.v_star == want.v_star
 
 
 def test_round_counts_worked_examples():

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from faircb import bif
 from faircb.bif import ParsedNetwork, parse_bif, serialize_bif
 from faircb.errors import NormalizationError, ParseError, UnsupportedConstruct
 from faircb.io import instance_digest
@@ -120,16 +123,85 @@ def test_property_statements_warn_and_are_skipped():
     ).replace(
         "probability ( A ) {",
         'probability ( A ) {\n  property weight 3 ;',
+    ).replace(
+        "probability ( B | A ) {",
+        'property "between blocks" ;\nprobability ( B | A ) {',
     )
-    with pytest.warns(UserWarning, match="ignoring property"):
+    with pytest.warns(UserWarning, match="ignoring property") as record:
         net = parse_bif(text)
+    assert [str(w.message).rsplit(" in ", 1)[1] for w in record] == [
+        "network block", "variable A", "probability A", "top level",
+    ]
     np.testing.assert_array_equal(net.model.cpts["A"], [[0.3, 0.7]])
 
 
 def test_parse_errors_carry_line_and_column():
-    bad = MINI.replace("table 0.3, 0.7;", "table 0.3, oops;")
-    with pytest.raises(ParseError, match=r"line 14, col 14: expected a number"):
-        parse_bif(bad)
+    cases = [
+        ("table 0.3, oops;", r"line 14, col 14: expected a number"),
+        # A comment over two lines, then one to the end of its line.
+        ("table 0.3, /* two\n lines */ oops;", r"line 15, col 11: expected a number"),
+        ("table 0.3, // first\n oops;", r"line 15, col 2: expected a number"),
+    ]
+    for table, message in cases:
+        with pytest.raises(ParseError, match=message):
+            parse_bif(MINI.replace("table 0.3, 0.7;", table))
+    # A token after a one-line comment.
+    with pytest.raises(ParseError, match=r"line 17, col 60: expected '\('"):
+        parse_bif(MINI.replace("in any order */", "in any order */ oops", 1))
+
+
+def _reference_tokens(text: str) -> list[tuple[str, int, int]] | str:
+    """(text, line, column) of each token by a character loop, or the error message."""
+    toks, i, line, col, n = [], 0, 1, 1, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+        elif c in " \t\r":
+            i, col = i + 1, col + 1
+        elif text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+        elif text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end < 0:
+                return f"line {line}, col {col}: unterminated comment"
+            skipped = text[i : end + 2]
+            line += skipped.count("\n")
+            col = len(skipped) - skipped.rfind("\n") if "\n" in skipped else col + len(skipped)
+            i = end + 2
+        elif c == '"':
+            end = text.find('"', i + 1)
+            if end < 0 or "\n" in text[i + 1 : end]:
+                return f"line {line}, col {col}: unterminated string"
+            toks.append((text[i + 1 : end], line, col))
+            col += end + 1 - i
+            i = end + 1
+        elif c in "{}()[]|,;":
+            toks.append((c, line, col))
+            i, col = i + 1, col + 1
+        elif c.isalnum() or c in "_.+-":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] in "_.+-"):
+                i += 1
+            toks.append((text[start:i], line, col))
+            col += i - start
+        else:
+            return f"line {line}, col {col}: unexpected character {c!r}"
+    return toks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(list(' \t\r\n/*"{}()[]|,;_.+-aZ09\u00e9\u0663\u00b2@\x0c#')), max_size=40))
+def test_tokenizer_matches_a_character_loop(text):
+    # Tokens, their line and column, and every tokenizer error message.
+    try:
+        toks, offsets = bif._tokenize(text)
+    except ParseError as exc:
+        assert str(exc) == _reference_tokens(text)
+        return
+    got = [(t, str(bif._error(text, off, ""))) for t, off in zip(toks, offsets)]
+    assert got == [(t, f"line {line}, col {col}: ") for t, line, col in _reference_tokens(text)]
 
 
 @pytest.mark.parametrize(
@@ -155,6 +227,8 @@ def test_parse_errors_carry_line_and_column():
         (lambda t: t + "/* dangling", "unterminated comment"),
         (lambda t: t.replace("network mini", 'network "mini', 1), "unterminated string"),
         (lambda t: t.replace("network mini", "network mini @", 1), "unexpected character '@'"),
+        (lambda t: t.replace("{ yes, no };", "{ yes, no }", 1), "line 6, col 1: expected ';', got '}'"),
+        (lambda t: t.replace("variable A {", "variable A {\n  colour red;", 1), "unexpected 'colour' in variable block"),
     ],
 )
 def test_parse_error_cases(mangle, message):

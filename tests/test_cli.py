@@ -74,6 +74,13 @@ def test_gen_rejects_no_attempts(tmp_path, capsys):
     assert "max_attempts must be >= 1" in capsys.readouterr().err
 
 
+def test_gen_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text(json.dumps([CONFIG]))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+    assert "the config must be a JSON object" in capsys.readouterr().err
+
+
 def test_gen_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(dict(CONFIG, arms=7)))

@@ -7,35 +7,53 @@ from __future__ import annotations
 
 import ast
 import importlib
-import os
+import json
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import faircb
 
+from helpers import fresh_python
+
 MODULES = sorted(m.name for m in pkgutil.iter_modules(faircb.__path__))
 TESTS = Path(__file__).resolve().parent
 TEST_FILES = sorted(f"tests/{path.name}" for path in TESTS.glob("*.py"))
+# scipy packages whose ``__init__`` no faircb process runs: scipy.optimize's
+# alone imports about 300 modules, special, linalg and sparse among them.
+PRINT_UNUSED_SCIPY = "print(sorted({'scipy.optimize', 'scipy.special'} & set(sys.modules)))"
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_module_imports_alone_and_its_all_resolves(name):
     # A fresh interpreter per module: an import cycle only shows when the
     # module that closes it is the first one imported.
-    src = str(Path(faircb.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", f"import faircb.{name}"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-    )
+    done = fresh_python(f"import sys, faircb.{name}; {PRINT_UNUSED_SCIPY}")
     assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n", f"importing faircb.{name} loads {done.stdout}"
     module = importlib.import_module(f"faircb.{name}")
     missing = [x for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
     assert not missing, missing
+
+
+def test_gen_and_run_load_neither_scipy_optimize_nor_special(tmp_path):
+    # A divergence-band config, so generation inverts g, then a run, so the LP is solved.
+    (tmp_path / "band.json").write_text(json.dumps({
+        "n_arms": 5, "support": 6, "seed": 4, "fairness_eps": 0.5, "fairness_gap_band": [0.3, 0.45],
+        "reward_gap_band": [0.3, 0.45], "divergence_band": [10.0, 50.0],
+    }))
+    done = fresh_python(
+        "import sys\n"
+        "from faircb.cli import main\n"
+        "band, inst = sys.argv[1:]\n"
+        "assert main(['gen', '--config', band, '--out', inst]) == 0\n"
+        "assert main(['run', '--instance', inst, '--algo', 'csr-v2', '--T', '1000']) == 0\n"
+        + PRINT_UNUSED_SCIPY,
+        str(tmp_path / "band.json"), str(tmp_path / "inst.json"),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]", done.stdout
 
 
 @pytest.mark.parametrize("name", MODULES + TEST_FILES)

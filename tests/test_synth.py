@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import gammaln
 
 from faircb import synth
 from faircb.divergence import DivergenceSet
@@ -184,6 +186,31 @@ def test_band_k5_inverts_each_arm_only_until_its_draw_fails(monkeypatch):
     model, arms = validated[0]
     assert model is inst.model
     assert all(a is b for a, b in zip(arms, inst.arms, strict=True))
+
+
+def test_log_gamma_port_is_scipy_gammaln_bit_for_bit():
+    ks = [*range(1, 10**6 + 1), 10**8, 2**40]
+    ported = np.array([synth._log_gamma(k) for k in ks])
+    assert ported.tobytes() == gammaln(np.array(ks, dtype=float)).tobytes()
+
+
+@pytest.mark.parametrize("name", ["synth-k30", "band-k5"])
+def test_inversions_are_brentq_roots_bit_for_bit(name, monkeypatch):
+    # The direct Brent call against scipy.optimize.brentq at the same xtol,
+    # on every inversion the benchmark instance's generation makes.
+    invert = synth._invert_g
+    roots = []
+
+    def checked_invert(g, bracket, target):
+        root = invert(g, bracket, target)
+        if root is not None:
+            roots.append((root, brentq(lambda p: g(p) - target, synth._PARAM_LO, synth._PARAM_HI, xtol=1e-14)))
+        return root
+
+    monkeypatch.setattr(synth, "_invert_g", checked_invert)
+    BENCH_INSTANCES[name]()
+    assert len(roots) >= 60
+    assert all(type(got) is float and got == want for got, want in roots)
 
 
 def test_a_draw_that_fails_validation_is_never_returned(monkeypatch):

@@ -49,7 +49,10 @@ def _scipy_extension(name: str):
     its own name before it runs, so a later ``import scipy.optimize`` (the
     tests' ``linprog`` reference) reuses this module instead of loading the
     extension again.  If scipy's layout has no such file, the ordinary package
-    import loads it.
+    import loads it.  A module loaded by file is never bound as an attribute
+    of its parent package: after a later ``import scipy.optimize``, reading
+    ``scipy.optimize._zeros`` or ``scipy.optimize._highspy._core`` raises
+    AttributeError, while importing either still finds the module.
     """
     if name not in sys.modules:
         where = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])

@@ -169,14 +169,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_divergence(args) -> int:
-    if args.mc < 0:
-        raise ValueError(f"--mc must be >= 0 (0 means exact), got {args.mc}")
     instance = _load_checked(args.instance)
-    if args.mc:
-        rng = np.random.default_rng(args.seed)
-        div = DivergenceSet.mc(instance.model, instance.arms, args.mc, rng)
-    else:
-        div = DivergenceSet.exact(instance.model, instance.arms)
+    div = DivergenceSet.exact(instance.model, instance.arms)
     for tag, mat in (("m", div.m), ("dssp", div.d_ssp), ("dsps", div.d_sps)):
         path = f"{args.out_prefix}_{tag}.csv"
         np.savetxt(path, mat, delimiter=",")
@@ -205,7 +199,7 @@ def _cost_row(where: str, value, k: int) -> np.ndarray:
 def _cutoff_matrices(paths) -> list[np.ndarray]:
     """The ``M``, ``D_ssp`` and ``D_sps`` files: K x K each, every entry finite and positive.
 
-    Entries below one are allowed, since a Monte Carlo ``M`` can dip there.
+    Entries below one are allowed, since the files may come from outside the program.
     """
     mats = [np.loadtxt(path, delimiter=",", ndmin=2) for path in paths]
     k = mats[0].shape[0]
@@ -368,8 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divergence", help="write the M and D matrices as CSV")
     p.add_argument("--instance", required=True)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--mc", type=int, default=0, help="Monte Carlo draws (default: exact)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_divergence)
 
     p = sub.add_parser("allocate", help="max-min sample allocation from divergence CSVs")

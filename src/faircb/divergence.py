@@ -1,4 +1,4 @@
-"""Divergence cutoff matrices between arms, exact and Monte Carlo.
+"""Exact divergence cutoff matrices between arms.
 
 The outcome side uses the conditional f-divergence with ``f1(x) = x e^(x-1) - 1``
 and the cutoff ``M[i, j] = 1 + ln(1 + D_f1(P_i || P_j))``.  The fairness side
@@ -9,15 +9,14 @@ throughout, so entries stay finite even when individual weights overflow
 ``exp``.
 
 Both sides are reductions of one ``(K, 3, n_cells)`` table of cell masses
-per arm and regime (``_reduce``): column ``j`` of ``M`` reads the cells that
-arm ``j`` reaches observationally, row ``i`` of each ``D`` the cells that arm
-``i`` reaches under each forced regime, each weighed against every other arm
-by the estimators' weight kernel.  Laws and kernel are the instance's tables
-(``sampling.instance_tables``), which an instance builds once and each of
-its runs reads too.  ``DivergenceSet.exact`` reduces the cell laws once per
-instance content, in O(K^2 * n_cells) past the tables, which keep the
-reduction.  ``DivergenceSet.mc`` reduces the empirical masses of batches
-drawn from those laws.
+per arm and regime (``reduce_cell_laws``): column ``j`` of ``M`` reads the
+cells that arm ``j`` reaches observationally, row ``i`` of each ``D`` the
+cells that arm ``i`` reaches under each forced regime, each weighed against
+every other arm by the estimators' weight kernel.  Laws and kernel are the
+instance's tables (``sampling.instance_tables``), which an instance builds
+once and each of its runs reads too.  ``DivergenceSet.exact`` reduces the
+cell laws once per instance content, in O(K^2 * n_cells) past the tables,
+which keep the reduction.
 
 The arrays reduced here hold a few dozen cells, where the per-call overhead
 of ``scipy.special.logsumexp`` (array-API dispatch, dtype promotion, the
@@ -33,13 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import REGIMES, CausalModel
+from .model import CausalModel
 # Bound here, though no code of this module calls it, so that the benchmark's
 # tracer (benchmarks/tracing.py) can count the calls made through it.
 from .oracles import enumerate_joint
-from .sampling import instance_tables, sample_batch
+from .sampling import instance_tables
 
-__all__ = ["DivergenceSet", "enumerate_joint"]
+__all__ = ["DivergenceSet", "enumerate_joint", "reduce_cell_laws"]
 
 
 def _logsumexp(a) -> np.ndarray:
@@ -74,7 +73,7 @@ def _outcome_cutoff(log_p, w: np.ndarray) -> np.ndarray:
         return 1.0 + _logsumexp(log_p + np.log(w) + w - 1.0)
 
 
-def _reduce(laws: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, ...]:
+def reduce_cell_laws(laws: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, ...]:
     """``M``, ``D_ssp`` and ``D_sps`` of the ``(K, 3, n_cells)`` cell masses ``laws``.
 
     ``kernel`` is the arms' weight kernel.  Each expectation reads only the
@@ -116,24 +115,6 @@ class DivergenceSet:
     def exact(cls, model: CausalModel, arms) -> "DivergenceSet":
         """Writable copies of ``InstanceTables.divergences``, reduced once per instance content."""
         return cls(*(matrix.copy() for matrix in instance_tables(model, arms).divergences))
-
-    @classmethod
-    def mc(cls, model: CausalModel, arms, draws: int, rng: np.random.Generator) -> "DivergenceSet":
-        """Monte Carlo matrices from batches of ``draws`` pulls, drawn in a fixed order.
-
-        First one observational batch per source arm for ``M``; then, per
-        target arm, one batch under S <- s and one under S <- s', each read by
-        both ``D_ssp`` and ``D_sps``.  The matrices reduce the empirical cell
-        masses ``count / draws`` of these batches.
-        """
-        k = len(arms)
-        tables = instance_tables(model, arms)
-        masses = np.zeros(tables.laws.shape)
-        for j, r in [(j, 0) for j in range(k)] + [(i, r) for i in range(k) for r in (1, 2)]:
-            sizes = np.zeros((k, len(REGIMES)), dtype=np.int64)
-            sizes[j, r] = draws
-            masses[j, r] = sample_batch(tables.laws, sizes, rng).counts[0] / draws
-        return cls(*_reduce(masses, tables.kernel))
 
     @property
     def n_arms(self) -> int:

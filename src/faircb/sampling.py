@@ -187,8 +187,8 @@ class InstanceTables:
     @cached_property
     def divergences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The exact ``(M, D_ssp, D_sps)`` reduced from the laws and the kernel."""
-        from .divergence import _reduce  # divergence imports this module
-        reduced = _reduce(self.laws, self.kernel)
+        from .divergence import reduce_cell_laws  # divergence imports this module
+        reduced = reduce_cell_laws(self.laws, self.kernel)
         for matrix in reduced:
             matrix.flags.writeable = False
         return reduced

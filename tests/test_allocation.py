@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faircb.allocation as allocation
 import faircb.bandit as bandit
 from faircb.allocation import (
     Allocation,
@@ -89,6 +90,38 @@ def test_budget_below_every_cost_is_infeasible():
     ds = DivergenceSet(m=np.ones((2, 2)), d_ssp=np.ones((2, 2)), d_sps=np.ones((2, 2)))
     with pytest.raises(Infeasible):
         solve_maxmin(build_problem(ds, 5.0 * unit_costs(2), 1.0, [0, 1]))
+
+
+@pytest.mark.parametrize("passed, status, message", [
+    ("kError", "kOptimal", "HiGHS rejected the allocation LP"),
+    ("kOk", "kTimeLimit", "LP solve failed: Time limit reached"),
+])
+def test_solve_maxmin_raises_when_highs_does_not_solve(monkeypatch, passed, status, message):
+    highs = allocation._highs
+    real = highs._Highs()
+
+    class StubHighs:
+        """Takes the LP and reports the given pass status, then the given model status."""
+
+        def passOptions(self, options):
+            pass
+
+        def passModel(self, lp):
+            return getattr(highs.HighsStatus, passed)
+
+        def run(self):
+            pass
+
+        def getModelStatus(self):
+            return getattr(highs.HighsModelStatus, status)
+
+        def modelStatusToString(self, model_status):
+            return real.modelStatusToString(model_status)
+
+    monkeypatch.setattr(highs, "_Highs", StubHighs)
+    ds = DivergenceSet(m=np.ones((2, 2)), d_ssp=np.ones((2, 2)), d_sps=np.ones((2, 2)))
+    with pytest.raises(RuntimeError, match=message):
+        solve_maxmin(build_problem(ds, unit_costs(2), 1.0, [0, 1]))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from faircb.io import instance_digest, instance_to_dict, load_instance, save_ins
 from faircb.model import Instance
 from faircb.netgen import build_network_experiment, liver_network
 
-from helpers import chain_model, count_kernel_builds
+from helpers import chain_model, count_kernel_builds, fresh_python
 from test_bif import MINI
 
 CONFIG = {
@@ -222,14 +224,6 @@ def test_sweep_rejects_an_instance_with_a_bad_tolerance(tmp_path, instance_file,
     assert not out_csv.exists()
 
 
-def test_divergence_rejects_negative_draws(tmp_path, instance_file, capsys):
-    prefix = str(tmp_path / "div")
-    code = main(["divergence", "--instance", instance_file, "--out-prefix", prefix,
-                 "--mc", "-5"])
-    assert code == 2
-    assert "--mc must be >= 0" in capsys.readouterr().err
-
-
 def test_oracle_missing_file(tmp_path):
     assert main(["oracle", "--instance", str(tmp_path / "nope.json")]) == 2
 
@@ -386,7 +380,7 @@ def test_a_kernel_over_its_byte_cap_refuses_a_run_but_not_the_report(tmp_path, m
     assert main(["oracle", "--instance", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
 
-def test_divergence_exact_and_mc(tmp_path, instance_file):
+def test_divergence_writes_the_exact_matrices(tmp_path, instance_file):
     prefix = str(tmp_path / "div")
     assert main(["divergence", "--instance", instance_file, "--out-prefix", prefix]) == 0
     exact = {tag: np.loadtxt(f"{prefix}_{tag}.csv", delimiter=",") for tag in ("m", "dssp", "dsps")}
@@ -396,11 +390,15 @@ def test_divergence_exact_and_mc(tmp_path, instance_file):
     np.testing.assert_allclose(exact["dssp"], truth.d_ssp, rtol=1e-12)
     np.testing.assert_allclose(exact["dsps"], truth.d_sps, rtol=1e-12)
 
-    mc_prefix = str(tmp_path / "mc")
-    assert main(["divergence", "--instance", instance_file, "--out-prefix", mc_prefix,
-                 "--mc", "20000", "--seed", "1"]) == 0
-    approx = np.loadtxt(f"{mc_prefix}_m.csv", delimiter=",")
-    np.testing.assert_allclose(approx, truth.m, rtol=0.05)
+
+@pytest.mark.parametrize("flags", [["--mc", "100"], ["--seed", "1"]])
+def test_divergence_has_no_monte_carlo_options(tmp_path, instance_file, capsys, flags):
+    prefix = str(tmp_path / "div")
+    with pytest.raises(SystemExit) as err:
+        main(["divergence", "--instance", instance_file, "--out-prefix", prefix, *flags])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _liver_over_the_cap(tmp_path, monkeypatch) -> Path:
@@ -410,18 +408,6 @@ def _liver_over_the_cap(tmp_path, monkeypatch) -> Path:
         liver_network(), "fibrosis", "sex", "carcinoma", n_arms=2, seed=0, fairness_eps=0.2), path)
     monkeypatch.setenv("FCB_ENUM_CAP", "1000")
     return path
-
-
-def test_divergence_mc_needs_an_enumerable_closure(tmp_path, monkeypatch, capsys):
-    # The Monte Carlo matrices draw from the cell laws, which enumerate the
-    # closure of the read nodes: 384 read cells, 9216 closure cells.
-    path = _liver_over_the_cap(tmp_path, monkeypatch)
-    prefix = str(tmp_path / "mc")
-    code = main(["divergence", "--instance", str(path), "--out-prefix", prefix, "--mc", "100"])
-    assert code == cli_mod.EXIT_INVALID
-    err = capsys.readouterr().err
-    assert "9216 cells over" in err and "'fibrosis'" in err and "cap of 1000" in err
-    assert not Path(f"{prefix}_m.csv").exists()
 
 
 @pytest.mark.parametrize("raw", ["1e6", "0", "ten"])
@@ -434,7 +420,7 @@ def test_a_malformed_enumeration_cap_is_named(instance_file, monkeypatch, capsys
 @pytest.mark.parametrize("command", ["oracle", "divergence"])
 def test_exact_commands_need_an_enumerable_closure(tmp_path, monkeypatch, capsys, command):
     # The oracle report and the exact matrices reduce the cell laws, so they
-    # need the closure of the read nodes under the cap, as --mc does.
+    # need the closure of the read nodes under the cap.
     path = _liver_over_the_cap(tmp_path, monkeypatch)
     out = tmp_path / "out"
     flags = {"oracle": ["--out", str(out)], "divergence": ["--out-prefix", str(out)]}[command]
@@ -761,3 +747,24 @@ def test_errors_map_to_exit_codes(monkeypatch, capsys, exc):
     want = 3 if exc in (errors.Infeasible, errors.GenerationFailed) else 2
     assert main(["oracle", "--instance", "unused.json"]) == want
     assert "error: boom" in capsys.readouterr().err
+
+
+def test_module_runs_as_a_script():
+    done = fresh_python("import runpy; runpy.run_module('faircb.cli', run_name='__main__')", "--help")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: faircb")
+
+
+def test_readme_commands_parse():
+    # Every ``faircb`` line of README's ``sh`` blocks, continuations joined and
+    # comments dropped, parses; a line that elides arguments with ``...`` is skipped.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = cli_mod._build_parser()
+    seen = set()
+    for block in text.split("```sh\n")[1:]:
+        for line in block.split("```")[0].replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["faircb"] and "..." not in line:
+                seen.add(parser.parse_args(words[1:]).command)
+    subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert seen == set(subparsers.choices)

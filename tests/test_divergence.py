@@ -26,7 +26,6 @@ from helpers import (
     BENCH_INSTANCES,
     random_instance,
     reference_divergence_set,
-    side_child_model,
 )
 
 # Frozen by explicit cell-by-cell arithmetic over the chain fixture.
@@ -180,37 +179,6 @@ def test_divergence_set_exact_matches_pairwise_reference_on_the_bench_instances(
     _assert_matches_reference(instance.model, instance.arms)
 
 
-def test_divergence_set_exact_vs_mc():
-    model, arms = chain_model()
-    mild = (arms[0], arms[2])
-    exact = DivergenceSet.exact(model, mild)
-    mc = DivergenceSet.mc(model, mild, draws=200_000, rng=np.random.default_rng(0))
-    np.testing.assert_allclose(mc.m, exact.m, atol=0.05)
-    np.testing.assert_allclose(mc.d_ssp, exact.d_ssp, atol=0.1)
-    np.testing.assert_allclose(mc.d_sps, exact.d_sps, atol=0.1)
-    assert exact.n_arms == 2
-
-
-# sha256 prefixes of DivergenceSet.mc(..., draws=5000, rng=default_rng(20211)).
-MC_PINS = {"chain": "ca48643706949785", "side-child": "d3f447db7e7afb84"}
-
-
-@pytest.mark.parametrize("fixture", sorted(MC_PINS))
-def test_divergence_set_mc_stream_is_pinned(fixture):
-    """``faircb divergence --mc`` draws the same batches in the same order.
-
-    Pinned on the cell-law sampler's stream, one batch per (target arm,
-    forced regime) read by both directions.  The entries are rounded to
-    1e-10 before hashing, so a last-place difference in a platform's ``exp``
-    or ``log`` cannot move the pin, while any change to the draws moves every
-    entry by far more.
-    """
-    model, arms = {"chain": chain_model, "side-child": side_child_model}[fixture]()
-    ds = DivergenceSet.mc(model, arms, draws=5000, rng=np.random.default_rng(20211))
-    raw = b"".join(np.round(getattr(ds, n), 10).tobytes() for n in ("m", "d_ssp", "d_sps"))
-    assert hashlib.sha256(raw).hexdigest()[:16] == MC_PINS[fixture]
-
-
 # sha256 prefixes of the m, d_ssp and d_sps bytes of DivergenceSet.exact.
 EXACT_PINS = {
     "band-k5": "d2092f0485979c13",
@@ -234,28 +202,8 @@ def test_divergence_set_exact_is_pinned_on_the_bench_instances(workload):
     assert h.hexdigest()[:16] == EXACT_PINS[workload]
 
 
-def test_divergence_set_mc_draws_each_batch_once(monkeypatch):
-    # One observational batch per source arm, then one batch per (target
-    # arm, forced regime) that feeds both D_ssp and D_sps: 3K calls, 9 on the
-    # chain, each drawing a single entry of its own.
-    sample_batch = divergence.sample_batch
-    entries = []
-
-    def counted(laws, sizes, rng):
-        (j, r), = zip(*np.nonzero(sizes))
-        assert sizes[j, r] == 100
-        entries.append((int(j), int(r)))
-        return sample_batch(laws, sizes, rng)
-
-    monkeypatch.setattr(divergence, "sample_batch", counted)
-    model, arms = chain_model()
-    DivergenceSet.mc(model, arms, draws=100, rng=np.random.default_rng(0))
-    assert len(entries) == len(set(entries)) == 3 * len(arms)
-
-
-
 def test_warm_divergences_work_out_no_weight(monkeypatch):
-    # Both reductions read the weight kernel; once it is warm, no weight is
+    # The reduction reads the weight kernel; once it is warm, no weight is
     # worked out again (every weight comes from the factor table).
     model, arms = chain_model()
     DivergenceSet.exact(model, arms)
@@ -268,8 +216,8 @@ def test_warm_divergences_work_out_no_weight(monkeypatch):
 
     monkeypatch.setattr(sampling, "_weight_factors", counted)
     DivergenceSet.exact(model, arms)
-    DivergenceSet.mc(model, arms, draws=100, rng=np.random.default_rng(0))
     assert calls == []
+
 
 def test_quantile_frozen_values_and_validation():
     model, arms = chain_model()
@@ -313,14 +261,14 @@ def test_cutoffs_dominate_quantiles_random(seed, eps):
 
 def count_reductions(monkeypatch) -> list:
     """The laws reduced to exact matrices from here on, from a cold tables memo."""
-    reduce = divergence._reduce
+    reduce = divergence.reduce_cell_laws
     reductions = []
 
     def counted(laws, kernel):
         reductions.append(laws)
         return reduce(laws, kernel)
 
-    monkeypatch.setattr(divergence, "_reduce", counted)
+    monkeypatch.setattr(divergence, "reduce_cell_laws", counted)
     sampling._TABLES.clear()
     return reductions
 

@@ -149,3 +149,12 @@ def test_experiment_rejects_empty_arm_list(net):
 def test_experiment_rejects_a_bad_fairness_tolerance(net):
     with pytest.raises(ValueError, match="fairness_eps"):
         build_network_experiment(net, "fibrosis", "sex", "carcinoma", 2, 0, -0.2)
+
+
+def test_experiment_rejects_a_network_that_fails_validation():
+    # Arm 0 keeps the network's V table, whose zero entry the Dirichlet arms
+    # do not share.
+    base, _ = chain_model()
+    base.cpts["V"][0] = [0.5, 0.5, 0.0]
+    with pytest.raises(ValueError, match="failed validation: arm 1: zero pattern differs from arm 0"):
+        build_network_experiment(base, "V", "S", "Y", n_arms=2, seed=0, fairness_eps=0.3)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import faircb.sampling as sampling
@@ -784,3 +785,57 @@ def test_kernel_memo_stays_within_its_bound(monkeypatch):
     assert len(builds) == len(subsets)
     kernel_of(model, arms[:1])
     assert len(builds) == len(subsets) + 1
+
+
+def _redrawn(instance: Instance, node: str, rng) -> Instance:
+    """A copy of ``instance`` whose ``node`` table is drawn anew, as ``random_instance`` draws it."""
+    old = instance.model.cpts[node]
+    table = rng.dirichlet(np.full(old.shape[1], 1.5), size=old.shape[0]) + 0.02
+    cpts = {**instance.model.cpts, node: table / table.sum(axis=1, keepdims=True)}
+    return dataclasses.replace(instance, model=dataclasses.replace(instance.model, cpts=cpts))
+
+
+def _tables_before_and_after(instance: Instance, node: str, rng):
+    edited = _redrawn(instance, node, rng)
+    return edited, [sampling.instance_tables(x.model, x.arms) for x in (instance, edited)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_the_learner_reads_nothing_of_the_target_table(seed):
+    # The kernel and the divergences are all a run reads of the model past
+    # the arm tables: a new Y table moves the laws and the means, not them.
+    rng = np.random.default_rng(seed)
+    instance = random_instance(rng)
+    assume("Y" not in instance.model.children("S"))
+    edited, (before, after) = _tables_before_and_after(instance, "Y", rng)
+    assert after.kernel.tobytes() == before.kernel.tobytes()
+    for got, want in zip(after.divergences, before.divergences, strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert not np.array_equal(after.laws, before.laws)
+    mu_before, mu_after = (oracle_report(x, 0.5)["mu"] for x in (instance, edited))
+    assert all(a != b for a, b in zip(mu_before, mu_after, strict=True))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_an_edit_off_v_and_the_children_of_s_keeps_the_weight_factors(seed, data):
+    rng = np.random.default_rng(seed)
+    instance = random_instance(rng)
+    model = instance.model
+    node = data.draw(st.sampled_from([x for x in model.nodes
+                                      if x != "V" and x not in model.children("S")]))
+    _, (before, after) = _tables_before_and_after(instance, node, rng)
+    assert after.transport.tobytes() == before.transport.tobytes()
+    assert after.regime.tobytes() == before.regime.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_an_edit_of_a_child_of_s_moves_the_regime_factors(seed, data):
+    rng = np.random.default_rng(seed)
+    instance = random_instance(rng)
+    children = [x for x in instance.model.children("S") if x != "V"]
+    assume(children)
+    _, (before, after) = _tables_before_and_after(instance, data.draw(st.sampled_from(children)), rng)
+    assert after.regime.tobytes() != before.regime.tobytes()

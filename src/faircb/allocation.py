@@ -40,19 +40,19 @@ __all__ = [
 def _scipy_extension(name: str):
     """The scipy extension module ``name``, loaded without its packages' ``__init__``.
 
-    A plain import of ``scipy.optimize._zeros`` first runs
+    A plain import of ``scipy.optimize._highspy._core`` first runs
     ``scipy/optimize/__init__.py``, which imports scipy.special, linalg and
     sparse: hundreds of modules and tens of MB that no faircb process uses.
     Instead the file is looked up where scipy's layout keeps it (the
-    ``scipy.optimize._zeros`` extension in ``scipy/optimize/`` under
+    ``_core`` extension in ``scipy/optimize/_highspy/`` under
     ``scipy.__path__[0]``), and the module is entered in ``sys.modules`` under
     its own name before it runs, so a later ``import scipy.optimize`` (the
     tests' ``linprog`` reference) reuses this module instead of loading the
     extension again.  If scipy's layout has no such file, the ordinary package
     import loads it.  A module loaded by file is never bound as an attribute
     of its parent package: after a later ``import scipy.optimize``, reading
-    ``scipy.optimize._zeros`` or ``scipy.optimize._highspy._core`` raises
-    AttributeError, while importing either still finds the module.
+    ``scipy.optimize._highspy._core`` raises AttributeError, while importing
+    it still finds the module.
     """
     if name not in sys.modules:
         where = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])

@@ -13,23 +13,30 @@ g is strictly increasing, so the generator hits requested reward and
 fairness gaps exactly by inverting it, then keeps only draws whose exact
 oracle report and divergence matrices satisfy the configured bands.
 
-Order of the checks on a draw.  The arms are built one at a time: arm k's
-two parameters are inverted, its table is built, and under a divergence band
-``M[k, 0]`` is prefiltered at once, in closed form from P(S) and the two V
-tables (``_m_to_deployed``).  That sum runs in another order than
-``DivergenceSet.exact``'s, so the prefilter rejects a draw only when
-``M[k, 0]`` lies outside the band by more than ``_BAND_SLACK`` times its
-upper end, far beyond the rounding between the two.  Most draws of a banded
-config end there, after one or two arms.  A draw whose arms all pass goes on
-to ``DivergenceSet.exact``, whose ``M[:, 0]``, ``D_ssp[:, 0]`` and
-``D_sps[:, 0]`` must lie inside the band, then to ``validate_model`` (once
-per such candidate, and no instance is returned without it), then to the
-exact oracle report, which reduces the cell laws the divergences built.  All
-random draws of an attempt happen before its first inversion, no check reads
-the generator and the prefilter rejects only draws the exact check rejects,
-so the order decides only how soon a draw is rejected, never which draw is
-returned.  The root finder computes the binomial coefficients once per
-support size and the bracket values ``g(lo)`` and ``g(hi)`` once per attempt.
+Order of the checks on a draw.  The generator takes its attempts in chunks
+of 1, 2, 4, ... up to 64.  It first makes every random draw of a chunk, one
+attempt after another in the order of a one-attempt-at-a-time loop
+(``_draw``).  No check reads the generator and each attempt's draws are
+fixed before its first inversion, so drawing past the attempt that is
+accepted changes nothing that is returned.  Then one lane-parallel Brent pass
+(``_brent``, the roots of scipy's ``brentq`` bit for bit) inverts both
+parameters of every arm of the chunk, and under a divergence band one pass
+prefilters ``M[k, 0]`` of every arm against its draw's arm 0, in closed form
+from P(S) and the two V tables (``_m_to_deployed``).  That sum runs in
+another order than ``DivergenceSet.exact``'s, so the prefilter rejects a draw
+only when ``M[k, 0]`` lies outside the band by more than ``_BAND_SLACK``
+times its upper end, far beyond the rounding between the two.  The draws are
+then walked in order, and a draw's first failing arm decides how it is
+counted: a target outside g's range as an inversion, an ``M[k, 0]`` outside
+the band as a band prefilter.  Most draws of a banded config end there.  A
+draw whose arms all pass goes on to ``DivergenceSet.exact``, whose
+``M[:, 0]``, ``D_ssp[:, 0]`` and ``D_sps[:, 0]`` must lie inside the band,
+then to ``validate_model`` (once per such candidate, and no instance is
+returned without it), then to the exact oracle report, which reduces the cell
+laws the divergences built; these checks take one candidate at a time.  The
+prefilter rejects only draws the exact check rejects, so the chunks and the
+order of the checks decide only how soon a draw is rejected, never which draw
+is returned or how the rejections are counted.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .allocation import _scipy_extension
 from .divergence import DivergenceSet, _outcome_cutoff
 from .errors import GenerationFailed
 from .model import Arm, CausalModel, Instance, check_fairness_eps, validate_model
@@ -55,10 +61,14 @@ _LEVEL_PAD = 5e-3
 _P_S = np.array([0.5, 0.5])
 # Relative slack of the per-arm band prefilter, far above its rounding error.
 _BAND_SLACK = 1e-9
-# The C routine that scipy.optimize.brentq wraps, called with brentq's default
-# rtol; g is finite on the bracket, so brentq's NaN check would never fire.
-_zeros = _scipy_extension("scipy.optimize._zeros")
+# scipy.optimize.brentq's rtol and iteration cap, at the xtol the generator asks for.
+_BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4 * np.finfo(float).eps
+_BRENT_ITER = 100
+# Attempts per chunk double up to this: a config whose first draw passes
+# draws one attempt, a banded one draws a few hundred in a handful of passes.
+_MAX_CHUNK = 64
+_SIGNS = (-1.0, 1.0)
 # cephes lgam: its Stirling-series coefficients and log(sqrt(2 pi)).
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
            -2.77777777730099687205e-3, 8.33333333333331927722e-2)
@@ -184,46 +194,211 @@ def _binom_terms(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return v, n - v, log_gamma[n] - log_gamma - log_gamma[::-1]
 
 
-def _binom_row(m: int, p: float) -> np.ndarray:
-    """Binomial(m-1, p) pmf over {0..m-1}, in one vectorized log-space pass."""
+def _binom_rows(m: int, p: np.ndarray) -> np.ndarray:
+    """Binomial(m-1, p) pmf over {0..m-1}, one row per entry of the 1-d ``p``, in log space."""
     v, rest, log_coef = _binom_terms(m)
-    return np.exp(log_coef + v * np.log(p) + rest * np.log1p(-p))
+    return np.exp(log_coef + v * np.log(p)[:, None] + rest * np.log1p(-p)[:, None])
 
 
-def _g_factory(m: int, f: np.ndarray):
-    def g(p: float) -> float:
-        return float(_binom_row(m, p) @ f)
+def _g(p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``g(p[i]) = E_binom(p[i])[f[i]]`` per lane ``i``, each to the bits of ``row @ f[i]``.
 
-    return g
-
-
-def _invert_g(g, bracket: tuple[float, float], target: float) -> float | None:
-    """The parameter with ``g = target``; ``bracket`` holds ``g`` at both parameter bounds."""
-    lo, hi = bracket
-    if not lo < target < hi:
-        return None
-    # xtol, rtol, maxiter, args, full_output, disp: brentq(..., xtol=1e-14).
-    return _zeros._brentq(
-        lambda p: g(p) - target, _PARAM_LO, _PARAM_HI, 1e-14, _BRENT_RTOL, 100, (), False, True
-    )
-
-
-def _inside(band: tuple[float, float], values, slack: float = 0.0) -> bool:
-    """Whether every entry lies strictly inside ``band`` widened by ``slack`` at both ends."""
-    lo, hi = band
-    return bool(np.all(values > lo - slack) and np.all(values < hi + slack))
-
-
-def _m_to_deployed(deployed: np.ndarray, table: np.ndarray) -> float:
-    """``M[k, 0]`` of the arm ``table`` against the ``deployed`` arm 0, in closed form.
-
-    V's one parent is S, so arm 0 reaches (S, V) with mass ``P(S) * deployed``.
-    ``DivergenceSet.exact`` sums the same terms over the finer cells of the
-    cell code, so the two agree only up to rounding.
+    A stacked ``matmul`` of ``(1, m) @ (m, 1)`` blocks takes the 1-d dot
+    product per lane; a matrix-vector product or ``einsum`` over the lanes
+    sums in another order and differs in the last bit.
     """
+    return np.matmul(_binom_rows(f.shape[1], p)[:, None, :], f[:, :, None])[:, 0, 0]
+
+
+def _brent(f: np.ndarray, target: np.ndarray, fa: np.ndarray, fb: np.ndarray):
+    """Per lane ``i``, the root of ``g - target[i]`` on [_PARAM_LO, _PARAM_HI] for the score ``f[i]``.
+
+    A transcription of scipy's ``Zeros/brentq.c`` at xtol 1e-14 and brentq's
+    rtol and iteration cap: each lane takes the steps the C routine takes,
+    its branches chosen by ``np.where``, and leaves the pass once it
+    converges, so every root equals ``brentq``'s bit for bit.  ``fa`` and
+    ``fb`` are the lanes' values at the two ends, nonzero and of opposite
+    signs.  Returns the roots and whether each lane converged; a lane that
+    did not holds its last iterate.
+    """
+    n = len(target)
+    root, converged, live = np.empty(n), np.zeros(n, dtype=bool), np.arange(n)
+    xpre, xcur = np.full(n, _PARAM_LO), np.full(n, _PARAM_HI)
+    fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
+    xblk = fblk = spre = scur = np.zeros(n)
+    for _ in range(_BRENT_ITER):
+        bracket = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(bracket, xpre, xblk), np.where(bracket, fpre, fblk)
+        spre, scur = np.where(bracket, xcur - xpre, spre), np.where(bracket, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+        delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[live[done]], converged[live[done]] = xcur[done], True
+        keep = ~done
+        live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+            a[keep] for a in (live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+        if not live.size:
+            break
+        # Interpolate when the last two points are the bracket's, else
+        # extrapolate; both are computed and the lane's branch picked.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+        far, room = np.abs(spre), 3 * np.abs(sbis) - delta
+        short = ((far > delta) & (np.abs(fcur) < np.abs(fpre))
+                 & (2 * np.abs(stry) < np.where(far < room, far, room)))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = _g(xcur, f[live]) - target[live]
+    root[live] = xcur
+    return root, converged
+
+
+def _inside(band: tuple[float, float], values, slack: float = 0.0) -> np.ndarray:
+    """Which entries lie strictly inside ``band`` widened by ``slack`` at both ends."""
+    lo, hi = band
+    return (values > lo - slack) & (values < hi + slack)
+
+
+def _m_to_deployed(tables: np.ndarray) -> np.ndarray:
+    """``M[k, 0]`` of every arm against arm 0, per draw, from ``(..., K, 2, m)`` arm tables.
+
+    V's one parent is S, so arm 0 reaches (S, V) with mass ``P(S) * deployed``;
+    a cell it never reaches gets log mass ``-inf`` and ratio 1, so it adds
+    ``exp(-inf) = 0``.  ``DivergenceSet.exact`` sums the same terms over the
+    finer cells of the cell code, so the two agree only up to rounding.
+    """
+    deployed = tables[..., :1, :, :]
     mass = _P_S[:, None] * deployed
-    at = mass > 0.0
-    return float(_outcome_cutoff(np.log(mass[at]), table[at] / deployed[at]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(mass)
+        w = np.where(mass > 0.0, tables / deployed, 1.0)
+    return _outcome_cutoff(log_p.reshape(*log_p.shape[:-2], -1), w.reshape(*w.shape[:-2], -1))
+
+
+def _draw(config: SyntheticConfig, rng: np.random.Generator, attempt: int):
+    """One attempt's random draws, in the generator's fixed order.
+
+    Returns the score ``f``, the fair arms, the best fair arm and the
+    ``(K, 2)`` g-levels that each arm's two parameters must reach, or None in
+    place of the levels when the best arm's level window is empty.
+    """
+    K, m = config.n_arms, config.support
+    scale = 2.0 * config.epsilon_param - 1.0
+    glo, ghi = config.reward_gap_band
+    blo, bhi = config.fairness_gap_band
+    eps = config.fairness_eps
+    if config.f_values is not None:
+        f = np.asarray(config.f_values, dtype=float)
+    else:
+        f = np.sort(rng.uniform(0.0, 1.0, size=m))
+
+    ids = np.arange(K)
+    if config.n_unfair == K:
+        unfair = list(ids)
+    elif config.n_unfair == 0:
+        unfair = []
+    else:
+        # Arm 0 is the deployed system and stays fair when possible.
+        unfair = sorted(rng.choice(ids[1:], size=config.n_unfair, replace=False))
+    fair = [k for k in ids if k not in set(unfair)]
+    # x[rng.integers(0, len(x))] is the draw rng.choice(x) makes, at a fifth of its cost.
+    k_star = int(fair[rng.integers(0, len(fair))]) if fair else None
+
+    # Distance of |zeta| to the threshold, per arm; the smallest lands
+    # exactly on the band's low endpoint.
+    margins = rng.uniform(blo, bhi, size=K)
+    for k in fair:
+        margins[k] = min(margins[k], eps)
+    pinned = unfair[0] if unfair else next(k for k in ids if k != k_star)
+    margins[pinned] = blo
+    # A low divergence band needs clustered arm parameters (one shared
+    # asymmetry sign), a high band needs spread; alternate per attempt.
+    cluster = config.divergence_band is not None and attempt % 2 == 0
+    shared = _SIGNS[rng.integers(0, len(_SIGNS))] if cluster else None
+    zeta = np.empty(K)
+    for k in ids:
+        level = eps + margins[k] if k in set(unfair) else eps - margins[k]
+        zeta[k] = level * (shared if shared is not None else _SIGNS[rng.integers(0, len(_SIGNS))])
+
+    # Reward gaps to the best fair arm; the smallest fair gap is glo
+    # exactly and one unfair arm (when present) beats the best fair arm.
+    delta = np.zeros(K)
+    others = [k for k in fair if k != k_star]
+    if others:
+        delta_vals = rng.uniform(glo, ghi, size=len(others))
+        delta_vals[0] = glo
+        for k, d in zip(others, delta_vals):
+            delta[k] = d
+    for i, k in enumerate(unfair):
+        delta[k] = -glo if i == 0 else rng.uniform(glo, ghi)
+    if k_star is None:
+        delta[unfair[0]] = 0.0
+
+    # Feasible window for the best arm's g-level given every arm's
+    # (gap, asymmetry) pair; empty window means redraw.
+    z = zeta / scale
+    shift = delta / scale
+    lo_req = np.max(f[0] + np.abs(z) / 2.0 + _LEVEL_PAD + shift)
+    hi_req = np.min(f[-1] - np.abs(z) / 2.0 - _LEVEL_PAD + shift)
+    if not lo_req < hi_req:
+        return f, fair, k_star, None
+    levels = rng.uniform(lo_req, hi_req) - shift
+    return f, fair, k_star, np.stack([levels + z / 2.0, levels - z / 2.0], axis=1)
+
+
+def _screen(config: SyntheticConfig, draws: list):
+    """Yield per draw of a chunk, in order, its ``(K, 2, m)`` arm tables or the check that rejects it.
+
+    One ``_brent`` pass inverts every target of the chunk and, under a
+    divergence band, one ``_m_to_deployed`` pass prefilters every arm.  A draw
+    is rejected at its first arm with a target outside g's range
+    ("inversion") or with ``M[k, 0]`` clearly outside the band ("band
+    prefilter").  A root that did not converge raises RuntimeError when the
+    walk reaches its arm, as brentq would in a one-attempt-at-a-time loop.
+    """
+    band = config.divergence_band
+    live = [d for d in draws if d[-1] is not None]
+    if live:
+        f = np.array([d[0] for d in live])
+        targets = np.array([d[-1] for d in live])
+        lo, hi = (_g(np.full(len(live), end), f)[:, None, None] for end in (_PARAM_LO, _PARAM_HI))
+        inside = (lo < targets) & (targets < hi)
+        lanes = np.flatnonzero(inside)
+        draw_of = lanes // targets[0].size
+        t = targets.ravel()[lanes]
+        roots, converged = _brent(f[draw_of], t, lo.ravel()[draw_of] - t, hi.ravel()[draw_of] - t)
+        stalled = np.zeros(targets.size, dtype=bool)
+        stalled[lanes] = ~converged
+        stalled = stalled.reshape(targets.shape)
+        rows = np.full((targets.size, config.support), np.nan)
+        rows[lanes] = _binom_rows(config.support, roots)
+        tables = (rows / rows.sum(axis=1, keepdims=True)).reshape(targets.shape + (-1,))
+        if band is not None:
+            near = _inside(band, _m_to_deployed(tables), _BAND_SLACK * abs(band[1]))
+    j = 0
+    for *_, levels in draws:
+        if levels is None:
+            yield "level window"
+            continue
+        for k in range(config.n_arms):
+            if stalled[j, k].any():
+                raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
+            if not inside[j, k].all():
+                yield "inversion"
+                break
+            if k > 0 and band is not None and not near[j, k]:
+                yield "band prefilter"
+                break
+        else:
+            yield tables[j]
+        j += 1
 
 
 def generate_synthetic(config: SyntheticConfig) -> Instance:
@@ -231,7 +406,6 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
     config.validate()
     rng = np.random.default_rng(config.seed)
     K, m = config.n_arms, config.support
-    scale = 2.0 * config.epsilon_param - 1.0
     glo, ghi = config.reward_gap_band
     blo, bhi = config.fairness_gap_band
     eps = config.fairness_eps
@@ -241,121 +415,53 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
         ("level window", "inversion", "band prefilter", "exact band", "validation", "oracle"), 0)
     problem = None
 
-    for attempt in range(config.max_attempts):
-        if config.f_values is not None:
-            f = np.asarray(config.f_values, dtype=float)
-        else:
-            f = np.sort(rng.uniform(0.0, 1.0, size=m))
-        g = _g_factory(m, f)
-
-        ids = np.arange(K)
-        if config.n_unfair == K:
-            unfair = list(ids)
-        elif config.n_unfair == 0:
-            unfair = []
-        else:
-            # Arm 0 is the deployed system and stays fair when possible.
-            unfair = sorted(rng.choice(ids[1:], size=config.n_unfair, replace=False))
-        fair = [k for k in ids if k not in set(unfair)]
-        k_star = int(rng.choice(fair)) if fair else None
-
-        # Distance of |zeta| to the threshold, per arm; the smallest lands
-        # exactly on the band's low endpoint.
-        margins = rng.uniform(blo, bhi, size=K)
-        for k in fair:
-            margins[k] = min(margins[k], eps)
-        pinned = unfair[0] if unfair else next(k for k in ids if k != k_star)
-        margins[pinned] = blo
-        # A low divergence band needs clustered arm parameters (one shared
-        # asymmetry sign), a high band needs spread; alternate per attempt.
-        cluster = band is not None and attempt % 2 == 0
-        shared = rng.choice((-1.0, 1.0)) if cluster else None
-        zeta = np.empty(K)
-        for k in ids:
-            level = eps + margins[k] if k in set(unfair) else eps - margins[k]
-            zeta[k] = level * (shared if shared is not None else rng.choice((-1.0, 1.0)))
-
-        # Reward gaps to the best fair arm; the smallest fair gap is glo
-        # exactly and one unfair arm (when present) beats the best fair arm.
-        delta = np.zeros(K)
-        others = [k for k in fair if k != k_star]
-        if others:
-            delta_vals = rng.uniform(glo, ghi, size=len(others))
-            delta_vals[0] = glo
-            for k, d in zip(others, delta_vals):
-                delta[k] = d
-        for i, k in enumerate(unfair):
-            delta[k] = -glo if i == 0 else rng.uniform(glo, ghi)
-        if k_star is None:
-            delta[unfair[0]] = 0.0
-
-        # Feasible window for the best arm's g-level given every arm's
-        # (gap, asymmetry) pair; empty window means redraw.
-        z = zeta / scale
-        shift = delta / scale
-        lo_req = np.max(f[0] + np.abs(z) / 2.0 + _LEVEL_PAD + shift)
-        hi_req = np.min(f[-1] - np.abs(z) / 2.0 - _LEVEL_PAD + shift)
-        if not lo_req < hi_req:
-            rejected["level window"] += 1
-            continue
-        a_star = rng.uniform(lo_req, hi_req)
-        levels = a_star - shift
-
-        # One arm at a time: invert, build, and (banded) prefilter M[k, 0]
-        # at once, so a draw ends at its first arm clearly outside the band.
-        bracket = g(_PARAM_LO), g(_PARAM_HI)
-        arms = []
-        for k in range(K):
-            c = _invert_g(g, bracket, levels[k] + z[k] / 2.0)
-            d = _invert_g(g, bracket, levels[k] - z[k] / 2.0)
-            if c is None or d is None:
-                rejected["inversion"] += 1
-                break
-            table = np.vstack([_binom_row(m, c), _binom_row(m, d)])
-            table = table / table.sum(axis=1, keepdims=True)
-            if k > 0 and band is not None and not _inside(
-                band, _m_to_deployed(arms[0].table, table), _BAND_SLACK * abs(band[1])
-            ):
-                rejected["band prefilter"] += 1
-                break
-            cost = 0.0 if (config.cheap_arm and k == 0) else 1.0
-            arms.append(Arm(k, table, cost, cost, cost))
-        if len(arms) < K:
-            continue
-        model = _build_model(config, f, arms[0].table.copy())
-        if band is not None:
-            div = DivergenceSet.exact(model, arms)
-            if not all(_inside(band, c[1:, 0]) for c in (div.m, div.d_ssp, div.d_sps)):
-                rejected["exact band"] += 1
+    start, size = 0, 1
+    while start < config.max_attempts:
+        stop = min(start + size, config.max_attempts)
+        draws = [_draw(config, rng, attempt) for attempt in range(start, stop)]
+        start, size = stop, min(2 * size, _MAX_CHUNK)
+        for (f, fair, k_star, _), screened in zip(draws, _screen(config, draws)):
+            if isinstance(screened, str):
+                rejected[screened] += 1
                 continue
-        validation = validate_model(model, arms)
-        if not validation.ok:
-            rejected["validation"] += 1
-            problem = validation.problems[0]
-            continue
+            arms = []
+            for k, table in enumerate(screened):
+                cost = 0.0 if (config.cheap_arm and k == 0) else 1.0
+                arms.append(Arm(k, table, cost, cost, cost))
+            model = _build_model(config, f, arms[0].table.copy())
+            if band is not None:
+                div = DivergenceSet.exact(model, arms)
+                if not all(_inside(band, c[1:, 0]).all() for c in (div.m, div.d_ssp, div.d_sps)):
+                    rejected["exact band"] += 1
+                    continue
+            validation = validate_model(model, arms)
+            if not validation.ok:
+                rejected["validation"] += 1
+                problem = validation.problems[0]
+                continue
 
-        instance = Instance(
-            model=model,
-            arms=arms,
-            name=f"synthetic-K{K}-m{m}-seed{config.seed}",
-            cheap_arm_constraint=config.cheap_arm,
-            observed=["S", "V", "Y"],
-            fairness_eps=eps,
-        )
-        report = oracle_report(instance, eps)
-        gaps = [report["mu"][k_star] - report["mu"][k] for k in fair if k != k_star]
-        dist = [
-            min(abs(abs(report["zeta_ssp"][k]) - eps), abs(abs(report["zeta_sps"][k]) - eps))
-            for k in range(K)
-        ]
-        if (set(report["fair"]) != set(fair) or report["best_fair"] != k_star
-                or not all(glo - 1e-9 <= gap <= ghi + 1e-9 for gap in gaps)
-                or (gaps and abs(min(gaps) - glo) > 1e-9)
-                or not all(blo - 1e-9 <= d_ <= bhi + 1e-9 for d_ in dist)
-                or abs(report["xi_star"] - blo) > 1e-9):
-            rejected["oracle"] += 1
-            continue
-        return instance
+            instance = Instance(
+                model=model,
+                arms=arms,
+                name=f"synthetic-K{K}-m{m}-seed{config.seed}",
+                cheap_arm_constraint=config.cheap_arm,
+                observed=["S", "V", "Y"],
+                fairness_eps=eps,
+            )
+            report = oracle_report(instance, eps)
+            gaps = [report["mu"][k_star] - report["mu"][k] for k in fair if k != k_star]
+            dist = [
+                min(abs(abs(report["zeta_ssp"][k]) - eps), abs(abs(report["zeta_sps"][k]) - eps))
+                for k in range(K)
+            ]
+            if (set(report["fair"]) != set(fair) or report["best_fair"] != k_star
+                    or not all(glo - 1e-9 <= gap <= ghi + 1e-9 for gap in gaps)
+                    or (gaps and abs(min(gaps) - glo) > 1e-9)
+                    or not all(blo - 1e-9 <= d_ <= bhi + 1e-9 for d_ in dist)
+                    or abs(report["xi_star"] - blo) > 1e-9):
+                rejected["oracle"] += 1
+                continue
+            return instance
 
     counts = ", ".join(f"{check} {n}" for check, n in rejected.items())
     last = f"; the last validation problem: {problem}" if problem else ""

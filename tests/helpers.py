@@ -20,8 +20,10 @@ tables, apart from the factor table that the weight kernel and the oracle
 report read.  The conditional f-divergence, the empirical weight quantiles
 that the cutoff matrices must dominate, the Monte Carlo oracles and
 ``bound_report`` (the paper's problem-dependent constants and error bounds)
-are references the package itself never needs.  ``fresh_python`` runs code
-in a new interpreter, for what only a cold process shows.
+are references the package itself never needs.  ``reference_generate_synthetic``
+is the synthetic generator one attempt at a time, on scipy's scalar
+``brentq``, the reference for the chunked generator.  ``fresh_python`` runs
+code in a new interpreter, for what only a cold process shows.
 """
 
 from __future__ import annotations
@@ -36,22 +38,22 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import logsumexp
+from scipy.optimize import brentq, linprog
+from scipy.special import gammaln, logsumexp
 
 import faircb
-from faircb import sampling
+from faircb import sampling, synth
 from faircb.allocation import Allocation
 from faircb.bandit import PreparedInstance, _Allocator, phase_schedule
-from faircb.divergence import DivergenceSet
-from faircb.errors import FairCBError, Infeasible
+from faircb.divergence import DivergenceSet, _outcome_cutoff
+from faircb.errors import FairCBError, GenerationFailed, Infeasible
 from faircb.estimation import EstimateVector, SamplePool
 from faircb.model import (
-    REGIMES, Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE, encode_rows,
+    REGIMES, Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE, encode_rows, validate_model,
 )
 from faircb.netgen import build_network_experiment, liver_network
 from faircb.sampling import BatchSamples, Cells
-from faircb.oracles import enumerate_arms, enumerate_joint
+from faircb.oracles import enumerate_arms, enumerate_joint, oracle_report
 from faircb.synth import SyntheticConfig, generate_synthetic
 
 S_CHAIN_F = np.array([0.2, 0.5, 0.9])
@@ -177,15 +179,185 @@ def liver_experiment(n_arms: int) -> Instance:
     )
 
 
-BENCH_INSTANCES = {
-    "synth-k30": lambda: generate_synthetic(SyntheticConfig(
-        n_arms=30, support=20, seed=5, reward_gap_band=(0.02, 0.06), fairness_gap_band=(1.93, 1.99))),
-    "liver-k10": lambda: liver_experiment(10),
-    "band-k5": lambda: generate_synthetic(SyntheticConfig(
+BENCH_CONFIGS = {
+    "synth-k30": SyntheticConfig(
+        n_arms=30, support=20, seed=5, reward_gap_band=(0.02, 0.06), fairness_gap_band=(1.93, 1.99)),
+    "band-k5": SyntheticConfig(
         n_arms=5, support=6, seed=4, fairness_eps=0.5, fairness_gap_band=(0.3, 0.45),
-        reward_gap_band=(0.3, 0.45), divergence_band=(10.0, 50.0))),
+        reward_gap_band=(0.3, 0.45), divergence_band=(10.0, 50.0)),
+}
+
+BENCH_INSTANCES = {
+    "synth-k30": lambda: generate_synthetic(BENCH_CONFIGS["synth-k30"]),
+    "liver-k10": lambda: liver_experiment(10),
+    "band-k5": lambda: generate_synthetic(BENCH_CONFIGS["band-k5"]),
 }
 """Builders of the instances of the three benchmark workloads."""
+
+
+def binom_row(m: int, p: float) -> np.ndarray:
+    """Binomial(m-1, p) pmf over {0..m-1} for one scalar ``p``, coefficients from scipy's gammaln."""
+    v = np.arange(m)
+    log_gamma = gammaln(np.arange(1, m + 1))
+    log_coef = log_gamma[m - 1] - log_gamma - log_gamma[::-1]
+    return np.exp(log_coef + v * np.log(p) + (m - 1 - v) * np.log1p(-p))
+
+
+def scalar_g(f: np.ndarray):
+    """g(p) = E_binom(p)[f] as a scalar function, one 1-d dot product per call."""
+    return lambda p: float(binom_row(len(f), p) @ f)
+
+
+def _reference_invert_g(g, bracket: tuple[float, float], target: float) -> float | None:
+    lo, hi = bracket
+    if not lo < target < hi:
+        return None
+    return brentq(lambda p: g(p) - target, synth._PARAM_LO, synth._PARAM_HI, xtol=1e-14)
+
+
+def _reference_m_to_deployed(deployed: np.ndarray, table: np.ndarray) -> float:
+    mass = synth._P_S[:, None] * deployed
+    at = mass > 0.0
+    return float(_outcome_cutoff(np.log(mass[at]), table[at] / deployed[at]))
+
+
+def _reference_inside(band: tuple[float, float], values, slack: float = 0.0) -> bool:
+    lo, hi = band
+    return bool(np.all(values > lo - slack) and np.all(values < hi + slack))
+
+
+def reference_generate_synthetic(config: SyntheticConfig) -> tuple[Instance, int]:
+    """``generate_synthetic`` one attempt at a time, and the index of the attempt it returns.
+
+    Each attempt draws with ``rng.choice``, then builds its arms one at a time:
+    both parameters inverted by ``scipy.optimize.brentq`` on the scalar g,
+    the table built and, under a divergence band, ``M[k, 0]`` prefiltered at
+    once, so the attempt ends at its first failing arm.  The reference for
+    the chunked generator's instance and for its ``GenerationFailed`` message.
+    """
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    K, m = config.n_arms, config.support
+    scale = 2.0 * config.epsilon_param - 1.0
+    glo, ghi = config.reward_gap_band
+    blo, bhi = config.fairness_gap_band
+    eps = config.fairness_eps
+    band = config.divergence_band
+    rejected = dict.fromkeys(
+        ("level window", "inversion", "band prefilter", "exact band", "validation", "oracle"), 0)
+    problem = None
+
+    for attempt in range(config.max_attempts):
+        if config.f_values is not None:
+            f = np.asarray(config.f_values, dtype=float)
+        else:
+            f = np.sort(rng.uniform(0.0, 1.0, size=m))
+        g = scalar_g(f)
+
+        ids = np.arange(K)
+        if config.n_unfair == K:
+            unfair = list(ids)
+        elif config.n_unfair == 0:
+            unfair = []
+        else:
+            unfair = sorted(rng.choice(ids[1:], size=config.n_unfair, replace=False))
+        fair = [k for k in ids if k not in set(unfair)]
+        k_star = int(rng.choice(fair)) if fair else None
+
+        margins = rng.uniform(blo, bhi, size=K)
+        for k in fair:
+            margins[k] = min(margins[k], eps)
+        pinned = unfair[0] if unfair else next(k for k in ids if k != k_star)
+        margins[pinned] = blo
+        cluster = band is not None and attempt % 2 == 0
+        shared = rng.choice((-1.0, 1.0)) if cluster else None
+        zeta = np.empty(K)
+        for k in ids:
+            level = eps + margins[k] if k in set(unfair) else eps - margins[k]
+            zeta[k] = level * (shared if shared is not None else rng.choice((-1.0, 1.0)))
+
+        delta = np.zeros(K)
+        others = [k for k in fair if k != k_star]
+        if others:
+            delta_vals = rng.uniform(glo, ghi, size=len(others))
+            delta_vals[0] = glo
+            for k, d in zip(others, delta_vals):
+                delta[k] = d
+        for i, k in enumerate(unfair):
+            delta[k] = -glo if i == 0 else rng.uniform(glo, ghi)
+        if k_star is None:
+            delta[unfair[0]] = 0.0
+
+        z = zeta / scale
+        shift = delta / scale
+        lo_req = np.max(f[0] + np.abs(z) / 2.0 + synth._LEVEL_PAD + shift)
+        hi_req = np.min(f[-1] - np.abs(z) / 2.0 - synth._LEVEL_PAD + shift)
+        if not lo_req < hi_req:
+            rejected["level window"] += 1
+            continue
+        a_star = rng.uniform(lo_req, hi_req)
+        levels = a_star - shift
+
+        bracket = g(synth._PARAM_LO), g(synth._PARAM_HI)
+        arms = []
+        for k in range(K):
+            c = _reference_invert_g(g, bracket, levels[k] + z[k] / 2.0)
+            d = _reference_invert_g(g, bracket, levels[k] - z[k] / 2.0)
+            if c is None or d is None:
+                rejected["inversion"] += 1
+                break
+            table = np.vstack([binom_row(m, c), binom_row(m, d)])
+            table = table / table.sum(axis=1, keepdims=True)
+            if k > 0 and band is not None and not _reference_inside(
+                band, _reference_m_to_deployed(arms[0].table, table), synth._BAND_SLACK * abs(band[1])
+            ):
+                rejected["band prefilter"] += 1
+                break
+            cost = 0.0 if (config.cheap_arm and k == 0) else 1.0
+            arms.append(Arm(k, table, cost, cost, cost))
+        if len(arms) < K:
+            continue
+        model = synth._build_model(config, f, arms[0].table.copy())
+        if band is not None:
+            div = DivergenceSet.exact(model, arms)
+            if not all(_reference_inside(band, c[1:, 0]) for c in (div.m, div.d_ssp, div.d_sps)):
+                rejected["exact band"] += 1
+                continue
+        validation = validate_model(model, arms)
+        if not validation.ok:
+            rejected["validation"] += 1
+            problem = validation.problems[0]
+            continue
+
+        instance = Instance(
+            model=model,
+            arms=arms,
+            name=f"synthetic-K{K}-m{m}-seed{config.seed}",
+            cheap_arm_constraint=config.cheap_arm,
+            observed=["S", "V", "Y"],
+            fairness_eps=eps,
+        )
+        report = oracle_report(instance, eps)
+        gaps = [report["mu"][k_star] - report["mu"][k] for k in fair if k != k_star]
+        dist = [
+            min(abs(abs(report["zeta_ssp"][k]) - eps), abs(abs(report["zeta_sps"][k]) - eps))
+            for k in range(K)
+        ]
+        if (set(report["fair"]) != set(fair) or report["best_fair"] != k_star
+                or not all(glo - 1e-9 <= gap <= ghi + 1e-9 for gap in gaps)
+                or (gaps and abs(min(gaps) - glo) > 1e-9)
+                or not all(blo - 1e-9 <= d_ <= bhi + 1e-9 for d_ in dist)
+                or abs(report["xi_star"] - blo) > 1e-9):
+            rejected["oracle"] += 1
+            continue
+        return instance, attempt
+
+    counts = ", ".join(f"{check} {n}" for check, n in rejected.items())
+    last = f"; the last validation problem: {problem}" if problem else ""
+    raise GenerationFailed(
+        f"no instance satisfied the configured bands in {config.max_attempts} attempts"
+        f" (draws rejected per check: {counts}{last})"
+    )
 
 
 def _joint(model: CausalModel, arm: Arm | None, force_s: int | None = None):

@@ -19,7 +19,9 @@ from faircb.model import Arm, ValidationReport, validate_model
 from faircb.oracles import oracle_report
 from faircb.synth import SyntheticConfig, generate_synthetic
 
-from helpers import BENCH_INSTANCES, random_instance
+from helpers import (
+    BENCH_CONFIGS, BENCH_INSTANCES, random_instance, reference_generate_synthetic, scalar_g,
+)
 
 LOW_BAND = SyntheticConfig(
     n_arms=5,
@@ -146,42 +148,45 @@ def test_band_columns_equal_the_full_build_on_low_band(low_band_instance):
 # A one-row stack once gave this example's M[1, 0] one ulp above the full build's.
 @example(support=7, seed=0, params=[(0.109375, 0.75), (0.109375, 0.75)])
 def test_early_band_check_is_row_k_of_the_column(support, seed, params):
-    # The generator prefilters a draw on M[k, 0] of one arm at a time, in
-    # closed form; that value must lie far within the prefilter's slack of
-    # the full build's entry, or the prefilter could reject a draw that the
-    # exact check keeps.
+    # The generator prefilters every arm of a chunk on M[k, 0], in closed form
+    # over a leading axis of draws; each value must lie far within the
+    # prefilter's slack of the full build's entry, or the prefilter could
+    # reject a draw that the exact check keeps.
     f = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, size=support))
-    tables = []
-    for c, d in params:
-        table = np.vstack([synth._binom_row(support, c), synth._binom_row(support, d)])
-        tables.append(table / table.sum(axis=1, keepdims=True))
+    rows = synth._binom_rows(support, np.array(params).ravel())
+    tables = (rows / rows.sum(axis=1, keepdims=True)).reshape(len(params), 2, support)
     config = SyntheticConfig(n_arms=len(params), support=support)
     model = synth._build_model(config, f, tables[0].copy())
     arms = [Arm(k, table) for k, table in enumerate(tables)]
     full = DivergenceSet.exact(model, arms).m[:, 0]
+    # The same draw twice in one chunk, so the leading axis is exercised too.
+    early = synth._m_to_deployed(np.stack([tables, tables]))
+    assert early.shape == (2, len(params))
     for k in range(1, len(arms)):
-        early = synth._m_to_deployed(tables[0], tables[k])
-        assert abs(early - full[k]) <= 1e-3 * synth._BAND_SLACK * abs(full[k])
+        assert early[0, k] == early[1, k]
+        assert abs(early[0, k] - full[k]) <= 1e-3 * synth._BAND_SLACK * abs(full[k])
 
 
-def test_band_k5_inverts_each_arm_only_until_its_draw_fails(monkeypatch):
-    # Before the per-arm band check, every one of the 290 attempts inverted
-    # all 2K parameters (2900 calls) and validated its tables.
-    invert, validate = synth._invert_g, synth.validate_model
-    inversions, validated = [], []
+def test_band_k5_draws_at_most_one_chunk_past_its_accepted_attempt(monkeypatch):
+    # The chunks double up to 64 attempts, so the generator draws at most 64
+    # attempts past the one it returns, and validates only that candidate.
+    _, accepted = reference_generate_synthetic(BENCH_CONFIGS["band-k5"])
+    draw, validate = synth._draw, synth.validate_model
+    drawn, validated = [], []
 
-    def counted_invert(g, bracket, target):
-        inversions.append(target)
-        return invert(g, bracket, target)
+    def counted_draw(config, rng, attempt):
+        drawn.append(attempt)
+        return draw(config, rng, attempt)
 
     def counted_validate(model, arms):
         validated.append((model, arms))
         return validate(model, arms)
 
-    monkeypatch.setattr(synth, "_invert_g", counted_invert)
+    monkeypatch.setattr(synth, "_draw", counted_draw)
     monkeypatch.setattr(synth, "validate_model", counted_validate)
     inst = BENCH_INSTANCES["band-k5"]()
-    assert len(inversions) <= 1400
+    assert drawn == list(range(len(drawn)))
+    assert accepted < len(drawn) <= accepted + 1 + synth._MAX_CHUNK
     assert len(validated) == 1
     model, arms = validated[0]
     assert model is inst.model
@@ -194,23 +199,62 @@ def test_log_gamma_port_is_scipy_gammaln_bit_for_bit():
     assert ported.tobytes() == gammaln(np.array(ks, dtype=float)).tobytes()
 
 
+def _brentq_root(f: np.ndarray, target: float) -> float:
+    g = scalar_g(f)
+    return brentq(lambda p: g(p) - target, synth._PARAM_LO, synth._PARAM_HI, xtol=1e-14)
+
+
 @pytest.mark.parametrize("name", ["synth-k30", "band-k5"])
 def test_inversions_are_brentq_roots_bit_for_bit(name, monkeypatch):
-    # The direct Brent call against scipy.optimize.brentq at the same xtol,
-    # on every inversion the benchmark instance's generation makes.
-    invert = synth._invert_g
+    # Every lane of the lane-parallel Brent pass against scipy.optimize.brentq
+    # at the same xtol on the scalar g, over the benchmark instance's generation.
+    brent = synth._brent
     roots = []
 
-    def checked_invert(g, bracket, target):
-        root = invert(g, bracket, target)
-        if root is not None:
-            roots.append((root, brentq(lambda p: g(p) - target, synth._PARAM_LO, synth._PARAM_HI, xtol=1e-14)))
-        return root
+    def checked_brent(f, target, fa, fb):
+        got, converged = brent(f, target, fa, fb)
+        assert converged.all()
+        roots.extend((root, _brentq_root(row, t)) for root, row, t in zip(got, f, target))
+        return got, converged
 
-    monkeypatch.setattr(synth, "_invert_g", checked_invert)
+    monkeypatch.setattr(synth, "_brent", checked_brent)
     BENCH_INSTANCES[name]()
     assert len(roots) >= 60
-    assert all(type(got) is float and got == want for got, want in roots)
+    assert all(got == want for got, want in roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    support=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    spots=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+@example(support=2, seed=0, spots=[0.0, 1.0])
+def test_brent_lanes_are_brentq_roots_bit_for_bit(support, seed, spots):
+    # Random sorted scores and targets anywhere inside g's range, down to one
+    # ulp from either end, all inverted in one pass.
+    f = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, size=support))
+    if f[0] == f[-1]:
+        f[-1] = 1.0
+    g = scalar_g(f)
+    lo, hi = g(synth._PARAM_LO), g(synth._PARAM_HI)
+    targets = np.array([
+        np.nextafter(lo, hi) if s == 0.0 else np.nextafter(hi, lo) if s == 1.0
+        else min(max(lo + s * (hi - lo), np.nextafter(lo, hi)), np.nextafter(hi, lo))
+        for s in spots
+    ])
+    rows = np.tile(f, (len(targets), 1))
+    roots, converged = synth._brent(rows, targets, lo - targets, hi - targets)
+    assert converged.all()
+    assert roots.tolist() == [_brentq_root(f, t) for t in targets]
+
+
+def test_a_root_that_does_not_converge_raises(monkeypatch):
+    # brentq raises when its iterations run out; so does the generator, at
+    # the arm whose root it is.
+    monkeypatch.setattr(synth, "_BRENT_ITER", 2)
+    with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
+        generate_synthetic(LOW_BAND)
 
 
 def test_a_draw_that_fails_validation_is_never_returned(monkeypatch):
@@ -238,6 +282,93 @@ def test_generation_failure_counts_the_rejections_per_check():
     assert message.startswith("no instance satisfied the configured bands in 5 attempts")
     assert "level window 0, inversion 0, band prefilter 0, exact band 0, validation 5, oracle 0" in message
     assert "the last validation problem: arm 1: zero pattern differs from arm 0" in message
+
+
+def _outcome(generate, config: SyntheticConfig):
+    """The digest of what ``generate`` returns, or the GenerationFailed it raises."""
+    try:
+        return "made", instance_digest(generate(config))
+    except GenerationFailed as failed:
+        return "failed", str(failed)
+
+
+def _reference(config: SyntheticConfig):
+    return reference_generate_synthetic(config)[0]
+
+
+@st.composite
+def _configs(draw):
+    n_arms = draw(st.integers(2, 8))
+    support = draw(st.integers(2, 12))
+    eps = draw(st.sampled_from([0.1, 0.5, 2.0]))
+    low = draw(st.floats(0.1, 0.9))
+    reward_low = draw(st.floats(0.01, 0.3))
+    f_values = None
+    if draw(st.booleans()):
+        f = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=support, max_size=support)))
+        f_values = tuple(f) if f[0] < f[-1] else None
+    return SyntheticConfig(
+        n_arms=n_arms,
+        support=support,
+        seed=draw(st.integers(0, 2**16)),
+        epsilon_param=draw(st.sampled_from([0.99, 0.8, 1.0])),
+        fairness_eps=eps,
+        reward_gap_band=(reward_low, reward_low + draw(st.floats(0.01, 0.3))),
+        fairness_gap_band=(low * eps, (low + draw(st.floats(0.02, 0.5))) * eps),
+        divergence_band=draw(st.sampled_from([None, (1.0, 10.0), (10.0, 50.0), (1.0, 1.5), (2.0, 4.0)])),
+        n_unfair=draw(st.integers(0, n_arms - 1) | st.just(n_arms)),
+        f_values=f_values,
+        cheap_arm=draw(st.booleans()),
+        max_attempts=draw(st.integers(1, 80)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=_configs())
+@example(config=replace(LOW_BAND, max_attempts=3))
+@example(config=replace(BENCH_CONFIGS["band-k5"], max_attempts=340))
+@example(config=SyntheticConfig(max_attempts=3))
+@example(config=SyntheticConfig(n_arms=3, support=800, max_attempts=5))
+def test_chunked_generation_equals_one_attempt_at_a_time(config):
+    # The same instance bit for bit, or the same failure with the same counts
+    # per check, as the one-attempt-at-a-time loop on scipy's scalar brentq.
+    assert _outcome(generate_synthetic, config) == _outcome(_reference, config)
+
+
+@pytest.mark.parametrize("name", ["synth-k30", "band-k5"])
+def test_bench_generations_equal_one_attempt_at_a_time(name):
+    config = BENCH_CONFIGS[name]
+    assert _outcome(generate_synthetic, config) == _outcome(_reference, config)
+
+
+@pytest.mark.parametrize("population", [(-1.0, 1.0), (3, 7, 8), tuple(range(17))])
+def test_an_integer_draw_indexes_as_choice_draws(population):
+    # The generator draws x[rng.integers(0, len(x))] where it drew
+    # rng.choice(x): the same values, and the generator left in the same state.
+    for seed in range(50):
+        by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert by_choice.choice(population) == population[by_index.integers(0, len(population))]
+        assert by_choice.bit_generator.state == by_index.bit_generator.state
+
+
+def test_a_draw_that_fails_the_oracle_post_check_is_never_returned(monkeypatch):
+    # An oracle report whose best fair arm disagrees with the construction
+    # rejects every candidate that reaches it, after the other checks.
+    config = replace(LOW_BAND, max_attempts=30)
+
+    def misreported(instance, eps):
+        return {**oracle_report(instance, eps), "best_fair": -1}
+
+    monkeypatch.setattr(synth, "oracle_report", misreported)
+    with pytest.raises(GenerationFailed) as failed:
+        generate_synthetic(config)
+    counts = dict(
+        (check, int(n)) for check, n in
+        (part.rsplit(" ", 1) for part in str(failed.value).split(": ", 1)[1].rstrip(")").split(", "))
+    )
+    assert counts["oracle"] >= 1
+    assert counts["oracle"] == config.max_attempts - sum(n for check, n in counts.items() if check != "oracle")
 
 
 def test_unfair_count_is_respected():

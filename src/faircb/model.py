@@ -32,6 +32,7 @@ __all__ = [
     "radix_strides",
     "encode_rows",
     "decode_rows",
+    "stack_by_card",
 ]
 
 S_VALUE = 0
@@ -250,6 +251,25 @@ class ValidationReport:
     problems: tuple[str, ...] = ()
 
 
+def stack_by_card(tables: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
+    """Per column count of the 2-d ``tables``, first seen first: the positions
+    of its tables and their rows stacked in that order.  A row's sum over the
+    stack has the bits of its sum within its own table."""
+    groups: dict[int, list[int]] = {}
+    for i, table in enumerate(tables):
+        groups.setdefault(table.shape[1], []).append(i)
+    return [(members, np.concatenate([tables[i] for i in members])) for members in groups.values()]
+
+
+def _tables_hold(tables: Sequence[np.ndarray], n_rows: Sequence[int], cards: Sequence[int]) -> bool:
+    """Whether every table has its shape, no negative entry and rows that sum
+    to one: ``_row_problems`` finds nothing, at one check per card group."""
+    if any(t.shape != (n, c) for t, n, c in zip(tables, n_rows, cards)):
+        return False
+    return not any((stacked < 0.0).any() or (np.abs(stacked.sum(axis=1) - 1.0) > ROW_ATOL).any()
+                   for _, stacked in stack_by_card(tables))
+
+
 def _row_problems(name: str, table: np.ndarray, n_rows: int, card: int) -> list[str]:
     out: list[str] = []
     if table.shape != (n_rows, card):
@@ -293,8 +313,11 @@ def validate_model(model: CausalModel, arms: Sequence[Arm] = ()) -> ValidationRe
     except ValueError as exc:
         return ValidationReport(False, (str(exc),))
 
-    for x in model.nodes:
-        problems.extend(_row_problems(x, model.cpts[x], model.n_rows(x), model.cards[x]))
+    n_rows = [model.n_rows(x) for x in model.nodes]
+    cards = [model.cards[x] for x in model.nodes]
+    if not _tables_hold([model.cpts[x] for x in model.nodes], n_rows, cards):
+        for x, n, card in zip(model.nodes, n_rows, cards):
+            problems.extend(_row_problems(x, model.cpts[x], n, card))
 
     for designated, label in (
         (model.sensitive, "sensitive"),
@@ -319,11 +342,13 @@ def validate_model(model: CausalModel, arms: Sequence[Arm] = ()) -> ValidationRe
 
     v = model.intervention
     n_rows_v, card_v = model.n_rows(v), model.cards[v]
+    arms_hold = _tables_hold([a.table for a in arms], [n_rows_v] * len(arms), [card_v] * len(arms))
     for position, arm in enumerate(arms):
         # A run pulls, pools and reports arm j as row j of its count matrix.
         if arm.index != position:
             problems.append(f"arm {arm.index}: index differs from its position {position}")
-        problems.extend(_row_problems(f"arm {arm.index}", arm.table, n_rows_v, card_v))
+        if not arms_hold:
+            problems.extend(_row_problems(f"arm {arm.index}", arm.table, n_rows_v, card_v))
         for c in (arm.cost_pull, arm.cost_force_s, arm.cost_force_sprime):
             if not 0.0 <= c < math.inf:
                 problems.append(f"arm {arm.index}: cost {c} is not finite and nonnegative")

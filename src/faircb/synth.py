@@ -68,7 +68,7 @@ _BRENT_ITER = 100
 # Attempts per chunk double up to this: a config whose first draw passes
 # draws one attempt, a banded one draws a few hundred in a handful of passes.
 _MAX_CHUNK = 64
-_SIGNS = (-1.0, 1.0)
+_SIGNS = np.array([-1.0, 1.0])
 # cephes lgam: its Stirling-series coefficients and log(sqrt(2 pi)).
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
            -2.77777777730099687205e-3, 8.33333333333331927722e-2)
@@ -307,35 +307,32 @@ def _draw(config: SyntheticConfig, rng: np.random.Generator, attempt: int):
     else:
         # Arm 0 is the deployed system and stays fair when possible.
         unfair = sorted(rng.choice(ids[1:], size=config.n_unfair, replace=False))
-    fair = [k for k in ids if k not in set(unfair)]
+    is_unfair = np.zeros(K, dtype=bool)
+    is_unfair[unfair] = True
+    fair = list(ids[~is_unfair])
     # x[rng.integers(0, len(x))] is the draw rng.choice(x) makes, at a fifth of its cost.
     k_star = int(fair[rng.integers(0, len(fair))]) if fair else None
 
     # Distance of |zeta| to the threshold, per arm; the smallest lands
     # exactly on the band's low endpoint.
     margins = rng.uniform(blo, bhi, size=K)
-    for k in fair:
-        margins[k] = min(margins[k], eps)
+    margins[~is_unfair] = np.minimum(margins[~is_unfair], eps)
     pinned = unfair[0] if unfair else next(k for k in ids if k != k_star)
     margins[pinned] = blo
     # A low divergence band needs clustered arm parameters (one shared
-    # asymmetry sign), a high band needs spread; alternate per attempt.
+    # asymmetry sign), a high band needs spread; alternate per attempt.  K
+    # draws of integers(0, 2) are one draw of size K, value and stream alike.
     cluster = config.divergence_band is not None and attempt % 2 == 0
-    shared = _SIGNS[rng.integers(0, len(_SIGNS))] if cluster else None
-    zeta = np.empty(K)
-    for k in ids:
-        level = eps + margins[k] if k in set(unfair) else eps - margins[k]
-        zeta[k] = level * (shared if shared is not None else _SIGNS[rng.integers(0, len(_SIGNS))])
+    signs = _SIGNS[rng.integers(0, len(_SIGNS), size=1 if cluster else K)]
+    zeta = np.where(is_unfair, eps + margins, eps - margins) * signs
 
     # Reward gaps to the best fair arm; the smallest fair gap is glo
     # exactly and one unfair arm (when present) beats the best fair arm.
     delta = np.zeros(K)
     others = [k for k in fair if k != k_star]
     if others:
-        delta_vals = rng.uniform(glo, ghi, size=len(others))
-        delta_vals[0] = glo
-        for k, d in zip(others, delta_vals):
-            delta[k] = d
+        delta[others] = rng.uniform(glo, ghi, size=len(others))
+        delta[others[0]] = glo
     for i, k in enumerate(unfair):
         delta[k] = -glo if i == 0 else rng.uniform(glo, ghi)
     if k_star is None:

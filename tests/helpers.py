@@ -22,8 +22,10 @@ that the cutoff matrices must dominate, the Monte Carlo oracles and
 ``bound_report`` (the paper's problem-dependent constants and error bounds)
 are references the package itself never needs.  ``reference_generate_synthetic``
 is the synthetic generator one attempt at a time, on scipy's scalar
-``brentq``, the reference for the chunked generator.  ``fresh_python`` runs
-code in a new interpreter, for what only a cold process shows.
+``brentq``, the reference for the chunked generator.  ``reference_parse_bif``
+is the BIF parser one token at a time through a cursor, the reference for
+the slicing parser.  ``fresh_python`` runs code in a new interpreter, for
+what only a cold process shows.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -42,14 +46,17 @@ from scipy.optimize import brentq, linprog
 from scipy.special import gammaln, logsumexp
 
 import faircb
-from faircb import sampling, synth
+from faircb import bif, sampling, synth
 from faircb.allocation import Allocation
 from faircb.bandit import PreparedInstance, _Allocator, phase_schedule
 from faircb.divergence import DivergenceSet, _outcome_cutoff
-from faircb.errors import FairCBError, GenerationFailed, Infeasible
+from faircb.errors import (
+    FairCBError, GenerationFailed, Infeasible, NormalizationError, ParseError, UnsupportedConstruct,
+)
 from faircb.estimation import EstimateVector, SamplePool
 from faircb.model import (
-    REGIMES, Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE, encode_rows, validate_model,
+    REGIMES, Arm, CausalModel, Instance, Regime, S_VALUE, SPRIME_VALUE, encode_rows, radix_strides,
+    validate_model,
 )
 from faircb.netgen import build_network_experiment, liver_network
 from faircb.sampling import BatchSamples, Cells
@@ -1421,3 +1428,251 @@ def bound_report(
         "misidentification_bound": misid,
         "fairness_error_bound": fair_err,
     }
+
+
+# -- the reference BIF parser ---------------------------------------------
+
+# One alternative per token kind, tried in order at each offset: blanks and
+# comments, a string (quotes kept), one punctuation mark, a word, else one
+# bad character.  ``\w`` is exactly ``str.isalnum()`` plus ``_``.
+_REFERENCE_TOKEN = re.compile(
+    r'(?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)|(?P<string>"[^"\n]*")'
+    r"|(?P<word>[{}()\[\]|,;]|[\w.+-]+)|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+def _reference_tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The token texts and their offsets in ``text``, one match at a time."""
+    toks: list[str] = []
+    offsets: list[int] = []
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        if kind == "bad":
+            c = m.group(kind)
+            if c == '"':
+                msg = "unterminated string"
+            elif text.startswith("/*", m.start()):
+                msg = "unterminated comment"
+            else:
+                msg = f"unexpected character {c!r}"
+            raise bif._error(text, m.start(), msg)
+        toks.append(m.group(kind))
+        offsets.append(m.start())
+    return toks, offsets
+
+
+class _ReferenceCursor:
+    def __init__(self, text: str):
+        self.text = text
+        self.toks, self.offsets = _reference_tokenize(text)
+        self.i = 0
+
+    def error(self, msg: str) -> ParseError:
+        if self.i < len(self.toks):
+            return bif._error(self.text, self.offsets[self.i], msg)
+        return bif._error(self.text, self.offsets[-1] if self.toks else 0, f"{msg} (at end of input)")
+
+    @property
+    def done(self) -> bool:
+        return self.i >= len(self.toks)
+
+    def peek(self) -> str:
+        if self.done:
+            raise self.error("unexpected end of input")
+        return self.toks[self.i]
+
+    def next(self) -> str:
+        t = self.peek()
+        self.i += 1
+        return t
+
+    def name(self) -> str:
+        """The next token read as a name: a string's contents, else the token."""
+        t = self.next()
+        return t[1:-1] if t.startswith('"') else t
+
+    def expect(self, text: str) -> None:
+        got = self.peek()
+        if got != text:
+            raise self.error(f"expected {text!r}, got {got!r}")
+        self.i += 1
+
+    def skip_statement(self) -> None:
+        """Consume through the closing ';' (for ignored constructs)."""
+        while self.next() != ";":
+            pass
+
+
+def _reference_skip_property(cur: _ReferenceCursor, where: str) -> None:
+    warnings.warn(f"ignoring property statement in {where}", stacklevel=3)
+    cur.skip_statement()
+
+
+def _reference_float(cur: _ReferenceCursor) -> float:
+    tok = cur.peek()
+    try:
+        val = float(tok[1:-1] if tok.startswith('"') else tok)
+    except ValueError:
+        raise cur.error(f"expected a number, got {tok!r}") from None
+    cur.i += 1
+    return val
+
+
+def _reference_comma_list(cur: _ReferenceCursor, read=_ReferenceCursor.name) -> list:
+    vals = [read(cur)]
+    while cur.peek() == ",":
+        cur.next()
+        vals.append(read(cur))
+    return vals
+
+
+def _reference_variable(cur: _ReferenceCursor, states: dict) -> None:
+    name = cur.name()
+    if name in states:
+        raise cur.error(f"variable {name!r} declared twice")
+    cur.expect("{")
+    found = None
+    while cur.peek() != "}":
+        head = cur.next()
+        if head == "property":
+            _reference_skip_property(cur, f"variable {name}")
+            continue
+        if head != "type":
+            raise cur.error(f"unexpected {head!r} in variable block")
+        kind = cur.next()
+        if kind != "discrete":
+            raise UnsupportedConstruct(f"variable {name!r} has type {kind!r}; only discrete is supported")
+        cur.expect("[")
+        count = int(_reference_float(cur))
+        cur.expect("]")
+        cur.expect("{")
+        vals = _reference_comma_list(cur)
+        cur.expect("}")
+        cur.expect(";")
+        if len(vals) != count:
+            raise cur.error(f"variable {name!r} declares {count} states but lists {len(vals)}")
+        found = tuple(vals)
+    cur.expect("}")
+    if found is None:
+        raise cur.error(f"variable {name!r} has no type declaration")
+    states[name] = found
+
+
+def _reference_normalize_rows(node: str, table: np.ndarray) -> np.ndarray:
+    sums = table.sum(axis=1)
+    bad = np.abs(sums - 1.0) > bif.ROW_TOL
+    if np.any(bad):
+        row = int(np.flatnonzero(bad)[0])
+        raise NormalizationError(f"{node}: row {row} sums to {sums[row]:.8f}, outside 1 +/- {bif.ROW_TOL}")
+    if np.any(table < 0.0):
+        raise NormalizationError(f"{node}: negative probability entry")
+    return table / sums[:, None]
+
+
+def _reference_probability(cur: _ReferenceCursor, states: dict, parents: dict, cpts: dict) -> None:
+    cur.expect("(")
+    child = cur.name()
+    ps: tuple[str, ...] = ()
+    if cur.peek() == "|":
+        cur.next()
+        ps = tuple(_reference_comma_list(cur))
+    cur.expect(")")
+    if child not in states:
+        raise cur.error(f"probability block for undeclared variable {child!r}")
+    if child in cpts:
+        raise cur.error(f"duplicate probability block for {child!r}")
+    for p in ps:
+        if p not in states:
+            raise cur.error(f"{child!r} lists undeclared parent {p!r}")
+
+    card = len(states[child])
+    cards = [len(states[p]) for p in ps]
+    n_rows, strides = math.prod(cards), radix_strides(cards)
+
+    table = np.full((n_rows, card), np.nan)
+    cur.expect("{")
+    while cur.peek() != "}":
+        if cur.peek() == "property":
+            cur.next()
+            _reference_skip_property(cur, f"probability {child}")
+            continue
+        if cur.peek() == "table":
+            cur.next()
+            vals = _reference_comma_list(cur, _reference_float)
+            cur.expect(";")
+            if len(vals) != n_rows * card:
+                raise cur.error(f"{child!r} table has {len(vals)} entries, expected {n_rows * card}")
+            table = np.asarray(vals).reshape(n_rows, card)
+            continue
+        cur.expect("(")
+        key = tuple(_reference_comma_list(cur))
+        cur.expect(")")
+        if len(key) != len(ps):
+            raise cur.error(f"{child!r} row names {len(key)} parent states, expected {len(ps)}")
+        idx = 0
+        for val, p, st in zip(key, ps, strides):
+            if val not in states[p]:
+                raise cur.error(f"{val!r} is not a state of parent {p!r}")
+            idx += states[p].index(val) * st
+        if not np.isnan(table[idx]).all():
+            raise cur.error(f"{child!r} row {key} given twice")
+        vals = _reference_comma_list(cur, _reference_float)
+        cur.expect(";")
+        if len(vals) != card:
+            raise cur.error(f"{child!r} row {key} has {len(vals)} entries, expected {card}")
+        table[idx] = vals
+    cur.expect("}")
+
+    if np.isnan(table).any():
+        missing = int(np.flatnonzero(np.isnan(table).any(axis=1))[0])
+        raise cur.error(f"{child!r} is missing row {missing}")
+    parents[child] = tuple(ps)
+    cpts[child] = _reference_normalize_rows(child, table)
+
+
+def reference_parse_bif(text: str) -> bif.ParsedNetwork:
+    """``bif.parse_bif`` one token at a time: every token through a cursor's
+    ``peek``, each row written into a NaN-filled table as it is read, and each
+    table normalized at the end of its block."""
+    cur = _ReferenceCursor(text)
+    cur.expect("network")
+    name = cur.name()
+    cur.expect("{")
+    while cur.peek() != "}":
+        if cur.peek() == "property":
+            cur.next()
+            _reference_skip_property(cur, "network block")
+        else:
+            raise cur.error(f"unexpected {cur.peek()!r} in network block")
+    cur.expect("}")
+
+    states: dict[str, tuple[str, ...]] = {}
+    parents: dict[str, tuple[str, ...]] = {}
+    cpts: dict[str, np.ndarray] = {}
+    while not cur.done:
+        head = cur.next()
+        if head == "variable":
+            _reference_variable(cur, states)
+        elif head == "probability":
+            _reference_probability(cur, states, parents, cpts)
+        elif head == "property":
+            _reference_skip_property(cur, "top level")
+        else:
+            cur.i -= 1
+            raise cur.error(f"expected 'variable' or 'probability', got {head!r}")
+
+    missing = [x for x in states if x not in cpts]
+    if missing:
+        raise ParseError(f"no probability block for variable {missing[0]!r}")
+    model = CausalModel(
+        nodes=tuple(states), cards={x: len(v) for x, v in states.items()}, parents=parents,
+        cpts=cpts, sensitive="", intervention="", target="", target_values=np.zeros(0),
+    )
+    try:
+        model.topological_order()
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return bif.ParsedNetwork(name=name, model=model, states=states)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faircb import bif
@@ -12,6 +15,8 @@ from faircb.bif import ParsedNetwork, parse_bif, serialize_bif
 from faircb.errors import NormalizationError, ParseError, UnsupportedConstruct
 from faircb.io import instance_digest
 from faircb.netgen import build_network_experiment, liver_network, network_states
+
+from helpers import random_instance, reference_parse_bif
 
 MINI = """\
 network mini {
@@ -174,7 +179,7 @@ def _reference_tokens(text: str) -> list[tuple[str, int, int]] | str:
             end = text.find('"', i + 1)
             if end < 0 or "\n" in text[i + 1 : end]:
                 return f"line {line}, col {col}: unterminated string"
-            toks.append((text[i + 1 : end], line, col))
+            toks.append((text[i : end + 1], line, col))
             col += end + 1 - i
             i = end + 1
         elif c in "{}()[]|,;":
@@ -193,15 +198,26 @@ def _reference_tokens(text: str) -> list[tuple[str, int, int]] | str:
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(st.sampled_from(list(' \t\r\n/*"{}()[]|,;_.+-aZ09\u00e9\u0663\u00b2@\x0c#')), max_size=40))
+@example('a "b c" // d')
+@example("a /* b */")
 def test_tokenizer_matches_a_character_loop(text):
-    # Tokens, their line and column, and every tokenizer error message.
+    # Tokens (a string with its quotes), the line and column an error at
+    # each token names, the end-of-input position, and every tokenizer error.
     try:
-        toks, offsets = bif._tokenize(text)
+        toks = bif._tokenize(text)
     except ParseError as exc:
         assert str(exc) == _reference_tokens(text)
         return
-    got = [(t, str(bif._error(text, off, ""))) for t, off in zip(toks, offsets)]
-    assert got == [(t, f"line {line}, col {col}: ") for t, line, col in _reference_tokens(text)]
+    reference = _reference_tokens(text)
+    cur = bif._Cursor(text)
+    got = []
+    for i, tok in enumerate(toks):
+        cur.i = i
+        got.append((tok, str(cur.error("x"))))
+    assert got == [(t, f"line {line}, col {col}: x") for t, line, col in reference]
+    cur.i = len(toks)
+    at_end = "line 1, col 1: x" if not toks else got[-1][1]
+    assert str(cur.error("x")) == f"{at_end} (at end of input)"
 
 
 @pytest.mark.parametrize(
@@ -252,3 +268,138 @@ def test_negative_entry_is_rejected():
     bad = MINI.replace("table 0.3, 0.7;", "table 1.1, -0.1;")
     with pytest.raises(NormalizationError, match="negative probability"):
         parse_bif(bad)
+
+
+def test_a_quoted_string_is_never_punctuation():
+    # A quoted ';' inside a skipped statement no longer ends it early.
+    text = MINI.replace("variable A {", 'variable A {\n  property ";" ;', 1)
+    with pytest.warns(UserWarning, match="ignoring property statement in variable A"):
+        net = parse_bif(text)
+    assert net.states == parse_bif(MINI).states
+    # Nor does a quoted comma separate, or a quoted brace close, a list.
+    with pytest.raises(ParseError, match=r"line 5, col 29: expected '\}', got '\",\"'"):
+        parse_bif(MINI.replace("{ yes, no }", '{ yes "," no }', 1))
+    with pytest.raises(ParseError, match=r"expected 'variable' or 'probability', got '\"variable\"'"):
+        parse_bif(MINI.replace("variable B", '"variable" B', 1))
+
+
+def test_quoted_names_and_numbers_parse_as_bare_ones():
+    keywords = {"network", "variable", "probability", "type", "discrete", "table"}
+    quoted = re.sub(r"[\w.+-]+", lambda m: m[0] if m[0] in keywords else f'"{m[0]}"', MINI)
+    assert quoted.count('"') > 80
+    _assert_same_network(parse_bif(quoted), parse_bif(MINI))
+
+
+def test_an_earlier_normalization_error_wins_over_a_later_parse_error():
+    # Tables are normalized per card group after the last block, yet the
+    # errors come in file order, as block by block.
+    off = MINI.replace("table 0.3, 0.7;", "table 0.3, 0.6;")
+    with pytest.raises(NormalizationError, match="A: row 0 sums to 0.9"):
+        parse_bif(off.replace("0.25, 0.75;", "0.25, 0.75", 1))
+    with pytest.raises(NormalizationError, match="A: row 0 sums to 0.9"):
+        parse_bif(off + "rubbish\n")
+    with pytest.raises(ParseError, match="expected ';'"):
+        parse_bif(MINI.replace("0.25, 0.75;", "0.25, 0.6;", 1).replace("0.2, 0.5, 0.3;", "0.2, 0.5, 0.3", 1))
+    # Within a card group the first table in file order names the error.
+    with pytest.raises(NormalizationError, match="A: negative probability entry"):
+        parse_bif(MINI.replace("table 0.3, 0.7;", "table 1.5, -0.5;").replace("0.25, 0.75", "0.5, 0.6"))
+
+
+def _assert_same_network(got: ParsedNetwork, want: ParsedNetwork) -> None:
+    """Name, states, structure and every CPT bit."""
+    assert (got.name, got.states, got.model.nodes) == (want.name, want.states, want.model.nodes)
+    assert (got.model.cards, got.model.parents) == (want.model.cards, want.model.parents)
+    for x in want.model.nodes:
+        a, b = got.model.cpts[x], want.model.cpts[x]
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+
+
+def _outcome(parse, text: str):
+    """The network ``parse`` makes of ``text`` with the warnings it gives, or
+    the class and message of what it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            net = parse(text)
+        except Exception as exc:  # noqa: BLE001 - the class is what is compared
+            return type(exc), str(exc)
+    return net, [str(w.message) for w in caught]
+
+
+LIVER = serialize_bif(ParsedNetwork(name="liver", model=liver_network(), states=network_states()))
+# What a mangling puts in: comments, strings (of punctuation too), bad
+# characters, punctuation, keywords, numbers and state labels.
+INSERTS = [
+    "/* c */", "// c\n", '"s"', '";"', '","', '")"', '"0.5"', '"yes"', "@", "\x0c", '"', "/*", "/",
+    "(", ")", "{", "}", "[", "]", "|", ",", ";", "property", "table", "variable", "probability",
+    "type", "discrete", "0.5", "1", "-0.1", "nan", "inf", "1e400", "yes", "no", "lo", "present", "absent",
+]
+
+
+def _spread(n: int):
+    """An index below ``n``; bounded integers would crowd the first few."""
+    return st.integers(0, 2**64 - 1).map(lambda r: r % n)
+
+
+@st.composite
+def _mangled(draw):
+    text = draw(st.sampled_from([MINI, LIVER]))
+    spans = [(m.start(1), m.end(1)) for m in bif._TOKEN.finditer(text) if m[1]]
+    numbers = [k for k, (start, end) in enumerate(spans) if text[start].isdigit()]
+    ops = st.sampled_from(["delete", "duplicate", "repeat", "replace", "neighbour", "insert"])
+    edits = st.tuples(ops, _spread(len(spans) - 1).map(lambda k: k + 1))
+    # A number moved within ROW_TOL keeps the text parsing and is
+    # renormalized; one moved further, or below zero, fails normalization.
+    nudges = st.tuples(st.just("nudge"), _spread(len(numbers)).map(numbers.__getitem__))
+    picks = draw(st.lists(edits | nudges, min_size=1, max_size=3, unique_by=lambda pick: pick[1]))
+    # Right to left, so the offsets of the tokens still to mangle hold.
+    for op, k in sorted(picks, key=lambda pick: -pick[1]):
+        start, end = spans[k]
+        other = draw(st.sampled_from(INSERTS) | st.sampled_from(spans).map(lambda sp: text[sp[0] : sp[1]])
+                     | st.floats(-0.1, 1.1).map(repr))
+        if op == "nudge":
+            other = repr(float(text[start:end]) + draw(st.floats(-3e-7, 3e-7) | st.floats(-1.0, 0.1)))
+        elif op == "neighbour":  # say, a comma between two numbers turned into a number
+            other = text[spans[k - 1][0] : spans[k - 1][1]]
+        if op == "delete":
+            text = text[:start] + text[end:]
+        elif op == "duplicate":
+            text = text[:end] + " " + text[start:end] + text[end:]
+        elif op == "repeat":  # the statement around this token twice, a row say
+            begin = max(text.rfind(c, 0, start) for c in ";{}") + 1
+            stop = text.find(";", start) + 1 or len(text)
+            text = text[:stop] + " " + text[begin:stop] + text[stop:]
+        elif op == "insert":
+            text = text[:start] + other + " " + text[start:]
+        else:
+            text = text[:start] + other + text[end:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mangled())
+@example(MINI)
+@example(LIVER)
+def test_parser_matches_the_token_by_token_reference(text):
+    # The slicing parser and the cursor reference return the same network
+    # bit for bit and warn alike, or raise the same class with one message.
+    got, want = _outcome(parse_bif, text), _outcome(reference_parse_bif, text)
+    if isinstance(want[0], ParsedNetwork) and isinstance(got[0], ParsedNetwork):
+        _assert_same_network(got[0], want[0])
+        assert got[1] == want[1]
+    else:
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_instances_round_trip(seed):
+    model = random_instance(np.random.default_rng(seed)).model
+    states = {x: tuple(f"{x.lower()}{v}" for v in range(model.cards[x])) for x in model.nodes}
+    text = serialize_bif(ParsedNetwork(name="random", model=model, states=states))
+    back = parse_bif(text)
+    _assert_same_network(back, reference_parse_bif(text))
+    assert back.states == states
+    assert back.model.parents == model.parents
+    for x in model.nodes:
+        np.testing.assert_allclose(back.model.cpts[x], model.cpts[x], rtol=1e-12, atol=0)

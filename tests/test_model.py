@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faircb import model as model_module
 from faircb.model import (
     Arm,
     CausalModel,
     Regime,
     S_VALUE,
     SPRIME_VALUE,
+    stack_by_card,
     validate_model,
 )
 
-from helpers import chain_model, side_child_model
+from helpers import chain_model, random_instance, side_child_model
 
 
 def test_s_conventions():
@@ -154,3 +156,57 @@ def test_validate_rejects_negative_entries():
     model, arms = chain_model()
     model.cpts["Y"] = np.array([[1.2, -0.2], [0.5, 0.5], [0.1, 0.9]])
     assert validate_model(model, arms).problems == ("Y: negative entries",)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stacked_rows_keep_their_sums(seed):
+    # Rows of equal length sum to the same bits stacked as in their own
+    # table, short rows and rows long enough for pairwise summation alike.
+    rng = np.random.default_rng(seed)
+    tables = [rng.random((int(rng.integers(1, 6)), int(card))) for card in rng.choice([1, 2, 3, 9, 130, 300], 7)]
+    groups = stack_by_card(tables)
+    assert sorted(i for members, _ in groups for i in members) == list(range(len(tables)))
+    for members, stacked in groups:
+        assert members == sorted(members)
+        assert stacked.tobytes() == np.concatenate([tables[i] for i in members]).tobytes()
+        by_table = np.concatenate([tables[i].sum(axis=1) for i in members])
+        assert stacked.sum(axis=1).tobytes() == by_table.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edits=st.lists(st.tuples(st.integers(0, 9), st.sampled_from(
+        ["negative", "scale", "nudge", "nan", "widen", "drop row", "zero"])), max_size=3),
+)
+def test_card_group_checks_find_what_the_table_checks_find(seed, edits):
+    # validate_model checks the tables one card group at a time and asks
+    # each table only when a group fails: the group check must pass exactly
+    # when no table check finds a problem.
+    inst = random_instance(np.random.default_rng(seed))
+    model = inst.model
+    tables = [model.cpts[x].copy() for x in model.nodes] + [a.table.copy() for a in inst.arms]
+    n_rows = [model.n_rows(x) for x in model.nodes] + [model.n_rows("V")] * inst.n_arms
+    cards = [model.cards[x] for x in model.nodes] + [model.cards["V"]] * inst.n_arms
+    for at, edit in edits:
+        i = at % len(tables)
+        t = tables[i]
+        if not t.size:  # a row dropped from a one-row table
+            continue
+        if edit == "negative":
+            t[0, 0] = -abs(t[0, 0]) - 1e-12
+        elif edit == "scale":
+            t[-1] *= 1.5
+        elif edit == "nudge":  # well inside ROW_ATOL, then just outside it
+            t[0, -1] += 1e-10 if at % 2 else 2e-9
+        elif edit == "nan":
+            t[0, 0] = np.nan
+        elif edit == "widen":
+            tables[i] = np.hstack([t, np.zeros((t.shape[0], 1))])
+        elif edit == "drop row":
+            tables[i] = t[:-1]
+        else:
+            t[0] = 0.0
+    found = [p for t, n, c in zip(tables, n_rows, cards) for p in model_module._row_problems("t", t, n, c)]
+    assert model_module._tables_hold(tables, n_rows, cards) == (not found)

@@ -352,6 +352,41 @@ def test_an_integer_draw_indexes_as_choice_draws(population):
         assert by_choice.bit_generator.state == by_index.bit_generator.state
 
 
+@pytest.mark.parametrize("buffered", [0, 1])
+def test_k_scalar_sign_draws_are_one_draw_of_size_k(buffered):
+    # An unclustered attempt draws its K signs as one integers(0, 2, size=K):
+    # the values and the generator state of K scalar draws, also after an odd
+    # number of 32-bit draws has left half of a 64-bit word buffered.
+    for seed in range(300):
+        one_by_one, at_once = np.random.default_rng(seed), np.random.default_rng(seed)
+        K = 1 + seed % 40
+        for rng in (one_by_one, at_once):
+            rng.integers(0, 2, size=buffered)
+        assert [one_by_one.integers(0, 2) for _ in range(K)] == at_once.integers(0, 2, size=K).tolist()
+        assert one_by_one.bit_generator.state == at_once.bit_generator.state
+
+
+def test_an_inversion_failure_is_counted(monkeypatch):
+    # A g-level outside g's range, which the level window rules out for
+    # every real draw, rejects the draw at its first arm as an inversion.
+    draw = synth._draw
+
+    def out_of_range(config, rng, attempt):
+        f, fair, k_star, levels = draw(config, rng, attempt)
+        return f, fair, k_star, None if levels is None else levels + 2.0
+
+    monkeypatch.setattr(synth, "_draw", out_of_range)
+    config = replace(LOW_BAND, max_attempts=12)
+    with pytest.raises(GenerationFailed) as failed:
+        generate_synthetic(config)
+    counts = dict(
+        (check, int(n)) for check, n in
+        (part.rsplit(" ", 1) for part in str(failed.value).split(": ", 1)[1].rstrip(")").split(", "))
+    )
+    assert counts["inversion"] >= 1
+    assert counts["inversion"] + counts["level window"] == config.max_attempts
+
+
 def test_a_draw_that_fails_the_oracle_post_check_is_never_returned(monkeypatch):
     # An oracle report whose best fair arm disagrees with the construction
     # rejects every candidate that reaches it, after the other checks.

@@ -5,7 +5,7 @@ Only the discrete subset is supported: ``network``, ``variable`` blocks with
 ``table`` statement (row-major over the parent tuple, child states fastest)
 or one parenthesized parent-state row per line.  ``property`` statements are
 skipped with a warning.  Rows must sum to one within ``ROW_TOL`` and are
-renormalized exactly on ingest, one pass per group of equal card.
+renormalized exactly on ingest.
 
 The tokens come from one ``findall``; a token's line and column are worked
 out only for an error.  A quoted string is only ever a name or a number.
@@ -22,18 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FairCBError, NormalizationError, ParseError, UnsupportedConstruct
-from .model import CausalModel, decode_rows, radix_strides, stack_by_card
+from .errors import NormalizationError, ParseError, UnsupportedConstruct
+from .model import CausalModel, decode_rows, radix_strides
 
 __all__ = ["ParsedNetwork", "parse_bif", "serialize_bif", "ROW_TOL"]
 
 ROW_TOL = 1e-6
 
-# Blanks and comments, taken possessively so they give no character back,
-# then a string (quotes kept), a punctuation mark, a word, else the text from a
-# bad character on, else the end.  ``\w`` is exactly ``str.isalnum()`` plus ``_``.
+# Blanks and comments, then a string (quotes kept), a punctuation mark, a word,
+# else the text from a bad character on, else the end.  The group matches after
+# any skip, so the skip never gives a character back.  ``\w`` is exactly
+# ``str.isalnum()`` plus ``_``.
 _TOKEN = re.compile(
-    r'(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*+("[^"\n]*"|[{}()\[\]|,;]|[\w.+-]+|.+|\Z)', re.DOTALL
+    r'(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*("[^"\n]*"|[{}()\[\]|,;]|[\w.+-]+|.+|\Z)', re.DOTALL
 )
 _GOOD = re.compile(r'"[^"\n]*"|[{}()\[\]|,;]|[\w.+-]+')
 
@@ -172,27 +173,25 @@ def _parse_variable(cur: _Cursor, states: dict[str, tuple[str, ...]]) -> None:
     states[name] = found
 
 
-def _normalize(tables: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Every table's rows divided by their sums, at one pass per card group; a
-    group that fails is checked table by table in order, so the first raises."""
-    names, out = list(tables), dict.fromkeys(tables)
-    for members, stacked in stack_by_card(list(tables.values())):
-        sums = stacked.sum(axis=1)
-        if (np.abs(sums - 1.0) > ROW_TOL).any() or (stacked < 0.0).any():
-            for x, table in tables.items():
-                row_sums = table.sum(axis=1)
-                bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_TOL)
-                if bad.size:
-                    raise NormalizationError(
-                        f"{x}: row {bad[0]} sums to {row_sums[bad[0]]:.8f}, outside 1 +/- {ROW_TOL}")
-                if np.any(table < 0.0):
-                    raise NormalizationError(f"{x}: negative probability entry")
-        ends = np.cumsum([tables[names[i]].shape[0] for i in members])
-        out.update(zip((names[i] for i in members), np.split(stacked / sums[:, None], ends[:-1])))
-    return out
+def _normalize_rows(node: str, table: np.ndarray) -> np.ndarray:
+    sums = table.sum(axis=1)
+    bad = np.abs(sums - 1.0) > ROW_TOL
+    if np.any(bad):
+        row = int(np.flatnonzero(bad)[0])
+        raise NormalizationError(
+            f"{node}: row {row} sums to {sums[row]:.8f}, outside 1 +/- {ROW_TOL}"
+        )
+    if np.any(table < 0.0):
+        raise NormalizationError(f"{node}: negative probability entry")
+    return table / sums[:, None]
 
 
-def _parse_probability(cur: _Cursor, states: dict, parents: dict, tables: dict) -> None:
+def _parse_probability(
+    cur: _Cursor,
+    states: dict[str, tuple[str, ...]],
+    parents: dict[str, tuple[str, ...]],
+    cpts: dict[str, np.ndarray],
+) -> None:
     cur.expect("(")
     child = _name(cur.next())
     ps: tuple[str, ...] = ()
@@ -203,7 +202,7 @@ def _parse_probability(cur: _Cursor, states: dict, parents: dict, tables: dict) 
         cur.expect(")")
     if child not in states:
         raise cur.error(f"probability block for undeclared variable {child!r}")
-    if child in tables:
+    if child in cpts:
         raise cur.error(f"duplicate probability block for {child!r}")
     for p in ps:
         if p not in states:
@@ -229,7 +228,9 @@ def _parse_probability(cur: _Cursor, states: dict, parents: dict, tables: dict) 
             cur.i += 1
             vals = _comma_list(cur, ";", number=True)
             if len(vals) != n_rows * card:
-                raise cur.error(f"{child!r} table has {len(vals)} entries, expected {n_rows * card}")
+                raise cur.error(
+                    f"{child!r} table has {len(vals)} entries, expected {n_rows * card}"
+                )
             rows = [vals[k : k + card] for k in range(0, len(vals), card)]
             continue
         stmt = toks[cur.i : cur.i + m + 2 * card + 1]
@@ -263,7 +264,7 @@ def _parse_probability(cur: _Cursor, states: dict, parents: dict, tables: dict) 
     missing = np.flatnonzero(np.isnan(table).any(axis=1))
     if missing.size:
         raise cur.error(f"{child!r} is missing row {missing[0]}")
-    parents[child], tables[child] = ps, table
+    parents[child], cpts[child] = ps, _normalize_rows(child, table)
 
 
 def parse_bif(text: str) -> ParsedNetwork:
@@ -286,34 +287,42 @@ def parse_bif(text: str) -> ParsedNetwork:
 
     states: dict[str, tuple[str, ...]] = {}
     parents: dict[str, tuple[str, ...]] = {}
-    tables: dict[str, np.ndarray] = {}
-    try:
-        while cur.i < len(cur.toks):
-            head = cur.next()
-            if head == "variable":
-                _parse_variable(cur, states)
-            elif head == "probability":
-                _parse_probability(cur, states, parents, tables)
-            elif head == "property":
-                _skip_property(cur, "top level")
-            else:
-                cur.i -= 1
-                raise cur.error(f"expected 'variable' or 'probability', got {head!r}")
-    except (FairCBError, ValueError, OverflowError):  # int() of a NaN or infinite state count too
-        _normalize(tables)  # an earlier block's NormalizationError comes first
-        raise
-    cpts = _normalize(tables)
+    cpts: dict[str, np.ndarray] = {}
+    while cur.i < len(cur.toks):
+        head = cur.next()
+        if head == "variable":
+            _parse_variable(cur, states)
+        elif head == "probability":
+            _parse_probability(cur, states, parents, cpts)
+        elif head == "property":
+            _skip_property(cur, "top level")
+        else:
+            cur.i -= 1
+            raise cur.error(f"expected 'variable' or 'probability', got {head!r}")
+
     missing = [x for x in states if x not in cpts]
     if missing:
         raise ParseError(f"no probability block for variable {missing[0]!r}")
 
-    model = CausalModel(nodes=tuple(states), cards={x: len(v) for x, v in states.items()}, parents=parents,
-                        cpts=cpts, sensitive="", intervention="", target="", target_values=np.zeros(0))
+    model = CausalModel(
+        nodes=tuple(states),
+        cards={x: len(v) for x, v in states.items()},
+        parents=parents,
+        cpts=cpts,
+        sensitive="",
+        intervention="",
+        target="",
+        target_values=np.zeros(0),
+    )
     try:
         model.topological_order()
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     return ParsedNetwork(name=name, model=model, states=states)
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
 
 
 def serialize_bif(net: ParsedNetwork) -> str:
@@ -322,19 +331,22 @@ def serialize_bif(net: ParsedNetwork) -> str:
     out = [f"network {net.name} {{", "}"]
     for x in model.nodes:
         vals = ", ".join(net.states[x])
-        out += [f"variable {x} {{", f"  type discrete [ {model.cards[x]} ] {{ {vals} }};", "}"]
+        out.append(f"variable {x} {{")
+        out.append(f"  type discrete [ {model.cards[x]} ] {{ {vals} }};")
+        out.append("}")
     for x in model.nodes:
         ps = model.parents[x]
         table = model.cpts[x]
         if not ps:
-            out += [f"probability ( {x} ) {{", f"  table {', '.join(map(repr, table[0].tolist()))};"]
+            out.append(f"probability ( {x} ) {{")
+            out.append(f"  table {', '.join(_fmt(v) for v in table[0])};")
         else:
             out.append(f"probability ( {x} | {', '.join(ps)} ) {{")
             # Keyed by position, so a parent listed twice keeps both digits.
             keys = decode_rows(np.arange(table.shape[0]), range(len(ps)), model.parent_cards(x))
             for row in range(table.shape[0]):
                 labels = [net.states[p][keys[i][row]] for i, p in enumerate(ps)]
-                vals = ", ".join(map(repr, table[row].tolist()))
+                vals = ", ".join(_fmt(v) for v in table[row])
                 out.append(f"  ( {', '.join(labels)} ) {vals};")
         out.append("}")
     return "\n".join(out) + "\n"

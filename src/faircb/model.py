@@ -32,7 +32,6 @@ __all__ = [
     "radix_strides",
     "encode_rows",
     "decode_rows",
-    "stack_by_card",
 ]
 
 S_VALUE = 0
@@ -251,23 +250,28 @@ class ValidationReport:
     problems: tuple[str, ...] = ()
 
 
-def stack_by_card(tables: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
-    """Per column count of the 2-d ``tables``, first seen first: the positions
-    of its tables and their rows stacked in that order.  A row's sum over the
-    stack has the bits of its sum within its own table."""
-    groups: dict[int, list[int]] = {}
-    for i, table in enumerate(tables):
-        groups.setdefault(table.shape[1], []).append(i)
-    return [(members, np.concatenate([tables[i] for i in members])) for members in groups.values()]
+def _stack_by_card(tables: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The rows of the 2-d ``tables``, stacked in order per column count.  A
+    row's sum over its stack has the bits of its sum within its own table."""
+    groups: dict[int, list[np.ndarray]] = {}
+    for table in tables:
+        groups.setdefault(table.shape[1], []).append(table)
+    return [np.concatenate(group) for group in groups.values()]
+
+
+def _row_faults(table: np.ndarray) -> tuple[bool, np.ndarray]:
+    """What makes the rows of a table (or of a card group) invalid: whether
+    any entry is negative, and which rows do not sum to one within ROW_ATOL."""
+    return bool(np.any(table < 0.0)), np.abs(table.sum(axis=1) - 1.0) > ROW_ATOL
 
 
 def _tables_hold(tables: Sequence[np.ndarray], n_rows: Sequence[int], cards: Sequence[int]) -> bool:
-    """Whether every table has its shape, no negative entry and rows that sum
-    to one: ``_row_problems`` finds nothing, at one check per card group."""
+    """Whether ``_row_problems`` finds nothing in any table, at one
+    ``_row_faults`` call per card group."""
     if any(t.shape != (n, c) for t, n, c in zip(tables, n_rows, cards)):
         return False
-    return not any((stacked < 0.0).any() or (np.abs(stacked.sum(axis=1) - 1.0) > ROW_ATOL).any()
-                   for _, stacked in stack_by_card(tables))
+    faults = map(_row_faults, _stack_by_card(tables))
+    return not any(negative or bad.any() for negative, bad in faults)
 
 
 def _row_problems(name: str, table: np.ndarray, n_rows: int, card: int) -> list[str]:
@@ -275,9 +279,9 @@ def _row_problems(name: str, table: np.ndarray, n_rows: int, card: int) -> list[
     if table.shape != (n_rows, card):
         out.append(f"{name}: table shape {table.shape} != ({n_rows}, {card})")
         return out
-    if np.any(table < 0.0):
+    negative, bad = _row_faults(table)
+    if negative:
         out.append(f"{name}: negative entries")
-    bad = np.abs(table.sum(axis=1) - 1.0) > ROW_ATOL
     if np.any(bad):
         out.append(f"{name}: rows {np.flatnonzero(bad).tolist()} do not sum to 1")
     return out

@@ -290,21 +290,6 @@ def test_quoted_names_and_numbers_parse_as_bare_ones():
     _assert_same_network(parse_bif(quoted), parse_bif(MINI))
 
 
-def test_an_earlier_normalization_error_wins_over_a_later_parse_error():
-    # Tables are normalized per card group after the last block, yet the
-    # errors come in file order, as block by block.
-    off = MINI.replace("table 0.3, 0.7;", "table 0.3, 0.6;")
-    with pytest.raises(NormalizationError, match="A: row 0 sums to 0.9"):
-        parse_bif(off.replace("0.25, 0.75;", "0.25, 0.75", 1))
-    with pytest.raises(NormalizationError, match="A: row 0 sums to 0.9"):
-        parse_bif(off + "rubbish\n")
-    with pytest.raises(ParseError, match="expected ';'"):
-        parse_bif(MINI.replace("0.25, 0.75;", "0.25, 0.6;", 1).replace("0.2, 0.5, 0.3;", "0.2, 0.5, 0.3", 1))
-    # Within a card group the first table in file order names the error.
-    with pytest.raises(NormalizationError, match="A: negative probability entry"):
-        parse_bif(MINI.replace("table 0.3, 0.7;", "table 1.5, -0.5;").replace("0.25, 0.75", "0.5, 0.6"))
-
-
 def _assert_same_network(got: ParsedNetwork, want: ParsedNetwork) -> None:
     """Name, states, structure and every CPT bit."""
     assert (got.name, got.states, got.model.nodes) == (want.name, want.states, want.model.nodes)

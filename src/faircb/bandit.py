@@ -3,11 +3,13 @@
 A stage splits its pull budget into phases of shrinking accuracy
 eps = 2^{1-l}.  One driver, ``_run_stage``, runs every phase of every
 algorithm: it solves the max-min allocation over the surviving arms, pulls
-the rounded counts, re-estimates, records the phase and eliminates.  Its
+the rounded counts, re-estimates, then certifies and eliminates in one pass
+over the survivors' estimates (``_clauses``), and records the phase.  Its
 ``rule`` picks the LP families and the elimination clauses:
 
 - ``joint`` (``run_csr``): both families; the arms certified fair at this
-  phase are the reference for ``eliminate``; a lone survivor is the decision.
+  phase are the reference for the reward clause, and a phase with none
+  eliminates nothing; a lone survivor is the decision.
 - ``fairness`` (stage one of ``run_two_stage``): forced pulls only; arms are
   dropped on the unfairness clauses alone, and the stage stops once at most
   one arm survives.
@@ -66,8 +68,6 @@ __all__ = [
     "PhaseRecord",
     "RunTrace",
     "phase_schedule",
-    "fair_set",
-    "eliminate",
     "PreparedInstance",
     "prepare",
     "run_csr",
@@ -132,84 +132,52 @@ def phase_schedule(T: int) -> PhaseSchedule:
     return PhaseSchedule(n=n, tau=tau, logbar=logbar)
 
 
-def fair_set(
-    estimates: EstimateVector, l: int, fairness_eps: float, remaining: Sequence[int]
-) -> tuple[int, ...]:
-    """Arms whose both directional estimates clear the threshold by 3/2^l.
-
-    All four inequalities are strict; a missing estimate (NaN, which compares
-    false) keeps the arm out.
-    """
-    margin = 3.0 / 2.0**l
-    arms = np.asarray(remaining, dtype=np.intp)
-    z = np.array((estimates.zeta_ssp[arms], estimates.zeta_sps[arms]))
-    fair = ((z + margin < fairness_eps) & (z - margin > -fairness_eps)).all(axis=0)
-    return tuple(arms[fair].tolist())
-
-
-def _best_outcome(estimates: EstimateVector, candidates: Sequence[int]) -> int | None:
-    """Argmax of the outcome estimate, ties and all-missing to lowest index."""
-    best = None
-    best_val = -math.inf
-    for k in candidates:
-        val = estimates.y[k]
-        val = -math.inf if np.isnan(val) else float(val)
-        if best is None or val > best_val:
-            best, best_val = k, val
-    return best
+def _best_outcome(estimates: EstimateVector, candidates: Sequence[int]) -> int:
+    """Argmax of the outcome estimate over ``candidates``, a missing (NaN) one read
+    as -inf; ties, and all missing, go to the first candidate."""
+    y = estimates.y[np.asarray(candidates, dtype=np.intp)]
+    return candidates[int(np.argmax(np.where(np.isnan(y), -np.inf, y)))]
 
 
 _UNFAIR_TAGS = ("unfair-high-ssp", "unfair-low-ssp", "unfair-high-sps", "unfair-low-sps")
 
 
-def _unfair_records(
-    estimates: EstimateVector, l: int, fairness_eps: float, remaining: Sequence[int]
-) -> list[tuple[int, str]]:
-    """One record per fired unfairness clause, arm by arm in ``_UNFAIR_TAGS`` order;
-    a missing (NaN) estimate fires none."""
-    margin = 3.0 / 2.0**l
-    arms = np.asarray(remaining, dtype=np.intp)
-    z = np.array((estimates.zeta_ssp[arms], estimates.zeta_sps[arms])).T
-    # fired[i, d, h]: arm i, direction d (ssp, sps), high or low; row-major is
-    # arm by arm in ``_UNFAIR_TAGS`` order.
-    fired = np.array((z - margin > fairness_eps, z + margin < -fairness_eps)).transpose(1, 2, 0)
-    rows, tags = np.nonzero(fired.reshape(len(arms), len(_UNFAIR_TAGS)))
-    return [(k, _UNFAIR_TAGS[t]) for k, t in zip(arms[rows].tolist(), tags.tolist())]
-
-
-def _suboptimal_records(
-    estimates: EstimateVector, l: int, reference: Sequence[int], remaining: Sequence[int]
-) -> list[tuple[int, str]]:
-    """Arms of ``remaining`` whose outcome estimate trails the best of ``reference``
-    by more than 5/2^l; missing estimates neither set nor fail the bar."""
-    y_ref = estimates.y[np.asarray(reference, dtype=np.intp)]
-    y_ref = y_ref[~np.isnan(y_ref)]
-    if not y_ref.size:
-        return []
-    arms = np.asarray(remaining, dtype=np.intp)
-    beaten = y_ref.max() > estimates.y[arms] + 5.0 / 2.0**l
-    return [(k, "suboptimal") for k in arms[beaten].tolist()]
-
-
-def eliminate(
-    estimates: EstimateVector,
-    fair: Sequence[int],
-    l: int,
-    fairness_eps: float,
-    remaining: Sequence[int],
+def _clauses(
+    estimates: EstimateVector, l: int, fairness_eps: float, remaining: Sequence[int], rule: str
 ) -> tuple[tuple[int, ...], tuple[tuple[int, str], ...]]:
-    """Drop arms beaten by the best fair arm or provably unfair.
+    """The phase's fair set among ``remaining`` and one (arm, reason) record per
+    clause fired under ``rule``.
 
-    With no certified-fair arm the phase eliminates nothing.  Arms with
-    missing estimates are exempt from the clauses they lack data for.
-    Returns the surviving set and one (arm, reason) record per fired clause.
+    An arm is fair when both directional estimates clear +-fairness_eps by
+    3/2^l; under ``outcome`` every survivor counts as fair.  All comparisons are
+    strict, so a missing (NaN) estimate neither certifies an arm nor fires a
+    clause.  Records come suboptimal first (an outcome estimate trailing the
+    best fair one by more than 5/2^l; ``joint`` and ``outcome``), then
+    unfairness arm by arm in ``_UNFAIR_TAGS`` order (an estimate past the
+    threshold by 3/2^l; ``joint`` and ``fairness``).  Under ``joint`` a phase
+    without a fair arm fires nothing.
     """
-    if not fair:
-        return tuple(remaining), ()
-    records = _suboptimal_records(estimates, l, fair, remaining)
-    records += _unfair_records(estimates, l, fairness_eps, remaining)
-    dropped = {k for k, _ in records}
-    return tuple(k for k in remaining if k not in dropped), tuple(records)
+    arms = fair = np.asarray(remaining, dtype=np.intp)
+    if rule != "outcome":
+        margin = 3.0 / 2.0**l
+        z = np.array((estimates.zeta_ssp[arms], estimates.zeta_sps[arms])).T
+        fair = arms[((z + margin < fairness_eps) & (z - margin > -fairness_eps)).all(axis=1)]
+        if rule == "joint" and not fair.size:
+            return (), ()
+    records: list[tuple[int, str]] = []
+    if rule != "fairness":
+        y_ref = estimates.y[fair]
+        y_ref = y_ref[~np.isnan(y_ref)]
+        if y_ref.size:
+            beaten = y_ref.max() > estimates.y[arms] + 5.0 / 2.0**l
+            records = [(k, "suboptimal") for k in arms[beaten].tolist()]
+    if rule != "outcome":
+        # fired[i, d, h]: arm i, direction d (ssp, sps), high or low; row-major is
+        # arm by arm in ``_UNFAIR_TAGS`` order.
+        fired = np.array((z - margin > fairness_eps, z + margin < -fairness_eps)).transpose(1, 2, 0)
+        rows, tags = np.nonzero(fired.reshape(len(arms), len(_UNFAIR_TAGS)))
+        records += [(k, _UNFAIR_TAGS[t]) for k, t in zip(arms[rows].tolist(), tags.tolist())]
+    return tuple(fair.tolist()), tuple(records)
 
 
 def _pull_phase(run: _Run, allocation: Allocation) -> tuple[int, float]:
@@ -355,23 +323,12 @@ def _run_stage(
             run.pool.clear()
         spent, cost = _pull_phase(run, alloc)
         estimates = estimate_all(run.pool, eps, run.prepared.divergences)
-        if rule == "outcome":
-            fair = remaining
-        else:
-            fair = fair_set(estimates, l, run.fairness_eps, remaining)
-        decided = rule != "fairness" and len(remaining) == 1
-        if decided:
-            eliminated = ()
-        elif rule == "joint":
-            eliminated = eliminate(estimates, fair, l, run.fairness_eps, remaining)[1]
-        elif rule == "fairness":
-            eliminated = tuple(_unfair_records(estimates, l, run.fairness_eps, remaining))
-        else:
-            eliminated = tuple(_suboptimal_records(estimates, l, remaining, remaining))
+        fair, eliminated = _clauses(estimates, l, run.fairness_eps, remaining, rule)
         phases.append(
             PhaseRecord(l, stage, eps, remaining, fair, alloc, estimates, eliminated, spent, cost)
         )
-        if decided:
+        # A lone survivor fires no clause: it is the decision.
+        if rule != "fairness" and len(remaining) == 1:
             return remaining, remaining[0]
         dropped = {k for k, _ in eliminated}
         remaining = tuple(k for k in remaining if k not in dropped)

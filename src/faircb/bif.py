@@ -159,13 +159,16 @@ def _parse_variable(cur: _Cursor, states: dict[str, tuple[str, ...]]) -> None:
         if kind != "discrete":
             raise UnsupportedConstruct(f"variable {name!r} has type {kind!r}; only discrete is supported")
         cur.expect("[")
-        count = int(_parse_float(cur))
+        count = _parse_float(cur)
+        if not count.is_integer():  # nor are NaN and +-inf
+            cur.i -= 1
+            raise cur.error(f"expected a whole number of states, got {cur.peek()!r}")
         cur.expect("]")
         cur.expect("{")
         vals = _comma_list(cur, "}")
         cur.expect(";")
         if len(vals) != count:
-            raise cur.error(f"variable {name!r} declares {count} states but lists {len(vals)}")
+            raise cur.error(f"variable {name!r} declares {int(count)} states but lists {len(vals)}")
         found = tuple(vals)
     cur.expect("}")
     if found is None:
@@ -225,6 +228,8 @@ def _parse_probability(
             _skip_property(cur, f"probability {child}")
             continue
         if head == "table":
+            if any(row is not None for row in rows):
+                raise cur.error(f"{child!r} table follows an earlier table or row")
             cur.i += 1
             vals = _comma_list(cur, ";", number=True)
             if len(vals) != n_rows * card:

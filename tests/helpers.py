@@ -1228,7 +1228,8 @@ def blockwise_estimate_all(
 
 
 def reference_fair_set(estimates, l: int, fairness_eps: float, remaining) -> tuple[int, ...]:
-    """``bandit.fair_set`` arm by arm: both directions clear the threshold by 3/2^l."""
+    """The fair set of ``bandit._clauses`` arm by arm: both directions clear the
+    threshold by 3/2^l."""
     margin = 3.0 / 2.0**l
     fair = []
     for k in remaining:
@@ -1247,7 +1248,7 @@ def reference_fair_set(estimates, l: int, fairness_eps: float, remaining) -> tup
 
 
 def reference_unfair_records(estimates, l: int, fairness_eps: float, remaining) -> list:
-    """``bandit._unfair_records`` arm by arm, clause by clause."""
+    """The unfairness records of ``bandit._clauses`` arm by arm, clause by clause."""
     margin = 3.0 / 2.0**l
     records = []
     for k in remaining:
@@ -1262,7 +1263,9 @@ def reference_unfair_records(estimates, l: int, fairness_eps: float, remaining) 
 
 
 def reference_suboptimal_records(estimates, l: int, reference, remaining) -> list:
-    """``bandit._suboptimal_records`` arm by arm."""
+    """The suboptimal records of ``bandit._clauses`` arm by arm: the arms of
+    ``remaining`` trailing the best of ``reference`` (the fair set, or under
+    ``outcome`` the survivors) by more than 5/2^l."""
     y_ref = [estimates.y[k] for k in reference if not np.isnan(estimates.y[k])]
     if not y_ref:
         return []
@@ -1546,7 +1549,12 @@ def _reference_variable(cur: _ReferenceCursor, states: dict) -> None:
         if kind != "discrete":
             raise UnsupportedConstruct(f"variable {name!r} has type {kind!r}; only discrete is supported")
         cur.expect("[")
-        count = int(_reference_float(cur))
+        tok = cur.peek()
+        count = _reference_float(cur)
+        if not math.isfinite(count) or count != int(count):
+            cur.i -= 1
+            raise cur.error(f"expected a whole number of states, got {tok!r}")
+        count = int(count)
         cur.expect("]")
         cur.expect("{")
         vals = _reference_comma_list(cur)
@@ -1593,6 +1601,7 @@ def _reference_probability(cur: _ReferenceCursor, states: dict, parents: dict, c
     n_rows, strides = math.prod(cards), radix_strides(cards)
 
     table = np.full((n_rows, card), np.nan)
+    given = False  # a table or a row statement was read
     cur.expect("{")
     while cur.peek() != "}":
         if cur.peek() == "property":
@@ -1600,6 +1609,9 @@ def _reference_probability(cur: _ReferenceCursor, states: dict, parents: dict, c
             _reference_skip_property(cur, f"probability {child}")
             continue
         if cur.peek() == "table":
+            if given:
+                raise cur.error(f"{child!r} table follows an earlier table or row")
+            given = True
             cur.next()
             vals = _reference_comma_list(cur, _reference_float)
             cur.expect(";")
@@ -1607,6 +1619,7 @@ def _reference_probability(cur: _ReferenceCursor, states: dict, parents: dict, c
                 raise cur.error(f"{child!r} table has {len(vals)} entries, expected {n_rows * card}")
             table = np.asarray(vals).reshape(n_rows, card)
             continue
+        given = True
         cur.expect("(")
         key = tuple(_reference_comma_list(cur))
         cur.expect(")")

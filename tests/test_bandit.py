@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import faircb.bandit as bandit
 import faircb.sampling as sampling
 from faircb.allocation import cheap_arm_cap, round_counts
-from faircb.bandit import eliminate, fair_set, phase_schedule, prepare, run_csr, run_two_stage
+from faircb.bandit import phase_schedule, prepare, run_csr, run_two_stage
 from faircb.divergence import DivergenceSet
 from faircb.errors import EnumerationTooLarge, Infeasible
 from faircb.estimation import EstimateVector
@@ -76,6 +76,9 @@ def test_phase_schedule_edges():
         phase_schedule(3)
 
 
+RULES = ("joint", "fairness", "outcome")
+
+
 def test_fair_set_strict_boundaries():
     # l = 2 puts the margin at 0.75 against a threshold of 1.0.
     estimates = vec(
@@ -83,40 +86,79 @@ def test_fair_set_strict_boundaries():
         zssp=[0.25 - 1e-9, 0.25, -0.25, NAN],
         zsps=[0.0, 0.0, 0.0, 0.0],
     )
-    assert fair_set(estimates, 2, 1.0, (0, 1, 2, 3)) == (0,)
+    for rule in ("joint", "fairness"):
+        assert bandit._clauses(estimates, 2, 1.0, (0, 1, 2, 3), rule) == ((0,), ())
     # The margin also applies to the reverse direction.
     estimates = vec(y=[0.5], zssp=[0.0], zsps=[-0.25])
-    assert fair_set(estimates, 2, 1.0, (0,)) == ()
-    # Restriction to the remaining set.
+    assert bandit._clauses(estimates, 2, 1.0, (0,), "joint") == ((), ())
+    # Restriction to the remaining set; under ``outcome`` every survivor is fair.
     estimates = vec(y=[0.5, 0.5], zssp=[0.0, 0.0], zsps=[0.0, 0.0])
-    assert fair_set(estimates, 2, 1.0, (1,)) == (1,)
+    for rule in RULES:
+        assert bandit._clauses(estimates, 2, 1.0, (1,), rule) == ((1,), ())
+    estimates = vec(y=[0.5, 0.5], zssp=[NAN, 5.0], zsps=[0.0, 0.0])
+    assert bandit._clauses(estimates, 2, 1.0, (0, 1), "outcome") == ((0, 1), ())
 
 
 def test_eliminate_clauses_and_reasons():
+    # l = 3 puts the margin at 0.375 and the gap at 0.625.  With a threshold of
+    # 0.5 only arm 0 is certified fair; arms 1 and 2 are neither fair nor unfair.
     estimates = vec(
         y=[0.9, 0.2, NAN, 0.85, 0.5, 0.1],
-        zssp=[0.0, 0.0, 0.0, 1.0, 0.0, 1.0],
-        zsps=[0.0, 0.0, 0.0, 0.0, -1.0, 0.0],
+        zssp=[0.0, 0.2, 0.0, 1.0, 0.0, 1.0],
+        zsps=[0.0, 0.0, -0.2, 0.0, -1.0, 0.0],
     )
     remaining = (0, 1, 2, 3, 4, 5)
-    survivors, records = eliminate(estimates, (0,), 3, 0.2, remaining)
-    assert survivors == (0, 2)
-    assert records == (
-        (1, "suboptimal"),
-        (5, "suboptimal"),
-        (3, "unfair-high-ssp"),
-        (4, "unfair-low-sps"),
-        (5, "unfair-high-ssp"),
+    unfair = ((3, "unfair-high-ssp"), (4, "unfair-low-sps"), (5, "unfair-high-ssp"))
+    assert bandit._clauses(estimates, 3, 0.5, remaining, "joint") == (
+        (0,), ((1, "suboptimal"), (5, "suboptimal"), *unfair)
     )
-    # Without a certified fair arm the phase must not eliminate anything.
-    assert eliminate(estimates, (), 3, 0.2, remaining) == (remaining, ())
+    assert bandit._clauses(estimates, 3, 0.5, remaining, "fairness") == ((0,), unfair)
+    # The best fair arm is the reference: arm 3 beats arm 4 by more than the
+    # gap, but arm 3 is not fair, so arm 4 stays.
+    assert bandit._clauses(estimates, 3, 0.5, (0, 1, 4), "joint") == (
+        (0,), ((1, "suboptimal"), (4, "unfair-low-sps"))
+    )
+    assert bandit._clauses(estimates, 3, 0.5, (1, 2, 3, 4), "joint") == ((), ())
+    # Under ``outcome`` every survivor is the reference and no unfairness fires.
+    assert bandit._clauses(estimates, 3, 0.5, (1, 3, 4, 5), "outcome") == (
+        (1, 3, 4, 5), ((1, "suboptimal"), (5, "suboptimal"))
+    )
+    # Without a certified fair arm the joint phase must not eliminate anything,
+    # while the fairness screen still fires.
+    assert bandit._clauses(estimates, 3, 0.2, remaining, "joint") == ((), ())
+    assert bandit._clauses(estimates, 3, 0.2, remaining, "fairness") == ((), unfair)
+
+
+def test_best_outcome_reads_nan_as_minus_inf_and_ties_go_first():
+    estimates = vec(y=[0.3, 0.7, NAN, 0.7, -math.inf], zssp=[0.0] * 5, zsps=[0.0] * 5)
+    assert bandit._best_outcome(estimates, (0, 1, 2, 3)) == 1
+    assert bandit._best_outcome(estimates, (3, 1)) == 3
+    assert bandit._best_outcome(estimates, (2, 0)) == 0
+    assert bandit._best_outcome(estimates, (2, 4)) == 2
+    assert bandit._best_outcome(estimates, (4, 2)) == 4
+    best = bandit._best_outcome(vec(y=[NAN] * 3, zssp=[0.0] * 3, zsps=[0.0] * 3), (1, 2))
+    assert best == 1 and type(best) is int
+
+
+def _reference_clauses(estimates, l, fairness_eps, remaining, rule):
+    """The reference clauses composed as each rule reads them."""
+    if rule == "outcome":
+        return remaining, reference_suboptimal_records(estimates, l, remaining, remaining)
+    fair = reference_fair_set(estimates, l, fairness_eps, remaining)
+    unfair = reference_unfair_records(estimates, l, fairness_eps, remaining)
+    if rule == "fairness":
+        return fair, unfair
+    if not fair:
+        return fair, []
+    return fair, reference_suboptimal_records(estimates, l, fair, remaining) + unfair
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_vectorized_clauses_match_the_arm_by_arm_loops(data):
-    """Same records in the same order, arms as Python ints, on NaN, +-inf, random
-    values and values at (and one ulp off) every clause's threshold."""
+    """Under each rule, the same fair set and records in the same order, arms as
+    Python ints, on NaN, +-inf, random values and values at (and one ulp off)
+    every clause's threshold."""
     K = data.draw(st.integers(1, 6))
     l = data.draw(st.integers(1, 10))
     fairness_eps = data.draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
@@ -128,17 +170,10 @@ def test_vectorized_clauses_match_the_arm_by_arm_loops(data):
     y, zssp, zsps = (data.draw(st.lists(value, min_size=K, max_size=K)) for _ in range(3))
     estimates = vec(y, zssp, zsps)
     remaining = tuple(sorted(data.draw(st.sets(st.integers(0, K - 1)))))
-    reference = tuple(sorted(data.draw(st.sets(st.integers(0, K - 1)))))
-    pairs = (
-        (fair_set(estimates, l, fairness_eps, remaining),
-         reference_fair_set(estimates, l, fairness_eps, remaining)),
-        (bandit._unfair_records(estimates, l, fairness_eps, remaining),
-         reference_unfair_records(estimates, l, fairness_eps, remaining)),
-        (bandit._suboptimal_records(estimates, l, reference, remaining),
-         reference_suboptimal_records(estimates, l, reference, remaining)),
-    )
-    for got, want in pairs:
-        assert repr(got) == repr(want)
+    for rule in RULES:
+        fair, records = _reference_clauses(estimates, l, fairness_eps, remaining, rule)
+        got = bandit._clauses(estimates, l, fairness_eps, remaining, rule)
+        assert repr(got) == repr((fair, tuple(records))), rule
 
 
 # The LP families each phase rule includes, by the effective samples that serve them.

@@ -252,6 +252,34 @@ def test_parse_error_cases(mangle, message):
         parse_bif(mangle(MINI))
 
 
+@pytest.mark.parametrize("count", ["nan", "1e400", "-inf", "2.5", '"2.5"'])
+def test_a_state_count_must_be_a_whole_number(count):
+    # Once cast to int: NaN failed without a position, 1e400 overflowed and
+    # 2.5 was cut to the two listed states.
+    text = MINI.replace("[ 2 ] { yes, no }", f"[ {count} ] {{ yes, no }}", 1)
+    message = f"line 5, col 19: expected a whole number of states, got '{count}'"
+    for parse in (parse_bif, reference_parse_bif):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse(text)
+    assert parse_bif(MINI.replace("[ 2 ]", "[ 2.0 ]", 1)).states == parse_bif(MINI).states
+
+
+@pytest.mark.parametrize(
+    "old, new, at",
+    [
+        ("table 0.3, 0.7;", "table 0.5, 0.5;\n  table 0.9, 0.1;", "line 15, col 3: 'A'"),
+        ("( yes ) 0.2, 0.5, 0.3;", "( yes ) 0.2, 0.5, 0.3;\n  table 0.6, 0.1, 0.3, 0.2, 0.5, 0.3;",
+         "line 19, col 3: 'B'"),
+    ],
+)
+def test_a_table_after_a_table_or_row_is_refused(old, new, at):
+    # Both used to replace every earlier value silently.
+    text = MINI.replace(old, new, 1)
+    for parse in (parse_bif, reference_parse_bif):
+        with pytest.raises(ParseError, match=re.escape(f"{at} table follows an earlier table or row")):
+            parse(text)
+
+
 def test_non_discrete_variable_is_unsupported():
     bad = MINI.replace("type discrete [ 2 ] { yes, no }", "type continuous [ 2 ] { yes, no }", 1)
     with pytest.raises(UnsupportedConstruct, match="only discrete"):

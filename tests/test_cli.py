@@ -171,6 +171,16 @@ def test_bif_import_surfaces_parse_errors(tmp_path):
     assert main(["bif-import", "--bif", str(bif), "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("count", ["nan", "1e400", "2.5"])
+def test_bif_import_refuses_a_state_count_that_is_not_whole(tmp_path, capsys, count):
+    bif = tmp_path / "count.bif"
+    bif.write_text(MINI.replace("[ 2 ] { yes, no }", f"[ {count} ] {{ yes, no }}", 1))
+    assert main(["bif-import", "--bif", str(bif), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 5, col 19: expected a whole number of states, got '{count}'\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_oracle_report(tmp_path, instance_file):
     out = tmp_path / "report.json"
     assert main(["oracle", "--instance", instance_file, "--out", str(out)]) == 0

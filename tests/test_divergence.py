@@ -20,6 +20,7 @@ from faircb.synth import SyntheticConfig, generate_synthetic
 from helpers import (
     chain_model,
     conditional_f_divergence,
+    count_kernel_builds,
     empirical_quantile_eta,
     empirical_quantile_gamma,
     f1,
@@ -203,10 +204,8 @@ def test_divergence_set_exact_is_pinned_on_the_bench_instances(workload):
 
 
 def test_warm_divergences_work_out_no_weight(monkeypatch):
-    # The reduction reads the weight kernel; once it is warm, no weight is
-    # worked out again (every weight comes from the factor table).
-    model, arms = chain_model()
-    DivergenceSet.exact(model, arms)
+    # From a cold memo, one exact call works the weight factors out once and
+    # builds the kernel from them once; a warm call does neither.
     weight_factors = sampling._weight_factors
     calls = []
 
@@ -215,8 +214,12 @@ def test_warm_divergences_work_out_no_weight(monkeypatch):
         return weight_factors(*args)
 
     monkeypatch.setattr(sampling, "_weight_factors", counted)
+    builds = count_kernel_builds(monkeypatch)
+    model, arms = chain_model()
     DivergenceSet.exact(model, arms)
-    assert calls == []
+    assert (len(calls), len(builds)) == (1, 1)
+    DivergenceSet.exact(model, arms)
+    assert (len(calls), len(builds)) == (1, 1)
 
 
 def test_quantile_frozen_values_and_validation():

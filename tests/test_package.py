@@ -1,7 +1,8 @@
 """Every module imports on its own, exports only names it defines, uses what it
 imports and reads every private name it defines, exports only names that the
 package or the benchmark reads, and no module stores anything on a model but
-its fields; every test file uses what it imports too."""
+its fields; every test file uses what it imports too.  The package keeps to
+Python 3.10: its syntax, and the regular expressions it compiles."""
 
 from __future__ import annotations
 
@@ -10,6 +11,11 @@ import importlib
 import json
 import pkgutil
 from pathlib import Path
+
+try:
+    from re import _parser as sre_parser  # Python 3.11 on
+except ImportError:  # Python 3.10
+    import sre_parse as sre_parser
 
 import pytest
 
@@ -234,3 +240,61 @@ def test_the_model_write_scan_flags_a_cache_on_the_model():
     assert _model_attribute_writes(source) == {
         "model._plan": 2, "m.n": 5, "m.k": 6, "self._topo": 11,
     }
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_parses_as_python_3_10(name):
+    path = Path(importlib.import_module(f"faircb.{name}").__file__)
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+# The ``re`` functions that take a pattern first.
+RE_CALLS = {"compile", "search", "match", "fullmatch", "split", "findall", "finditer", "sub", "subn"}
+# Regex nodes that Python 3.11 added: ``a*+`` and the like, and ``(?>...)``.
+POST_310_REGEX = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+
+def _regex_ops(node) -> set[str]:
+    """The names of every opcode in a parsed pattern, nested ones too."""
+    if isinstance(node, sre_parser.SubPattern):
+        return set().union(*({str(op)} | _regex_ops(av) for op, av in node))
+    if isinstance(node, (list, tuple)):
+        return set().union(*map(_regex_ops, node))
+    return set()
+
+
+def _post_310_regexes(source: str) -> dict[int, set[str]]:
+    """Each string literal passed as the pattern of a ``re`` call, by line, with
+    the 3.11-only nodes it holds, where it holds any."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                and node.func.attr in RE_CALLS and node.args):
+            continue
+        pattern = node.args[0]
+        if isinstance(pattern, ast.Constant) and isinstance(pattern.value, str):
+            ops = _regex_ops(sre_parser.parse(pattern.value)) & POST_310_REGEX
+            if ops:
+                found[node.lineno] = ops
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_compiles_no_regex_that_needs_python_3_11(name):
+    path = Path(importlib.import_module(f"faircb.{name}").__file__)
+    found = _post_310_regexes(path.read_text())
+    assert not found, f"regex nodes Python 3.10 cannot parse (line: nodes): {found}"
+
+
+def test_the_python_3_10_scans_flag_newer_syntax_and_regexes():
+    source = (
+        'import re\n'
+        'A = re.compile(r"a*+")\n'
+        'B = re.fullmatch(r"x|(?:(?>a)b)", "ab")\n'
+        'C = re.compile(r"a*b+?(c)")\n'
+        'D = other.compile(r"a*+")\n'
+    )
+    assert _post_310_regexes(source) == {2: {"POSSESSIVE_REPEAT"}, 3: {"ATOMIC_GROUP"}}
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -105,7 +105,8 @@ class Allocation:
     """Optimal fractions with the achieved max-min value ``v_star``.
 
     The integer counts are filled in by :func:`round_counts` for a concrete
-    phase length and are ``None`` until then.
+    phase length and are ``None`` until then.  Both functions return read-only
+    arrays, so an allocation can be shared, as the bandit's memo shares it.
     """
 
     nu_y: np.ndarray
@@ -251,6 +252,7 @@ def solve_maxmin(problem: AllocationProblem) -> Allocation:
         nu = nu / total
     # Recompute v* from the cleaned fractions so it is consistent with them.
     v_star = min(float((recip @ nu[offset : offset + K])[active].min()) for recip, offset in families)
+    nu.flags.writeable = False
     return Allocation(nu_y=nu[:K], nu_s=nu[K : 2 * K], nu_sp=nu[2 * K :], v_star=v_star)
 
 
@@ -262,8 +264,8 @@ def round_counts(allocation: Allocation, tau: int) -> Allocation:
     exact in real arithmetic stays a tie whatever the LP's last bits; the
     deficit stays nonnegative, since 3K * 5e-10 < 1.
     """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
     fractions = np.concatenate([allocation.nu_y, allocation.nu_s, allocation.nu_sp])
     target = fractions * tau
     counts = np.floor(target.round(9)).astype(np.int64)
@@ -271,6 +273,7 @@ def round_counts(allocation: Allocation, tau: int) -> Allocation:
     if deficit > 0:
         order = np.argsort(-(target - counts).round(9), kind="stable")
         counts[order[:deficit]] += 1
+    counts.flags.writeable = False
     K = allocation.nu_y.shape[0]
     return replace(
         allocation,

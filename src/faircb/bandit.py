@@ -19,23 +19,24 @@ over the survivors' estimates (``_clauses``), and records the phase.  Its
 
 Runs read a ``PreparedInstance``, built once per model, arm set and cost
 cap by ``prepare``, and look nothing up: a run keeps only its generator,
-sample pool, variant, tolerance and extra rows.  The LP of a phase depends
-only on the instance content (the three divergence matrices, the cost rows,
-the budget and the extra rows; the cheap-arm cap brings in T) and on the
-(survivors, rule) pair.  Seeded runs of one instance keep meeting the same
-problems, so every run solves through one memo that lives for the whole
-process:
+sample pool, variant, tolerance, extra rows and memo entry.  The LP of a
+phase depends only on the instance content (the three divergence matrices,
+the cost rows, the budget and the extra rows; the cheap-arm cap brings in T)
+and on the (survivors, rule) pair.  Seeded runs of one instance keep meeting
+the same problems, so every run solves through one memo that lives for the
+whole process and drops the least recently used entry first (``lru_get``):
 
-- the outer map is keyed on the bytes, shape and dtype of the matrices and
-  on the cost rows, budget and extra rows, never on object identity, so
-  equal instances prepared apart share an entry.  The matrix
-  bytes are held once per instance; each instance maps (survivors, rule) to
-  its solution and its rounded counts per phase length (at most
-  ``_MEMO_ROUNDINGS``).  At most ``_MEMO_INSTANCES`` instances with at most
-  ``_MEMO_PROBLEMS`` solutions each are kept, the least recently used going
-  first;
+- the outer map, of at most ``_MEMO_INSTANCES`` instances, is keyed on the
+  bytes, shape and dtype of the matrices and on the cost rows, budget and
+  extra rows, never on object identity, so equal instances prepared apart
+  share an entry;
+- each instance's map holds at most ``_MEMO_ENTRIES`` solutions, keyed
+  (survivors, rule), and rounded counts, keyed (survivors, rule, phase
+  length).  Two levels hold the matrix bytes once per instance: in one flat
+  map each entry a run adds would keep that run's own copy of them, which
+  raised synth-k30's peak RSS by about 7%;
 - a memoized ``Allocation`` is shared by every phase record that reuses it,
-  so its ``nu_*`` and rounded ``tau_*`` arrays are read-only.
+  which its read-only arrays allow.
 
 A hit returns the very solution a miss would compute, since HiGHS is
 deterministic on equal input: seeded runs do not depend on the memo's state.
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -59,7 +60,7 @@ from . import sampling
 from .allocation import Allocation, build_problem, costs_from_arms, round_counts, solve_maxmin
 from .divergence import DivergenceSet
 from .estimation import EstimateVector, SamplePool, estimate_all
-from .model import Arm, CausalModel, array_key, check_fairness_eps
+from .model import Arm, CausalModel, array_key, check_fairness_eps, lru_get
 
 __all__ = [
     "MIN_T_CSR",
@@ -199,8 +200,9 @@ def _pull_phase(run: _Run, allocation: Allocation) -> tuple[int, float]:
 
 class PreparedInstance(NamedTuple):
     """What every run of one instance reads (see ``prepare``): ``divergences`` and
-    ``costs`` are read-only, ``key`` is the content key of its allocation-memo entry.
-    A named tuple, since a run's set-up builds one per ``run_algorithm`` call."""
+    ``costs`` are read-only, ``key`` is the instance's content key in the allocation
+    memo, which keeps one copy of its matrix bytes for every run.  A named tuple,
+    since a run's set-up builds one per ``run_algorithm`` call."""
 
     tables: sampling.InstanceTables
     divergences: DivergenceSet
@@ -234,64 +236,19 @@ def prepare(model: CausalModel, arms: Sequence[Arm], budget: float,
     return PreparedInstance(tables, DivergenceSet(*matrices), costs, float(budget), key)
 
 
-# Bounds of the allocation memo: instances, problems per instance, roundings per problem.
+# Bounds of the allocation memo: instances, and solutions plus roundings per
+# instance.  The most entries one instance was seen to take is 2034, in the
+# K=30 sweep of acceptance 8; the benchmark's workloads take at most 663.
 _MEMO_INSTANCES = 8
-_MEMO_PROBLEMS = 512
-_MEMO_ROUNDINGS = 32
-_SOLVED: OrderedDict[tuple, OrderedDict[tuple, tuple[Allocation, dict[int, Allocation]]]] = OrderedDict()
-
-
-class _Allocator:
-    """Max-min allocations over the survivors of one LP instance, and their counts, memoized."""
-
-    def __init__(self, prepared: PreparedInstance,
-                 extra_constraints: Sequence[tuple[np.ndarray, float]]) -> None:
-        self.prepared = prepared
-        self.extra_constraints = extra_constraints
-        key = (prepared.key, tuple((array_key(c), float(ub)) for c, ub in extra_constraints))
-        self.solved = _SOLVED.get(key)
-        if self.solved is None:
-            self.solved = _SOLVED[key] = OrderedDict()
-            if len(_SOLVED) > _MEMO_INSTANCES:
-                _SOLVED.popitem(last=False)
-        else:
-            _SOLVED.move_to_end(key)
-
-    def __call__(self, remaining: tuple[int, ...], rule: str, tau: int | None = None) -> Allocation:
-        """The allocation over ``remaining`` (sorted) under ``rule``, rounded to
-        ``tau`` pulls when given; solved, and rounded, on a miss only."""
-        found = self.solved.get((remaining, rule))
-        if found is not None:
-            self.solved.move_to_end((remaining, rule))
-        else:
-            p = self.prepared
-            alloc = solve_maxmin(build_problem(
-                p.divergences, p.costs, p.budget, remaining, self.extra_constraints,
-                include_outcome=rule != "fairness", include_fairness=rule != "outcome",
-            ))
-            for nu in (alloc.nu_y, alloc.nu_s, alloc.nu_sp):
-                nu.flags.writeable = False
-            found = self.solved[remaining, rule] = (alloc, {})
-            if len(self.solved) > _MEMO_PROBLEMS:
-                self.solved.popitem(last=False)
-        alloc, rounded = found
-        if tau is None or tau in rounded:
-            return alloc if tau is None else rounded[tau]
-        zero = np.zeros(len(alloc.nu_y), dtype=np.int64)  # a zero-length phase pulls nothing
-        counts = round_counts(alloc, tau) if tau else replace(
-            alloc, tau_y=zero, tau_s=zero.copy(), tau_sp=zero.copy())
-        for array in (counts.tau_y, counts.tau_s, counts.tau_sp):
-            array.flags.writeable = False
-        rounded[tau] = counts
-        if len(rounded) > _MEMO_ROUNDINGS:
-            del rounded[next(iter(rounded))]
-        return counts
+_MEMO_ENTRIES = 4096
+_SOLVED: OrderedDict[tuple, OrderedDict[tuple, Allocation]] = OrderedDict()
 
 
 @dataclass
 class _Run:
     """One run's own state over a prepared instance; every phase pulls from
-    the instance's cell laws into ``pool``, which under v1 each phase clears first."""
+    the instance's cell laws into ``pool``, which under v1 each phase clears first,
+    and allocates through ``solved``, the instance's entry of the allocation memo."""
 
     prepared: PreparedInstance
     fairness_eps: float
@@ -302,7 +259,21 @@ class _Run:
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng() if self.rng is None else self.rng
         self.pool = SamplePool(self.prepared.tables)
-        self.allocation = _Allocator(self.prepared, self.extra_constraints)
+        extra = tuple((array_key(c), float(ub)) for c, ub in self.extra_constraints)
+        self.solved = lru_get(_SOLVED, (self.prepared.key, extra), OrderedDict, _MEMO_INSTANCES)
+
+
+def _allocate(run: _Run, remaining: tuple[int, ...], rule: str, tau: int | None = None) -> Allocation:
+    """The allocation over ``remaining`` (sorted) under ``rule``, rounded to ``tau``
+    pulls when given; solved, and rounded, on a miss only."""
+    if tau is not None:
+        return lru_get(run.solved, (remaining, rule, tau),
+                       lambda: round_counts(_allocate(run, remaining, rule), tau), _MEMO_ENTRIES)
+    p = run.prepared
+    return lru_get(run.solved, (remaining, rule), lambda: solve_maxmin(build_problem(
+        p.divergences, p.costs, p.budget, remaining, run.extra_constraints,
+        include_outcome=rule != "fairness", include_fairness=rule != "outcome",
+    )), _MEMO_ENTRIES)
 
 
 def _run_stage(
@@ -318,7 +289,7 @@ def _run_stage(
     sched = phase_schedule(T)
     for l in range(1, sched.n + 1):
         eps = 2.0 ** (-(l - 1))
-        alloc = run.allocation(remaining, rule, int(sched.tau[l - 1]))
+        alloc = _allocate(run, remaining, rule, int(sched.tau[l - 1]))
         if run.variant == "v1":
             run.pool.clear()
         spent, cost = _pull_phase(run, alloc)

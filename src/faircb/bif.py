@@ -10,11 +10,14 @@ renormalized exactly on ingest.
 The tokens come from one ``findall``; a token's line and column are worked
 out only for an error.  A quoted string is only ever a name or a number.
 Comma lists and parent-state rows are read by slicing up to their closing
-token, and walked token by token only to name an error at its token.
+token, and walked token by token only to name an error at its token.  A NaN
+probability entry is refused at its token, so a text with any token that
+reads as NaN walks its entries: one set check per text, no per-row work.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import warnings
@@ -37,6 +40,9 @@ _TOKEN = re.compile(
     r'(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*("[^"\n]*"|[{}()\[\]|,;]|[\w.+-]+|.+|\Z)', re.DOTALL
 )
 _GOOD = re.compile(r'"[^"\n]*"|[{}()\[\]|,;]|[\w.+-]+')
+# Every token that ``float`` reads as NaN once unquoted.
+_NAN = frozenset(q + sign + "".join(letters) + q for q in ("", '"') for sign in ("", "+", "-")
+                 for letters in itertools.product("nN", "aA", "nN"))
 
 
 @dataclass
@@ -79,6 +85,7 @@ class _Cursor:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.sliced = _NAN.isdisjoint(self.toks)  # whether entries may be read by slicing
 
     def error(self, msg: str) -> ParseError:
         at, n = self.i, len(self.toks)
@@ -111,29 +118,33 @@ def _skip_property(cur: _Cursor, where: str) -> None:
         pass
 
 
-def _parse_float(cur: _Cursor) -> float:
+def _parse_float(cur: _Cursor, entry: bool = False) -> float:
+    """A number; a probability ``entry`` is no NaN either."""
     tok = cur.peek()
     try:
         val = float(_name(tok))
     except ValueError:
         raise cur.error(f"expected a number, got {tok!r}") from None
+    if entry and math.isnan(val):
+        raise cur.error(f"expected a probability, got {tok!r}")
     cur.i += 1
     return val
 
 
-def _comma_list(cur: _Cursor, stop: str, number: bool = False) -> list:
-    """Names (or numbers), any token each, between commas, then the token ``stop``:
-    one slice when items and commas alternate up to the first ``stop``, else walked."""
+def _comma_list(cur: _Cursor, stop: str, entries: bool = False) -> list:
+    """Names (or probability entries), any token each, between commas, then the
+    token ``stop``: one slice when items and commas alternate up to the first
+    ``stop`` (and entries may be sliced), else walked."""
     toks, i = cur.toks, cur.i
     try:
         j = toks.index(stop, i)
-        if (j - i) % 2 and toks[i + 1 : j : 2].count(",") == (j - i) // 2:
-            vals = list(map(float if number else _name, toks[i:j:2]))
+        if (cur.sliced or not entries) and (j - i) % 2 and toks[i + 1 : j : 2].count(",") == (j - i) // 2:
+            vals = list(map(float if entries else _name, toks[i:j:2]))
             cur.i = j + 1
             return vals
     except ValueError:  # no ``stop`` ahead, or not a plain number
         pass
-    read = _parse_float if number else lambda cur: _name(cur.next())
+    read = (lambda cur: _parse_float(cur, entry=True)) if entries else lambda cur: _name(cur.next())
     vals = [read(cur)]
     while cur.peek() == ",":
         cur.i += 1
@@ -218,7 +229,7 @@ def _parse_probability(
     # compares check its punctuation, each label's first place gives its row.
     m, frame, tail = 2 * len(ps), ["(", *[","] * (len(ps) - 1), ")"], [","] * (card - 1) + [";"]
     place = [{s: k * st for k, s in reversed(list(enumerate(states[p])))} for p, st in zip(ps, strides)]
-    # Each row's values once given; None, or all NaN, is a row not given yet.
+    # Each row's values once given; None is a row not given yet.
     rows: list[list[float] | None] = [None] * n_rows
     toks = cur.toks
     cur.expect("{")
@@ -231,7 +242,7 @@ def _parse_probability(
             if any(row is not None for row in rows):
                 raise cur.error(f"{child!r} table follows an earlier table or row")
             cur.i += 1
-            vals = _comma_list(cur, ";", number=True)
+            vals = _comma_list(cur, ";", entries=True)
             if len(vals) != n_rows * card:
                 raise cur.error(
                     f"{child!r} table has {len(vals)} entries, expected {n_rows * card}"
@@ -239,7 +250,7 @@ def _parse_probability(
             rows = [vals[k : k + card] for k in range(0, len(vals), card)]
             continue
         stmt = toks[cur.i : cur.i + m + 2 * card + 1]
-        if stmt[: m + 1 : 2] == frame and stmt[m + 2 :: 2] == tail:
+        if cur.sliced and stmt[: m + 1 : 2] == frame and stmt[m + 2 :: 2] == tail:
             try:
                 idx = sum(map(dict.__getitem__, place, stmt[1:m:2]))
                 if rows[idx] is None:
@@ -257,19 +268,17 @@ def _parse_probability(
             if val not in where:
                 raise cur.error(f"{val!r} is not a state of parent {p!r}")
             idx += where[val]
-        if rows[idx] is not None and not all(map(math.isnan, rows[idx])):
+        if rows[idx] is not None:
             raise cur.error(f"{child!r} row {key} given twice")
-        vals = _comma_list(cur, ";", number=True)
+        vals = _comma_list(cur, ";", entries=True)
         if len(vals) != card:
             raise cur.error(f"{child!r} row {key} has {len(vals)} entries, expected {card}")
         rows[idx] = vals
     cur.expect("}")
 
-    table = np.array([[math.nan] * card if row is None else row for row in rows])
-    missing = np.flatnonzero(np.isnan(table).any(axis=1))
-    if missing.size:
-        raise cur.error(f"{child!r} is missing row {missing[0]}")
-    parents[child], cpts[child] = ps, _normalize_rows(child, table)
+    if None in rows:
+        raise cur.error(f"{child!r} is missing row {rows.index(None)}")
+    parents[child], cpts[child] = ps, _normalize_rows(child, np.array(rows))
 
 
 def parse_bif(text: str) -> ParsedNetwork:

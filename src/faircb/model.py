@@ -10,10 +10,11 @@ are alternative conditional tables for the intervention node ``V``.  The target
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "S_VALUE",
     "SPRIME_VALUE",
     "array_key",
+    "lru_get",
     "radix_strides",
     "encode_rows",
     "decode_rows",
@@ -66,6 +68,19 @@ def array_key(array) -> tuple:
     """Shape, dtype and bytes of ``array``: a key for memos keyed on content, not identity."""
     array = np.asarray(array)
     return array.shape, array.dtype.str, array.tobytes()
+
+
+def lru_get(memo: OrderedDict, key: tuple, make: Callable[[], object], bound: int):
+    """``memo[key]``, marked most recently used; on a miss ``make()`` is stored
+    there first, and past ``bound`` entries the least recently used go."""
+    found = memo.get(key)
+    if found is not None:
+        memo.move_to_end(key)
+        return found
+    found = memo[key] = make()
+    while len(memo) > bound:
+        memo.popitem(last=False)
+    return found
 
 
 def radix_strides(cards: Sequence[int]) -> tuple[int, ...]:

@@ -19,8 +19,9 @@ position, regimes in ``REGIMES`` order), the weight factors, kernel and
 exact divergences of a model and its arms in one process-wide memo keyed on
 content (the closure's structure and its tables but V's, the read and
 designated nodes, the target encoding, the arm tables), so equal models built apart share one build and an edit in
-place forces a new one.  It keeps at most ``_MEMO_TABLES`` entries and, like
-the allocation memo, takes no lock.  A miss enumerates the ancestral closure
+place forces a new one.  Like the allocation memo, it evicts the least
+recently used entry past ``_MEMO_TABLES`` through ``model.lru_get`` and takes
+no lock.  A miss enumerates the ancestral closure
 of the read nodes once per regime for all arms (``oracles.enumerate_arms``),
 which raises ``EnumerationTooLarge`` before any pull when that closure is
 over the cap.
@@ -55,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EnumerationTooLarge
-from .model import REGIMES, Arm, CausalModel, array_key, decode_rows, encode_rows
+from .model import REGIMES, Arm, CausalModel, array_key, decode_rows, encode_rows, lru_get
 from .oracles import enumerate_arms, enumeration_cap
 
 __all__ = [
@@ -218,18 +219,15 @@ def instance_tables(model: CausalModel, arms: Sequence[Arm]) -> InstanceTables:
         tuple(array_key(model.cpts[x]) for x in closure if x != v),
         (model.sensitive, v, model.target), array_key(model.target_values), array_key(tables),
     )
-    found = _TABLES.get(key)
-    if found is not None:
-        _TABLES.move_to_end(key)
-        return found
-    laws = _build_laws(model, nodes, cards, tables)
-    cells = _decode_cells(model, nodes, cards)
-    transport, regime = _weight_factors(cells, tables)
-    laws.flags.writeable = transport.flags.writeable = regime.flags.writeable = False
-    found = _TABLES[key] = InstanceTables(cells, laws, transport, regime)
-    if len(_TABLES) > _MEMO_TABLES:
-        _TABLES.popitem(last=False)
-    return found
+
+    def build() -> InstanceTables:
+        laws = _build_laws(model, nodes, cards, tables)
+        cells = _decode_cells(model, nodes, cards)
+        transport, regime = _weight_factors(cells, tables)
+        laws.flags.writeable = transport.flags.writeable = regime.flags.writeable = False
+        return InstanceTables(cells, laws, transport, regime)
+
+    return lru_get(_TABLES, key, build, _MEMO_TABLES)
 
 
 def sample_batch(laws: np.ndarray, sizes: np.ndarray, rng: np.random.Generator) -> BatchSamples:

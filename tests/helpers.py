@@ -48,7 +48,7 @@ from scipy.special import gammaln, logsumexp
 import faircb
 from faircb import bif, sampling, synth
 from faircb.allocation import Allocation
-from faircb.bandit import PreparedInstance, _Allocator, phase_schedule
+from faircb.bandit import PreparedInstance, _allocate, _Run, phase_schedule
 from faircb.divergence import DivergenceSet, _outcome_cutoff
 from faircb.errors import (
     FairCBError, GenerationFailed, Infeasible, NormalizationError, ParseError, UnsupportedConstruct,
@@ -1310,7 +1310,7 @@ def bound_report(
     Takes the exact oracle report (means, directional gaps, fair set) and
     rebuilds every constant of the two guarantees: per-arm ideal deletion
     phases, the hardness constant, and the exponential bounds, clamped to
-    [0, 1] for reporting.  Its LPs go through ``bandit._Allocator``, so they
+    [0, 1] for reporting.  Its LPs go through ``bandit._allocate``, so they
     share the runs' process-wide memo.
     """
     mu = np.asarray(oracle["mu"], dtype=float)
@@ -1322,10 +1322,10 @@ def bound_report(
     K = mu.shape[0]
     sched = phase_schedule(T)
 
-    allocation = _Allocator(prepared, extra_constraints)
+    run = _Run(prepared, fairness_eps, "v2", None, extra_constraints)
 
     def vstar(active: Sequence[int]) -> float:
-        return allocation(tuple(sorted({int(k) for k in active})), "joint").v_star
+        return _allocate(run, tuple(sorted({int(k) for k in active})), "joint").v_star
 
     delta = [None if best is None else float(mu[best] - mu[k]) for k in range(K)]
     so = [
@@ -1524,6 +1524,15 @@ def _reference_float(cur: _ReferenceCursor) -> float:
     return val
 
 
+def _reference_entry(cur: _ReferenceCursor) -> float:
+    tok = cur.peek()
+    val = _reference_float(cur)
+    if math.isnan(val):
+        cur.i -= 1
+        raise cur.error(f"expected a probability, got {tok!r}")
+    return val
+
+
 def _reference_comma_list(cur: _ReferenceCursor, read=_ReferenceCursor.name) -> list:
     vals = [read(cur)]
     while cur.peek() == ",":
@@ -1613,7 +1622,7 @@ def _reference_probability(cur: _ReferenceCursor, states: dict, parents: dict, c
                 raise cur.error(f"{child!r} table follows an earlier table or row")
             given = True
             cur.next()
-            vals = _reference_comma_list(cur, _reference_float)
+            vals = _reference_comma_list(cur, _reference_entry)
             cur.expect(";")
             if len(vals) != n_rows * card:
                 raise cur.error(f"{child!r} table has {len(vals)} entries, expected {n_rows * card}")
@@ -1632,7 +1641,7 @@ def _reference_probability(cur: _ReferenceCursor, states: dict, parents: dict, c
             idx += states[p].index(val) * st
         if not np.isnan(table[idx]).all():
             raise cur.error(f"{child!r} row {key} given twice")
-        vals = _reference_comma_list(cur, _reference_float)
+        vals = _reference_comma_list(cur, _reference_entry)
         cur.expect(";")
         if len(vals) != card:
             raise cur.error(f"{child!r} row {key} has {len(vals)} entries, expected {card}")

@@ -342,8 +342,12 @@ def test_round_counts_worked_examples():
     )
     rounded = round_counts(halves, 5)
     assert (rounded.tau_y[0], rounded.tau_s[0], rounded.tau_sp[0]) == (3, 2, 0)
-    with pytest.raises(ValueError):
-        round_counts(third, 0)
+    # A zero-length phase pulls nothing; a negative length is refused.
+    rounded = round_counts(third, 0)
+    assert (rounded.tau_y[0], rounded.tau_s[0], rounded.tau_sp[0]) == (0, 0, 0)
+    assert rounded.tau_y.dtype == np.int64
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        round_counts(third, -1)
 
 
 def test_round_counts_largest_remainder_properties():

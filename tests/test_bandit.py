@@ -818,16 +818,20 @@ def test_a_warm_memo_rounds_no_phase_again(monkeypatch):
 
 
 def test_roundings_stay_within_their_bound(monkeypatch):
-    monkeypatch.setattr(bandit, "_MEMO_ROUNDINGS", 2)
+    # Solutions and roundings share the instance's one bound.  A rounding
+    # miss reads its solution first, so the solution stays the most recent
+    # entry but one.
+    monkeypatch.setattr(bandit, "_MEMO_ENTRIES", 3)
     model, arms = chain_model()
     bandit._SOLVED.clear()
-    allocate = bandit._Allocator(prepare(model, arms, 1.0), ())
+    run = bandit._Run(prepare(model, arms, 1.0), 0.2, "v2", None, ())
+    solution = bandit._allocate(run, (0, 1, 2), "joint")
     for tau in (0, 10, 20, 30):
-        rounded = allocate((0, 1, 2), "joint", tau)
+        rounded = bandit._allocate(run, (0, 1, 2), "joint", tau)
         assert sum(int(c.sum()) for c in (rounded.tau_y, rounded.tau_s, rounded.tau_sp)) == tau
-        [(solution, roundings)] = allocate.solved.values()
-        assert solution is allocate((0, 1, 2), "joint") and len(roundings) <= 2
-    assert list(roundings) == [20, 30]
+        assert rounded.nu_y is solution.nu_y and len(run.solved) <= 3
+    assert list(run.solved) == [((0, 1, 2), "joint", 20), ((0, 1, 2), "joint"), ((0, 1, 2), "joint", 30)]
+    assert bandit._allocate(run, (0, 1, 2), "joint") is solution
 
 
 def test_editing_divergences_in_place_forces_a_new_solve(monkeypatch):
@@ -850,22 +854,29 @@ def test_editing_divergences_in_place_forces_a_new_solve(monkeypatch):
 
 def test_memo_stays_within_its_bounds(monkeypatch):
     monkeypatch.setattr(bandit, "_MEMO_INSTANCES", 2)
-    monkeypatch.setattr(bandit, "_MEMO_PROBLEMS", 3)
+    monkeypatch.setattr(bandit, "_MEMO_ENTRIES", 3)
     model, arms = chain_model()
     divergences = DivergenceSet.exact(model, arms)
     bandit._SOLVED.clear()
     for budget in (1.0, 1.5, 2.0, 2.5):
-        allocate = bandit._Allocator(prepare(model, arms, budget, divergences), ())
+        run = bandit._Run(prepare(model, arms, budget, divergences), 0.2, "v2", None, ())
         for remaining in ((0,), (1,), (2,), (0, 1), (0, 2)):
             for rule in ("joint", "fairness", "outcome"):
-                allocate(remaining, rule)
+                bandit._allocate(run, remaining, rule, 10)
                 assert len(bandit._SOLVED) <= 2
                 assert all(len(solved) <= 3 for solved in bandit._SOLVED.values())
     assert len(bandit._SOLVED) == 2
-    # The most recent problem survives eviction.
-    solves = count_solves(monkeypatch)
-    allocate((0, 2), "outcome")
-    assert solves == []
+    # The most recent solution and rounding survive eviction.
+    solves, rounds, round_counts = count_solves(monkeypatch), [], bandit.round_counts
+
+    def counted(alloc, tau):
+        rounds.append(tau)
+        return round_counts(alloc, tau)
+
+    monkeypatch.setattr(bandit, "round_counts", counted)
+    bandit._allocate(run, (0, 2), "outcome", 10)
+    bandit._allocate(run, (0, 2), "outcome")
+    assert solves == [] and rounds == []
 
 
 @pytest.mark.parametrize("fixture", sorted(SEEDED_FIXTURES))

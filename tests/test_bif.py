@@ -280,6 +280,38 @@ def test_a_table_after_a_table_or_row_is_refused(old, new, at):
             parse(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # An all-NaN row used to count as not given, so the second row won.
+        ("( yes ) 0.2, 0.5, 0.3;", "( yes ) nan, nan, nan;\n  ( yes ) 0.2, 0.5, 0.3;",
+         "line 18, col 11: expected a probability, got 'nan'"),
+        ("( yes ) 0.2, 0.5, 0.3;", "( yes ) 0.2, -NaN, 0.3;",
+         "line 18, col 16: expected a probability, got '-NaN'"),
+        ("table 0.3, 0.7;", 'table "nan", 0.7;', "line 14, col 9: expected a probability, got '\"nan\"'"),
+        # Before the missing comma after it.
+        ("0.4, 0.6, 0.5", "0.4, nan 0.6, 0.5", "line 21, col 44: expected a probability, got 'nan'"),
+    ],
+)
+def test_a_nan_probability_entry_is_refused_at_its_token(old, new, message):
+    text = MINI.replace(old, new, 1)
+    for parse in (parse_bif, reference_parse_bif):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse(text)
+
+
+def test_names_that_read_as_nan_still_parse():
+    # Any token that reads as NaN sends the text's probability entries down the walk.
+    assert all(np.isnan(float(tok.strip('"'))) for tok in bif._NAN)
+    text = MINI.replace("lo, mid, hi", "lo, NaN, hi", 1).replace("network mini", 'network "nan"', 1)
+    assert not bif._Cursor(text).sliced
+    net = parse_bif(text)
+    assert (net.name, net.states["B"]) == ("nan", ("lo", "NaN", "hi"))
+    _assert_same_network(net, reference_parse_bif(text))
+    for x, cpt in parse_bif(MINI).model.cpts.items():
+        assert net.model.cpts[x].tobytes() == cpt.tobytes()
+
+
 def test_non_discrete_variable_is_unsupported():
     bad = MINI.replace("type discrete [ 2 ] { yes, no }", "type continuous [ 2 ] { yes, no }", 1)
     with pytest.raises(UnsupportedConstruct, match="only discrete"):

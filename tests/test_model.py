@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from faircb.model import (
     Regime,
     S_VALUE,
     SPRIME_VALUE,
+    lru_get,
     validate_model,
 )
 
@@ -155,6 +157,28 @@ def test_validate_rejects_negative_entries():
     model, arms = chain_model()
     model.cpts["Y"] = np.array([[1.2, -0.2], [0.5, 0.5], [0.1, 0.9]])
     assert validate_model(model, arms).problems == ("Y: negative entries",)
+
+
+def test_lru_get_makes_on_a_miss_and_evicts_the_least_recently_used():
+    memo, made = OrderedDict(), []
+
+    def get(key):
+        return lru_get(memo, key, lambda: made.append(key) or key.upper(), 2)
+
+    assert [get("a"), get("b"), get("a")] == ["A", "B", "A"]
+    assert made == ["a", "b"] and list(memo) == ["b", "a"]
+    assert get("c") == "C" and list(memo) == ["a", "c"]
+    assert get("b") == "B" and made == ["a", "b", "c", "b"] and list(memo) == ["c", "b"]
+
+
+def test_validate_names_each_bad_arm_table():
+    model, arms = chain_model()
+    arms[0].table = np.array([[0.7, -0.2, 0.5], [0.8, -0.1, 0.3]])
+    arms[2].table = np.array([[0.2, 0.3, 0.5], [0.5, 0.5, 0.5]])
+    assert validate_model(model, arms).problems == (
+        "arm 0: negative entries",
+        "arm 2: rows [1] do not sum to 1",
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,8 @@
 imports and reads every private name it defines, exports only names that the
 package or the benchmark reads, and no module stores anything on a model but
 its fields; every test file uses what it imports too.  The package keeps to
-Python 3.10: its syntax, and the regular expressions it compiles."""
+Python 3.10: its syntax, and the regular expressions it compiles.  Its memos
+evict through one routine, ``model.lru_get``."""
 
 from __future__ import annotations
 
@@ -298,3 +299,46 @@ def test_the_python_3_10_scans_flag_newer_syntax_and_regexes():
     assert _post_310_regexes(source) == {2: {"POSSESSIVE_REPEAT"}, 3: {"ATOMIC_GROUP"}}
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def _lru_evictions(sources: dict[str, str]) -> list[str]:
+    """``module.function`` for each ``popitem`` call with an argument, which only
+    an ``OrderedDict`` takes; the function is the innermost one around the call."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "popitem" and (child.args or child.keywords)):
+                found.append(where)
+            visit(child, where)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), name)
+    return found
+
+
+def test_every_memo_evicts_through_one_lru_routine():
+    # ``model.lru_get`` is the one least-recently-used eviction; a memo that
+    # evicts by itself is a copy of it.
+    sources = {
+        name: Path(importlib.import_module(f"faircb.{name}").__file__).read_text()
+        for name in MODULES
+    }
+    assert _lru_evictions(sources) == ["model.lru_get"]
+
+
+def test_the_eviction_scan_flags_a_copied_lru():
+    source = (
+        "def f(memo):\n"
+        "    memo.popitem(last=False)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        def h():\n"
+        "            return self.memo.popitem(False)\n"
+        "        return {}.popitem()\n"
+    )
+    assert _lru_evictions({"m": source}) == ["m.f", "m.C.g.h"]

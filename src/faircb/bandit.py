@@ -65,7 +65,6 @@ from .model import Arm, CausalModel, array_key, check_fairness_eps, lru_get
 __all__ = [
     "MIN_T_CSR",
     "MIN_T_TWO_STAGE",
-    "PhaseSchedule",
     "PhaseRecord",
     "RunTrace",
     "phase_schedule",
@@ -79,15 +78,6 @@ __all__ = [
 # for ``run_two_stage``.
 MIN_T_CSR = 4
 MIN_T_TWO_STAGE = 2 * MIN_T_CSR
-
-
-@dataclass
-class PhaseSchedule:
-    """Phase count, per-phase pull counts, and the harmonic normalizer."""
-
-    n: int
-    tau: np.ndarray
-    logbar: float
 
 
 @dataclass
@@ -118,11 +108,11 @@ class RunTrace:
         return self.decision is None
 
 
-def phase_schedule(T: int) -> PhaseSchedule:
-    """n = ceil(log2(10 sqrt(T))) phases with tau(l) ~ T/(l logbar).
+def phase_schedule(T: int) -> np.ndarray:
+    """The int64 pull counts of n = ceil(log2(10 sqrt(T))) phases, tau(l) ~ T/(l logbar).
 
-    Floor rounding leaves a deficit of at most n pulls, which goes to the
-    first phase so the counts sum to T exactly.
+    logbar is H_n, the n-th harmonic number.  Floor rounding leaves a deficit of at
+    most n pulls, which goes to the first phase so the counts sum to T exactly.
     """
     if T < MIN_T_CSR:
         raise ValueError(f"T must be >= {MIN_T_CSR}")
@@ -130,7 +120,7 @@ def phase_schedule(T: int) -> PhaseSchedule:
     logbar = float(sum(1.0 / i for i in range(1, n + 1)))
     tau = np.array([int(T // (l * logbar)) for l in range(1, n + 1)], dtype=np.int64)
     tau[0] += T - int(tau.sum())
-    return PhaseSchedule(n=n, tau=tau, logbar=logbar)
+    return tau
 
 
 def _best_outcome(estimates: EstimateVector, candidates: Sequence[int]) -> int:
@@ -286,10 +276,9 @@ def _run_stage(
     arm as the decision (None otherwise).  See the module docstring for the
     three rules.
     """
-    sched = phase_schedule(T)
-    for l in range(1, sched.n + 1):
+    for l, tau in enumerate(phase_schedule(T), 1):
         eps = 2.0 ** (-(l - 1))
-        alloc = _allocate(run, remaining, rule, int(sched.tau[l - 1]))
+        alloc = _allocate(run, remaining, rule, int(tau))
         if run.variant == "v1":
             run.pool.clear()
         spent, cost = _pull_phase(run, alloc)

@@ -1,17 +1,24 @@
 """Seeded experiment sweeps over sample budgets and algorithms.
 
-Every run draws its generator from ``SeedSequence(base_seed,
-spawn_key=(budget_index, algorithm_id, run_index))``, so any row of the
-output is reproducible in isolation.  A run that raises is recorded as a
-failure, by exception class, and scored as an error.
+A sweep is a grid of (budget, algorithm) rows, and a row is its unit of
+seeding, tallying and dispatch: ``_run_row`` seeds, runs, times and scores
+one row's runs and returns its ``SweepRow``.  Row (budget index ``b``,
+algorithm ``a``) draws its runs from ``SeedSequence(base_seed,
+spawn_key=(b, ALGORITHMS.index(a))).spawn(runs)``, the generators of
+``spawn_key=(b, ALGORITHMS.index(a), run)``.  The algorithm is seeded by its
+place in ``ALGORITHMS``, so a sweep over a subset of the algorithms
+reproduces the full sweep's rows; the budget is seeded by its place in the
+caller's list, so a row reproduces only while its budget keeps its place.
+A repeated budget or algorithm is refused.  A run that raises is recorded as
+a failure, by exception class, and scored as an error.
 
-A sweep prepares its instance once (``bandit.prepare``) and its cells make
-no content lookup; ``run_algorithm`` prepares on each call.  At ``width > 1``
-the runs go to a pool of ``min(width, rows)`` worker processes, one per
-(budget, algorithm) row at most.  The prepared instance, the instance and
-the oracle truth reach each worker once, through the pool initializer; a cell
-then travels as its indices only, one row per chunk.  Workers started by fork
-inherit the parent's allocation memo (see ``bandit``).
+A sweep prepares its instance once (``bandit.prepare``) and its runs make
+no content lookup; ``run_algorithm`` prepares on each call.  The serial loop
+and the pool take the same ``(T, algorithm, budget_index)`` row tuples.  At
+``width > 1`` the rows go to a pool of ``min(width, rows)`` worker processes,
+one task per row.  The prepared instance, the instance and the oracle truth
+reach each worker once, through the pool initializer.  Workers started by
+fork inherit the parent's allocation memo (see ``bandit``).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,7 +52,7 @@ ALGORITHMS = ("csr-v1", "csr-v2", "ts-v1", "ts-v2")
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Tallies of the seeded runs of one (budget, algorithm) cell.
+    """Tallies of one (budget, algorithm) row, a sweep's unit of seeding, tallying and dispatch.
 
     ``wall_time_s`` is the sum of the per-run seconds.  Runs overlap at
     ``width > 1``, so there it exceeds the wall time of the sweep.
@@ -109,67 +116,51 @@ def _run_prepared(prepared: PreparedInstance, instance: Instance, algorithm: str
     return runner(prepared, T, fairness_eps, variant, rng, extra_constraints=extra)
 
 
-class _Outcome(NamedTuple):
-    wrong: bool
-    declared_none: bool
-    seconds: float
-    failure: tuple[str, str] | None  # (class name, message) of what a failed run raised
-
-
-def _run_cell(
-    prepared: PreparedInstance,
-    instance: Instance,
-    truth: int | None,
-    algorithm: str,
-    T: int,
-    base_seed: int,
-    budget_index: int,
-    run_index: int,
-) -> _Outcome:
-    """One seeded run scored against the oracle."""
-    ss = np.random.SeedSequence(
-        base_seed, spawn_key=(budget_index, ALGORITHMS.index(algorithm), run_index)
-    )
-    rng = np.random.default_rng(ss)
-    start = time.perf_counter()
-    try:
-        trace = _run_prepared(prepared, instance, algorithm, T, rng, instance.fairness_eps)
-    except Exception as exc:
-        return _Outcome(True, False, time.perf_counter() - start, (type(exc).__name__, str(exc)))
-    elapsed = time.perf_counter() - start
-    return _Outcome(trace.decision != truth, trace.decision is None, elapsed, None)
-
-
-# ``_run_cell`` bound to what the cells of a pooled sweep share, set per worker by ``_init_worker``.
-_SHARED: Callable[..., _Outcome] | None = None
-
-
-def _init_worker(run_cell: Callable[..., _Outcome]) -> None:
-    global _SHARED
-    _SHARED = run_cell
-
-
-def _run_shared_cell(cell: tuple) -> _Outcome:
-    return _SHARED(*cell)
-
-
-def _row(T: int, algorithm: str, base_seed: int, outcomes: Sequence[_Outcome]) -> SweepRow:
-    runs = len(outcomes)
-    wrong = sum(o.wrong for o in outcomes)
-    failures = [o.failure for o in outcomes if o.failure is not None]
+def _run_row(prepared: PreparedInstance, instance: Instance, truth: int | None, base_seed: int,
+             runs: int, T: int, algorithm: str, budget_index: int) -> SweepRow:
+    """The ``runs`` seeded runs of one (budget, algorithm) row, scored against the oracle."""
+    seeds = np.random.SeedSequence(base_seed, spawn_key=(budget_index, ALGORITHMS.index(algorithm)))
+    wrong = declared_none = 0
+    seconds = 0.0
+    failures: list[tuple[str, str]] = []  # (class name, message) of what each failed run raised
+    for seed in seeds.spawn(runs):
+        start = time.perf_counter()
+        try:
+            trace = _run_prepared(prepared, instance, algorithm, T,
+                                  np.random.default_rng(seed), instance.fairness_eps)
+        except Exception as exc:
+            failures.append((type(exc).__name__, str(exc)))
+        else:
+            wrong += trace.decision != truth
+            declared_none += trace.decision is None
+        seconds += time.perf_counter() - start
+    wrong += len(failures)
     return SweepRow(
         budget=T,
         algorithm=algorithm,
         runs=runs,
         misidentifications=wrong,
-        no_fair_arm=sum(o.declared_none for o in outcomes),
+        no_fair_arm=declared_none,
         failures=len(failures),
         error_rate=wrong / runs,
-        wall_time_s=sum(o.seconds for o in outcomes),
+        wall_time_s=seconds,
         base_seed=base_seed,
         failure_kinds=dict(Counter(kind for kind, _ in failures)),
         first_failure=": ".join(failures[0]) if failures else None,
     )
+
+
+# ``_run_row`` bound to what the rows of a pooled sweep share, set per worker by ``_init_worker``.
+_SHARED: Callable[..., SweepRow] | None = None
+
+
+def _init_worker(run_row: Callable[..., SweepRow]) -> None:
+    global _SHARED
+    _SHARED = run_row
+
+
+def _run_shared_row(row: tuple[int, str, int]) -> SweepRow:
+    return _SHARED(*row)
 
 
 def run_sweep(
@@ -190,34 +181,33 @@ def run_sweep(
         raise ValueError(f"runs must be >= 1, got {runs}")
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
+    budgets = [int(T) for T in budgets]
+    for name, values in (("budgets", budgets), ("algorithms", algorithms)):
+        repeats = sorted(value for value, n in Counter(values).items() if n > 1)
+        if repeats:
+            raise ValueError(f"repeated {name}: {repeats}")
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         low = MIN_T_CSR if algorithm.startswith("csr-") else MIN_T_TWO_STAGE
-        short = [int(T) for T in budgets if int(T) < low]
+        short = [T for T in budgets if T < low]
         if short:
             raise ValueError(f"{algorithm} needs budgets >= {low}, got {short}")
     truth = oracle_report(instance, instance.fairness_eps)["best_fair"]
     digest = instance_digest(instance)
     prepared = prepare(instance.model, instance.arms, default_budget(instance))
-    run_cell = partial(_run_cell, prepared, instance, truth)
+    run_row = partial(_run_row, prepared, instance, truth, base_seed, runs)
 
-    grid = [(int(T), algorithm, bi) for bi, T in enumerate(budgets) for algorithm in algorithms]
-    cells = [(algorithm, T, base_seed, bi, run) for T, algorithm, bi in grid for run in range(runs)]
-    # One chunk per row, so more workers than rows would only sit idle.
+    grid = [(T, algorithm, bi) for bi, T in enumerate(budgets) for algorithm in algorithms]
+    # One task per row, so more workers than rows would only sit idle.
     workers = min(width, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(run_cell,)
+            max_workers=workers, initializer=_init_worker, initargs=(run_row,)
         ) as pool:
-            outcomes = list(pool.map(_run_shared_cell, cells, chunksize=runs))
+            rows = tuple(pool.map(_run_shared_row, grid))
     else:
-        outcomes = [run_cell(*cell) for cell in cells]
-
-    rows = tuple(
-        _row(T, algorithm, base_seed, outcomes[i * runs : (i + 1) * runs])
-        for i, (T, algorithm, _) in enumerate(grid)
-    )
+        rows = tuple(run_row(*row) for row in grid)
     return ErrorCurve(rows=rows, instance_digest=digest, truth=truth)
 
 

@@ -1292,6 +1292,11 @@ def count_kernel_builds(monkeypatch) -> list:
     return builds
 
 
+def harmonic(n: int) -> float:
+    """H_n, the phase schedule's normalizer ``logbar`` for n phases."""
+    return float(sum(1.0 / i for i in range(1, n + 1)))
+
+
 def _bracket_phase(numerator: float, gap: float) -> float:
     """Smallest integer phase l with numerator/2^l < gap; inf when gap <= 0."""
     if gap <= 0.0:
@@ -1320,7 +1325,8 @@ def bound_report(
     fair = list(oracle["fair"])
     best = oracle["best_fair"]
     K = mu.shape[0]
-    sched = phase_schedule(T)
+    n = len(phase_schedule(T))
+    logbar = harmonic(n)
 
     run = _Run(prepared, fairness_eps, "v2", None, extra_constraints)
 
@@ -1394,7 +1400,7 @@ def bound_report(
 
     misid = None
     if best is not None and K > 1:
-        expo = 0.0 if math.isinf(h_bar) else T / (8.0 * h_bar * sched.logbar)
+        expo = 0.0 if math.isinf(h_bar) else T / (8.0 * h_bar * logbar)
         misid = float(min(1.0, 8.0 * K**2 * rho_star * math.exp(-expo)))
 
     v_full = vstar(range(K))
@@ -1404,8 +1410,8 @@ def bound_report(
             1.0,
             4.0
             * K
-            * sched.n
-            * math.exp(-(xi_star**2) * T * v_full**2 / (32.0 * sched.n**3 * sched.logbar)),
+            * n
+            * math.exp(-(xi_star**2) * T * v_full**2 / (32.0 * n**3 * logbar)),
         )
     )
 
@@ -1413,8 +1419,8 @@ def bound_report(
         "T": T,
         "budget": prepared.budget,
         "fairness_eps": fairness_eps,
-        "n_phases": sched.n,
-        "logbar": sched.logbar,
+        "n_phases": n,
+        "logbar": logbar,
         "best_fair": best,
         "delta": delta,
         "so": so,

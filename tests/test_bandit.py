@@ -31,6 +31,7 @@ from helpers import (
     bound_report,
     chain_model,
     count_kernel_builds,
+    harmonic,
     random_instance,
     reference_divergence_set,
     reference_fair_set,
@@ -57,21 +58,24 @@ def vec(y, zssp, zsps, eps=0.25) -> EstimateVector:
 
 
 def test_phase_schedule_frozen():
-    sched = phase_schedule(10_000)
-    assert sched.n == 10
-    assert sched.logbar == pytest.approx(7381.0 / 2520.0, rel=1e-15)
-    assert sched.tau.sum() == 10_000
-    assert sched.tau[0] == 3418
-    assert sched.tau[-1] == 341
-    assert np.all(sched.tau[:-1] >= sched.tau[1:])
+    tau = phase_schedule(10_000)
+    assert tau.dtype == np.int64
+    assert len(tau) == 10
+    logbar = harmonic(len(tau))
+    assert logbar == pytest.approx(7381.0 / 2520.0, rel=1e-15)
+    assert tau.sum() == 10_000
+    assert tau[0] == 3418
+    assert tau[-1] == 341
+    assert all(tau[l - 1] == int(10_000 // (l * logbar)) for l in range(2, 11))
+    assert np.all(tau[:-1] >= tau[1:])
 
 
 def test_phase_schedule_edges():
-    sched = phase_schedule(4)
-    assert sched.n == 5
-    assert sched.tau.sum() == 4
-    assert np.all(sched.tau >= 0)
-    assert phase_schedule(20_000).n == 11
+    tau = phase_schedule(4)
+    assert len(tau) == 5
+    assert tau.sum() == 4
+    assert np.all(tau >= 0)
+    assert len(phase_schedule(20_000)) == 11
     with pytest.raises(ValueError):
         phase_schedule(3)
 
@@ -223,8 +227,8 @@ def make_chain_run(T=2000, fairness_eps=0.2, seed=0, variant="v2", **kwargs):
 
 def test_run_csr_trace_contract():
     trace = make_chain_run()
-    sched = phase_schedule(2000)
-    assert 1 <= len(trace.phases) <= sched.n
+    tau = phase_schedule(2000)
+    assert 1 <= len(trace.phases) <= len(tau)
     assert trace.samples_spent <= 2000
     assert trace.cost_spent == pytest.approx(trace.samples_spent)  # unit costs
     prev_remaining = (0, 1, 2)
@@ -236,7 +240,7 @@ def test_run_csr_trace_contract():
         assert set(record.fair) <= set(record.remaining)
         counts = record.allocation.tau_y.sum() + record.allocation.tau_s.sum()
         counts += record.allocation.tau_sp.sum()
-        assert record.samples == counts == sched.tau[idx]
+        assert record.samples == counts == tau[idx]
         dropped = {k for k, _ in record.eliminated}
         assert dropped <= set(record.remaining)
         prev_remaining = tuple(k for k in record.remaining if k not in dropped)
@@ -499,7 +503,7 @@ def test_the_chain_fixtures_forced_tie_goes_to_the_lowest_index():
     # them a few ulps apart; the spare pull goes to the lower index, S <- s,
     # whichever of the two the last bits favour.
     record = seeded_trace("chain", "csr-v2", 0, 2000).phases[1]
-    tau = int(phase_schedule(2000).tau[1])
+    tau = int(phase_schedule(2000)[1])
     alloc = record.allocation
     assert abs(alloc.nu_s[1] - alloc.nu_sp[1]) <= 4 * np.spacing(alloc.nu_s[1])
     assert (alloc.tau_s[1], alloc.tau_sp[1]) == (156, 155)

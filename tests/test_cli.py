@@ -711,7 +711,10 @@ def test_sweep_cli(tmp_path, instance_file, capsys):
     [(["--budgets", "200", "--runs", "0"], "runs must be >= 1"),
      (["--budgets", "2", "--runs", "1"], "needs budgets >= 4"),
      (["--budgets", "200", "--runs", "1", "--width", "0"], "width must be >= 1"),
-     (["--budgets", "1000,x", "--runs", "1"], "--budgets: 'x' is not an integer")],
+     (["--budgets", "1000,x", "--runs", "1"], "--budgets: 'x' is not an integer"),
+     (["--budgets", "200,200", "--runs", "1"], "repeated budgets: [200]"),
+     (["--budgets", "200", "--runs", "1", "--algos", "csr-v1,csr-v1"],
+      "repeated algorithms: ['csr-v1']")],
 )
 def test_sweep_cli_rejects_bad_input(tmp_path, instance_file, capsys, flags, message):
     out_csv = tmp_path / "curve.csv"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,12 +110,18 @@ def test_sweep_rows_cover_the_grid(instance):
 
 def test_algorithm_subsets_reproduce_full_sweep_rows(instance):
     # Seeds key off the canonical algorithm table, so running a subset must
-    # reproduce the matching rows of the full sweep bit for bit.
-    full = run_sweep(instance, budgets=(200,), runs=4, base_seed=3)
+    # reproduce the matching rows of the full sweep bit for bit.  Budgets are
+    # seeded by their place in the caller's list: a row reproduces while its
+    # budget keeps its place and differs once the place moves.
+    full = run_sweep(instance, budgets=(200, 400), runs=4, base_seed=3)
     only = run_sweep(instance, budgets=(200,), runs=4, algorithms=("ts-v2",), base_seed=3)
     [sub_row] = only.rows
-    [full_row] = [r for r in full.rows if r.algorithm == "ts-v2"]
+    [full_row] = [r for r in full.rows if (r.budget, r.algorithm) == (200, "ts-v2")]
     assert row_key(sub_row) == row_key(full_row)
+    moved = run_sweep(instance, budgets=(400,), runs=4, algorithms=("ts-v2",), base_seed=3)
+    [moved_row] = moved.rows
+    [full_row] = [r for r in full.rows if (r.budget, r.algorithm) == (400, "ts-v2")]
+    assert row_key(moved_row) != row_key(full_row)
 
 
 def test_pooled_sweep_equals_the_serial_sweep(instance):
@@ -136,14 +143,15 @@ def test_sweep_rejects_a_width_below_one(instance, width):
         run_sweep(instance, budgets=(200,), runs=1, width=width)
 
 
-def test_pool_is_capped_at_one_worker_per_row(instance, monkeypatch):
-    widths = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Swaps the process pool for one that records ``max_workers`` and the tasks
+    it is handed and runs them in this process; starts no worker."""
+    seen = SimpleNamespace(widths=[], tasks=[])
 
     class RecordingExecutor:
-        """Records ``max_workers`` and runs the cells in this process; starts no worker."""
-
         def __init__(self, max_workers, initializer, initargs):
-            widths.append(max_workers)
+            seen.widths.append(max_workers)
             initializer(*initargs)
 
         def __enter__(self):
@@ -152,23 +160,35 @@ def test_pool_is_capped_at_one_worker_per_row(instance, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, cells, chunksize):
-            return map(fn, cells)
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            seen.tasks.append(tasks)
+            return map(fn, tasks)
 
     monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(sweep_mod, "_SHARED", None)
+    return seen
+
+
+def test_pool_is_capped_at_one_worker_per_row(instance, recording_pool):
     algorithms = ("csr-v1", "csr-v2")
     wide = run_sweep(instance, budgets=(200, 400), runs=2, algorithms=algorithms, width=64)
-    assert widths == [4]
+    assert recording_pool.widths == [4]
+    # One task per (budget, algorithm) row, in grid order, of plain ints and
+    # strings: the prepared instance reaches the workers through the initializer.
+    [tasks] = recording_pool.tasks
+    assert tasks == [(200, "csr-v1", 0), (200, "csr-v2", 0), (400, "csr-v1", 1), (400, "csr-v2", 1)]
+    assert all(type(field) in (int, str) for task in tasks for field in task)
     serial = run_sweep(instance, budgets=(200, 400), runs=2, algorithms=algorithms)
     assert [row_key(r) for r in wide.rows] == [row_key(r) for r in serial.rows]
     run_sweep(instance, budgets=(200,), runs=2, algorithms=("csr-v1",), width=64)
-    assert widths == [4]  # a single row runs serially
+    assert recording_pool.widths == [4]  # a single row runs serially
 
 
-def test_sweep_records_failures_as_errors(instance, monkeypatch):
-    # The cells call the runners through the sweep module, where the
-    # benchmark's tracer also wraps them.
+def test_sweep_records_failures_as_errors(instance, monkeypatch, recording_pool):
+    # The runs call the runners through the sweep module, where the
+    # benchmark's tracer also wraps them.  The tally is checked serially and
+    # on the pooled path.
     real = sweep_mod.run_csr
 
     def flaky(prepared, T, fairness_eps, variant, *args, **kwargs):
@@ -177,17 +197,20 @@ def test_sweep_records_failures_as_errors(instance, monkeypatch):
         return real(prepared, T, fairness_eps, variant, *args, **kwargs)
 
     monkeypatch.setattr(sweep_mod, "run_csr", flaky)
-    curve = run_sweep(instance, budgets=(200,), runs=3, algorithms=("csr-v1", "csr-v2"))
-    broken = next(r for r in curve.rows if r.algorithm == "csr-v1")
-    healthy = next(r for r in curve.rows if r.algorithm == "csr-v2")
-    assert broken.failures == 3
-    assert broken.misidentifications == 3
-    assert broken.error_rate == 1.0
-    assert broken.no_fair_arm == 0
-    assert broken.failure_kinds == {"RuntimeError": 3}
-    assert broken.first_failure == "RuntimeError: synthetic breakage"
-    assert healthy.failures == 0
-    assert healthy.failure_kinds == {} and healthy.first_failure is None
+    for width in (1, 2):
+        curve = run_sweep(instance, budgets=(200,), runs=3, algorithms=("csr-v1", "csr-v2"),
+                          width=width)
+        broken = next(r for r in curve.rows if r.algorithm == "csr-v1")
+        healthy = next(r for r in curve.rows if r.algorithm == "csr-v2")
+        assert broken.failures == 3
+        assert broken.misidentifications == 3
+        assert broken.error_rate == 1.0
+        assert broken.no_fair_arm == 0
+        assert broken.failure_kinds == {"RuntimeError": 3}
+        assert broken.first_failure == "RuntimeError: synthetic breakage"
+        assert healthy.failures == 0
+        assert healthy.failure_kinds == {} and healthy.first_failure is None
+    assert recording_pool.widths == [2]
 
 
 @pytest.mark.parametrize(
@@ -196,6 +219,8 @@ def test_sweep_records_failures_as_errors(instance, monkeypatch):
         ((200,), 0, ALGORITHMS, "runs must be >= 1"),
         ((200, 3), 1, ("csr-v1",), r"csr-v1 needs budgets >= 4, got \[3\]"),
         ((7, 200), 1, ("csr-v2", "ts-v1"), r"ts-v1 needs budgets >= 8, got \[7\]"),
+        ((200, 400, 200), 1, ("csr-v1",), r"repeated budgets: \[200\]"),
+        ((200,), 1, ("csr-v1", "ts-v1", "csr-v1"), r"repeated algorithms: \['csr-v1'\]"),
     ],
 )
 def test_sweep_rejects_bad_input_before_any_run(instance, budgets, runs, algorithms, match):
@@ -249,7 +274,7 @@ def test_error_curve_files(tmp_path, instance):
 
 
 def test_a_sweep_looks_its_instance_up_once(instance, monkeypatch):
-    # Its oracle report reads the tables once and its prepare once; the cells
+    # Its oracle report reads the tables once and its prepare once; the rows
     # run on the prepared instance and look nothing up.
     lookup = sampling.instance_tables
     lookups = []

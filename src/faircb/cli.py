@@ -14,8 +14,7 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .allocation import build_problem, cheap_arm_cap, round_counts, solve_maxmin
 from .bandit import RunTrace
 from .divergence import DivergenceSet
 from .errors import FairCBError, GenerationFailed, Infeasible
-from .io import instance_digest, load_instance, save_instance
+from .io import _is_number, _typed, instance_digest, load_instance, save_instance
 from .model import Instance, check_fairness_eps, validate_model
 from .netgen import build_network_experiment
 from .oracles import oracle_report
@@ -66,39 +65,6 @@ def _clean(x):
     if isinstance(x, (np.integer, int)):
         return int(x)
     return x
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _typed(where: str, value, hint):
-    """A JSON value checked against a field annotation: int, float, bool, tuple of floats, or None.
-
-    Ints may stand for floats, bools for neither; lists become tuples.
-    """
-    if get_origin(hint) is UnionType:
-        if value is None:
-            return None
-        hint = get_args(hint)[0]
-    if get_origin(hint) is tuple:
-        size = None if get_args(hint)[-1] is Ellipsis else len(get_args(hint))
-        if isinstance(value, list) and all(map(_is_number, value)) and size in (None, len(value)):
-            return tuple(value)
-        want = "a list of numbers" if size is None else f"a list of {size} numbers"
-    elif hint is bool:
-        if isinstance(value, bool):
-            return value
-        want = "true or false"
-    elif hint is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        want = "an integer"
-    else:
-        if _is_number(value):
-            return value
-        want = "a number"
-    raise ValueError(f"{where} must be {want}, got {json.dumps(value)}")
 
 
 def _cmd_gen(args) -> int:

@@ -10,33 +10,40 @@ oracle quantities then have closed forms through g(p) = E_binom(p)[f]:
 
 with q the noise parameter and (c, d) the per-attribute success parameters.
 g is strictly increasing, so the generator hits requested reward and
-fairness gaps exactly by inverting it, then keeps only draws whose exact
-oracle report and divergence matrices satisfy the configured bands.
+fairness gaps exactly by inverting it.
 
 Order of the checks on a draw.  The generator takes its attempts in chunks
-of 1, 2, 4, ... up to 64.  It first makes every random draw of a chunk, one
-attempt after another in the order of a one-attempt-at-a-time loop
-(``_draw``).  No check reads the generator and each attempt's draws are
-fixed before its first inversion, so drawing past the attempt that is
-accepted changes nothing that is returned.  Then one lane-parallel Brent pass
-(``_brent``, the roots of scipy's ``brentq`` bit for bit) inverts both
-parameters of every arm of the chunk, and under a divergence band one pass
-prefilters ``M[k, 0]`` of every arm against its draw's arm 0, in closed form
-from P(S) and the two V tables (``_m_to_deployed``).  That sum runs in
-another order than ``DivergenceSet.exact``'s, so the prefilter rejects a draw
-only when ``M[k, 0]`` lies outside the band by more than ``_BAND_SLACK``
-times its upper end, far beyond the rounding between the two.  The draws are
-then walked in order, and a draw's first failing arm decides how it is
-counted: a target outside g's range as an inversion, an ``M[k, 0]`` outside
-the band as a band prefilter.  Most draws of a banded config end there.  A
-draw whose arms all pass goes on to ``DivergenceSet.exact``, whose
-``M[:, 0]``, ``D_ssp[:, 0]`` and ``D_sps[:, 0]`` must lie inside the band,
-then to ``validate_model`` (once per such candidate, and no instance is
-returned without it), then to the exact oracle report, which reduces the cell
-laws the divergences built; these checks take one candidate at a time.  The
-prefilter rejects only draws the exact check rejects, so the chunks and the
-order of the checks decide only how soon a draw is rejected, never which draw
-is returned or how the rejections are counted.
+of 1, 2, 4, ... up to 64, making every random draw of a chunk first in the
+order of a one-attempt-at-a-time loop (``_draw``); no check reads the
+generator, so drawing past the accepted attempt changes nothing returned.
+One lane-parallel Brent pass (``_brent``, scipy's ``brentq`` roots bit for
+bit) inverts every target of a chunk.  A draw is rejected, and counted, by
+the first of four checks it fails: an empty level window for its best arm;
+under a divergence band, a prefilter of each ``M[k, 0]`` (``_m_to_deployed``,
+one pass per chunk) that rejects only beyond ``_BAND_SLACK`` times the
+band's upper end, so only draws the exact check rejects; then, one candidate
+at a time, ``DivergenceSet.exact``, whose columns against arm 0 must lie in
+the band; and ``validate_model``, which rejects rows that underflow to zeros
+at different cells per arm (every draw past a support of about 540, and
+draws with roots near _PARAM_LO or _PARAM_HI well below it).  The chunks
+decide only how soon a draw is rejected, never which draw is returned or
+how the rejections are counted.
+
+Two further checks are preconditions that raise GenerationFailed naming
+what broke; neither fails on a config ``validate`` accepts (n = support - 1).
+
+- Inversion.  The level window puts every target in [f[0] + _LEVEL_PAD,
+  f[-1] - _LEVEL_PAD], while g(_PARAM_LO) - f[0] <= (1 - (1 - _PARAM_LO)^n)
+  (f[-1] - f[0]) <= n _PARAM_LO, and f[-1] - g(_PARAM_HI) likewise, so g's
+  range holds every target, by 1e-6 or more against rounding of about 1e-11,
+  while n _PARAM_LO < _LEVEL_PAD (support <= 5000).
+- Oracle post-check.  g' <= n, so a root within Brent's xtol of 1e-14 misses
+  its g-level by at most 5e-11, and each mean, gap and ``|zeta|`` is off by
+  about 1e-10.  The construction's gaps and distances are exact, the
+  smallest equal to the bands' low ends, so with both low ends at
+  ``_ORACLE_TOL`` (1e-9) or above the report keeps the fair set (a strict
+  threshold), the best fair arm, both bands, the smallest gap and
+  ``xi_star``; low ends near the rounding level break it.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ _LEVEL_PAD = 5e-3
 _P_S = np.array([0.5, 0.5])
 # Relative slack of the per-arm band prefilter, far above its rounding error.
 _BAND_SLACK = 1e-9
+# Tolerance of the oracle post-check; both gap bands start at or above it.
+_ORACLE_TOL = 1e-9
 # scipy.optimize.brentq's rtol and iteration cap, at the xtol the generator asks for.
 _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4 * np.finfo(float).eps
@@ -106,6 +115,8 @@ class SyntheticConfig:
             raise ValueError("n_arms must be >= 2")
         if self.support < 2:
             raise ValueError("support must be >= 2")
+        if (self.support - 1) * _PARAM_LO >= _LEVEL_PAD:
+            raise ValueError("support must be <= 5000, where g's range covers every level window")
         if not 0.5 < self.epsilon_param <= 1.0:
             raise ValueError("epsilon_param must lie in (0.5, 1]")
         check_fairness_eps(self.fairness_eps)
@@ -118,10 +129,11 @@ class SyntheticConfig:
             lo, hi = band
             if not lo < hi:
                 raise ValueError(f"{name} must satisfy low < high")
-        if self.reward_gap_band[0] <= 0.0:
-            raise ValueError("reward gaps must be positive")
-        if self.fairness_gap_band[0] <= 0.0:
-            raise ValueError("fairness gaps must be positive")
+        for kind, band in (("reward", self.reward_gap_band), ("fairness", self.fairness_gap_band)):
+            if not band[0] >= _ORACLE_TOL:
+                raise ValueError(f"{kind} gaps must be >= {_ORACLE_TOL:g}, the oracle check's tolerance")
+        if self.divergence_band is not None and self.divergence_band[1] <= 1.0:
+            raise ValueError("divergence_band must end above 1: M[k, 0] >= 1 for every arm")
         if not 0 <= self.n_unfair <= self.n_arms:
             raise ValueError("n_unfair must lie in [0, n_arms]")
         if self.n_unfair < self.n_arms and self.fairness_gap_band[0] > self.fairness_eps:
@@ -139,10 +151,8 @@ class SyntheticConfig:
 def _build_model(config: SyntheticConfig, f: np.ndarray, arm0: np.ndarray) -> CausalModel:
     m = config.support
     q = config.epsilon_param
-    y_rows = np.empty((2 * m, 2))
-    for v in range(m):
-        y_rows[2 * v] = (f[v], 1.0 - f[v])
-        y_rows[2 * v + 1] = (1.0 - f[v], f[v])
+    # Row 2v + e is the law of Y at V=v, eps=e: the noise bit flips it.
+    y_rows = np.stack([f, 1.0 - f, 1.0 - f, f], axis=1).reshape(2 * m, 2)
     return CausalModel(
         nodes=["S", "V", "eps", "Y"],
         cards={"S": 2, "V": m, "eps": 2, "Y": 2},
@@ -271,12 +281,12 @@ def _m_to_deployed(tables: np.ndarray) -> np.ndarray:
 
     V's one parent is S, so arm 0 reaches (S, V) with mass ``P(S) * deployed``;
     a cell it never reaches gets log mass ``-inf`` and ratio 1, so it adds
-    ``exp(-inf) = 0``.  ``DivergenceSet.exact`` sums the same terms over the
-    finer cells of the cell code, so the two agree only up to rounding.
+    ``exp(-inf) = 0``; a ratio that overflows makes ``M`` inf.  ``DivergenceSet.exact``
+    sums the same terms over the finer cells of the cell code: they agree up to rounding.
     """
     deployed = tables[..., :1, :, :]
     mass = _P_S[:, None] * deployed
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_p = np.log(mass)
         w = np.where(mass > 0.0, tables / deployed, 1.0)
     return _outcome_cutoff(log_p.reshape(*log_p.shape[:-2], -1), w.reshape(*w.shape[:-2], -1))
@@ -353,12 +363,8 @@ def _draw(config: SyntheticConfig, rng: np.random.Generator, attempt: int):
 def _screen(config: SyntheticConfig, draws: list):
     """Yield per draw of a chunk, in order, its ``(K, 2, m)`` arm tables or the check that rejects it.
 
-    One ``_brent`` pass inverts every target of the chunk and, under a
-    divergence band, one ``_m_to_deployed`` pass prefilters every arm.  A draw
-    is rejected at its first arm with a target outside g's range
-    ("inversion") or with ``M[k, 0]`` clearly outside the band ("band
-    prefilter").  A root that did not converge raises RuntimeError when the
-    walk reaches its arm, as brentq would in a one-attempt-at-a-time loop.
+    Raises GenerationFailed on a target outside g's range, and RuntimeError,
+    as brentq would, when the walk reaches an arm whose root did not converge.
     """
     band = config.divergence_band
     live = [d for d in draws if d[-1] is not None]
@@ -366,16 +372,12 @@ def _screen(config: SyntheticConfig, draws: list):
         f = np.array([d[0] for d in live])
         targets = np.array([d[-1] for d in live])
         lo, hi = (_g(np.full(len(live), end), f)[:, None, None] for end in (_PARAM_LO, _PARAM_HI))
-        inside = (lo < targets) & (targets < hi)
-        lanes = np.flatnonzero(inside)
-        draw_of = lanes // targets[0].size
-        t = targets.ravel()[lanes]
-        roots, converged = _brent(f[draw_of], t, lo.ravel()[draw_of] - t, hi.ravel()[draw_of] - t)
-        stalled = np.zeros(targets.size, dtype=bool)
-        stalled[lanes] = ~converged
-        stalled = stalled.reshape(targets.shape)
-        rows = np.full((targets.size, config.support), np.nan)
-        rows[lanes] = _binom_rows(config.support, roots)
+        if not ((lo < targets) & (targets < hi)).all():
+            raise GenerationFailed("inversion precondition broken: a g-level lies outside g's range")
+        roots, converged = _brent(np.repeat(f, targets[0].size, axis=0), targets.ravel(),
+                                  (lo - targets).ravel(), (hi - targets).ravel())
+        stalled = ~converged.reshape(targets.shape)
+        rows = _binom_rows(config.support, roots)
         tables = (rows / rows.sum(axis=1, keepdims=True)).reshape(targets.shape + (-1,))
         if band is not None:
             near = _inside(band, _m_to_deployed(tables), _BAND_SLACK * abs(band[1]))
@@ -387,9 +389,6 @@ def _screen(config: SyntheticConfig, draws: list):
         for k in range(config.n_arms):
             if stalled[j, k].any():
                 raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
-            if not inside[j, k].all():
-                yield "inversion"
-                break
             if k > 0 and band is not None and not near[j, k]:
                 yield "band prefilter"
                 break
@@ -408,8 +407,7 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
     eps = config.fairness_eps
     band = config.divergence_band
     # Draws rejected per check and the last validation problem, for the error.
-    rejected = dict.fromkeys(
-        ("level window", "inversion", "band prefilter", "exact band", "validation", "oracle"), 0)
+    rejected = dict.fromkeys(("level window", "band prefilter", "exact band", "validation"), 0)
     problem = None
 
     start, size = 0, 1
@@ -421,13 +419,13 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
             if isinstance(screened, str):
                 rejected[screened] += 1
                 continue
-            arms = []
-            for k, table in enumerate(screened):
-                cost = 0.0 if (config.cheap_arm and k == 0) else 1.0
-                arms.append(Arm(k, table, cost, cost, cost))
+            costs = [0.0 if (config.cheap_arm and k == 0) else 1.0 for k in range(K)]
+            arms = [Arm(k, table, c, c, c) for k, (table, c) in enumerate(zip(screened, costs))]
             model = _build_model(config, f, arms[0].table.copy())
             if band is not None:
-                div = DivergenceSet.exact(model, arms)
+                # Rows underflowing at different cells make NaN or inf divergences: out of band.
+                with np.errstate(all="ignore"):
+                    div = DivergenceSet.exact(model, arms)
                 if not all(_inside(band, c[1:, 0]).all() for c in (div.m, div.d_ssp, div.d_sps)):
                     rejected["exact band"] += 1
                     continue
@@ -447,17 +445,18 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
             )
             report = oracle_report(instance, eps)
             gaps = [report["mu"][k_star] - report["mu"][k] for k in fair if k != k_star]
-            dist = [
-                min(abs(abs(report["zeta_ssp"][k]) - eps), abs(abs(report["zeta_sps"][k]) - eps))
-                for k in range(K)
-            ]
-            if (set(report["fair"]) != set(fair) or report["best_fair"] != k_star
-                    or not all(glo - 1e-9 <= gap <= ghi + 1e-9 for gap in gaps)
-                    or (gaps and abs(min(gaps) - glo) > 1e-9)
-                    or not all(blo - 1e-9 <= d_ <= bhi + 1e-9 for d_ in dist)
-                    or abs(report["xi_star"] - blo) > 1e-9):
-                rejected["oracle"] += 1
-                continue
+            dist = [min(abs(abs(report["zeta_ssp"][k]) - eps), abs(abs(report["zeta_sps"][k]) - eps))
+                    for k in range(K)]
+            broken = [name for name, holds in (
+                ("fair set", set(report["fair"]) == set(fair)),
+                ("best fair arm", report["best_fair"] == k_star),
+                ("gap band", all(glo - _ORACLE_TOL <= gap <= ghi + _ORACLE_TOL for gap in gaps)),
+                ("smallest gap", not gaps or abs(min(gaps) - glo) <= _ORACLE_TOL),
+                ("distance band", all(blo - _ORACLE_TOL <= d <= bhi + _ORACLE_TOL for d in dist)),
+                ("xi_star", abs(report["xi_star"] - blo) <= _ORACLE_TOL),
+            ) if not holds]
+            if broken:
+                raise GenerationFailed(f"oracle precondition broken: {', '.join(broken)}")
             return instance
 
     counts = ", ".join(f"{check} {n}" for check, n in rejected.items())

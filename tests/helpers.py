@@ -215,10 +215,10 @@ def scalar_g(f: np.ndarray):
     return lambda p: float(binom_row(len(f), p) @ f)
 
 
-def _reference_invert_g(g, bracket: tuple[float, float], target: float) -> float | None:
+def _reference_invert_g(g, bracket: tuple[float, float], target: float) -> float:
     lo, hi = bracket
     if not lo < target < hi:
-        return None
+        raise GenerationFailed("inversion precondition broken: a g-level lies outside g's range")
     return brentq(lambda p: g(p) - target, synth._PARAM_LO, synth._PARAM_HI, xtol=1e-14)
 
 
@@ -239,8 +239,10 @@ def reference_generate_synthetic(config: SyntheticConfig) -> tuple[Instance, int
     Each attempt draws with ``rng.choice``, then builds its arms one at a time:
     both parameters inverted by ``scipy.optimize.brentq`` on the scalar g,
     the table built and, under a divergence band, ``M[k, 0]`` prefiltered at
-    once, so the attempt ends at its first failing arm.  The reference for
-    the chunked generator's instance and for its ``GenerationFailed`` message.
+    once, so the attempt ends at its first failing arm.  A target outside g's
+    range or an oracle report that misses the construction raises, as the
+    generator's preconditions do.  The reference for the chunked generator's
+    instance and for its ``GenerationFailed`` message.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -250,8 +252,7 @@ def reference_generate_synthetic(config: SyntheticConfig) -> tuple[Instance, int
     blo, bhi = config.fairness_gap_band
     eps = config.fairness_eps
     band = config.divergence_band
-    rejected = dict.fromkeys(
-        ("level window", "inversion", "band prefilter", "exact band", "validation", "oracle"), 0)
+    rejected = dict.fromkeys(("level window", "band prefilter", "exact band", "validation"), 0)
     problem = None
 
     for attempt in range(config.max_attempts):
@@ -310,9 +311,6 @@ def reference_generate_synthetic(config: SyntheticConfig) -> tuple[Instance, int
         for k in range(K):
             c = _reference_invert_g(g, bracket, levels[k] + z[k] / 2.0)
             d = _reference_invert_g(g, bracket, levels[k] - z[k] / 2.0)
-            if c is None or d is None:
-                rejected["inversion"] += 1
-                break
             table = np.vstack([binom_row(m, c), binom_row(m, d)])
             table = table / table.sum(axis=1, keepdims=True)
             if k > 0 and band is not None and not _reference_inside(
@@ -350,13 +348,17 @@ def reference_generate_synthetic(config: SyntheticConfig) -> tuple[Instance, int
             min(abs(abs(report["zeta_ssp"][k]) - eps), abs(abs(report["zeta_sps"][k]) - eps))
             for k in range(K)
         ]
-        if (set(report["fair"]) != set(fair) or report["best_fair"] != k_star
-                or not all(glo - 1e-9 <= gap <= ghi + 1e-9 for gap in gaps)
-                or (gaps and abs(min(gaps) - glo) > 1e-9)
-                or not all(blo - 1e-9 <= d_ <= bhi + 1e-9 for d_ in dist)
-                or abs(report["xi_star"] - blo) > 1e-9):
-            rejected["oracle"] += 1
-            continue
+        tol = synth._ORACLE_TOL
+        broken = [name for name, holds in (
+            ("fair set", set(report["fair"]) == set(fair)),
+            ("best fair arm", report["best_fair"] == k_star),
+            ("gap band", all(glo - tol <= gap <= ghi + tol for gap in gaps)),
+            ("smallest gap", not gaps or abs(min(gaps) - glo) <= tol),
+            ("distance band", all(blo - tol <= d_ <= bhi + tol for d_ in dist)),
+            ("xi_star", abs(report["xi_star"] - blo) <= tol),
+        ) if not holds]
+        if broken:
+            raise GenerationFailed(f"oracle precondition broken: {', '.join(broken)}")
         return instance, attempt
 
     counts = ", ".join(f"{check} {n}" for check, n in rejected.items())

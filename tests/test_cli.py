@@ -54,11 +54,14 @@ def test_gen_writes_a_loadable_instance(workdir, instance_file, capsys):
     assert len(instance.arms) == 3
 
 
-def test_gen_reports_infeasible_bands(tmp_path):
+def test_gen_reports_infeasible_bands(tmp_path, capsys):
+    # No draw can meet a divergence band that ends at or below 1, so the
+    # config is refused as invalid before the first draw.
     config = dict(CONFIG, divergence_band=[0.0001, 0.0002], max_attempts=20)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
-    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 3
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+    assert "divergence_band must end above 1" in capsys.readouterr().err
 
 
 def test_gen_names_the_check_that_rejected_every_draw(tmp_path, capsys):

@@ -116,6 +116,36 @@ def test_bad_fairness_tolerance_is_rejected(synthetic_instance, eps):
         instance_from_dict(payload)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("cheap_arm_constraint",), "false", "cheap_arm_constraint must be true or false, got \"false\""),
+    (("arms", 1, "index"), True, r"arms\[1\]\.index must be an integer, got true"),
+    (("arms", 0, "cost_pull"), "2.5", r"arms\[0\]\.cost_pull must be a number, got \"2.5\""),
+    (("model", "cards", "eps"), 2.9, "model.cards.eps must be an integer, got 2.9"),
+    (("arms", 2, "table", 0, 1), "0.5", r"arms\[2\]\.table must be a list of numbers"),
+    (("model", "cpts", "Y", 3, 0), None, "model.cpts.Y must be a list of numbers"),
+    (("model", "target_values"), ["0", "1"], "model.target_values must be a list of numbers"),
+])
+def test_fields_are_read_at_their_json_types(synthetic_instance, path, value, message):
+    # Each of these once loaded silently: "false" as True, true as index 1,
+    # "2.5" as a cost, 2.9 cards as 2 and number strings as table entries.
+    payload = instance_to_dict(synthetic_instance)
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ParseError, match=message):
+        instance_from_dict(payload)
+
+
+def test_ints_stand_for_float_fields(synthetic_instance):
+    payload = instance_to_dict(synthetic_instance)
+    payload["arms"][1]["cost_pull"] = 2
+    payload["model"]["target_values"] = [0, 1]
+    back = instance_from_dict(payload)
+    assert back.arms[1].cost_pull == 2.0 and isinstance(back.arms[1].cost_pull, float)
+    assert back.model.target_values.tolist() == [0.0, 1.0]
+
+
 def test_unparseable_file_is_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -280,7 +280,7 @@ def test_generation_failure_counts_the_rejections_per_check():
         generate_synthetic(config)
     message = str(failed.value)
     assert message.startswith("no instance satisfied the configured bands in 5 attempts")
-    assert "level window 0, inversion 0, band prefilter 0, exact band 0, validation 5, oracle 0" in message
+    assert "level window 0, band prefilter 0, exact band 0, validation 5;" in message
     assert "the last validation problem: arm 1: zero pattern differs from arm 0" in message
 
 
@@ -335,6 +335,60 @@ def test_chunked_generation_equals_one_attempt_at_a_time(config):
     assert _outcome(generate_synthetic, config) == _outcome(_reference, config)
 
 
+def _step(support: int, at: int) -> tuple[float, ...]:
+    """Scores 0 up to ``at`` and 1 from there: the extreme ``f`` for one end of g's range."""
+    return (0.0,) * at + (1.0,) * (support - at)
+
+
+@st.composite
+def _accepted_configs(draw):
+    """Configs validate() accepts, gap bands from _ORACLE_TOL and support up to 5000.
+
+    The threshold and noise stay where level windows are often nonempty, so
+    about a quarter of the configs reach the oracle post-check.
+    """
+    n_arms = draw(st.integers(2, 6))
+    support = draw(st.integers(2, 40) | st.sampled_from([300, 539, 540, 4999, 5000]))
+    eps = draw(st.floats(1e-3, 0.8))
+    tol = synth._ORACLE_TOL
+    reward_low = draw(st.just(tol) | st.floats(tol, 0.2))
+    fairness_low = draw(st.just(tol) | st.floats(tol, eps))
+    divergence_low = draw(st.floats(0.0, 20.0))
+    f_values = draw(st.sampled_from([None, _step(support, 1), _step(support, support - 1)]))
+    config = SyntheticConfig(
+        n_arms=n_arms,
+        support=support,
+        seed=draw(st.integers(0, 2**16)),
+        epsilon_param=draw(st.floats(0.75, 1.0)),
+        fairness_eps=eps,
+        reward_gap_band=(reward_low, reward_low + draw(st.floats(tol, 0.2))),
+        fairness_gap_band=(fairness_low, fairness_low + draw(st.floats(tol, 0.5))),
+        divergence_band=draw(st.none() | st.just(
+            (divergence_low, max(divergence_low, 1.0) + draw(st.floats(1e-6, 40.0))))),
+        n_unfair=draw(st.integers(0, n_arms)),
+        f_values=f_values,
+        cheap_arm=draw(st.booleans()),
+        max_attempts=draw(st.integers(1, 30)),
+    )
+    config.validate()
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_accepted_configs())
+@example(config=SyntheticConfig(n_arms=3, support=5000, f_values=_step(5000, 1), max_attempts=4))
+@example(config=SyntheticConfig(n_arms=3, support=5000, f_values=_step(5000, 4999), max_attempts=4))
+@example(config=SyntheticConfig(n_arms=5, support=6, seed=2, fairness_eps=0.5,
+                                reward_gap_band=(1e-9, 0.15), fairness_gap_band=(1e-9, 0.45)))
+def test_no_precondition_breaks_on_an_accepted_config(config):
+    # Whatever validate() accepts either yields an instance or fails with the
+    # per-check counts; the inversion and oracle preconditions never raise.
+    try:
+        generate_synthetic(config)
+    except GenerationFailed as failed:
+        assert str(failed).startswith("no instance satisfied the configured bands")
+
+
 @pytest.mark.parametrize("name", ["synth-k30", "band-k5"])
 def test_bench_generations_equal_one_attempt_at_a_time(name):
     config = BENCH_CONFIGS[name]
@@ -366,9 +420,9 @@ def test_k_scalar_sign_draws_are_one_draw_of_size_k(buffered):
         assert one_by_one.bit_generator.state == at_once.bit_generator.state
 
 
-def test_an_inversion_failure_is_counted(monkeypatch):
-    # A g-level outside g's range, which the level window rules out for
-    # every real draw, rejects the draw at its first arm as an inversion.
+def test_a_target_outside_gs_range_breaks_the_inversion_precondition(monkeypatch):
+    # A g-level outside g's range, which the level window rules out on every
+    # config validate() accepts, raises rather than rejecting the draw.
     draw = synth._draw
 
     def out_of_range(config, rng, attempt):
@@ -376,34 +430,61 @@ def test_an_inversion_failure_is_counted(monkeypatch):
         return f, fair, k_star, None if levels is None else levels + 2.0
 
     monkeypatch.setattr(synth, "_draw", out_of_range)
-    config = replace(LOW_BAND, max_attempts=12)
-    with pytest.raises(GenerationFailed) as failed:
-        generate_synthetic(config)
-    counts = dict(
-        (check, int(n)) for check, n in
-        (part.rsplit(" ", 1) for part in str(failed.value).split(": ", 1)[1].rstrip(")").split(", "))
-    )
-    assert counts["inversion"] >= 1
-    assert counts["inversion"] + counts["level window"] == config.max_attempts
+    with pytest.raises(GenerationFailed, match="inversion precondition broken: a g-level lies outside"):
+        generate_synthetic(replace(LOW_BAND, max_attempts=12))
+
+
+@pytest.mark.parametrize("support", [2, 20, 5000])
+def test_gs_range_covers_every_level_window_up_to_support_5000(support):
+    # The extreme scores for each end of g's range: a single step right after
+    # v = 0 lifts g(_PARAM_LO) the most, one right before v = n lowers
+    # g(_PARAM_HI) the most.  Both stay inside the padded level window.
+    lifted = np.ones(support)
+    lifted[0] = 0.0
+    lowered = np.zeros(support)
+    lowered[-1] = 1.0
+    low = synth._g(np.array([synth._PARAM_LO]), lifted[None])[0]
+    high = synth._g(np.array([synth._PARAM_HI]), lowered[None])[0]
+    assert low < lifted[0] + synth._LEVEL_PAD
+    assert high > lowered[-1] - synth._LEVEL_PAD
 
 
 def test_a_draw_that_fails_the_oracle_post_check_is_never_returned(monkeypatch):
-    # An oracle report whose best fair arm disagrees with the construction
-    # rejects every candidate that reaches it, after the other checks.
+    # An oracle report that disagrees with the construction breaks a
+    # precondition: the generator raises and names each property it misses.
     config = replace(LOW_BAND, max_attempts=30)
+    for changed, name in [
+        ({"best_fair": -1}, "best fair arm"),
+        ({"fair": [], "best_fair": None}, "fair set, best fair arm"),
+        ({"xi_star": 1.0}, "xi_star"),
+    ]:
+        def misreported(instance, eps, changed=changed):
+            return {**oracle_report(instance, eps), **changed}
 
-    def misreported(instance, eps):
-        return {**oracle_report(instance, eps), "best_fair": -1}
+        monkeypatch.setattr(synth, "oracle_report", misreported)
+        with pytest.raises(GenerationFailed, match=f"oracle precondition broken: {name}$"):
+            generate_synthetic(config)
 
-    monkeypatch.setattr(synth, "oracle_report", misreported)
-    with pytest.raises(GenerationFailed) as failed:
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("reward_low, fairness_low, broken", [
+    (1e-17, 0.05, "best fair arm"),
+    (1e-12, 1e-300, "fair set"),
+])
+def test_gap_bands_at_rounding_level_break_the_oracle_precondition(
+        seed, reward_low, fairness_low, broken, monkeypatch):
+    # Why validate() refuses gap bands that start below _ORACLE_TOL: there the
+    # best fair arm ties, or a fair arm's |zeta| reaches the threshold, within
+    # rounding.  At these seeds a draw that breaks the oracle post-check comes
+    # before any that passes.
+    config = SyntheticConfig(n_arms=5, support=6, seed=seed, fairness_eps=0.5,
+                             reward_gap_band=(reward_low, 0.15),
+                             fairness_gap_band=(fairness_low, 0.45), max_attempts=100)
+    with pytest.raises(ValueError, match="reward gaps must be >= 1e-09"):
+        config.validate()
+    monkeypatch.setattr(SyntheticConfig, "validate", lambda self: None)
+    with pytest.raises(GenerationFailed, match=f"oracle precondition broken: {broken}$"):
         generate_synthetic(config)
-    counts = dict(
-        (check, int(n)) for check, n in
-        (part.rsplit(" ", 1) for part in str(failed.value).split(": ", 1)[1].rstrip(")").split(", "))
-    )
-    assert counts["oracle"] >= 1
-    assert counts["oracle"] == config.max_attempts - sum(n for check, n in counts.items() if check != "oracle")
 
 
 def test_unfair_count_is_respected():
@@ -504,19 +585,14 @@ def test_generation_is_deterministic():
 
 
 def test_impossible_band_fails_fast():
-    config = SyntheticConfig(
-        n_arms=3,
-        support=4,
-        seed=0,
-        fairness_eps=0.5,
-        fairness_gap_band=(0.2, 0.4),
-        reward_gap_band=(0.05, 0.15),
-        divergence_band=(0.0001, 0.0002),
-        max_attempts=50,
-    )
-    with pytest.raises(GenerationFailed, match="50 attempts") as failed:
-        generate_synthetic(config)
-    assert "validation 0, oracle 0)" in str(failed.value)
+    # M[k, 0] >= 1 by Jensen and the band check is strict, so no draw meets a
+    # band that ends at or below 1; it is refused before the first draw.
+    config = SyntheticConfig(n_arms=3, support=4, seed=0, fairness_eps=0.5,
+                             fairness_gap_band=(0.2, 0.4), reward_gap_band=(0.05, 0.15),
+                             max_attempts=50)
+    for band in [(0.0001, 0.0002), (0.2, 0.9), (0.5, 1.0)]:
+        with pytest.raises(ValueError, match="divergence_band must end above 1"):
+            generate_synthetic(replace(config, divergence_band=band))
 
 
 @pytest.mark.parametrize(
@@ -542,6 +618,10 @@ def test_impossible_band_fails_fast():
         ({"fairness_eps": float("nan")}, "fairness_eps"),
         ({"fairness_eps": float("inf")}, "fairness_eps"),
         ({"max_attempts": 0}, "max_attempts"),
+        ({"support": 5001}, "support must be <= 5000"),
+        ({"reward_gap_band": (1e-10, 0.2)}, "reward gaps"),
+        ({"fairness_gap_band": (1e-10, 0.4)}, "fairness gaps"),
+        ({"divergence_band": (0.2, 1.0)}, "divergence_band"),
     ],
 )
 def test_config_validation_errors(overrides, message):

@@ -13,21 +13,25 @@ g is strictly increasing, so the generator hits requested reward and
 fairness gaps exactly by inverting it.
 
 Order of the checks on a draw.  The generator takes its attempts in chunks
-of 1, 2, 4, ... up to 64, making every random draw of a chunk first in the
-order of a one-attempt-at-a-time loop (``_draw``); no check reads the
-generator, so drawing past the accepted attempt changes nothing returned.
-One lane-parallel Brent pass (``_brent``, scipy's ``brentq`` roots bit for
-bit) inverts every target of a chunk.  A draw is rejected, and counted, by
-the first of four checks it fails: an empty level window for its best arm;
-under a divergence band, a prefilter of each ``M[k, 0]`` (``_m_to_deployed``,
-one pass per chunk) that rejects only beyond ``_BAND_SLACK`` times the
-band's upper end, so only draws the exact check rejects; then, one candidate
-at a time, ``DivergenceSet.exact``, whose columns against arm 0 must lie in
-the band; and ``validate_model``, which rejects rows that underflow to zeros
-at different cells per arm (every draw past a support of about 540, and
-draws with roots near _PARAM_LO or _PARAM_HI well below it).  The chunks
-decide only how soon a draw is rejected, never which draw is returned or
-how the rejections are counted.
+of 64 (``_MAX_CHUNK``) under a divergence band, which needs hundreds of
+draws, and otherwise of 1, 2, 4, ... up to 64, so a config whose first draw
+passes draws one attempt.  Every random draw of a chunk is made first, in
+the order of a one-attempt-at-a-time loop (``_draw``, on Python floats); no
+check reads the generator, so drawing past the accepted attempt changes
+nothing returned.  One lane-parallel Brent pass (``_brent``, scipy's
+``brentq`` roots bit for bit) inverts every target of a chunk.  A draw is
+rejected, and counted, by the first of four checks it fails: an empty level
+window for its best arm; under a divergence band, a prefilter of each
+``M[k, 0]`` (``_m_to_deployed``, one pass per chunk) that rejects only
+beyond ``_BAND_SLACK`` times the band's upper end, so only draws the exact
+check rejects; then, one candidate at a time, ``validate_model``, which
+rejects rows that underflow to zeros at different cells per arm (every draw
+past a support of about 540, and draws with roots near _PARAM_LO or
+_PARAM_HI well below it); and, under a band, ``DivergenceSet.exact``, whose
+columns against arm 0 must lie in the band.  The chunks decide only how
+soon a draw is rejected, never which draw is returned or how the
+rejections are counted; the order of the checks decides which check counts
+a draw that fails more than one.
 
 Two further checks are preconditions that raise GenerationFailed naming
 what broke; neither fails on a config ``validate`` accepts (n = support - 1).
@@ -74,10 +78,11 @@ _ORACLE_TOL = 1e-9
 _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4 * np.finfo(float).eps
 _BRENT_ITER = 100
-# Attempts per chunk double up to this: a config whose first draw passes
-# draws one attempt, a banded one draws a few hundred in a handful of passes.
+# Attempts per chunk.  A banded config, which needs a few hundred draws,
+# starts at this; any other doubles up to it from one attempt, so a config
+# whose first draw passes draws one.
 _MAX_CHUNK = 64
-_SIGNS = np.array([-1.0, 1.0])
+_SIGNS = (-1.0, 1.0)
 # cephes lgam: its Stirling-series coefficients and log(sqrt(2 pi)).
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
            -2.77777777730099687205e-3, 8.33333333333331927722e-2)
@@ -296,8 +301,10 @@ def _draw(config: SyntheticConfig, rng: np.random.Generator, attempt: int):
     """One attempt's random draws, in the generator's fixed order.
 
     Returns the score ``f``, the fair arms, the best fair arm and the
-    ``(K, 2)`` g-levels that each arm's two parameters must reach, or None in
-    place of the levels when the best arm's level window is empty.
+    ``K`` pairs of g-levels that each arm's two parameters must reach, or
+    None in place of the levels when the best arm's level window is empty.
+    The per-arm arithmetic runs on Python floats: IEEE ``+ - * / abs min
+    max`` give numpy's float64 bits, at a fraction of numpy's per-call cost.
     """
     K, m = config.n_arms, config.support
     scale = 2.0 * config.epsilon_param - 1.0
@@ -307,41 +314,43 @@ def _draw(config: SyntheticConfig, rng: np.random.Generator, attempt: int):
     if config.f_values is not None:
         f = np.asarray(config.f_values, dtype=float)
     else:
-        f = np.sort(rng.uniform(0.0, 1.0, size=m))
+        f = rng.uniform(0.0, 1.0, size=m)
+        f.sort()
 
-    ids = np.arange(K)
     if config.n_unfair == K:
-        unfair = list(ids)
+        unfair = list(range(K))
     elif config.n_unfair == 0:
         unfair = []
     else:
         # Arm 0 is the deployed system and stays fair when possible.
-        unfair = sorted(rng.choice(ids[1:], size=config.n_unfair, replace=False))
-    is_unfair = np.zeros(K, dtype=bool)
-    is_unfair[unfair] = True
-    fair = list(ids[~is_unfair])
+        unfair = sorted(rng.choice(np.arange(1, K), size=config.n_unfair, replace=False).tolist())
+    is_unfair = set(unfair)
+    fair = [k for k in range(K) if k not in is_unfair]
     # x[rng.integers(0, len(x))] is the draw rng.choice(x) makes, at a fifth of its cost.
-    k_star = int(fair[rng.integers(0, len(fair))]) if fair else None
+    k_star = fair[rng.integers(0, len(fair))] if fair else None
 
     # Distance of |zeta| to the threshold, per arm; the smallest lands
     # exactly on the band's low endpoint.
-    margins = rng.uniform(blo, bhi, size=K)
-    margins[~is_unfair] = np.minimum(margins[~is_unfair], eps)
-    pinned = unfair[0] if unfair else next(k for k in ids if k != k_star)
+    margins = rng.uniform(blo, bhi, size=K).tolist()
+    for k in fair:
+        margins[k] = min(margins[k], eps)
+    pinned = unfair[0] if unfair else next(k for k in range(K) if k != k_star)
     margins[pinned] = blo
     # A low divergence band needs clustered arm parameters (one shared
     # asymmetry sign), a high band needs spread; alternate per attempt.  K
     # draws of integers(0, 2) are one draw of size K, value and stream alike.
     cluster = config.divergence_band is not None and attempt % 2 == 0
-    signs = _SIGNS[rng.integers(0, len(_SIGNS), size=1 if cluster else K)]
-    zeta = np.where(is_unfair, eps + margins, eps - margins) * signs
+    signs = [_SIGNS[i] for i in rng.integers(0, len(_SIGNS), size=1 if cluster else K).tolist()]
+    z = [(eps + margins[k] if k in is_unfair else eps - margins[k]) * signs[0 if cluster else k] / scale
+         for k in range(K)]
 
     # Reward gaps to the best fair arm; the smallest fair gap is glo
     # exactly and one unfair arm (when present) beats the best fair arm.
-    delta = np.zeros(K)
+    delta = [0.0] * K
     others = [k for k in fair if k != k_star]
     if others:
-        delta[others] = rng.uniform(glo, ghi, size=len(others))
+        for k, gap in zip(others, rng.uniform(glo, ghi, size=len(others)).tolist()):
+            delta[k] = gap
         delta[others[0]] = glo
     for i, k in enumerate(unfair):
         delta[k] = -glo if i == 0 else rng.uniform(glo, ghi)
@@ -350,14 +359,14 @@ def _draw(config: SyntheticConfig, rng: np.random.Generator, attempt: int):
 
     # Feasible window for the best arm's g-level given every arm's
     # (gap, asymmetry) pair; empty window means redraw.
-    z = zeta / scale
-    shift = delta / scale
-    lo_req = np.max(f[0] + np.abs(z) / 2.0 + _LEVEL_PAD + shift)
-    hi_req = np.min(f[-1] - np.abs(z) / 2.0 - _LEVEL_PAD + shift)
+    shift = [d / scale for d in delta]
+    f_lo, f_hi = float(f[0]), float(f[-1])
+    lo_req = max(f_lo + abs(zk) / 2.0 + _LEVEL_PAD + s for zk, s in zip(z, shift))
+    hi_req = min(f_hi - abs(zk) / 2.0 - _LEVEL_PAD + s for zk, s in zip(z, shift))
     if not lo_req < hi_req:
         return f, fair, k_star, None
-    levels = rng.uniform(lo_req, hi_req) - shift
-    return f, fair, k_star, np.stack([levels + z / 2.0, levels - z / 2.0], axis=1)
+    level = rng.uniform(lo_req, hi_req)
+    return f, fair, k_star, [(level - s + zk / 2.0, level - s - zk / 2.0) for zk, s in zip(z, shift)]
 
 
 def _screen(config: SyntheticConfig, draws: list):
@@ -374,22 +383,22 @@ def _screen(config: SyntheticConfig, draws: list):
         lo, hi = (_g(np.full(len(live), end), f)[:, None, None] for end in (_PARAM_LO, _PARAM_HI))
         if not ((lo < targets) & (targets < hi)).all():
             raise GenerationFailed("inversion precondition broken: a g-level lies outside g's range")
-        roots, converged = _brent(np.repeat(f, targets[0].size, axis=0), targets.ravel(),
+        roots, converged = _brent(np.repeat(f, 2 * config.n_arms, axis=0), targets.ravel(),
                                   (lo - targets).ravel(), (hi - targets).ravel())
-        stalled = ~converged.reshape(targets.shape)
+        stalled = (~converged.reshape(targets.shape)).any(axis=-1).tolist()
         rows = _binom_rows(config.support, roots)
         tables = (rows / rows.sum(axis=1, keepdims=True)).reshape(targets.shape + (-1,))
         if band is not None:
-            near = _inside(band, _m_to_deployed(tables), _BAND_SLACK * abs(band[1]))
+            near = _inside(band, _m_to_deployed(tables), _BAND_SLACK * abs(band[1])).tolist()
     j = 0
     for *_, levels in draws:
         if levels is None:
             yield "level window"
             continue
         for k in range(config.n_arms):
-            if stalled[j, k].any():
+            if stalled[j][k]:
                 raise RuntimeError(f"Failed to converge after {_BRENT_ITER} iterations.")
-            if k > 0 and band is not None and not near[j, k]:
+            if k > 0 and band is not None and not near[j][k]:
                 yield "band prefilter"
                 break
         else:
@@ -410,7 +419,7 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
     rejected = dict.fromkeys(("level window", "band prefilter", "exact band", "validation"), 0)
     problem = None
 
-    start, size = 0, 1
+    start, size = 0, 1 if band is None else _MAX_CHUNK
     while start < config.max_attempts:
         stop = min(start + size, config.max_attempts)
         draws = [_draw(config, rng, attempt) for attempt in range(start, stop)]
@@ -422,18 +431,18 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
             costs = [0.0 if (config.cheap_arm and k == 0) else 1.0 for k in range(K)]
             arms = [Arm(k, table, c, c, c) for k, (table, c) in enumerate(zip(screened, costs))]
             model = _build_model(config, f, arms[0].table.copy())
-            if band is not None:
-                # Rows underflowing at different cells make NaN or inf divergences: out of band.
-                with np.errstate(all="ignore"):
-                    div = DivergenceSet.exact(model, arms)
-                if not all(_inside(band, c[1:, 0]).all() for c in (div.m, div.d_ssp, div.d_sps)):
-                    rejected["exact band"] += 1
-                    continue
             validation = validate_model(model, arms)
             if not validation.ok:
                 rejected["validation"] += 1
                 problem = validation.problems[0]
                 continue
+            if band is not None:
+                # A ratio that overflows makes an inf divergence: out of band.
+                with np.errstate(all="ignore"):
+                    div = DivergenceSet.exact(model, arms)
+                if not all(_inside(band, c[1:, 0]).all() for c in (div.m, div.d_ssp, div.d_sps)):
+                    rejected["exact band"] += 1
+                    continue
 
             instance = Instance(
                 model=model,

@@ -323,16 +323,16 @@ def reference_generate_synthetic(config: SyntheticConfig) -> tuple[Instance, int
         if len(arms) < K:
             continue
         model = synth._build_model(config, f, arms[0].table.copy())
-        if band is not None:
-            div = DivergenceSet.exact(model, arms)
-            if not all(_reference_inside(band, c[1:, 0]) for c in (div.m, div.d_ssp, div.d_sps)):
-                rejected["exact band"] += 1
-                continue
         validation = validate_model(model, arms)
         if not validation.ok:
             rejected["validation"] += 1
             problem = validation.problems[0]
             continue
+        if band is not None:
+            div = DivergenceSet.exact(model, arms)
+            if not all(_reference_inside(band, c[1:, 0]) for c in (div.m, div.d_ssp, div.d_sps)):
+                rejected["exact band"] += 1
+                continue
 
         instance = Instance(
             model=model,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -168,9 +169,16 @@ def test_early_band_check_is_row_k_of_the_column(support, seed, params):
 
 
 def test_band_k5_draws_at_most_one_chunk_past_its_accepted_attempt(monkeypatch):
-    # The chunks double up to 64 attempts, so the generator draws at most 64
-    # attempts past the one it returns, and validates only that candidate.
-    _, accepted = reference_generate_synthetic(BENCH_CONFIGS["band-k5"])
+    # The generator draws at most one chunk of attempts past the one it
+    # returns.  Validation runs before the exact band check, so it sees every
+    # draw that passes the prefilter up to the accepted one, as many as the
+    # one-attempt-at-a-time loop rejects on those two checks before it, and
+    # the instance returned is the last one validated.
+    config = BENCH_CONFIGS["band-k5"]
+    _, accepted = reference_generate_synthetic(config)
+    with pytest.raises(GenerationFailed) as before:
+        reference_generate_synthetic(replace(config, max_attempts=accepted))
+    counts = re.search(r"exact band (\d+), validation (\d+)", str(before.value))
     draw, validate = synth._draw, synth.validate_model
     drawn, validated = [], []
 
@@ -186,11 +194,31 @@ def test_band_k5_draws_at_most_one_chunk_past_its_accepted_attempt(monkeypatch):
     monkeypatch.setattr(synth, "validate_model", counted_validate)
     inst = BENCH_INSTANCES["band-k5"]()
     assert drawn == list(range(len(drawn)))
-    assert accepted < len(drawn) <= accepted + 1 + synth._MAX_CHUNK
-    assert len(validated) == 1
-    model, arms = validated[0]
+    assert accepted < len(drawn) <= accepted + synth._MAX_CHUNK
+    assert len(validated) == int(counts[1]) + int(counts[2]) + 1
+    model, arms = validated[-1]
     assert model is inst.model
     assert all(a is b for a, b in zip(arms, inst.arms, strict=True))
+
+
+@pytest.mark.parametrize("name, passes, draws", [("band-k5", 6, 384), ("synth-k30", 1, 1)])
+def test_bench_generations_keep_their_chunk_schedule(name, passes, draws, monkeypatch):
+    # A banded config starts at the full chunk, an unbanded one at a single
+    # attempt whose chunks then double: one Brent pass per chunk that reaches
+    # the inversion, and every attempt of a chunk drawn before it.
+    brent, draw = synth._brent, synth._draw
+    calls = {"_brent": 0, "_draw": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(synth, "_brent", counted("_brent", brent))
+    monkeypatch.setattr(synth, "_draw", counted("_draw", draw))
+    BENCH_INSTANCES[name]()
+    assert calls == {"_brent": passes, "_draw": draws}
 
 
 def test_log_gamma_port_is_scipy_gammaln_bit_for_bit():
@@ -284,6 +312,20 @@ def test_generation_failure_counts_the_rejections_per_check():
     assert "the last validation problem: arm 1: zero pattern differs from arm 0" in message
 
 
+def test_validation_runs_before_the_exact_band_check():
+    # Draw 1 validates and fails the band (D_ssp[1, 0] is about 1.2e245);
+    # draw 2 underflows at different cells, so validation rejects it before
+    # its divergences are built.
+    config = SyntheticConfig(
+        n_arms=2, support=300, seed=0, fairness_eps=0.75, reward_gap_band=(1e-9, 0.125000001),
+        fairness_gap_band=(1e-9, 0.125000001), divergence_band=(0.0, 2.0), cheap_arm=False,
+        max_attempts=2)
+    with pytest.raises(GenerationFailed) as failed:
+        generate_synthetic(config)
+    assert str(failed.value).endswith(
+        "exact band 1, validation 1; the last validation problem: arm 1: zero pattern differs from arm 0)")
+
+
 def _outcome(generate, config: SyntheticConfig):
     """The digest of what ``generate`` returns, or the GenerationFailed it raises."""
     try:
@@ -329,6 +371,16 @@ def _configs(draw):
 @example(config=replace(BENCH_CONFIGS["band-k5"], max_attempts=340))
 @example(config=SyntheticConfig(max_attempts=3))
 @example(config=SyntheticConfig(n_arms=3, support=800, max_attempts=5))
+# Past the strategy's K <= 8: 30 arms, some unfair, on given scores, fair margins clipped.
+@example(config=SyntheticConfig(
+    n_arms=30, support=6, fairness_eps=0.5, fairness_gap_band=(0.05, 0.7), reward_gap_band=(0.01, 0.05),
+    n_unfair=7, f_values=(0.0, 0.1, 0.3, 0.6, 0.8, 1.0), max_attempts=20))
+# A banded config whose first draw is accepted, and two that stop inside the first full chunk.
+@example(config=SyntheticConfig(
+    n_arms=3, support=4, seed=1, fairness_eps=0.5, fairness_gap_band=(0.3, 0.45),
+    reward_gap_band=(0.05, 0.15), divergence_band=(1.0, 10.0)))
+@example(config=replace(LOW_BAND, max_attempts=40))
+@example(config=replace(BENCH_CONFIGS["band-k5"], max_attempts=50))
 def test_chunked_generation_equals_one_attempt_at_a_time(config):
     # The same instance bit for bit, or the same failure with the same counts
     # per check, as the one-attempt-at-a-time loop on scipy's scalar brentq.
@@ -427,7 +479,7 @@ def test_a_target_outside_gs_range_breaks_the_inversion_precondition(monkeypatch
 
     def out_of_range(config, rng, attempt):
         f, fair, k_star, levels = draw(config, rng, attempt)
-        return f, fair, k_star, None if levels is None else levels + 2.0
+        return f, fair, k_star, None if levels is None else np.add(levels, 2.0)
 
     monkeypatch.setattr(synth, "_draw", out_of_range)
     with pytest.raises(GenerationFailed, match="inversion precondition broken: a g-level lies outside"):

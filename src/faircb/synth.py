@@ -13,8 +13,7 @@ g is strictly increasing, so the generator hits requested reward and
 fairness gaps exactly by inverting it.
 
 Order of the checks on a draw.  The generator takes its attempts in chunks
-of 64 (``_MAX_CHUNK``) under a divergence band, which needs hundreds of
-draws, and otherwise of 1, 2, 4, ... up to 64, so a config whose first draw
+of 1, 2, 4, ... up to 64 (``_MAX_CHUNK``), so a config whose first draw
 passes draws one attempt.  Every random draw of a chunk is made first, in
 the order of a one-attempt-at-a-time loop (``_draw``, on Python floats); no
 check reads the generator, so drawing past the accepted attempt changes
@@ -78,9 +77,8 @@ _ORACLE_TOL = 1e-9
 _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 4 * np.finfo(float).eps
 _BRENT_ITER = 100
-# Attempts per chunk.  A banded config, which needs a few hundred draws,
-# starts at this; any other doubles up to it from one attempt, so a config
-# whose first draw passes draws one.
+# Attempts per chunk double up to this: a config whose first draw passes
+# draws one attempt, a banded one draws a few hundred in a handful of passes.
 _MAX_CHUNK = 64
 _SIGNS = (-1.0, 1.0)
 # cephes lgam: its Stirling-series coefficients and log(sqrt(2 pi)).
@@ -419,7 +417,7 @@ def generate_synthetic(config: SyntheticConfig) -> Instance:
     rejected = dict.fromkeys(("level window", "band prefilter", "exact band", "validation"), 0)
     problem = None
 
-    start, size = 0, 1 if band is None else _MAX_CHUNK
+    start, size = 0, 1
     while start < config.max_attempts:
         stop = min(start + size, config.max_attempts)
         draws = [_draw(config, rng, attempt) for attempt in range(start, stop)]

@@ -33,6 +33,10 @@ LOW_BAND = SyntheticConfig(
     reward_gap_band=(0.05, 0.15),
     divergence_band=(1.0, 10.0),
 )
+# A banded config whose first draw is accepted.
+FIRST_DRAW_BAND = SyntheticConfig(
+    n_arms=3, support=4, seed=1, fairness_eps=0.5, fairness_gap_band=(0.3, 0.45),
+    reward_gap_band=(0.05, 0.15), divergence_band=(1.0, 10.0))
 
 
 @pytest.fixture(scope="module")
@@ -201,11 +205,14 @@ def test_band_k5_draws_at_most_one_chunk_past_its_accepted_attempt(monkeypatch):
     assert all(a is b for a, b in zip(arms, inst.arms, strict=True))
 
 
-@pytest.mark.parametrize("name, passes, draws", [("band-k5", 6, 384), ("synth-k30", 1, 1)])
-def test_bench_generations_keep_their_chunk_schedule(name, passes, draws, monkeypatch):
-    # A banded config starts at the full chunk, an unbanded one at a single
-    # attempt whose chunks then double: one Brent pass per chunk that reaches
-    # the inversion, and every attempt of a chunk drawn before it.
+@pytest.mark.parametrize("config, passes, draws", [
+    (BENCH_CONFIGS["band-k5"], 11, 383), (BENCH_CONFIGS["synth-k30"], 1, 1), (FIRST_DRAW_BAND, 1, 1),
+], ids=["band-k5", "synth-k30", "first-draw-band"])
+def test_generations_keep_their_chunk_schedule(config, passes, draws, monkeypatch):
+    # Every config starts at a single attempt and its chunks then double, so
+    # one whose first draw passes, banded or not, draws one attempt: one Brent
+    # pass per chunk that reaches the inversion, every attempt of a chunk
+    # drawn before it.
     brent, draw = synth._brent, synth._draw
     calls = {"_brent": 0, "_draw": 0}
 
@@ -217,7 +224,7 @@ def test_bench_generations_keep_their_chunk_schedule(name, passes, draws, monkey
 
     monkeypatch.setattr(synth, "_brent", counted("_brent", brent))
     monkeypatch.setattr(synth, "_draw", counted("_draw", draw))
-    BENCH_INSTANCES[name]()
+    generate_synthetic(config)
     assert calls == {"_brent": passes, "_draw": draws}
 
 
@@ -375,10 +382,8 @@ def _configs(draw):
 @example(config=SyntheticConfig(
     n_arms=30, support=6, fairness_eps=0.5, fairness_gap_band=(0.05, 0.7), reward_gap_band=(0.01, 0.05),
     n_unfair=7, f_values=(0.0, 0.1, 0.3, 0.6, 0.8, 1.0), max_attempts=20))
-# A banded config whose first draw is accepted, and two that stop inside the first full chunk.
-@example(config=SyntheticConfig(
-    n_arms=3, support=4, seed=1, fairness_eps=0.5, fairness_gap_band=(0.3, 0.45),
-    reward_gap_band=(0.05, 0.15), divergence_band=(1.0, 10.0)))
+# A banded config whose first draw is accepted, and two whose last chunk is cut short.
+@example(config=FIRST_DRAW_BAND)
 @example(config=replace(LOW_BAND, max_attempts=40))
 @example(config=replace(BENCH_CONFIGS["band-k5"], max_attempts=50))
 def test_chunked_generation_equals_one_attempt_at_a_time(config):

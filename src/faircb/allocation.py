@@ -192,8 +192,8 @@ def solve_maxmin(problem: AllocationProblem) -> Allocation:
     fractions.  Raises Infeasible when the region is empty.
 
     HiGHS gets the arrays and options that ``linprog(method="highs")`` would
-    pass it, so the solution has the same bits, without the front end's
-    per-call option checks and result wrapping.
+    pass it, through ``passModel``'s array overload, so the solution has the
+    same bits, without the front end's per-call checks and result wrapping.
     """
     K = problem.n_arms
     n_var = 3 * K + 1
@@ -224,20 +224,17 @@ def solve_maxmin(problem: AllocationProblem) -> Allocation:
     objective = np.zeros(n_var)
     objective[-1] = -1.0
 
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_var
-    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = objective, np.zeros(n_var), col_upper
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-    # Compressed columns over the nonzeros, rows ascending within a column.
+    # int32 compressed columns (rows ascending) and a zero integrality per column, as an
+    # empty one is rejected; passModel's array overload skips HighsLp's per-element copy.
     cols, rows = np.nonzero(a.T)
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_var))])
-    lp.a_matrix_.index_ = rows
-    lp.a_matrix_.value_ = a.T[cols, rows]
+    start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_var))]).astype(np.int32)
     highs = _highs._Highs()
     highs.passOptions(_HIGHS_OPTIONS)
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+    if highs.passModel(
+        n_var, a.shape[0], len(rows), _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
+        objective, np.zeros(n_var), col_upper, row_lower, row_upper, start,
+        rows.astype(np.int32), a.T[cols, rows], np.zeros(n_var, dtype=np.int32),
+    ) == _highs.HighsStatus.kError:
         raise RuntimeError("HiGHS rejected the allocation LP")
     highs.run()
     status = highs.getModelStatus()

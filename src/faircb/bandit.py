@@ -1,10 +1,11 @@
 """Successive-rejection runs: phase schedule, fair set, elimination, traces.
 
 A stage splits its pull budget into phases of shrinking accuracy
-eps = 2^{1-l}.  One driver, ``_run_stage``, runs every phase of every
-algorithm: it solves the max-min allocation over the surviving arms, pulls
-the rounded counts, re-estimates, then certifies and eliminates in one pass
-over the survivors' estimates (``_clauses``), and records the phase.  Its
+eps = 2^{1-l}.  Every phase of every algorithm is one step, ``_phase``,
+which ``_run_stage`` loops over a stage's schedule: it draws the pull plan
+of the max-min allocation over the surviving arms, re-estimates, then
+certifies and eliminates in one pass over the survivors' estimates
+(``_clauses``), and returns the phase's record and the survivors.  Its
 ``rule`` picks the LP families and the elimination clauses:
 
 - ``joint`` (``run_csr``): both families; the arms certified fair at this
@@ -31,17 +32,17 @@ whole process and drops the least recently used entry first (``lru_get``):
   extra rows, never on object identity, so equal instances prepared apart
   share an entry;
 - each instance's map holds at most ``_MEMO_ENTRIES`` solutions, keyed
-  (survivors, rule), and rounded counts, keyed (survivors, rule, phase
-  length).  Two levels hold the matrix bytes once per instance: in one flat
-  map each entry a run adds would keep that run's own copy of them, which
-  raised synth-k30's peak RSS by about 7%;
+  (survivors, rule), and pull plans, keyed (survivors, rule, phase length):
+  the rounded allocation, its ``(K, 3)`` counts, samples and cost.  Two
+  levels hold the matrix bytes once per instance, not once per entry a run
+  adds, which raised synth-k30's peak RSS by about 7%;
 - a memoized ``Allocation`` is shared by every phase record that reuses it,
   which its read-only arrays allow.
 
 A hit returns the very solution a miss would compute, since HiGHS is
 deterministic on equal input: seeded runs do not depend on the memo's state.
-Sweep workers started by fork inherit it warm.  The memo takes no lock:
-threads of one process must not run concurrently through it.
+Sweep workers started by fork inherit it warm and hand back what they add.
+The memo takes no lock: threads of one process must not run through it at once.
 
 The v1 variant estimates from the phase's own samples, v2 from every sample
 collected so far (re-clipped at the current eps), across both stages.
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,46 +147,27 @@ def _clauses(
     best fair one by more than 5/2^l; ``joint`` and ``outcome``), then
     unfairness arm by arm in ``_UNFAIR_TAGS`` order (an estimate past the
     threshold by 3/2^l; ``joint`` and ``fairness``).  Under ``joint`` a phase
-    without a fair arm fires nothing.
+    without a fair arm fires nothing.  It reads the estimates as Python floats,
+    which at a few dozen arms beats numpy's per-call overhead.
     """
-    arms = fair = np.asarray(remaining, dtype=np.intp)
+    y, ssp, sps = estimates.y.tolist(), estimates.zeta_ssp.tolist(), estimates.zeta_sps.tolist()
+    fair = tuple(remaining)
     if rule != "outcome":
         margin = 3.0 / 2.0**l
-        z = np.array((estimates.zeta_ssp[arms], estimates.zeta_sps[arms])).T
-        fair = arms[((z + margin < fairness_eps) & (z - margin > -fairness_eps)).all(axis=1)]
-        if rule == "joint" and not fair.size:
+        fair = tuple(k for k in remaining
+                     if ssp[k] + margin < fairness_eps and ssp[k] - margin > -fairness_eps
+                     and sps[k] + margin < fairness_eps and sps[k] - margin > -fairness_eps)
+        if rule == "joint" and not fair:
             return (), ()
-    records: list[tuple[int, str]] = []
-    if rule != "fairness":
-        y_ref = estimates.y[fair]
-        y_ref = y_ref[~np.isnan(y_ref)]
-        if y_ref.size:
-            beaten = y_ref.max() > estimates.y[arms] + 5.0 / 2.0**l
-            records = [(k, "suboptimal") for k in arms[beaten].tolist()]
+    # Without a fair outcome estimate the reference is NaN, which beats no arm.
+    y_ref = [y[k] for k in fair if not math.isnan(y[k])] if rule != "fairness" else []
+    best, gap = max(y_ref, default=math.nan), 5.0 / 2.0**l
+    records = [(k, "suboptimal") for k in remaining if best > y[k] + gap]
     if rule != "outcome":
-        # fired[i, d, h]: arm i, direction d (ssp, sps), high or low; row-major is
-        # arm by arm in ``_UNFAIR_TAGS`` order.
-        fired = np.array((z - margin > fairness_eps, z + margin < -fairness_eps)).transpose(1, 2, 0)
-        rows, tags = np.nonzero(fired.reshape(len(arms), len(_UNFAIR_TAGS)))
-        records += [(k, _UNFAIR_TAGS[t]) for k, t in zip(arms[rows].tolist(), tags.tolist())]
-    return tuple(fair.tolist()), tuple(records)
-
-
-def _pull_phase(run: _Run, allocation: Allocation) -> tuple[int, float]:
-    """Draw the rounded ``(K, 3)`` counts into the pool in one ``sample_batch`` call;
-    returns (samples, cost) spent.
-
-    The cost adds up arm by arm, then in ``REGIMES`` order, one term at a time:
-    ``np.sum`` sums pairwise past eight terms, which would move its last bits.
-    """
-    counts = np.array((allocation.tau_y, allocation.tau_s, allocation.tau_sp)).T
-    drawn = counts > 0
-    cost = 0.0
-    for spent in (run.prepared.costs.T[drawn] * counts[drawn]).tolist():
-        cost += spent
-    if drawn.any():
-        run.pool.add(sampling.sample_batch(run.prepared.tables.laws, counts, run.rng))
-    return int(counts.sum()), cost
+        records += [(k, tag) for k in remaining for tag, fired in zip(_UNFAIR_TAGS, (
+            ssp[k] - margin > fairness_eps, ssp[k] + margin < -fairness_eps,
+            sps[k] - margin > fairness_eps, sps[k] + margin < -fairness_eps)) if fired]
+    return fair, tuple(records)
 
 
 class PreparedInstance(NamedTuple):
@@ -231,7 +213,7 @@ def prepare(model: CausalModel, arms: Sequence[Arm], budget: float,
 # K=30 sweep of acceptance 8; the benchmark's workloads take at most 663.
 _MEMO_INSTANCES = 8
 _MEMO_ENTRIES = 4096
-_SOLVED: OrderedDict[tuple, OrderedDict[tuple, Allocation]] = OrderedDict()
+_SOLVED: OrderedDict[tuple, OrderedDict[tuple, Allocation | _Plan]] = OrderedDict()
 
 
 @dataclass
@@ -253,12 +235,17 @@ class _Run:
         self.solved = lru_get(_SOLVED, (self.prepared.key, extra), OrderedDict, _MEMO_INSTANCES)
 
 
-def _allocate(run: _Run, remaining: tuple[int, ...], rule: str, tau: int | None = None) -> Allocation:
-    """The allocation over ``remaining`` (sorted) under ``rule``, rounded to ``tau``
-    pulls when given; solved, and rounded, on a miss only."""
-    if tau is not None:
-        return lru_get(run.solved, (remaining, rule, tau),
-                       lambda: round_counts(_allocate(run, remaining, rule), tau), _MEMO_ENTRIES)
+class _Plan(NamedTuple):
+    """A phase's rounded allocation, ``(K, 3)`` pull counts, samples and cost; no laws."""
+
+    allocation: Allocation
+    counts: np.ndarray
+    samples: int
+    cost: float
+
+
+def _allocate(run: _Run, remaining: tuple[int, ...], rule: str) -> Allocation:
+    """The allocation over ``remaining`` (sorted) under ``rule``; solved on a miss only."""
     p = run.prepared
     return lru_get(run.solved, (remaining, rule), lambda: solve_maxmin(build_problem(
         p.divergences, p.costs, p.budget, remaining, run.extra_constraints,
@@ -266,32 +253,65 @@ def _allocate(run: _Run, remaining: tuple[int, ...], rule: str, tau: int | None 
     )), _MEMO_ENTRIES)
 
 
+def _plan(run: _Run, remaining: tuple[int, ...], rule: str, tau: int) -> _Plan:
+    """``_allocate``'s allocation rounded to ``tau`` pulls, as a ``_Plan``; made on a miss
+    only.  Its cost adds up term by term in draw order: ``np.sum`` sums pairwise, moving bits."""
+    def make() -> _Plan:
+        allocation = round_counts(_allocate(run, remaining, rule), tau)
+        counts = np.array((allocation.tau_y, allocation.tau_s, allocation.tau_sp)).T
+        counts.flags.writeable = False
+        cost = 0.0
+        for spent in (run.prepared.costs.T[counts > 0] * counts[counts > 0]).tolist():
+            cost += spent
+        return _Plan(allocation, counts, int(counts.sum()), cost)
+
+    return lru_get(run.solved, (remaining, rule, tau), make, _MEMO_ENTRIES)
+
+
+def memo_entries() -> list[tuple]:
+    """The allocation memo as (instance key, entry key, solution or plan) triples."""
+    return [(outer, key, value) for outer, solved in _SOLVED.items() for key, value in solved.items()]
+
+
+def adopt_memo_entries(entries: Iterable[tuple]) -> None:
+    """Adopt another process's ``memo_entries``, read-only again, under the memo's bounds."""
+    for outer, key, value in entries:
+        for array in (getattr(value, "counts", None), *vars(getattr(value, "allocation", value)).values()):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        lru_get(lru_get(_SOLVED, outer, OrderedDict, _MEMO_INSTANCES), key, lambda: value, _MEMO_ENTRIES)
+
+
+def _phase(run: _Run, remaining: tuple[int, ...], rule: str, stage: int, l: int,
+           tau: int) -> tuple[PhaseRecord, tuple[int, ...]]:
+    """Phase ``l`` of ``stage`` over ``remaining`` under ``rule``: its record and the survivors."""
+    eps = 2.0 ** (-(l - 1))
+    plan = _plan(run, remaining, rule, tau)
+    if run.variant == "v1":
+        run.pool.clear()
+    if plan.samples:
+        run.pool.add(sampling.sample_batch(run.prepared.tables.laws, plan.counts, run.rng))
+    estimates = estimate_all(run.pool, eps, run.prepared.divergences)
+    fair, eliminated = _clauses(estimates, l, run.fairness_eps, remaining, rule)
+    dropped = {k for k, _ in eliminated}
+    return (PhaseRecord(l, stage, eps, remaining, fair, plan.allocation, estimates, eliminated,
+                        plan.samples, plan.cost), tuple(k for k in remaining if k not in dropped))
+
+
 def _run_stage(
     run: _Run, T: int, remaining: tuple[int, ...], stage: int, rule: str,
     phases: list[PhaseRecord],
 ) -> tuple[tuple[int, ...], int | None]:
-    """One phase schedule of ``T`` pulls over ``remaining``; appends a record per phase.
-
-    Returns the survivors and, when the stage ended at a lone survivor, that
-    arm as the decision (None otherwise).  See the module docstring for the
-    three rules.
-    """
-    for l, tau in enumerate(phase_schedule(T), 1):
-        eps = 2.0 ** (-(l - 1))
-        alloc = _allocate(run, remaining, rule, int(tau))
-        if run.variant == "v1":
-            run.pool.clear()
-        spent, cost = _pull_phase(run, alloc)
-        estimates = estimate_all(run.pool, eps, run.prepared.divergences)
-        fair, eliminated = _clauses(estimates, l, run.fairness_eps, remaining, rule)
-        phases.append(
-            PhaseRecord(l, stage, eps, remaining, fair, alloc, estimates, eliminated, spent, cost)
-        )
+    """One phase schedule of ``T`` pulls over ``remaining``; appends a record per
+    phase.  Returns the survivors and, when the stage ended at a lone survivor,
+    that arm as the decision (None otherwise)."""
+    for l, tau in enumerate(phase_schedule(T).tolist(), 1):
+        record, survivors = _phase(run, remaining, rule, stage, l, tau)
+        phases.append(record)
         # A lone survivor fires no clause: it is the decision.
         if rule != "fairness" and len(remaining) == 1:
             return remaining, remaining[0]
-        dropped = {k for k, _ in eliminated}
-        remaining = tuple(k for k in remaining if k not in dropped)
+        remaining = survivors
         if rule == "fairness" and len(remaining) <= 1:
             break
     return remaining, None

@@ -90,12 +90,11 @@ class SamplePool:
         their counts times their outcomes."""
         arms, regimes = np.nonzero(self._pulled)
         rows = self._counts[arms, regimes]
-        at = np.flatnonzero(rows)
-        block, cell = np.divmod(at, rows.shape[1])
+        block, cell = np.nonzero(rows)
         origin = (regimes * self.n_arms + arms) * rows.shape[1]
-        return PulledBlocks(arms, regimes, np.count_nonzero(rows, axis=1), rows.sum(axis=1),
-                            self._rows.take(origin[block] + cell, axis=0),
-                            rows.ravel()[at] * self._y[cell])
+        return PulledBlocks(arms, regimes, np.bincount(block, minlength=len(arms)),
+                            rows.sum(axis=1), self._rows.take(origin[block] + cell, axis=0),
+                            rows[block, cell] * self._y[cell])
 
 
 @dataclass

@@ -18,7 +18,8 @@ and the pool take the same ``(T, algorithm, budget_index)`` row tuples.  At
 ``width > 1`` the rows go to a pool of ``min(width, rows)`` worker processes,
 one task per row.  The prepared instance, the instance and the oracle truth
 reach each worker once, through the pool initializer.  Workers started by
-fork inherit the parent's allocation memo (see ``bandit``).
+fork inherit the parent's allocation memo (see ``bandit``); each row hands
+back the memo entries its runs added, for the parent to adopt.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .allocation import cheap_arm_cap
 from .bandit import MIN_T_CSR, MIN_T_TWO_STAGE, PreparedInstance, RunTrace, prepare
-from .bandit import run_csr, run_two_stage
+from .bandit import adopt_memo_entries, memo_entries, run_csr, run_two_stage
 from .divergence import DivergenceSet
 from .io import instance_digest
 from .model import Instance
@@ -159,8 +160,10 @@ def _init_worker(run_row: Callable[..., SweepRow]) -> None:
     _SHARED = run_row
 
 
-def _run_shared_row(row: tuple[int, str, int]) -> SweepRow:
-    return _SHARED(*row)
+def _run_shared_row(row: tuple[int, str, int]) -> tuple[SweepRow, list[tuple]]:
+    """A pooled row's ``SweepRow`` and the allocation-memo entries its runs added."""
+    known = {entry[:2] for entry in memo_entries()}
+    return _SHARED(*row), [entry for entry in memo_entries() if entry[:2] not in known]
 
 
 def run_sweep(
@@ -205,7 +208,8 @@ def run_sweep(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(run_row,)
         ) as pool:
-            rows = tuple(pool.map(_run_shared_row, grid))
+            rows, solved = zip(*pool.map(_run_shared_row, grid))
+        adopt_memo_entries(entry for entries in solved for entry in entries)
     else:
         rows = tuple(run_row(*row) for row in grid)
     return ErrorCurve(rows=rows, instance_digest=digest, truth=truth)

@@ -106,7 +106,7 @@ def test_solve_maxmin_raises_when_highs_does_not_solve(monkeypatch, passed, stat
         def passOptions(self, options):
             pass
 
-        def passModel(self, lp):
+        def passModel(self, *model):
             return getattr(highs.HighsStatus, passed)
 
         def run(self):

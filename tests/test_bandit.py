@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import faircb.bandit as bandit
 import faircb.sampling as sampling
-from faircb.allocation import cheap_arm_cap, round_counts
+from faircb.allocation import cheap_arm_cap, costs_from_arms, round_counts
 from faircb.bandit import phase_schedule, prepare, run_csr, run_two_stage
 from faircb.divergence import DivergenceSet
 from faircb.errors import EnumerationTooLarge, Infeasible
@@ -163,7 +163,7 @@ def test_vectorized_clauses_match_the_arm_by_arm_loops(data):
     """Under each rule, the same fair set and records in the same order, arms as
     Python ints, on NaN, +-inf, random values and values at (and one ulp off)
     every clause's threshold."""
-    K = data.draw(st.integers(1, 6))
+    K = data.draw(st.integers(1, 30))
     l = data.draw(st.integers(1, 10))
     fairness_eps = data.draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
     margin, gap = 3.0 / 2.0**l, 5.0 / 2.0**l
@@ -593,6 +593,41 @@ def test_bench_phase_estimates_are_pinned(workload):
     assert got == BENCH_ESTIMATE_PINS[workload]
 
 
+@pytest.mark.parametrize("costly", [False, True])
+@pytest.mark.parametrize("workload", sorted(BENCH_TOP_BUDGETS))
+def test_memo_plans_match_their_rounded_allocations(workload, costly):
+    """Each phase draws the counts, and charges the samples and cost, that the
+    memo's plan keeps; after seeded runs of every algorithm each plan equals a
+    fresh count of its rounded allocation, its cost summed arm by arm, then
+    regime by regime, bit for bit.  The bench costs are 0 or 1, whose sums
+    are exact in any order, so each instance also runs with irregular costs."""
+    instance = BENCH_INSTANCES[workload]()
+    if costly:
+        rng = np.random.default_rng(7)
+        instance = replace(instance, arms=tuple(
+            replace(arm, **dict(zip(("cost_pull", "cost_force_s", "cost_force_sprime"),
+                                    rng.uniform(0.1, 1.3, size=3).tolist())))
+            for arm in instance.arms))
+    divergences = DivergenceSet.exact(instance.model, instance.arms)
+    bandit._SOLVED.clear()
+    for algorithm in ALGORITHMS:
+        for seed in (0, 1):
+            run_algorithm(instance, algorithm, BENCH_TOP_BUDGETS[workload],
+                          np.random.default_rng(seed), divergences=divergences)
+    costs = costs_from_arms(instance.arms)
+    plans = [value for _, _, value in bandit.memo_entries() if isinstance(value, bandit._Plan)]
+    assert plans
+    for plan in plans:
+        a = plan.allocation
+        counts = np.stack([a.tau_y, a.tau_s, a.tau_sp], axis=1)
+        cost = 0.0
+        for arm, regime in zip(*np.nonzero(counts)):
+            cost += float(costs[regime, arm]) * int(counts[arm, regime])
+        assert np.array_equal(plan.counts, counts) and not plan.counts.flags.writeable
+        assert plan.samples == int(counts.sum()) and type(plan.samples) is int
+        assert plan.cost.hex() == cost.hex()
+
+
 @pytest.mark.parametrize("workload", sorted(BENCH_TOP_BUDGETS))
 def test_bench_runs_on_the_exact_and_the_pairwise_divergences_agree(workload):
     # The exact matrices and the pairwise reference may differ in the last
@@ -831,7 +866,7 @@ def test_roundings_stay_within_their_bound(monkeypatch):
     run = bandit._Run(prepare(model, arms, 1.0), 0.2, "v2", None, ())
     solution = bandit._allocate(run, (0, 1, 2), "joint")
     for tau in (0, 10, 20, 30):
-        rounded = bandit._allocate(run, (0, 1, 2), "joint", tau)
+        rounded = bandit._plan(run, (0, 1, 2), "joint", tau).allocation
         assert sum(int(c.sum()) for c in (rounded.tau_y, rounded.tau_s, rounded.tau_sp)) == tau
         assert rounded.nu_y is solution.nu_y and len(run.solved) <= 3
     assert list(run.solved) == [((0, 1, 2), "joint", 20), ((0, 1, 2), "joint"), ((0, 1, 2), "joint", 30)]
@@ -866,7 +901,7 @@ def test_memo_stays_within_its_bounds(monkeypatch):
         run = bandit._Run(prepare(model, arms, budget, divergences), 0.2, "v2", None, ())
         for remaining in ((0,), (1,), (2,), (0, 1), (0, 2)):
             for rule in ("joint", "fairness", "outcome"):
-                bandit._allocate(run, remaining, rule, 10)
+                bandit._plan(run, remaining, rule, 10)
                 assert len(bandit._SOLVED) <= 2
                 assert all(len(solved) <= 3 for solved in bandit._SOLVED.values())
     assert len(bandit._SOLVED) == 2
@@ -878,7 +913,7 @@ def test_memo_stays_within_its_bounds(monkeypatch):
         return round_counts(alloc, tau)
 
     monkeypatch.setattr(bandit, "round_counts", counted)
-    bandit._allocate(run, (0, 2), "outcome", 10)
+    bandit._plan(run, (0, 2), "outcome", 10)
     bandit._allocate(run, (0, 2), "outcome")
     assert solves == [] and rounds == []
 

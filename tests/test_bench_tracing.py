@@ -30,13 +30,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import tracing  # noqa: E402
 
 
-def test_traced_run_counts_every_pull_in_one_batch_per_phase():
+@pytest.mark.parametrize("algorithm", sweep.ALGORITHMS)
+def test_traced_run_counts_every_pull_in_one_batch_per_phase(algorithm):
     model, arms = chain_model()
     instance = Instance(model=model, arms=tuple(arms))
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         trace = sweep.run_algorithm(
-            instance, "csr-v2", 2000, np.random.default_rng(0), budget=1.0, fairness_eps=0.2
+            instance, algorithm, 2000, np.random.default_rng(0), budget=1.0, fairness_eps=0.2
         )
     batches = sum(span.name == "sampling.batch" for span in tracer.spans)
     pulled = sum(phase.samples > 0 for phase in trace.phases)
@@ -44,7 +45,7 @@ def test_traced_run_counts_every_pull_in_one_batch_per_phase():
     assert batches == pulled > 0
 
 
-@pytest.mark.parametrize("algorithm", ["csr-v1", "csr-v2"])
+@pytest.mark.parametrize("algorithm", sweep.ALGORITHMS)
 def test_traced_terms_are_targets_times_pooled_pulls(algorithm):
     model, arms = chain_model()
     instance = Instance(model=model, arms=tuple(arms))
@@ -54,8 +55,9 @@ def test_traced_terms_are_targets_times_pooled_pulls(algorithm):
             instance, algorithm, 2000, np.random.default_rng(0), budget=1.0, fairness_eps=0.2
         )
     pulls = np.array([phase.samples for phase in trace.phases])
-    # A v1 phase estimates from its own pulls, a v2 phase from every pull so far.
-    pooled = pulls if algorithm == "csr-v1" else np.cumsum(pulls)
+    # A v1 phase estimates from its own pulls, a v2 phase from every pull so
+    # far, across both stages of a two-stage run.
+    pooled = pulls if algorithm.endswith("-v1") else np.cumsum(pulls)
     assert sum(span.name == "estimation.estimate" for span in tracer.spans) == len(trace.phases)
     assert tracer.counts["estimation.terms"] == len(arms) * int(pooled.sum()) > 0
 

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import faircb.bandit as bandit
 import faircb.sampling as sampling
 import faircb.sweep as sweep_mod
 from faircb import divergence, oracles
@@ -135,6 +136,27 @@ def test_pooled_sweep_equals_the_serial_sweep(instance):
         return record
 
     assert [fields(r) for r in pooled.rows] == [fields(r) for r in serial.rows]
+
+
+def test_pooled_workers_hand_their_solutions_back(instance, monkeypatch):
+    # A serial sweep after a pooled one of the same grid finds every LP and
+    # rounding in the parent's memo, adopted read-only from the workers.
+    bandit._SOLVED.clear()
+    pooled = run_sweep(instance, budgets=(200, 400), runs=3, base_seed=11, width=2)
+    entries = bandit.memo_entries()
+    assert entries
+    for _, _, value in entries:
+        allocation = getattr(value, "allocation", value)
+        arrays = [allocation.nu_y, allocation.nu_s, allocation.nu_sp]
+        if allocation.tau_y is not None:
+            arrays += [allocation.tau_y, allocation.tau_s, allocation.tau_sp, value.counts]
+        assert not any(array.flags.writeable for array in arrays)
+    solves, rounds = [], []
+    monkeypatch.setattr(bandit, "solve_maxmin", lambda problem: solves.append(problem))
+    monkeypatch.setattr(bandit, "round_counts", lambda alloc, tau: rounds.append(tau))
+    serial = run_sweep(instance, budgets=(200, 400), runs=3, base_seed=11)
+    assert solves == [] and rounds == []
+    assert [row_key(r) for r in serial.rows] == [row_key(r) for r in pooled.rows]
 
 
 @pytest.mark.parametrize("width", [0, -1])
